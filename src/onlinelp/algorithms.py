@@ -9,14 +9,14 @@ instance bytes, the configuration, and the seed.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .core import (
-    DualState,
     Instance,
     MultiInstance,
     RunTrace,
@@ -30,6 +30,8 @@ __all__ = [
     "AlgorithmKind",
     "AlgorithmConfig",
     "RepairConfig",
+    "Policy",
+    "run_one_pass",
     "run_soa",
     "run_sfa",
     "run_sna",
@@ -49,9 +51,13 @@ class AlgorithmKind(enum.Enum):
     PBD = "pbd"            # prefix-LP fractional value, randomized rounding
 
 
-_SUBGRADIENT_KINDS = frozenset(
-    {AlgorithmKind.SOA, AlgorithmKind.SFA, AlgorithmKind.SNA, AlgorithmKind.MULTI_SOA}
-)
+# The one-pass kinds and what each changes in the kernel: (gated, track_budget).
+_ONE_PASS = {
+    AlgorithmKind.SOA: (False, False),
+    AlgorithmKind.SFA: (True, False),
+    AlgorithmKind.SNA: (False, True),
+    AlgorithmKind.MULTI_SOA: (False, False),
+}
 
 
 @dataclass(frozen=True)
@@ -69,7 +75,7 @@ class AlgorithmConfig:
     record_dual_history: bool = False
 
     def __post_init__(self) -> None:
-        if self.kind in _SUBGRADIENT_KINDS:
+        if self.kind in _ONE_PASS:
             if self.schedule is None:
                 raise ValueError(f"{self.kind.value} requires a step-size schedule")
             if self.kind is AlgorithmKind.MULTI_SOA and self.schedule is not StepSchedule.SQRT_N:
@@ -97,196 +103,189 @@ class RepairConfig:
             raise ValueError("d_lo_override must be positive")
 
 
-def _require(cfg: AlgorithmConfig, kind: AlgorithmKind) -> None:
+@dataclass(frozen=True)
+class Policy:
+    """How one row of the one-pass kernel decides and moves its prices.
+
+    Column t is tentatively accepted iff its reward strictly beats its priced
+    usage (with k alternatives: iff the best reward minus priced usage is
+    positive); the prices then move along (tentative usage - target) times the
+    step size, clamped at zero.  ``gated`` realizes an accept only while the
+    cumulative consumption stays within capacity in every coordinate (SFA);
+    ``track_budget`` targets the remaining budget rate ``b_t / (n - t)``
+    instead of the per-column budget ``d`` (SNA).
+    """
+
+    schedule: StepSchedule
+    gated: bool = False
+    track_budget: bool = False
+
+    def __post_init__(self) -> None:
+        if self.gated and self.track_budget:
+            raise ValueError("a policy may gate or track the budget, not both")
+
+    @classmethod
+    def of(cls, kind: AlgorithmKind, schedule: StepSchedule) -> "Policy":
+        if kind not in _ONE_PASS:
+            raise ValueError(f"{kind.value} is not a one-pass algorithm")
+        gated, track_budget = _ONE_PASS[kind]
+        return cls(schedule, gated=gated, track_budget=track_budget)
+
+    def check(self, inst) -> None:
+        """Raise ``ValueError`` if this policy cannot run on ``inst``."""
+        if self.gated and (inst.capacity < 0.0).any():
+            raise ValueError("gated runs require non-negative capacity")
+        if self.track_budget and inst.n < 2:
+            raise ValueError("budget-tracking run needs n >= 2")
+
+
+def run_one_pass(instances: Sequence, policies: Sequence[Policy],
+                 rng_seeds: Sequence[Sequence[int]], *,
+                 record_dual_history: bool = False) -> List[List[RunTrace]]:
+    """Step every policy over every instance at once; returns ``traces[policy][instance]``.
+
+    A row is one (policy, instance) pair.  All instances share n, m and the
+    number of alternatives k; each row keeps its own prices, consumption and
+    budget, so a row's trace does not depend on what else is in the batch:
+    per-row dot products are ``np.vecdot`` of that row alone, and every other
+    operation is elementwise.  ``rng_seeds[i][j]`` seeds row (i, j)'s
+    tie-breaking stream, which draws only when two or more alternatives tie
+    for the best positive value.  Decisions record the chosen alternative
+    1..k, 0 for reject.
+    """
+    if not instances or not policies:
+        raise ValueError("a one-pass batch needs at least one instance and one policy")
+    for policy, inst in itertools.product(policies, instances):
+        policy.check(inst)
+    # rewards (n, k) and usage vectors (n, k, m) of each instance; plain ones have k = 1
+    data = [(x.reward_blocks, x.column_blocks.transpose(0, 2, 1)) if isinstance(x, MultiInstance)
+            else (x.rewards[:, None], x.columns.T[:, None, :]) for x in instances]
+    n, k, m = data[0][1].shape
+    if any(cols.shape != (n, k, m) for _, cols in data):
+        raise ValueError("the instances of a one-pass batch must share n, m and k")
+    rewards = np.stack([r for r, _ in data], axis=1)        # (n, K, k)
+    columns = np.stack([c for _, c in data], axis=1)        # (n, K, k, m)
+    capacity = np.stack([inst.capacity for inst in instances])
+    n_inst = len(instances)
+
+    # Rows run sorted so that plain, budget-tracking and gated policies, and
+    # equal schedules within them, occupy contiguous slices.
+    order = sorted(range(len(policies)), key=lambda i: (
+        policies[i].gated, policies[i].track_budget, policies[i].schedule.value))
+    ranked = [policies[i] for i in order]
+    n_gated, n_track = sum(p.gated for p in ranked), sum(p.track_budget for p in ranked)
+    gated = slice(len(ranked) - n_gated, len(ranked))
+    track = slice(gated.start - n_track, gated.start)
+    steps, start = [], 0
+    for schedule, group in itertools.groupby(p.schedule for p in ranked):
+        stop = start + len(list(group))
+        steps.append((slice(start, stop), [schedule.gamma(t, n) for t in range(1, n + 1)]))
+        start = stop
+
+    shape = (len(ranked), n_inst, m)
+    target = np.repeat((capacity / n)[None], len(ranked), axis=0)
+    budget = np.repeat(capacity[None], n_track, axis=0)
+    used = np.zeros((n_gated, n_inst, m))
+    prices = np.zeros(shape)
+    # |p|^2 of the last `fold` steps; folding them into the running maximum once
+    # per chunk saves a numpy call per step
+    fold = 256
+    norm_sq = np.zeros((fold,) + shape[:2])
+    peak = np.zeros(shape[:2])
+    history = np.zeros((n + 1,) + shape[:2]) if record_dual_history else None
+    chosen = np.zeros((n,) + shape[:2], dtype=bool if k == 1 else np.int32)
+    plain_rewards, plain_columns = rewards[:, :, 0], columns[:, :, 0]
+    vecdot = np.vecdot
+    rngs = [[np.random.default_rng(rng_seeds[i][j]) for j in range(n_inst)] for i in order] \
+        if k > 1 else None
+    for t in range(n):
+        if k == 1:
+            usage = plain_columns[t]
+            accept = chosen[t]
+            np.greater(plain_rewards[t], vecdot(usage, prices), out=accept)
+        else:
+            values = rewards[t] - vecdot(columns[t], prices[:, :, None, :])
+            best = values.max(axis=-1)
+            accept = best > 0.0
+            pick = values.argmax(axis=-1)
+            tied = values == best[..., None]
+            for i, j in zip(*np.nonzero(accept & (tied.sum(axis=-1) > 1))):
+                ties = np.flatnonzero(tied[i, j])
+                pick[i, j] = ties[int(rngs[i][j].integers(len(ties)))]
+            usage = np.take_along_axis(columns[t][None], pick[..., None, None], axis=2)[:, :, 0]
+            chosen[t] = (pick + 1) * accept
+        step = accept[..., None] * usage
+        if n_gated:
+            after = used + (usage[gated] if k > 1 else usage)
+            fits = np.logical_and.reduce(after <= capacity, axis=-1)
+            fits &= accept[gated]
+            np.copyto(used, after, where=fits[..., None])
+            chosen[t, gated] *= fits
+        if n_track and t + 1 < n:
+            budget -= step[track]
+            np.divide(budget, n - t - 1, out=target[track])
+        step -= target
+        for rows, gammas in steps:
+            step[rows] *= gammas[t]
+        if t + 1 == n:
+            # the update after the final decision would divide by zero and is
+            # dead state anyway, so budget tracking skips it
+            step[track] = 0.0
+        prices += step
+        np.maximum(prices, 0.0, out=prices)
+        vecdot(prices, prices, out=norm_sq[t % fold])
+        if history is not None:
+            np.sqrt(norm_sq[t % fold], out=history[t + 1])
+        if t % fold == fold - 1 or t + 1 == n:
+            np.maximum(peak, norm_sq.max(axis=0), out=peak)
+
+    traces: List[List[RunTrace]] = [[] for _ in policies]
+    for i, pos in enumerate(order):
+        for j in range(n_inst):
+            decisions = chosen[:, i, j].astype(np.int8 if k == 1 else np.int32)
+            picked = np.flatnonzero(decisions)
+            alt = decisions[picked] - 1
+            # in-order sums from zero, bit for bit the += of a scalar loop; the
+            # copy of the last partial sum lets the others go
+            sums = np.cumsum(np.vstack((np.zeros(m), columns[picked, j, alt])), axis=0)
+            traces[pos].append(RunTrace(
+                decisions=decisions,
+                objective=float(np.cumsum(np.append(0.0, rewards[picked, j, alt]))[-1]),
+                consumption=sums[-1].copy(),
+                final_prices=prices[i, j].copy(),
+                max_dual_norm=math.sqrt(peak[i, j]),
+                dual_norm_history=None if history is None else history[:, i, j].copy(),
+                rng_seed=rng_seeds[pos][j],
+            ))
+    return traces
+
+
+def _run_single(inst, cfg: AlgorithmConfig, kind: AlgorithmKind) -> RunTrace:
     if cfg.kind is not kind:
         raise ValueError(f"config is for {cfg.kind.value}, expected {kind.value}")
+    [[trace]] = run_one_pass([inst], [Policy.of(kind, cfg.schedule)], [[cfg.rng_seed]],
+                             record_dual_history=cfg.record_dual_history)
+    return trace
 
 
 def run_soa(inst: Instance, cfg: AlgorithmConfig) -> RunTrace:
-    """One pass of projected dual subgradient steps; no feasibility enforcement.
-
-    Column t is accepted iff its reward strictly beats its priced usage; the
-    prices then move along (consumption - budget) scaled by the step size and
-    are clamped at zero.
-    """
-    _require(cfg, AlgorithmKind.SOA)
-    n, m = inst.n, inst.m
-    cols = np.ascontiguousarray(inst.columns.T)
-    rewards = inst.rewards
-    d = inst.per_column_budget
-    state = DualState(np.zeros(m), cfg.schedule)
-    p = state.prices
-    decisions = np.zeros(n, dtype=np.int8)
-    consumption = np.zeros(m)
-    objective = 0.0
-    history = np.zeros(n + 1) if cfg.record_dual_history else None
-    for t in range(1, n + 1):
-        a_t = cols[t - 1]
-        gamma = state.gamma(n)
-        if threshold_decision(rewards[t - 1], a_t, p):
-            decisions[t - 1] = 1
-            objective += rewards[t - 1]
-            consumption += a_t
-            norm = state.step(gamma * (a_t - d))
-        else:
-            norm = state.step(-gamma * d)
-        if history is not None:
-            history[t] = norm
-    return RunTrace(
-        decisions=decisions,
-        objective=float(objective),
-        consumption=consumption,
-        final_prices=p.copy(),
-        max_dual_norm=state.max_norm_seen,
-        dual_norm_history=history,
-        rng_seed=cfg.rng_seed,
-    )
+    """One-pass subgradient run with no feasibility enforcement (see :class:`Policy`)."""
+    return _run_single(inst, cfg, AlgorithmKind.SOA)
 
 
 def run_sfa(inst: Instance, cfg: AlgorithmConfig) -> RunTrace:
-    """Feasible variant: identical price dynamics, gated realized decisions.
-
-    The price update is driven by the tentative decision, before and
-    independent of the gate; the tentative acceptance is realized only when
-    cumulative consumption stays within capacity in every coordinate
-    (negative entries participate in the sums but can never trigger a block
-    on their own).  The output is always feasible.
-    """
-    _require(cfg, AlgorithmKind.SFA)
-    if (inst.capacity < 0.0).any():
-        raise ValueError("gated runs require non-negative capacity")
-    n, m = inst.n, inst.m
-    cols = np.ascontiguousarray(inst.columns.T)
-    rewards = inst.rewards
-    d = inst.per_column_budget
-    b = inst.capacity
-    state = DualState(np.zeros(m), cfg.schedule)
-    p = state.prices
-    decisions = np.zeros(n, dtype=np.int8)
-    consumption = np.zeros(m)
-    objective = 0.0
-    history = np.zeros(n + 1) if cfg.record_dual_history else None
-    for t in range(1, n + 1):
-        a_t = cols[t - 1]
-        gamma = state.gamma(n)
-        tentative = threshold_decision(rewards[t - 1], a_t, p)
-        if tentative:
-            norm = state.step(gamma * (a_t - d))
-            if bool(np.all(consumption + a_t <= b)):
-                decisions[t - 1] = 1
-                objective += rewards[t - 1]
-                consumption += a_t
-        else:
-            norm = state.step(-gamma * d)
-        if history is not None:
-            history[t] = norm
-    return RunTrace(
-        decisions=decisions,
-        objective=float(objective),
-        consumption=consumption,
-        final_prices=p.copy(),
-        max_dual_norm=state.max_norm_seen,
-        dual_norm_history=history,
-        rng_seed=cfg.rng_seed,
-    )
+    """Gated one-pass run: SOA's prices, realized decisions kept feasible."""
+    return _run_single(inst, cfg, AlgorithmKind.SFA)
 
 
 def run_sna(inst: Instance, cfg: AlgorithmConfig) -> RunTrace:
-    """Budget-tracking variant: the subgradient aims at the remaining budget rate.
-
-    After deciding column t the update targets ``b_t / (n - t)`` where ``b_t``
-    is the budget left.  The update after the final decision would divide by
-    zero and is dead state anyway, so it is skipped.
-    """
-    _require(cfg, AlgorithmKind.SNA)
-    if inst.n < 2:
-        raise ValueError("budget-tracking run needs n >= 2")
-    n, m = inst.n, inst.m
-    cols = np.ascontiguousarray(inst.columns.T)
-    rewards = inst.rewards
-    state = DualState(np.zeros(m), cfg.schedule)
-    p = state.prices
-    b_rem = inst.capacity.copy()
-    decisions = np.zeros(n, dtype=np.int8)
-    consumption = np.zeros(m)
-    objective = 0.0
-    history = np.zeros(n + 1) if cfg.record_dual_history else None
-    for t in range(1, n + 1):
-        a_t = cols[t - 1]
-        gamma = state.gamma(n)
-        accepted = threshold_decision(rewards[t - 1], a_t, p)
-        if accepted:
-            decisions[t - 1] = 1
-            objective += rewards[t - 1]
-            consumption += a_t
-            b_rem -= a_t
-        if t < n:
-            target = b_rem / (n - t)
-            delta = gamma * (a_t - target) if accepted else -gamma * target
-            norm = state.step(delta)
-        else:
-            norm = float(np.linalg.norm(p))
-        if history is not None:
-            history[t] = norm
-    return RunTrace(
-        decisions=decisions,
-        objective=float(objective),
-        consumption=consumption,
-        final_prices=p.copy(),
-        max_dual_norm=state.max_norm_seen,
-        dual_norm_history=history,
-        rng_seed=cfg.rng_seed,
-    )
+    """One-pass run whose subgradient aims at the remaining budget rate."""
+    return _run_single(inst, cfg, AlgorithmKind.SNA)
 
 
 def run_multi_soa(minst: MultiInstance, cfg: AlgorithmConfig) -> RunTrace:
-    """Multi-choice one-pass run: pick the best-valued alternative, if positive.
-
-    At each step the alternative maximizing reward-minus-priced-usage is
-    selected (uniformly at random among exact ties, one RNG draw per accepted
-    step); a non-positive best value rejects the whole column.  The step size
-    is fixed at 1/sqrt(n).  Decisions record the chosen alternative 1..k,
-    0 for reject.
-    """
-    _require(cfg, AlgorithmKind.MULTI_SOA)
-    rng = np.random.default_rng(cfg.rng_seed)
-    n, m, k = minst.n, minst.m, minst.k
-    blocks = np.ascontiguousarray(minst.column_blocks.transpose(0, 2, 1))  # (n, k, m)
-    rewards = minst.reward_blocks
-    d = minst.per_column_budget
-    state = DualState(np.zeros(m), cfg.schedule)
-    p = state.prices
-    decisions = np.zeros(n, dtype=np.int32)
-    consumption = np.zeros(m)
-    objective = 0.0
-    history = np.zeros(n + 1) if cfg.record_dual_history else None
-    for t in range(1, n + 1):
-        gamma = state.gamma(n)
-        block = blocks[t - 1]
-        r_t = rewards[t - 1]
-        values = [r_t[l] - float(block[l] @ p) for l in range(k)]
-        best = max(values)
-        if best > 0.0:
-            ties = [l for l in range(k) if values[l] == best]
-            choice = ties[int(rng.integers(len(ties)))]
-            decisions[t - 1] = choice + 1
-            objective += float(r_t[choice])
-            a_sel = block[choice]
-            consumption += a_sel
-            norm = state.step(gamma * (a_sel - d))
-        else:
-            norm = state.step(-gamma * d)
-        if history is not None:
-            history[t] = norm
-    return RunTrace(
-        decisions=decisions,
-        objective=float(objective),
-        consumption=consumption,
-        final_prices=p.copy(),
-        max_dual_norm=state.max_norm_seen,
-        dual_norm_history=history,
-        rng_seed=cfg.rng_seed,
-    )
+    """Multi-choice one-pass run: the best positive-valued alternative, ties drawn at random."""
+    return _run_single(minst, cfg, AlgorithmKind.MULTI_SOA)
 
 
 def run_dla(inst: Instance, *, pivot_tol: float = DEFAULT_PIVOT_TOL,

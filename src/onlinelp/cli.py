@@ -8,7 +8,8 @@ Subcommands:
                       problems, with timings
   gen <family> ...    generate an instance file from a seeded spec
 
-Exit codes: 0 success, 1 configuration error, 2 runtime failure.
+Exit codes: 0 success, 1 configuration error, 2 runtime failure (for run: also
+when any trial failed; the report is still written).
 """
 from __future__ import annotations
 
@@ -88,7 +89,7 @@ def _cmd_run(args) -> int:
             print(f"trial failure: {err}", file=sys.stderr)
         print(f"{len(report.errors)} trial(s) failed; see summary.json", file=sys.stderr)
     print(f"report written to {outdir}")
-    return 0
+    return 2 if report.errors else 0
 
 
 def _cmd_solve(args) -> int:

@@ -18,27 +18,29 @@ import configparser
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import __version__
 from .algorithms import (
-    AlgorithmConfig,
     AlgorithmKind,
+    Policy,
     RepairConfig,
     repair_feasibility,
     run_dla,
-    run_multi_soa,
+    run_one_pass,
     run_pbd,
-    run_sfa,
-    run_sna,
-    run_soa,
 )
-from .core import Instance, MultiInstance, StepSchedule
+# The single-trial one-pass entry points stay bound here because
+# perfbench/spans.py looks them up in this module; the harness itself steps
+# them all through run_one_pass.
+from .algorithms import run_multi_soa, run_sfa, run_sna, run_soa  # noqa: F401
+from .core import Instance, StepSchedule
 from .generators import GeneratorFamily, GeneratorSpec, PermutationPlan, generate, permute, read_mknap
 from .metrics import TrialResult, aggregate, evaluate_trial, fit_scaling
 from .simplex import DEFAULT_FEAS_TOL, DEFAULT_PIVOT_TOL, LpStatus, solve_relaxation
@@ -50,7 +52,6 @@ __all__ = [
     "AlgorithmChoice",
     "ExperimentConfig",
     "ExperimentReport",
-    "TrialRow",
     "child_seed",
     "parse_algorithm_token",
     "load_config",
@@ -65,6 +66,8 @@ TRIALS_CSV_COLUMNS = (
     "n", "trial", "algorithm", "seed", "m", "objective", "lp_opt",
     "regret", "violation", "competitiveness", "max_dual_norm",
 )
+# trials.csv column -> TrialResult field, where the names differ
+_ROW_FIELDS = {"lp_opt": "offline_lp_opt"}
 TIMINGS_CSV_COLUMNS = ("n", "trial", "algorithm", "wall_seconds")
 
 
@@ -271,40 +274,6 @@ def load_config(path) -> ExperimentConfig:
         raise bad(str(exc)) from None
 
 
-@dataclass(frozen=True)
-class TrialRow:
-    """One deterministic line of trials.csv."""
-
-    n: int
-    trial: int
-    algorithm: str
-    seed: int
-    m: int
-    objective: float
-    lp_opt: float
-    regret: float
-    violation: float
-    competitiveness: Optional[float]
-    max_dual_norm: float
-
-    @classmethod
-    def from_result(cls, trial: int, res: TrialResult) -> "TrialRow":
-        return cls(
-            n=res.n, trial=trial, algorithm=res.algorithm, seed=res.seed, m=res.m,
-            objective=res.objective, lp_opt=res.offline_lp_opt, regret=res.regret,
-            violation=res.violation, competitiveness=res.competitiveness,
-            max_dual_norm=res.max_dual_norm,
-        )
-
-    def to_result(self, wall_time: float = 0.0, capacity_norm: float = float("nan")) -> TrialResult:
-        return TrialResult(
-            algorithm=self.algorithm, n=self.n, m=self.m, objective=self.objective,
-            offline_lp_opt=self.lp_opt, regret=self.regret, violation=self.violation,
-            competitiveness=self.competitiveness, wall_time=wall_time,
-            max_dual_norm=self.max_dual_norm, seed=self.seed, capacity_norm=capacity_norm,
-        )
-
-
 def _fmt_cell(v) -> str:
     if v is None:
         return ""
@@ -313,23 +282,15 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def _run_algorithm(choice: AlgorithmChoice, inst: Instance, seed: int,
-                   pivot_tol: float, feas_tol: float):
-    if choice.kind is AlgorithmKind.SOA:
-        return run_soa(inst, AlgorithmConfig(AlgorithmKind.SOA, choice.schedule, rng_seed=seed))
-    if choice.kind is AlgorithmKind.SFA:
-        return run_sfa(inst, AlgorithmConfig(AlgorithmKind.SFA, choice.schedule, rng_seed=seed))
-    if choice.kind is AlgorithmKind.SNA:
-        return run_sna(inst, AlgorithmConfig(AlgorithmKind.SNA, choice.schedule, rng_seed=seed))
-    if choice.kind is AlgorithmKind.MULTI_SOA:
-        minst = MultiInstance.from_instance(inst)
-        return run_multi_soa(minst, AlgorithmConfig(AlgorithmKind.MULTI_SOA, StepSchedule.SQRT_N,
-                                                    rng_seed=seed))
-    if choice.kind is AlgorithmKind.DLA:
-        return run_dla(inst, pivot_tol=pivot_tol, feas_tol=feas_tol)
-    if choice.kind is AlgorithmKind.PBD:
-        return run_pbd(inst, seed, pivot_tol=pivot_tol, feas_tol=feas_tol)
-    raise ValueError(f"unsupported algorithm kind {choice.kind}")
+# Algorithm kind -> per-trial runner of the per-step-LP baselines.  Every other
+# kind is a one-pass policy (``Policy.of``), stepped in one kernel call with the
+# other one-pass algorithms of the block.
+_PER_STEP_LP = {
+    AlgorithmKind.DLA: lambda inst, seed, cfg: run_dla(
+        inst, pivot_tol=cfg.pivot_tol, feas_tol=cfg.feas_tol),
+    AlgorithmKind.PBD: lambda inst, seed, cfg: run_pbd(
+        inst, seed, pivot_tol=cfg.pivot_tol, feas_tol=cfg.feas_tol),
+}
 
 
 def _load_benchmark_instance(cfg: ExperimentConfig, index: int) -> Instance:
@@ -339,52 +300,107 @@ def _load_benchmark_instance(cfg: ExperimentConfig, index: int) -> Instance:
     return problems[index][0]
 
 
-def _trial_task(args):
-    """Run every algorithm of one (n-or-problem, trial) cell; returns rows or an error."""
-    cfg, key, trial = args
-    rows: List[TrialRow] = []
-    timings: List[Tuple[int, int, str, float]] = []
-    try:
-        if cfg.generator_params is not None:
-            n = key
-            seed_tag = ""
-            inst = generate(cfg.spec_for(n, child_seed(cfg.seed, n, trial, "instance")))
-        else:
-            inst = _load_benchmark_instance(cfg, key)
-            n = inst.n
-            seed_tag = f"b{key}:"
-        if cfg.permute_arrivals:
-            plan = PermutationPlan.random(
-                inst.n, child_seed(cfg.seed, n, trial, seed_tag + "permutation"))
-            inst = permute(inst, plan)
+def _blocks(trials: int, parts: int) -> List[range]:
+    """Split ``range(trials)`` into at most ``parts`` contiguous blocks of near-equal size."""
+    parts = max(1, min(parts, trials))
+    return [range(trials * i // parts, trials * (i + 1) // parts) for i in range(parts)]
+
+
+class _Cell(NamedTuple):
+    """One prepared (n, trial) cell; ``seed(label)`` derives the child seed of a consumer."""
+
+    trial: int
+    n: int
+    inst: Instance
+    lp_opt: float
+    lp_seconds: float
+    seed: Callable[[str], int]
+
+
+def _prepare(cfg: ExperimentConfig, key: int, trial: int, policies) -> _Cell:
+    """Instance, offline LP and seed derivation of one trial.
+
+    Raises if the trial cannot be set up or a policy cannot run on its instance.
+    """
+    if cfg.generator_params is not None:
+        n, seed_tag = key, ""
+        inst = generate(cfg.spec_for(n, child_seed(cfg.seed, n, trial, "instance")))
+    else:
+        inst = _load_benchmark_instance(cfg, key)
+        n, seed_tag = inst.n, f"b{key}:"
+    if cfg.permute_arrivals:
+        plan = PermutationPlan.random(inst.n, child_seed(cfg.seed, n, trial, seed_tag + "permutation"))
+        inst = permute(inst, plan)
+    t0 = time.perf_counter()
+    lp = solve_relaxation(inst, pivot_tol=cfg.pivot_tol, feas_tol=cfg.feas_tol)
+    lp_seconds = time.perf_counter() - t0
+    if lp.status is not LpStatus.OPTIMAL:
+        raise RuntimeError(f"offline relaxation returned {lp.status.value}")
+    for policy in policies:
+        policy.check(inst)
+    return _Cell(trial, n, inst, lp.objective, lp_seconds,
+                 lambda label: child_seed(cfg.seed, n, trial, seed_tag + label))
+
+
+def _block_task(args):
+    """Run every algorithm of one n (or benchmark problem) on a block of trials.
+
+    Returns ``(rows, timings, errors)``.  One kernel call steps every one-pass
+    algorithm on every trial of the block, and its wall time is split evenly
+    over its rows in the timings; the per-step-LP baselines, evaluation and
+    repair run per trial.  A trial that fails anywhere records its own error
+    and contributes no rows; the other trials of the block are unaffected.
+    """
+    cfg, key, trials = args
+    kernel = [c for c in cfg.algorithms if c.kind not in _PER_STEP_LP]
+    policies = [Policy.of(c.kind, c.schedule) for c in kernel]
+    cells, failures = [], {}
+    for trial in trials:
+        try:  # recorded per trial; the block continues
+            cells.append(_prepare(cfg, key, trial, policies))
+        except Exception as exc:
+            failures[trial] = exc
+    traces, share = {}, 0.0
+    if kernel and cells:
         t0 = time.perf_counter()
-        lp = solve_relaxation(inst, pivot_tol=cfg.pivot_tol, feas_tol=cfg.feas_tol)
-        lp_seconds = time.perf_counter() - t0
-        if lp.status is not LpStatus.OPTIMAL:
-            raise RuntimeError(f"offline relaxation returned {lp.status.value}")
+        try:
+            batch = run_one_pass([cell.inst for cell in cells], policies,
+                                 [[cell.seed(c.label) for cell in cells] for c in kernel])
+            share = (time.perf_counter() - t0) / (len(kernel) * len(cells))
+            traces = {c.label: row for c, row in zip(kernel, batch)}
+        except Exception as exc:
+            failures.update((cell.trial, exc) for cell in cells)
+            cells = []
+    rows: List[TrialResult] = []
+    timings: List[Tuple[int, int, str, float]] = []
+    for i, (trial, n, inst, lp_opt, lp_seconds, seed) in enumerate(cells):
+        runs = []  # (label, seed, trace, wall seconds)
+        try:
+            for choice in cfg.algorithms:
+                label = choice.label
+                if label in traces:
+                    runs.append((label, seed(label), traces[label][i], share))
+                else:
+                    t0 = time.perf_counter()
+                    trace = _PER_STEP_LP[choice.kind](inst, seed(label), cfg)
+                    runs.append((label, seed(label), trace, time.perf_counter() - t0))
+                if cfg.repair.enabled:
+                    rseed = seed(label + "+repair")
+                    t0 = time.perf_counter()
+                    repaired = repair_feasibility(inst, runs[-1][2], cfg.repair, rseed)
+                    runs.append((label + "+repair", rseed, repaired, time.perf_counter() - t0))
+            cell_rows = [evaluate_trial(inst, trace, lp_opt, algorithm=label,
+                                        wall_time=wall, seed=run_seed, trial=trial)
+                         for label, run_seed, trace, wall in runs]
+        except Exception as exc:
+            failures[trial] = exc
+            continue
+        rows.extend(cell_rows)
         timings.append((n, trial, "offline_lp", lp_seconds))
-        for choice in cfg.algorithms:
-            seed = child_seed(cfg.seed, n, trial, seed_tag + choice.label)
-            t0 = time.perf_counter()
-            trace = _run_algorithm(choice, inst, seed, cfg.pivot_tol, cfg.feas_tol)
-            wall = time.perf_counter() - t0
-            res = evaluate_trial(inst, trace, lp.objective, algorithm=choice.label,
-                                 wall_time=wall, seed=seed)
-            rows.append(TrialRow.from_result(trial, res))
-            timings.append((n, trial, choice.label, wall))
-            if cfg.repair.enabled:
-                rlabel = choice.label + "+repair"
-                rseed = child_seed(cfg.seed, n, trial, seed_tag + rlabel)
-                t0 = time.perf_counter()
-                repaired = repair_feasibility(inst, trace, cfg.repair, rseed)
-                rwall = time.perf_counter() - t0
-                rres = evaluate_trial(inst, repaired, lp.objective, algorithm=rlabel,
-                                      wall_time=rwall, seed=rseed)
-                rows.append(TrialRow.from_result(trial, rres))
-                timings.append((n, trial, rlabel, rwall))
-        return rows, timings, None
-    except Exception as exc:  # recorded per-trial; the experiment continues
-        return [], [], {"n": int(key), "trial": int(trial), "error": f"{type(exc).__name__}: {exc}"}
+        timings.extend((n, trial, label, wall) for label, _, _, wall in runs)
+    errors = [{"n": int(key), "trial": int(trial), "error": f"{type(exc).__name__}: {exc}"}
+              for trial, exc in sorted(failures.items())]
+    return rows, timings, errors
 
 
 def _resolve_workers(cfg: ExperimentConfig, override: Optional[int]) -> int:
@@ -403,7 +419,7 @@ class ExperimentReport:
     """In-memory form of one experiment's outputs."""
 
     config: Dict
-    rows: List[TrialRow]
+    rows: List[TrialResult]
     timings: List[Tuple[int, int, str, float]]
     aggregates: List[Dict]
     fits: Dict
@@ -413,7 +429,8 @@ class ExperimentReport:
     def trials_csv(self) -> str:
         lines = [",".join(TRIALS_CSV_COLUMNS)]
         for row in self.rows:
-            lines.append(",".join(_fmt_cell(getattr(row, col)) for col in TRIALS_CSV_COLUMNS))
+            lines.append(",".join(_fmt_cell(getattr(row, _ROW_FIELDS.get(col, col)))
+                                  for col in TRIALS_CSV_COLUMNS))
         return "\n".join(lines) + "\n"
 
     def timings_csv(self) -> str:
@@ -431,7 +448,8 @@ class ExperimentReport:
             "errors": self.errors,
             "meta": self.meta,
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(_finite_or_null(payload), indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
 
     def save(self, directory) -> None:
         """Write trials.csv, timings.csv and summary.json atomically."""
@@ -446,25 +464,41 @@ class ExperimentReport:
             os.replace(tmp, target)
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float replaced by ``None`` (JSON ``null``)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _parse_opt_float(cell: str) -> Optional[float]:
     return None if cell == "" else float(cell)
 
 
 def load_report(directory) -> ExperimentReport:
-    """Load a saved report; re-saving it reproduces the same bytes."""
+    """Load a saved report; re-saving it reproduces the same bytes.
+
+    ``trials.csv`` carries neither wall times nor capacity norms, so the
+    loaded rows hold NaN in ``wall_time`` and ``capacity_norm``.
+    """
     directory = Path(directory)
     summary = json.loads((directory / "summary.json").read_text(encoding="ascii"))
-    rows: List[TrialRow] = []
+    rows: List[TrialResult] = []
     lines = (directory / "trials.csv").read_text(encoding="ascii").splitlines()
     if lines and lines[0] != ",".join(TRIALS_CSV_COLUMNS):
         raise ValueError("unexpected trials.csv header")
     for line in lines[1:]:
         cells = line.split(",")
-        rows.append(TrialRow(
+        rows.append(TrialResult(
             n=int(cells[0]), trial=int(cells[1]), algorithm=cells[2], seed=int(cells[3]),
-            m=int(cells[4]), objective=float(cells[5]), lp_opt=float(cells[6]),
+            m=int(cells[4]), objective=float(cells[5]), offline_lp_opt=float(cells[6]),
             regret=float(cells[7]), violation=float(cells[8]),
             competitiveness=_parse_opt_float(cells[9]), max_dual_norm=float(cells[10]),
+            wall_time=math.nan, capacity_norm=math.nan,
         ))
     timings: List[Tuple[int, int, str, float]] = []
     tlines = (directory / "timings.csv").read_text(encoding="ascii").splitlines()
@@ -487,37 +521,39 @@ def run_experiment(cfg: ExperimentConfig, *, workers: Optional[int] = None) -> E
 
     Per cell: a child seed yields the instance (and permutation when enabled),
     the offline relaxation is solved once, and every configured algorithm runs
-    on the identical bits.  Results do not depend on the parallelism degree;
-    rows are sorted by (n, trial, algorithm) before any reduction.
+    on the identical bits.  The trials of each n are split evenly over the
+    workers, one block per task.  Results do not depend on the parallelism
+    degree or the block size; rows are sorted by (n, trial, algorithm) before
+    any reduction.
     """
     if cfg.generator_params is not None:
         keys = list(cfg.n_values)
     else:
         keys = list(range(len(read_mknap(cfg.benchmark_path))))
-    tasks = [(cfg, key, trial) for key in keys for trial in range(cfg.trials)]
     nworkers = _resolve_workers(cfg, workers)
+    tasks = [(cfg, key, block) for key in keys for block in _blocks(cfg.trials, nworkers)]
     started = time.perf_counter()
     if nworkers > 1:
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            outcomes = list(pool.map(_trial_task, tasks))
+            outcomes = list(pool.map(_block_task, tasks))
     else:
-        outcomes = [_trial_task(t) for t in tasks]
+        outcomes = [_block_task(t) for t in tasks]
     total_seconds = time.perf_counter() - started
 
-    rows: List[TrialRow] = []
+    rows: List[TrialResult] = []
     timings: List[Tuple[int, int, str, float]] = []
     errors: List[Dict] = []
-    for row_chunk, timing_chunk, error in outcomes:
+    for row_chunk, timing_chunk, error_chunk in outcomes:
         rows.extend(row_chunk)
         timings.extend(timing_chunk)
-        if error is not None:
-            errors.append(error)
+        errors.extend(error_chunk)
     rows.sort(key=lambda r: (r.n, r.trial, r.algorithm))
     timings.sort(key=lambda t: (t[0], t[1], t[2]))
+    errors.sort(key=lambda e: (e["n"], e["trial"]))
 
     groups: Dict[Tuple[str, int], List[TrialResult]] = {}
     for row in rows:
-        groups.setdefault((row.algorithm, row.n), []).append(row.to_result())
+        groups.setdefault((row.algorithm, row.n), []).append(row)
     aggregates = []
     for (label, n) in sorted(groups):
         summary = aggregate(groups[(label, n)])

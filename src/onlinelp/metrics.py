@@ -28,6 +28,7 @@ class TrialResult:
     ``competitiveness`` is ``objective / offline_lp_opt`` and is ``None``
     (flagged) when the optimum is not positive.  ``capacity_norm`` carries
     ``||b||_2`` so violations can be normalized without the instance.
+    ``trial`` is the index of the run's trial in its experiment.
     """
 
     algorithm: str
@@ -42,11 +43,12 @@ class TrialResult:
     max_dual_norm: float
     seed: int
     capacity_norm: float
+    trial: int = 0
 
 
 def evaluate_trial(inst: Instance, trace: RunTrace, lp_opt: Optional[float] = None, *,
                    algorithm: str = "", wall_time: float = 0.0,
-                   seed: Optional[int] = None) -> TrialResult:
+                   seed: Optional[int] = None, trial: int = 0) -> TrialResult:
     """Measure a binary trace; solves the offline relaxation when no optimum is given."""
     if trace.decisions.shape != (inst.n,):
         raise ValueError("trace does not belong to this instance")
@@ -70,6 +72,7 @@ def evaluate_trial(inst: Instance, trace: RunTrace, lp_opt: Optional[float] = No
         max_dual_norm=float(trace.max_dual_norm),
         seed=int(seed if seed is not None else (trace.rng_seed or 0)),
         capacity_norm=float(np.linalg.norm(inst.capacity)),
+        trial=int(trial),
     )
 
 

@@ -6,10 +6,12 @@ import pytest
 from onlinelp.algorithms import (
     AlgorithmConfig,
     AlgorithmKind,
+    Policy,
     RepairConfig,
     repair_feasibility,
     run_dla,
     run_multi_soa,
+    run_one_pass,
     run_pbd,
     run_sfa,
     run_sna,
@@ -268,6 +270,99 @@ class TestRunMultiSoa:
         d = minst.per_column_budget
         cap = (2 * r_bar + 2 * (a_bar + d.max()) ** 2) / d.min() + 2 * (a_bar + d.max())
         assert (trace.dual_norm_history <= cap).all()
+
+
+# every one-pass kind with a schedule it admits, and its single-trial entry point
+MIXED_POLICIES = (
+    (AlgorithmKind.SOA, StepSchedule.SQRT_T, run_soa),
+    (AlgorithmKind.SFA, StepSchedule.SQRT_N, run_sfa),
+    (AlgorithmKind.SNA, StepSchedule.SQRT_T, run_sna),
+    (AlgorithmKind.MULTI_SOA, StepSchedule.SQRT_N, run_multi_soa),
+    (AlgorithmKind.SOA, StepSchedule.UNIT, run_soa),
+    (AlgorithmKind.SFA, StepSchedule.SQRT_T, run_sfa),
+)
+
+
+def mixed_batch(instances, **kw):
+    policies = [Policy.of(kind, sched) for kind, sched, _ in MIXED_POLICIES]
+    seeds = [[100 * i + j for j in range(len(instances))] for i in range(len(policies))]
+    return run_one_pass(instances, policies, seeds, **kw), seeds
+
+
+def traces_identical(a, b):
+    assert np.array_equal(a.decisions, b.decisions)
+    assert np.float64(a.objective).tobytes() == np.float64(b.objective).tobytes()
+    assert a.consumption.tobytes() == b.consumption.tobytes()
+    assert a.final_prices.tobytes() == b.final_prices.tobytes()
+    assert np.float64(a.max_dual_norm).tobytes() == np.float64(b.max_dual_norm).tobytes()
+    if a.dual_norm_history is None:
+        assert b.dual_norm_history is None
+    else:
+        assert a.dual_norm_history.tobytes() == b.dual_norm_history.tobytes()
+    assert a.rng_seed == b.rng_seed
+
+
+class TestRunOnePass:
+    def test_mixed_batch_matches_reference_row_by_row(self):
+        n = 40
+        instances = [uniform_instance(n, 3, 500 + j) for j in range(4)]
+        instances.append(gen_gaussian(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=n, m=3, seed=9)))
+        batch, _ = mixed_batch(instances, record_dual_history=True)
+        for (kind, sched, _), row in zip(MIXED_POLICIES, batch):
+            gammas = [sched.gamma(t, n) for t in range(1, n + 1)]
+            for inst, trace in zip(instances, row):
+                cols = [list(inst.columns[:, j]) for j in range(n)]
+                ref_dec, ref_p, ref_hist = reference_one_pass(
+                    inst.rewards, cols, inst.capacity, gammas,
+                    gate=kind is AlgorithmKind.SFA, nonstationary=kind is AlgorithmKind.SNA)
+                assert list(trace.decisions) == ref_dec
+                np.testing.assert_allclose(trace.final_prices, ref_p, atol=1e-12)
+                norms = [math.sqrt(sum(v * v for v in prices)) for prices in ref_hist]
+                np.testing.assert_allclose(trace.dual_norm_history, norms, atol=1e-12)
+                assert trace.max_dual_norm == pytest.approx(max(norms), abs=1e-12)
+                assert_trace_consistent(inst, trace)
+
+    def test_rows_do_not_depend_on_the_batch(self):
+        instances = [uniform_instance(60, 4, 700 + j) for j in range(5)]
+        for history in (False, True):
+            batch, seeds = mixed_batch(instances, record_dual_history=history)
+            for i, (kind, sched, run) in enumerate(MIXED_POLICIES):
+                for j, inst in enumerate(instances):
+                    cfg = AlgorithmConfig(kind, sched, rng_seed=seeds[i][j],
+                                          record_dual_history=history)
+                    single = run(MultiInstance.from_instance(inst)
+                                 if kind is AlgorithmKind.MULTI_SOA else inst, cfg)
+                    traces_identical(batch[i][j], single)
+
+    def test_multi_choice_batch_keeps_each_rows_tie_stream(self):
+        # alternative 2 duplicates alternative 1 on every other item, so exact
+        # ties for the best value, and the draws that break them, are common
+        rng = np.random.default_rng(12)
+        minsts = []
+        for _ in range(4):
+            rewards = rng.uniform(-0.5, 2, (50, 3))
+            blocks = rng.uniform(0, 2, (50, 2, 3))
+            rewards[::2, 1] = rewards[::2, 0]
+            blocks[::2, :, 1] = blocks[::2, :, 0]
+            minsts.append(MultiInstance(reward_blocks=rewards, column_blocks=blocks,
+                                        capacity=[20.0, 25.0]))
+        policy = Policy.of(AlgorithmKind.MULTI_SOA, StepSchedule.SQRT_N)
+        seeds = [[31, 32, 33, 34], [41, 42, 43, 44]]
+        batch = run_one_pass(minsts, [policy, policy], seeds)
+        for i in range(2):
+            for j, minst in enumerate(minsts):
+                single = run_multi_soa(minst, AlgorithmConfig(
+                    AlgorithmKind.MULTI_SOA, StepSchedule.SQRT_N, rng_seed=seeds[i][j]))
+                traces_identical(batch[i][j], single)
+
+    def test_rejects_mixed_shapes_and_contradictory_policies(self):
+        policy = Policy.of(AlgorithmKind.SOA, StepSchedule.SQRT_N)
+        with pytest.raises(ValueError):
+            run_one_pass([uniform_instance(10, 2, 0), uniform_instance(12, 2, 0)], [policy], [[0, 0]])
+        with pytest.raises(ValueError):
+            Policy(StepSchedule.SQRT_N, gated=True, track_budget=True)
+        with pytest.raises(ValueError):
+            Policy.of(AlgorithmKind.DLA, StepSchedule.SQRT_N)
 
 
 class TestRunDla:

@@ -1,3 +1,5 @@
+import json
+import math
 from pathlib import Path
 
 import pytest
@@ -15,9 +17,10 @@ from onlinelp.harness import (
 )
 from onlinelp.metrics import evaluate_trial
 from onlinelp.simplex import solve_relaxation
-from onlinelp import cli
+from onlinelp import cli, harness
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ALL_ALGORITHMS = "soa/sqrt_n, soa/sqrt_t, sfa/sqrt_t, sna/sqrt_t, multisoa, pbd"
 
 
 def write_mini_config(tmp_path, *, trials=2, extra="", algorithms="soa/sqrt_n, soa/sqrt_t, pbd"):
@@ -115,7 +118,7 @@ class TestRunExperiment:
         trace = run_soa(inst, AlgorithmConfig(AlgorithmKind.SOA, StepSchedule.SQRT_N, rng_seed=seed))
         res = evaluate_trial(inst, trace, lp.objective, algorithm="soa/sqrt_n", seed=seed)
         assert row.objective == res.objective
-        assert row.lp_opt == res.offline_lp_opt
+        assert row.offline_lp_opt == res.offline_lp_opt
         assert row.regret == res.regret
         assert row.violation == res.violation
 
@@ -178,6 +181,47 @@ m = 2
         assert report.errors[0]["n"] == 2
         assert {row.n for row in report.rows} == {24}
 
+    def test_block_size_does_not_change_rows(self, tmp_path, monkeypatch):
+        path = write_mini_config(tmp_path, trials=3, algorithms=ALL_ALGORITHMS)
+        path.write_text(path.read_text() + "\n[repair]\nenabled = true\n")
+        cfg = load_config(path)
+        whole = run_experiment(cfg, workers=1).trials_csv()
+        monkeypatch.setattr(harness, "_blocks", lambda trials, parts: [range(t, t + 1)
+                                                                        for t in range(trials)])
+        for workers in (1, 2):
+            assert run_experiment(cfg, workers=workers).trials_csv() == whole
+
+    def test_failed_trial_leaves_the_rest_of_its_block_intact(self, tmp_path, monkeypatch):
+        cfg = load_config(write_mini_config(tmp_path, trials=3, algorithms=ALL_ALGORITHMS))
+        whole = run_experiment(cfg, workers=1)
+        real = harness.solve_relaxation
+        calls = {"n48": 0}
+
+        def failing_on_second_trial_of_n48(inst, **kw):
+            if inst.n == 48:
+                calls["n48"] += 1
+                if calls["n48"] == 2:
+                    raise RuntimeError("injected LP failure")
+            return real(inst, **kw)
+
+        monkeypatch.setattr(harness, "solve_relaxation", failing_on_second_trial_of_n48)
+        partial = run_experiment(cfg, workers=1)
+        assert partial.errors == [{"n": 48, "trial": 1,
+                                   "error": "RuntimeError: injected LP failure"}]
+        kept = [line for line in whole.trials_csv().splitlines()
+                if not line.startswith("48,1,")]
+        assert len(kept) < len(whole.trials_csv().splitlines())
+        assert partial.trials_csv().splitlines() == kept
+
+    def test_failed_policy_check_is_recorded_per_trial(self, tmp_path):
+        # n=1 cannot run the budget-tracking variant; n=24 still does
+        path = write_mini_config(tmp_path, trials=2, algorithms="sna/sqrt_t, soa/sqrt_n")
+        path.write_text(path.read_text().replace("n_values = 24 48", "n_values = 1 24"))
+        report = run_experiment(load_config(path))
+        assert [(e["n"], e["trial"]) for e in report.errors] == [(1, 0), (1, 1)]
+        assert all("n >= 2" in e["error"] for e in report.errors)
+        assert {row.n for row in report.rows} == {24}
+
     def test_multisoa_label_runs_on_wrapped_instance(self, tmp_path):
         cfg = load_config(write_mini_config(tmp_path, trials=1, algorithms="multisoa, soa/sqrt_n"))
         report = run_experiment(cfg)
@@ -225,6 +269,25 @@ class TestReportFiles:
         assert "wall" not in header
         assert "seconds" not in header
 
+    def test_summary_is_strict_json_with_finite_or_null_aggregates(self, tmp_path):
+        path = write_mini_config(tmp_path, algorithms="soa/sqrt_n, sfa/sqrt_t, pbd")
+        path.write_text(path.read_text() + "\n[repair]\nenabled = true\n")
+        report = run_experiment(load_config(path))
+        outdir = tmp_path / "report"
+        report.save(outdir)
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        summary = json.loads((outdir / "summary.json").read_text(), parse_constant=reject)
+        assert summary["aggregates"]
+        for doc in summary["aggregates"]:
+            for key, value in doc.items():
+                if key == "algorithm":
+                    continue
+                assert value is None or math.isfinite(value), (doc["algorithm"], key, value)
+            assert doc["mean_normalized_violation"] is not None
+
     def test_summary_contains_meta(self, tmp_path):
         cfg = load_config(write_mini_config(tmp_path, trials=1, algorithms="soa/sqrt_n"))
         report = run_experiment(cfg)
@@ -263,6 +326,17 @@ class TestCli:
         assert cli.main(["run", str(cfg_path), "--output", str(outdir)]) == 0
         assert (outdir / "trials.csv").exists()
         assert (outdir / "summary.json").exists()
+
+    def test_run_exits_2_when_a_trial_failed(self, tmp_path, capsys):
+        # n=2 defeats the four-group generator; the report is still written
+        cfg_path = tmp_path / "partial.ini"
+        cfg_path.write_text("[experiment]\nname = partial\nseed = 1\nn_values = 2 24\n"
+                            "algorithms = soa/sqrt_n\n[generator]\nfamily = mixed_four_groups\n"
+                            "m = 2\n")
+        outdir = tmp_path / "out"
+        assert cli.main(["run", str(cfg_path), "--output", str(outdir)]) == 2
+        assert (outdir / "trials.csv").exists()
+        assert "1 trial(s) failed" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "missing.ini")]) == 1
