@@ -4,7 +4,6 @@ with exact LP baselines, instance generators, and an experiment harness."""
 __version__ = "0.1.0"
 
 from .core import (
-    DualState,
     Instance,
     InstanceStats,
     MultiInstance,

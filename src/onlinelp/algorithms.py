@@ -24,7 +24,7 @@ from .core import (
     compute_stats,
     threshold_decision,
 )
-from .simplex import DEFAULT_FEAS_TOL, DEFAULT_PIVOT_TOL, LpStatus, SimplexError, solve_scaled
+from .simplex import LpStatus, SimplexError, solve_scaled
 
 __all__ = [
     "AlgorithmKind",
@@ -67,6 +67,7 @@ class AlgorithmConfig:
     ``schedule`` is required for the subgradient kinds and must be absent for
     DLA/PBD.  The multi-choice variant only admits the 1/sqrt(n) schedule.
     ``rng_seed`` drives PBD's rounding and the multi-choice tie-breaking.
+    ``label`` names the configuration in reports and child-seed tags.
     """
 
     kind: AlgorithmKind
@@ -82,6 +83,30 @@ class AlgorithmConfig:
                 raise ValueError("the multi-choice algorithm only supports the 1/sqrt(n) schedule")
         elif self.schedule is not None:
             raise ValueError(f"{self.kind.value} does not take a step-size schedule")
+
+    @classmethod
+    def parse(cls, token: str) -> "AlgorithmConfig":
+        """Parse a config token such as ``soa/sqrt_t``, ``multisoa``, ``dla`` or ``pbd``.
+
+        A bare ``multisoa`` takes the sqrt_n schedule.  Raises ``ValueError``.
+        """
+        name, slash, sched = token.strip().lower().partition("/")
+        try:
+            kind = AlgorithmKind(name)
+        except ValueError:
+            raise ValueError(f"unknown algorithm {name!r}") from None
+        if not slash:
+            return cls(kind, StepSchedule.SQRT_N if kind is AlgorithmKind.MULTI_SOA else None)
+        try:
+            return cls(kind, StepSchedule(sched))
+        except ValueError as exc:
+            raise ValueError(f"{token.strip()!r}: {exc}") from None
+
+    @property
+    def label(self) -> str:
+        if self.schedule is None or self.kind is AlgorithmKind.MULTI_SOA:
+            return self.kind.value
+        return f"{self.kind.value}/{self.schedule.value}"
 
 
 @dataclass(frozen=True)
@@ -288,8 +313,7 @@ def run_multi_soa(minst: MultiInstance, cfg: AlgorithmConfig) -> RunTrace:
     return _run_single(minst, cfg, AlgorithmKind.MULTI_SOA)
 
 
-def run_dla(inst: Instance, *, pivot_tol: float = DEFAULT_PIVOT_TOL,
-            feas_tol: float = DEFAULT_FEAS_TOL) -> RunTrace:
+def run_dla(inst: Instance) -> RunTrace:
     """Per-step-LP baseline: decide with the prefix LP's dual prices.
 
     Column t is thresholded against the dual prices of the capacity-shrunk LP
@@ -312,7 +336,7 @@ def run_dla(inst: Instance, *, pivot_tol: float = DEFAULT_PIVOT_TOL,
             decisions[t - 1] = 1
             objective += rewards[t - 1]
             consumption += a_t
-        sol = solve_scaled(inst, t, None, pivot_tol=pivot_tol, feas_tol=feas_tol)
+        sol = solve_scaled(inst, t)
         if sol.status is not LpStatus.OPTIMAL:
             raise SimplexError(f"prefix LP at step {t} returned {sol.status.value}")
         p = sol.duals
@@ -328,8 +352,7 @@ def run_dla(inst: Instance, *, pivot_tol: float = DEFAULT_PIVOT_TOL,
     )
 
 
-def run_pbd(inst: Instance, rng_seed: int, *, pivot_tol: float = DEFAULT_PIVOT_TOL,
-            feas_tol: float = DEFAULT_FEAS_TOL) -> RunTrace:
+def run_pbd(inst: Instance, rng_seed: int) -> RunTrace:
     """Per-step-LP baseline: round the prefix LP's own fractional value.
 
     At step t the capacity-shrunk LP over columns 1..t is solved and x_t is
@@ -347,7 +370,7 @@ def run_pbd(inst: Instance, rng_seed: int, *, pivot_tol: float = DEFAULT_PIVOT_T
     consumption = np.zeros(m)
     objective = 0.0
     for t in range(1, n + 1):
-        sol = solve_scaled(inst, t, None, pivot_tol=pivot_tol, feas_tol=feas_tol)
+        sol = solve_scaled(inst, t)
         if sol.status is not LpStatus.OPTIMAL:
             raise SimplexError(f"prefix LP at step {t} returned {sol.status.value}")
         prob = min(max(float(sol.primal[t - 1]), 0.0), 1.0)
@@ -360,7 +383,7 @@ def run_pbd(inst: Instance, rng_seed: int, *, pivot_tol: float = DEFAULT_PIVOT_T
         objective=float(objective),
         consumption=consumption,
         final_prices=np.zeros(m),
-        max_dual_norm=0.0,
+        max_dual_norm=None,
         dual_norm_history=None,
         rng_seed=rng_seed,
     )

@@ -4,8 +4,6 @@ Subcommands:
   run <config>        run an experiment config and write its report
   solve <instance>    offline relaxation of one instance file (optionally the
                       exact binary optimum for n <= 25)
-  bench <mknap>       one-pass runs vs the offline relaxation on benchmark
-                      problems, with timings
   gen <family> ...    generate an instance file from a seeded spec
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure (for run: also
@@ -15,15 +13,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
-import numpy as np
-
-from .algorithms import AlgorithmConfig, AlgorithmKind, run_soa
-from .core import StepSchedule, load_instance, save_instance
-from .generators import GeneratorFamily, GeneratorSpec, PermutationPlan, generate, permute, read_mknap
-from .harness import ConfigError, child_seed, load_config, run_experiment
-from .metrics import evaluate_trial
+from .core import load_instance, save_instance
+from .generators import GeneratorFamily, GeneratorSpec, generate
+from .harness import ConfigError, load_config, run_experiment
 from .simplex import LpStatus, solve_binary_exact, solve_relaxation
 
 
@@ -51,12 +44,6 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("instance", help="instance file in the plain-text format")
     p_solve.add_argument("--binary", action="store_true",
                          help="also report the exact binary optimum (n <= 25)")
-
-    p_bench = sub.add_parser("bench", help="benchmark one-pass runs against the relaxation")
-    p_bench.add_argument("mknap", help="multi-knapsack benchmark file")
-    p_bench.add_argument("--trials", type=int, default=10,
-                         help="seeded arrival permutations per problem (default 10)")
-    p_bench.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
 
     p_gen = sub.add_parser("gen", help="generate an instance file")
     p_gen.add_argument("family", choices=[f.value for f in GeneratorFamily])
@@ -109,38 +96,6 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    problems = read_mknap(args.mknap)
-    schedules = (StepSchedule.SQRT_T, StepSchedule.SQRT_N)
-    for idx, (inst, known) in enumerate(problems, start=1):
-        t0 = time.perf_counter()
-        lp = solve_relaxation(inst)
-        lp_seconds = time.perf_counter() - t0
-        if lp.status is not LpStatus.OPTIMAL:
-            raise RuntimeError(f"problem {idx}: relaxation returned {lp.status.value}")
-        known_txt = f"{known:.12g}" if known is not None else "unknown"
-        print(f"problem {idx}: n={inst.n} m={inst.m} lp_opt={lp.objective:.12g} "
-              f"known_opt={known_txt} lp_seconds={lp_seconds:.4f}")
-        for schedule in schedules:
-            label = f"soa/{schedule.value}"
-            comps = []
-            vios = []
-            seconds = 0.0
-            for trial in range(args.trials):
-                plan = PermutationPlan.random(
-                    inst.n, child_seed(args.seed, inst.n, trial, f"b{idx}:{label}"))
-                run_inst = permute(inst, plan)
-                t0 = time.perf_counter()
-                trace = run_soa(run_inst, AlgorithmConfig(AlgorithmKind.SOA, schedule))
-                seconds += time.perf_counter() - t0
-                res = evaluate_trial(run_inst, trace, lp.objective, algorithm=label)
-                comps.append(res.competitiveness if res.competitiveness is not None else float("nan"))
-                vios.append(res.violation)
-            print(f"  {label:>10s}: competitiveness={np.mean(comps):.4f} "
-                  f"violation={np.mean(vios):.4f} seconds_per_run={seconds / args.trials:.6f}")
-    return 0
-
-
 def _cmd_gen(args) -> int:
     spec = GeneratorSpec(
         family=GeneratorFamily(args.family),
@@ -159,7 +114,7 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-_COMMANDS = {"run": _cmd_run, "solve": _cmd_solve, "bench": _cmd_bench, "gen": _cmd_gen}
+_COMMANDS = {"run": _cmd_run, "solve": _cmd_solve, "gen": _cmd_gen}
 
 
 def main(argv=None) -> int:

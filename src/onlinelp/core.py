@@ -18,7 +18,6 @@ __all__ = [
     "Instance",
     "InstanceStats",
     "MultiInstance",
-    "DualState",
     "RunTrace",
     "StepSchedule",
     "compute_stats",
@@ -174,41 +173,6 @@ class StepSchedule(enum.Enum):
         return 1.0
 
 
-@dataclass
-class DualState:
-    """Mutable price vector with projection onto the non-negative orthant.
-
-    Single-owner, single-threaded: one per run.  ``max_norm_seen`` tracks the
-    running maximum of the Euclidean price norm across all updates.
-    """
-
-    prices: np.ndarray
-    schedule: StepSchedule
-    step_index: int = 0
-    max_norm_seen: float = 0.0
-
-    def __post_init__(self) -> None:
-        p = np.array(self.prices, dtype=np.float64).reshape(-1)
-        if (p < 0.0).any():
-            raise ValueError("prices must start non-negative")
-        self.prices = p
-
-    def gamma(self, n: int) -> float:
-        """Step size of the upcoming step."""
-        return self.schedule.gamma(self.step_index + 1, n)
-
-    def step(self, delta: np.ndarray) -> float:
-        """Add ``delta`` to the prices, clamp at zero, and return the new norm."""
-        p = self.prices
-        p += delta
-        np.maximum(p, 0.0, out=p)
-        self.step_index += 1
-        norm = float(math.sqrt(p @ p))
-        if norm > self.max_norm_seen:
-            self.max_norm_seen = norm
-        return norm
-
-
 @dataclass(frozen=True)
 class RunTrace:
     """Outcome of one online run.
@@ -217,14 +181,15 @@ class RunTrace:
     algorithm stores the chosen alternative 1..k with 0 for reject.
     ``objective`` and ``consumption`` are the sequential accumulations the run
     actually performed; both are recomputable from (instance, decisions) to
-    1e-9 relative tolerance.
+    1e-9 relative tolerance.  ``max_dual_norm`` is the largest price norm the
+    run reached, ``None`` for a run that keeps no prices (PBD).
     """
 
     decisions: np.ndarray
     objective: float
     consumption: np.ndarray
     final_prices: np.ndarray
-    max_dual_norm: float
+    max_dual_norm: Optional[float]
     dual_norm_history: Optional[np.ndarray] = None
     rng_seed: Optional[int] = None
 

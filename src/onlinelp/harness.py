@@ -28,6 +28,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import __version__
 from .algorithms import (
+    AlgorithmConfig,
     AlgorithmKind,
     Policy,
     RepairConfig,
@@ -40,20 +41,18 @@ from .algorithms import (
 # perfbench/spans.py looks them up in this module; the harness itself steps
 # them all through run_one_pass.
 from .algorithms import run_multi_soa, run_sfa, run_sna, run_soa  # noqa: F401
-from .core import Instance, StepSchedule
+from .core import Instance
 from .generators import GeneratorFamily, GeneratorSpec, PermutationPlan, generate, permute, read_mknap
 from .metrics import TrialResult, aggregate, evaluate_trial, fit_scaling
-from .simplex import DEFAULT_FEAS_TOL, DEFAULT_PIVOT_TOL, LpStatus, solve_relaxation
+from .simplex import LpStatus, solve_relaxation
 
 __all__ = [
     "FORMAT_VERSION",
     "ENV_WORKERS",
     "ConfigError",
-    "AlgorithmChoice",
     "ExperimentConfig",
     "ExperimentReport",
     "child_seed",
-    "parse_algorithm_token",
     "load_config",
     "run_experiment",
     "load_report",
@@ -82,41 +81,6 @@ def child_seed(root: int, n: int, trial: int, tag: str = "") -> int:
 
 
 @dataclass(frozen=True)
-class AlgorithmChoice:
-    kind: AlgorithmKind
-    schedule: Optional[StepSchedule]
-    label: str
-
-
-_SCHEDULED = {AlgorithmKind.SOA, AlgorithmKind.SFA, AlgorithmKind.SNA}
-
-
-def parse_algorithm_token(token: str) -> AlgorithmChoice:
-    """Parse tokens like ``soa/sqrt_t``, ``multisoa``, ``dla``, ``pbd``."""
-    token = token.strip().lower()
-    name, slash, sched = token.partition("/")
-    try:
-        kind = AlgorithmKind(name)
-    except ValueError:
-        raise ConfigError(f"unknown algorithm {name!r}") from None
-    if kind in _SCHEDULED:
-        if not slash:
-            raise ConfigError(f"{name} needs a schedule suffix, e.g. {name}/sqrt_t")
-        try:
-            schedule = StepSchedule(sched)
-        except ValueError:
-            raise ConfigError(f"unknown schedule {sched!r} in {token!r}") from None
-        return AlgorithmChoice(kind=kind, schedule=schedule, label=token)
-    if kind is AlgorithmKind.MULTI_SOA:
-        if slash and sched != StepSchedule.SQRT_N.value:
-            raise ConfigError("multisoa only supports the fixed sqrt_n schedule")
-        return AlgorithmChoice(kind=kind, schedule=StepSchedule.SQRT_N, label="multisoa")
-    if slash:
-        raise ConfigError(f"{name} does not take a schedule")
-    return AlgorithmChoice(kind=kind, schedule=None, label=name)
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one experiment needs; picklable so workers can receive it whole."""
 
@@ -124,15 +88,13 @@ class ExperimentConfig:
     seed: int
     trials: int
     n_values: Tuple[int, ...]
-    algorithms: Tuple[AlgorithmChoice, ...]
+    algorithms: Tuple[AlgorithmConfig, ...]
     permute_arrivals: bool
     workers: int
     generator_params: Optional[Dict]
     benchmark_path: Optional[str]
     repair: RepairConfig
     output_dir: Optional[str]
-    pivot_tol: float = DEFAULT_PIVOT_TOL
-    feas_tol: float = DEFAULT_FEAS_TOL
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -164,8 +126,6 @@ class ExperimentConfig:
                 "d_lo_override": self.repair.d_lo_override,
                 "skip_if_feasible": self.repair.skip_if_feasible,
             },
-            "pivot_tol": self.pivot_tol,
-            "feas_tol": self.feas_tol,
         }
         if self.generator_params is not None:
             params = dict(self.generator_params)
@@ -181,8 +141,14 @@ def _get(cp: configparser.ConfigParser, section: str, option: str, fallback=None
     return fallback
 
 
+_SECTIONS = {"experiment", "generator", "benchmark", "repair", "output"}
+
+
 def load_config(path) -> ExperimentConfig:
-    """Read and validate an experiment config file."""
+    """Read and validate an experiment config file.
+
+    A relative ``[benchmark] path`` is taken relative to the config file.
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -197,6 +163,10 @@ def load_config(path) -> ExperimentConfig:
     def bad(msg: str) -> ConfigError:
         return ConfigError(f"{path}: {msg}")
 
+    unknown = sorted(set(cp.sections()) - _SECTIONS)
+    if unknown:
+        raise bad("unknown section(s) " + ", ".join(f"[{name}]" for name in unknown))
+
     try:
         name = _get(cp, "experiment", "name", path.stem)
         seed = int(_get(cp, "experiment", "seed", "0"))
@@ -204,11 +174,9 @@ def load_config(path) -> ExperimentConfig:
         raw_n = _get(cp, "experiment", "n_values", "")
         n_values = tuple(int(v) for v in raw_n.replace(",", " ").split())
         raw_algos = _get(cp, "experiment", "algorithms", "")
-        algorithms = tuple(parse_algorithm_token(t) for t in raw_algos.split(",") if t.strip())
+        algorithms = tuple(AlgorithmConfig.parse(t) for t in raw_algos.split(",") if t.strip())
         permute_arrivals = cp.getboolean("experiment", "permute", fallback=False)
         workers = int(_get(cp, "experiment", "workers", "0"))
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise bad(f"invalid [experiment] value: {exc}") from None
 
@@ -239,6 +207,7 @@ def load_config(path) -> ExperimentConfig:
         benchmark_path = _get(cp, "benchmark", "path")
         if not benchmark_path:
             raise bad("[benchmark] needs a path")
+        benchmark_path = str((path.parent / benchmark_path).resolve())
         if not Path(benchmark_path).is_file():
             raise bad(f"benchmark file not found: {benchmark_path}")
 
@@ -249,10 +218,6 @@ def load_config(path) -> ExperimentConfig:
         skip_if_feasible=cp.getboolean("repair", "skip_if_feasible", fallback=False),
     )
     output_dir = _get(cp, "output", "directory") if cp.has_section("output") else None
-    pivot_tol = cp.getfloat("tolerances", "pivot_tol", fallback=DEFAULT_PIVOT_TOL) \
-        if cp.has_section("tolerances") else DEFAULT_PIVOT_TOL
-    feas_tol = cp.getfloat("tolerances", "feas_tol", fallback=DEFAULT_FEAS_TOL) \
-        if cp.has_section("tolerances") else DEFAULT_FEAS_TOL
 
     try:
         return ExperimentConfig(
@@ -267,8 +232,6 @@ def load_config(path) -> ExperimentConfig:
             benchmark_path=benchmark_path,
             repair=repair,
             output_dir=output_dir,
-            pivot_tol=pivot_tol,
-            feas_tol=feas_tol,
         )
     except ValueError as exc:
         raise bad(str(exc)) from None
@@ -286,18 +249,9 @@ def _fmt_cell(v) -> str:
 # kind is a one-pass policy (``Policy.of``), stepped in one kernel call with the
 # other one-pass algorithms of the block.
 _PER_STEP_LP = {
-    AlgorithmKind.DLA: lambda inst, seed, cfg: run_dla(
-        inst, pivot_tol=cfg.pivot_tol, feas_tol=cfg.feas_tol),
-    AlgorithmKind.PBD: lambda inst, seed, cfg: run_pbd(
-        inst, seed, pivot_tol=cfg.pivot_tol, feas_tol=cfg.feas_tol),
+    AlgorithmKind.DLA: lambda inst, seed: run_dla(inst),
+    AlgorithmKind.PBD: lambda inst, seed: run_pbd(inst, seed),
 }
-
-
-def _load_benchmark_instance(cfg: ExperimentConfig, index: int) -> Instance:
-    problems = read_mknap(cfg.benchmark_path)
-    if index >= len(problems):
-        raise ValueError(f"benchmark problem index {index} out of range")
-    return problems[index][0]
 
 
 def _blocks(trials: int, parts: int) -> List[range]:
@@ -310,40 +264,42 @@ class _Cell(NamedTuple):
     """One prepared (n, trial) cell; ``seed(label)`` derives the child seed of a consumer."""
 
     trial: int
-    n: int
     inst: Instance
     lp_opt: float
     lp_seconds: float
     seed: Callable[[str], int]
 
 
-def _prepare(cfg: ExperimentConfig, key: int, trial: int, policies) -> _Cell:
+def _prepare(cfg: ExperimentConfig, n: int, seed_tag: str, problem: Optional[Instance],
+             trial: int, policies) -> _Cell:
     """Instance, offline LP and seed derivation of one trial.
 
-    Raises if the trial cannot be set up or a policy cannot run on its instance.
+    ``problem`` is the benchmark instance, or ``None`` to generate one of n
+    columns.  Raises if the trial cannot be set up or a policy cannot run on
+    its instance.
     """
-    if cfg.generator_params is not None:
-        n, seed_tag = key, ""
+    if problem is None:
         inst = generate(cfg.spec_for(n, child_seed(cfg.seed, n, trial, "instance")))
     else:
-        inst = _load_benchmark_instance(cfg, key)
-        n, seed_tag = inst.n, f"b{key}:"
+        inst = problem
     if cfg.permute_arrivals:
         plan = PermutationPlan.random(inst.n, child_seed(cfg.seed, n, trial, seed_tag + "permutation"))
         inst = permute(inst, plan)
     t0 = time.perf_counter()
-    lp = solve_relaxation(inst, pivot_tol=cfg.pivot_tol, feas_tol=cfg.feas_tol)
+    lp = solve_relaxation(inst)
     lp_seconds = time.perf_counter() - t0
     if lp.status is not LpStatus.OPTIMAL:
         raise RuntimeError(f"offline relaxation returned {lp.status.value}")
     for policy in policies:
         policy.check(inst)
-    return _Cell(trial, n, inst, lp.objective, lp_seconds,
+    return _Cell(trial, inst, lp.objective, lp_seconds,
                  lambda label: child_seed(cfg.seed, n, trial, seed_tag + label))
 
 
 def _block_task(args):
     """Run every algorithm of one n (or benchmark problem) on a block of trials.
+
+    ``args`` is ``(cfg, n, seed_tag, problem, trials)``, as for :func:`_prepare`.
 
     Returns ``(rows, timings, errors)``.  One kernel call steps every one-pass
     algorithm on every trial of the block, and its wall time is split evenly
@@ -351,13 +307,13 @@ def _block_task(args):
     repair run per trial.  A trial that fails anywhere records its own error
     and contributes no rows; the other trials of the block are unaffected.
     """
-    cfg, key, trials = args
+    cfg, n, seed_tag, problem, trials = args
     kernel = [c for c in cfg.algorithms if c.kind not in _PER_STEP_LP]
     policies = [Policy.of(c.kind, c.schedule) for c in kernel]
     cells, failures = [], {}
     for trial in trials:
         try:  # recorded per trial; the block continues
-            cells.append(_prepare(cfg, key, trial, policies))
+            cells.append(_prepare(cfg, n, seed_tag, problem, trial, policies))
         except Exception as exc:
             failures[trial] = exc
     traces, share = {}, 0.0
@@ -373,7 +329,7 @@ def _block_task(args):
             cells = []
     rows: List[TrialResult] = []
     timings: List[Tuple[int, int, str, float]] = []
-    for i, (trial, n, inst, lp_opt, lp_seconds, seed) in enumerate(cells):
+    for i, (trial, inst, lp_opt, lp_seconds, seed) in enumerate(cells):
         runs = []  # (label, seed, trace, wall seconds)
         try:
             for choice in cfg.algorithms:
@@ -382,7 +338,7 @@ def _block_task(args):
                     runs.append((label, seed(label), traces[label][i], share))
                 else:
                     t0 = time.perf_counter()
-                    trace = _PER_STEP_LP[choice.kind](inst, seed(label), cfg)
+                    trace = _PER_STEP_LP[choice.kind](inst, seed(label))
                     runs.append((label, seed(label), trace, time.perf_counter() - t0))
                 if cfg.repair.enabled:
                     rseed = seed(label + "+repair")
@@ -398,7 +354,7 @@ def _block_task(args):
         rows.extend(cell_rows)
         timings.append((n, trial, "offline_lp", lp_seconds))
         timings.extend((n, trial, label, wall) for label, _, _, wall in runs)
-    errors = [{"n": int(key), "trial": int(trial), "error": f"{type(exc).__name__}: {exc}"}
+    errors = [{"n": int(n), "trial": int(trial), "error": f"{type(exc).__name__}: {exc}"}
               for trial, exc in sorted(failures.items())]
     return rows, timings, errors
 
@@ -497,7 +453,7 @@ def load_report(directory) -> ExperimentReport:
             n=int(cells[0]), trial=int(cells[1]), algorithm=cells[2], seed=int(cells[3]),
             m=int(cells[4]), objective=float(cells[5]), offline_lp_opt=float(cells[6]),
             regret=float(cells[7]), violation=float(cells[8]),
-            competitiveness=_parse_opt_float(cells[9]), max_dual_norm=float(cells[10]),
+            competitiveness=_parse_opt_float(cells[9]), max_dual_norm=_parse_opt_float(cells[10]),
             wall_time=math.nan, capacity_norm=math.nan,
         ))
     timings: List[Tuple[int, int, str, float]] = []
@@ -527,11 +483,13 @@ def run_experiment(cfg: ExperimentConfig, *, workers: Optional[int] = None) -> E
     any reduction.
     """
     if cfg.generator_params is not None:
-        keys = list(cfg.n_values)
+        sources = [(n, "", None) for n in cfg.n_values]
     else:
-        keys = list(range(len(read_mknap(cfg.benchmark_path))))
+        sources = [(inst.n, f"b{i}:", inst)
+                   for i, (inst, _) in enumerate(read_mknap(cfg.benchmark_path))]
     nworkers = _resolve_workers(cfg, workers)
-    tasks = [(cfg, key, block) for key in keys for block in _blocks(cfg.trials, nworkers)]
+    tasks = [(cfg, n, tag, problem, block)
+             for n, tag, problem in sources for block in _blocks(cfg.trials, nworkers)]
     started = time.perf_counter()
     if nworkers > 1:
         with ProcessPoolExecutor(max_workers=nworkers) as pool:

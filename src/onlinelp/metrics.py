@@ -29,6 +29,7 @@ class TrialResult:
     (flagged) when the optimum is not positive.  ``capacity_norm`` carries
     ``||b||_2`` so violations can be normalized without the instance.
     ``trial`` is the index of the run's trial in its experiment.
+    ``max_dual_norm`` is ``None`` for a run that keeps no prices (PBD).
     """
 
     algorithm: str
@@ -40,7 +41,7 @@ class TrialResult:
     violation: float
     competitiveness: Optional[float]
     wall_time: float
-    max_dual_norm: float
+    max_dual_norm: Optional[float]
     seed: int
     capacity_norm: float
     trial: int = 0
@@ -69,7 +70,7 @@ def evaluate_trial(inst: Instance, trace: RunTrace, lp_opt: Optional[float] = No
         violation=violation_norm(inst, trace.decisions),
         competitiveness=(objective / lp_opt) if lp_opt > 0.0 else None,
         wall_time=float(wall_time),
-        max_dual_norm=float(trace.max_dual_norm),
+        max_dual_norm=None if trace.max_dual_norm is None else float(trace.max_dual_norm),
         seed=int(seed if seed is not None else (trace.rng_seed or 0)),
         capacity_norm=float(np.linalg.norm(inst.capacity)),
         trial=int(trial),
@@ -83,7 +84,8 @@ class AggregateSummary:
     Normalized regret divides by each trial's own LP optimum, normalized
     violation by each trial's capacity norm.  Trials whose LP optimum is not
     positive are excluded from the ratio statistics and counted in
-    ``flagged_nonpositive_opt``.
+    ``flagged_nonpositive_opt``.  ``mean_max_dual_norm`` is NaN when no trial
+    has a price norm.
     """
 
     algorithm: str
@@ -138,7 +140,7 @@ def aggregate(results: Sequence[TrialResult]) -> AggregateSummary:
         mean_nreg = se_nreg = mean_cmp = se_cmp = math.nan
     mean_nvio, se_nvio = _mean_stderr([r.violation / r.capacity_norm for r in results])
     mean_wall, _ = _mean_stderr([r.wall_time for r in results])
-    mean_dual, _ = _mean_stderr([r.max_dual_norm for r in results])
+    mean_dual, _ = _mean_stderr([r.max_dual_norm for r in results if r.max_dual_norm is not None])
     return AggregateSummary(
         algorithm=algorithm,
         n=n,

@@ -42,8 +42,8 @@ __all__ = [
     "solve_binary_exact",
 ]
 
-DEFAULT_PIVOT_TOL = 1e-9
-DEFAULT_FEAS_TOL = 1e-7
+_PIVOT_TOL = 1e-9   # a column enters only if its reduced-cost violation exceeds this
+_FEAS_TOL = 1e-7    # phase 1 declares infeasibility above this artificial total
 _RATE_EPS = 1e-11
 _DEGEN_EPS = 1e-11
 _REFRESH_EVERY = 1024
@@ -79,7 +79,7 @@ class LpSolution:
 class _BoxSimplex:
     """One solve; not reusable.  All arrays are dense float64."""
 
-    def __init__(self, rewards, columns, capacity, pivot_tol, feas_tol):
+    def __init__(self, rewards, columns, capacity):
         self.r = np.ascontiguousarray(np.asarray(rewards, dtype=np.float64).reshape(-1))
         A = np.ascontiguousarray(np.asarray(columns, dtype=np.float64))
         self.b = np.ascontiguousarray(np.asarray(capacity, dtype=np.float64).reshape(-1))
@@ -88,8 +88,6 @@ class _BoxSimplex:
         self.m, self.n = A.shape
         if self.r.shape != (self.n,) or self.b.shape != (self.m,):
             raise ValueError("inconsistent LP dimensions")
-        self.pivot_tol = float(pivot_tol)
-        self.feas_tol = float(feas_tol)
 
         m, n = self.m, self.n
         neg = np.flatnonzero(self.b < 0.0)
@@ -159,7 +157,7 @@ class _BoxSimplex:
             # direction; consuming candidates by repeated argmax walks them in
             # exactly the order a stable sort on (-violation, index) would.
             viol = np.where(at_upper, -cbar, cbar)
-            scores = np.where(candidate_base & (viol > self.pivot_tol), viol, 0.0)
+            scores = np.where(candidate_base & (viol > _PIVOT_TOL), viol, 0.0)
             exhausted = False
             basis_changed = False
             xb = self.xb
@@ -311,10 +309,9 @@ class _BoxSimplex:
                 return LpStatus.OPTIMAL
 
 
-def solve_box_lp(rewards, columns, capacity, *, pivot_tol: float = DEFAULT_PIVOT_TOL,
-                 feas_tol: float = DEFAULT_FEAS_TOL) -> LpSolution:
+def solve_box_lp(rewards, columns, capacity) -> LpSolution:
     """Solve ``max r @ x, A x <= b, 0 <= x <= 1`` on raw arrays."""
-    sx = _BoxSimplex(rewards, columns, capacity, pivot_tol, feas_tol)
+    sx = _BoxSimplex(rewards, columns, capacity)
     n, m = sx.n, sx.m
 
     if sx.n_art:
@@ -325,7 +322,7 @@ def solve_box_lp(rewards, columns, capacity, *, pivot_tol: float = DEFAULT_PIVOT
             raise SimplexError("phase-1 terminated abnormally")
         sx._refresh_basics()
         art_total = float(sx._assemble()[n + m:].sum())
-        if art_total > sx.feas_tol:
+        if art_total > _FEAS_TOL:
             zeros_n = np.zeros(n)
             return LpSolution(
                 primal=zeros_n,
@@ -369,31 +366,20 @@ def solve_box_lp(rewards, columns, capacity, *, pivot_tol: float = DEFAULT_PIVOT
     )
 
 
-def solve_relaxation(inst: Instance, *, pivot_tol: float = DEFAULT_PIVOT_TOL,
-                     feas_tol: float = DEFAULT_FEAS_TOL) -> LpSolution:
+def solve_relaxation(inst: Instance) -> LpSolution:
     """Solve the box relaxation of the full instance."""
-    return solve_box_lp(inst.rewards, inst.columns, inst.capacity,
-                        pivot_tol=pivot_tol, feas_tol=feas_tol)
+    return solve_box_lp(inst.rewards, inst.columns, inst.capacity)
 
 
-def solve_scaled(inst: Instance, s: int, relax=None, *, pivot_tol: float = DEFAULT_PIVOT_TOL,
-                 feas_tol: float = DEFAULT_FEAS_TOL) -> LpSolution:
-    """Solve the prefix LP over the first ``s`` columns with capacity ``s * d + relax``.
+def solve_scaled(inst: Instance, s: int) -> LpSolution:
+    """Solve the prefix LP over the first ``s`` columns with capacity ``s * d``.
 
-    ``relax`` is an optional non-negative slack added to the shrunk capacity
-    (scalar or length-m vector); with ``relax=0`` and ``s=n`` this matches
-    :func:`solve_relaxation` up to roundoff in ``n * (b / n)``.
+    With ``s = n`` this matches :func:`solve_relaxation` up to roundoff in
+    ``n * (b / n)``.
     """
     if not 1 <= s <= inst.n:
         raise ValueError(f"prefix length must satisfy 1 <= s <= {inst.n}, got {s}")
-    cap = s * inst.per_column_budget
-    if relax is not None:
-        rv = np.asarray(relax, dtype=np.float64)
-        if (rv < 0.0).any():
-            raise ValueError("relaxation must be non-negative")
-        cap = cap + rv
-    return solve_box_lp(inst.rewards[:s], inst.columns[:, :s], cap,
-                        pivot_tol=pivot_tol, feas_tol=feas_tol)
+    return solve_box_lp(inst.rewards[:s], inst.columns[:, :s], s * inst.per_column_budget)
 
 
 _EXACT_LIMIT = 25

@@ -251,9 +251,10 @@ class TestRunMultiSoa:
                               capacity=[1.0])
         counts = {1: 0, 2: 0}
         draws = 10_000
-        for seed in range(draws):
-            trace = run_multi_soa(minst, AlgorithmConfig(
-                AlgorithmKind.MULTI_SOA, StepSchedule.SQRT_N, rng_seed=seed))
+        # one batch row per seed; every row is its one-row call (TestRunOnePass)
+        [traces] = run_one_pass([minst] * draws, [Policy.of(AlgorithmKind.MULTI_SOA,
+                                                            StepSchedule.SQRT_N)], [range(draws)])
+        for trace in traces:
             counts[int(trace.decisions[0])] += 1
         assert counts[1] + counts[2] == draws
         assert abs(counts[1] / draws - 0.5) <= 0.02
@@ -408,6 +409,7 @@ class TestRunPbd:
                         capacity=[200.0, 200.0])
         trace = run_pbd(inst, rng_seed=0)
         assert trace.decisions.sum() == 12
+        assert trace.max_dual_norm is None  # PBD keeps no prices
         neg = Instance(rewards=-rng.uniform(0.5, 1, 12),
                        columns=rng.uniform(0, 1, (2, 12)),
                        capacity=[200.0, 200.0])

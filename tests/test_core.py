@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onlinelp.core import (
-    DualState,
     Instance,
     StepSchedule,
     compute_stats,
@@ -175,26 +174,11 @@ class TestThresholdDecision:
         assert threshold_decision(r, a, p + bump) <= threshold_decision(r, a, p)
 
 
-class TestDualState:
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1))
-    def test_projection_and_norm_tracking(self, seed):
-        rng = np.random.default_rng(seed)
-        state = DualState(np.zeros(4), StepSchedule.SQRT_T)
-        for _ in range(20):
-            state.step(rng.uniform(-1, 1, 4))
-            assert (state.prices >= 0.0).all()
-            assert state.max_norm_seen >= float(np.linalg.norm(state.prices)) - 1e-15
-        assert state.step_index == 20
-
+class TestStepSchedule:
     def test_schedule_values(self):
         assert StepSchedule.SQRT_N.gamma(3, 16) == pytest.approx(0.25)
         assert StepSchedule.SQRT_T.gamma(4, 16) == pytest.approx(0.5)
         assert StepSchedule.UNIT.gamma(9, 16) == 1.0
-
-    def test_rejects_negative_start(self):
-        with pytest.raises(ValueError):
-            DualState(np.array([-0.1]), StepSchedule.UNIT)
 
 
 class TestPriceNormBound:

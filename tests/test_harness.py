@@ -1,3 +1,5 @@
+import configparser
+import csv
 import json
 import math
 from pathlib import Path
@@ -12,7 +14,6 @@ from onlinelp.harness import (
     child_seed,
     load_config,
     load_report,
-    parse_algorithm_token,
     run_experiment,
 )
 from onlinelp.metrics import evaluate_trial
@@ -57,23 +58,54 @@ class TestChildSeed:
 
 class TestAlgorithmTokens:
     def test_valid_tokens(self):
-        tok = parse_algorithm_token("sfa/sqrt_t")
+        tok = AlgorithmConfig.parse("sfa/sqrt_t")
         assert tok.kind is AlgorithmKind.SFA and tok.schedule is StepSchedule.SQRT_T
-        assert parse_algorithm_token("dla").schedule is None
-        assert parse_algorithm_token("multisoa").schedule is StepSchedule.SQRT_N
+        assert AlgorithmConfig.parse("dla").schedule is None
+        assert AlgorithmConfig.parse("multisoa").schedule is StepSchedule.SQRT_N
 
-    def test_invalid_tokens(self):
-        for bad in ("soa", "soa/cubed", "nope", "dla/sqrt_t", "multisoa/sqrt_t"):
+    def test_invalid_tokens(self, tmp_path):
+        for bad in ("soa", "soa/cubed", "nope", "dla/sqrt_t", "multisoa/sqrt_t", "pbd/"):
+            with pytest.raises(ValueError):
+                AlgorithmConfig.parse(bad)
             with pytest.raises(ConfigError):
-                parse_algorithm_token(bad)
+                load_config(write_mini_config(tmp_path, algorithms=bad))
+
+    def test_labels_keep_their_seed_tags(self):
+        # token -> label; labels tag the child seeds, so changing one reseeds its runs
+        labels = {"soa/sqrt_n": "soa/sqrt_n", "soa/sqrt_t": "soa/sqrt_t",
+                  "sfa/sqrt_t": "sfa/sqrt_t", "sna/sqrt_t": "sna/sqrt_t",
+                  "multisoa": "multisoa", "multisoa/sqrt_n": "multisoa",
+                  "dla": "dla", "pbd": "pbd", " SOA/Sqrt_N ": "soa/sqrt_n"}
+        shipped = set()
+        for path in CONFIGS.glob("*.ini"):
+            cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+            cp.read(path)
+            shipped.update(t.strip() for t in cp.get("experiment", "algorithms").split(","))
+        assert shipped <= labels.keys()
+        for token, label in labels.items():
+            assert AlgorithmConfig.parse(token).label == label
 
 
 class TestLoadConfig:
     def test_shipped_configs_parse(self):
-        for name in ("uniform_sweep.ini", "gaussian_sweep.ini", "cauchy_sweep.ini",
-                     "mixed_permutation.ini", "adversarial_permutation.ini", "demo_small.ini"):
-            cfg = load_config(CONFIGS / name)
+        paths = sorted(CONFIGS.glob("*.ini"))
+        assert len(paths) >= 7
+        for path in paths:
+            cfg = load_config(path)
             assert cfg.trials >= 1 and cfg.algorithms
+
+    def test_unknown_section_rejected(self, tmp_path):
+        path = write_mini_config(tmp_path, extra="\n[tolerances]\npivot_tol = 1e-9\n")
+        with pytest.raises(ConfigError, match="tolerances"):
+            load_config(path)
+
+    def test_relative_benchmark_path_follows_the_config_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = load_config(CONFIGS / "mknap_demo.ini")
+        assert Path(cfg.benchmark_path) == (CONFIGS / "mknap_demo.txt").resolve()
+        # the echo does not depend on how the config path was written
+        monkeypatch.chdir(CONFIGS)
+        assert load_config("mknap_demo.ini").echo() == cfg.echo()
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -158,8 +190,32 @@ path = {CONFIGS / 'mknap_demo.txt'}
 """)
         cfg = load_config(path)
         report = run_experiment(cfg)
-        assert {row.n for row in report.rows} == {6, 2}
         assert len(report.rows) == 4
+        # problem i of the file tags its seeds "b{i}:"
+        assert {(row.n, row.trial, row.seed) for row in report.rows} == {
+            (n, t, child_seed(3, n, t, f"b{i}:soa/sqrt_t")) for i, n in enumerate((6, 2))
+            for t in range(2)}
+
+    def test_benchmark_errors_carry_the_problem_n(self, tmp_path):
+        # repair needs n >= 3: it fails on the n = 2 problem, the second in the file
+        path = tmp_path / "bench.ini"
+        path.write_text(f"""
+[experiment]
+name = bench
+seed = 3
+trials = 2
+algorithms = soa/sqrt_t
+
+[benchmark]
+path = {CONFIGS / 'mknap_demo.txt'}
+
+[repair]
+enabled = true
+""")
+        report = run_experiment(load_config(path))
+        assert [(e["n"], e["trial"]) for e in report.errors] == [(2, 0), (2, 1)]
+        assert all("n >= 3" in e["error"] for e in report.errors)
+        assert {row.n for row in report.rows} == {6}
 
     def test_trial_failures_recorded_and_run_continues(self, tmp_path):
         # n=2 defeats the four-group generator; n=24 still succeeds
@@ -288,6 +344,20 @@ class TestReportFiles:
                 assert value is None or math.isfinite(value), (doc["algorithm"], key, value)
             assert doc["mean_normalized_violation"] is not None
 
+    def test_pbd_reports_no_price_norm(self, tmp_path):
+        cfg = load_config(write_mini_config(tmp_path, trials=1, algorithms="soa/sqrt_n, pbd"))
+        outdir = tmp_path / "report"
+        run_experiment(cfg).save(outdir)
+        with open(outdir / "trials.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["max_dual_norm"] for r in rows if r["algorithm"] == "pbd"] == ["", ""]
+        assert all(float(r["max_dual_norm"]) > 0.0 for r in rows if r["algorithm"] != "pbd")
+        summary = json.loads((outdir / "summary.json").read_text())
+        for doc in summary["aggregates"]:
+            assert (doc["mean_max_dual_norm"] is None) == (doc["algorithm"] == "pbd")
+        loaded = load_report(outdir)
+        assert [r.max_dual_norm for r in loaded.rows if r.algorithm == "pbd"] == [None, None]
+
     def test_summary_contains_meta(self, tmp_path):
         cfg = load_config(write_mini_config(tmp_path, trials=1, algorithms="soa/sqrt_n"))
         report = run_experiment(cfg)
@@ -314,11 +384,15 @@ class TestCli:
         assert cli.main(["solve", str(target)]) == 0
         assert "status optimal" in capsys.readouterr().out
 
-    def test_bench_reports_both_schedules(self, capsys):
-        assert cli.main(["bench", str(CONFIGS / "mknap_demo.txt"), "--trials", "3"]) == 0
+    def test_bench_reports_both_schedules(self, tmp_path, capsys):
+        # "bench" is the mknap benchmark config, run through ``onlinelp run``
+        outdir = tmp_path / "out"
+        assert cli.main(["run", str(CONFIGS / "mknap_demo.ini"), "--output", str(outdir)]) == 0
         out = capsys.readouterr().out
         assert "soa/sqrt_t" in out and "soa/sqrt_n" in out
-        assert "lp_opt=27.8" in out
+        with open(outdir / "trials.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["lp_opt"][:4] for r in rows if r["n"] == "6"} == {"27.8"}
 
     def test_run_subcommand(self, tmp_path, capsys):
         cfg_path = write_mini_config(tmp_path, trials=1, algorithms="soa/sqrt_n")
@@ -344,6 +418,7 @@ class TestCli:
 
     def test_usage_error_exit_code(self, capsys):
         assert cli.main(["frobnicate"]) == 1
+        assert cli.main(["bench", str(CONFIGS / "mknap_demo.txt")]) == 1
 
 
 class TestEnvWorkers:

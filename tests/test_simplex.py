@@ -143,7 +143,7 @@ class TestSolveScaled:
     def test_full_prefix_matches_relaxation(self):
         inst = gen_uniform(GeneratorSpec(GeneratorFamily.UNIFORM, n=40, m=3, seed=2))
         full = solve_relaxation(inst)
-        scaled = solve_scaled(inst, inst.n, 0.0)
+        scaled = solve_scaled(inst, inst.n)
         assert scaled.objective == pytest.approx(full.objective, abs=1e-9)
 
     def test_single_column_prefix(self):
@@ -163,20 +163,12 @@ class TestSolveScaled:
         oracle = box_lp_vertex_oracle(inst.rewards[:s], inst.columns[:, :s], cap)
         assert sol.objective == pytest.approx(oracle, abs=1e-7)
 
-    def test_relaxation_vector(self):
-        inst = gen_uniform(GeneratorSpec(GeneratorFamily.UNIFORM, n=12, m=2, seed=3))
-        loose = solve_scaled(inst, 6, np.full(2, 0.5))
-        tight = solve_scaled(inst, 6, 0.0)
-        assert loose.objective >= tight.objective - 1e-12
-
     def test_bad_arguments(self):
         inst = gen_uniform(GeneratorSpec(GeneratorFamily.UNIFORM, n=5, m=2, seed=3))
         with pytest.raises(ValueError):
             solve_scaled(inst, 0)
         with pytest.raises(ValueError):
             solve_scaled(inst, 6)
-        with pytest.raises(ValueError):
-            solve_scaled(inst, 3, [-0.1, 0.0])
 
 
 class TestSolveBinaryExact:
