@@ -36,6 +36,8 @@ __all__ = [
     "run_sfa",
     "run_sna",
     "run_multi_soa",
+    "PREFIX_LP_KINDS",
+    "run_prefix_lp",
     "run_dla",
     "run_pbd",
     "repair_feasibility",
@@ -58,6 +60,8 @@ _ONE_PASS = {
     AlgorithmKind.SNA: (False, True),
     AlgorithmKind.MULTI_SOA: (False, False),
 }
+# The per-step-LP kinds, stepped together by run_prefix_lp.
+PREFIX_LP_KINDS = frozenset({AlgorithmKind.DLA, AlgorithmKind.PBD})
 
 
 @dataclass(frozen=True)
@@ -313,80 +317,66 @@ def run_multi_soa(minst: MultiInstance, cfg: AlgorithmConfig) -> RunTrace:
     return _run_single(minst, cfg, AlgorithmKind.MULTI_SOA)
 
 
-def run_dla(inst: Instance) -> RunTrace:
-    """Per-step-LP baseline: decide with the prefix LP's dual prices.
+def run_prefix_lp(inst: Instance, kinds: Sequence[AlgorithmKind],
+                  rng_seeds: Sequence[int]) -> List[RunTrace]:
+    """Step the per-step-LP baselines together; returns one trace per entry of ``kinds``.
 
-    Column t is thresholded against the dual prices of the capacity-shrunk LP
-    over columns 1..t-1 (zero prices at t=1); each step then solves the
-    prefix LP from scratch, with no warm start.  No feasibility enforcement.
+    Step t solves the capacity-shrunk LP over columns 1..t from scratch, with
+    no warm start, once for all rows.  A DLA row thresholds column t against
+    the dual prices of step t-1's LP (zero prices at t=1), with no feasibility
+    enforcement; it ignores its seed.  A PBD row sets x_t to 1 with
+    probability equal to the t-th coordinate of step t's optimum, drawing
+    exactly one number per step from its own stream ``rng_seeds[i]``,
+    degenerate probabilities included, so traces are seed-stable under code
+    motion.  No row depends on the others.
     """
-    if (inst.capacity < 0.0).any():
-        raise ValueError("prefix LPs require non-negative capacity")
+    if not kinds or any(kind not in PREFIX_LP_KINDS for kind in kinds):
+        raise ValueError("a prefix-LP pass takes one or more DLA and PBD rows")
+    if len(rng_seeds) != len(kinds):
+        raise ValueError("a prefix-LP pass needs one seed per row")
     n, m = inst.n, inst.m
     cols = np.ascontiguousarray(inst.columns.T)
     rewards = inst.rewards
+    # DLA rows draw nothing; every DLA row takes the same decisions
+    rngs = [None if kind is AlgorithmKind.DLA else np.random.default_rng(seed)
+            for kind, seed in zip(kinds, rng_seeds)]
+    decisions = [np.zeros(n, dtype=np.int8) for _ in kinds]
+    consumption = [np.zeros(m) for _ in kinds]
+    objective = [0.0] * len(kinds)
     p = np.zeros(m)
-    decisions = np.zeros(n, dtype=np.int8)
-    consumption = np.zeros(m)
-    objective = 0.0
     max_norm = 0.0
-    for t in range(1, n + 1):
-        a_t = cols[t - 1]
-        if threshold_decision(rewards[t - 1], a_t, p):
-            decisions[t - 1] = 1
-            objective += rewards[t - 1]
-            consumption += a_t
-        sol = solve_scaled(inst, t)
+    for t in range(n):
+        dla_accepts = threshold_decision(rewards[t], cols[t], p)
+        sol = solve_scaled(inst, t + 1)
         if sol.status is not LpStatus.OPTIMAL:
-            raise SimplexError(f"prefix LP at step {t} returned {sol.status.value}")
+            raise SimplexError(f"prefix LP at step {t + 1} returned {sol.status.value}")
+        prob = min(max(float(sol.primal[t]), 0.0), 1.0)
+        for i, rng in enumerate(rngs):
+            if (dla_accepts if rng is None else float(rng.random()) < prob):
+                decisions[i][t] = 1
+                objective[i] += rewards[t]
+                consumption[i] += cols[t]
         p = sol.duals
         max_norm = max(max_norm, float(np.linalg.norm(p)))
-    return RunTrace(
-        decisions=decisions,
-        objective=float(objective),
-        consumption=consumption,
-        final_prices=p.copy(),
-        max_dual_norm=max_norm,
+    return [RunTrace(
+        decisions=decisions[i],
+        objective=float(objective[i]),
+        consumption=consumption[i],
+        final_prices=p.copy() if rng is None else np.zeros(m),
+        max_dual_norm=max_norm if rng is None else None,
         dual_norm_history=None,
-        rng_seed=None,
-    )
+        rng_seed=None if rng is None else rng_seeds[i],
+    ) for i, rng in enumerate(rngs)]
+
+
+def run_dla(inst: Instance) -> RunTrace:
+    """Per-step-LP baseline: decide with the prefix LP's dual prices (see :func:`run_prefix_lp`)."""
+    return run_prefix_lp(inst, [AlgorithmKind.DLA], [0])[0]
 
 
 def run_pbd(inst: Instance, rng_seed: int) -> RunTrace:
-    """Per-step-LP baseline: round the prefix LP's own fractional value.
-
-    At step t the capacity-shrunk LP over columns 1..t is solved and x_t is
-    set to 1 with probability equal to the t-th coordinate of its optimum.
-    Exactly one RNG draw is consumed per step, degenerate probabilities
-    included, so traces are seed-stable under code motion.
-    """
-    if (inst.capacity < 0.0).any():
-        raise ValueError("prefix LPs require non-negative capacity")
-    rng = np.random.default_rng(rng_seed)
-    n, m = inst.n, inst.m
-    cols = np.ascontiguousarray(inst.columns.T)
-    rewards = inst.rewards
-    decisions = np.zeros(n, dtype=np.int8)
-    consumption = np.zeros(m)
-    objective = 0.0
-    for t in range(1, n + 1):
-        sol = solve_scaled(inst, t)
-        if sol.status is not LpStatus.OPTIMAL:
-            raise SimplexError(f"prefix LP at step {t} returned {sol.status.value}")
-        prob = min(max(float(sol.primal[t - 1]), 0.0), 1.0)
-        if float(rng.random()) < prob:
-            decisions[t - 1] = 1
-            objective += rewards[t - 1]
-            consumption += cols[t - 1]
-    return RunTrace(
-        decisions=decisions,
-        objective=float(objective),
-        consumption=consumption,
-        final_prices=np.zeros(m),
-        max_dual_norm=None,
-        dual_norm_history=None,
-        rng_seed=rng_seed,
-    )
+    """Per-step-LP baseline: round the prefix LP's own fractional value (see :func:`run_prefix_lp`)."""
+    return run_prefix_lp(inst, [AlgorithmKind.PBD], [rng_seed])[0]
 
 
 def repair_feasibility(inst: Instance, trace: RunTrace, cfg: RepairConfig,

@@ -28,19 +28,18 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import __version__
 from .algorithms import (
+    PREFIX_LP_KINDS,
     AlgorithmConfig,
-    AlgorithmKind,
     Policy,
     RepairConfig,
     repair_feasibility,
-    run_dla,
     run_one_pass,
-    run_pbd,
+    run_prefix_lp,
 )
-# The single-trial one-pass entry points stay bound here because
-# perfbench/spans.py looks them up in this module; the harness itself steps
-# them all through run_one_pass.
-from .algorithms import run_multi_soa, run_sfa, run_sna, run_soa  # noqa: F401
+# The single-trial entry points stay bound here because perfbench/spans.py
+# looks them up in this module; the harness itself steps the one-pass kinds
+# through run_one_pass and DLA and PBD through run_prefix_lp.
+from .algorithms import run_dla, run_multi_soa, run_pbd, run_sfa, run_sna, run_soa  # noqa: F401
 from .core import Instance
 from .generators import GeneratorFamily, GeneratorSpec, PermutationPlan, generate, permute, read_mknap
 from .metrics import TrialResult, aggregate, evaluate_trial, fit_scaling
@@ -141,7 +140,15 @@ def _get(cp: configparser.ConfigParser, section: str, option: str, fallback=None
     return fallback
 
 
-_SECTIONS = {"experiment", "generator", "benchmark", "repair", "output"}
+# Section -> the keys it admits: the whole config schema.
+_SCHEMA = {
+    "experiment": {"name", "seed", "trials", "n_values", "algorithms", "permute", "workers"},
+    "generator": {"family", "m", "d_lo", "d_hi", "cauchy_truncation", "adversarial_low",
+                  "adversarial_high", "adversarial_capacity_fraction"},
+    "benchmark": {"path"},
+    "repair": {"enabled", "d_lo_override", "skip_if_feasible"},
+    "output": {"directory"},
+}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -163,9 +170,13 @@ def load_config(path) -> ExperimentConfig:
     def bad(msg: str) -> ConfigError:
         return ConfigError(f"{path}: {msg}")
 
-    unknown = sorted(set(cp.sections()) - _SECTIONS)
+    unknown = sorted(set(cp.sections()) - _SCHEMA.keys())
     if unknown:
         raise bad("unknown section(s) " + ", ".join(f"[{name}]" for name in unknown))
+    for section in cp.sections():
+        unknown = sorted(set(cp.options(section)) - _SCHEMA[section])
+        if unknown:
+            raise bad(f"unknown key(s) in [{section}]: " + ", ".join(unknown))
 
     try:
         name = _get(cp, "experiment", "name", path.stem)
@@ -245,15 +256,6 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-# Algorithm kind -> per-trial runner of the per-step-LP baselines.  Every other
-# kind is a one-pass policy (``Policy.of``), stepped in one kernel call with the
-# other one-pass algorithms of the block.
-_PER_STEP_LP = {
-    AlgorithmKind.DLA: lambda inst, seed: run_dla(inst),
-    AlgorithmKind.PBD: lambda inst, seed: run_pbd(inst, seed),
-}
-
-
 def _blocks(trials: int, parts: int) -> List[range]:
     """Split ``range(trials)`` into at most ``parts`` contiguous blocks of near-equal size."""
     parts = max(1, min(parts, trials))
@@ -302,13 +304,15 @@ def _block_task(args):
     ``args`` is ``(cfg, n, seed_tag, problem, trials)``, as for :func:`_prepare`.
 
     Returns ``(rows, timings, errors)``.  One kernel call steps every one-pass
-    algorithm on every trial of the block, and its wall time is split evenly
-    over its rows in the timings; the per-step-LP baselines, evaluation and
-    repair run per trial.  A trial that fails anywhere records its own error
-    and contributes no rows; the other trials of the block are unaffected.
+    algorithm on every trial of the block, and one prefix-LP pass per trial
+    steps its DLA and PBD rows; the wall time of each call is split evenly
+    over its rows in the timings.  Evaluation and repair run per trial.  A
+    trial that fails anywhere records its own error and contributes no rows;
+    the other trials of the block are unaffected.
     """
     cfg, n, seed_tag, problem, trials = args
-    kernel = [c for c in cfg.algorithms if c.kind not in _PER_STEP_LP]
+    kernel = [c for c in cfg.algorithms if c.kind not in PREFIX_LP_KINDS]
+    prefix = [c for c in cfg.algorithms if c.kind in PREFIX_LP_KINDS]
     policies = [Policy.of(c.kind, c.schedule) for c in kernel]
     cells, failures = [], {}
     for trial in trials:
@@ -316,14 +320,13 @@ def _block_task(args):
             cells.append(_prepare(cfg, n, seed_tag, problem, trial, policies))
         except Exception as exc:
             failures[trial] = exc
-    traces, share = {}, 0.0
+    batch, share = [], 0.0
     if kernel and cells:
         t0 = time.perf_counter()
         try:
             batch = run_one_pass([cell.inst for cell in cells], policies,
                                  [[cell.seed(c.label) for cell in cells] for c in kernel])
             share = (time.perf_counter() - t0) / (len(kernel) * len(cells))
-            traces = {c.label: row for c, row in zip(kernel, batch)}
         except Exception as exc:
             failures.update((cell.trial, exc) for cell in cells)
             cells = []
@@ -332,18 +335,20 @@ def _block_task(args):
     for i, (trial, inst, lp_opt, lp_seconds, seed) in enumerate(cells):
         runs = []  # (label, seed, trace, wall seconds)
         try:
-            for choice in cfg.algorithms:
-                label = choice.label
-                if label in traces:
-                    runs.append((label, seed(label), traces[label][i], share))
-                else:
-                    t0 = time.perf_counter()
-                    trace = _PER_STEP_LP[choice.kind](inst, seed(label))
-                    runs.append((label, seed(label), trace, time.perf_counter() - t0))
+            found = {c.label: (row[i], share) for c, row in zip(kernel, batch)}
+            if prefix:
+                t0 = time.perf_counter()
+                traces = run_prefix_lp(inst, [c.kind for c in prefix],
+                                       [seed(c.label) for c in prefix])
+                wall = (time.perf_counter() - t0) / len(prefix)
+                found.update((c.label, (trace, wall)) for c, trace in zip(prefix, traces))
+            for label in (c.label for c in cfg.algorithms):
+                trace, wall = found[label]
+                runs.append((label, seed(label), trace, wall))
                 if cfg.repair.enabled:
                     rseed = seed(label + "+repair")
                     t0 = time.perf_counter()
-                    repaired = repair_feasibility(inst, runs[-1][2], cfg.repair, rseed)
+                    repaired = repair_feasibility(inst, trace, cfg.repair, rseed)
                     runs.append((label + "+repair", rseed, repaired, time.perf_counter() - t0))
             cell_rows = [evaluate_trial(inst, trace, lp_opt, algorithm=label,
                                         wall_time=wall, seed=run_seed, trial=trial)
@@ -533,10 +538,6 @@ def run_experiment(cfg: ExperimentConfig, *, workers: Optional[int] = None) -> E
                 fit = fit_scaling(ns, [d[f"mean_{measure}"] for d in docs],
                                   [d[f"stderr_{measure}"] for d in docs])
                 entry[measure] = dataclasses.asdict(fit)
-                entry[measure]["ns"] = list(fit.ns)
-                entry[measure]["means"] = list(fit.means)
-                entry[measure]["stderrs"] = list(fit.stderrs)
-                entry[measure]["excluded_ns"] = list(fit.excluded_ns)
             except ValueError as exc:
                 entry[measure] = {"error": str(exc)}
         fits[label] = entry

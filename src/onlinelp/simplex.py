@@ -178,96 +178,46 @@ class _BoxSimplex:
                 going_up = not at_upper[j]
                 w = self.Binv @ Gt[j]
                 wl = w.tolist()
-                # Ratio test on the basic variables, in plain floats: the
-                # basic change rate per unit of entering movement is -w when
-                # entering rises and +w when it falls.
+                # Ratio test on the basic variables, in plain floats: a basic
+                # variable falls at rate d_i per unit of entering movement,
+                # d = w when entering rises and -w when it falls.  Under
+                # Bland's rule exact ties leave by least basic index.
+                d = wl if going_up else [-wi for wi in wl]
                 theta_min = math.inf
                 i_star = -1
-                if going_up:
-                    for i in range(m):
-                        wi = wl[i]
-                        if wi > _RATE_EPS:
-                            t_i = (xb[i] - lb_b[i]) / wi
-                        elif wi < -_RATE_EPS:
-                            t_i = (ub_b[i] - xb[i]) / (-wi)
-                        else:
-                            continue
-                        if t_i < 0.0:
-                            t_i = 0.0
-                        if t_i < theta_min:
-                            theta_min = t_i
-                            i_star = i
-                else:
-                    for i in range(m):
-                        wi = wl[i]
-                        if wi > _RATE_EPS:
-                            t_i = (ub_b[i] - xb[i]) / wi
-                        elif wi < -_RATE_EPS:
-                            t_i = (xb[i] - lb_b[i]) / (-wi)
-                        else:
-                            continue
-                        if t_i < 0.0:
-                            t_i = 0.0
-                        if t_i < theta_min:
-                            theta_min = t_i
-                            i_star = i
+                for i in range(m):
+                    di = d[i]
+                    if di > _RATE_EPS:
+                        t_i = (xb[i] - lb_b[i]) / di
+                    elif di < -_RATE_EPS:
+                        t_i = (ub_b[i] - xb[i]) / (-di)
+                    else:
+                        continue
+                    if t_i < 0.0:
+                        t_i = 0.0
+                    if t_i < theta_min or (bland and t_i == theta_min and i_star >= 0
+                                           and basis[i] < basis[i_star]):
+                        theta_min = t_i
+                        i_star = i
                 theta_flip = upper[j] - lower[j]
                 if i_star < 0 and not np.isfinite(theta_flip):
                     return LpStatus.UNBOUNDED
+                theta = min(theta_flip, theta_min)
+                for i in range(m):
+                    xb[i] -= d[i] * theta
                 if theta_flip <= theta_min:
                     # Bound flip: basis, prices and reduced costs all unchanged.
-                    if going_up:
-                        x[j] = upper[j]
-                        at_upper[j] = True
-                        for i in range(m):
-                            xb[i] -= wl[i] * theta_flip
-                    else:
-                        x[j] = lower[j]
-                        at_upper[j] = False
-                        for i in range(m):
-                            xb[i] += wl[i] * theta_flip
+                    x[j] = upper[j] if going_up else lower[j]
+                    at_upper[j] = going_up
                     moves_since_refresh += 1
                     if moves_since_refresh >= _REFRESH_EVERY:
                         self._refresh_basics()
                         xb = self.xb
                         moves_since_refresh = 0
                     continue
-                if bland:
-                    # Least-index leaving rule among the exactly tied blockers.
-                    best = None
-                    for i in range(m):
-                        wi = wl[i]
-                        if going_up:
-                            if wi > _RATE_EPS:
-                                t_i = (xb[i] - lb_b[i]) / wi
-                            elif wi < -_RATE_EPS:
-                                t_i = (ub_b[i] - xb[i]) / (-wi)
-                            else:
-                                continue
-                        else:
-                            if wi > _RATE_EPS:
-                                t_i = (ub_b[i] - xb[i]) / wi
-                            elif wi < -_RATE_EPS:
-                                t_i = (xb[i] - lb_b[i]) / (-wi)
-                            else:
-                                continue
-                        if t_i < 0.0:
-                            t_i = 0.0
-                        if t_i == theta_min and (best is None or basis[i] < best[1]):
-                            best = (i, basis[i])
-                    if best is not None:
-                        i_star = best[0]
-                direction = 1.0 if going_up else -1.0
-                enter_val = float(x[j]) + direction * theta_min
+                enter_val = float(x[j]) + (theta_min if going_up else -theta_min)
                 leave = int(basis[i_star])
-                if going_up:
-                    for i in range(m):
-                        xb[i] -= wl[i] * theta_min
-                else:
-                    for i in range(m):
-                        xb[i] += wl[i] * theta_min
-                rate_leave = -direction * wl[i_star]
-                if rate_leave > 0.0:
+                if d[i_star] < 0.0:
                     x[leave] = ub_b[i_star]
                     at_upper[leave] = True
                 else:

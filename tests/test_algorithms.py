@@ -13,6 +13,7 @@ from onlinelp.algorithms import (
     run_multi_soa,
     run_one_pass,
     run_pbd,
+    run_prefix_lp,
     run_sfa,
     run_sna,
     run_soa,
@@ -433,6 +434,41 @@ class TestRunPbd:
         base = run_pbd(inst, rng_seed=0).decisions
         assert any(not np.array_equal(run_pbd(inst, rng_seed=s).decisions, base)
                    for s in range(1, 20))
+
+
+class TestRunPrefixLp:
+    def test_shared_pass_matches_single_runs(self):
+        for seed in (3, 17):
+            inst = uniform_instance(30, 3, seed)
+            dla, pbd, pbd2 = run_prefix_lp(
+                inst, [AlgorithmKind.DLA, AlgorithmKind.PBD, AlgorithmKind.PBD], [5, 41, 42])
+            traces_identical(dla, run_dla(inst))
+            assert dla.rng_seed is None
+            for trace, rng_seed in ((pbd, 41), (pbd2, 42)):
+                single = run_pbd(inst, rng_seed=rng_seed)
+                assert trace.max_dual_norm is None and single.max_dual_norm is None
+                traces_identical(trace, single)
+                assert trace.rng_seed == rng_seed
+
+    def test_pbd_decisions_replay_prefix_primals(self):
+        inst = uniform_instance(20, 2, 31)
+        _, trace = run_prefix_lp(inst, [AlgorithmKind.DLA, AlgorithmKind.PBD], [0, 77])
+        rng = np.random.default_rng(77)
+        for t in range(1, 21):
+            prob = min(max(float(solve_scaled(inst, t).primal[t - 1]), 0.0), 1.0)
+            assert trace.decisions[t - 1] == int(float(rng.random()) < prob)
+        assert (trace.final_prices == 0.0).all()
+        assert_trace_consistent(inst, trace)
+
+    def test_rejects_other_kinds_and_bad_inputs(self):
+        inst = uniform_instance(10, 2, 0)
+        for kind in (AlgorithmKind.SOA, AlgorithmKind.SFA, AlgorithmKind.SNA, AlgorithmKind.MULTI_SOA):
+            with pytest.raises(ValueError):
+                run_prefix_lp(inst, [AlgorithmKind.DLA, kind], [0, 0])
+        with pytest.raises(ValueError):
+            run_prefix_lp(inst, [], [])
+        with pytest.raises(ValueError):
+            run_prefix_lp(inst, [AlgorithmKind.PBD], [1, 2])
 
 
 class TestRepairFeasibility:

@@ -18,7 +18,7 @@ from onlinelp.harness import (
 )
 from onlinelp.metrics import evaluate_trial
 from onlinelp.simplex import solve_relaxation
-from onlinelp import cli, harness
+from onlinelp import algorithms, cli, harness
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 ALL_ALGORITHMS = "soa/sqrt_n, soa/sqrt_t, sfa/sqrt_t, sna/sqrt_t, multisoa, pbd"
@@ -97,6 +97,15 @@ class TestLoadConfig:
     def test_unknown_section_rejected(self, tmp_path):
         path = write_mini_config(tmp_path, extra="\n[tolerances]\npivot_tol = 1e-9\n")
         with pytest.raises(ConfigError, match="tolerances"):
+            load_config(path)
+
+    def test_unknown_key_rejected(self, tmp_path):
+        path = write_mini_config(tmp_path)
+        path.write_text(path.read_text().replace("trials = 2", "trails = 5"))
+        with pytest.raises(ConfigError, match=r"\[experiment\]: trails"):
+            load_config(path)
+        path = write_mini_config(tmp_path, extra="\n[repair]\nenable = true\n")
+        with pytest.raises(ConfigError, match=r"\[repair\]: enable"):
             load_config(path)
 
     def test_relative_benchmark_path_follows_the_config_file(self, tmp_path, monkeypatch):
@@ -268,6 +277,20 @@ m = 2
                 if not line.startswith("48,1,")]
         assert len(kept) < len(whole.trials_csv().splitlines())
         assert partial.trials_csv().splitlines() == kept
+
+    def test_dla_and_pbd_share_one_prefix_lp_per_step(self, tmp_path, monkeypatch):
+        cfg = load_config(write_mini_config(tmp_path, trials=2, algorithms="dla, pbd"))
+        real = algorithms.solve_scaled
+        calls = []
+
+        def counting(inst, s):
+            calls.append(inst.n)
+            return real(inst, s)
+
+        monkeypatch.setattr(algorithms, "solve_scaled", counting)
+        report = run_experiment(cfg, workers=1)
+        assert not report.errors and len(report.rows) == 2 * 2 * 2
+        assert calls.count(24) == 2 * 24 and calls.count(48) == 2 * 48
 
     def test_failed_policy_check_is_recorded_per_trial(self, tmp_path):
         # n=1 cannot run the budget-tracking variant; n=24 still does

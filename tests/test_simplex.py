@@ -1,10 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from onlinelp.core import Instance, compute_stats
 from onlinelp.generators import GeneratorFamily, GeneratorSpec, gen_uniform
+from onlinelp import simplex
 from onlinelp.simplex import (
     LpStatus,
     solve_binary_exact,
@@ -137,6 +139,48 @@ class TestNegativeCapacity:
                 infeasible += 1
                 assert oracle == -math.inf
         assert optimal > 0 and infeasible > 0
+
+
+class TestBlandRule:
+    def test_forced_from_the_first_degenerate_pivot(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        cases = []  # (r, A, b): signed data, negative capacities, small signed integers
+        for i in range(120):
+            n, m = int(rng.integers(2, 10)), int(rng.integers(1, 5))
+            if i % 3 == 0:
+                inst = random_signed_instance(rng, n, m)
+                cases.append((inst.rewards, inst.columns, inst.capacity))
+            elif i % 3 == 1:
+                cases.append((rng.uniform(-2, 2, n), rng.uniform(-2, 2, (m, n)),
+                              rng.uniform(-1.0, 1.5, m)))
+            else:  # ties everywhere, so many pivots are degenerate
+                cases.append((rng.integers(-2, 3, n).astype(float),
+                              rng.integers(-2, 3, (m, n)).astype(float),
+                              rng.integers(-2, 3, m).astype(float)))
+        default_iterations = [solve_box_lp(*case).iterations for case in cases]
+        init = simplex._BoxSimplex.__init__
+
+        def bland_at_once(self, *args):
+            init(self, *args)
+            self.bland_threshold = 1
+
+        monkeypatch.setattr(simplex._BoxSimplex, "__init__", bland_at_once)
+        iterations = []
+        optimal = infeasible = 0
+        for r, A, b in cases:
+            sol = solve_box_lp(r, A, b)
+            iterations.append(sol.iterations)
+            oracle = box_lp_vertex_oracle(r, A, b)
+            if sol.status is LpStatus.INFEASIBLE:
+                infeasible += 1
+                assert oracle == -math.inf
+                continue
+            optimal += 1
+            assert sol.objective == pytest.approx(oracle, abs=1e-7)
+            check_solution_invariants(SimpleNamespace(rewards=r, columns=A, capacity=b), sol)
+        assert optimal > 0 and infeasible > 0
+        # Bland's rule took over, and changed the pivot path, in some solves
+        assert iterations != default_iterations
 
 
 class TestSolveScaled:
