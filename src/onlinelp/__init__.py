@@ -19,7 +19,6 @@ from .core import (
 )
 from .simplex import (
     LpSolution,
-    LpStatus,
     solve_binary_exact,
     solve_box_lp,
     solve_relaxation,

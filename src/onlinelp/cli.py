@@ -17,7 +17,7 @@ import sys
 from .core import load_instance, save_instance
 from .generators import GeneratorFamily, GeneratorSpec, generate
 from .harness import ConfigError, load_config, run_experiment
-from .simplex import LpStatus, solve_binary_exact, solve_relaxation
+from .simplex import solve_binary_exact, solve_relaxation
 
 
 class _UsageError(Exception):
@@ -37,7 +37,7 @@ def _build_parser() -> _Parser:
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config", help="experiment config file")
     p_run.add_argument("--workers", type=int, default=None,
-                       help="parallel trial workers (overrides config and environment)")
+                       help="parallel trial workers (overrides config)")
     p_run.add_argument("--output", default=None, help="report directory (overrides config)")
 
     p_solve = sub.add_parser("solve", help="solve the offline relaxation of an instance file")
@@ -82,11 +82,9 @@ def _cmd_run(args) -> int:
 def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     sol = solve_relaxation(inst)
-    print(f"status {sol.status.value}")
-    if sol.status is LpStatus.OPTIMAL:
-        print(f"objective {sol.objective:.12g}")
-        print("duals " + " ".join(f"{v:.12g}" for v in sol.duals))
-        print("primal " + " ".join(f"{v:.12g}" for v in sol.primal))
+    print(f"objective {sol.objective:.12g}")
+    print("duals " + " ".join(f"{v:.12g}" for v in sol.duals))
+    print("primal " + " ".join(f"{v:.12g}" for v in sol.primal))
     if args.binary:
         if inst.n > 25:
             raise ConfigError(f"--binary needs n <= 25, instance has n = {inst.n}")

@@ -283,8 +283,9 @@ def read_mknap(path) -> List[Tuple[Instance, Optional[float]]]:
 
     Token stream: problem count; per problem a ``n m optimum`` header
     (optimum 0 means unknown), n profits, the m-by-n weight matrix row by
-    row, then m capacities.  Negative weights or capacities are unusual for
-    these files and raise a warning, not an error.
+    row, then m capacities.  A capacity that is not positive is a format
+    error.  Negative weights are unusual for these files and raise a warning,
+    not an error.
     """
     with open(path, "r", encoding="ascii") as fh:
         ts = _TokenStream(fh.read())
@@ -304,10 +305,17 @@ def read_mknap(path) -> List[Tuple[Instance, Optional[float]]]:
         for i in range(m):
             for j in range(n):
                 weights[i, j] = ts.next_float(f"weight ({i + 1},{j + 1}) of problem {idx}")
-        caps = np.array([ts.next_float(f"capacity {i + 1} of problem {idx}") for i in range(m)])
-        if (weights < 0.0).any() or (caps < 0.0).any():
+        caps = []
+        for i in range(m):
+            line = ts.line
+            cap = ts.next_float(f"capacity {i + 1} of problem {idx}")
+            if not cap > 0.0:
+                raise MknapFormatError(
+                    f"capacity {i + 1} of problem {idx} must be positive, got {cap!r}", line)
+            caps.append(cap)
+        if (weights < 0.0).any():
             warnings.warn(
-                f"problem {idx} contains negative weights or capacities; "
+                f"problem {idx} contains negative weights; "
                 "the solver supports them but the benchmark convention does not",
                 stacklevel=2,
             )

@@ -43,11 +43,10 @@ from .algorithms import run_dla, run_multi_soa, run_pbd, run_sfa, run_sna, run_s
 from .core import Instance
 from .generators import GeneratorFamily, GeneratorSpec, PermutationPlan, generate, permute, read_mknap
 from .metrics import TrialResult, aggregate, evaluate_trial, fit_scaling
-from .simplex import LpStatus, solve_relaxation
+from .simplex import solve_relaxation
 
 __all__ = [
     "FORMAT_VERSION",
-    "ENV_WORKERS",
     "ConfigError",
     "ExperimentConfig",
     "ExperimentReport",
@@ -58,7 +57,6 @@ __all__ = [
 ]
 
 FORMAT_VERSION = "1"
-ENV_WORKERS = "ONLINELP_WORKERS"
 
 TRIALS_CSV_COLUMNS = (
     "n", "trial", "algorithm", "seed", "m", "objective", "lp_opt",
@@ -273,12 +271,13 @@ class _Cell(NamedTuple):
 
 
 def _prepare(cfg: ExperimentConfig, n: int, seed_tag: str, problem: Optional[Instance],
-             trial: int, policies) -> _Cell:
+             problem_lp: Optional[Tuple[float, float]], trial: int, policies) -> _Cell:
     """Instance, offline LP and seed derivation of one trial.
 
-    ``problem`` is the benchmark instance, or ``None`` to generate one of n
-    columns.  Raises if the trial cannot be set up or a policy cannot run on
-    its instance.
+    ``problem`` is the benchmark instance and ``problem_lp`` its relaxation's
+    optimum with this trial's share of the solve time, or both are ``None``
+    to generate an instance of n columns and solve its relaxation.  Raises if
+    the trial cannot be set up or a policy cannot run on its instance.
     """
     if problem is None:
         inst = generate(cfg.spec_for(n, child_seed(cfg.seed, n, trial, "instance")))
@@ -287,14 +286,13 @@ def _prepare(cfg: ExperimentConfig, n: int, seed_tag: str, problem: Optional[Ins
     if cfg.permute_arrivals:
         plan = PermutationPlan.random(inst.n, child_seed(cfg.seed, n, trial, seed_tag + "permutation"))
         inst = permute(inst, plan)
-    t0 = time.perf_counter()
-    lp = solve_relaxation(inst)
-    lp_seconds = time.perf_counter() - t0
-    if lp.status is not LpStatus.OPTIMAL:
-        raise RuntimeError(f"offline relaxation returned {lp.status.value}")
+    if problem_lp is None:
+        t0 = time.perf_counter()
+        lp_opt = solve_relaxation(inst).objective
+        problem_lp = lp_opt, time.perf_counter() - t0
     for policy in policies:
         policy.check(inst)
-    return _Cell(trial, inst, lp.objective, lp_seconds,
+    return _Cell(trial, inst, *problem_lp,
                  lambda label: child_seed(cfg.seed, n, trial, seed_tag + label))
 
 
@@ -303,21 +301,33 @@ def _block_task(args):
 
     ``args`` is ``(cfg, n, seed_tag, problem, trials)``, as for :func:`_prepare`.
 
-    Returns ``(rows, timings, errors)``.  One kernel call steps every one-pass
-    algorithm on every trial of the block, and one prefix-LP pass per trial
-    steps its DLA and PBD rows; the wall time of each call is split evenly
-    over its rows in the timings.  Evaluation and repair run per trial.  A
-    trial that fails anywhere records its own error and contributes no rows;
-    the other trials of the block are unaffected.
+    Returns ``(rows, timings, errors)``.  A benchmark problem's relaxation is
+    solved once for the block, since permuting its columns leaves the optimum
+    unchanged; if that solve fails, every trial of the block records the
+    error.  One kernel call steps every one-pass algorithm on every trial of
+    the block, and one prefix-LP pass per trial steps its DLA and PBD rows;
+    the wall time of each shared solve or call is split evenly over its rows
+    in the timings.  Evaluation and repair run per trial.  A trial that fails
+    anywhere else records its own error and contributes no rows; the other
+    trials of the block are unaffected.
     """
     cfg, n, seed_tag, problem, trials = args
     kernel = [c for c in cfg.algorithms if c.kind not in PREFIX_LP_KINDS]
     prefix = [c for c in cfg.algorithms if c.kind in PREFIX_LP_KINDS]
     policies = [Policy.of(c.kind, c.schedule) for c in kernel]
     cells, failures = [], {}
+    problem_lp = None
+    if problem is not None:
+        t0 = time.perf_counter()
+        try:
+            lp_opt = solve_relaxation(problem).objective
+            problem_lp = lp_opt, (time.perf_counter() - t0) / len(trials)
+        except Exception as exc:
+            failures.update((trial, exc) for trial in trials)
+            trials = ()
     for trial in trials:
         try:  # recorded per trial; the block continues
-            cells.append(_prepare(cfg, n, seed_tag, problem, trial, policies))
+            cells.append(_prepare(cfg, n, seed_tag, problem, problem_lp, trial, policies))
         except Exception as exc:
             failures[trial] = exc
     batch, share = [], 0.0
@@ -351,8 +361,8 @@ def _block_task(args):
                     repaired = repair_feasibility(inst, trace, cfg.repair, rseed)
                     runs.append((label + "+repair", rseed, repaired, time.perf_counter() - t0))
             cell_rows = [evaluate_trial(inst, trace, lp_opt, algorithm=label,
-                                        wall_time=wall, seed=run_seed, trial=trial)
-                         for label, run_seed, trace, wall in runs]
+                                        seed=run_seed, trial=trial)
+                         for label, run_seed, trace, _ in runs]
         except Exception as exc:
             failures[trial] = exc
             continue
@@ -369,9 +379,6 @@ def _resolve_workers(cfg: ExperimentConfig, override: Optional[int]) -> int:
         return override
     if cfg.workers > 0:
         return cfg.workers
-    env = os.environ.get(ENV_WORKERS, "")
-    if env.isdigit() and int(env) > 0:
-        return int(env)
     return 1
 
 
@@ -443,8 +450,8 @@ def _parse_opt_float(cell: str) -> Optional[float]:
 def load_report(directory) -> ExperimentReport:
     """Load a saved report; re-saving it reproduces the same bytes.
 
-    ``trials.csv`` carries neither wall times nor capacity norms, so the
-    loaded rows hold NaN in ``wall_time`` and ``capacity_norm``.
+    ``trials.csv`` carries no capacity norms, so the loaded rows hold NaN in
+    ``capacity_norm``.
     """
     directory = Path(directory)
     summary = json.loads((directory / "summary.json").read_text(encoding="ascii"))
@@ -459,7 +466,7 @@ def load_report(directory) -> ExperimentReport:
             m=int(cells[4]), objective=float(cells[5]), offline_lp_opt=float(cells[6]),
             regret=float(cells[7]), violation=float(cells[8]),
             competitiveness=_parse_opt_float(cells[9]), max_dual_norm=_parse_opt_float(cells[10]),
-            wall_time=math.nan, capacity_norm=math.nan,
+            capacity_norm=math.nan,
         ))
     timings: List[Tuple[int, int, str, float]] = []
     tlines = (directory / "timings.csv").read_text(encoding="ascii").splitlines()
@@ -519,11 +526,7 @@ def run_experiment(cfg: ExperimentConfig, *, workers: Optional[int] = None) -> E
         groups.setdefault((row.algorithm, row.n), []).append(row)
     aggregates = []
     for (label, n) in sorted(groups):
-        summary = aggregate(groups[(label, n)])
-        doc = dataclasses.asdict(summary)
-        # wall-time means belong to the timing side channel, not the aggregate
-        doc.pop("mean_wall_time", None)
-        aggregates.append(doc)
+        aggregates.append(dataclasses.asdict(aggregate(groups[(label, n)])))
 
     fits: Dict = {}
     by_label: Dict[str, List[Dict]] = {}

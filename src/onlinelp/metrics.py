@@ -8,7 +8,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .core import Instance, RunTrace, violation_norm
-from .simplex import LpStatus, solve_relaxation
+from .simplex import solve_relaxation
 
 __all__ = [
     "TrialResult",
@@ -40,7 +40,6 @@ class TrialResult:
     regret: float
     violation: float
     competitiveness: Optional[float]
-    wall_time: float
     max_dual_norm: Optional[float]
     seed: int
     capacity_norm: float
@@ -48,16 +47,13 @@ class TrialResult:
 
 
 def evaluate_trial(inst: Instance, trace: RunTrace, lp_opt: Optional[float] = None, *,
-                   algorithm: str = "", wall_time: float = 0.0,
-                   seed: Optional[int] = None, trial: int = 0) -> TrialResult:
+                   algorithm: str = "", seed: Optional[int] = None,
+                   trial: int = 0) -> TrialResult:
     """Measure a binary trace; solves the offline relaxation when no optimum is given."""
     if trace.decisions.shape != (inst.n,):
         raise ValueError("trace does not belong to this instance")
     if lp_opt is None:
-        sol = solve_relaxation(inst)
-        if sol.status is not LpStatus.OPTIMAL:
-            raise RuntimeError(f"offline relaxation returned {sol.status.value}")
-        lp_opt = sol.objective
+        lp_opt = solve_relaxation(inst).objective
     lp_opt = float(lp_opt)
     objective = float(trace.objective)
     return TrialResult(
@@ -69,7 +65,6 @@ def evaluate_trial(inst: Instance, trace: RunTrace, lp_opt: Optional[float] = No
         regret=lp_opt - objective,
         violation=violation_norm(inst, trace.decisions),
         competitiveness=(objective / lp_opt) if lp_opt > 0.0 else None,
-        wall_time=float(wall_time),
         max_dual_norm=None if trace.max_dual_norm is None else float(trace.max_dual_norm),
         seed=int(seed if seed is not None else (trace.rng_seed or 0)),
         capacity_norm=float(np.linalg.norm(inst.capacity)),
@@ -104,7 +99,6 @@ class AggregateSummary:
     stderr_normalized_violation: float
     mean_competitiveness: float
     stderr_competitiveness: float
-    mean_wall_time: float
     mean_max_dual_norm: float
     flagged_nonpositive_opt: int
 
@@ -139,7 +133,6 @@ def aggregate(results: Sequence[TrialResult]) -> AggregateSummary:
     else:
         mean_nreg = se_nreg = mean_cmp = se_cmp = math.nan
     mean_nvio, se_nvio = _mean_stderr([r.violation / r.capacity_norm for r in results])
-    mean_wall, _ = _mean_stderr([r.wall_time for r in results])
     mean_dual, _ = _mean_stderr([r.max_dual_norm for r in results if r.max_dual_norm is not None])
     return AggregateSummary(
         algorithm=algorithm,
@@ -158,7 +151,6 @@ def aggregate(results: Sequence[TrialResult]) -> AggregateSummary:
         stderr_normalized_violation=se_nvio,
         mean_competitiveness=mean_cmp,
         stderr_competitiveness=se_cmp,
-        mean_wall_time=mean_wall,
         mean_max_dual_norm=mean_dual,
         flagged_nonpositive_opt=flagged,
     )

@@ -8,8 +8,11 @@ primal objective exactly at optimality.
 
 Pivot rule: largest reduced-cost violation (first index on ties), switching
 permanently to Bland's least-index rule after ``3 * (n + m)`` consecutive
-degenerate pivots.  Negative matrix entries are fully supported; negative
-capacities trigger a phase-1 with artificial columns.
+degenerate pivots.  Negative matrix entries and rewards are fully supported.
+Capacities must be non-negative: then ``x = 0`` is feasible and the box keeps
+the region bounded, so the all-slack basis is a feasible start and every solve
+ends optimal.  The program only poses such LPs, because an instance's budgets
+are positive.
 
 Two implementation notes, both invisible to the pivot sequence:
 
@@ -24,7 +27,6 @@ Two implementation notes, both invisible to the pivot sequence:
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -33,7 +35,6 @@ import numpy as np
 from .core import Instance
 
 __all__ = [
-    "LpStatus",
     "LpSolution",
     "SimplexError",
     "solve_box_lp",
@@ -43,7 +44,6 @@ __all__ = [
 ]
 
 _PIVOT_TOL = 1e-9   # a column enters only if its reduced-cost violation exceeds this
-_FEAS_TOL = 1e-7    # phase 1 declares infeasibility above this artificial total
 _RATE_EPS = 1e-11
 _DEGEN_EPS = 1e-11
 _REFRESH_EVERY = 1024
@@ -51,28 +51,21 @@ _REINVERT_EVERY = 50
 
 
 class SimplexError(RuntimeError):
-    """Raised when the pivot loop fails to terminate within its budget."""
-
-
-class LpStatus(enum.Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
+    """Raised when the pivot loop breaks down numerically or exceeds its budget."""
 
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Primal/dual solution of one box LP.
+    """Optimal primal/dual solution of one box LP.
 
     ``duals`` prices the m capacity rows, ``reduced_bounds_duals`` prices the
-    n upper-bound rows ``x_j <= 1``; both are non-negative when optimal.
+    n upper-bound rows ``x_j <= 1``; both are non-negative.
     """
 
     primal: np.ndarray
     duals: np.ndarray
     reduced_bounds_duals: np.ndarray
     objective: float
-    status: LpStatus
     iterations: int = 0
 
 
@@ -88,38 +81,30 @@ class _BoxSimplex:
         self.m, self.n = A.shape
         if self.r.shape != (self.n,) or self.b.shape != (self.m,):
             raise ValueError("inconsistent LP dimensions")
+        if not (self.b >= 0.0).all():
+            raise ValueError("capacities must be non-negative")
 
         m, n = self.m, self.n
-        neg = np.flatnonzero(self.b < 0.0)
-        self.n_art = neg.size
-        N = n + m + self.n_art
-        self.N = N
-        # Column-major data lives in Gt (N, m): row j is column j of [A | I | -I_neg].
+        N = self.N = n + m
+        # Column-major data lives in Gt (N, m): row j is column j of [A | I].
         Gt = np.zeros((N, m))
         Gt[:n] = A.T
         Gt[n + np.arange(m), np.arange(m)] = 1.0
-        if self.n_art:
-            Gt[n + m + np.arange(self.n_art), neg] = -1.0
         self.Gt = Gt
-        self.lower = np.zeros(N)
+        # Every variable has lower bound 0; structurals have upper bound 1.
         self.upper = np.empty(N)
         self.upper[:n] = 1.0
         self.upper[n:] = np.inf
 
-        self.basis = n + np.arange(m)
-        if self.n_art:
-            self.basis[neg] = n + m + np.arange(self.n_art)
-        self.in_basis = np.zeros(N, dtype=bool)
-        self.in_basis[self.basis] = True
+        self.basis = n + np.arange(m)   # the slacks
         self.at_upper = np.zeros(N, dtype=bool)
         self.x = np.zeros(N)              # nonbasic values; basic entries are stale
-        self.xb = list(np.abs(self.b))    # basic values: slack b_i or artificial -b_i
-        self.B = np.ascontiguousarray(self.Gt[self.basis].T)
-        self.Binv = np.eye(m) * np.sign(np.diag(self.B))
+        self.xb = list(self.b)            # basic values: slack i starts at b_i
+        self.B = np.eye(m)
+        self.Binv = np.eye(m)
         self.iterations = 0
         self.max_iterations = 2000 + 60 * N
         self.bland_threshold = 3 * (n + m)
-        self._pivots_since_invert = 0
 
     # -- helpers ------------------------------------------------------------
 
@@ -129,27 +114,19 @@ class _BoxSimplex:
         rhs = self.b - tmp @ self.Gt
         self.xb = list(np.linalg.solve(self.B, rhs))
 
-    def _reinvert(self) -> None:
-        self.Binv = np.linalg.inv(self.B)
-        self._pivots_since_invert = 0
-
-    def _assemble(self) -> np.ndarray:
-        full = self.x.copy()
-        full[self.basis] = self.xb
-        return full
-
     # -- pivot loop ----------------------------------------------------------
 
-    def optimize(self, c: np.ndarray) -> LpStatus:
+    def optimize(self, c: np.ndarray) -> None:
         m = self.m
-        basis, Gt, lower, upper = self.basis, self.Gt, self.lower, self.upper
+        basis, Gt, upper = self.basis, self.Gt, self.upper
         x, at_upper = self.x, self.at_upper
-        lb_b = list(lower[basis])
         ub_b = list(upper[basis])
-        candidate_base = (~self.in_basis) & ((upper - lower) > 0.0)
+        nonbasic = np.ones(self.N, dtype=bool)
+        nonbasic[basis] = False
         bland = False
         degen = 0
         moves_since_refresh = 0
+        pivots_since_invert = 0
         while True:
             p = self.Binv.T @ c[basis]
             cbar = c - Gt @ p
@@ -157,7 +134,7 @@ class _BoxSimplex:
             # direction; consuming candidates by repeated argmax walks them in
             # exactly the order a stable sort on (-violation, index) would.
             viol = np.where(at_upper, -cbar, cbar)
-            scores = np.where(candidate_base & (viol > _PIVOT_TOL), viol, 0.0)
+            scores = np.where(nonbasic & (viol > _PIVOT_TOL), viol, 0.0)
             exhausted = False
             basis_changed = False
             xb = self.xb
@@ -188,7 +165,7 @@ class _BoxSimplex:
                 for i in range(m):
                     di = d[i]
                     if di > _RATE_EPS:
-                        t_i = (xb[i] - lb_b[i]) / di
+                        t_i = xb[i] / di
                     elif di < -_RATE_EPS:
                         t_i = (ub_b[i] - xb[i]) / (-di)
                     else:
@@ -199,15 +176,16 @@ class _BoxSimplex:
                                            and basis[i] < basis[i_star]):
                         theta_min = t_i
                         i_star = i
-                theta_flip = upper[j] - lower[j]
+                theta_flip = upper[j]
                 if i_star < 0 and not np.isfinite(theta_flip):
-                    return LpStatus.UNBOUNDED
+                    # The region is bounded, so only roundoff gets here.
+                    raise SimplexError(f"unbounded ratio test (n={self.n}, m={self.m})")
                 theta = min(theta_flip, theta_min)
                 for i in range(m):
                     xb[i] -= d[i] * theta
                 if theta_flip <= theta_min:
                     # Bound flip: basis, prices and reduced costs all unchanged.
-                    x[j] = upper[j] if going_up else lower[j]
+                    x[j] = upper[j] if going_up else 0.0
                     at_upper[j] = going_up
                     moves_since_refresh += 1
                     if moves_since_refresh >= _REFRESH_EVERY:
@@ -221,16 +199,13 @@ class _BoxSimplex:
                     x[leave] = ub_b[i_star]
                     at_upper[leave] = True
                 else:
-                    x[leave] = lb_b[i_star]
+                    x[leave] = 0.0
                     at_upper[leave] = False
-                self.in_basis[leave] = False
-                self.in_basis[j] = True
                 at_upper[j] = False
-                candidate_base[leave] = (upper[leave] - lower[leave]) > 0.0
-                candidate_base[j] = False
+                nonbasic[leave] = True
+                nonbasic[j] = False
                 basis[i_star] = j
                 xb[i_star] = enter_val
-                lb_b[i_star] = float(lower[j])
                 ub_b[i_star] = float(upper[j])
                 self.B[:, i_star] = Gt[j]
                 # Rank-one update of the basis inverse.
@@ -238,9 +213,10 @@ class _BoxSimplex:
                 row = self.Binv[i_star] / wi
                 self.Binv -= np.outer(w, row)
                 self.Binv[i_star] = row
-                self._pivots_since_invert += 1
-                if self._pivots_since_invert >= _REINVERT_EVERY:
-                    self._reinvert()
+                pivots_since_invert += 1
+                if pivots_since_invert >= _REINVERT_EVERY:
+                    self.Binv = np.linalg.inv(self.B)
+                    pivots_since_invert = 0
                 moves_since_refresh += 1
                 if moves_since_refresh >= _REFRESH_EVERY:
                     self._refresh_basics()
@@ -256,53 +232,24 @@ class _BoxSimplex:
             if exhausted and not basis_changed:
                 # Consumed candidates are all ineligible under the unchanged
                 # basis, so an exhausted round certifies optimality.
-                return LpStatus.OPTIMAL
+                return
 
 
 def solve_box_lp(rewards, columns, capacity) -> LpSolution:
-    """Solve ``max r @ x, A x <= b, 0 <= x <= 1`` on raw arrays."""
+    """Solve ``max r @ x, A x <= b, 0 <= x <= 1`` on raw arrays.
+
+    Raises ``ValueError`` unless every capacity is non-negative (NaN included).
+    """
     sx = _BoxSimplex(rewards, columns, capacity)
-    n, m = sx.n, sx.m
-
-    if sx.n_art:
-        c1 = np.zeros(sx.N)
-        c1[n + m:] = -1.0
-        status = sx.optimize(c1)
-        if status is not LpStatus.OPTIMAL:
-            raise SimplexError("phase-1 terminated abnormally")
-        sx._refresh_basics()
-        art_total = float(sx._assemble()[n + m:].sum())
-        if art_total > _FEAS_TOL:
-            zeros_n = np.zeros(n)
-            return LpSolution(
-                primal=zeros_n,
-                duals=np.zeros(m),
-                reduced_bounds_duals=zeros_n.copy(),
-                objective=math.nan,
-                status=LpStatus.INFEASIBLE,
-                iterations=sx.iterations,
-            )
-        # Pin the artificials at zero for phase 2.
-        sx.upper[n + m:] = 0.0
-        sx._reinvert()
-
-    c2 = np.zeros(sx.N)
-    c2[:n] = sx.r
-    status = sx.optimize(c2)
-    if status is LpStatus.UNBOUNDED:
-        zeros_n = np.zeros(n)
-        return LpSolution(
-            primal=zeros_n,
-            duals=np.zeros(m),
-            reduced_bounds_duals=zeros_n.copy(),
-            objective=math.inf,
-            status=LpStatus.UNBOUNDED,
-            iterations=sx.iterations,
-        )
+    n = sx.n
+    c = np.zeros(sx.N)
+    c[:n] = sx.r
+    sx.optimize(c)
     sx._refresh_basics()
-    full = sx._assemble()
+    full = sx.x.copy()
+    full[sx.basis] = sx.xb
     x = full[:n].copy()
-    p = np.linalg.solve(sx.B.T, c2[sx.basis])
+    p = np.linalg.solve(sx.B.T, c[sx.basis])
     np.maximum(p, 0.0, out=p)
     s = sx.r - p @ sx.Gt[:n].T
     np.maximum(s, 0.0, out=s)
@@ -311,7 +258,6 @@ def solve_box_lp(rewards, columns, capacity) -> LpSolution:
         duals=p,
         reduced_bounds_duals=s,
         objective=float(sx.r @ x),
-        status=LpStatus.OPTIMAL,
         iterations=sx.iterations,
     )
 
@@ -339,8 +285,7 @@ _CHUNK_BITS = 16
 def solve_binary_exact(inst: Instance):
     """Exhaustive binary optimum for small instances (n <= 25).
 
-    Returns ``(objective, x)``; when no assignment is feasible the objective
-    is ``-inf`` and ``x`` is empty.  Intended as an oracle for weak-duality
+    Returns ``(objective, x)``.  Intended as an oracle for weak-duality
     checks, hence the hard budget guard.
     """
     n = inst.n
@@ -348,7 +293,7 @@ def solve_binary_exact(inst: Instance):
         raise ValueError(f"exhaustive enumeration limited to n <= {_EXACT_LIMIT}, got {n}")
     shifts = np.arange(n, dtype=np.uint64)
     best_obj = -math.inf
-    best_mask = -1
+    best_mask = 0  # x = 0 is feasible under the non-negative capacities of an Instance
     At = inst.columns.T  # (n, m)
     for lo in range(0, 1 << n, 1 << _CHUNK_BITS):
         hi = min(lo + (1 << _CHUNK_BITS), 1 << n)
@@ -363,7 +308,5 @@ def solve_binary_exact(inst: Instance):
         if objs[k] > best_obj:
             best_obj = float(objs[k])
             best_mask = lo + k
-    if best_mask < 0:
-        return -math.inf, np.zeros(0, dtype=np.int8)
     x = ((best_mask >> np.arange(n)) & 1).astype(np.int8)
     return best_obj, x

@@ -260,6 +260,14 @@ class TestReadMknap:
         with pytest.raises(MknapFormatError):
             read_mknap(path)
 
+    def test_nonpositive_capacity_names_line(self, tmp_path):
+        path = tmp_path / "broken.txt"
+        for cap in ("-4", "0"):
+            path.write_text(f"1\n2 2 0\n10 7\n5 4\n1 1\n8\n{cap}\n")
+            with pytest.raises(MknapFormatError, match="capacity 2 of problem 1") as err:
+                read_mknap(path)
+            assert err.value.line == 7
+
     def test_negative_weights_warn(self, tmp_path):
         path = tmp_path / "odd.txt"
         path.write_text("1\n2 1 0\n1 1\n-1 2\n4\n")

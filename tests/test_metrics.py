@@ -23,7 +23,7 @@ def manual_trace(inst, decisions):
 
 def make_result(**overrides):
     base = dict(algorithm="soa/sqrt_n", n=100, m=2, objective=10.0, offline_lp_opt=12.0,
-                regret=2.0, violation=0.5, competitiveness=10.0 / 12.0, wall_time=0.1,
+                regret=2.0, violation=0.5, competitiveness=10.0 / 12.0,
                 max_dual_norm=1.0, seed=7, capacity_norm=4.0)
     base.update(overrides)
     return TrialResult(**base)
@@ -52,12 +52,12 @@ class TestEvaluateTrial:
         inst = gen_uniform(GeneratorSpec(GeneratorFamily.UNIFORM, n=10, m=2, seed=3))
         trace = run_soa(inst, AlgorithmConfig(AlgorithmKind.SOA, StepSchedule.SQRT_N))
         lp = solve_relaxation(inst)
-        res = evaluate_trial(inst, trace, lp.objective, algorithm="soa", wall_time=0.5, seed=9)
+        res = evaluate_trial(inst, trace, lp.objective, algorithm="soa", seed=9)
         manual_obj = sum(float(inst.rewards[j]) for j in range(10) if trace.decisions[j] == 1)
         assert res.objective == pytest.approx(manual_obj, rel=1e-12)
         assert res.regret == lp.objective - res.objective  # exact, by construction
         assert res.regret + res.objective == lp.objective
-        assert res.seed == 9 and res.wall_time == 0.5
+        assert res.seed == 9
         assert res.capacity_norm == pytest.approx(float(np.linalg.norm(inst.capacity)))
 
     def test_solves_lp_when_not_supplied(self):

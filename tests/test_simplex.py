@@ -8,7 +8,6 @@ from onlinelp.core import Instance, compute_stats
 from onlinelp.generators import GeneratorFamily, GeneratorSpec, gen_uniform
 from onlinelp import simplex
 from onlinelp.simplex import (
-    LpStatus,
     solve_binary_exact,
     solve_box_lp,
     solve_relaxation,
@@ -25,7 +24,6 @@ def random_signed_instance(rng, n, m):
 
 
 def check_solution_invariants(inst, sol):
-    assert sol.status is LpStatus.OPTIMAL
     x, p, s = sol.primal, sol.duals, sol.reduced_bounds_duals
     b = inst.capacity
     scale = 1.0 + float(np.abs(b).max())
@@ -43,7 +41,6 @@ class TestSolveRelaxation:
     def test_single_variable(self):
         inst = Instance(rewards=[1.0], columns=[[1.0]], capacity=[0.5])
         sol = solve_relaxation(inst)
-        assert sol.status is LpStatus.OPTIMAL
         assert sol.objective == pytest.approx(0.5)
         assert sol.primal[0] == pytest.approx(0.5)
         assert sol.duals[0] == pytest.approx(1.0)
@@ -110,41 +107,16 @@ class TestSolveRelaxation:
 
 
 class TestNegativeCapacity:
-    def test_phase_one_feasible(self):
-        # -x <= -0.5 forces x >= 0.5
-        sol = solve_box_lp([1.0], [[-1.0]], [-0.5])
-        assert sol.status is LpStatus.OPTIMAL
-        assert sol.objective == pytest.approx(1.0)
-
-    def test_phase_one_infeasible(self):
-        sol = solve_box_lp([1.0], [[1.0]], [-1.0])
-        assert sol.status is LpStatus.INFEASIBLE
-        assert math.isnan(sol.objective)
-
-    def test_random_negative_capacity_against_oracle(self):
-        rng = np.random.default_rng(5)
-        optimal = infeasible = 0
-        for _ in range(40):
-            n = int(rng.integers(1, 6))
-            m = int(rng.integers(1, 4))
-            A = rng.uniform(-2, 2, (m, n))
-            r = rng.uniform(-2, 2, n)
-            b = rng.uniform(-1.0, 1.5, m)
-            sol = solve_box_lp(r, A, b)
-            oracle = box_lp_vertex_oracle(r, A, b)
-            if sol.status is LpStatus.OPTIMAL:
-                optimal += 1
-                assert sol.objective == pytest.approx(oracle, abs=1e-7)
-            else:
-                infeasible += 1
-                assert oracle == -math.inf
-        assert optimal > 0 and infeasible > 0
+    def test_rejected(self):
+        for capacity in ([-0.5], [1.0, -1.0], [math.nan]):
+            with pytest.raises(ValueError, match="non-negative"):
+                solve_box_lp([1.0], -np.ones((len(capacity), 1)), capacity)
 
 
 class TestBlandRule:
     def test_forced_from_the_first_degenerate_pivot(self, monkeypatch):
         rng = np.random.default_rng(8)
-        cases = []  # (r, A, b): signed data, negative capacities, small signed integers
+        cases = []  # (r, A, b): signed data, zero capacities, small signed integers
         for i in range(120):
             n, m = int(rng.integers(2, 10)), int(rng.integers(1, 5))
             if i % 3 == 0:
@@ -152,11 +124,11 @@ class TestBlandRule:
                 cases.append((inst.rewards, inst.columns, inst.capacity))
             elif i % 3 == 1:
                 cases.append((rng.uniform(-2, 2, n), rng.uniform(-2, 2, (m, n)),
-                              rng.uniform(-1.0, 1.5, m)))
+                              rng.uniform(0.0, 1.5, m)))
             else:  # ties everywhere, so many pivots are degenerate
                 cases.append((rng.integers(-2, 3, n).astype(float),
                               rng.integers(-2, 3, (m, n)).astype(float),
-                              rng.integers(-2, 3, m).astype(float)))
+                              rng.integers(0, 3, m).astype(float)))
         default_iterations = [solve_box_lp(*case).iterations for case in cases]
         init = simplex._BoxSimplex.__init__
 
@@ -166,19 +138,12 @@ class TestBlandRule:
 
         monkeypatch.setattr(simplex._BoxSimplex, "__init__", bland_at_once)
         iterations = []
-        optimal = infeasible = 0
         for r, A, b in cases:
             sol = solve_box_lp(r, A, b)
             iterations.append(sol.iterations)
             oracle = box_lp_vertex_oracle(r, A, b)
-            if sol.status is LpStatus.INFEASIBLE:
-                infeasible += 1
-                assert oracle == -math.inf
-                continue
-            optimal += 1
             assert sol.objective == pytest.approx(oracle, abs=1e-7)
             check_solution_invariants(SimpleNamespace(rewards=r, columns=A, capacity=b), sol)
-        assert optimal > 0 and infeasible > 0
         # Bland's rule took over, and changed the pivot path, in some solves
         assert iterations != default_iterations
 
@@ -265,11 +230,8 @@ class TestAgainstScipy:
             m = int(rng.integers(1, 8))
             A = rng.uniform(-2, 2, (m, n))
             r = rng.uniform(-2, 2, n)
-            b = rng.uniform(-0.5, 2.0, m) * max(1, n // 3)
+            b = rng.uniform(0.0, 2.0, m) * max(1, n // 3)
             sol = solve_box_lp(r, A, b)
             ref = linprog(-r, A_ub=A, b_ub=b, bounds=[(0, 1)] * n, method="highs")
-            if sol.status is LpStatus.OPTIMAL:
-                assert ref.status == 0
-                assert sol.objective == pytest.approx(-ref.fun, abs=1e-7, rel=1e-7)
-            else:
-                assert ref.status == 2
+            assert ref.status == 0
+            assert sol.objective == pytest.approx(-ref.fun, abs=1e-7, rel=1e-7)
