@@ -319,9 +319,11 @@ def run_prefix_lp(inst: Instance, kinds: Sequence[AlgorithmKind],
                   rng_seeds: Sequence[int]) -> List[RunTrace]:
     """Step the per-step-LP baselines together; returns one trace per entry of ``kinds``.
 
-    Step t solves the capacity-shrunk LP over columns 1..t from scratch, with
-    no warm start, once for all rows.  A DLA row thresholds column t against
-    the dual prices of step t-1's LP (zero prices at t=1), with no feasibility
+    Step t solves the capacity-shrunk LP over columns 1..t once for all rows,
+    warm-started from step t-1's final basis (see
+    :func:`~onlinelp.simplex.solve_scaled`): the start changes how each LP is
+    solved, not which LP.  A DLA row thresholds column t against the dual
+    prices of step t-1's LP (zero prices at t=1), with no feasibility
     enforcement; it ignores its seed.  A PBD row sets x_t to 1 with
     probability equal to the t-th coordinate of step t's optimum, drawing
     exactly one number per step from its own stream ``rng_seeds[i]``,
@@ -343,9 +345,10 @@ def run_prefix_lp(inst: Instance, kinds: Sequence[AlgorithmKind],
     objective = [0.0] * len(kinds)
     p = np.zeros(m)
     max_norm = 0.0
+    sol = None
     for t in range(n):
         dla_accepts = threshold_decision(rewards[t], cols[t], p)
-        sol = solve_scaled(inst, t + 1)
+        sol = solve_scaled(inst, t + 1, prev=sol)
         prob = min(max(float(sol.primal[t]), 0.0), 1.0)
         for i, rng in enumerate(rngs):
             if (dla_accepts if rng is None else float(rng.random()) < prob):

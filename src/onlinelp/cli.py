@@ -85,6 +85,8 @@ def _cmd_solve(args) -> int:
     print(f"objective {sol.objective:.12g}")
     print("duals " + " ".join(f"{v:.12g}" for v in sol.duals))
     print("primal " + " ".join(f"{v:.12g}" for v in sol.primal))
+    print(f"iterations {sol.iterations} pivots {sol.pivots} flips {sol.flips} "
+          f"dual_pivots {sol.dual_pivots} bland {'yes' if sol.bland else 'no'}")
     if args.binary:
         if inst.n > 25:
             raise ConfigError(f"--binary needs n <= 25, instance has n = {inst.n}")

@@ -81,9 +81,6 @@ class Instance:
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "m", int(m))
 
-    def column(self, j: int) -> np.ndarray:
-        return self.columns[:, j]
-
 
 @dataclass(frozen=True)
 class InstanceStats:

@@ -7,6 +7,7 @@ themselves lay data out deterministically.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -256,9 +257,12 @@ class _TokenStream:
         tok, line = self.tokens[self.pos]
         self.pos += 1
         try:
-            return float(tok)
+            value = float(tok)
         except ValueError:
             raise MknapFormatError(f"expected a number for {what}, got {tok!r}", line) from None
+        if not math.isfinite(value):
+            raise MknapFormatError(f"{what} must be finite, got {tok!r}", line)
+        return value
 
     def next_int(self, what: str) -> int:
         if self.pos >= len(self.tokens):
@@ -283,9 +287,9 @@ def read_mknap(path) -> List[Tuple[Instance, Optional[float]]]:
 
     Token stream: problem count; per problem a ``n m optimum`` header
     (optimum 0 means unknown), n profits, the m-by-n weight matrix row by
-    row, then m capacities.  A capacity that is not positive is a format
-    error.  Negative weights are unusual for these files and raise a warning,
-    not an error.
+    row, then m capacities.  A number that is not finite, or a capacity that
+    is not positive, is a format error.  Negative weights are unusual for
+    these files and raise a warning, not an error.
     """
     with open(path, "r", encoding="ascii") as fh:
         ts = _TokenStream(fh.read())

@@ -1,4 +1,4 @@
-"""Dense bounded-variable primal simplex for box-constrained packing relaxations.
+"""Dense bounded-variable simplex for box-constrained packing relaxations.
 
 Solves ``max r @ x  s.t.  A x <= b,  0 <= x <= 1`` with the box handled as
 variable bounds, so the working basis stays m-by-m.  Dual prices come from the
@@ -13,6 +13,18 @@ Capacities must be non-negative: then ``x = 0`` is feasible and the box keeps
 the region bounded, so the all-slack basis is a feasible start and every solve
 ends optimal.  The program only poses such LPs, because an instance's budgets
 are positive.
+
+A solve starts from a basis and the nonbasics' bounds.  The default is the
+all-slack basis with every variable at 0.  A caller may instead pass a start
+that is dual feasible, such as the previous prefix LP's final basis (prefix t
+adds one column and grows ``b``, which leaves the prices and so dual
+feasibility intact), or primal feasible.  A bounded dual simplex phase first
+pivots while some basic value lies outside its bounds: the leaving row has
+the largest violation, the entering column the least ``|cbar_j| / |alpha_rj|``.
+A primal feasible start skips that phase; from the all-slack start every basic
+value is ``b_i >= 0``, so a cold solve runs exactly the primal pivots it
+always has.  The primal loop then certifies optimality with its exhaustive
+pricing pass.
 
 Two implementation notes, both invisible to the pivot sequence:
 
@@ -29,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -44,6 +57,7 @@ __all__ = [
 ]
 
 _PIVOT_TOL = 1e-9   # a column enters only if its reduced-cost violation exceeds this
+_FEAS_TOL = 1e-9    # the dual phase pivots only on a basic value this far outside its bounds
 _RATE_EPS = 1e-11
 _DEGEN_EPS = 1e-11
 _REFRESH_EVERY = 1024
@@ -59,20 +73,38 @@ class LpSolution:
     """Optimal primal/dual solution of one box LP.
 
     ``duals`` prices the m capacity rows, ``reduced_bounds_duals`` prices the
-    n upper-bound rows ``x_j <= 1``; both are non-negative.
+    n upper-bound rows ``x_j <= 1``; both are non-negative.  ``basis`` and
+    ``at_upper`` are the final basis (indices into ``[A | I]``) and the
+    nonbasics at their upper bound: a start for a neighbouring LP.  The effort
+    counts are the primal basis changes, the bound flips, the dual-phase
+    pivots, and whether Bland's rule switched on.
     """
 
     primal: np.ndarray
     duals: np.ndarray
     reduced_bounds_duals: np.ndarray
     objective: float
-    iterations: int = 0
+    basis: np.ndarray
+    at_upper: np.ndarray
+    pivots: int
+    flips: int
+    dual_pivots: int
+    bland: bool
+
+    @property
+    def iterations(self) -> int:
+        return self.pivots + self.flips + self.dual_pivots
 
 
 class _BoxSimplex:
-    """One solve; not reusable.  All arrays are dense float64."""
+    """One solve; not reusable.  All arrays are dense float64.
 
-    def __init__(self, rewards, columns, capacity):
+    ``start`` is ``(basis, at_upper)``: the m basic indices into ``[A | I]``
+    and the nonbasics held at their upper bound.  The default is the
+    all-slack basis with every variable at 0.
+    """
+
+    def __init__(self, rewards, columns, capacity, start=None):
         self.r = np.ascontiguousarray(np.asarray(rewards, dtype=np.float64).reshape(-1))
         A = np.ascontiguousarray(np.asarray(columns, dtype=np.float64))
         self.b = np.ascontiguousarray(np.asarray(capacity, dtype=np.float64).reshape(-1))
@@ -96,13 +128,26 @@ class _BoxSimplex:
         self.upper[:n] = 1.0
         self.upper[n:] = np.inf
 
-        self.basis = n + np.arange(m)   # the slacks
-        self.at_upper = np.zeros(N, dtype=bool)
-        self.x = np.zeros(N)              # nonbasic values; basic entries are stale
-        self.xb = list(self.b)            # basic values: slack i starts at b_i
-        self.B = np.eye(m)
-        self.Binv = np.eye(m)
+        if start is None:
+            start = (n + np.arange(m), np.zeros(N, dtype=bool))
+        basis, at_upper = start
+        self.basis = np.array(basis, dtype=np.intp)
+        self.at_upper = np.array(at_upper, dtype=bool)
+        if (self.basis.shape != (m,) or self.at_upper.shape != (N,)
+                or len(set(self.basis.tolist())) != m
+                or not ((self.basis >= 0) & (self.basis < N)).all()
+                or self.at_upper[self.basis].any() or self.at_upper[n:].any()):
+            raise ValueError("start must be m distinct basic indices and upper-bound flags "
+                             "for the nonbasic structurals")
+        self.x = np.where(self.at_upper, self.upper, 0.0)  # basic entries are stale
+        self.B = np.ascontiguousarray(Gt[self.basis].T)
+        self.Binv = np.linalg.inv(self.B)
+        self._refresh_basics()
+        self.pivots_since_invert = 0
         self.iterations = 0
+        self.flips = 0
+        self.dual_pivots = 0
+        self.bland = False
         self.max_iterations = 2000 + 60 * N
         self.bland_threshold = 3 * (n + m)
 
@@ -113,6 +158,72 @@ class _BoxSimplex:
         tmp[self.basis] = 0.0
         rhs = self.b - tmp @ self.Gt
         self.xb = list(np.linalg.solve(self.B, rhs))
+
+    def _replace(self, i: int, j: int, w: np.ndarray, wi: float) -> None:
+        """Put column j in basis position i; ``w = Binv @ Gt[j]`` and ``wi = w[i]``."""
+        self.basis[i] = j
+        self.B[:, i] = self.Gt[j]
+        # Rank-one update of the basis inverse.
+        row = self.Binv[i] / wi
+        self.Binv -= np.outer(w, row)
+        self.Binv[i] = row
+        self.pivots_since_invert += 1
+        if self.pivots_since_invert >= _REINVERT_EVERY:
+            self.Binv = np.linalg.inv(self.B)
+            self.pivots_since_invert = 0
+
+    # -- dual phase -----------------------------------------------------------
+
+    def restore_feasibility(self, c: np.ndarray) -> None:
+        """Bounded dual simplex: pivot until every basic value lies within its bounds.
+
+        Needs a dual feasible basis when it pivots, and every pivot keeps one.
+        The leaving row has the largest bound violation; the entering column
+        has the least ``|cbar_j| / |alpha_rj|`` among the nonbasics that move
+        the leaving value toward its bound (first index on ties).  A start
+        whose basic values are all in bounds, the all-slack start included,
+        pivots never.
+        """
+        Gt, upper, x, at_upper = self.Gt, self.upper, self.x, self.at_upper
+        nonbasic = np.ones(self.N, dtype=bool)
+        nonbasic[self.basis] = False
+        while True:
+            xb = np.array(self.xb)
+            ub_b = upper[self.basis]
+            above = xb - ub_b
+            excess = np.maximum(-xb, above)
+            r = int(np.argmax(excess))
+            if excess[r] <= _FEAS_TOL:
+                return
+            self.iterations += 1
+            self.dual_pivots += 1
+            if self.iterations > self.max_iterations:
+                raise SimplexError(
+                    f"pivot budget exceeded ({self.iterations} iterations, n={self.n}, m={self.m})"
+                )
+            to_upper = bool(above[r] > 0.0)
+            cbar = c - Gt @ (self.Binv.T @ c[self.basis])
+            alpha = Gt @ self.Binv[r]
+            # Raising x_j changes the leaving value at rate -alpha_j.
+            toward = np.where(at_upper, -alpha, alpha)
+            if not to_upper:
+                toward = -toward
+            eligible = nonbasic & (toward > _PIVOT_TOL)
+            if not eligible.any():
+                # x = 0 is feasible, so only roundoff gets here.
+                raise SimplexError(f"dual ratio test found no entering column (n={self.n}, m={self.m})")
+            ratios = np.full(self.N, np.inf)
+            ratios[eligible] = np.abs(cbar[eligible]) / np.abs(alpha[eligible])
+            j = int(np.argmin(ratios))
+            leave = int(self.basis[r])
+            x[leave] = ub_b[r] if to_upper else 0.0
+            at_upper[leave] = to_upper
+            at_upper[j] = False
+            nonbasic[leave] = True
+            nonbasic[j] = False
+            w = self.Binv @ Gt[j]
+            self._replace(r, j, w, float(w[r]))
+            self._refresh_basics()
 
     # -- pivot loop ----------------------------------------------------------
 
@@ -126,7 +237,6 @@ class _BoxSimplex:
         bland = False
         degen = 0
         moves_since_refresh = 0
-        pivots_since_invert = 0
         while True:
             p = self.Binv.T @ c[basis]
             cbar = c - Gt @ p
@@ -187,6 +297,7 @@ class _BoxSimplex:
                     # Bound flip: basis, prices and reduced costs all unchanged.
                     x[j] = upper[j] if going_up else 0.0
                     at_upper[j] = going_up
+                    self.flips += 1
                     moves_since_refresh += 1
                     if moves_since_refresh >= _REFRESH_EVERY:
                         self._refresh_basics()
@@ -204,19 +315,9 @@ class _BoxSimplex:
                 at_upper[j] = False
                 nonbasic[leave] = True
                 nonbasic[j] = False
-                basis[i_star] = j
                 xb[i_star] = enter_val
                 ub_b[i_star] = float(upper[j])
-                self.B[:, i_star] = Gt[j]
-                # Rank-one update of the basis inverse.
-                wi = wl[i_star]
-                row = self.Binv[i_star] / wi
-                self.Binv -= np.outer(w, row)
-                self.Binv[i_star] = row
-                pivots_since_invert += 1
-                if pivots_since_invert >= _REINVERT_EVERY:
-                    self.Binv = np.linalg.inv(self.B)
-                    pivots_since_invert = 0
+                self._replace(i_star, j, w, wl[i_star])
                 moves_since_refresh += 1
                 if moves_since_refresh >= _REFRESH_EVERY:
                     self._refresh_basics()
@@ -224,7 +325,7 @@ class _BoxSimplex:
                 if theta_min <= _DEGEN_EPS:
                     degen += 1
                     if degen >= self.bland_threshold:
-                        bland = True
+                        bland = self.bland = True
                 else:
                     degen = 0
                 basis_changed = True
@@ -235,15 +336,19 @@ class _BoxSimplex:
                 return
 
 
-def solve_box_lp(rewards, columns, capacity) -> LpSolution:
+def solve_box_lp(rewards, columns, capacity, start=None) -> LpSolution:
     """Solve ``max r @ x, A x <= b, 0 <= x <= 1`` on raw arrays.
 
-    Raises ``ValueError`` unless every capacity is non-negative (NaN included).
+    ``start`` is an optional ``(basis, at_upper)`` pair, such as a
+    neighbouring LP's final basis (see :class:`LpSolution`); it must be dual
+    feasible or primal feasible.  The default is the all-slack basis.  Raises
+    ``ValueError`` unless every capacity is non-negative (NaN included).
     """
-    sx = _BoxSimplex(rewards, columns, capacity)
+    sx = _BoxSimplex(rewards, columns, capacity, start)
     n = sx.n
     c = np.zeros(sx.N)
     c[:n] = sx.r
+    sx.restore_feasibility(c)
     sx.optimize(c)
     sx._refresh_basics()
     full = sx.x.copy()
@@ -258,7 +363,12 @@ def solve_box_lp(rewards, columns, capacity) -> LpSolution:
         duals=p,
         reduced_bounds_duals=s,
         objective=float(sx.r @ x),
-        iterations=sx.iterations,
+        basis=sx.basis.copy(),
+        at_upper=sx.at_upper.copy(),
+        pivots=sx.iterations - sx.flips - sx.dual_pivots,
+        flips=sx.flips,
+        dual_pivots=sx.dual_pivots,
+        bland=sx.bland,
     )
 
 
@@ -267,15 +377,27 @@ def solve_relaxation(inst: Instance) -> LpSolution:
     return solve_box_lp(inst.rewards, inst.columns, inst.capacity)
 
 
-def solve_scaled(inst: Instance, s: int) -> LpSolution:
+def solve_scaled(inst: Instance, s: int, prev: Optional[LpSolution] = None) -> LpSolution:
     """Solve the prefix LP over the first ``s`` columns with capacity ``s * d``.
 
     With ``s = n`` this matches :func:`solve_relaxation` up to roundoff in
-    ``n * (b / n)``.
+    ``n * (b / n)``.  ``prev``, the solution of prefix ``s - 1``, warm-starts
+    the solve from its basis: the slacks are renumbered, and column ``s - 1``
+    starts at 1 if its reduced cost at ``prev``'s prices is positive, at 0
+    otherwise.  That start is dual feasible, and the dual phase restores
+    primal feasibility after ``b`` grows.
     """
     if not 1 <= s <= inst.n:
         raise ValueError(f"prefix length must satisfy 1 <= s <= {inst.n}, got {s}")
-    return solve_box_lp(inst.rewards[:s], inst.columns[:, :s], s * inst.per_column_budget)
+    start = None
+    if prev is not None:
+        t = s - 1  # the new column's index, and prev's column count
+        if prev.at_upper.shape != (t + inst.m,):
+            raise ValueError(f"prev must solve the prefix LP over the first {t} columns")
+        basis = np.where(prev.basis >= t, prev.basis + 1, prev.basis)
+        favoured = inst.rewards[t] - inst.columns[:, t] @ prev.duals > 0.0
+        start = (basis, np.insert(prev.at_upper, t, favoured))
+    return solve_box_lp(inst.rewards[:s], inst.columns[:, :s], s * inst.per_column_budget, start)
 
 
 _EXACT_LIMIT = 25

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from onlinelp import algorithms
 from onlinelp.algorithms import (
     AlgorithmConfig,
     AlgorithmKind,
@@ -459,6 +460,23 @@ class TestRunPrefixLp:
             assert trace.decisions[t - 1] == int(float(rng.random()) < prob)
         assert (trace.final_prices == 0.0).all()
         assert_trace_consistent(inst, trace)
+
+    def test_warm_pass_matches_cold_solves(self, monkeypatch):
+        kinds = [AlgorithmKind.DLA, AlgorithmKind.PBD]
+        instances = [uniform_instance(60, 3, seed) for seed in (4, 9)]
+        instances.append(gen_gaussian(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=60, m=4, seed=2)))
+        warm = [run_prefix_lp(inst, kinds, [0, 19]) for inst in instances]
+
+        def cold(inst, s, prev=None):
+            return solve_scaled(inst, s)
+
+        monkeypatch.setattr(algorithms, "solve_scaled", cold)
+        for inst, traces in zip(instances, warm):
+            for w, c in zip(traces, run_prefix_lp(inst, kinds, [0, 19])):
+                assert np.array_equal(w.decisions, c.decisions)
+                assert w.objective == c.objective
+                gap = np.abs(w.final_prices - c.final_prices).max()
+                assert gap <= 1e-9 * (1 + np.abs(c.final_prices).max())
 
     def test_rejects_other_kinds_and_bad_inputs(self):
         inst = uniform_instance(10, 2, 0)

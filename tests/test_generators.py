@@ -268,6 +268,30 @@ class TestReadMknap:
                 read_mknap(path)
             assert err.value.line == 7
 
+    @pytest.mark.parametrize("token", ["inf", "nan", "-inf"])
+    def test_nonfinite_profit_names_line(self, tmp_path, token):
+        path = tmp_path / "broken.txt"
+        path.write_text(f"1\n2 1 0\n10 {token}\n5 4\n8\n")
+        with pytest.raises(MknapFormatError, match="profit 2 of problem 1 must be finite") as err:
+            read_mknap(path)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("token", ["inf", "nan"])
+    def test_nonfinite_weight_names_line(self, tmp_path, token):
+        path = tmp_path / "broken.txt"
+        path.write_text(f"1\n2 2 0\n10 7\n5 4\n1 {token}\n8 8\n")
+        with pytest.raises(MknapFormatError, match=r"weight \(2,2\) of problem 1 must be finite") as err:
+            read_mknap(path)
+        assert err.value.line == 5
+
+    @pytest.mark.parametrize("token", ["inf", "nan"])
+    def test_nonfinite_capacity_names_line(self, tmp_path, token):
+        path = tmp_path / "broken.txt"
+        path.write_text(f"1\n2 2 0\n10 7\n5 4\n1 1\n8\n{token}\n")
+        with pytest.raises(MknapFormatError, match="capacity 2 of problem 1 must be finite") as err:
+            read_mknap(path)
+        assert err.value.line == 7
+
     def test_negative_weights_warn(self, tmp_path):
         path = tmp_path / "odd.txt"
         path.write_text("1\n2 1 0\n1 1\n-1 2\n4\n")

@@ -283,9 +283,9 @@ m = 2
         real = algorithms.solve_scaled
         calls = []
 
-        def counting(inst, s):
+        def counting(inst, s, prev=None):
             calls.append(inst.n)
-            return real(inst, s)
+            return real(inst, s, prev=prev)
 
         monkeypatch.setattr(algorithms, "solve_scaled", counting)
         report = run_experiment(cfg, workers=1)
@@ -425,6 +425,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "objective 0.5" in out
         assert "duals 1" in out
+        assert "iterations 1 pivots 1 flips 0 dual_pivots 0 bland no" in out
         assert "binary_objective 0" in out
 
     def test_gen_then_solve(self, tmp_path, capsys):

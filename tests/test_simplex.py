@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from onlinelp.core import Instance, compute_stats
-from onlinelp.generators import GeneratorFamily, GeneratorSpec, gen_uniform
+from onlinelp.generators import (
+    GeneratorFamily,
+    GeneratorSpec,
+    PermutationPlan,
+    gen_uniform,
+    generate,
+    permute,
+)
 from onlinelp import simplex
 from onlinelp.simplex import (
     solve_binary_exact,
@@ -129,7 +136,8 @@ class TestBlandRule:
                 cases.append((rng.integers(-2, 3, n).astype(float),
                               rng.integers(-2, 3, (m, n)).astype(float),
                               rng.integers(0, 3, m).astype(float)))
-        default_iterations = [solve_box_lp(*case).iterations for case in cases]
+        defaults = [solve_box_lp(*case) for case in cases]
+        default_iterations = [sol.iterations for sol in defaults]
         init = simplex._BoxSimplex.__init__
 
         def bland_at_once(self, *args):
@@ -137,15 +145,18 @@ class TestBlandRule:
             self.bland_threshold = 1
 
         monkeypatch.setattr(simplex._BoxSimplex, "__init__", bland_at_once)
-        iterations = []
+        iterations, bland_solves = [], []
         for r, A, b in cases:
             sol = solve_box_lp(r, A, b)
             iterations.append(sol.iterations)
+            bland_solves.append(sol.bland)
             oracle = box_lp_vertex_oracle(r, A, b)
             assert sol.objective == pytest.approx(oracle, abs=1e-7)
             check_solution_invariants(SimpleNamespace(rewards=r, columns=A, capacity=b), sol)
         # Bland's rule took over, and changed the pivot path, in some solves
         assert iterations != default_iterations
+        assert not any(sol.bland for sol in defaults)
+        assert any(bland_solves)
 
 
 class TestSolveScaled:
@@ -178,6 +189,182 @@ class TestSolveScaled:
             solve_scaled(inst, 0)
         with pytest.raises(ValueError):
             solve_scaled(inst, 6)
+
+
+def assert_close(a, b, tol=1e-9):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert np.abs(a - b).max(initial=0.0) <= tol * (1.0 + np.abs(b).max(initial=0.0))
+
+
+def warm_cases(rng, count):
+    """``(kind, r, A, b_old, b_new)``: one LP under two capacities.
+
+    The optimal basis under ``b_old`` is dual feasible under ``b_new``, and
+    usually not primal feasible, so a warm solve from it needs the dual phase.
+    """
+    for i in range(count):
+        n, m = int(rng.integers(1, 30)), int(rng.integers(1, 6))
+        kind = ("signed", "zero_rows", "tied")[i % 3]
+        if kind == "signed":
+            r, A = rng.uniform(-2, 2, n), rng.uniform(-2, 2, (m, n))
+            b_old, b_new = (rng.uniform(0.0, 1.5, (2, m)) * n * 0.4)
+        elif kind == "zero_rows":
+            r, A = rng.uniform(-2, 2, n), rng.uniform(-2, 2, (m, n))
+            b_old, b_new = rng.uniform(0.0, 1.5, (2, m)) * (rng.random((2, m)) > 0.3)
+        else:
+            r = rng.integers(-2, 3, n).astype(float)
+            A = rng.integers(-2, 3, (m, n)).astype(float)
+            b_old, b_new = rng.integers(0, 4, (2, m)).astype(float)
+        yield kind, r, A, b_old, b_new
+
+
+def check_warm_against_cold(kind, r, A, b, warm, cold):
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+    check_solution_invariants(SimpleNamespace(rewards=r, columns=A, capacity=b), warm)
+    if kind == "signed":
+        # continuous data: the optimum and its prices are unique
+        assert_close(warm.primal, cold.primal)
+        assert_close(warm.duals, cold.duals)
+        assert_close(warm.reduced_bounds_duals, cold.reduced_bounds_duals)
+    # Zero capacities and tied data are degenerate, so the optimal vertex and
+    # prices need not be unique: there the objective and the optimality
+    # conditions above are what a correct warm solve must match.
+
+
+class TestWarmStart:
+    def test_random_lps_match_cold(self):
+        rng = np.random.default_rng(12)
+        dual_pivots = 0
+        for kind, r, A, b_old, b_new in warm_cases(rng, 240):
+            prev = solve_box_lp(r, A, b_old)
+            warm = solve_box_lp(r, A, b_new, start=(prev.basis, prev.at_upper))
+            cold = solve_box_lp(r, A, b_new)
+            check_warm_against_cold(kind, r, A, b_new, warm, cold)
+            # every dual pivot kept the start dual feasible, so the primal
+            # loop only certifies optimality
+            assert warm.pivots == warm.flips == 0
+            if A.shape[1] <= 8:  # vertex enumeration is exponential in n
+                assert warm.objective == pytest.approx(box_lp_vertex_oracle(r, A, b_new), abs=1e-7)
+            assert cold.dual_pivots == 0
+            dual_pivots += warm.dual_pivots
+        assert dual_pivots > 0  # the dual phase ran
+
+    def test_own_basis_is_optimal_at_once(self):
+        rng = np.random.default_rng(4)
+        for kind, r, A, b, _ in warm_cases(rng, 60):
+            cold = solve_box_lp(r, A, b)
+            again = solve_box_lp(r, A, b, start=(cold.basis, cold.at_upper))
+            assert again.iterations == 0
+            assert again.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+
+    def test_bland_forced(self, monkeypatch):
+        # Two starts per case: the basis of the old capacities is dual
+        # feasible (the dual phase runs), the basis of permuted rewards under
+        # the new capacities is primal feasible (the primal loop runs).
+        rng = np.random.default_rng(13)
+        cases = list(warm_cases(rng, 90))
+        starts = [(solve_box_lp(r, A, b_old), solve_box_lp(rng.permutation(r), A, b_new))
+                  for _, r, A, b_old, b_new in cases]
+        colds = [solve_box_lp(r, A, b_new) for _, r, A, _, b_new in cases]
+        init = simplex._BoxSimplex.__init__
+
+        def bland_at_once(self, *args):
+            init(self, *args)
+            self.bland_threshold = 1
+
+        monkeypatch.setattr(simplex._BoxSimplex, "__init__", bland_at_once)
+        bland = dual_pivots = 0
+        for (kind, r, A, _, b_new), pair, cold in zip(cases, starts, colds):
+            for prev in pair:
+                warm = solve_box_lp(r, A, b_new, start=(prev.basis, prev.at_upper))
+                check_warm_against_cold(kind, r, A, b_new, warm, cold)
+                bland += warm.bland
+                dual_pivots += warm.dual_pivots
+        assert bland > 0 and dual_pivots > 0
+
+    def test_prefix_passes_match_cold(self):
+        instances = [("uniform", generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=80, m=4, seed=5))),
+                     ("gaussian", generate(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=80, m=3, seed=6)))]
+        adversarial = generate(GeneratorSpec(GeneratorFamily.ADVERSARIAL, n=80, m=2, seed=0))
+        instances += [("adversarial", adversarial),
+                      ("adversarial", permute(adversarial, PermutationPlan.random(80, 7)))]
+        for family, inst in instances:
+            # the adversarial family repeats two columns, so its prefix LPs
+            # are degenerate and only the optimum itself is unique
+            kind = "tied" if family == "adversarial" else "signed"
+            prev = None
+            warm_iterations = cold_iterations = 0
+            for s in range(1, inst.n + 1):
+                warm = solve_scaled(inst, s, prev=prev)
+                cold = solve_scaled(inst, s)
+                check_warm_against_cold(kind, inst.rewards[:s], inst.columns[:, :s],
+                                        s * inst.per_column_budget, warm, cold)
+                if prev is not None:
+                    assert warm.pivots == warm.flips == 0
+                warm_iterations += warm.iterations
+                cold_iterations += cold.iterations
+                prev = warm
+            assert warm_iterations < cold_iterations
+
+    def test_prefix_against_highs(self):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(3)
+        inst = random_signed_instance(rng, 60, 4)
+        prev = None
+        for s in range(1, inst.n + 1):
+            prev = solve_scaled(inst, s, prev=prev)
+            if s % 6:
+                continue
+            cap = s * inst.per_column_budget
+            ref = linprog(-inst.rewards[:s], A_ub=inst.columns[:, :s], b_ub=cap,
+                          bounds=[(0, 1)] * s, method="highs")
+            assert ref.status == 0
+            assert prev.objective == pytest.approx(-ref.fun, rel=1e-9, abs=1e-9)
+            assert_close(prev.duals, -ref.ineqlin.marginals, tol=1e-7)
+
+    def test_bad_starts_rejected(self):
+        inst = gen_uniform(GeneratorSpec(GeneratorFamily.UNIFORM, n=6, m=2, seed=1))
+        sol = solve_scaled(inst, 3)
+        with pytest.raises(ValueError, match="first 4 columns"):
+            solve_scaled(inst, 5, prev=sol)
+        r, A, b = inst.rewards, inst.columns, inst.capacity
+        slack_at_upper = np.zeros(8, dtype=bool)
+        slack_at_upper[7] = True
+        for start in ((np.array([6, 6]), np.zeros(8, dtype=bool)),
+                      (np.array([6]), np.zeros(8, dtype=bool)),
+                      (np.array([6, 7]), np.zeros(7, dtype=bool)),
+                      (np.array([0, 7]), np.eye(8, dtype=bool)[0]),
+                      (np.array([0, 6]), slack_at_upper)):
+            with pytest.raises(ValueError, match="start"):
+                solve_box_lp(r, A, b, start=start)
+
+
+class TestEffortCounts:
+    def test_counts_add_up(self, monkeypatch):
+        replace = simplex._BoxSimplex._replace
+        basis_changes = []
+
+        def counting(self, *args):
+            basis_changes.append(1)
+            return replace(self, *args)
+
+        monkeypatch.setattr(simplex._BoxSimplex, "_replace", counting)
+        rng = np.random.default_rng(9)
+        flips = dual_pivots = 0
+        for kind, r, A, b_old, b_new in warm_cases(rng, 60):
+            for start in (None, solve_box_lp(r, A, b_old)):
+                basis_changes.clear()
+                sol = solve_box_lp(r, A, b_new, start=None if start is None
+                                   else (start.basis, start.at_upper))
+                assert sol.iterations == sol.pivots + sol.flips + sol.dual_pivots
+                assert len(basis_changes) == sol.pivots + sol.dual_pivots
+                assert min(sol.pivots, sol.flips, sol.dual_pivots) >= 0
+                if start is None:
+                    assert sol.dual_pivots == 0
+                flips += sol.flips
+                dual_pivots += sol.dual_pivots
+        assert flips > 0 and dual_pivots > 0
 
 
 class TestSolveBinaryExact:
