@@ -27,7 +27,6 @@ from .simplex import (
 from .algorithms import (
     AlgorithmConfig,
     AlgorithmKind,
-    RepairConfig,
     repair_feasibility,
     run_dla,
     run_multi_soa,

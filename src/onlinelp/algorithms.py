@@ -21,7 +21,6 @@ from .core import (
     MultiInstance,
     RunTrace,
     StepSchedule,
-    compute_stats,
     threshold_decision,
 )
 from .simplex import solve_scaled
@@ -29,7 +28,6 @@ from .simplex import solve_scaled
 __all__ = [
     "AlgorithmKind",
     "AlgorithmConfig",
-    "RepairConfig",
     "Policy",
     "run_one_pass",
     "run_soa",
@@ -111,25 +109,6 @@ class AlgorithmConfig:
         if self.schedule is None or self.kind is AlgorithmKind.MULTI_SOA:
             return self.kind.value
         return f"{self.kind.value}/{self.schedule.value}"
-
-
-@dataclass(frozen=True)
-class RepairConfig:
-    """Knobs for the randomized removal pass.
-
-    ``d_lo_override`` replaces the instance's smallest per-column budget in
-    the removal-count formula.  ``skip_if_feasible`` bypasses the removal when
-    the trace already satisfies every constraint; the default applies the
-    removal unconditionally.
-    """
-
-    enabled: bool = True
-    d_lo_override: Optional[float] = None
-    skip_if_feasible: bool = False
-
-    def __post_init__(self) -> None:
-        if self.d_lo_override is not None and not self.d_lo_override > 0.0:
-            raise ValueError("d_lo_override must be positive")
 
 
 @dataclass(frozen=True)
@@ -378,19 +357,16 @@ def run_pbd(inst: Instance, rng_seed: int) -> RunTrace:
     return run_prefix_lp(inst, [AlgorithmKind.PBD], [rng_seed])[0]
 
 
-def repair_feasibility(inst: Instance, trace: RunTrace, cfg: RepairConfig,
-                       rng_seed: int) -> RunTrace:
+def repair_feasibility(inst: Instance, trace: RunTrace, rng_seed: int) -> RunTrace:
     """Randomized removal pass turning a binary trace into a feasible one w.h.p.
 
     The scaled worst violation ``v = max_i (consumption_i - b_i)^+ /
     (sqrt(n) * log(n))`` is clamped below at 1, so removal happens even for
-    already-feasible traces unless ``skip_if_feasible`` is set.  A uniform
-    subset of the accepted indices of size
+    already-feasible traces.  A uniform subset of the accepted indices of size
     ``min(floor(2 v n_plus log(n) / (d_lo sqrt(n))) + 1, n_plus)`` is zeroed
-    (natural logarithm, floor); objective and consumption are recomputed.
+    (natural logarithm, floor), where ``d_lo`` is the instance's smallest
+    per-column budget; objective and consumption are recomputed.
     """
-    if not cfg.enabled:
-        return trace
     n = inst.n
     if n < 3:
         raise ValueError("repair needs n >= 3 so that log n exceeds 1")
@@ -398,8 +374,6 @@ def repair_feasibility(inst: Instance, trace: RunTrace, cfg: RepairConfig,
     if decisions.shape != (n,) or not np.isin(decisions, (0, 1)).all():
         raise ValueError("repair applies to binary decision traces of the instance")
     worst = float(np.max(trace.consumption - inst.capacity))
-    if cfg.skip_if_feasible and worst <= 0.0:
-        return trace
     log_n = math.log(n)
     sqrt_n = math.sqrt(n)
     v = max(max(worst, 0.0) / (sqrt_n * log_n), 1.0)
@@ -407,7 +381,7 @@ def repair_feasibility(inst: Instance, trace: RunTrace, cfg: RepairConfig,
     n_plus = int(s_plus.size)
     if n_plus == 0:
         return trace
-    d_lo = cfg.d_lo_override if cfg.d_lo_override is not None else compute_stats(inst).d_lo
+    d_lo = float(inst.per_column_budget.min())
     size = min(math.floor(2.0 * v * n_plus * log_n / (d_lo * sqrt_n)) + 1, n_plus)
     rng = np.random.default_rng(rng_seed)
     removed = rng.choice(s_plus, size=size, replace=False)

@@ -31,7 +31,6 @@ from .algorithms import (
     PREFIX_LP_KINDS,
     AlgorithmConfig,
     Policy,
-    RepairConfig,
     repair_feasibility,
     run_one_pass,
     run_prefix_lp,
@@ -90,7 +89,7 @@ class ExperimentConfig:
     workers: int
     generator_params: Optional[Dict]
     benchmark_path: Optional[str]
-    repair: RepairConfig
+    repair: bool
     output_dir: Optional[str]
 
     def __post_init__(self) -> None:
@@ -118,11 +117,7 @@ class ExperimentConfig:
             "permute": self.permute_arrivals,
             "workers": self.workers,
             "benchmark": self.benchmark_path,
-            "repair": {
-                "enabled": self.repair.enabled,
-                "d_lo_override": self.repair.d_lo_override,
-                "skip_if_feasible": self.repair.skip_if_feasible,
-            },
+            "repair": {"enabled": self.repair},
         }
         if self.generator_params is not None:
             params = dict(self.generator_params)
@@ -144,7 +139,7 @@ _SCHEMA = {
     "generator": {"family", "m", "d_lo", "d_hi", "cauchy_truncation", "adversarial_low",
                   "adversarial_high", "adversarial_capacity_fraction"},
     "benchmark": {"path"},
-    "repair": {"enabled", "d_lo_override", "skip_if_feasible"},
+    "repair": {"enabled"},
     "output": {"directory"},
 }
 
@@ -220,12 +215,7 @@ def load_config(path) -> ExperimentConfig:
         if not Path(benchmark_path).is_file():
             raise bad(f"benchmark file not found: {benchmark_path}")
 
-    repair = RepairConfig(
-        enabled=cp.getboolean("repair", "enabled", fallback=False),
-        d_lo_override=(cp.getfloat("repair", "d_lo_override")
-                       if cp.has_option("repair", "d_lo_override") else None),
-        skip_if_feasible=cp.getboolean("repair", "skip_if_feasible", fallback=False),
-    )
+    repair = cp.getboolean("repair", "enabled", fallback=False)
     output_dir = _get(cp, "output", "directory") if cp.has_section("output") else None
 
     try:
@@ -355,10 +345,10 @@ def _block_task(args):
             for label in (c.label for c in cfg.algorithms):
                 trace, wall = found[label]
                 runs.append((label, seed(label), trace, wall))
-                if cfg.repair.enabled:
+                if cfg.repair:
                     rseed = seed(label + "+repair")
                     t0 = time.perf_counter()
-                    repaired = repair_feasibility(inst, trace, cfg.repair, rseed)
+                    repaired = repair_feasibility(inst, trace, rseed)
                     runs.append((label + "+repair", rseed, repaired, time.perf_counter() - t0))
             cell_rows = [evaluate_trial(inst, trace, lp_opt, algorithm=label,
                                         seed=run_seed, trial=trial)

@@ -8,7 +8,6 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .core import Instance, RunTrace, violation_norm
-from .simplex import solve_relaxation
 
 __all__ = [
     "TrialResult",
@@ -46,14 +45,12 @@ class TrialResult:
     trial: int = 0
 
 
-def evaluate_trial(inst: Instance, trace: RunTrace, lp_opt: Optional[float] = None, *,
+def evaluate_trial(inst: Instance, trace: RunTrace, lp_opt: float, *,
                    algorithm: str = "", seed: Optional[int] = None,
                    trial: int = 0) -> TrialResult:
-    """Measure a binary trace; solves the offline relaxation when no optimum is given."""
+    """Measure a binary trace against ``lp_opt``, the optimum of the offline relaxation."""
     if trace.decisions.shape != (inst.n,):
         raise ValueError("trace does not belong to this instance")
-    if lp_opt is None:
-        lp_opt = solve_relaxation(inst).objective
     lp_opt = float(lp_opt)
     objective = float(trace.objective)
     return TrialResult(

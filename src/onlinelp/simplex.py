@@ -14,28 +14,25 @@ the region bounded, so the all-slack basis is a feasible start and every solve
 ends optimal.  The program only poses such LPs, because an instance's budgets
 are positive.
 
-A solve starts from a basis and the nonbasics' bounds.  The default is the
+A solve starts from a basis and the nonbasics' bounds, by default the
 all-slack basis with every variable at 0.  A caller may instead pass a start
 that is dual feasible, such as the previous prefix LP's final basis (prefix t
-adds one column and grows ``b``, which leaves the prices and so dual
-feasibility intact), or primal feasible.  A bounded dual simplex phase first
-pivots while some basic value lies outside its bounds: the leaving row has
-the largest violation, the entering column the least ``|cbar_j| / |alpha_rj|``.
-A primal feasible start skips that phase; from the all-slack start every basic
-value is ``b_i >= 0``, so a cold solve runs exactly the primal pivots it
-always has.  The primal loop then certifies optimality with its exhaustive
-pricing pass.
+adds one column and grows ``b``, which leaves the prices intact), or primal
+feasible.  A bounded dual simplex phase first pivots while some basic value
+lies outside its bounds: the leaving row has the largest violation, the
+entering column the least ``|cbar_j| / |alpha_rj|``.  From a primal feasible
+start, the all-slack one included, it pivots never.  The primal loop then
+certifies optimality with its exhaustive pricing pass.
 
-Two implementation notes, both invisible to the pivot sequence:
-
-* Consecutive entering candidates that resolve to bound flips are processed
-  under one pricing pass.  While the basis is unchanged the reduced costs are
-  unchanged, so walking the eligible columns in pivot-rule order and
-  re-pricing only at basis changes selects exactly the pivots that re-pricing
-  every iteration would.
-* The basis inverse is maintained explicitly (rank-one updates, refreshed
-  periodically); it only steers the pivoting.  Final basic values and dual
-  prices come from exact solves against the true basis matrix.
+Both phases change the basis through one exchange step, which moves the
+leaving variable to its bound and updates the explicit basis inverse by a
+rank-one step.  The inverse only steers the pivoting: it is recomputed from
+``Gt[basis]`` every ``_REINVERT_EVERY`` exchanges, and the basic values and
+dual prices come from exact solves against ``Gt[basis]``.  Consecutive
+entering candidates that resolve to bound flips share one pricing pass: while
+the basis is unchanged the reduced costs are too, so walking the eligible
+columns in pivot-rule order selects exactly the pivots that re-pricing every
+move would.
 """
 from __future__ import annotations
 
@@ -119,14 +116,11 @@ class _BoxSimplex:
         m, n = self.m, self.n
         N = self.N = n + m
         # Column-major data lives in Gt (N, m): row j is column j of [A | I].
-        Gt = np.zeros((N, m))
-        Gt[:n] = A.T
-        Gt[n + np.arange(m), np.arange(m)] = 1.0
-        self.Gt = Gt
+        self.Gt = Gt = np.concatenate((A.T, np.eye(m)))
+        self.c = np.concatenate([self.r, np.zeros(m)])
         # Every variable has lower bound 0; structurals have upper bound 1.
-        self.upper = np.empty(N)
+        self.upper = np.full(N, np.inf)
         self.upper[:n] = 1.0
-        self.upper[n:] = np.inf
 
         if start is None:
             start = (n + np.arange(m), np.zeros(N, dtype=bool))
@@ -139,42 +133,59 @@ class _BoxSimplex:
                 or self.at_upper[self.basis].any() or self.at_upper[n:].any()):
             raise ValueError("start must be m distinct basic indices and upper-bound flags "
                              "for the nonbasic structurals")
+        self.nonbasic = np.ones(N, dtype=bool)
+        self.nonbasic[self.basis] = False
         self.x = np.where(self.at_upper, self.upper, 0.0)  # basic entries are stale
-        self.B = np.ascontiguousarray(Gt[self.basis].T)
-        self.Binv = np.linalg.inv(self.B)
+        self.Binv = np.linalg.inv(Gt.take(self.basis, axis=0).T)
         self._refresh_basics()
         self.pivots_since_invert = 0
-        self.iterations = 0
-        self.flips = 0
-        self.dual_pivots = 0
+        self.iterations = self.pivots = self.flips = self.dual_pivots = 0
         self.bland = False
         self.max_iterations = 2000 + 60 * N
         self.bland_threshold = 3 * (n + m)
 
-    # -- helpers ------------------------------------------------------------
-
     def _refresh_basics(self) -> None:
+        """Basic values by an exact solve against ``Gt[basis]``; restarts the move count."""
         tmp = self.x.copy()
         tmp[self.basis] = 0.0
         rhs = self.b - tmp @ self.Gt
-        self.xb = list(np.linalg.solve(self.B, rhs))
+        self.xb = list(np.linalg.solve(self.Gt.take(self.basis, axis=0).T, rhs))
+        self.moves_since_refresh = 0
 
-    def _replace(self, i: int, j: int, w: np.ndarray, wi: float) -> None:
-        """Put column j in basis position i; ``w = Binv @ Gt[j]`` and ``wi = w[i]``."""
+    def _reduced_costs(self) -> np.ndarray:
+        return self.c - self.Gt @ (self.Binv.T @ self.c[self.basis])
+
+    def _count_move(self) -> None:
+        self.iterations += 1
+        if self.iterations > self.max_iterations:
+            raise SimplexError(f"pivot budget exceeded ({self.iterations} iterations, "
+                               f"n={self.n}, m={self.m})")
+
+    def _replace(self, i: int, j: int, w: np.ndarray, to_upper: bool) -> None:
+        """The exchange step of both phases: column j enters at basis position i.
+
+        The leaving variable goes to its upper bound if ``to_upper``, else to
+        0; ``w = Binv @ Gt[j]``.
+        """
+        leave = int(self.basis[i])
+        self.x[leave] = self.upper[leave] if to_upper else 0.0
+        self.at_upper[leave] = to_upper
+        self.at_upper[j] = False
+        self.nonbasic[leave] = True
+        self.nonbasic[j] = False
         self.basis[i] = j
-        self.B[:, i] = self.Gt[j]
         # Rank-one update of the basis inverse.
-        row = self.Binv[i] / wi
+        row = self.Binv[i] / w[i]
         self.Binv -= np.outer(w, row)
         self.Binv[i] = row
         self.pivots_since_invert += 1
         if self.pivots_since_invert >= _REINVERT_EVERY:
-            self.Binv = np.linalg.inv(self.B)
+            self.Binv = np.linalg.inv(self.Gt.take(self.basis, axis=0).T)
             self.pivots_since_invert = 0
 
     # -- dual phase -----------------------------------------------------------
 
-    def restore_feasibility(self, c: np.ndarray) -> None:
+    def restore_feasibility(self) -> None:
         """Bounded dual simplex: pivot until every basic value lies within its bounds.
 
         Needs a dual feasible basis when it pivots, and every pivot keeps one.
@@ -184,92 +195,62 @@ class _BoxSimplex:
         whose basic values are all in bounds, the all-slack start included,
         pivots never.
         """
-        Gt, upper, x, at_upper = self.Gt, self.upper, self.x, self.at_upper
-        nonbasic = np.ones(self.N, dtype=bool)
-        nonbasic[self.basis] = False
         while True:
             xb = np.array(self.xb)
-            ub_b = upper[self.basis]
-            above = xb - ub_b
+            above = xb - self.upper[self.basis]
             excess = np.maximum(-xb, above)
             r = int(np.argmax(excess))
             if excess[r] <= _FEAS_TOL:
                 return
-            self.iterations += 1
+            self._count_move()
             self.dual_pivots += 1
-            if self.iterations > self.max_iterations:
-                raise SimplexError(
-                    f"pivot budget exceeded ({self.iterations} iterations, n={self.n}, m={self.m})"
-                )
             to_upper = bool(above[r] > 0.0)
-            cbar = c - Gt @ (self.Binv.T @ c[self.basis])
-            alpha = Gt @ self.Binv[r]
+            cbar = self._reduced_costs()
+            alpha = self.Gt @ self.Binv[r]
             # Raising x_j changes the leaving value at rate -alpha_j.
-            toward = np.where(at_upper, -alpha, alpha)
-            if not to_upper:
-                toward = -toward
-            eligible = nonbasic & (toward > _PIVOT_TOL)
+            toward = np.where(self.at_upper != to_upper, alpha, -alpha)
+            eligible = self.nonbasic & (toward > _PIVOT_TOL)
             if not eligible.any():
                 # x = 0 is feasible, so only roundoff gets here.
                 raise SimplexError(f"dual ratio test found no entering column (n={self.n}, m={self.m})")
             ratios = np.full(self.N, np.inf)
             ratios[eligible] = np.abs(cbar[eligible]) / np.abs(alpha[eligible])
             j = int(np.argmin(ratios))
-            leave = int(self.basis[r])
-            x[leave] = ub_b[r] if to_upper else 0.0
-            at_upper[leave] = to_upper
-            at_upper[j] = False
-            nonbasic[leave] = True
-            nonbasic[j] = False
-            w = self.Binv @ Gt[j]
-            self._replace(r, j, w, float(w[r]))
+            self._replace(r, j, self.Binv @ self.Gt[j], to_upper)
             self._refresh_basics()
 
     # -- pivot loop ----------------------------------------------------------
 
-    def optimize(self, c: np.ndarray) -> None:
-        m = self.m
-        basis, Gt, upper = self.basis, self.Gt, self.upper
+    def optimize(self) -> None:
+        """Primal bounded simplex from a primal feasible basis, until no column prices in."""
+        m, basis, Gt, upper = self.m, self.basis, self.Gt, self.upper
         x, at_upper = self.x, self.at_upper
         ub_b = list(upper[basis])
-        nonbasic = np.ones(self.N, dtype=bool)
-        nonbasic[basis] = False
-        bland = False
         degen = 0
-        moves_since_refresh = 0
         while True:
-            p = self.Binv.T @ c[basis]
-            cbar = c - Gt @ p
+            cbar = self._reduced_costs()
             # A candidate's violation is its reduced cost signed by the move
             # direction; consuming candidates by repeated argmax walks them in
             # exactly the order a stable sort on (-violation, index) would.
             viol = np.where(at_upper, -cbar, cbar)
-            scores = np.where(nonbasic & (viol > _PIVOT_TOL), viol, 0.0)
-            exhausted = False
-            basis_changed = False
+            scores = np.where(self.nonbasic & (viol > _PIVOT_TOL), viol, 0.0)
+            bland = self.bland
             xb = self.xb
             while True:
-                if bland:
-                    j = int(np.argmax(scores > 0.0))
-                else:
-                    j = int(np.argmax(scores))
+                j = int(np.argmax(scores > 0.0 if bland else scores))
                 if scores[j] <= 0.0:
-                    exhausted = True
-                    break
+                    # Consumed candidates are all ineligible under the unchanged
+                    # basis, so an exhausted round certifies optimality.
+                    return
                 scores[j] = 0.0
-                self.iterations += 1
-                if self.iterations > self.max_iterations:
-                    raise SimplexError(
-                        f"pivot budget exceeded ({self.iterations} iterations, n={self.n}, m={self.m})"
-                    )
+                self._count_move()
                 going_up = not at_upper[j]
                 w = self.Binv @ Gt[j]
-                wl = w.tolist()
                 # Ratio test on the basic variables, in plain floats: a basic
                 # variable falls at rate d_i per unit of entering movement,
                 # d = w when entering rises and -w when it falls.  Under
                 # Bland's rule exact ties leave by least basic index.
-                d = wl if going_up else [-wi for wi in wl]
+                d = w.tolist() if going_up else (-w).tolist()
                 theta_min = math.inf
                 i_star = -1
                 for i in range(m):
@@ -290,50 +271,29 @@ class _BoxSimplex:
                 if i_star < 0 and not np.isfinite(theta_flip):
                     # The region is bounded, so only roundoff gets here.
                     raise SimplexError(f"unbounded ratio test (n={self.n}, m={self.m})")
-                theta = min(theta_flip, theta_min)
+                flip = theta_flip <= theta_min
+                theta = theta_flip if flip else theta_min
                 for i in range(m):
                     xb[i] -= d[i] * theta
-                if theta_flip <= theta_min:
-                    # Bound flip: basis, prices and reduced costs all unchanged.
+                if flip:
+                    # Basis, prices and reduced costs all unchanged.
                     x[j] = upper[j] if going_up else 0.0
                     at_upper[j] = going_up
                     self.flips += 1
-                    moves_since_refresh += 1
-                    if moves_since_refresh >= _REFRESH_EVERY:
-                        self._refresh_basics()
-                        xb = self.xb
-                        moves_since_refresh = 0
-                    continue
-                enter_val = float(x[j]) + (theta_min if going_up else -theta_min)
-                leave = int(basis[i_star])
-                if d[i_star] < 0.0:
-                    x[leave] = ub_b[i_star]
-                    at_upper[leave] = True
                 else:
-                    x[leave] = 0.0
-                    at_upper[leave] = False
-                at_upper[j] = False
-                nonbasic[leave] = True
-                nonbasic[j] = False
-                xb[i_star] = enter_val
-                ub_b[i_star] = float(upper[j])
-                self._replace(i_star, j, w, wl[i_star])
-                moves_since_refresh += 1
-                if moves_since_refresh >= _REFRESH_EVERY:
-                    self._refresh_basics()
-                    moves_since_refresh = 0
-                if theta_min <= _DEGEN_EPS:
-                    degen += 1
+                    xb[i_star] = float(x[j]) + (theta_min if going_up else -theta_min)
+                    ub_b[i_star] = float(upper[j])
+                    self._replace(i_star, j, w, d[i_star] < 0.0)
+                    self.pivots += 1
+                    degen = degen + 1 if theta_min <= _DEGEN_EPS else 0
                     if degen >= self.bland_threshold:
-                        bland = self.bland = True
-                else:
-                    degen = 0
-                basis_changed = True
-                break
-            if exhausted and not basis_changed:
-                # Consumed candidates are all ineligible under the unchanged
-                # basis, so an exhausted round certifies optimality.
-                return
+                        self.bland = True
+                self.moves_since_refresh += 1
+                if self.moves_since_refresh >= _REFRESH_EVERY:
+                    self._refresh_basics()
+                    xb = self.xb
+                if not flip:
+                    break
 
 
 def solve_box_lp(rewards, columns, capacity, start=None) -> LpSolution:
@@ -345,18 +305,14 @@ def solve_box_lp(rewards, columns, capacity, start=None) -> LpSolution:
     ``ValueError`` unless every capacity is non-negative (NaN included).
     """
     sx = _BoxSimplex(rewards, columns, capacity, start)
-    n = sx.n
-    c = np.zeros(sx.N)
-    c[:n] = sx.r
-    sx.restore_feasibility(c)
-    sx.optimize(c)
+    sx.restore_feasibility()
+    sx.optimize()
     sx._refresh_basics()
-    full = sx.x.copy()
-    full[sx.basis] = sx.xb
-    x = full[:n].copy()
-    p = np.linalg.solve(sx.B.T, c[sx.basis])
+    sx.x[sx.basis] = sx.xb
+    x = sx.x[:sx.n].copy()
+    p = np.linalg.solve(sx.Gt.take(sx.basis, axis=0), sx.c[sx.basis])
     np.maximum(p, 0.0, out=p)
-    s = sx.r - p @ sx.Gt[:n].T
+    s = sx.r - p @ sx.Gt[:sx.n].T
     np.maximum(s, 0.0, out=s)
     return LpSolution(
         primal=x,
@@ -365,7 +321,7 @@ def solve_box_lp(rewards, columns, capacity, start=None) -> LpSolution:
         objective=float(sx.r @ x),
         basis=sx.basis.copy(),
         at_upper=sx.at_upper.copy(),
-        pivots=sx.iterations - sx.flips - sx.dual_pivots,
+        pivots=sx.pivots,
         flips=sx.flips,
         dual_pivots=sx.dual_pivots,
         bland=sx.bland,

@@ -13,7 +13,6 @@ import pytest
 from onlinelp.algorithms import (
     AlgorithmConfig,
     AlgorithmKind,
-    RepairConfig,
     repair_feasibility,
     run_dla,
     run_multi_soa,
@@ -224,8 +223,7 @@ def test_criterion_08_repair_feasibility():
         inst = uniform_instance(n, m, trial)
         lp = solve_relaxation(inst)
         trace = run_soa(inst, AlgorithmConfig(AlgorithmKind.SOA, StepSchedule.SQRT_N))
-        repaired = repair_feasibility(inst, trace, RepairConfig(),
-                                      child_seed(ROOT, n, trial, "repair"))
+        repaired = repair_feasibility(inst, trace, child_seed(ROOT, n, trial, "repair"))
         if violation_norm(inst, repaired.decisions) == 0.0:
             feasible += 1
         pre.append(lp.objective - trace.objective)

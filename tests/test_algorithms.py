@@ -8,7 +8,6 @@ from onlinelp.algorithms import (
     AlgorithmConfig,
     AlgorithmKind,
     Policy,
-    RepairConfig,
     repair_feasibility,
     run_dla,
     run_multi_soa,
@@ -492,15 +491,17 @@ class TestRunPrefixLp:
 class TestRepairFeasibility:
     def test_removal_count_formula(self):
         # already-feasible trace: the scaled violation clamps to 1 and the
-        # removal count follows the printed formula, capped at the accept count
-        inst = uniform_instance(100, 2, 55)
+        # removal count follows the printed formula with the instance's own
+        # d_lo; at this n it stays below the accept count, so the cap is idle
+        n = 2000
+        inst = uniform_instance(n, 2, 55)
         trace = run_sfa(inst, AlgorithmConfig(AlgorithmKind.SFA, StepSchedule.SQRT_N))
         n_plus = int((trace.decisions == 1).sum())
-        assert n_plus > 0
-        d_lo = 0.5
-        repaired = repair_feasibility(inst, trace, RepairConfig(d_lo_override=d_lo), rng_seed=1)
+        d_lo = compute_stats(inst).d_lo
+        repaired = repair_feasibility(inst, trace, rng_seed=1)
         removed = n_plus - int((repaired.decisions == 1).sum())
-        expected = min(math.floor(2 * 1.0 * n_plus * math.log(100) / (d_lo * 10.0)) + 1, n_plus)
+        expected = math.floor(2 * 1.0 * n_plus * math.log(n) / (d_lo * math.sqrt(n))) + 1
+        assert 0 < expected < n_plus
         assert removed == expected
 
     def test_formula_clamp_to_accept_count(self):
@@ -510,7 +511,7 @@ class TestRepairFeasibility:
                         capacity=[50.0])
         trace = run_soa(inst, soa_cfg(StepSchedule.SQRT_N))
         assert int((trace.decisions == 1).sum()) == 1
-        repaired = repair_feasibility(inst, trace, RepairConfig(), rng_seed=3)
+        repaired = repair_feasibility(inst, trace, rng_seed=3)
         assert int((repaired.decisions == 1).sum()) == 0
 
     def test_empty_accept_set_returned_unchanged(self):
@@ -519,26 +520,22 @@ class TestRepairFeasibility:
                         columns=rng.uniform(0, 1, (1, 10)),
                         capacity=[5.0])
         trace = run_soa(inst, soa_cfg(StepSchedule.SQRT_N))
-        repaired = repair_feasibility(inst, trace, RepairConfig(), rng_seed=9)
+        repaired = repair_feasibility(inst, trace, rng_seed=9)
         assert repaired is trace
 
     def test_disabled_and_bypass_flags(self):
+        # There is no bypass: a feasible trace loses accepted columns too.
+        # Turning repair off is the harness's [repair] enabled switch.
         inst = uniform_instance(50, 2, 21)
         trace = run_sfa(inst, AlgorithmConfig(AlgorithmKind.SFA, StepSchedule.SQRT_N))
-        assert repair_feasibility(inst, trace, RepairConfig(enabled=False), rng_seed=0) is trace
-        assert repair_feasibility(
-            inst, trace, RepairConfig(skip_if_feasible=True), rng_seed=0) is trace
-        # but an infeasible trace is repaired even with the bypass flag
-        soa_trace = run_soa(inst, soa_cfg(StepSchedule.SQRT_N))
-        if violation_norm(inst, soa_trace.decisions) > 0:
-            out = repair_feasibility(
-                inst, soa_trace, RepairConfig(skip_if_feasible=True), rng_seed=0)
-            assert out is not soa_trace
+        assert violation_norm(inst, trace.decisions) == 0.0
+        out = repair_feasibility(inst, trace, rng_seed=0)
+        assert out.decisions.sum() < trace.decisions.sum()
 
     def test_objective_and_consumption_recomputed(self):
         inst = uniform_instance(60, 3, 14)
         trace = run_soa(inst, soa_cfg(StepSchedule.SQRT_N))
-        repaired = repair_feasibility(inst, trace, RepairConfig(), rng_seed=5)
+        repaired = repair_feasibility(inst, trace, rng_seed=5)
         assert_trace_consistent(inst, repaired)
         assert repaired.objective <= trace.objective + 1e-12
         removed = set(np.flatnonzero(trace.decisions).tolist()) \
@@ -548,15 +545,15 @@ class TestRepairFeasibility:
     def test_deterministic_per_seed(self):
         inst = uniform_instance(60, 3, 15)
         trace = run_soa(inst, soa_cfg(StepSchedule.SQRT_N))
-        a = repair_feasibility(inst, trace, RepairConfig(), rng_seed=42)
-        b = repair_feasibility(inst, trace, RepairConfig(), rng_seed=42)
+        a = repair_feasibility(inst, trace, rng_seed=42)
+        b = repair_feasibility(inst, trace, rng_seed=42)
         assert np.array_equal(a.decisions, b.decisions)
 
     def test_small_n_rejected(self):
         inst = uniform_instance(2, 1, 1)
         trace = run_soa(inst, soa_cfg(StepSchedule.SQRT_N))
         with pytest.raises(ValueError):
-            repair_feasibility(inst, trace, RepairConfig(), rng_seed=0)
+            repair_feasibility(inst, trace, rng_seed=0)
 
 
 class TestPriceCapAcrossSchedules:

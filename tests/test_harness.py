@@ -141,9 +141,13 @@ class TestLoadConfig:
 
     def test_repair_section(self, tmp_path):
         path = write_mini_config(tmp_path)
-        path.write_text(path.read_text() + "\n[repair]\nenabled = true\nd_lo_override = 0.4\n")
-        cfg = load_config(path)
-        assert cfg.repair.enabled and cfg.repair.d_lo_override == 0.4
+        assert load_config(path).repair is False
+        path.write_text(path.read_text() + "\n[repair]\nenabled = true\n")
+        assert load_config(path).repair is True
+        # the removal formula reads the instance's own d_lo; there is no override
+        path.write_text(path.read_text() + "d_lo_override = 0.4\n")
+        with pytest.raises(ConfigError, match=r"\[repair\]: d_lo_override"):
+            load_config(path)
 
 
 class TestRunExperiment:

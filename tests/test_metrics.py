@@ -35,7 +35,8 @@ class TestEvaluateTrial:
         inst = Instance(rewards=[2.0, 2.0, 1.0, 1.0],
                         columns=[[1.0, 1.0, 1.0, 1.0]],
                         capacity=[2.0])
-        res = evaluate_trial(inst, manual_trace(inst, [1, 1, 0, 0]), algorithm="offline")
+        res = evaluate_trial(inst, manual_trace(inst, [1, 1, 0, 0]),
+                             solve_relaxation(inst).objective, algorithm="offline")
         assert res.regret == pytest.approx(0.0, abs=1e-9)
         assert res.violation == 0.0
         assert res.competitiveness == pytest.approx(1.0)
@@ -60,14 +61,9 @@ class TestEvaluateTrial:
         assert res.seed == 9
         assert res.capacity_norm == pytest.approx(float(np.linalg.norm(inst.capacity)))
 
-    def test_solves_lp_when_not_supplied(self):
-        inst = gen_uniform(GeneratorSpec(GeneratorFamily.UNIFORM, n=8, m=2, seed=4))
-        res = evaluate_trial(inst, manual_trace(inst, np.zeros(8, dtype=int)))
-        assert res.offline_lp_opt == pytest.approx(solve_relaxation(inst).objective)
-
     def test_nonpositive_lp_flags_competitiveness(self):
         inst = Instance(rewards=[-1.0], columns=[[1.0]], capacity=[0.5])
-        res = evaluate_trial(inst, manual_trace(inst, [0]))
+        res = evaluate_trial(inst, manual_trace(inst, [0]), solve_relaxation(inst).objective)
         assert res.offline_lp_opt == 0.0
         assert res.competitiveness is None
 
@@ -76,7 +72,7 @@ class TestEvaluateTrial:
         other = gen_uniform(GeneratorSpec(GeneratorFamily.UNIFORM, n=9, m=2, seed=4))
         trace = manual_trace(other, np.zeros(9, dtype=int))
         with pytest.raises(ValueError):
-            evaluate_trial(inst, trace)
+            evaluate_trial(inst, trace, solve_relaxation(inst).objective)
 
 
 class TestAggregate:

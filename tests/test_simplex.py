@@ -367,6 +367,54 @@ class TestEffortCounts:
         assert flips > 0 and dual_pivots > 0
 
 
+class TestPivotPath:
+    """Effort counts and objectives of fixed solves, pinned to their recorded values.
+
+    Answers alone cannot tell two pivot paths apart, so these pin the path a
+    change to the solver must keep.  The data are continuous, so no count
+    hangs on how BLAS rounds a tie.
+    """
+
+    @staticmethod
+    def effort(sol):
+        return sol.pivots, sol.flips, sol.dual_pivots, sol.bland
+
+    def test_cold_offline_lp_past_the_refresh_cadence(self):
+        inst = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=3200, m=10, seed=1))
+        sol = solve_relaxation(inst)
+        assert sol.iterations > simplex._REFRESH_EVERY
+        assert self.effort(sol) == (479, 1384, 0, False)
+        assert sol.objective == pytest.approx(2111.9723586785335, rel=1e-12)
+
+    def test_warm_prefix_pass(self):
+        inst = generate(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=200, m=5, seed=2))
+        sol, totals = None, np.zeros(4, dtype=int)
+        for s in range(1, inst.n + 1):
+            sol = solve_scaled(inst, s, prev=sol)
+            totals += self.effort(sol)
+        assert tuple(totals) == (1, 0, 234, 0)
+        assert sol.objective == pytest.approx(365.6542164418093, rel=1e-12)
+
+    def test_bland_forced(self, monkeypatch):
+        # One zero capacity makes the first pivots degenerate, which switches
+        # Bland's rule on; those ties are between exact zeros.
+        rng = np.random.default_rng(1)
+        r, A = rng.uniform(-2, 2, 80), rng.uniform(-2, 2, (6, 80))
+        b = rng.uniform(0.5, 1.5, 6) * 8.0
+        b[0] = 0.0
+        assert self.effort(solve_box_lp(r, A, b)) == (27, 24, 0, False)
+        init = simplex._BoxSimplex.__init__
+
+        def bland_at_once(self, *args):
+            init(self, *args)
+            self.bland_threshold = 1
+
+        monkeypatch.setattr(simplex._BoxSimplex, "__init__", bland_at_once)
+        sol = solve_box_lp(r, A, b)
+        assert self.effort(sol) == (244, 26, 0, True)
+        assert sol.objective == pytest.approx(46.22455439702604, rel=1e-12)
+
+
 class TestSolveBinaryExact:
     def test_two_column_example(self):
         inst = Instance(rewards=[2.0, 1.0], columns=[[1.0, 1.0]], capacity=[1.0])
