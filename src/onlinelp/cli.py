@@ -45,17 +45,16 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("--binary", action="store_true",
                          help="also report the exact binary optimum (n <= 25)")
 
-    p_gen = sub.add_parser("gen", help="generate an instance file")
+    # An option left out keeps the GeneratorSpec default of its field.
+    p_gen = sub.add_parser("gen", help="generate an instance file",
+                           argument_default=argparse.SUPPRESS)
     p_gen.add_argument("family", choices=[f.value for f in GeneratorFamily])
     p_gen.add_argument("-n", type=int, required=True, help="number of columns")
     p_gen.add_argument("-m", type=int, required=True, help="number of constraints")
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--d-lo", type=float, default=1.0 / 3.0)
-    p_gen.add_argument("--d-hi", type=float, default=2.0 / 3.0)
-    p_gen.add_argument("--cauchy-truncation", type=float, default=10.0)
-    p_gen.add_argument("--adversarial-low", type=float, default=1.0)
-    p_gen.add_argument("--adversarial-high", type=float, default=2.0)
-    p_gen.add_argument("--adversarial-capacity-fraction", type=float, default=0.5)
+    p_gen.add_argument("--seed", type=int)
+    for option in ("--d-lo", "--d-hi", "--cauchy-truncation", "--adversarial-low",
+                   "--adversarial-high", "--adversarial-capacity-fraction"):
+        p_gen.add_argument(option, type=float)
     p_gen.add_argument("-o", "--output", required=True, help="output instance file")
     return parser
 
@@ -88,8 +87,6 @@ def _cmd_solve(args) -> int:
     print(f"iterations {sol.iterations} pivots {sol.pivots} flips {sol.flips} "
           f"dual_pivots {sol.dual_pivots} bland {'yes' if sol.bland else 'no'}")
     if args.binary:
-        if inst.n > 25:
-            raise ConfigError(f"--binary needs n <= 25, instance has n = {inst.n}")
         obj, x = solve_binary_exact(inst)
         print(f"binary_objective {obj:.12g}")
         print("binary_solution " + "".join(str(int(v)) for v in x))
@@ -97,18 +94,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    spec = GeneratorSpec(
-        family=GeneratorFamily(args.family),
-        n=args.n,
-        m=args.m,
-        seed=args.seed,
-        d_range=(args.d_lo, args.d_hi),
-        cauchy_truncation=args.cauchy_truncation,
-        adversarial_low=args.adversarial_low,
-        adversarial_high=args.adversarial_high,
-        adversarial_capacity_fraction=args.adversarial_capacity_fraction,
-    )
-    inst = generate(spec)
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "output")}
+    inst = generate(GeneratorSpec(**dict(params, family=GeneratorFamily(args.family))))
     save_instance(inst, args.output)
     print(f"wrote n={inst.n} m={inst.m} instance to {args.output}")
     return 0

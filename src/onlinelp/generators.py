@@ -31,8 +31,6 @@ __all__ = [
     "read_mknap",
 ]
 
-DEFAULT_D_RANGE = (1.0 / 3.0, 2.0 / 3.0)
-
 
 class GeneratorFamily(enum.Enum):
     UNIFORM = "uniform"
@@ -46,7 +44,9 @@ class GeneratorFamily(enum.Enum):
 class GeneratorSpec:
     """Family tag plus the per-family parameters.
 
-    ``d_range`` bounds the i.i.d. per-column budget draws.
+    The field defaults are the defaults of the config's ``[generator]`` keys
+    and of ``onlinelp gen``, which share the field names.  ``d_lo`` and
+    ``d_hi`` bound the i.i.d. per-column budget draws.
     ``cauchy_truncation`` is the two-sided magnitude cap for the heavy-tail
     family.  The adversarial family builds a two-phase stream: the first half
     of the columns carries ``adversarial_low`` rewards, the second half
@@ -57,9 +57,10 @@ class GeneratorSpec:
 
     family: GeneratorFamily
     n: int
-    m: int
-    seed: int
-    d_range: Tuple[float, float] = DEFAULT_D_RANGE
+    m: int = 1
+    seed: int = 0
+    d_lo: float = 1.0 / 3.0
+    d_hi: float = 2.0 / 3.0
     cauchy_truncation: float = 10.0
     adversarial_low: float = 1.0
     adversarial_high: float = 2.0
@@ -67,10 +68,16 @@ class GeneratorSpec:
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1:
-            raise ValueError("need n >= 1 and m >= 1")
-        lo, hi = self.d_range
-        if not (0.0 < lo <= hi):
-            raise ValueError("d_range must satisfy 0 < lo <= hi")
+            raise ValueError(f"need n >= 1 and m >= 1, got n = {self.n}, m = {self.m}")
+        if not 0.0 < self.d_lo <= self.d_hi < math.inf:
+            raise ValueError(f"need 0 < d_lo <= d_hi < inf, got d_lo = {self.d_lo}, "
+                             f"d_hi = {self.d_hi}")
+        if not self.cauchy_truncation > 0.0:
+            raise ValueError(f"cauchy_truncation must be positive, got {self.cauchy_truncation}")
+        if not (math.isfinite(self.adversarial_low) and math.isfinite(self.adversarial_high)
+                and 0.0 < self.adversarial_capacity_fraction < math.inf):
+            raise ValueError("adversarial_low and adversarial_high must be finite and "
+                             "adversarial_capacity_fraction positive and finite")
 
     def notes(self) -> str:
         """Free-text provenance recorded in experiment reports."""
@@ -87,12 +94,11 @@ class GeneratorSpec:
 
 
 def _draw_budget(rng: np.random.Generator, spec: GeneratorSpec) -> np.ndarray:
-    lo, hi = spec.d_range
-    return rng.uniform(lo, hi, spec.m)
+    return rng.uniform(spec.d_lo, spec.d_hi, spec.m)
 
 
 def gen_uniform(spec: GeneratorSpec) -> Instance:
-    """Entries and rewards i.i.d. Uniform[0, 2]; budgets i.i.d. from d_range."""
+    """Entries and rewards i.i.d. Uniform[0, 2]; budgets i.i.d. Uniform[d_lo, d_hi]."""
     if spec.family is not GeneratorFamily.UNIFORM:
         raise ValueError("spec family mismatch")
     rng = np.random.default_rng(spec.seed)
@@ -131,11 +137,8 @@ def gen_trunc_cauchy(spec: GeneratorSpec) -> Instance:
     """Entries i.i.d. Cauchy(1, 1) conditioned on magnitude <= truncation threshold."""
     if spec.family is not GeneratorFamily.TRUNC_CAUCHY:
         raise ValueError("spec family mismatch")
-    tau = spec.cauchy_truncation
-    if not tau > 0.0:
-        raise ValueError("truncation threshold must be positive")
     rng = np.random.default_rng(spec.seed)
-    A = _trunc_cauchy(rng, spec.m * spec.n, tau).reshape(spec.m, spec.n)
+    A = _trunc_cauchy(rng, spec.m * spec.n, spec.cauchy_truncation).reshape(spec.m, spec.n)
     eps = rng.uniform(0.0, spec.m, spec.n)
     r = A.sum(axis=0) - eps
     d = _draw_budget(rng, spec)

@@ -78,33 +78,40 @@ def child_seed(root: int, n: int, trial: int, tag: str = "") -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one experiment needs; picklable so workers can receive it whole."""
+    """Everything one experiment needs; picklable so workers can receive it whole.
+
+    The defaults are those of the config keys.  ``generator_params`` holds the
+    ``[generator]`` keys the file set; :class:`GeneratorSpec` supplies the rest.
+    """
 
     name: str
-    seed: int
-    trials: int
-    n_values: Tuple[int, ...]
-    algorithms: Tuple[AlgorithmConfig, ...]
-    permute_arrivals: bool
-    workers: int
-    generator_params: Optional[Dict]
-    benchmark_path: Optional[str]
-    repair: bool
-    output_dir: Optional[str]
+    seed: int = 0
+    trials: int = 1
+    n_values: Tuple[int, ...] = ()
+    algorithms: Tuple[AlgorithmConfig, ...] = ()
+    permute_arrivals: bool = False
+    workers: int = 0
+    generator_params: Optional[Dict] = None
+    benchmark_path: Optional[str] = None
+    repair: bool = False
+    output_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.workers < 0:
+            raise ConfigError("workers must be >= 0")
         if not self.algorithms:
             raise ConfigError("at least one algorithm is required")
         if (self.generator_params is None) == (self.benchmark_path is None):
             raise ConfigError("exactly one of generator and benchmark must be given")
-        if self.generator_params is not None and not self.n_values:
-            raise ConfigError("generator experiments need a non-empty n list")
+        if self.generator_params is not None:
+            if not self.n_values:
+                raise ConfigError("generator experiments need a non-empty n list")
+            self.spec_for(min(self.n_values), 0)  # a bad value fails before any trial runs
 
     def spec_for(self, n: int, seed: int) -> GeneratorSpec:
-        params = dict(self.generator_params)
-        return GeneratorSpec(n=n, seed=seed, **params)
+        return GeneratorSpec(n=n, seed=seed, **self.generator_params)
 
     def echo(self) -> Dict:
         """JSON-safe copy of the configuration for the report."""
@@ -120,28 +127,39 @@ class ExperimentConfig:
             "repair": {"enabled": self.repair},
         }
         if self.generator_params is not None:
-            params = dict(self.generator_params)
-            params["family"] = params["family"].value
-            params["d_range"] = list(params["d_range"])
-            doc["generator"] = params
+            spec = dataclasses.asdict(self.spec_for(1, 0))
+            del spec["n"], spec["seed"]
+            doc["generator"] = dict(spec, family=spec["family"].value)
         return doc
 
 
-def _get(cp: configparser.ConfigParser, section: str, option: str, fallback=None):
-    if cp.has_option(section, option):
-        return cp.get(section, option)
-    return fallback
+def _bool(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
 
 
-# Section -> the keys it admits: the whole config schema.
+# Section -> key -> parser of its value: the whole config schema.  A key sets
+# the ExperimentConfig field of its own name or the one _FIELD names; a
+# [generator] key sets the GeneratorSpec field of its own name.
 _SCHEMA = {
-    "experiment": {"name", "seed", "trials", "n_values", "algorithms", "permute", "workers"},
-    "generator": {"family", "m", "d_lo", "d_hi", "cauchy_truncation", "adversarial_low",
-                  "adversarial_high", "adversarial_capacity_fraction"},
-    "benchmark": {"path"},
-    "repair": {"enabled"},
-    "output": {"directory"},
+    "experiment": {
+        "name": str, "seed": int, "trials": int,
+        "n_values": lambda raw: tuple(int(v) for v in raw.replace(",", " ").split()),
+        "algorithms": lambda raw: tuple(AlgorithmConfig.parse(t) for t in raw.split(",")
+                                        if t.strip()),
+        "permute": _bool, "workers": int,
+    },
+    "generator": {"family": GeneratorFamily, "m": int, "d_lo": float, "d_hi": float,
+                  "cauchy_truncation": float, "adversarial_low": float,
+                  "adversarial_high": float, "adversarial_capacity_fraction": float},
+    "benchmark": {"path": str},
+    "repair": {"enabled": _bool},
+    "output": {"directory": str},
 }
+_FIELD = {"permute": "permute_arrivals", "path": "benchmark_path", "enabled": "repair",
+          "directory": "output_dir"}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -167,71 +185,28 @@ def load_config(path) -> ExperimentConfig:
     if unknown:
         raise bad("unknown section(s) " + ", ".join(f"[{name}]" for name in unknown))
     for section in cp.sections():
-        unknown = sorted(set(cp.options(section)) - _SCHEMA[section])
+        unknown = sorted(set(cp.options(section)) - _SCHEMA[section].keys())
         if unknown:
             raise bad(f"unknown key(s) in [{section}]: " + ", ".join(unknown))
+    for section, key in (("generator", "family"), ("benchmark", "path")):
+        if cp.has_section(section) and not cp.get(section, key, raw=True, fallback=""):
+            raise bad(f"[{section}] needs a {key}")
 
+    fields = {"name": path.stem}
     try:
-        name = _get(cp, "experiment", "name", path.stem)
-        seed = int(_get(cp, "experiment", "seed", "0"))
-        trials = int(_get(cp, "experiment", "trials", "1"))
-        raw_n = _get(cp, "experiment", "n_values", "")
-        n_values = tuple(int(v) for v in raw_n.replace(",", " ").split())
-        raw_algos = _get(cp, "experiment", "algorithms", "")
-        algorithms = tuple(AlgorithmConfig.parse(t) for t in raw_algos.split(",") if t.strip())
-        permute_arrivals = cp.getboolean("experiment", "permute", fallback=False)
-        workers = int(_get(cp, "experiment", "workers", "0"))
-    except ValueError as exc:
-        raise bad(f"invalid [experiment] value: {exc}") from None
+        for section in cp.sections():
+            target = fields.setdefault("generator_params", {}) if section == "generator" else fields
+            for key in cp.options(section):
+                target[_FIELD.get(key, key)] = _SCHEMA[section][key](cp.get(section, key))
+    except (ValueError, configparser.Error) as exc:
+        raise bad(f"invalid [{section}] {key}: {exc}") from None
 
-    generator_params = None
-    benchmark_path = None
-    if cp.has_section("generator"):
-        try:
-            family = GeneratorFamily(_get(cp, "generator", "family", ""))
-        except ValueError:
-            raise bad(f"unknown generator family {_get(cp, 'generator', 'family', '')!r}") from None
-        try:
-            generator_params = {
-                "family": family,
-                "m": int(_get(cp, "generator", "m", "1")),
-                "d_range": (
-                    float(_get(cp, "generator", "d_lo", str(1.0 / 3.0))),
-                    float(_get(cp, "generator", "d_hi", str(2.0 / 3.0))),
-                ),
-            }
-            if cp.has_option("generator", "cauchy_truncation"):
-                generator_params["cauchy_truncation"] = cp.getfloat("generator", "cauchy_truncation")
-            for key in ("adversarial_low", "adversarial_high", "adversarial_capacity_fraction"):
-                if cp.has_option("generator", key):
-                    generator_params[key] = cp.getfloat("generator", key)
-        except ValueError as exc:
-            raise bad(f"invalid [generator] value: {exc}") from None
-    if cp.has_section("benchmark"):
-        benchmark_path = _get(cp, "benchmark", "path")
-        if not benchmark_path:
-            raise bad("[benchmark] needs a path")
-        benchmark_path = str((path.parent / benchmark_path).resolve())
-        if not Path(benchmark_path).is_file():
-            raise bad(f"benchmark file not found: {benchmark_path}")
-
-    repair = cp.getboolean("repair", "enabled", fallback=False)
-    output_dir = _get(cp, "output", "directory") if cp.has_section("output") else None
-
+    if "benchmark_path" in fields:
+        fields["benchmark_path"] = str((path.parent / fields["benchmark_path"]).resolve())
+        if not Path(fields["benchmark_path"]).is_file():
+            raise bad(f"benchmark file not found: {fields['benchmark_path']}")
     try:
-        return ExperimentConfig(
-            name=name,
-            seed=seed,
-            trials=trials,
-            n_values=n_values,
-            algorithms=algorithms,
-            permute_arrivals=permute_arrivals,
-            workers=workers,
-            generator_params=generator_params,
-            benchmark_path=benchmark_path,
-            repair=repair,
-            output_dir=output_dir,
-        )
+        return ExperimentConfig(**fields)
     except ValueError as exc:
         raise bad(str(exc)) from None
 
@@ -538,10 +513,7 @@ def run_experiment(cfg: ExperimentConfig, *, workers: Optional[int] = None) -> E
     wall_by_alg: Dict[str, float] = {}
     for n, trial, label, seconds in timings:
         wall_by_alg[label] = wall_by_alg.get(label, 0.0) + seconds
-    generator_notes = ""
-    if cfg.generator_params is not None:
-        probe = cfg.spec_for(max(cfg.n_values), 0)
-        generator_notes = probe.notes()
+    generator_notes = "" if cfg.generator_params is None else cfg.spec_for(1, 0).notes()
     meta = {
         "format_version": FORMAT_VERSION,
         "package_version": __version__,

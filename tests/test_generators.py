@@ -27,12 +27,24 @@ class TestSpecValidation:
     def test_bad_sizes(self):
         with pytest.raises(ValueError):
             GeneratorSpec(GeneratorFamily.UNIFORM, n=0, m=1, seed=0)
+        with pytest.raises(ValueError, match="m >= 1"):
+            GeneratorSpec(GeneratorFamily.UNIFORM, n=2, m=0, seed=0)
+
+    @pytest.mark.parametrize("params", [
+        {"cauchy_truncation": 0.0}, {"cauchy_truncation": float("nan")},
+        {"adversarial_low": float("inf")}, {"adversarial_high": float("nan")},
+        {"adversarial_capacity_fraction": 0.0}, {"d_hi": float("inf")},
+    ])
+    def test_bad_family_parameters(self, params):
+        # checked for every family, so a config fails when it loads, not per trial
+        with pytest.raises(ValueError):
+            GeneratorSpec(GeneratorFamily.UNIFORM, n=2, **params)
 
     def test_bad_budget_range(self):
         with pytest.raises(ValueError):
-            GeneratorSpec(GeneratorFamily.UNIFORM, n=2, m=1, seed=0, d_range=(0.0, 0.5))
+            GeneratorSpec(GeneratorFamily.UNIFORM, n=2, m=1, seed=0, d_lo=0.0, d_hi=0.5)
         with pytest.raises(ValueError):
-            GeneratorSpec(GeneratorFamily.UNIFORM, n=2, m=1, seed=0, d_range=(0.7, 0.5))
+            GeneratorSpec(GeneratorFamily.UNIFORM, n=2, m=1, seed=0, d_lo=0.7, d_hi=0.5)
 
     def test_family_mismatch(self):
         with pytest.raises(ValueError):

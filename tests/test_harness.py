@@ -2,6 +2,7 @@ import configparser
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,55 @@ class TestLoadConfig:
         path = write_mini_config(tmp_path, trials=0)
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_negative_workers(self, tmp_path):
+        path = write_mini_config(tmp_path)
+        path.write_text(path.read_text().replace("trials = 2", "trials = 2\nworkers = -1"))
+        with pytest.raises(ConfigError, match="workers must be >= 0"):
+            load_config(path)
+
+    @pytest.mark.parametrize("old, new, place", [
+        ("m = 3", "m = 3\n[repair]\nenabled = maybe", r"\[repair\] enabled"),
+        ("permute = true", "permute = maybe", r"\[experiment\] permute"),
+        ("trials = 2", "trials = two", r"\[experiment\] trials"),
+        ("family = uniform", "family = zipf", r"\[generator\] family"),
+        ("m = 3", "m = 3\ncauchy_truncation = ten", r"\[generator\] cauchy_truncation"),
+        ("m = 3", "m = 3\n[output]\ndirectory = %(x)s", r"\[output\] directory"),
+    ])
+    def test_bad_value_names_its_place(self, tmp_path, old, new, place):
+        path = write_mini_config(tmp_path)
+        path.write_text(path.read_text().replace(old, new))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: invalid ") + place + ": "):
+            load_config(path)
+
+    @pytest.mark.parametrize("new", ["m = 3\nd_lo = 0.7\nd_hi = 0.5", "m = 0",
+                                     "m = 3\ncauchy_truncation = 0",
+                                     "m = 3\nadversarial_capacity_fraction = -1"])
+    def test_bad_generator_value_fails_at_load(self, tmp_path, new):
+        path = write_mini_config(tmp_path)
+        path.write_text(path.read_text().replace("m = 3", new))
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            load_config(path)
+
+    def test_generator_echo_lists_every_effective_value(self, tmp_path):
+        cfg = load_config(write_mini_config(tmp_path, extra="d_hi = 0.5\n"))
+        assert cfg.generator_params == {"family": harness.GeneratorFamily.UNIFORM,
+                                        "m": 3, "d_hi": 0.5}
+        assert cfg.echo()["generator"] == {
+            "family": "uniform", "m": 3, "d_lo": 1.0 / 3.0, "d_hi": 0.5,
+            "cauchy_truncation": 10.0, "adversarial_low": 1.0, "adversarial_high": 2.0,
+            "adversarial_capacity_fraction": 0.5}
+
+    def test_schema_is_documented(self):
+        # every section and key appears in the schema comment and in the README
+        lines = (CONFIGS / "uniform_sweep.ini").read_text().splitlines(True)
+        comment = "".join(line for line in lines if line.startswith("#"))
+        readme = (CONFIGS.parent / "README.md").read_text().split("## Configs and reports")[1]
+        for section, keys in harness._SCHEMA.items():
+            assert f"[{section}]" in comment and f"`[{section}]`" in readme, section
+            for key in keys:
+                assert re.search(rf"\b{key} = ", comment), (section, key)
+                assert f"`{key}`" in readme, (section, key)
 
     def test_repair_section(self, tmp_path):
         path = write_mini_config(tmp_path)
@@ -467,6 +517,18 @@ class TestCli:
         assert cli.main(["run", str(cfg_path), "--output", str(outdir)]) == 2
         assert (outdir / "trials.csv").exists()
         assert "1 trial(s) failed" in capsys.readouterr().err
+
+    def test_gen_rejects_a_bad_parameter(self, tmp_path, capsys):
+        target = tmp_path / "gen.txt"
+        assert cli.main(["gen", "uniform", "-n", "12", "-m", "2", "--cauchy-truncation", "0",
+                         "-o", str(target)]) == 1
+        assert "cauchy_truncation" in capsys.readouterr().err and not target.exists()
+
+    def test_solve_binary_limit(self, tmp_path, capsys):
+        target = tmp_path / "big.txt"
+        assert cli.main(["gen", "uniform", "-n", "26", "-m", "1", "-o", str(target)]) == 0
+        assert cli.main(["solve", str(target), "--binary"]) == 1
+        assert "25" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "missing.ini")]) == 1
