@@ -11,9 +11,7 @@ from .core import (
     StepSchedule,
     compute_stats,
     dual_saa_objective,
-    load_instance,
     price_norm_bound,
-    save_instance,
     threshold_decision,
     violation_norm,
 )
@@ -42,6 +40,7 @@ from .generators import (
     generate,
     permute,
     read_mknap,
+    write_mknap,
 )
 from .metrics import TrialResult, aggregate, evaluate_trial, fit_scaling
 from .harness import (

@@ -2,9 +2,9 @@
 
 Subcommands:
   run <config>        run an experiment config and write its report
-  solve <instance>    offline relaxation of one instance file (optionally the
-                      exact binary optimum for n <= 25)
-  gen <family> ...    generate an instance file from a seeded spec
+  solve <instance>    offline relaxation of each problem of a multi-knapsack
+                      file (optionally the exact binary optimum for n <= 25)
+  gen <family> ...    write a seeded instance as a one-problem multi-knapsack file
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure (for run: also
 when any trial failed; the report is still written).
@@ -14,8 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core import load_instance, save_instance
-from .generators import GeneratorFamily, GeneratorSpec, generate
+from .generators import GeneratorFamily, GeneratorSpec, generate, read_mknap, write_mknap
 from .harness import ConfigError, load_config, run_experiment
 from .simplex import solve_binary_exact, solve_relaxation
 
@@ -40,13 +39,13 @@ def _build_parser() -> _Parser:
                        help="parallel trial workers (overrides config)")
     p_run.add_argument("--output", default=None, help="report directory (overrides config)")
 
-    p_solve = sub.add_parser("solve", help="solve the offline relaxation of an instance file")
-    p_solve.add_argument("instance", help="instance file in the plain-text format")
+    p_solve = sub.add_parser("solve", help="solve the relaxation of each problem in a file")
+    p_solve.add_argument("instance", help="instance file in the multi-knapsack layout")
     p_solve.add_argument("--binary", action="store_true",
                          help="also report the exact binary optimum (n <= 25)")
 
     # An option left out keeps the GeneratorSpec default of its field.
-    p_gen = sub.add_parser("gen", help="generate an instance file",
+    p_gen = sub.add_parser("gen", help="generate a one-problem instance file",
                            argument_default=argparse.SUPPRESS)
     p_gen.add_argument("family", choices=[f.value for f in GeneratorFamily])
     p_gen.add_argument("-n", type=int, required=True, help="number of columns")
@@ -60,6 +59,8 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_run(args) -> int:
+    if args.workers is not None and args.workers < 0:
+        raise ConfigError(f"--workers must be >= 0, got {args.workers}")
     cfg = load_config(args.config)
     report = run_experiment(cfg, workers=args.workers)
     outdir = args.output or cfg.output_dir or f"{cfg.name}-report"
@@ -79,24 +80,26 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    inst = load_instance(args.instance)
-    sol = solve_relaxation(inst)
-    print(f"objective {sol.objective:.12g}")
-    print("duals " + " ".join(f"{v:.12g}" for v in sol.duals))
-    print("primal " + " ".join(f"{v:.12g}" for v in sol.primal))
-    print(f"iterations {sol.iterations} pivots {sol.pivots} flips {sol.flips} "
-          f"dual_pivots {sol.dual_pivots} bland {'yes' if sol.bland else 'no'}")
-    if args.binary:
-        obj, x = solve_binary_exact(inst)
-        print(f"binary_objective {obj:.12g}")
-        print("binary_solution " + "".join(str(int(v)) for v in x))
+    for idx, (inst, optimum) in enumerate(read_mknap(args.instance), start=1):
+        stated = "unknown" if optimum is None else f"{optimum:.12g}"
+        print(f"problem {idx} n {inst.n} m {inst.m} optimum {stated}")
+        sol = solve_relaxation(inst)
+        print(f"objective {sol.objective:.12g}")
+        print("duals " + " ".join(f"{v:.12g}" for v in sol.duals))
+        print("primal " + " ".join(f"{v:.12g}" for v in sol.primal))
+        print(f"iterations {sol.iterations} pivots {sol.pivots} flips {sol.flips} "
+              f"dual_pivots {sol.dual_pivots} bland {'yes' if sol.bland else 'no'}")
+        if args.binary:
+            obj, x = solve_binary_exact(inst)
+            print(f"binary_objective {obj:.12g}")
+            print("binary_solution " + "".join(str(int(v)) for v in x))
     return 0
 
 
 def _cmd_gen(args) -> int:
     params = {k: v for k, v in vars(args).items() if k not in ("command", "output")}
     inst = generate(GeneratorSpec(**dict(params, family=GeneratorFamily(args.family))))
-    save_instance(inst, args.output)
+    write_mknap(args.output, [(inst, None)])
     print(f"wrote n={inst.n} m={inst.m} instance to {args.output}")
     return 0
 

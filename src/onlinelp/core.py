@@ -25,10 +25,6 @@ __all__ = [
     "dual_saa_objective",
     "threshold_decision",
     "price_norm_bound",
-    "format_instance",
-    "parse_instance",
-    "save_instance",
-    "load_instance",
 ]
 
 
@@ -236,54 +232,3 @@ def price_norm_bound(stats: InstanceStats, m: int) -> float:
     heavy = m * (stats.a_bar + stats.d_hi) ** 2
     return (2.0 * stats.r_bar + heavy) / stats.d_lo + m * (stats.a_bar + stats.d_hi)
 
-
-# ---------------------------------------------------------------------------
-# Plain-text instance serialization.
-#
-# line 1:        n m
-# line 2:        n rewards
-# lines 3..m+2:  rows of the constraint matrix
-# last line:     m capacities
-# Values are printed with 17 significant digits, which round-trips float64
-# exactly.
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
-def format_instance(inst: Instance) -> str:
-    lines = [f"{inst.n} {inst.m}"]
-    lines.append(" ".join(_fmt(v) for v in inst.rewards))
-    for i in range(inst.m):
-        lines.append(" ".join(_fmt(v) for v in inst.columns[i]))
-    lines.append(" ".join(_fmt(v) for v in inst.capacity))
-    return "\n".join(lines) + "\n"
-
-
-def parse_instance(text: str) -> Instance:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty instance text")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError("first line must be 'n m'")
-    n, m = int(head[0]), int(head[1])
-    if len(lines) != 2 + m + 1:
-        raise ValueError(f"expected {2 + m + 1} lines for n={n}, m={m}, got {len(lines)}")
-    rewards = np.array([float(v) for v in lines[1].split()])
-    rows = [np.array([float(v) for v in lines[2 + i].split()]) for i in range(m)]
-    capacity = np.array([float(v) for v in lines[2 + m].split()])
-    if rewards.shape != (n,) or capacity.shape != (m,) or any(row.shape != (n,) for row in rows):
-        raise ValueError("token counts do not match the declared dimensions")
-    return Instance(rewards=rewards, columns=np.vstack(rows), capacity=capacity)
-
-
-def save_instance(inst: Instance, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_instance(inst))
-
-
-def load_instance(path) -> Instance:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_instance(fh.read())

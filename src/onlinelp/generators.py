@@ -1,4 +1,4 @@
-"""Seeded instance generators, the arrival-order shuffler, and benchmark file ingestion.
+"""Seeded instance generators, the arrival-order shuffler, and the instance file format.
 
 All generators are pure functions of their spec (seed included).  Randomness
 in arrival order enters only through :func:`permute`; the generators
@@ -7,10 +7,10 @@ themselves lay data out deterministically.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
-import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "generate",
     "permute",
     "read_mknap",
+    "write_mknap",
 ]
 
 
@@ -245,44 +246,59 @@ class MknapFormatError(ValueError):
         self.line = line
 
 
-class _TokenStream:
-    def __init__(self, text: str):
-        self.tokens: List[Tuple[str, int]] = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            for tok in line.split():
-                self.tokens.append((tok, lineno))
-        self.pos = 0
-        self.last_line = len(text.splitlines()) or 1
+class _Tokens:
+    """The whitespace-separated tokens of a file; a token's line is found only for an error."""
 
-    def next_float(self, what: str) -> float:
+    def __init__(self, text: str):
+        self.text, self.tokens, self.pos = text, text.split(), 0
+
+    def line(self, k: int) -> int:
+        """Line of token ``k``, or the last line for ``k`` past the end."""
+        lines = self.text.splitlines()
+        ends = itertools.accumulate(len(line.split()) for line in lines)
+        return next((i for i, end in enumerate(ends, start=1) if end > k), len(lines) or 1)
+
+    def _next(self, what: str) -> str:
         if self.pos >= len(self.tokens):
-            raise MknapFormatError(f"file truncated while reading {what}", self.last_line)
-        tok, line = self.tokens[self.pos]
+            raise MknapFormatError(f"file truncated while reading {what}", self.line(self.pos))
         self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def _bad(self, message: str) -> MknapFormatError:
+        return MknapFormatError(message, self.line(self.pos - 1))  # the token just read
+
+    def next_int(self, what: str) -> int:
+        tok = self._next(what)
+        try:
+            return int(tok)
+        except ValueError:
+            raise self._bad(f"expected an integer for {what}, got {tok!r}") from None
+
+    def next_float(self, what: str, positive: bool = False) -> float:
+        tok = self._next(what)
         try:
             value = float(tok)
         except ValueError:
-            raise MknapFormatError(f"expected a number for {what}, got {tok!r}", line) from None
+            raise self._bad(f"expected a number for {what}, got {tok!r}") from None
         if not math.isfinite(value):
-            raise MknapFormatError(f"{what} must be finite, got {tok!r}", line)
+            raise self._bad(f"{what} must be finite, got {tok!r}")
+        if positive and not value > 0.0:
+            raise self._bad(f"{what} must be positive, got {value!r}")
         return value
 
-    def next_int(self, what: str) -> int:
-        if self.pos >= len(self.tokens):
-            raise MknapFormatError(f"file truncated while reading {what}", self.last_line)
-        tok, line = self.tokens[self.pos]
-        self.pos += 1
+    def floats(self, count: int, what: Callable[[int], str], positive: bool = False) -> np.ndarray:
+        """The next ``count`` numbers, converted at once; ``what(k)`` names number k."""
+        block = self.tokens[self.pos:self.pos + count]
         try:
-            value = int(tok)
+            values = np.array(block, dtype=float)
+            ok = (len(block) == count and np.isfinite(values).all()
+                  and (not positive or (values > 0.0).all()))
         except ValueError:
-            raise MknapFormatError(f"expected an integer for {what}, got {tok!r}", line) from None
-        return value
-
-    @property
-    def line(self) -> int:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][1]
-        return self.last_line
+            ok = False
+        if not ok:  # walk the block token by token to raise for its first bad token
+            return np.array([self.next_float(what(k), positive) for k in range(count)])
+        self.pos += count
+        return values
 
 
 def read_mknap(path) -> List[Tuple[Instance, Optional[float]]]:
@@ -290,44 +306,43 @@ def read_mknap(path) -> List[Tuple[Instance, Optional[float]]]:
 
     Token stream: problem count; per problem a ``n m optimum`` header
     (optimum 0 means unknown), n profits, the m-by-n weight matrix row by
-    row, then m capacities.  A number that is not finite, or a capacity that
-    is not positive, is a format error.  Negative weights are unusual for
-    these files and raise a warning, not an error.
+    row, then m capacities.  Profits and weights may be negative.  A number
+    that is not finite, a capacity that is not positive, or any token after
+    the last problem is a format error.
     """
     with open(path, "r", encoding="ascii") as fh:
-        ts = _TokenStream(fh.read())
+        ts = _Tokens(fh.read())
     count = ts.next_int("problem count")
     if count < 1:
         raise MknapFormatError(f"problem count must be positive, got {count}", 1)
     problems: List[Tuple[Instance, Optional[float]]] = []
     for idx in range(1, count + 1):
-        header_line = ts.line
+        header = ts.pos
         n = ts.next_int(f"n of problem {idx}")
         m = ts.next_int(f"m of problem {idx}")
         optimum = ts.next_float(f"optimum of problem {idx}")
         if n < 1 or m < 1:
-            raise MknapFormatError(f"problem {idx} has invalid sizes n={n}, m={m}", header_line)
-        profits = np.array([ts.next_float(f"profit {j + 1} of problem {idx}") for j in range(n)])
-        weights = np.empty((m, n))
-        for i in range(m):
-            for j in range(n):
-                weights[i, j] = ts.next_float(f"weight ({i + 1},{j + 1}) of problem {idx}")
-        caps = []
-        for i in range(m):
-            line = ts.line
-            cap = ts.next_float(f"capacity {i + 1} of problem {idx}")
-            if not cap > 0.0:
-                raise MknapFormatError(
-                    f"capacity {i + 1} of problem {idx} must be positive, got {cap!r}", line)
-            caps.append(cap)
-        if (weights < 0.0).any():
-            warnings.warn(
-                f"problem {idx} contains negative weights; "
-                "the solver supports them but the benchmark convention does not",
-                stacklevel=2,
-            )
-        problems.append((
-            Instance(rewards=profits, columns=weights, capacity=caps),
-            optimum if optimum != 0.0 else None,
-        ))
+            raise MknapFormatError(f"problem {idx} has invalid sizes n={n}, m={m}", ts.line(header))
+        profits = ts.floats(n, lambda k: f"profit {k + 1} of problem {idx}")
+        weights = ts.floats(m * n, lambda k: f"weight ({k // n + 1},{k % n + 1}) of problem {idx}")
+        caps = ts.floats(m, lambda k: f"capacity {k + 1} of problem {idx}", positive=True)
+        problems.append((Instance(rewards=profits, columns=weights.reshape(m, n), capacity=caps),
+                         optimum or None))
+    if ts.pos < len(ts.tokens):
+        tok = ts.tokens[ts.pos]
+        raise MknapFormatError(f"unexpected {tok!r} after the last problem", ts.line(ts.pos))
     return problems
+
+
+def write_mknap(path, problems: Sequence[Tuple[Instance, Optional[float]]]) -> None:
+    """Write ``[(instance, optimum or None)]`` in the layout :func:`read_mknap` reads.
+
+    An unknown optimum is written as 0; 17 significant digits round-trip float64 exactly.
+    """
+    lines = [str(len(problems))]
+    for inst, optimum in problems:
+        lines.append(f"{inst.n} {inst.m} {optimum or 0.0:.17g}")
+        lines.extend(" ".join(f"{v:.17g}" for v in row.tolist())
+                     for row in (inst.rewards, *inst.columns, inst.capacity))
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")

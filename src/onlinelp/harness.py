@@ -236,13 +236,13 @@ class _Cell(NamedTuple):
 
 
 def _prepare(cfg: ExperimentConfig, n: int, seed_tag: str, problem: Optional[Instance],
-             problem_lp: Optional[Tuple[float, float]], trial: int, policies) -> _Cell:
+             problem_lp: Optional[Tuple[float, float]], trial: int) -> _Cell:
     """Instance, offline LP and seed derivation of one trial.
 
     ``problem`` is the benchmark instance and ``problem_lp`` its relaxation's
     optimum with this trial's share of the solve time, or both are ``None``
     to generate an instance of n columns and solve its relaxation.  Raises if
-    the trial cannot be set up or a policy cannot run on its instance.
+    the trial cannot be set up.
     """
     if problem is None:
         inst = generate(cfg.spec_for(n, child_seed(cfg.seed, n, trial, "instance")))
@@ -255,8 +255,6 @@ def _prepare(cfg: ExperimentConfig, n: int, seed_tag: str, problem: Optional[Ins
         t0 = time.perf_counter()
         lp_opt = solve_relaxation(inst).objective
         problem_lp = lp_opt, time.perf_counter() - t0
-    for policy in policies:
-        policy.check(inst)
     return _Cell(trial, inst, *problem_lp,
                  lambda label: child_seed(cfg.seed, n, trial, seed_tag + label))
 
@@ -270,11 +268,11 @@ def _block_task(args):
     solved once for the block, since permuting its columns leaves the optimum
     unchanged; if that solve fails, every trial of the block records the
     error.  One kernel call steps every one-pass algorithm on every trial of
-    the block, and one prefix-LP pass per trial steps its DLA and PBD rows;
-    the wall time of each shared solve or call is split evenly over its rows
-    in the timings.  Evaluation and repair run per trial.  A trial that fails
-    anywhere else records its own error and contributes no rows; the other
-    trials of the block are unaffected.
+    the block (if it fails, every trial records the error), and one
+    prefix-LP pass per trial steps its DLA and PBD rows; the wall time of
+    each shared solve or call is split evenly over its rows in the timings.
+    Evaluation and repair run per trial.  A trial that fails anywhere else records its own error
+    and contributes no rows; the other trials of the block are unaffected.
     """
     cfg, n, seed_tag, problem, trials = args
     kernel = [c for c in cfg.algorithms if c.kind not in PREFIX_LP_KINDS]
@@ -292,7 +290,7 @@ def _block_task(args):
             trials = ()
     for trial in trials:
         try:  # recorded per trial; the block continues
-            cells.append(_prepare(cfg, n, seed_tag, problem, problem_lp, trial, policies))
+            cells.append(_prepare(cfg, n, seed_tag, problem, problem_lp, trial))
         except Exception as exc:
             failures[trial] = exc
     batch, share = [], 0.0

@@ -10,8 +10,6 @@ from onlinelp.core import (
     StepSchedule,
     compute_stats,
     dual_saa_objective,
-    format_instance,
-    parse_instance,
     price_norm_bound,
     threshold_decision,
     violation_norm,
@@ -187,40 +185,3 @@ class TestPriceNormBound:
         # (2*3 + 1*(2 + 0.5)^2) / 0.5 + 1*(2 + 0.5)
         assert price_norm_bound(stats, 1) == pytest.approx((6 + 6.25) / 0.5 + 2.5)
 
-
-class TestSerialization:
-    def test_round_trip_exact(self):
-        rng = np.random.default_rng(13)
-        inst = Instance(rewards=rng.uniform(-5, 5, 7),
-                        columns=rng.standard_normal((3, 7)),
-                        capacity=rng.uniform(0.5, 3.0, 3))
-        again = parse_instance(format_instance(inst))
-        assert np.array_equal(again.rewards, inst.rewards)
-        assert np.array_equal(again.columns, inst.columns)
-        assert np.array_equal(again.capacity, inst.capacity)
-
-    def test_layout(self):
-        text = format_instance(small_instance())
-        lines = text.strip().splitlines()
-        assert lines[0] == "2 1"
-        assert len(lines) == 4
-
-    def test_parse_errors(self):
-        with pytest.raises(ValueError):
-            parse_instance("")
-        with pytest.raises(ValueError):
-            parse_instance("2 1\n1 2\n1 1\n")  # missing capacity line
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1))
-    def test_round_trip_random(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 8))
-        m = int(rng.integers(1, 4))
-        inst = Instance(rewards=rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8),
-                        columns=rng.standard_normal((m, n)),
-                        capacity=rng.uniform(0.01, 100.0, m))
-        again = parse_instance(format_instance(inst))
-        assert np.array_equal(again.rewards, inst.rewards)
-        assert np.array_equal(again.columns, inst.columns)
-        assert np.array_equal(again.capacity, inst.capacity)

@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from onlinelp.core import compute_stats, format_instance, parse_instance
+from onlinelp.core import Instance, compute_stats
 from onlinelp.generators import (
     GeneratorFamily,
     GeneratorSpec,
@@ -15,6 +19,7 @@ from onlinelp.generators import (
     generate,
     permute,
     read_mknap,
+    write_mknap,
 )
 from onlinelp.simplex import solve_relaxation
 
@@ -209,6 +214,21 @@ class TestPermute:
             PermutationPlan(n=3, seed=0, order=np.array([0, 0, 2]))
 
 
+_MAGNITUDES = st.floats(1e-8, 1e8)
+_NONZERO = st.one_of(_MAGNITUDES, _MAGNITUDES.map(lambda v: -v))
+
+
+@st.composite
+def _mknap_problem(draw):
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    signed = st.one_of(st.just(0.0), _NONZERO)
+    inst = Instance(rewards=draw(st.lists(signed, min_size=n, max_size=n)),
+                    columns=np.reshape(draw(st.lists(signed, min_size=m * n, max_size=m * n)),
+                                       (m, n)),
+                    capacity=draw(st.lists(_MAGNITUDES, min_size=m, max_size=m)))
+    return inst, draw(st.one_of(st.none(), _NONZERO))
+
+
 MKNAP_SAMPLE = """
 2
 2 1 10
@@ -239,14 +259,34 @@ class TestReadMknap:
         assert opt2 is None  # 0 means unknown
         assert inst2.columns.tolist() == [[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]]
 
-    def test_round_trip_through_instance_format(self, tmp_path):
-        path = tmp_path / "sample.txt"
-        path.write_text(MKNAP_SAMPLE)
-        inst, _ = read_mknap(path)[0]
-        again = parse_instance(format_instance(inst))
-        assert np.array_equal(again.rewards, inst.rewards)
-        assert np.array_equal(again.columns, inst.columns)
-        assert np.array_equal(again.capacity, inst.capacity)
+    def test_write_layout(self, tmp_path):
+        path = tmp_path / "out.txt"
+        inst = Instance(rewards=[1.0, -3.0], columns=[[2.0, -1.0]], capacity=[1.0])
+        write_mknap(path, [(inst, None), (inst, 0.1)])
+        assert path.read_text() == "2\n2 1 0\n1 -3\n2 -1\n1\n2 1 0.10000000000000001\n1 -3\n2 -1\n1\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(problems=st.lists(_mknap_problem(), min_size=1, max_size=4))
+    @example(problems=[
+        (Instance(rewards=[1e8, -2.5e-8], columns=[[3e-8, -4e7]], capacity=[5.0]), None),
+        (Instance(rewards=[-7.0], columns=[[1e-8], [-1e8]], capacity=[2.0, 1e-8]), 27.0),
+    ])
+    def test_write_read_round_trip(self, tmp_path_factory, problems):
+        path = tmp_path_factory.getbasetemp() / "round_trip.txt"
+        write_mknap(path, problems)
+        again = read_mknap(path)
+        assert len(again) == len(problems)
+        for (inst, optimum), (back, back_optimum) in zip(problems, again):
+            assert back_optimum == optimum
+            for field in ("rewards", "columns", "capacity"):
+                assert getattr(back, field).tobytes() == getattr(inst, field).tobytes()
+
+    def test_trailing_data_names_line(self, tmp_path):
+        path = tmp_path / "extra.txt"
+        path.write_text(MKNAP_SAMPLE.replace("2\n", "1\n", 1))  # count 1, two problems
+        with pytest.raises(MknapFormatError, match="unexpected '3' after the last problem") as err:
+            read_mknap(path)
+        assert err.value.line == 7
 
     def test_truncated_file_names_line(self, tmp_path):
         path = tmp_path / "broken.txt"
@@ -304,11 +344,14 @@ class TestReadMknap:
             read_mknap(path)
         assert err.value.line == 7
 
-    def test_negative_weights_warn(self, tmp_path):
-        path = tmp_path / "odd.txt"
-        path.write_text("1\n2 1 0\n1 1\n-1 2\n4\n")
-        with pytest.warns(UserWarning):
-            read_mknap(path)
+    def test_signed_data_loads_without_a_warning(self, tmp_path):
+        path = tmp_path / "signed.txt"
+        path.write_text("1\n2 1 0\n1 -1\n-1 2\n4\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            [(inst, _)] = read_mknap(path)
+        assert inst.rewards.tolist() == [1.0, -1.0]
+        assert inst.columns.tolist() == [[-1.0, 2.0]]
 
     def test_benchmark_class_file(self, tmp_path):
         # OR-library style m=5, n=500 problem built synthetically: the stated

@@ -474,7 +474,7 @@ class TestReportFiles:
 class TestCli:
     def test_solve_prints_objective_and_dual(self, tmp_path, capsys):
         inst_file = tmp_path / "one.txt"
-        inst_file.write_text("1 1\n1\n1\n0.5\n")
+        inst_file.write_text("1\n1 1 0\n1\n1\n0.5\n")
         assert cli.main(["solve", str(inst_file), "--binary"]) == 0
         out = capsys.readouterr().out
         assert "objective 0.5" in out
@@ -489,6 +489,27 @@ class TestCli:
         assert target.exists()
         assert cli.main(["solve", str(target)]) == 0
         assert "objective " in capsys.readouterr().out
+
+    def test_solve_checks_the_stated_optima(self, capsys):
+        assert cli.main(["solve", str(CONFIGS / "mknap_demo.txt"), "--binary"]) == 0
+        out = capsys.readouterr().out
+        stated = re.findall(r"^problem \d+ n \d+ m \d+ optimum (\S+)$", out, re.M)
+        found = re.findall(r"^binary_objective (\S+)$", out, re.M)
+        assert stated == found == ["27", "10"]
+
+    def test_generated_file_runs_as_a_benchmark(self, tmp_path, capsys):
+        # gaussian data is signed; the file is found relative to the config
+        assert cli.main(["gen", "gaussian", "-n", "30", "-m", "2", "--seed", "5",
+                         "-o", str(tmp_path / "gen.txt")]) == 0
+        cfg_path = tmp_path / "bench.ini"
+        cfg_path.write_text("[experiment]\nname = gen-bench\ntrials = 2\n"
+                            "algorithms = soa/sqrt_t, sfa/sqrt_t\npermute = true\n"
+                            "[benchmark]\npath = gen.txt\n")
+        outdir = tmp_path / "out"
+        assert cli.main(["run", str(cfg_path), "--output", str(outdir)]) == 0
+        with open(outdir / "trials.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4 and {r["n"] for r in rows} == {"30"}
 
     def test_bench_reports_both_schedules(self, tmp_path, capsys):
         # "bench" is the mknap benchmark config, run through ``onlinelp run``
@@ -506,6 +527,15 @@ class TestCli:
         assert cli.main(["run", str(cfg_path), "--output", str(outdir)]) == 0
         assert (outdir / "trials.csv").exists()
         assert (outdir / "summary.json").exists()
+
+    def test_negative_workers_is_a_usage_error(self, tmp_path, capsys):
+        cfg_path = write_mini_config(tmp_path, trials=1, algorithms="soa/sqrt_n")
+        outdir = tmp_path / "out"
+        assert cli.main(["run", str(cfg_path), "--workers", "-3", "--output", str(outdir)]) == 1
+        assert "--workers" in capsys.readouterr().err and not outdir.exists()
+        # 0 keeps its meaning: the config's count, here the default of one worker
+        assert cli.main(["run", str(cfg_path), "--workers", "0", "--output", str(outdir)]) == 0
+        assert json.loads((outdir / "summary.json").read_text())["meta"]["workers"] == 1
 
     def test_run_exits_2_when_a_trial_failed(self, tmp_path, capsys):
         # n=2 defeats the four-group generator; the report is still written
