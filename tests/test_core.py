@@ -14,7 +14,7 @@ from onlinelp.core import (
     threshold_decision,
     violation_norm,
 )
-from onlinelp.generators import GeneratorFamily, GeneratorSpec, gen_uniform
+from onlinelp.generators import GeneratorFamily, GeneratorSpec, gen_uniform, read_mknap, write_mknap
 from onlinelp.simplex import solve_relaxation
 
 from oracles import elementwise_violation, saa_objective, scan_stats
@@ -185,3 +185,35 @@ class TestPriceNormBound:
         # (2*3 + 1*(2 + 0.5)^2) / 0.5 + 1*(2 + 0.5)
         assert price_norm_bound(stats, 1) == pytest.approx((6 + 6.25) / 0.5 + 2.5)
 
+
+def _round_trip(path, inst):
+    write_mknap(path, [(inst, None)])
+    [(again, optimum)] = read_mknap(path)
+    assert optimum is None
+    return again
+
+
+class TestSerialization:
+    def test_round_trip_exact(self, tmp_path):
+        rng = np.random.default_rng(13)
+        inst = Instance(rewards=rng.uniform(-5, 5, 7),
+                        columns=rng.standard_normal((3, 7)),
+                        capacity=rng.uniform(0.5, 3.0, 3))
+        again = _round_trip(tmp_path / "inst.txt", inst)
+        assert np.array_equal(again.rewards, inst.rewards)
+        assert np.array_equal(again.columns, inst.columns)
+        assert np.array_equal(again.capacity, inst.capacity)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_round_trip_random(self, tmp_path_factory, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 8))
+        m = int(rng.integers(1, 4))
+        inst = Instance(rewards=rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8),
+                        columns=rng.standard_normal((m, n)),
+                        capacity=rng.uniform(0.01, 100.0, m))
+        again = _round_trip(tmp_path_factory.getbasetemp() / "inst.txt", inst)
+        assert np.array_equal(again.rewards, inst.rewards)
+        assert np.array_equal(again.columns, inst.columns)
+        assert np.array_equal(again.capacity, inst.capacity)

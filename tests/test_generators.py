@@ -281,6 +281,20 @@ class TestReadMknap:
             for field in ("rewards", "columns", "capacity"):
                 assert getattr(back, field).tobytes() == getattr(inst, field).tobytes()
 
+    def test_round_trip_through_instance_format(self, tmp_path):
+        path = tmp_path / "sample.txt"
+        path.write_text(MKNAP_SAMPLE)
+        problems = read_mknap(path)
+        again_path = tmp_path / "again.txt"
+        write_mknap(again_path, problems)
+        again = read_mknap(again_path)
+        assert len(again) == len(problems)
+        for (inst, optimum), (back, back_optimum) in zip(problems, again):
+            assert back_optimum == optimum
+            assert np.array_equal(back.rewards, inst.rewards)
+            assert np.array_equal(back.columns, inst.columns)
+            assert np.array_equal(back.capacity, inst.capacity)
+
     def test_trailing_data_names_line(self, tmp_path):
         path = tmp_path / "extra.txt"
         path.write_text(MKNAP_SAMPLE.replace("2\n", "1\n", 1))  # count 1, two problems
