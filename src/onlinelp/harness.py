@@ -42,7 +42,7 @@ from .algorithms import run_dla, run_multi_soa, run_pbd, run_sfa, run_sna, run_s
 from .core import Instance
 from .generators import GeneratorFamily, GeneratorSpec, PermutationPlan, generate, permute, read_mknap
 from .metrics import TrialResult, aggregate, evaluate_trial, fit_scaling
-from .simplex import solve_relaxation
+from .simplex import Certificate, certify, solve_relaxation
 
 __all__ = [
     "FORMAT_VERSION",
@@ -230,19 +230,15 @@ class _Cell(NamedTuple):
 
     trial: int
     inst: Instance
-    lp_opt: float
-    lp_seconds: float
     seed: Callable[[str], int]
 
 
 def _prepare(cfg: ExperimentConfig, n: int, seed_tag: str, problem: Optional[Instance],
-             problem_lp: Optional[Tuple[float, float]], trial: int) -> _Cell:
-    """Instance, offline LP and seed derivation of one trial.
+             trial: int) -> _Cell:
+    """Instance and seed derivation of one trial.
 
-    ``problem`` is the benchmark instance and ``problem_lp`` its relaxation's
-    optimum with this trial's share of the solve time, or both are ``None``
-    to generate an instance of n columns and solve its relaxation.  Raises if
-    the trial cannot be set up.
+    ``problem`` is the benchmark instance, or ``None`` to generate an instance
+    of n columns.  Raises if the trial cannot be set up.
     """
     if problem is None:
         inst = generate(cfg.spec_for(n, child_seed(cfg.seed, n, trial, "instance")))
@@ -251,46 +247,49 @@ def _prepare(cfg: ExperimentConfig, n: int, seed_tag: str, problem: Optional[Ins
     if cfg.permute_arrivals:
         plan = PermutationPlan.random(inst.n, child_seed(cfg.seed, n, trial, seed_tag + "permutation"))
         inst = permute(inst, plan)
-    if problem_lp is None:
-        t0 = time.perf_counter()
-        lp_opt = solve_relaxation(inst).objective
-        problem_lp = lp_opt, time.perf_counter() - t0
-    return _Cell(trial, inst, *problem_lp,
-                 lambda label: child_seed(cfg.seed, n, trial, seed_tag + label))
+    return _Cell(trial, inst, lambda label: child_seed(cfg.seed, n, trial, seed_tag + label))
 
 
 def _block_task(args):
     """Run every algorithm of one n (or benchmark problem) on a block of trials.
 
-    ``args`` is ``(cfg, n, seed_tag, problem, trials)``, as for :func:`_prepare`.
+    ``args`` is ``(cfg, n, seed_tag, problem, trials)``: ``problem`` is the
+    benchmark instance, or ``None`` for generated instances of n columns.
 
-    Returns ``(rows, timings, errors)``.  A benchmark problem's relaxation is
-    solved once for the block, since permuting its columns leaves the optimum
-    unchanged; if that solve fails, every trial of the block records the
-    error.  One kernel call steps every one-pass algorithm on every trial of
-    the block (if it fails, every trial records the error), and one
-    prefix-LP pass per trial steps its DLA and PBD rows; the wall time of
+    Returns ``(rows, timings, errors, certificates)``.  Every cell is
+    generated and permuted first, then one kernel call steps every one-pass
+    algorithm on every trial of the block (if it fails, every trial records
+    the error), then each cell's offline LP is solved, starting from the
+    final price of the cell's first one-pass row (cold without one).  The
+    start changes only the solver's work: the optimum, and so ``lp_opt``,
+    does not depend on it.  A benchmark problem's relaxation is instead
+    solved once for the block, cold, since permuting its columns leaves the
+    optimum unchanged; if that solve fails, every trial of the block records
+    the error.  Each LP solved gets a :class:`~onlinelp.simplex.Certificate`.
+    One prefix-LP pass per trial steps its DLA and PBD rows; the wall time of
     each shared solve or call is split evenly over its rows in the timings.
-    Evaluation and repair run per trial.  A trial that fails anywhere else records its own error
-    and contributes no rows; the other trials of the block are unaffected.
+    Evaluation and repair run per trial.  A trial that fails anywhere else
+    records its own error and contributes no rows; the other trials of the
+    block are unaffected.
     """
     cfg, n, seed_tag, problem, trials = args
     kernel = [c for c in cfg.algorithms if c.kind not in PREFIX_LP_KINDS]
     prefix = [c for c in cfg.algorithms if c.kind in PREFIX_LP_KINDS]
     policies = [Policy.of(c.kind, c.schedule) for c in kernel]
-    cells, failures = [], {}
+    cells, failures, certificates = [], {}, []
     problem_lp = None
     if problem is not None:
         t0 = time.perf_counter()
         try:
-            lp_opt = solve_relaxation(problem).objective
-            problem_lp = lp_opt, (time.perf_counter() - t0) / len(trials)
+            sol = solve_relaxation(problem)
+            problem_lp = sol.objective, (time.perf_counter() - t0) / len(trials)
+            certificates.append(certify(problem, sol))
         except Exception as exc:
             failures.update((trial, exc) for trial in trials)
             trials = ()
     for trial in trials:
         try:  # recorded per trial; the block continues
-            cells.append(_prepare(cfg, n, seed_tag, problem, problem_lp, trial))
+            cells.append(_prepare(cfg, n, seed_tag, problem, trial))
         except Exception as exc:
             failures[trial] = exc
     batch, share = [], 0.0
@@ -305,9 +304,16 @@ def _block_task(args):
             cells = []
     rows: List[TrialResult] = []
     timings: List[Tuple[int, int, str, float]] = []
-    for i, (trial, inst, lp_opt, lp_seconds, seed) in enumerate(cells):
+    for i, (trial, inst, seed) in enumerate(cells):
         runs = []  # (label, seed, trace, wall seconds)
         try:
+            if problem_lp is None:
+                t0 = time.perf_counter()
+                sol = solve_relaxation(inst, price=batch[0][i].final_prices if batch else None)
+                lp_opt, lp_seconds = sol.objective, time.perf_counter() - t0
+                certificates.append(certify(inst, sol))
+            else:
+                lp_opt, lp_seconds = problem_lp
             found = {c.label: (row[i], share) for c, row in zip(kernel, batch)}
             if prefix:
                 t0 = time.perf_counter()
@@ -334,11 +340,14 @@ def _block_task(args):
         timings.extend((n, trial, label, wall) for label, _, _, wall in runs)
     errors = [{"n": int(n), "trial": int(trial), "error": f"{type(exc).__name__}: {exc}"}
               for trial, exc in sorted(failures.items())]
-    return rows, timings, errors
+    return rows, timings, errors, certificates
 
 
 def _resolve_workers(cfg: ExperimentConfig, override: Optional[int]) -> int:
-    if override is not None and override > 0:
+    """The override if positive, else the config's count if positive, else 1."""
+    if override is not None and override < 0:
+        raise ValueError(f"workers must be >= 0, got {override}")
+    if override:
         return override
     if cfg.workers > 0:
         return cfg.workers
@@ -451,11 +460,15 @@ def run_experiment(cfg: ExperimentConfig, *, workers: Optional[int] = None) -> E
     """Run all (n, trial) cells, aggregate, and fit scaling laws.
 
     Per cell: a child seed yields the instance (and permutation when enabled),
-    the offline relaxation is solved once, and every configured algorithm runs
-    on the identical bits.  The trials of each n are split evenly over the
-    workers, one block per task.  Results do not depend on the parallelism
-    degree or the block size; rows are sorted by (n, trial, algorithm) before
-    any reduction.
+    every configured algorithm runs on the identical bits, and the offline
+    relaxation is solved once, from the final price of the cell's first
+    one-pass row when there is one (see :func:`_block_task`).  The trials of
+    each n are split evenly over the workers, one block per task.  Results do
+    not depend on the parallelism degree or the block size; rows are sorted
+    by (n, trial, algorithm) before any reduction.  ``meta.lp_certificate``
+    holds the worst of each :class:`~onlinelp.simplex.Certificate` field over
+    the offline LPs solved, or ``None`` when none was.  A negative
+    ``workers`` raises ``ValueError``; ``None`` and 0 defer to the config.
     """
     if cfg.generator_params is not None:
         sources = [(n, "", None) for n in cfg.n_values]
@@ -476,10 +489,12 @@ def run_experiment(cfg: ExperimentConfig, *, workers: Optional[int] = None) -> E
     rows: List[TrialResult] = []
     timings: List[Tuple[int, int, str, float]] = []
     errors: List[Dict] = []
-    for row_chunk, timing_chunk, error_chunk in outcomes:
+    certificates: List[Certificate] = []
+    for row_chunk, timing_chunk, error_chunk, certificate_chunk in outcomes:
         rows.extend(row_chunk)
         timings.extend(timing_chunk)
         errors.extend(error_chunk)
+        certificates.extend(certificate_chunk)
     rows.sort(key=lambda r: (r.n, r.trial, r.algorithm))
     timings.sort(key=lambda t: (t[0], t[1], t[2]))
     errors.sort(key=lambda e: (e["n"], e["trial"]))
@@ -520,6 +535,8 @@ def run_experiment(cfg: ExperimentConfig, *, workers: Optional[int] = None) -> E
         "total_wall_seconds": total_seconds,
         "wall_seconds_by_algorithm": {k: wall_by_alg[k] for k in sorted(wall_by_alg)},
         "competitiveness_denominator": "lp_relaxation",
+        "lp_certificate": {field: max(getattr(c, field) for c in certificates)
+                           for field in Certificate._fields} if certificates else None,
         "generator_notes": generator_notes,
         "seed_scheme": "sha256(root|n|trial|tag)[:8]",
     }

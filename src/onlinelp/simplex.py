@@ -22,7 +22,9 @@ feasible.  A bounded dual simplex phase first pivots while some basic value
 lies outside its bounds: the leaving row has the largest violation, the
 entering column the least ``|cbar_j| / |alpha_rj|``.  From a primal feasible
 start, the all-slack one included, it pivots never.  The primal loop then
-certifies optimality with its exhaustive pricing pass.
+certifies optimality with its exhaustive pricing pass.  The final basic
+values and prices are solved against the basis in index order, so the answer
+depends on the final basis and bounds alone, not on the start or the path.
 
 Both phases change the basis through one exchange step, which moves the
 leaving variable to its bound and updates the explicit basis inverse by a
@@ -38,19 +40,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .core import Instance
 
 __all__ = [
+    "Certificate",
     "LpSolution",
     "SimplexError",
     "solve_box_lp",
     "solve_relaxation",
     "solve_scaled",
     "solve_binary_exact",
+    "certify",
 ]
 
 _PIVOT_TOL = 1e-9   # a column enters only if its reduced-cost violation exceeds this
@@ -307,10 +311,14 @@ def solve_box_lp(rewards, columns, capacity, start=None) -> LpSolution:
     sx = _BoxSimplex(rewards, columns, capacity, start)
     sx.restore_feasibility()
     sx.optimize()
-    sx._refresh_basics()
-    sx.x[sx.basis] = sx.xb
+    # One exact solve per side against the basis in index order: the answer
+    # does not depend on the order in which the pivots placed the columns.
+    basis = np.sort(sx.basis)
+    B = sx.Gt.take(basis, axis=0)
+    sx.x[basis] = 0.0
+    sx.x[basis] = np.linalg.solve(B.T, sx.b - sx.x @ sx.Gt)
     x = sx.x[:sx.n].copy()
-    p = np.linalg.solve(sx.Gt.take(sx.basis, axis=0), sx.c[sx.basis])
+    p = np.linalg.solve(B, sx.c[basis])
     np.maximum(p, 0.0, out=p)
     s = sx.r - p @ sx.Gt[:sx.n].T
     np.maximum(s, 0.0, out=s)
@@ -328,9 +336,62 @@ def solve_box_lp(rewards, columns, capacity, start=None) -> LpSolution:
     )
 
 
-def solve_relaxation(inst: Instance) -> LpSolution:
-    """Solve the box relaxation of the full instance."""
-    return solve_box_lp(inst.rewards, inst.columns, inst.capacity)
+def solve_relaxation(inst: Instance, price=None) -> LpSolution:
+    """Solve the box relaxation of the full instance.
+
+    ``price``, an estimate of the optimal row prices such as a one-pass run's
+    final price, starts the solve from a crash basis: the all-slack basis with
+    the structurals at 1 that form the longest prefix fitting ``b`` in every
+    row, among the columns of positive reduced cost ``r_j - a_j @ price``,
+    taken in decreasing reduced-cost order (stable).  That start is primal
+    feasible, so the dual phase does not pivot.  The start changes the work,
+    not the answer: with a unique optimal basis the result is bitwise the
+    cold solve's.  Without ``price`` the solve starts from the all-slack basis.
+    """
+    start = None
+    if price is not None:
+        price = np.asarray(price, dtype=np.float64)
+        if price.shape != (inst.m,):
+            raise ValueError(f"price must have shape ({inst.m},), got {price.shape}")
+        gain = inst.rewards - price @ inst.columns
+        order = np.argsort(-gain, kind="stable")
+        order = order[gain[order] > 0.0]
+        fits = (np.cumsum(inst.columns[:, order], axis=1) <= inst.capacity[:, None]).all(axis=0)
+        taken = order[:fits.nonzero()[0][-1] + 1] if fits.any() else order[:0]
+        at_upper = np.zeros(inst.n + inst.m, dtype=bool)
+        at_upper[taken] = True
+        start = (inst.n + np.arange(inst.m), at_upper)
+    return solve_box_lp(inst.rewards, inst.columns, inst.capacity, start)
+
+
+class Certificate(NamedTuple):
+    """How far an LP answer is from optimal; all three are 0 at an exact optimum.
+
+    ``primal_infeasibility`` is the worst excess over a row's capacity or the
+    box; ``reduced_cost_violation`` the worst wrong-signed reduced cost
+    ``r_j - a_j @ p`` (positive with ``x_j < 1``, negative with ``x_j > 0``)
+    or negative price; ``duality_gap`` is ``|b @ p + sum(s) - r @ x| / (1 +
+    |r @ x|)`` with ``s = max(0, r - p @ A)``.
+    """
+
+    primal_infeasibility: float
+    reduced_cost_violation: float
+    duality_gap: float
+
+
+def certify(inst: Instance, sol: LpSolution) -> Certificate:
+    """Check ``sol`` against the box relaxation of ``inst`` in O(nm)."""
+    x, p = sol.primal, sol.duals
+    excess = np.concatenate((inst.columns @ x - inst.capacity, -x, x - 1.0))
+    gain = inst.rewards - p @ inst.columns
+    wrong_sign = np.concatenate((gain[x < 1.0], -gain[x > 0.0], -p))
+    objective = float(inst.rewards @ x)
+    dual = float(inst.capacity @ p + np.maximum(gain, 0.0).sum())
+    return Certificate(
+        primal_infeasibility=max(0.0, float(excess.max())),
+        reduced_cost_violation=max(0.0, float(wrong_sign.max())),
+        duality_gap=abs(dual - objective) / (1.0 + abs(objective)),
+    )
 
 
 def solve_scaled(inst: Instance, s: int, prev: Optional[LpSolution] = None) -> LpSolution:

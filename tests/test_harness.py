@@ -1,13 +1,15 @@
 import configparser
 import csv
+import io
 import json
 import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from onlinelp.algorithms import AlgorithmConfig, AlgorithmKind, run_soa
+from onlinelp.algorithms import AlgorithmConfig, AlgorithmKind, run_sna, run_soa
 from onlinelp.core import StepSchedule
 from onlinelp.generators import PermutationPlan, permute
 from onlinelp.harness import (
@@ -346,19 +348,30 @@ m = 2
         assert not report.errors and len(report.rows) == 2 * 2 * 2
         assert calls.count(24) == 2 * 24 and calls.count(48) == 2 * 48
 
-    def test_benchmark_problem_lp_solved_once(self, monkeypatch):
+    @staticmethod
+    def record_lp_calls(monkeypatch):
         real = harness.solve_relaxation
         calls = []
 
-        def counting(inst):
-            calls.append(inst.n)
-            return real(inst)
+        def recording(inst, price=None):
+            calls.append((inst.n, None if price is None else price.copy()))
+            return real(inst, price=price)
 
-        monkeypatch.setattr(harness, "solve_relaxation", counting)
-        report = run_experiment(load_config(CONFIGS / "mknap_demo.ini"), workers=1)
+        monkeypatch.setattr(harness, "solve_relaxation", recording)
+        return calls
+
+    def test_benchmark_problem_lp_solved_once(self, monkeypatch):
+        # once per block, cold: the file holds a 6-column problem, then a 2-column one
+        calls = self.record_lp_calls(monkeypatch)
+        cfg = load_config(CONFIGS / "mknap_demo.ini")
+        report = run_experiment(cfg, workers=1)
         assert not report.errors and len(report.rows) == 2 * 10 * 2
-        assert sorted(calls) == [2, 6]
+        assert calls == [(6, None), (2, None)]
         assert sum(1 for t in report.timings if t[2] == "offline_lp") == 2 * 10
+        calls.clear()
+        monkeypatch.setattr(harness, "_blocks", lambda trials, parts: [range(0, 3), range(3, trials)])
+        assert run_experiment(cfg, workers=1).trials_csv() == report.trials_csv()
+        assert calls == [(6, None)] * 2 + [(2, None)] * 2
 
     def test_failed_benchmark_lp_fails_every_trial_of_its_problem(self, monkeypatch):
         real = harness.solve_relaxation
@@ -373,6 +386,60 @@ m = 2
         assert report.errors == [{"n": 2, "trial": t, "error": "RuntimeError: injected LP failure"}
                                  for t in range(10)]
         assert {row.n for row in report.rows} == {6} and len(report.rows) == 10 * 2
+
+    def test_offline_lp_starts_from_the_first_one_pass_price(self, tmp_path, monkeypatch):
+        cfg = load_config(write_mini_config(tmp_path, algorithms="pbd, sna/sqrt_t, soa/sqrt_n"))
+        calls = self.record_lp_calls(monkeypatch)
+        report = run_experiment(cfg, workers=1)
+        assert not report.errors
+        assert [n for n, _ in calls] == [24, 24, 48, 48]
+        for (n, price), trial in zip(calls, (0, 1, 0, 1)):
+            inst = cfg_instance(cfg, n, trial)
+            first = run_sna(inst, AlgorithmConfig(AlgorithmKind.SNA, StepSchedule.SQRT_T))
+            assert np.array_equal(price, first.final_prices)
+
+    def test_offline_lp_is_cold_without_a_one_pass_row(self, tmp_path, monkeypatch):
+        cfg = load_config(write_mini_config(tmp_path, algorithms="dla, pbd"))
+        calls = self.record_lp_calls(monkeypatch)
+        assert not run_experiment(cfg, workers=1).errors
+        assert [price for _, price in calls] == [None] * 4
+
+    def test_lp_opt_does_not_depend_on_the_algorithms(self, tmp_path):
+        # Each list starts the offline LP elsewhere: SNA's price, SOA's, cold.
+        # Solving the final values in pivot order instead of index order
+        # changes a few of these cells in the last bits.
+        columns = []
+        for algorithms in ("sna/sqrt_t, soa/sqrt_n, sfa/sqrt_t", "soa/sqrt_n", "dla"):
+            path = write_mini_config(tmp_path, trials=8, algorithms=algorithms)
+            path.write_text(path.read_text().replace("n_values = 24 48", "n_values = 60 120")
+                            .replace("family = uniform\nm = 3", "family = gaussian\nm = 5"))
+            rows = csv.DictReader(io.StringIO(run_experiment(load_config(path)).trials_csv()))
+            columns.append(sorted({(r["n"], r["trial"], r["lp_opt"]) for r in rows}))
+        assert len(columns[0]) == 2 * 8
+        assert columns[0] == columns[1] == columns[2]
+
+    def test_lp_certificate_in_meta(self, tmp_path):
+        report = run_experiment(load_config(write_mini_config(tmp_path)))
+        certificate = report.meta["lp_certificate"]
+        assert sorted(certificate) == ["duality_gap", "primal_infeasibility",
+                                       "reduced_cost_violation"]
+        assert all(math.isfinite(v) and 0.0 <= v <= 1e-9 for v in certificate.values())
+        doc = json.loads(report.summary_json())
+        assert doc["meta"]["lp_certificate"] == certificate
+
+    def test_lp_certificate_null_without_an_lp(self, tmp_path):
+        path = write_mini_config(tmp_path, trials=1, algorithms="soa/sqrt_n")
+        path.write_text(path.read_text().replace("n_values = 24 48", "n_values = 2")
+                        .replace("family = uniform", "family = mixed_four_groups"))
+        report = run_experiment(load_config(path))
+        assert len(report.errors) == 1 and not report.rows
+        assert json.loads(report.summary_json())["meta"]["lp_certificate"] is None
+
+    def test_negative_workers_override(self, tmp_path):
+        cfg = load_config(write_mini_config(tmp_path, trials=1))
+        with pytest.raises(ValueError, match="-3"):
+            run_experiment(cfg, workers=-3)
+        assert run_experiment(cfg, workers=0).meta["workers"] == 1
 
     def test_failed_policy_check_is_recorded_per_trial(self, tmp_path):
         # n=1 cannot run the budget-tracking variant; n=24 still does

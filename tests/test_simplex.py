@@ -1,10 +1,13 @@
+import dataclasses
+import itertools
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from onlinelp.core import Instance, compute_stats
+from onlinelp.algorithms import AlgorithmConfig, AlgorithmKind, run_soa
+from onlinelp.core import Instance, StepSchedule, compute_stats
 from onlinelp.generators import (
     GeneratorFamily,
     GeneratorSpec,
@@ -15,6 +18,7 @@ from onlinelp.generators import (
 )
 from onlinelp import simplex
 from onlinelp.simplex import (
+    certify,
     solve_binary_exact,
     solve_box_lp,
     solve_relaxation,
@@ -413,6 +417,99 @@ class TestPivotPath:
         sol = solve_box_lp(r, A, b)
         assert self.effort(sol) == (244, 26, 0, True)
         assert sol.objective == pytest.approx(46.22455439702604, rel=1e-12)
+
+
+PRICE_FAMILIES = tuple(GeneratorFamily)  # uniform, gaussian, Cauchy, mixed, adversarial
+
+
+def assert_certified(inst, sol):
+    infeasibility, wrong_sign, gap = certify(inst, sol)
+    assert infeasibility <= 1e-9 * (1.0 + np.abs(inst.capacity).max())
+    assert wrong_sign <= 1e-9
+    assert gap <= 1e-12
+
+
+class TestPriceStart:
+    """The offline LP started from a price: the cold solve's answer, without dual pivots."""
+
+    @staticmethod
+    def prices(inst, rng):
+        soa = run_soa(inst, AlgorithmConfig(AlgorithmKind.SOA, StepSchedule.SQRT_N))
+        return {"soa": soa.final_prices, "zero": np.zeros(inst.m),
+                "random": rng.uniform(0.0, 2.0, inst.m), "huge": np.full(inst.m, 1e6)}
+
+    @pytest.mark.parametrize("family", PRICE_FAMILIES, ids=lambda f: f.value)
+    def test_matches_the_cold_solve(self, family):
+        rng = np.random.default_rng(5)
+        cold_iterations = soa_iterations = taken_nothing = 0
+        for n, m in itertools.product((50, 500, 3000), (1, 5, 10)):
+            inst = generate(GeneratorSpec(family, n=n, m=m, seed=n + m))
+            cold = solve_relaxation(inst)
+            assert_certified(inst, cold)
+            cold_iterations += cold.iterations
+            for name, price in self.prices(inst, rng).items():
+                sol = solve_relaxation(inst, price)
+                # the crash basis is primal feasible
+                assert sol.dual_pivots == 0
+                assert_certified(inst, sol)
+                if family is GeneratorFamily.ADVERSARIAL:
+                    # two repeated columns: the optimal basis is not unique
+                    assert sol.objective == pytest.approx(cold.objective, rel=1e-12)
+                else:
+                    assert np.array_equal(sol.primal, cold.primal)
+                    assert np.array_equal(sol.duals, cold.duals)
+                    assert np.array_equal(sol.reduced_bounds_duals, cold.reduced_bounds_duals)
+                    assert sol.objective == cold.objective
+                if name == "soa":
+                    soa_iterations += sol.iterations
+                if not (inst.rewards - price @ inst.columns > 0.0).any():
+                    # nothing to take (the huge price on non-negative data):
+                    # the start is the cold one
+                    assert (sol.pivots, sol.flips) == (cold.pivots, cold.flips)
+                    taken_nothing += 1
+        if family is not GeneratorFamily.ADVERSARIAL:
+            assert soa_iterations < cold_iterations
+        if family in (GeneratorFamily.UNIFORM, GeneratorFamily.ADVERSARIAL):
+            assert taken_nothing >= 9  # every huge-price solve, at least
+
+    def test_against_highs(self):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(6)
+        for family, m in itertools.product(PRICE_FAMILIES, (1, 5, 10)):
+            inst = generate(GeneratorSpec(family, n=500, m=m, seed=m))
+            sol = solve_relaxation(inst, self.prices(inst, rng)["soa"])
+            ref = linprog(-inst.rewards, A_ub=inst.columns, b_ub=inst.capacity,
+                          bounds=(0.0, 1.0), method="highs")
+            assert ref.status == 0
+            assert sol.objective == pytest.approx(-ref.fun, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("family", PRICE_FAMILIES, ids=lambda f: f.value)
+    def test_certificate_catches_a_flipped_column(self, family):
+        inst = generate(GeneratorSpec(family, n=500, m=5, seed=2))
+        sol = solve_relaxation(inst, self.prices(inst, np.random.default_rng(7))["soa"])
+        assert_certified(inst, sol)
+        gain = inst.rewards - sol.duals @ inst.columns
+        j = int(np.argmax(np.abs(gain)))
+        primal = sol.primal.copy()
+        primal[j] = 1.0 - primal[j]
+        tampered = dataclasses.replace(sol, primal=primal, objective=float(inst.rewards @ primal))
+        infeasibility, wrong_sign, gap = certify(inst, tampered)
+        assert wrong_sign == pytest.approx(abs(gain[j]))
+        assert wrong_sign > 1e-3
+
+    def test_certificate_by_hand(self):
+        # max x1 + x2, x1 + x2 <= 1: x = (1, 0), p = 1, s = 0
+        inst = Instance(rewards=[1.0, 1.0], columns=[[1.0, 1.0]], capacity=[1.0])
+        sol = solve_relaxation(inst)
+        assert tuple(certify(inst, sol)) == (0.0, 0.0, 0.0)
+        over = dataclasses.replace(sol, primal=np.array([1.0, 0.5]), duals=np.array([2.0]))
+        # row excess 0.5; reduced costs -1 with x > 0; gap |2 - 1.5| / 2.5
+        assert tuple(certify(inst, over)) == (0.5, 1.0, 0.2)
+
+    def test_bad_price_shape(self):
+        inst = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=20, m=3, seed=1))
+        with pytest.raises(ValueError, match="price"):
+            solve_relaxation(inst, np.zeros(4))
 
 
 class TestSolveBinaryExact:
