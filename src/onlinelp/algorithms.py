@@ -28,7 +28,6 @@ from .simplex import solve_scaled
 __all__ = [
     "AlgorithmKind",
     "AlgorithmConfig",
-    "Policy",
     "run_one_pass",
     "run_soa",
     "run_sfa",
@@ -51,7 +50,11 @@ class AlgorithmKind(enum.Enum):
     PBD = "pbd"            # prefix-LP fractional value, randomized rounding
 
 
-# The one-pass kinds and what each changes in the kernel: (gated, track_budget).
+# The one-pass kinds and what each changes in the kernel, (gated, track_budget):
+# ``gated`` realizes an accept only while the cumulative consumption stays
+# within capacity in every coordinate (SFA); ``track_budget`` targets the
+# remaining budget rate ``b_t / (n - t)`` instead of the per-column budget ``d``
+# (SNA).
 _ONE_PASS = {
     AlgorithmKind.SOA: (False, False),
     AlgorithmKind.SFA: (True, False),
@@ -68,14 +71,12 @@ class AlgorithmConfig:
 
     ``schedule`` is required for the subgradient kinds and must be absent for
     DLA/PBD.  The multi-choice variant only admits the 1/sqrt(n) schedule.
-    ``rng_seed`` drives PBD's rounding and the multi-choice tie-breaking.
-    ``label`` names the configuration in reports and child-seed tags.
+    ``label`` names the configuration in reports and child-seed tags; it
+    parses back to an equal config.
     """
 
     kind: AlgorithmKind
     schedule: Optional[StepSchedule] = None
-    rng_seed: int = 0
-    record_dual_history: bool = False
 
     def __post_init__(self) -> None:
         if self.kind in _ONE_PASS:
@@ -111,58 +112,32 @@ class AlgorithmConfig:
         return f"{self.kind.value}/{self.schedule.value}"
 
 
-@dataclass(frozen=True)
-class Policy:
-    """How one row of the one-pass kernel decides and moves its prices.
+def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
+                 rng_seeds: Sequence[Sequence[int]]) -> List[List[RunTrace]]:
+    """Step every one-pass config over every instance at once; returns ``traces[config][instance]``.
 
-    Column t is tentatively accepted iff its reward strictly beats its priced
-    usage (with k alternatives: iff the best reward minus priced usage is
-    positive); the prices then move along (tentative usage - target) times the
-    step size, clamped at zero.  ``gated`` realizes an accept only while the
-    cumulative consumption stays within capacity in every coordinate (SFA);
-    ``track_budget`` targets the remaining budget rate ``b_t / (n - t)``
-    instead of the per-column budget ``d`` (SNA).
+    A row is one (config, instance) pair.  Column t is tentatively accepted
+    iff its reward strictly beats its priced usage (with k alternatives: iff
+    the best reward minus priced usage is positive); the prices then move
+    along (tentative usage - target) times the step size, clamped at zero,
+    where the config's kind sets the gate and the target (see ``_ONE_PASS``).
+    All instances share n, m and the number of alternatives k; each row keeps
+    its own prices, consumption and budget, so a row's trace does not depend
+    on what else is in the batch: per-row dot products are ``np.vecdot`` of
+    that row alone, and every other operation is elementwise.
+    ``rng_seeds[i][j]`` seeds row (i, j)'s tie-breaking stream, which draws
+    only when two or more alternatives tie for the best positive value.
+    Decisions record the chosen alternative 1..k, 0 for reject.
     """
-
-    schedule: StepSchedule
-    gated: bool = False
-    track_budget: bool = False
-
-    def __post_init__(self) -> None:
-        if self.gated and self.track_budget:
-            raise ValueError("a policy may gate or track the budget, not both")
-
-    @classmethod
-    def of(cls, kind: AlgorithmKind, schedule: StepSchedule) -> "Policy":
-        if kind not in _ONE_PASS:
-            raise ValueError(f"{kind.value} is not a one-pass algorithm")
-        gated, track_budget = _ONE_PASS[kind]
-        return cls(schedule, gated=gated, track_budget=track_budget)
-
-    def check(self, inst) -> None:
-        """Raise ``ValueError`` if this policy cannot run on ``inst``."""
-        if self.track_budget and inst.n < 2:
+    if not instances or not configs:
+        raise ValueError("a one-pass batch needs at least one instance and one config")
+    if len(rng_seeds) != len(configs) or any(len(row) != len(instances) for row in rng_seeds):
+        raise ValueError("a one-pass batch needs one seed per (config, instance) row")
+    for cfg in configs:
+        if cfg.kind not in _ONE_PASS:
+            raise ValueError(f"{cfg.kind.value} is not a one-pass algorithm")
+        if _ONE_PASS[cfg.kind][1] and min(inst.n for inst in instances) < 2:
             raise ValueError("budget-tracking run needs n >= 2")
-
-
-def run_one_pass(instances: Sequence, policies: Sequence[Policy],
-                 rng_seeds: Sequence[Sequence[int]], *,
-                 record_dual_history: bool = False) -> List[List[RunTrace]]:
-    """Step every policy over every instance at once; returns ``traces[policy][instance]``.
-
-    A row is one (policy, instance) pair.  All instances share n, m and the
-    number of alternatives k; each row keeps its own prices, consumption and
-    budget, so a row's trace does not depend on what else is in the batch:
-    per-row dot products are ``np.vecdot`` of that row alone, and every other
-    operation is elementwise.  ``rng_seeds[i][j]`` seeds row (i, j)'s
-    tie-breaking stream, which draws only when two or more alternatives tie
-    for the best positive value.  Decisions record the chosen alternative
-    1..k, 0 for reject.
-    """
-    if not instances or not policies:
-        raise ValueError("a one-pass batch needs at least one instance and one policy")
-    for policy, inst in itertools.product(policies, instances):
-        policy.check(inst)
     # rewards (n, k) and usage vectors (n, k, m) of each instance; plain ones have k = 1
     data = [(x.reward_blocks, x.column_blocks.transpose(0, 2, 1)) if isinstance(x, MultiInstance)
             else (x.rewards[:, None], x.columns.T[:, None, :]) for x in instances]
@@ -174,16 +149,17 @@ def run_one_pass(instances: Sequence, policies: Sequence[Policy],
     capacity = np.stack([inst.capacity for inst in instances])
     n_inst = len(instances)
 
-    # Rows run sorted so that plain, budget-tracking and gated policies, and
+    # Rows run sorted so that plain, budget-tracking and gated configs, and
     # equal schedules within them, occupy contiguous slices.
-    order = sorted(range(len(policies)), key=lambda i: (
-        policies[i].gated, policies[i].track_budget, policies[i].schedule.value))
-    ranked = [policies[i] for i in order]
-    n_gated, n_track = sum(p.gated for p in ranked), sum(p.track_budget for p in ranked)
+    order = sorted(range(len(configs)), key=lambda i: (
+        _ONE_PASS[configs[i].kind], configs[i].schedule.value))
+    ranked = [configs[i] for i in order]
+    n_gated = sum(_ONE_PASS[c.kind][0] for c in ranked)
+    n_track = sum(_ONE_PASS[c.kind][1] for c in ranked)
     gated = slice(len(ranked) - n_gated, len(ranked))
     track = slice(gated.start - n_track, gated.start)
     steps, start = [], 0
-    for schedule, group in itertools.groupby(p.schedule for p in ranked):
+    for schedule, group in itertools.groupby(c.schedule for c in ranked):
         stop = start + len(list(group))
         steps.append((slice(start, stop), [schedule.gamma(t, n) for t in range(1, n + 1)]))
         start = stop
@@ -198,7 +174,6 @@ def run_one_pass(instances: Sequence, policies: Sequence[Policy],
     fold = 256
     norm_sq = np.zeros((fold,) + shape[:2])
     peak = np.zeros(shape[:2])
-    history = np.zeros((n + 1,) + shape[:2]) if record_dual_history else None
     chosen = np.zeros((n,) + shape[:2], dtype=bool if k == 1 else np.int32)
     plain_rewards, plain_columns = rewards[:, :, 0], columns[:, :, 0]
     vecdot = np.vecdot
@@ -240,12 +215,10 @@ def run_one_pass(instances: Sequence, policies: Sequence[Policy],
         prices += step
         np.maximum(prices, 0.0, out=prices)
         vecdot(prices, prices, out=norm_sq[t % fold])
-        if history is not None:
-            np.sqrt(norm_sq[t % fold], out=history[t + 1])
         if t % fold == fold - 1 or t + 1 == n:
             np.maximum(peak, norm_sq.max(axis=0), out=peak)
 
-    traces: List[List[RunTrace]] = [[] for _ in policies]
+    traces: List[List[RunTrace]] = [[] for _ in configs]
     for i, pos in enumerate(order):
         for j in range(n_inst):
             decisions = chosen[:, i, j].astype(np.int8 if k == 1 else np.int32)
@@ -260,22 +233,19 @@ def run_one_pass(instances: Sequence, policies: Sequence[Policy],
                 consumption=sums[-1].copy(),
                 final_prices=prices[i, j].copy(),
                 max_dual_norm=math.sqrt(peak[i, j]),
-                dual_norm_history=None if history is None else history[:, i, j].copy(),
-                rng_seed=rng_seeds[pos][j],
             ))
     return traces
 
 
-def _run_single(inst, cfg: AlgorithmConfig, kind: AlgorithmKind) -> RunTrace:
+def _run_single(inst, cfg: AlgorithmConfig, kind: AlgorithmKind, rng_seed: int = 0) -> RunTrace:
     if cfg.kind is not kind:
         raise ValueError(f"config is for {cfg.kind.value}, expected {kind.value}")
-    [[trace]] = run_one_pass([inst], [Policy.of(kind, cfg.schedule)], [[cfg.rng_seed]],
-                             record_dual_history=cfg.record_dual_history)
+    [[trace]] = run_one_pass([inst], [cfg], [[rng_seed]])
     return trace
 
 
 def run_soa(inst: Instance, cfg: AlgorithmConfig) -> RunTrace:
-    """One-pass subgradient run with no feasibility enforcement (see :class:`Policy`)."""
+    """One-pass subgradient run with no feasibility enforcement (see :func:`run_one_pass`)."""
     return _run_single(inst, cfg, AlgorithmKind.SOA)
 
 
@@ -289,9 +259,9 @@ def run_sna(inst: Instance, cfg: AlgorithmConfig) -> RunTrace:
     return _run_single(inst, cfg, AlgorithmKind.SNA)
 
 
-def run_multi_soa(minst: MultiInstance, cfg: AlgorithmConfig) -> RunTrace:
-    """Multi-choice one-pass run: the best positive-valued alternative, ties drawn at random."""
-    return _run_single(minst, cfg, AlgorithmKind.MULTI_SOA)
+def run_multi_soa(minst: MultiInstance, cfg: AlgorithmConfig, rng_seed: int = 0) -> RunTrace:
+    """Multi-choice one-pass run: the best positive-valued alternative; ``rng_seed`` breaks ties."""
+    return _run_single(minst, cfg, AlgorithmKind.MULTI_SOA, rng_seed)
 
 
 def run_prefix_lp(inst: Instance, kinds: Sequence[AlgorithmKind],
@@ -342,8 +312,6 @@ def run_prefix_lp(inst: Instance, kinds: Sequence[AlgorithmKind],
         consumption=consumption[i],
         final_prices=p.copy() if rng is None else np.zeros(m),
         max_dual_norm=max_norm if rng is None else None,
-        dual_norm_history=None,
-        rng_seed=None if rng is None else rng_seeds[i],
     ) for i, rng in enumerate(rngs)]
 
 
@@ -394,6 +362,4 @@ def repair_feasibility(inst: Instance, trace: RunTrace, rng_seed: int) -> RunTra
         consumption=inst.columns @ x,
         final_prices=trace.final_prices,
         max_dual_norm=trace.max_dual_norm,
-        dual_norm_history=trace.dual_norm_history,
-        rng_seed=trace.rng_seed,
     )

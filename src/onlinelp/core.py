@@ -183,8 +183,6 @@ class RunTrace:
     consumption: np.ndarray
     final_prices: np.ndarray
     max_dual_norm: Optional[float]
-    dual_norm_history: Optional[np.ndarray] = None
-    rng_seed: Optional[int] = None
 
 
 def violation_norm(inst: Instance, x) -> float:

@@ -30,7 +30,6 @@ from . import __version__
 from .algorithms import (
     PREFIX_LP_KINDS,
     AlgorithmConfig,
-    Policy,
     repair_feasibility,
     run_one_pass,
     run_prefix_lp,
@@ -103,6 +102,12 @@ class ExperimentConfig:
             raise ConfigError("workers must be >= 0")
         if not self.algorithms:
             raise ConfigError("at least one algorithm is required")
+        # a repeated entry would run its trials twice and count each row twice
+        labels = [a.label for a in self.algorithms]
+        for what, values in (("n", self.n_values), ("algorithm", labels)):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ConfigError(f"{what} {repeated[0]} is listed more than once")
         if (self.generator_params is None) == (self.benchmark_path is None):
             raise ConfigError("exactly one of generator and benchmark must be given")
         if self.generator_params is not None:
@@ -275,7 +280,6 @@ def _block_task(args):
     cfg, n, seed_tag, problem, trials = args
     kernel = [c for c in cfg.algorithms if c.kind not in PREFIX_LP_KINDS]
     prefix = [c for c in cfg.algorithms if c.kind in PREFIX_LP_KINDS]
-    policies = [Policy.of(c.kind, c.schedule) for c in kernel]
     cells, failures, certificates = [], {}, []
     problem_lp = None
     if problem is not None:
@@ -296,7 +300,7 @@ def _block_task(args):
     if kernel and cells:
         t0 = time.perf_counter()
         try:
-            batch = run_one_pass([cell.inst for cell in cells], policies,
+            batch = run_one_pass([cell.inst for cell in cells], kernel,
                                  [[cell.seed(c.label) for cell in cells] for c in kernel])
             share = (time.perf_counter() - t0) / (len(kernel) * len(cells))
         except Exception as exc:

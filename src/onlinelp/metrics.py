@@ -46,7 +46,7 @@ class TrialResult:
 
 
 def evaluate_trial(inst: Instance, trace: RunTrace, lp_opt: float, *,
-                   algorithm: str = "", seed: Optional[int] = None,
+                   algorithm: str = "", seed: int = 0,
                    trial: int = 0) -> TrialResult:
     """Measure a binary trace against ``lp_opt``, the optimum of the offline relaxation."""
     if trace.decisions.shape != (inst.n,):
@@ -63,7 +63,7 @@ def evaluate_trial(inst: Instance, trace: RunTrace, lp_opt: float, *,
         violation=violation_norm(inst, trace.decisions),
         competitiveness=(objective / lp_opt) if lp_opt > 0.0 else None,
         max_dual_norm=None if trace.max_dual_norm is None else float(trace.max_dual_norm),
-        seed=int(seed if seed is not None else (trace.rng_seed or 0)),
+        seed=int(seed),
         capacity_norm=float(np.linalg.norm(inst.capacity)),
         trial=int(trial),
     )

@@ -57,13 +57,12 @@ def uniform_instance(n, m, trial):
 
 @pytest.fixture(scope="session")
 def bound_runs():
-    """200 one-pass runs, n=1000, m=10, 1/sqrt(n) steps, with price history."""
+    """200 one-pass runs, n=1000, m=10, 1/sqrt(n) steps."""
     started = time.perf_counter()
     runs = []
     for trial in range(200):
         inst = uniform_instance(1000, 10, trial)
-        trace = run_soa(inst, AlgorithmConfig(AlgorithmKind.SOA, StepSchedule.SQRT_N,
-                                              record_dual_history=True))
+        trace = run_soa(inst, AlgorithmConfig(AlgorithmKind.SOA, StepSchedule.SQRT_N))
         runs.append((inst, trace))
     return runs, time.perf_counter() - started
 
@@ -95,7 +94,7 @@ def test_criterion_01_dual_price_bound(bound_runs):
     violations = 0
     for inst, trace in runs:
         cap = price_norm_bound(compute_stats(inst), inst.m)
-        peak = float(trace.dual_norm_history.max())
+        peak = trace.max_dual_norm
         worst = max(worst, peak / cap)
         if peak > cap:
             violations += 1
@@ -245,8 +244,8 @@ def test_criterion_09_multi_choice_reduction():
         inst = uniform_instance(200, 4, 1000 + trial)
         soa = run_soa(inst, AlgorithmConfig(AlgorithmKind.SOA, StepSchedule.SQRT_N))
         multi = run_multi_soa(MultiInstance.from_instance(inst),
-                              AlgorithmConfig(AlgorithmKind.MULTI_SOA, StepSchedule.SQRT_N,
-                                              rng_seed=trial))
+                              AlgorithmConfig(AlgorithmKind.MULTI_SOA, StepSchedule.SQRT_N),
+                              rng_seed=trial)
         if not np.array_equal(np.asarray(soa.decisions), np.asarray(multi.decisions)):
             mismatches += 1
     report("C9 multi-choice k=1 reduction", mismatches == 0,

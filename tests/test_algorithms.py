@@ -7,7 +7,6 @@ from onlinelp import algorithms
 from onlinelp.algorithms import (
     AlgorithmConfig,
     AlgorithmKind,
-    Policy,
     repair_feasibility,
     run_dla,
     run_multi_soa,
@@ -33,8 +32,8 @@ from onlinelp.simplex import solve_scaled
 from oracles import subgradient_price_cap, reference_one_pass
 
 
-def soa_cfg(schedule=StepSchedule.SQRT_N, **kw):
-    return AlgorithmConfig(AlgorithmKind.SOA, schedule, **kw)
+def soa_cfg(schedule=StepSchedule.SQRT_N):
+    return AlgorithmConfig(AlgorithmKind.SOA, schedule)
 
 
 def uniform_instance(n, m, seed):
@@ -52,8 +51,6 @@ def assert_trace_consistent(inst, trace):
 def assert_price_cap(inst, trace):
     cap = subgradient_price_cap(inst.rewards, inst.columns, inst.capacity)
     assert trace.max_dual_norm <= cap
-    if trace.dual_norm_history is not None:
-        assert (trace.dual_norm_history <= cap).all()
 
 
 class TestConfigValidation:
@@ -92,15 +89,14 @@ class TestRunSoa:
 
     def test_matches_straight_line_reference(self):
         inst = uniform_instance(6, 2, 42)
-        trace = run_soa(inst, soa_cfg(StepSchedule.SQRT_N, record_dual_history=True))
+        trace = run_soa(inst, soa_cfg(StepSchedule.SQRT_N))
         gammas = [1.0 / math.sqrt(6)] * 6
         cols = [list(inst.columns[:, j]) for j in range(6)]
         ref_dec, ref_p, ref_hist = reference_one_pass(inst.rewards, cols, inst.capacity, gammas)
         assert list(trace.decisions) == ref_dec
         np.testing.assert_allclose(trace.final_prices, ref_p, atol=1e-12)
-        for t, prices in enumerate(ref_hist):
-            assert trace.dual_norm_history[t] == pytest.approx(
-                math.sqrt(sum(v * v for v in prices)), abs=1e-12)
+        assert trace.max_dual_norm == pytest.approx(
+            max(math.sqrt(sum(v * v for v in prices)) for prices in ref_hist), abs=1e-12)
 
     def test_sqrt_t_reference(self):
         inst = gen_gaussian(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=9, m=3, seed=4))
@@ -122,7 +118,7 @@ class TestRunSoa:
     def test_trace_consistency_and_price_cap(self):
         for seed in range(5):
             inst = uniform_instance(80, 3, seed)
-            trace = run_soa(inst, soa_cfg(record_dual_history=True))
+            trace = run_soa(inst, soa_cfg())
             assert_trace_consistent(inst, trace)
             assert_price_cap(inst, trace)
 
@@ -225,7 +221,7 @@ class TestRunMultiSoa:
             minst = MultiInstance.from_instance(inst)
             soa = run_soa(inst, soa_cfg(StepSchedule.SQRT_N))
             multi = run_multi_soa(minst, AlgorithmConfig(
-                AlgorithmKind.MULTI_SOA, StepSchedule.SQRT_N, rng_seed=seed))
+                AlgorithmKind.MULTI_SOA, StepSchedule.SQRT_N), rng_seed=seed)
             assert np.array_equal(np.asarray(soa.decisions), np.asarray(multi.decisions))
             assert np.array_equal(soa.final_prices, multi.final_prices)
             assert soa.objective == multi.objective
@@ -253,8 +249,8 @@ class TestRunMultiSoa:
         counts = {1: 0, 2: 0}
         draws = 10_000
         # one batch row per seed; every row is its one-row call (TestRunOnePass)
-        [traces] = run_one_pass([minst] * draws, [Policy.of(AlgorithmKind.MULTI_SOA,
-                                                            StepSchedule.SQRT_N)], [range(draws)])
+        [traces] = run_one_pass([minst] * draws, [AlgorithmConfig.parse("multisoa")],
+                                [range(draws)])
         for trace in traces:
             counts[int(trace.decisions[0])] += 1
         assert counts[1] + counts[2] == draws
@@ -265,17 +261,16 @@ class TestRunMultiSoa:
         minst = MultiInstance(reward_blocks=rng.uniform(0, 2, (40, 3)),
                               column_blocks=rng.uniform(0, 2, (40, 2, 3)),
                               capacity=rng.uniform(15, 25, 2))
-        trace = run_multi_soa(minst, AlgorithmConfig(
-            AlgorithmKind.MULTI_SOA, StepSchedule.SQRT_N, record_dual_history=True))
+        trace = run_multi_soa(minst, AlgorithmConfig(AlgorithmKind.MULTI_SOA, StepSchedule.SQRT_N))
         r_bar = float(np.abs(minst.reward_blocks).max())
         a_bar = float(np.abs(minst.column_blocks).max())
         d = minst.per_column_budget
         cap = (2 * r_bar + 2 * (a_bar + d.max()) ** 2) / d.min() + 2 * (a_bar + d.max())
-        assert (trace.dual_norm_history <= cap).all()
+        assert trace.max_dual_norm <= cap
 
 
 # every one-pass kind with a schedule it admits, and its single-trial entry point
-MIXED_POLICIES = (
+MIXED_CONFIGS = (
     (AlgorithmKind.SOA, StepSchedule.SQRT_T, run_soa),
     (AlgorithmKind.SFA, StepSchedule.SQRT_N, run_sfa),
     (AlgorithmKind.SNA, StepSchedule.SQRT_T, run_sna),
@@ -285,10 +280,10 @@ MIXED_POLICIES = (
 )
 
 
-def mixed_batch(instances, **kw):
-    policies = [Policy.of(kind, sched) for kind, sched, _ in MIXED_POLICIES]
-    seeds = [[100 * i + j for j in range(len(instances))] for i in range(len(policies))]
-    return run_one_pass(instances, policies, seeds, **kw), seeds
+def mixed_batch(instances):
+    configs = [AlgorithmConfig(kind, sched) for kind, sched, _ in MIXED_CONFIGS]
+    seeds = [[100 * i + j for j in range(len(instances))] for i in range(len(configs))]
+    return run_one_pass(instances, configs, seeds), seeds
 
 
 def traces_identical(a, b):
@@ -297,11 +292,6 @@ def traces_identical(a, b):
     assert a.consumption.tobytes() == b.consumption.tobytes()
     assert a.final_prices.tobytes() == b.final_prices.tobytes()
     assert np.float64(a.max_dual_norm).tobytes() == np.float64(b.max_dual_norm).tobytes()
-    if a.dual_norm_history is None:
-        assert b.dual_norm_history is None
-    else:
-        assert a.dual_norm_history.tobytes() == b.dual_norm_history.tobytes()
-    assert a.rng_seed == b.rng_seed
 
 
 class TestRunOnePass:
@@ -309,8 +299,8 @@ class TestRunOnePass:
         n = 40
         instances = [uniform_instance(n, 3, 500 + j) for j in range(4)]
         instances.append(gen_gaussian(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=n, m=3, seed=9)))
-        batch, _ = mixed_batch(instances, record_dual_history=True)
-        for (kind, sched, _), row in zip(MIXED_POLICIES, batch):
+        batch, _ = mixed_batch(instances)
+        for (kind, sched, _), row in zip(MIXED_CONFIGS, batch):
             gammas = [sched.gamma(t, n) for t in range(1, n + 1)]
             for inst, trace in zip(instances, row):
                 cols = [list(inst.columns[:, j]) for j in range(n)]
@@ -320,21 +310,20 @@ class TestRunOnePass:
                 assert list(trace.decisions) == ref_dec
                 np.testing.assert_allclose(trace.final_prices, ref_p, atol=1e-12)
                 norms = [math.sqrt(sum(v * v for v in prices)) for prices in ref_hist]
-                np.testing.assert_allclose(trace.dual_norm_history, norms, atol=1e-12)
                 assert trace.max_dual_norm == pytest.approx(max(norms), abs=1e-12)
                 assert_trace_consistent(inst, trace)
 
     def test_rows_do_not_depend_on_the_batch(self):
         instances = [uniform_instance(60, 4, 700 + j) for j in range(5)]
-        for history in (False, True):
-            batch, seeds = mixed_batch(instances, record_dual_history=history)
-            for i, (kind, sched, run) in enumerate(MIXED_POLICIES):
-                for j, inst in enumerate(instances):
-                    cfg = AlgorithmConfig(kind, sched, rng_seed=seeds[i][j],
-                                          record_dual_history=history)
-                    single = run(MultiInstance.from_instance(inst)
-                                 if kind is AlgorithmKind.MULTI_SOA else inst, cfg)
-                    traces_identical(batch[i][j], single)
+        batch, seeds = mixed_batch(instances)
+        for i, (kind, sched, run) in enumerate(MIXED_CONFIGS):
+            for j, inst in enumerate(instances):
+                cfg = AlgorithmConfig(kind, sched)
+                if kind is AlgorithmKind.MULTI_SOA:
+                    single = run(MultiInstance.from_instance(inst), cfg, seeds[i][j])
+                else:
+                    single = run(inst, cfg)
+                traces_identical(batch[i][j], single)
 
     def test_multi_choice_batch_keeps_each_rows_tie_stream(self):
         # alternative 2 duplicates alternative 1 on every other item, so exact
@@ -348,23 +337,26 @@ class TestRunOnePass:
             blocks[::2, :, 1] = blocks[::2, :, 0]
             minsts.append(MultiInstance(reward_blocks=rewards, column_blocks=blocks,
                                         capacity=[20.0, 25.0]))
-        policy = Policy.of(AlgorithmKind.MULTI_SOA, StepSchedule.SQRT_N)
+        cfg = AlgorithmConfig(AlgorithmKind.MULTI_SOA, StepSchedule.SQRT_N)
         seeds = [[31, 32, 33, 34], [41, 42, 43, 44]]
-        batch = run_one_pass(minsts, [policy, policy], seeds)
+        batch = run_one_pass(minsts, [cfg, cfg], seeds)
         for i in range(2):
             for j, minst in enumerate(minsts):
-                single = run_multi_soa(minst, AlgorithmConfig(
-                    AlgorithmKind.MULTI_SOA, StepSchedule.SQRT_N, rng_seed=seeds[i][j]))
+                single = run_multi_soa(minst, cfg, rng_seed=seeds[i][j])
                 traces_identical(batch[i][j], single)
 
     def test_rejects_mixed_shapes_and_contradictory_policies(self):
-        policy = Policy.of(AlgorithmKind.SOA, StepSchedule.SQRT_N)
-        with pytest.raises(ValueError):
-            run_one_pass([uniform_instance(10, 2, 0), uniform_instance(12, 2, 0)], [policy], [[0, 0]])
-        with pytest.raises(ValueError):
-            Policy(StepSchedule.SQRT_N, gated=True, track_budget=True)
-        with pytest.raises(ValueError):
-            Policy.of(AlgorithmKind.DLA, StepSchedule.SQRT_N)
+        soa = soa_cfg()
+        pair = [uniform_instance(10, 2, 0), uniform_instance(10, 2, 1)]
+        with pytest.raises(ValueError, match="share n"):
+            run_one_pass([uniform_instance(10, 2, 0), uniform_instance(12, 2, 0)], [soa], [[0, 0]])
+        with pytest.raises(ValueError, match="not a one-pass"):
+            run_one_pass(pair, [soa, AlgorithmConfig(AlgorithmKind.DLA)], [[0, 0], [0, 0]])
+        # one list of seeds per config, each with one seed per instance; a
+        # plain (k = 1) batch never draws, so only this check sees the shape
+        for seeds in ([[0, 0]], [[0, 0], [0]], [[0, 0, 0], [0, 0]]):
+            with pytest.raises(ValueError, match="one seed per"):
+                run_one_pass(pair, [soa, soa], seeds)
 
 
 class TestRunDla:
@@ -443,12 +435,10 @@ class TestRunPrefixLp:
             dla, pbd, pbd2 = run_prefix_lp(
                 inst, [AlgorithmKind.DLA, AlgorithmKind.PBD, AlgorithmKind.PBD], [5, 41, 42])
             traces_identical(dla, run_dla(inst))
-            assert dla.rng_seed is None
             for trace, rng_seed in ((pbd, 41), (pbd2, 42)):
                 single = run_pbd(inst, rng_seed=rng_seed)
                 assert trace.max_dual_norm is None and single.max_dual_norm is None
                 traces_identical(trace, single)
-                assert trace.rng_seed == rng_seed
 
     def test_pbd_decisions_replay_prefix_primals(self):
         inst = uniform_instance(20, 2, 31)
@@ -560,14 +550,14 @@ class TestPriceCapAcrossSchedules:
     def test_unit_schedule_stays_bounded(self):
         for seed in range(4):
             inst = uniform_instance(120, 2, 300 + seed)
-            trace = run_soa(inst, soa_cfg(StepSchedule.UNIT, record_dual_history=True))
+            trace = run_soa(inst, soa_cfg(StepSchedule.UNIT))
             assert_price_cap(inst, trace)
 
     def test_gaussian_data(self):
         for seed in range(4):
             inst = gen_gaussian(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=100, m=3, seed=seed))
             for schedule in (StepSchedule.SQRT_N, StepSchedule.SQRT_T):
-                trace = run_soa(inst, soa_cfg(schedule, record_dual_history=True))
+                trace = run_soa(inst, soa_cfg(schedule))
                 assert_price_cap(inst, trace)
                 stats = compute_stats(inst)
                 assert trace.max_dual_norm <= price_norm_bound(stats, inst.m)

@@ -86,7 +86,11 @@ class TestAlgorithmTokens:
             shipped.update(t.strip() for t in cp.get("experiment", "algorithms").split(","))
         assert shipped <= labels.keys()
         for token, label in labels.items():
-            assert AlgorithmConfig.parse(token).label == label
+            cfg = AlgorithmConfig.parse(token)
+            assert cfg.label == label
+            # the label names the whole config: it parses back to an equal one
+            assert AlgorithmConfig.parse(cfg.label) == cfg
+        assert AlgorithmConfig.parse("multisoa") == AlgorithmConfig.parse("multisoa/sqrt_n")
 
 
 class TestLoadConfig:
@@ -135,6 +139,17 @@ class TestLoadConfig:
         path.write_text("[experiment]\nname = x\nalgorithms = dla\n"
                         "[benchmark]\npath = missing.txt\n")
         with pytest.raises(ConfigError):
+            load_config(path)
+
+    @pytest.mark.parametrize("old, new, repeated", [
+        ("n_values = 24 48", "n_values = 50 50 200 800", "n 50"),
+        ("pbd", "multisoa, pbd, multisoa/sqrt_n", "algorithm multisoa"),
+    ], ids=("n_values", "algorithms"))
+    def test_repeated_n_or_algorithm_rejected(self, tmp_path, old, new, repeated):
+        # a repeated entry would run its trials twice and count every row twice
+        path = write_mini_config(tmp_path)
+        path.write_text(path.read_text().replace(old, new))
+        with pytest.raises(ConfigError, match=f"{repeated} is listed more than once"):
             load_config(path)
 
     def test_bad_trials(self, tmp_path):
@@ -212,7 +227,7 @@ class TestRunExperiment:
         inst = cfg_instance(cfg, n, 0)
         lp = solve_relaxation(inst)
         seed = child_seed(cfg.seed, n, 0, "soa/sqrt_n")
-        trace = run_soa(inst, AlgorithmConfig(AlgorithmKind.SOA, StepSchedule.SQRT_N, rng_seed=seed))
+        trace = run_soa(inst, AlgorithmConfig(AlgorithmKind.SOA, StepSchedule.SQRT_N))
         res = evaluate_trial(inst, trace, lp.objective, algorithm="soa/sqrt_n", seed=seed)
         assert row.objective == res.objective
         assert row.offline_lp_opt == res.offline_lp_opt

@@ -1,0 +1,35 @@
+"""perfbench/spans.py wraps the package's layer entry points, found by name.
+
+Its tracer looks each one up with ``vars(owner)[attr]``, so renaming or
+removing a name it wraps makes every traced benchmark run fail.  This test
+keeps that contract visible in the unit suite.
+"""
+import importlib.util
+from pathlib import Path
+
+from onlinelp import algorithms, harness
+from onlinelp.core import MultiInstance
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_restores_every_target():
+    owners = (harness, algorithms, MultiInstance, harness.ExperimentReport)
+    before = [dict(vars(owner)) for owner in owners]
+    with load_spans().Tracer().installed():
+        during = [dict(vars(owner)) for owner in owners]
+    wrapped = [(owner, attr) for owner, old, new in zip(owners, before, during)
+               for attr in old if new[attr] is not old[attr]]
+    assert (harness, "run_soa") in wrapped and (MultiInstance, "from_instance") in wrapped
+    for owner, old in zip(owners, before):
+        now = dict(vars(owner))
+        assert now.keys() == old.keys(), owner.__name__
+        left_wrapped = [attr for attr in old if now[attr] is not old[attr]]
+        assert not left_wrapped, (owner.__name__, left_wrapped)
