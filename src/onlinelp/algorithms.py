@@ -161,7 +161,8 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
     steps, start = [], 0
     for schedule, group in itertools.groupby(c.schedule for c in ranked):
         stop = start + len(list(group))
-        steps.append((slice(start, stop), [schedule.gamma(t, n) for t in range(1, n + 1)]))
+        gammas = np.broadcast_to(schedule.gamma(np.arange(1.0, n + 1), n), n).tolist()
+        steps.append((slice(start, stop), gammas))
         start = stop
 
     shape = (len(ranked), n_inst, m)

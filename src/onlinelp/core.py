@@ -157,12 +157,12 @@ class StepSchedule(enum.Enum):
     SQRT_T = "sqrt_t"
     UNIT = "unit"
 
-    def gamma(self, t: int, n: int) -> float:
-        """Step size for step t (1-based) of an n-step run."""
+    def gamma(self, t, n: int):
+        """Step size for step t (1-based) of an n-step run; t may be an array of steps."""
         if self is StepSchedule.SQRT_N:
             return 1.0 / math.sqrt(n)
         if self is StepSchedule.SQRT_T:
-            return 1.0 / math.sqrt(t)
+            return 1.0 / np.sqrt(t)
         return 1.0
 
 

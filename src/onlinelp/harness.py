@@ -81,6 +81,8 @@ class ExperimentConfig:
 
     The defaults are those of the config keys.  ``generator_params`` holds the
     ``[generator]`` keys the file set; :class:`GeneratorSpec` supplies the rest.
+    ``benchmark_path`` is resolved; the report echoes ``benchmark_as_written``,
+    the path as the file wrote it, so that it does not depend on the checkout.
     """
 
     name: str
@@ -92,6 +94,7 @@ class ExperimentConfig:
     workers: int = 0
     generator_params: Optional[Dict] = None
     benchmark_path: Optional[str] = None
+    benchmark_as_written: Optional[str] = None
     repair: bool = False
     output_dir: Optional[str] = None
 
@@ -128,7 +131,7 @@ class ExperimentConfig:
             "algorithms": [a.label for a in self.algorithms],
             "permute": self.permute_arrivals,
             "workers": self.workers,
-            "benchmark": self.benchmark_path,
+            "benchmark": self.benchmark_as_written or self.benchmark_path,
             "repair": {"enabled": self.repair},
         }
         if self.generator_params is not None:
@@ -207,6 +210,7 @@ def load_config(path) -> ExperimentConfig:
         raise bad(f"invalid [{section}] {key}: {exc}") from None
 
     if "benchmark_path" in fields:
+        fields["benchmark_as_written"] = fields["benchmark_path"]
         fields["benchmark_path"] = str((path.parent / fields["benchmark_path"]).resolve())
         if not Path(fields["benchmark_path"]).is_file():
             raise bad(f"benchmark file not found: {fields['benchmark_path']}")
@@ -264,15 +268,13 @@ def _block_task(args):
     Returns ``(rows, timings, errors, certificates)``.  Every cell is
     generated and permuted first, then one kernel call steps every one-pass
     algorithm on every trial of the block (if it fails, every trial records
-    the error), then each cell's offline LP is solved, starting from the
-    final price of the cell's first one-pass row (cold without one).  The
-    start changes only the solver's work: the optimum, and so ``lp_opt``,
-    does not depend on it.  A benchmark problem's relaxation is instead
-    solved once for the block, cold, since permuting its columns leaves the
-    optimum unchanged; if that solve fails, every trial of the block records
-    the error.  Each LP solved gets a :class:`~onlinelp.simplex.Certificate`.
-    One prefix-LP pass per trial steps its DLA and PBD rows; the wall time of
-    each shared solve or call is split evenly over its rows in the timings.
+    the error), then each cell's offline LP is solved.  A benchmark
+    problem's relaxation is instead solved once for the block, since
+    permuting its columns leaves the optimum unchanged; if that solve fails,
+    every trial of the block records the error.  Each LP solved gets a
+    :class:`~onlinelp.simplex.Certificate`.  One prefix-LP pass per trial
+    steps its DLA and PBD rows; the wall time of each shared solve or call
+    is split evenly over its rows in the timings.
     Evaluation and repair run per trial.  A trial that fails anywhere else
     records its own error and contributes no rows; the other trials of the
     block are unaffected.
@@ -313,7 +315,7 @@ def _block_task(args):
         try:
             if problem_lp is None:
                 t0 = time.perf_counter()
-                sol = solve_relaxation(inst, price=batch[0][i].final_prices if batch else None)
+                sol = solve_relaxation(inst)
                 lp_opt, lp_seconds = sol.objective, time.perf_counter() - t0
                 certificates.append(certify(inst, sol))
             else:
@@ -465,8 +467,8 @@ def run_experiment(cfg: ExperimentConfig, *, workers: Optional[int] = None) -> E
 
     Per cell: a child seed yields the instance (and permutation when enabled),
     every configured algorithm runs on the identical bits, and the offline
-    relaxation is solved once, from the final price of the cell's first
-    one-pass row when there is one (see :func:`_block_task`).  The trials of
+    relaxation is solved once (see :func:`_block_task`), so ``lp_opt`` does
+    not depend on which algorithms the config lists.  The trials of
     each n are split evenly over the workers, one block per task.  Results do
     not depend on the parallelism degree or the block size; rows are sorted
     by (n, trial, algorithm) before any reduction.  ``meta.lp_certificate``

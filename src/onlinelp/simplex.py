@@ -6,25 +6,25 @@ final basis; the bound duals are recovered from the reduced costs as
 ``s_j = max(0, r_j - a_j @ p)``, which makes ``b @ p + sum(s)`` equal the
 primal objective exactly at optimality.
 
-Pivot rule: largest reduced-cost violation (first index on ties), switching
-permanently to Bland's least-index rule after ``3 * (n + m)`` consecutive
-degenerate pivots.  Negative matrix entries and rewards are fully supported.
-Capacities must be non-negative: then ``x = 0`` is feasible and the box keeps
-the region bounded, so the all-slack basis is a feasible start and every solve
-ends optimal.  The program only poses such LPs, because an instance's budgets
-are positive.
+Capacities must be non-negative: then ``x = 0`` is feasible and the box
+keeps the region bounded, so every solve ends optimal.  The program only
+poses such LPs, because an instance's budgets are positive.  Negative matrix
+entries and rewards are fully supported.
 
-A solve starts from a basis and the nonbasics' bounds, by default the
-all-slack basis with every variable at 0.  A caller may instead pass a start
-that is dual feasible, such as the previous prefix LP's final basis (prefix t
-adds one column and grows ``b``, which leaves the prices intact), or primal
-feasible.  A bounded dual simplex phase first pivots while some basic value
-lies outside its bounds: the leaving row has the largest violation, the
-entering column the least ``|cbar_j| / |alpha_rj|``.  From a primal feasible
-start, the all-slack one included, it pivots never.  The primal loop then
-certifies optimality with its exhaustive pricing pass.  The final basic
-values and prices are solved against the basis in index order, so the answer
-depends on the final basis and bounds alone, not on the start or the path.
+A solve starts from a basis and the nonbasics' bounds: by default the
+all-slack basis with every variable at 0, which is primal feasible, or a dual
+feasible start, such as the previous prefix LP's final basis (prefix t adds
+one column and grows ``b``, which leaves the prices intact) or the offline
+LP's start at price 0 (see :func:`solve_relaxation`).  A bounded dual phase
+pivots while some basic value lies outside its bounds: the row of largest
+violation leaves, and the bound-flipping ("long step") ratio test passes
+every breakpoint that still lowers the dual objective in one pivot (Fourer
+1994; Maros 2003).  The primal loop then enters the largest reduced-cost
+violation (first index on ties), switching permanently to Bland's rule after
+``3 * (n + m)`` consecutive degenerate pivots; after the dual phase it only
+certifies optimality.  The final basic values and prices are solved against
+the basis in index order, so the answer depends on the final basis and
+bounds alone, not on the start or the path.
 
 Both phases change the basis through one exchange step, which moves the
 leaving variable to its bound and updates the explicit basis inverse by a
@@ -77,8 +77,9 @@ class LpSolution:
     n upper-bound rows ``x_j <= 1``; both are non-negative.  ``basis`` and
     ``at_upper`` are the final basis (indices into ``[A | I]``) and the
     nonbasics at their upper bound: a start for a neighbouring LP.  The effort
-    counts are the primal basis changes, the bound flips, the dual-phase
-    pivots, and whether Bland's rule switched on.
+    counts are the primal loop's basis changes and bound flips, the dual
+    pivots (each with the bound flips its ratio test passed), and whether
+    Bland's rule switched on.
     """
 
     primal: np.ndarray
@@ -193,11 +194,12 @@ class _BoxSimplex:
         """Bounded dual simplex: pivot until every basic value lies within its bounds.
 
         Needs a dual feasible basis when it pivots, and every pivot keeps one.
-        The leaving row has the largest bound violation; the entering column
-        has the least ``|cbar_j| / |alpha_rj|`` among the nonbasics that move
-        the leaving value toward its bound (first index on ties).  A start
-        whose basic values are all in bounds, the all-slack start included,
-        pivots never.
+        The leaving row has the largest bound violation, its excess.  The
+        nonbasics that move the leaving value toward its bound are passed in
+        increasing ``|cbar_j| / |alpha_rj|`` (first index on ties): each
+        structural whose range ``|alpha_rj|`` leaves part of the excess
+        unabsorbed flips to its other bound, and the column that absorbs the
+        rest enters, at the latest the first slack, whose range is infinite.
         """
         while True:
             xb = np.array(self.xb)
@@ -213,13 +215,22 @@ class _BoxSimplex:
             alpha = self.Gt @ self.Binv[r]
             # Raising x_j changes the leaving value at rate -alpha_j.
             toward = np.where(self.at_upper != to_upper, alpha, -alpha)
-            eligible = self.nonbasic & (toward > _PIVOT_TOL)
-            if not eligible.any():
+            eligible = np.flatnonzero(self.nonbasic & (toward > _PIVOT_TOL))
+            if not eligible.size:
                 # x = 0 is feasible, so only roundoff gets here.
                 raise SimplexError(f"dual ratio test found no entering column (n={self.n}, m={self.m})")
-            ratios = np.full(self.N, np.inf)
-            ratios[eligible] = np.abs(cbar[eligible]) / np.abs(alpha[eligible])
-            j = int(np.argmin(ratios))
+            ratios = np.abs(cbar[eligible]) / toward[eligible]
+            j = int(eligible[np.argmin(ratios)])
+            if j < self.n and toward[j] < excess[r]:
+                # The first breakpoint leaves part of the excess: pass every
+                # breakpoint whose flip still does.
+                order = eligible[np.argsort(ratios, kind="stable")]
+                ranges = np.where(order < self.n, toward[order], np.inf)
+                left = excess[r] - np.cumsum(ranges)
+                stop = min(int(np.count_nonzero(left > 0.0)), order.size - 1)
+                flipped, j = order[:stop], int(order[stop])
+                self.at_upper[flipped] = ~self.at_upper[flipped]
+                self.x[flipped] = self.at_upper[flipped]
             self._replace(r, j, self.Binv @ self.Gt[j], to_upper)
             self._refresh_basics()
 
@@ -336,32 +347,17 @@ def solve_box_lp(rewards, columns, capacity, start=None) -> LpSolution:
     )
 
 
-def solve_relaxation(inst: Instance, price=None) -> LpSolution:
+def solve_relaxation(inst: Instance) -> LpSolution:
     """Solve the box relaxation of the full instance.
 
-    ``price``, an estimate of the optimal row prices such as a one-pass run's
-    final price, starts the solve from a crash basis: the all-slack basis with
-    the structurals at 1 that form the longest prefix fitting ``b`` in every
-    row, among the columns of positive reduced cost ``r_j - a_j @ price``,
-    taken in decreasing reduced-cost order (stable).  That start is primal
-    feasible, so the dual phase does not pivot.  The start changes the work,
-    not the answer: with a unique optimal basis the result is bitwise the
-    cold solve's.  Without ``price`` the solve starts from the all-slack basis.
+    The solve starts from the all-slack basis with each structural at the
+    bound its reward favours (``x_j = 1`` iff ``r_j > 0``), which is dual
+    feasible at price 0, so the dual phase does the work.  With a unique
+    optimal basis the answer is bitwise that of :func:`solve_box_lp`'s default start.
     """
-    start = None
-    if price is not None:
-        price = np.asarray(price, dtype=np.float64)
-        if price.shape != (inst.m,):
-            raise ValueError(f"price must have shape ({inst.m},), got {price.shape}")
-        gain = inst.rewards - price @ inst.columns
-        order = np.argsort(-gain, kind="stable")
-        order = order[gain[order] > 0.0]
-        fits = (np.cumsum(inst.columns[:, order], axis=1) <= inst.capacity[:, None]).all(axis=0)
-        taken = order[:fits.nonzero()[0][-1] + 1] if fits.any() else order[:0]
-        at_upper = np.zeros(inst.n + inst.m, dtype=bool)
-        at_upper[taken] = True
-        start = (inst.n + np.arange(inst.m), at_upper)
-    return solve_box_lp(inst.rewards, inst.columns, inst.capacity, start)
+    at_upper = np.concatenate((inst.rewards > 0.0, np.zeros(inst.m, dtype=bool)))
+    return solve_box_lp(inst.rewards, inst.columns, inst.capacity,
+                        (inst.n + np.arange(inst.m), at_upper))
 
 
 class Certificate(NamedTuple):

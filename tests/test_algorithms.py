@@ -325,6 +325,29 @@ class TestRunOnePass:
                     single = run(inst, cfg)
                 traces_identical(batch[i][j], single)
 
+    def test_step_sizes_are_the_per_step_formula(self, monkeypatch):
+        # The kernel takes every step size of a schedule from one numpy
+        # expression.  sqrt and division are correctly rounded, so each is
+        # bitwise the per-step float formula, and so is every trace.
+        def per_step(schedule, t, n):
+            return [{StepSchedule.SQRT_N: 1.0 / math.sqrt(n),
+                     StepSchedule.SQRT_T: 1.0 / math.sqrt(s),
+                     StepSchedule.UNIT: 1.0}[schedule] for s in range(1, len(t) + 1)]
+
+        for n in (1, 2, 7, 1000, 100_000):
+            steps = np.arange(1.0, n + 1)
+            for schedule in StepSchedule:
+                vector = np.broadcast_to(schedule.gamma(steps, n), n)
+                assert vector.tobytes() == np.array(per_step(schedule, steps, n)).tobytes()
+        instances = [uniform_instance(400, 3, 900 + j) for j in range(3)]
+        batch, _ = mixed_batch(instances)
+        monkeypatch.setattr(StepSchedule, "gamma", per_step)
+        again, _ = mixed_batch(instances)
+        assert {sched for _, sched, _ in MIXED_CONFIGS} == set(StepSchedule)
+        for row, row_again in zip(batch, again):
+            for trace, trace_again in zip(row, row_again):
+                traces_identical(trace, trace_again)
+
     def test_multi_choice_batch_keeps_each_rows_tie_stream(self):
         # alternative 2 duplicates alternative 1 on every other item, so exact
         # ties for the best value, and the draws that break them, are common

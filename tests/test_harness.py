@@ -4,12 +4,13 @@ import io
 import json
 import math
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from onlinelp.algorithms import AlgorithmConfig, AlgorithmKind, run_sna, run_soa
+from onlinelp.algorithms import AlgorithmConfig, AlgorithmKind, run_soa
 from onlinelp.core import StepSchedule
 from onlinelp.generators import PermutationPlan, permute
 from onlinelp.harness import (
@@ -368,25 +369,25 @@ m = 2
         real = harness.solve_relaxation
         calls = []
 
-        def recording(inst, price=None):
-            calls.append((inst.n, None if price is None else price.copy()))
-            return real(inst, price=price)
+        def recording(inst):  # any further argument fails the trial
+            calls.append(inst)
+            return real(inst)
 
         monkeypatch.setattr(harness, "solve_relaxation", recording)
         return calls
 
     def test_benchmark_problem_lp_solved_once(self, monkeypatch):
-        # once per block, cold: the file holds a 6-column problem, then a 2-column one
+        # once per block: the file holds a 6-column problem, then a 2-column one
         calls = self.record_lp_calls(monkeypatch)
         cfg = load_config(CONFIGS / "mknap_demo.ini")
         report = run_experiment(cfg, workers=1)
         assert not report.errors and len(report.rows) == 2 * 10 * 2
-        assert calls == [(6, None), (2, None)]
+        assert [inst.n for inst in calls] == [6, 2]
         assert sum(1 for t in report.timings if t[2] == "offline_lp") == 2 * 10
         calls.clear()
         monkeypatch.setattr(harness, "_blocks", lambda trials, parts: [range(0, 3), range(3, trials)])
         assert run_experiment(cfg, workers=1).trials_csv() == report.trials_csv()
-        assert calls == [(6, None)] * 2 + [(2, None)] * 2
+        assert [inst.n for inst in calls] == [6] * 2 + [2] * 2
 
     def test_failed_benchmark_lp_fails_every_trial_of_its_problem(self, monkeypatch):
         real = harness.solve_relaxation
@@ -402,27 +403,22 @@ m = 2
                                  for t in range(10)]
         assert {row.n for row in report.rows} == {6} and len(report.rows) == 10 * 2
 
-    def test_offline_lp_starts_from_the_first_one_pass_price(self, tmp_path, monkeypatch):
-        cfg = load_config(write_mini_config(tmp_path, algorithms="pbd, sna/sqrt_t, soa/sqrt_n"))
-        calls = self.record_lp_calls(monkeypatch)
-        report = run_experiment(cfg, workers=1)
-        assert not report.errors
-        assert [n for n, _ in calls] == [24, 24, 48, 48]
-        for (n, price), trial in zip(calls, (0, 1, 0, 1)):
-            inst = cfg_instance(cfg, n, trial)
-            first = run_sna(inst, AlgorithmConfig(AlgorithmKind.SNA, StepSchedule.SQRT_T))
-            assert np.array_equal(price, first.final_prices)
-
     def test_offline_lp_is_cold_without_a_one_pass_row(self, tmp_path, monkeypatch):
-        cfg = load_config(write_mini_config(tmp_path, algorithms="dla, pbd"))
+        # with or without one-pass rows, the offline LP gets the cell's instance alone
         calls = self.record_lp_calls(monkeypatch)
-        assert not run_experiment(cfg, workers=1).errors
-        assert [price for _, price in calls] == [None] * 4
+        for algorithms in ("dla, pbd", "pbd, sna/sqrt_t, soa/sqrt_n"):
+            cfg = load_config(write_mini_config(tmp_path, algorithms=algorithms))
+            calls.clear()
+            assert not run_experiment(cfg, workers=1).errors
+            assert [inst.n for inst in calls] == [24, 24, 48, 48]
+            for inst, (n, trial) in zip(calls, [(24, 0), (24, 1), (48, 0), (48, 1)]):
+                expected = cfg_instance(cfg, n, trial)
+                for field in ("rewards", "columns", "capacity"):
+                    assert np.array_equal(getattr(inst, field), getattr(expected, field))
 
     def test_lp_opt_does_not_depend_on_the_algorithms(self, tmp_path):
-        # Each list starts the offline LP elsewhere: SNA's price, SOA's, cold.
-        # Solving the final values in pivot order instead of index order
-        # changes a few of these cells in the last bits.
+        # The offline LP sees the cell's instance alone, whichever algorithms
+        # run beside it.
         columns = []
         for algorithms in ("sna/sqrt_t, soa/sqrt_n, sfa/sqrt_t", "soa/sqrt_n", "dla"):
             path = write_mini_config(tmp_path, trials=8, algorithms=algorithms)
@@ -552,6 +548,21 @@ class TestReportFiles:
         assert report.meta["root_seed"] == 11
         assert report.config["generator"]["family"] == "uniform"
 
+    def test_summary_does_not_depend_on_the_checkout(self, tmp_path):
+        summaries = []
+        for place in ("a", "deeper/b"):
+            directory = tmp_path / place
+            directory.mkdir(parents=True)
+            for name in ("mknap_demo.ini", "mknap_demo.txt"):
+                shutil.copy(CONFIGS / name, directory / name)
+            outdir = directory / "report"
+            assert cli.main(["run", str(directory / "mknap_demo.ini"), "--output", str(outdir)]) == 0
+            summary = json.loads((outdir / "summary.json").read_text())
+            del summary["meta"]
+            summaries.append(summary)
+        assert summaries[0]["config"]["benchmark"] == "mknap_demo.txt"
+        assert summaries[0] == summaries[1]
+
 
 class TestCli:
     def test_solve_prints_objective_and_dual(self, tmp_path, capsys):
@@ -561,7 +572,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "objective 0.5" in out
         assert "duals 1" in out
-        assert "iterations 1 pivots 1 flips 0 dual_pivots 0 bland no" in out
+        assert "iterations 1 pivots 0 flips 0 dual_pivots 1 bland no" in out
         assert "binary_objective 0" in out
 
     def test_gen_then_solve(self, tmp_path, capsys):

@@ -6,8 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from onlinelp.algorithms import AlgorithmConfig, AlgorithmKind, run_soa
-from onlinelp.core import Instance, StepSchedule, compute_stats
+from onlinelp.core import Instance, compute_stats
 from onlinelp.generators import (
     GeneratorFamily,
     GeneratorSpec,
@@ -385,10 +384,15 @@ class TestPivotPath:
 
     def test_cold_offline_lp_past_the_refresh_cadence(self):
         inst = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=3200, m=10, seed=1))
+        # the default start walks the primal loop past the refresh cadence
+        cold = solve_box_lp(inst.rewards, inst.columns, inst.capacity)
+        assert cold.iterations > simplex._REFRESH_EVERY
+        assert self.effort(cold) == (479, 1384, 0, False)
+        # the reward-favoured start leaves the work to the long dual steps
         sol = solve_relaxation(inst)
-        assert sol.iterations > simplex._REFRESH_EVERY
-        assert self.effort(sol) == (479, 1384, 0, False)
-        assert sol.objective == pytest.approx(2111.9723586785335, rel=1e-12)
+        assert self.effort(sol) == (0, 0, 9, False)
+        for s in (cold, sol):
+            assert s.objective == pytest.approx(2111.9723586785335, rel=1e-12)
 
     def test_warm_prefix_pass(self):
         inst = generate(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=200, m=5, seed=2))
@@ -396,7 +400,7 @@ class TestPivotPath:
         for s in range(1, inst.n + 1):
             sol = solve_scaled(inst, s, prev=sol)
             totals += self.effort(sol)
-        assert tuple(totals) == (1, 0, 234, 0)
+        assert tuple(totals) == (1, 0, 219, 0)
         assert sol.objective == pytest.approx(365.6542164418093, rel=1e-12)
 
     def test_bland_forced(self, monkeypatch):
@@ -430,54 +434,40 @@ def assert_certified(inst, sol):
 
 
 class TestPriceStart:
-    """The offline LP started from a price: the cold solve's answer, without dual pivots."""
+    """The offline LP starts at price 0, each column at the bound its reward favours.
 
-    @staticmethod
-    def prices(inst, rng):
-        soa = run_soa(inst, AlgorithmConfig(AlgorithmKind.SOA, StepSchedule.SQRT_N))
-        return {"soa": soa.final_prices, "zero": np.zeros(inst.m),
-                "random": rng.uniform(0.0, 2.0, inst.m), "huge": np.full(inst.m, 1e6)}
+    That start changes the work, not the answer: it is the default start's
+    answer, certified, and the dual phase does all the pivoting.
+    """
 
     @pytest.mark.parametrize("family", PRICE_FAMILIES, ids=lambda f: f.value)
     def test_matches_the_cold_solve(self, family):
-        rng = np.random.default_rng(5)
-        cold_iterations = soa_iterations = taken_nothing = 0
+        cold_iterations = iterations = 0
         for n, m in itertools.product((50, 500, 3000), (1, 5, 10)):
             inst = generate(GeneratorSpec(family, n=n, m=m, seed=n + m))
-            cold = solve_relaxation(inst)
+            cold = solve_box_lp(inst.rewards, inst.columns, inst.capacity)
+            sol = solve_relaxation(inst)
             assert_certified(inst, cold)
+            assert_certified(inst, sol)
+            # every dual pivot keeps the start dual feasible
+            assert sol.pivots == sol.flips == 0
+            if family is GeneratorFamily.ADVERSARIAL:
+                # two repeated columns: the optimal basis is not unique
+                assert sol.objective == pytest.approx(cold.objective, rel=1e-12)
+            else:
+                assert np.array_equal(sol.primal, cold.primal)
+                assert np.array_equal(sol.duals, cold.duals)
+                assert np.array_equal(sol.reduced_bounds_duals, cold.reduced_bounds_duals)
+                assert sol.objective == cold.objective
             cold_iterations += cold.iterations
-            for name, price in self.prices(inst, rng).items():
-                sol = solve_relaxation(inst, price)
-                # the crash basis is primal feasible
-                assert sol.dual_pivots == 0
-                assert_certified(inst, sol)
-                if family is GeneratorFamily.ADVERSARIAL:
-                    # two repeated columns: the optimal basis is not unique
-                    assert sol.objective == pytest.approx(cold.objective, rel=1e-12)
-                else:
-                    assert np.array_equal(sol.primal, cold.primal)
-                    assert np.array_equal(sol.duals, cold.duals)
-                    assert np.array_equal(sol.reduced_bounds_duals, cold.reduced_bounds_duals)
-                    assert sol.objective == cold.objective
-                if name == "soa":
-                    soa_iterations += sol.iterations
-                if not (inst.rewards - price @ inst.columns > 0.0).any():
-                    # nothing to take (the huge price on non-negative data):
-                    # the start is the cold one
-                    assert (sol.pivots, sol.flips) == (cold.pivots, cold.flips)
-                    taken_nothing += 1
-        if family is not GeneratorFamily.ADVERSARIAL:
-            assert soa_iterations < cold_iterations
-        if family in (GeneratorFamily.UNIFORM, GeneratorFamily.ADVERSARIAL):
-            assert taken_nothing >= 9  # every huge-price solve, at least
+            iterations += sol.iterations
+        assert iterations < cold_iterations
 
     def test_against_highs(self):
         linprog = pytest.importorskip("scipy.optimize").linprog
-        rng = np.random.default_rng(6)
         for family, m in itertools.product(PRICE_FAMILIES, (1, 5, 10)):
             inst = generate(GeneratorSpec(family, n=500, m=m, seed=m))
-            sol = solve_relaxation(inst, self.prices(inst, rng)["soa"])
+            sol = solve_relaxation(inst)
             ref = linprog(-inst.rewards, A_ub=inst.columns, b_ub=inst.capacity,
                           bounds=(0.0, 1.0), method="highs")
             assert ref.status == 0
@@ -486,7 +476,7 @@ class TestPriceStart:
     @pytest.mark.parametrize("family", PRICE_FAMILIES, ids=lambda f: f.value)
     def test_certificate_catches_a_flipped_column(self, family):
         inst = generate(GeneratorSpec(family, n=500, m=5, seed=2))
-        sol = solve_relaxation(inst, self.prices(inst, np.random.default_rng(7))["soa"])
+        sol = solve_relaxation(inst)
         assert_certified(inst, sol)
         gain = inst.rewards - sol.duals @ inst.columns
         j = int(np.argmax(np.abs(gain)))
@@ -506,10 +496,58 @@ class TestPriceStart:
         # row excess 0.5; reduced costs -1 with x > 0; gap |2 - 1.5| / 2.5
         assert tuple(certify(inst, over)) == (0.5, 1.0, 0.2)
 
-    def test_bad_price_shape(self):
-        inst = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=20, m=3, seed=1))
-        with pytest.raises(ValueError, match="price"):
-            solve_relaxation(inst, np.zeros(4))
+
+class TestLongStep:
+    """The dual phase passes every breakpoint that still lowers the dual objective."""
+
+    @staticmethod
+    def cases(rng):
+        """About 300 LPs: raw signed, zero-capacity and tied data, then all five families."""
+        for i in range(255):
+            # every fourth LP is small enough for the vertex oracle
+            n, m = ((int(rng.integers(2, 13)), int(rng.integers(1, 4))) if i % 4 == 0
+                    else (int(rng.integers(13, 400)), int(rng.integers(1, 11))))
+            if i % 3 == 0:
+                r, A = rng.uniform(-2, 2, n), rng.uniform(-2, 2, (m, n))
+                b = rng.uniform(0.3, 1.5, m) * n * 0.4
+            elif i % 3 == 1:  # zero-capacity rows
+                r, A = rng.uniform(-2, 2, n), rng.uniform(-2, 2, (m, n))
+                b = rng.uniform(0.0, 1.5, m) * n * 0.3
+                b[rng.random(m) < 0.3] = 0.0
+            else:  # small signed integers: ties everywhere
+                r = rng.integers(-2, 4, n).astype(float)
+                A = rng.integers(-1, 4, (m, n)).astype(float)
+                b = rng.integers(0, max(2, n // 2), m).astype(float)
+            yield SimpleNamespace(rewards=r, columns=A, capacity=b, n=n, m=m)
+        for family, n, m in itertools.product(GeneratorFamily, (100, 1000, 3000), (1, 5, 10)):
+            yield generate(GeneratorSpec(family, n=n, m=m, seed=n + m))
+
+    def test_against_the_oracles(self):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(2024)
+        solved = dual_pivots = 0
+        for inst in self.cases(rng):
+            sol = solve_relaxation(inst)
+            check_solution_invariants(inst, sol)
+            if inst.n <= 12:
+                oracle = box_lp_vertex_oracle(inst.rewards, inst.columns, inst.capacity)
+                assert sol.objective == pytest.approx(oracle, rel=1e-9, abs=1e-9)
+            ref = linprog(-inst.rewards, A_ub=inst.columns, b_ub=inst.capacity,
+                          bounds=(0.0, 1.0), method="highs")
+            assert ref.status == 0
+            assert sol.objective == pytest.approx(-ref.fun, rel=1e-9, abs=1e-9)
+            solved += 1
+            dual_pivots += sol.dual_pivots
+        assert solved >= 300 and dual_pivots > 0
+
+    def test_few_dual_pivots_at_scale(self):
+        # C8's shape: the primal loop from the default start makes about 6,000
+        # moves, a first-breakpoint dual phase about as many pivots
+        inst = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=10_000, m=5, seed=3))
+        sol = solve_relaxation(inst)
+        assert_certified(inst, sol)
+        assert sol.pivots == sol.flips == 0
+        assert 0 < sol.dual_pivots < 50
 
 
 class TestSolveBinaryExact:
