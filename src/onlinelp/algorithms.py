@@ -9,7 +9,6 @@ instance bytes, the configuration, and the seed.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -28,6 +27,7 @@ from .simplex import solve_scaled
 __all__ = [
     "AlgorithmKind",
     "AlgorithmConfig",
+    "check_one_pass",
     "run_one_pass",
     "run_soa",
     "run_sfa",
@@ -112,6 +112,20 @@ class AlgorithmConfig:
         return f"{self.kind.value}/{self.schedule.value}"
 
 
+# Steps per kernel chunk: each chunk copies the next columns of every running
+# instance into one small buffer, so the batch is never stacked whole.
+_CHUNK = 64
+
+
+def check_one_pass(inst, configs: Sequence[AlgorithmConfig]) -> None:
+    """Raise ``ValueError`` unless every config is a one-pass kind that can run on ``inst``."""
+    for cfg in configs:
+        if cfg.kind not in _ONE_PASS:
+            raise ValueError(f"{cfg.kind.value} is not a one-pass algorithm")
+        if _ONE_PASS[cfg.kind][1] and inst.n < 2:
+            raise ValueError("budget-tracking run needs n >= 2")
+
+
 def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
                  rng_seeds: Sequence[Sequence[int]]) -> List[List[RunTrace]]:
     """Step every one-pass config over every instance at once; returns ``traces[config][instance]``.
@@ -121,32 +135,35 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
     the best reward minus priced usage is positive); the prices then move
     along (tentative usage - target) times the step size, clamped at zero,
     where the config's kind sets the gate and the target (see ``_ONE_PASS``).
-    All instances share n, m and the number of alternatives k; each row keeps
-    its own prices, consumption and budget, so a row's trace does not depend
-    on what else is in the batch: per-row dot products are ``np.vecdot`` of
-    that row alone, and every other operation is elementwise.
+    The instances share m and the number of alternatives k, not n: they run
+    longest first, step t steps only those with n > t, and a row's state
+    stays as its own last step left it.  Each row keeps its own prices,
+    consumption, budget and step sizes, so a row's trace does not depend on
+    what else is in the batch: per-row dot products are ``np.vecdot`` of that
+    row alone, and every other operation is elementwise.
     ``rng_seeds[i][j]`` seeds row (i, j)'s tie-breaking stream, which draws
     only when two or more alternatives tie for the best positive value.
-    Decisions record the chosen alternative 1..k, 0 for reject.
+    Decisions record the chosen alternative 1..k, 0 for reject.  Raises
+    ``ValueError`` if :func:`check_one_pass` rejects an instance.
     """
     if not instances or not configs:
         raise ValueError("a one-pass batch needs at least one instance and one config")
     if len(rng_seeds) != len(configs) or any(len(row) != len(instances) for row in rng_seeds):
         raise ValueError("a one-pass batch needs one seed per (config, instance) row")
-    for cfg in configs:
-        if cfg.kind not in _ONE_PASS:
-            raise ValueError(f"{cfg.kind.value} is not a one-pass algorithm")
-        if _ONE_PASS[cfg.kind][1] and min(inst.n for inst in instances) < 2:
-            raise ValueError("budget-tracking run needs n >= 2")
+    for inst in instances:
+        check_one_pass(inst, configs)
+    # Instances run longest first (stable), so the ones still running at any
+    # step are a prefix of the instance axis.
+    by_n = sorted(range(len(instances)), key=lambda j: -instances[j].n)
     # rewards (n, k) and usage vectors (n, k, m) of each instance; plain ones have k = 1
     data = [(x.reward_blocks, x.column_blocks.transpose(0, 2, 1)) if isinstance(x, MultiInstance)
-            else (x.rewards[:, None], x.columns.T[:, None, :]) for x in instances]
-    n, k, m = data[0][1].shape
-    if any(cols.shape != (n, k, m) for _, cols in data):
-        raise ValueError("the instances of a one-pass batch must share n, m and k")
-    rewards = np.stack([r for r, _ in data], axis=1)        # (n, K, k)
-    columns = np.stack([c for _, c in data], axis=1)        # (n, K, k, m)
-    capacity = np.stack([inst.capacity for inst in instances])
+            else (x.rewards[:, None], x.columns.T[:, None, :])
+            for x in (instances[j] for j in by_n)]
+    _, k, m = data[0][1].shape
+    if any(cols.shape[1:] != (k, m) for _, cols in data):
+        raise ValueError("the instances of a one-pass batch must share m and k")
+    lengths = [len(r) for r, _ in data]
+    capacity = np.stack([instances[j].capacity for j in by_n])
     n_inst = len(instances)
 
     # Rows run sorted so that plain, budget-tracking and gated configs, and
@@ -158,83 +175,111 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
     n_track = sum(_ONE_PASS[c.kind][1] for c in ranked)
     gated = slice(len(ranked) - n_gated, len(ranked))
     track = slice(gated.start - n_track, gated.start)
-    steps, start = [], 0
-    for schedule, group in itertools.groupby(c.schedule for c in ranked):
-        stop = start + len(list(group))
-        gammas = np.broadcast_to(schedule.gamma(np.arange(1.0, n + 1), n), n).tolist()
-        steps.append((slice(start, stop), gammas))
-        start = stop
+    # each schedule's step sizes for an n-step run, computed once per n
+    gammas = {(c.schedule, n): np.broadcast_to(c.schedule.gamma(np.arange(1.0, n + 1), n), n)
+              for c in ranked for n in set(lengths)}
+    # instances of equal n, as (n, first, stop) runs of the instance axis
+    runs = [(n, lengths.index(n), n_inst - lengths[::-1].index(n)) for n in sorted(set(lengths))]
 
     shape = (len(ranked), n_inst, m)
-    target = np.repeat((capacity / n)[None], len(ranked), axis=0)
+    target = np.repeat((capacity / np.array(lengths, dtype=float)[:, None])[None],
+                       len(ranked), axis=0)
     budget = np.repeat(capacity[None], n_track, axis=0)
     used = np.zeros((n_gated, n_inst, m))
     prices = np.zeros(shape)
-    # |p|^2 of the last `fold` steps; folding them into the running maximum once
-    # per chunk saves a numpy call per step
-    fold = 256
-    norm_sq = np.zeros((fold,) + shape[:2])
     peak = np.zeros(shape[:2])
-    chosen = np.zeros((n,) + shape[:2], dtype=bool if k == 1 else np.int32)
-    plain_rewards, plain_columns = rewards[:, :, 0], columns[:, :, 0]
+    chosen = np.zeros((lengths[0],) + shape[:2], dtype=bool if k == 1 else np.int32)
     vecdot = np.vecdot
-    rngs = [[np.random.default_rng(rng_seeds[i][j]) for j in range(n_inst)] for i in order] \
+    rngs = [[np.random.default_rng(rng_seeds[i][j]) for j in by_n] for i in order] \
         if k > 1 else None
-    for t in range(n):
-        if k == 1:
-            usage = plain_columns[t]
-            accept = chosen[t]
-            np.greater(plain_rewards[t], vecdot(usage, prices), out=accept)
-        else:
-            values = rewards[t] - vecdot(columns[t], prices[:, :, None, :])
-            best = values.max(axis=-1)
-            accept = best > 0.0
-            pick = values.argmax(axis=-1)
-            tied = values == best[..., None]
-            for i, j in zip(*np.nonzero(accept & (tied.sum(axis=-1) > 1))):
-                ties = np.flatnonzero(tied[i, j])
-                pick[i, j] = ties[int(rngs[i][j].integers(len(ties)))]
-            usage = np.take_along_axis(columns[t][None], pick[..., None, None], axis=2)[:, :, 0]
-            chosen[t] = (pick + 1) * accept
-        step = accept[..., None] * usage
-        if n_gated:
-            after = used + (usage[gated] if k > 1 else usage)
-            fits = np.logical_and.reduce(after <= capacity, axis=-1)
-            fits &= accept[gated]
-            np.copyto(used, after, where=fits[..., None])
-            chosen[t, gated] *= fits
-        if n_track and t + 1 < n:
-            budget -= step[track]
-            np.divide(budget, n - t - 1, out=target[track])
-        step -= target
-        for rows, gammas in steps:
-            step[rows] *= gammas[t]
-        if t + 1 == n:
-            # the update after the final decision would divide by zero and is
-            # dead state anyway, so budget tracking skips it
-            step[track] = 0.0
-        prices += step
-        np.maximum(prices, 0.0, out=prices)
-        vecdot(prices, prices, out=norm_sq[t % fold])
-        if t % fold == fold - 1 or t + 1 == n:
-            np.maximum(peak, norm_sq.max(axis=0), out=peak)
+    t0 = 0
+    while t0 < lengths[0]:
+        # One chunk: the running instances [0, a) stay the same throughout,
+        # and those of n == t1 (the instances [a_next, a)) end at its last step.
+        a = sum(n > t0 for n in lengths)
+        t1 = min(t0 + _CHUNK, lengths[a - 1])
+        a_next = sum(n > t1 for n in lengths)
+        span = t1 - t0
+        rewards = np.empty((span, a, k))
+        columns = np.empty((span, a, k, m))
+        for j in range(a):
+            rewards[:, j] = data[j][0][t0:t1]
+            columns[:, j] = data[j][1][t0:t1]
+        steps = np.empty((span, len(ranked), a, 1))
+        for i, cfg in enumerate(ranked):
+            for n, first, stop in (run for run in runs if run[0] > t0):
+                steps[:, i, first:stop, 0] = gammas[cfg.schedule, n][t0:t1, None]
+        # n - t - 1, the steps left after step t, by which budget tracking divides
+        left = (np.array(lengths[:a], dtype=float)[None, :, None]
+                - np.arange(t0 + 1.0, t1 + 1)[:, None, None])
+        norm_sq = np.empty((span, len(ranked), a))
+        prices_a, target_a, capacity_a = prices[:, :a], target[:, :a], capacity[:a]
+        used_a, budget_a, track_target_a = used[:, :a], budget[:, :a], target[track, :a]
+        plain_rewards, plain_columns = rewards[:, :, 0], columns[:, :, 0]
+        prices_k = prices_a[:, :, None, :]
+        for c in range(span):
+            t = t0 + c
+            if k == 1:
+                usage = plain_columns[c]
+                accept = chosen[t, :, :a]
+                np.greater(plain_rewards[c], vecdot(usage, prices_a), out=accept)
+            else:
+                values = rewards[c] - vecdot(columns[c], prices_k)
+                best = values.max(axis=-1)
+                accept = best > 0.0
+                pick = values.argmax(axis=-1)
+                tied = values == best[..., None]
+                for i, j in zip(*np.nonzero(accept & (tied.sum(axis=-1) > 1))):
+                    ties = np.flatnonzero(tied[i, j])
+                    pick[i, j] = ties[int(rngs[i][j].integers(len(ties)))]
+                usage = np.take_along_axis(columns[c][None], pick[..., None, None], axis=2)[:, :, 0]
+            step = accept[..., None] * usage
+            if n_gated:
+                # realize a tentative accept only while it fits; the prices
+                # still follow the tentative decision
+                after = used_a + (usage[gated] if k > 1 else usage)
+                realized = accept[gated]
+                realized &= np.logical_and.reduce(after <= capacity_a, axis=-1)
+                np.copyto(used_a, after, where=realized[..., None])
+            if k > 1:
+                np.multiply(pick + 1, accept, out=chosen[t, :, :a])
+            last = c + 1 == span and a_next < a
+            if n_track:
+                if not last:
+                    budget_a -= step[track]
+                    np.divide(budget_a, left[c], out=track_target_a)
+                elif a_next:
+                    budget[:, :a_next] -= step[track, :a_next]
+                    np.divide(budget[:, :a_next], left[c, :a_next], out=target[track, :a_next])
+            step -= target_a
+            step *= steps[c]
+            if n_track and last:
+                # the update after a row's final decision would divide by zero
+                # and is dead state anyway, so budget tracking skips it
+                step[track, a_next:] = 0.0
+            prices_a += step
+            np.maximum(prices_a, 0.0, out=prices_a)
+            vecdot(prices_a, prices_a, out=norm_sq[c])
+        np.maximum(peak[:, :a], norm_sq.max(axis=0), out=peak[:, :a])
+        t0 = t1
 
-    traces: List[List[RunTrace]] = [[] for _ in configs]
+    traces: List[List[RunTrace]] = [[None] * n_inst for _ in configs]
     for i, pos in enumerate(order):
-        for j in range(n_inst):
-            decisions = chosen[:, i, j].astype(np.int8 if k == 1 else np.int32)
+        for jj, j in enumerate(by_n):
+            rewards, columns = data[jj]
+            decisions = chosen[:lengths[jj], i, jj].astype(np.int8 if k == 1 else np.int32)
             picked = np.flatnonzero(decisions)
             alt = decisions[picked] - 1
             # in-order sums from zero, bit for bit the += of a scalar loop; the
             # copy of the last partial sum lets the others go
-            sums = np.cumsum(np.vstack((np.zeros(m), columns[picked, j, alt])), axis=0)
-            traces[pos].append(RunTrace(
+            sums = np.cumsum(np.vstack((np.zeros(m), columns[picked, alt])), axis=0)
+            traces[pos][j] = RunTrace(
                 decisions=decisions,
-                objective=float(np.cumsum(np.append(0.0, rewards[picked, j, alt]))[-1]),
+                objective=float(np.cumsum(np.append(0.0, rewards[picked, alt]))[-1]),
                 consumption=sums[-1].copy(),
-                final_prices=prices[i, j].copy(),
-                max_dual_norm=math.sqrt(peak[i, j]),
-            ))
+                final_prices=prices[i, jj].copy(),
+                max_dual_norm=math.sqrt(peak[i, jj]),
+            )
     return traces
 
 
@@ -340,7 +385,7 @@ def repair_feasibility(inst: Instance, trace: RunTrace, rng_seed: int) -> RunTra
     if n < 3:
         raise ValueError("repair needs n >= 3 so that log n exceeds 1")
     decisions = np.asarray(trace.decisions)
-    if decisions.shape != (n,) or not np.isin(decisions, (0, 1)).all():
+    if decisions.shape != (n,) or not ((decisions == 0) | (decisions == 1)).all():
         raise ValueError("repair applies to binary decision traces of the instance")
     worst = float(np.max(trace.consumption - inst.capacity))
     log_n = math.log(n)

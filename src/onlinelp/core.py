@@ -190,7 +190,7 @@ def violation_norm(inst: Instance, x) -> float:
     xv = np.asarray(x, dtype=np.float64).reshape(-1)
     if xv.shape != (inst.n,):
         raise ValueError(f"decision vector has length {xv.shape[0]}, expected {inst.n}")
-    if not np.isin(xv, (0.0, 1.0)).all():
+    if not ((xv == 0.0) | (xv == 1.0)).all():
         raise ValueError("decision vector entries must be 0 or 1")
     excess = inst.columns @ xv - inst.capacity
     np.maximum(excess, 0.0, out=excess)

@@ -30,6 +30,7 @@ from . import __version__
 from .algorithms import (
     PREFIX_LP_KINDS,
     AlgorithmConfig,
+    check_one_pass,
     repair_feasibility,
     run_one_pass,
     run_prefix_lp,
@@ -237,6 +238,7 @@ def _blocks(trials: int, parts: int) -> List[range]:
 class _Cell(NamedTuple):
     """One prepared (n, trial) cell; ``seed(label)`` derives the child seed of a consumer."""
 
+    n: int
     trial: int
     inst: Instance
     seed: Callable[[str], int]
@@ -256,71 +258,80 @@ def _prepare(cfg: ExperimentConfig, n: int, seed_tag: str, problem: Optional[Ins
     if cfg.permute_arrivals:
         plan = PermutationPlan.random(inst.n, child_seed(cfg.seed, n, trial, seed_tag + "permutation"))
         inst = permute(inst, plan)
-    return _Cell(trial, inst, lambda label: child_seed(cfg.seed, n, trial, seed_tag + label))
+    return _Cell(n, trial, inst, lambda label: child_seed(cfg.seed, n, trial, seed_tag + label))
 
 
 def _block_task(args):
-    """Run every algorithm of one n (or benchmark problem) on a block of trials.
+    """Run every algorithm on a block of trials of one or more sources.
 
-    ``args`` is ``(cfg, n, seed_tag, problem, trials)``: ``problem`` is the
-    benchmark instance, or ``None`` for generated instances of n columns.
+    ``args`` is ``(cfg, sources, trials)``; each source is ``(n, seed_tag,
+    problem)``, where ``problem`` is the benchmark instance, or ``None`` for
+    generated instances of n columns.  A generated sweep passes every n of
+    the config, a benchmark problem comes alone.
 
     Returns ``(rows, timings, errors, certificates)``.  Every cell is
     generated and permuted first, then one kernel call steps every one-pass
-    algorithm on every trial of the block (if it fails, every trial records
-    the error), then each cell's offline LP is solved.  A benchmark
-    problem's relaxation is instead solved once for the block, since
-    permuting its columns leaves the optimum unchanged; if that solve fails,
-    every trial of the block records the error.  Each LP solved gets a
-    :class:`~onlinelp.simplex.Certificate`.  One prefix-LP pass per trial
-    steps its DLA and PBD rows; the wall time of each shared solve or call
-    is split evenly over its rows in the timings.
-    Evaluation and repair run per trial.  A trial that fails anywhere else
-    records its own error and contributes no rows; the other trials of the
-    block are unaffected.
+    algorithm on every cell of the block, across all its n (if it fails,
+    every cell in it records the error), then each cell's offline LP is
+    solved.  A benchmark problem's relaxation is instead solved once for the
+    block, since permuting its columns leaves the optimum unchanged; if that
+    solve fails, every trial of the block records the error.  Each LP solved
+    gets a :class:`~onlinelp.simplex.Certificate`.  One prefix-LP pass per
+    cell steps its DLA and PBD rows.  In the timings, the kernel call's wall
+    time is split over its rows in proportion to each row's n, and that of
+    any other shared solve or pass evenly over its rows.  Evaluation and
+    repair run per cell.  A cell that fails anywhere else, the one-pass
+    checks of :func:`~onlinelp.algorithms.check_one_pass` included, records
+    its own error and contributes no rows; the other cells of the block are
+    unaffected.
     """
-    cfg, n, seed_tag, problem, trials = args
+    cfg, sources, trials = args
     kernel = [c for c in cfg.algorithms if c.kind not in PREFIX_LP_KINDS]
     prefix = [c for c in cfg.algorithms if c.kind in PREFIX_LP_KINDS]
     cells, failures, certificates = [], {}, []
-    problem_lp = None
-    if problem is not None:
-        t0 = time.perf_counter()
-        try:
-            sol = solve_relaxation(problem)
-            problem_lp = sol.objective, (time.perf_counter() - t0) / len(trials)
-            certificates.append(certify(problem, sol))
-        except Exception as exc:
-            failures.update((trial, exc) for trial in trials)
-            trials = ()
-    for trial in trials:
-        try:  # recorded per trial; the block continues
-            cells.append(_prepare(cfg, n, seed_tag, problem, trial))
-        except Exception as exc:
-            failures[trial] = exc
-    batch, share = [], 0.0
+    problem_lp = {}  # n -> (optimum, share of the solve) of a benchmark problem, alone in its task
+    for n, seed_tag, problem in sources:
+        block = trials
+        if problem is not None:
+            t0 = time.perf_counter()
+            try:
+                sol = solve_relaxation(problem)
+                problem_lp[n] = sol.objective, (time.perf_counter() - t0) / len(trials)
+                certificates.append(certify(problem, sol))
+            except Exception as exc:
+                failures.update(((n, trial), exc) for trial in trials)
+                block = ()
+        for trial in block:
+            try:  # recorded per cell; the block continues
+                cell = _prepare(cfg, n, seed_tag, problem, trial)
+                check_one_pass(cell.inst, kernel)
+                cells.append(cell)
+            except Exception as exc:
+                failures[n, trial] = exc
+    batch, shares = [], []
     if kernel and cells:
         t0 = time.perf_counter()
         try:
             batch = run_one_pass([cell.inst for cell in cells], kernel,
                                  [[cell.seed(c.label) for cell in cells] for c in kernel])
-            share = (time.perf_counter() - t0) / (len(kernel) * len(cells))
+            wall = (time.perf_counter() - t0) / (len(kernel) * sum(cell.inst.n for cell in cells))
+            shares = [wall * cell.inst.n for cell in cells]
         except Exception as exc:
-            failures.update((cell.trial, exc) for cell in cells)
+            failures.update(((cell.n, cell.trial), exc) for cell in cells)
             cells = []
     rows: List[TrialResult] = []
     timings: List[Tuple[int, int, str, float]] = []
-    for i, (trial, inst, seed) in enumerate(cells):
+    for i, (n, trial, inst, seed) in enumerate(cells):
         runs = []  # (label, seed, trace, wall seconds)
         try:
-            if problem_lp is None:
+            if n not in problem_lp:
                 t0 = time.perf_counter()
                 sol = solve_relaxation(inst)
                 lp_opt, lp_seconds = sol.objective, time.perf_counter() - t0
                 certificates.append(certify(inst, sol))
             else:
-                lp_opt, lp_seconds = problem_lp
-            found = {c.label: (row[i], share) for c, row in zip(kernel, batch)}
+                lp_opt, lp_seconds = problem_lp[n]
+            found = {c.label: (row[i], shares[i]) for c, row in zip(kernel, batch)}
             if prefix:
                 t0 = time.perf_counter()
                 traces = run_prefix_lp(inst, [c.kind for c in prefix],
@@ -339,13 +350,13 @@ def _block_task(args):
                                         seed=run_seed, trial=trial)
                          for label, run_seed, trace, _ in runs]
         except Exception as exc:
-            failures[trial] = exc
+            failures[n, trial] = exc
             continue
         rows.extend(cell_rows)
         timings.append((n, trial, "offline_lp", lp_seconds))
         timings.extend((n, trial, label, wall) for label, _, _, wall in runs)
     errors = [{"n": int(n), "trial": int(trial), "error": f"{type(exc).__name__}: {exc}"}
-              for trial, exc in sorted(failures.items())]
+              for (n, trial), exc in sorted(failures.items())]
     return rows, timings, errors, certificates
 
 
@@ -468,10 +479,13 @@ def run_experiment(cfg: ExperimentConfig, *, workers: Optional[int] = None) -> E
     Per cell: a child seed yields the instance (and permutation when enabled),
     every configured algorithm runs on the identical bits, and the offline
     relaxation is solved once (see :func:`_block_task`), so ``lp_opt`` does
-    not depend on which algorithms the config lists.  The trials of
-    each n are split evenly over the workers, one block per task.  Results do
-    not depend on the parallelism degree or the block size; rows are sorted
-    by (n, trial, algorithm) before any reduction.  ``meta.lp_certificate``
+    not depend on which algorithms the config lists.  The trials are split
+    evenly over the workers, one block per task: a generated sweep's task
+    runs the block's trials at every n, with one kernel call, and a benchmark
+    problem has tasks of its own.  With fewer tasks than workers, only as many
+    processes start as there are tasks, and a single task runs in-process.
+    Results do not depend on the parallelism degree or the block size; rows
+    are sorted by (n, trial, algorithm) before any reduction.  ``meta.lp_certificate``
     holds the worst of each :class:`~onlinelp.simplex.Certificate` field over
     the offline LPs solved, or ``None`` when none was.  A negative
     ``workers`` raises ``ValueError``; ``None`` and 0 defer to the config.
@@ -482,11 +496,13 @@ def run_experiment(cfg: ExperimentConfig, *, workers: Optional[int] = None) -> E
         sources = [(inst.n, f"b{i}:", inst)
                    for i, (inst, _) in enumerate(read_mknap(cfg.benchmark_path))]
     nworkers = _resolve_workers(cfg, workers)
-    tasks = [(cfg, n, tag, problem, block)
-             for n, tag, problem in sources for block in _blocks(cfg.trials, nworkers)]
+    # a generated sweep runs all its n in one task per block; a benchmark
+    # problem gets tasks of its own, since problems may differ in m
+    groups = [sources] if cfg.generator_params is not None else [[source] for source in sources]
+    tasks = [(cfg, group, block) for group in groups for block in _blocks(cfg.trials, nworkers)]
     started = time.perf_counter()
-    if nworkers > 1:
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
+    if nworkers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(nworkers, len(tasks))) as pool:
             outcomes = list(pool.map(_block_task, tasks))
     else:
         outcomes = [_block_task(t) for t in tasks]

@@ -63,6 +63,7 @@ _RATE_EPS = 1e-11
 _DEGEN_EPS = 1e-11
 _REFRESH_EVERY = 1024
 _REINVERT_EVERY = 50
+_PASS_WIDTH = 32    # breakpoints a long dual step sorts first (4x more each time it runs past)
 
 
 class SimplexError(RuntimeError):
@@ -96,6 +97,32 @@ class LpSolution:
     @property
     def iterations(self) -> int:
         return self.pivots + self.flips + self.dual_pivots
+
+
+def _long_step(ratios, ranges, excess: float):
+    """Positions of the breakpoints a long dual step passes, in order, and of the one it enters at.
+
+    The breakpoints are taken in increasing ``ratios``, the first position
+    on ties.  Each one whose ``ranges`` entry (positive, or infinite) still
+    leaves part of ``excess`` unabsorbed is passed; the next enters, at the
+    latest the last breakpoint.  Only the breakpoints at or below a partition
+    bound are sorted, and the bound widens while the pass runs past it, so
+    the answer is that of one stable sort of all of them.
+    """
+    size, width = ratios.size, _PASS_WIDTH
+    while True:
+        if width >= size:
+            order = np.argsort(ratios, kind="stable")
+        else:
+            bound = ratios[np.argpartition(ratios, width - 1)[width - 1]]
+            order = np.flatnonzero(ratios <= bound)
+            order = order[np.argsort(ratios[order], kind="stable")]
+        # the cumulative ranges grow, so the breakpoints passed are a prefix
+        stop = int(np.count_nonzero(excess - np.cumsum(ranges[order]) > 0.0))
+        if stop < order.size or order.size == size:
+            stop = min(stop, size - 1)
+            return order[:stop], int(order[stop])
+        width *= 4
 
 
 class _BoxSimplex:
@@ -224,11 +251,9 @@ class _BoxSimplex:
             if j < self.n and toward[j] < excess[r]:
                 # The first breakpoint leaves part of the excess: pass every
                 # breakpoint whose flip still does.
-                order = eligible[np.argsort(ratios, kind="stable")]
-                ranges = np.where(order < self.n, toward[order], np.inf)
-                left = excess[r] - np.cumsum(ranges)
-                stop = min(int(np.count_nonzero(left > 0.0)), order.size - 1)
-                flipped, j = order[:stop], int(order[stop])
+                ranges = np.where(eligible < self.n, toward[eligible], np.inf)
+                passed, enter = _long_step(ratios, ranges, excess[r])
+                flipped, j = eligible[passed], int(eligible[enter])
                 self.at_upper[flipped] = ~self.at_upper[flipped]
                 self.x[flipped] = self.at_upper[flipped]
             self._replace(r, j, self.Binv @ self.Gt[j], to_upper)

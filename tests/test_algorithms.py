@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -371,8 +372,12 @@ class TestRunOnePass:
     def test_rejects_mixed_shapes_and_contradictory_policies(self):
         soa = soa_cfg()
         pair = [uniform_instance(10, 2, 0), uniform_instance(10, 2, 1)]
-        with pytest.raises(ValueError, match="share n"):
-            run_one_pass([uniform_instance(10, 2, 0), uniform_instance(12, 2, 0)], [soa], [[0, 0]])
+        multi = MultiInstance.from_instance(uniform_instance(10, 2, 0))
+        wide = MultiInstance(reward_blocks=np.ones((10, 2)), column_blocks=np.ones((10, 2, 2)),
+                             capacity=[5.0, 5.0])
+        for mixed in ([uniform_instance(10, 2, 0), uniform_instance(12, 3, 0)], [multi, wide]):
+            with pytest.raises(ValueError, match="share m and k"):
+                run_one_pass(mixed, [soa], [[0, 0]])
         with pytest.raises(ValueError, match="not a one-pass"):
             run_one_pass(pair, [soa, AlgorithmConfig(AlgorithmKind.DLA)], [[0, 0], [0, 0]])
         # one list of seeds per config, each with one seed per instance; a
@@ -380,6 +385,79 @@ class TestRunOnePass:
         for seeds in ([[0, 0]], [[0, 0], [0]], [[0, 0, 0], [0, 0]]):
             with pytest.raises(ValueError, match="one seed per"):
                 run_one_pass(pair, [soa, soa], seeds)
+
+
+# every one-pass kind under every schedule it admits
+EVERY_CONFIG = tuple(AlgorithmConfig(kind, sched) for kind in (
+    AlgorithmKind.SOA, AlgorithmKind.SFA, AlgorithmKind.SNA) for sched in StepSchedule) + (
+    AlgorithmConfig(AlgorithmKind.MULTI_SOA, StepSchedule.SQRT_N),)
+
+
+def mixed_n_values():
+    # runs that end just before, at and just after a kernel chunk's edge, and
+    # runs that span several chunks
+    chunk = algorithms._CHUNK
+    return (2, 7, chunk - 1, chunk, chunk + 1, 300)
+
+
+class TestMixedLengthBatch:
+    """Instances of different n share one kernel call; each row is its own one-row call."""
+
+    def test_every_row_is_its_one_row_call_and_the_reference(self):
+        assert mixed_n_values() == (2, 7, 63, 64, 65, 300)
+        instances = []
+        for n in mixed_n_values():
+            instances.append(uniform_instance(n, 3, 40 + n))
+            instances.append(gen_gaussian(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=n, m=3,
+                                                        seed=50 + n)))
+        # the kernel orders the batch by n itself
+        instances = [instances[j] for j in np.random.default_rng(3).permutation(len(instances))]
+        seeds = [[1000 * i + j for j in range(len(instances))] for i in range(len(EVERY_CONFIG))]
+        batch = run_one_pass(instances, EVERY_CONFIG, seeds)
+        for i, cfg in enumerate(EVERY_CONFIG):
+            for j, inst in enumerate(instances):
+                trace = batch[i][j]
+                [[single]] = run_one_pass([inst], [cfg], [[seeds[i][j]]])
+                traces_identical(trace, single)
+                n = inst.n
+                gammas = [cfg.schedule.gamma(t, n) for t in range(1, n + 1)]
+                cols = [list(inst.columns[:, t]) for t in range(n)]
+                ref_dec, ref_p, ref_hist = reference_one_pass(
+                    inst.rewards, cols, inst.capacity, gammas,
+                    gate=cfg.kind is AlgorithmKind.SFA, nonstationary=cfg.kind is AlgorithmKind.SNA)
+                assert list(trace.decisions) == ref_dec, (cfg.label, n)
+                np.testing.assert_allclose(trace.final_prices, ref_p, atol=1e-12)
+                norms = [math.sqrt(sum(v * v for v in prices)) for prices in ref_hist]
+                assert trace.max_dual_norm == pytest.approx(max(norms), abs=1e-12)
+                assert_trace_consistent(inst, trace)
+
+    def test_multi_choice_rows_with_ties_are_their_one_row_calls(self):
+        # alternative 2 duplicates alternative 1 on every other item, so ties
+        # for the best value, and the draws that break them, are common
+        rng = np.random.default_rng(13)
+        minsts = []
+        for n in mixed_n_values() + (65, 2):
+            rewards = rng.uniform(-0.5, 2, (n, 3))
+            blocks = rng.uniform(0, 2, (n, 2, 3))
+            rewards[::2, 1] = rewards[::2, 0]
+            blocks[::2, :, 1] = blocks[::2, :, 0]
+            minsts.append(MultiInstance(reward_blocks=rewards, column_blocks=blocks,
+                                        capacity=[0.5 * n, 0.6 * n]))
+        configs = [AlgorithmConfig.parse(token) for token in ("multisoa", "multisoa", "sfa/sqrt_t",
+                                                              "sna/sqrt_n")]
+        seeds = [[97 * i + j for j in range(len(minsts))] for i in range(len(configs))]
+        batch = run_one_pass(minsts, configs, seeds)
+        draws = 0
+        for i, cfg in enumerate(configs):
+            for j, minst in enumerate(minsts):
+                [[single]] = run_one_pass([minst], [cfg], [[seeds[i][j]]])
+                traces_identical(batch[i][j], single)
+                draws += int((batch[i][j].decisions == 2).sum())
+        assert draws > 0
+        # the tie streams are the rows' own: other seeds change the picks
+        other = run_one_pass(minsts, configs[:1], [[s + 1 for s in seeds[0]]])
+        assert any(not np.array_equal(a.decisions, b.decisions)
+                   for a, b in zip(other[0], batch[0]))
 
 
 class TestRunDla:
@@ -561,6 +639,15 @@ class TestRepairFeasibility:
         a = repair_feasibility(inst, trace, rng_seed=42)
         b = repair_feasibility(inst, trace, rng_seed=42)
         assert np.array_equal(a.decisions, b.decisions)
+
+    def test_nonbinary_trace_rejected(self):
+        inst = uniform_instance(20, 2, 16)
+        trace = run_soa(inst, soa_cfg(StepSchedule.SQRT_N))
+        for bad in (0.5, np.nan, 2.0, -1.0):
+            decisions = trace.decisions.astype(float)
+            decisions[3] = bad
+            with pytest.raises(ValueError, match="binary decision traces"):
+                repair_feasibility(inst, dataclasses.replace(trace, decisions=decisions), rng_seed=0)
 
     def test_small_n_rejected(self):
         inst = uniform_instance(2, 1, 1)

@@ -106,6 +106,13 @@ class TestViolationNorm:
         with pytest.raises(ValueError):
             violation_norm(inst, [0.5, 0.0])
 
+    def test_half_and_nan_entries_rejected_with_the_message(self):
+        inst = small_instance()
+        for bad in ([0.5, 1.0], [1.0, np.nan], [np.nan, np.nan], [-1.0, 0.0], [np.inf, 0.0]):
+            with pytest.raises(ValueError, match="entries must be 0 or 1"):
+                violation_norm(inst, bad)
+        assert violation_norm(inst, np.array([True, False])) == violation_norm(inst, [1, 0])
+
 
 class TestSaaObjective:
     def test_zero_price(self):

@@ -416,18 +416,25 @@ m = 2
                 for field in ("rewards", "columns", "capacity"):
                     assert np.array_equal(getattr(inst, field), getattr(expected, field))
 
-    def test_lp_opt_does_not_depend_on_the_algorithms(self, tmp_path):
-        # The offline LP sees the cell's instance alone, whichever algorithms
-        # run beside it.
-        columns = []
-        for algorithms in ("sna/sqrt_t, soa/sqrt_n, sfa/sqrt_t", "soa/sqrt_n", "dla"):
-            path = write_mini_config(tmp_path, trials=8, algorithms=algorithms)
-            path.write_text(path.read_text().replace("n_values = 24 48", "n_values = 60 120")
+    def test_rows_do_not_depend_on_the_other_n_of_their_task(self, tmp_path, monkeypatch):
+        # A generated sweep steps every n of a block in one kernel call.  The
+        # n = 60 rows are the same bytes whether n = 120 shares that call or
+        # not, at any worker count and block size.
+        def rows_at_60(n_values, workers):
+            path = write_mini_config(tmp_path, trials=3, algorithms=ALL_ALGORITHMS)
+            path.write_text(path.read_text().replace("n_values = 24 48", f"n_values = {n_values}")
                             .replace("family = uniform\nm = 3", "family = gaussian\nm = 5"))
-            rows = csv.DictReader(io.StringIO(run_experiment(load_config(path)).trials_csv()))
-            columns.append(sorted({(r["n"], r["trial"], r["lp_opt"]) for r in rows}))
-        assert len(columns[0]) == 2 * 8
-        assert columns[0] == columns[1] == columns[2]
+            text = run_experiment(load_config(path), workers=workers).trials_csv()
+            return [line for line in text.splitlines() if line.startswith("60,")]
+
+        alone = rows_at_60("60", 1)
+        assert len(alone) == 3 * len(ALL_ALGORITHMS.split(","))
+        for workers in (1, 2):
+            assert rows_at_60("60 120", workers) == alone
+        monkeypatch.setattr(harness, "_blocks", lambda trials, parts: [range(t, t + 1)
+                                                                        for t in range(trials)])
+        for workers in (1, 2):
+            assert rows_at_60("60 120", workers) == alone
 
     def test_lp_certificate_in_meta(self, tmp_path):
         report = run_experiment(load_config(write_mini_config(tmp_path)))

@@ -540,6 +540,30 @@ class TestLongStep:
             dual_pivots += sol.dual_pivots
         assert solved >= 300 and dual_pivots > 0
 
+    def test_partial_sort_passes_what_a_full_sort_passes(self):
+        # The pass as one stable sort of every breakpoint would take it.
+        def full_sort(ratios, ranges, excess):
+            order = np.argsort(ratios, kind="stable")
+            left = excess - np.cumsum(ranges[order])
+            stop = min(int(np.count_nonzero(left > 0.0)), order.size - 1)
+            return order[:stop], int(order[stop])
+
+        rng = np.random.default_rng(7)
+        widened = 0
+        for case in range(3000):
+            size = int(rng.integers(1, 700))
+            # coarse ratios tie often; some breakpoints are slacks (infinite range)
+            ratios = rng.integers(0, 1 + size // int(rng.integers(1, 8)), size) / 4.0
+            ranges = rng.uniform(1e-3, 1.0, size)
+            ranges[rng.random(size) < rng.choice([0.0, 0.01, 0.2])] = np.inf
+            # from a pass of a few breakpoints to one that runs past them all
+            excess = float(rng.uniform(0.0, 1.0) * rng.choice([1, 10, 100, size]))
+            passed, enter = simplex._long_step(ratios, ranges, excess)
+            want_passed, want_enter = full_sort(ratios, ranges, excess)
+            assert passed.tolist() == want_passed.tolist() and enter == want_enter, case
+            widened += passed.size >= simplex._PASS_WIDTH
+        assert widened > 100
+
     def test_few_dual_pivots_at_scale(self):
         # C8's shape: the primal loop from the default start makes about 6,000
         # moves, a first-breakpoint dual phase about as many pivots
