@@ -5,13 +5,10 @@ __version__ = "0.1.0"
 
 from .core import (
     Instance,
-    InstanceStats,
     MultiInstance,
     RunTrace,
     StepSchedule,
-    compute_stats,
     dual_saa_objective,
-    price_norm_bound,
     threshold_decision,
     violation_norm,
 )

@@ -87,8 +87,7 @@ def _cmd_solve(args) -> int:
         print(f"objective {sol.objective:.12g}")
         print("duals " + " ".join(f"{v:.12g}" for v in sol.duals))
         print("primal " + " ".join(f"{v:.12g}" for v in sol.primal))
-        print(f"iterations {sol.iterations} pivots {sol.pivots} flips {sol.flips} "
-              f"dual_pivots {sol.dual_pivots} bland {'yes' if sol.bland else 'no'}")
+        print(f"iterations {sol.iterations}")
         if args.binary:
             obj, x = solve_binary_exact(inst)
             print(f"binary_objective {obj:.12g}")

@@ -16,15 +16,12 @@ import numpy as np
 
 __all__ = [
     "Instance",
-    "InstanceStats",
     "MultiInstance",
     "RunTrace",
     "StepSchedule",
-    "compute_stats",
     "violation_norm",
     "dual_saa_objective",
     "threshold_decision",
-    "price_norm_bound",
 ]
 
 
@@ -76,26 +73,6 @@ class Instance:
         object.__setattr__(self, "per_column_budget", _freeze(d))
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "m", int(m))
-
-
-@dataclass(frozen=True)
-class InstanceStats:
-    """Extremal magnitudes of an instance: max |reward|, max |entry|, min/max budget."""
-
-    r_bar: float
-    a_bar: float
-    d_lo: float
-    d_hi: float
-
-
-def compute_stats(inst: Instance) -> InstanceStats:
-    """Scan the full instance for its reward/entry magnitude bounds and budget range."""
-    return InstanceStats(
-        r_bar=float(np.abs(inst.rewards).max()),
-        a_bar=float(np.abs(inst.columns).max()),
-        d_lo=float(inst.per_column_budget.min()),
-        d_hi=float(inst.per_column_budget.max()),
-    )
 
 
 @dataclass(frozen=True)
@@ -220,13 +197,4 @@ def threshold_decision(r_t: float, a_t: np.ndarray, p: np.ndarray) -> int:
     no epsilon band.
     """
     return 1 if r_t > float(a_t @ p) else 0
-
-
-def price_norm_bound(stats: InstanceStats, m: int) -> float:
-    """A-priori cap on every price norm reachable by a unit-capped subgradient run.
-
-    Holds deterministically whenever all step sizes are at most 1.
-    """
-    heavy = m * (stats.a_bar + stats.d_hi) ** 2
-    return (2.0 * stats.r_bar + heavy) / stats.d_lo + m * (stats.a_bar + stats.d_hi)
 

@@ -245,8 +245,8 @@ class _Cell(NamedTuple):
 
 
 def _prepare(cfg: ExperimentConfig, n: int, seed_tag: str, problem: Optional[Instance],
-             trial: int) -> _Cell:
-    """Instance and seed derivation of one trial.
+             first: int, trial: int) -> _Cell:
+    """Instance and seed derivation of one trial, reported as trial ``first + trial``.
 
     ``problem`` is the benchmark instance, or ``None`` to generate an instance
     of n columns.  Raises if the trial cannot be set up.
@@ -258,15 +258,16 @@ def _prepare(cfg: ExperimentConfig, n: int, seed_tag: str, problem: Optional[Ins
     if cfg.permute_arrivals:
         plan = PermutationPlan.random(inst.n, child_seed(cfg.seed, n, trial, seed_tag + "permutation"))
         inst = permute(inst, plan)
-    return _Cell(n, trial, inst, lambda label: child_seed(cfg.seed, n, trial, seed_tag + label))
+    return _Cell(n, first + trial, inst, lambda label: child_seed(cfg.seed, n, trial, seed_tag + label))
 
 
 def _block_task(args):
     """Run every algorithm on a block of trials of one or more sources.
 
     ``args`` is ``(cfg, sources, trials)``; each source is ``(n, seed_tag,
-    problem)``, where ``problem`` is the benchmark instance, or ``None`` for
-    generated instances of n columns.  A generated sweep passes every n of
+    problem, first)``, where ``problem`` is the benchmark instance, or
+    ``None`` for generated instances of n columns, and its trial t is
+    reported as trial ``first + t``.  A generated sweep passes every n of
     the config, a benchmark problem comes alone.
 
     Returns ``(rows, timings, errors, certificates)``.  Every cell is
@@ -290,7 +291,7 @@ def _block_task(args):
     prefix = [c for c in cfg.algorithms if c.kind in PREFIX_LP_KINDS]
     cells, failures, certificates = [], {}, []
     problem_lp = {}  # n -> (optimum, share of the solve) of a benchmark problem, alone in its task
-    for n, seed_tag, problem in sources:
+    for n, seed_tag, problem, first in sources:
         block = trials
         if problem is not None:
             t0 = time.perf_counter()
@@ -299,15 +300,15 @@ def _block_task(args):
                 problem_lp[n] = sol.objective, (time.perf_counter() - t0) / len(trials)
                 certificates.append(certify(problem, sol))
             except Exception as exc:
-                failures.update(((n, trial), exc) for trial in trials)
+                failures.update(((n, first + trial), exc) for trial in trials)
                 block = ()
         for trial in block:
             try:  # recorded per cell; the block continues
-                cell = _prepare(cfg, n, seed_tag, problem, trial)
+                cell = _prepare(cfg, n, seed_tag, problem, first, trial)
                 check_one_pass(cell.inst, kernel)
                 cells.append(cell)
             except Exception as exc:
-                failures[n, trial] = exc
+                failures[n, first + trial] = exc
     batch, shares = [], []
     if kernel and cells:
         t0 = time.perf_counter()
@@ -491,10 +492,13 @@ def run_experiment(cfg: ExperimentConfig, *, workers: Optional[int] = None) -> E
     ``workers`` raises ``ValueError``; ``None`` and 0 defer to the config.
     """
     if cfg.generator_params is not None:
-        sources = [(n, "", None) for n in cfg.n_values]
+        sources = [(n, "", None, 0) for n in cfg.n_values]
     else:
-        sources = [(inst.n, f"b{i}:", inst)
-                   for i, (inst, _) in enumerate(read_mknap(cfg.benchmark_path))]
+        # problems of one n number their trials on from the earlier ones',
+        # so each (n, trial, algorithm) row is written once
+        problems = [inst for inst, _ in read_mknap(cfg.benchmark_path)]
+        sources = [(inst.n, f"b{i}:", inst, cfg.trials * sum(p.n == inst.n for p in problems[:i]))
+                   for i, inst in enumerate(problems)]
     nworkers = _resolve_workers(cfg, workers)
     # a generated sweep runs all its n in one task per block; a benchmark
     # problem gets tasks of its own, since problems may differ in m

@@ -24,9 +24,7 @@ from onlinelp.core import (
     Instance,
     MultiInstance,
     StepSchedule,
-    compute_stats,
     dual_saa_objective,
-    price_norm_bound,
     violation_norm,
 )
 from onlinelp.generators import (
@@ -39,6 +37,8 @@ from onlinelp.generators import (
 from onlinelp.harness import child_seed, load_config, run_experiment
 from onlinelp.metrics import fit_scaling
 from onlinelp.simplex import solve_binary_exact, solve_relaxation
+
+from instance_bounds import compute_stats, price_norm_bound
 
 ROOT = 20260809
 

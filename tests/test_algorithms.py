@@ -22,14 +22,13 @@ from onlinelp.core import (
     Instance,
     MultiInstance,
     StepSchedule,
-    compute_stats,
-    price_norm_bound,
     threshold_decision,
     violation_norm,
 )
 from onlinelp.generators import GeneratorFamily, GeneratorSpec, gen_gaussian, gen_uniform
 from onlinelp.simplex import solve_scaled
 
+from instance_bounds import compute_stats, price_norm_bound
 from oracles import subgradient_price_cap, reference_one_pass
 
 

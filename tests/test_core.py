@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 from onlinelp.core import (
     Instance,
     StepSchedule,
-    compute_stats,
     dual_saa_objective,
-    price_norm_bound,
     threshold_decision,
     violation_norm,
 )
 from onlinelp.generators import GeneratorFamily, GeneratorSpec, gen_uniform, read_mknap, write_mknap
 from onlinelp.simplex import solve_relaxation
 
+from instance_bounds import compute_stats, price_norm_bound
 from oracles import elementwise_violation, saa_objective, scan_stats
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from onlinelp.core import Instance, compute_stats
+from onlinelp.core import Instance
 from onlinelp.generators import (
     GeneratorFamily,
     GeneratorSpec,
@@ -22,6 +22,8 @@ from onlinelp.generators import (
     write_mknap,
 )
 from onlinelp.simplex import solve_relaxation
+
+from instance_bounds import compute_stats
 
 
 def spec(family, n=40, m=4, seed=0, **kw):

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from onlinelp.algorithms import AlgorithmConfig, AlgorithmKind, run_soa
-from onlinelp.core import StepSchedule
-from onlinelp.generators import PermutationPlan, permute
+from onlinelp.core import Instance, StepSchedule
+from onlinelp.generators import PermutationPlan, permute, write_mknap
 from onlinelp.harness import (
     ConfigError,
     child_seed,
@@ -276,6 +276,27 @@ path = {CONFIGS / 'mknap_demo.txt'}
         assert {(row.n, row.trial, row.seed) for row in report.rows} == {
             (n, t, child_seed(3, n, t, f"b{i}:soa/sqrt_t")) for i, n in enumerate((6, 2))
             for t in range(2)}
+
+    def test_benchmark_problems_of_one_n_number_their_trials_on(self, tmp_path):
+        # the second n = 4 problem writes its trials 0 and 1 as trials 2 and 3
+        write_mknap(tmp_path / "twins.txt",
+                    [(Instance(rewards=[1.0, 2.0, 3.0, 4.0], columns=[[1.0, 2.0, 1.0, 2.0]],
+                               capacity=[3.0]), None),
+                     (Instance(rewards=[4.0, 1.0, 2.0, 3.0], columns=[[2.0, 1.0, 2.0, 1.0]],
+                               capacity=[2.0]), None)])
+        path = tmp_path / "twins.ini"
+        path.write_text("[experiment]\nname = twins\nseed = 5\ntrials = 2\n"
+                        "algorithms = soa/sqrt_t, soa/sqrt_n\n\n[benchmark]\npath = twins.txt\n")
+        report = run_experiment(load_config(path), workers=1)
+        assert not report.errors
+        keys = [(row.n, row.trial, row.algorithm) for row in report.rows]
+        assert sorted(keys) == [(4, t, label) for t in range(4)
+                                for label in ("soa/sqrt_n", "soa/sqrt_t")]
+        # each problem keeps its own seeds, tagged with its index and its local trial
+        assert {(row.trial, row.seed) for row in report.rows if row.algorithm == "soa/sqrt_t"} == {
+            (2 * i + t, child_seed(5, 4, t, f"b{i}:soa/sqrt_t")) for i in (0, 1) for t in (0, 1)}
+        assert [(doc["algorithm"], doc["n"], doc["count"]) for doc in report.aggregates] == [
+            ("soa/sqrt_n", 4, 4), ("soa/sqrt_t", 4, 4)]
 
     def test_benchmark_errors_carry_the_problem_n(self, tmp_path):
         # repair needs n >= 3: it fails on the n = 2 problem, the second in the file
@@ -579,7 +600,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "objective 0.5" in out
         assert "duals 1" in out
-        assert "iterations 1 pivots 0 flips 0 dual_pivots 1 bland no" in out
+        assert "\niterations 1\n" in out
         assert "binary_objective 0" in out
 
     def test_gen_then_solve(self, tmp_path, capsys):

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from onlinelp.core import Instance, compute_stats
+from onlinelp.core import Instance
 from onlinelp.generators import (
     GeneratorFamily,
     GeneratorSpec,
@@ -24,6 +24,7 @@ from onlinelp.simplex import (
     solve_scaled,
 )
 
+from instance_bounds import compute_stats
 from oracles import box_lp_vertex_oracle
 
 
@@ -123,45 +124,6 @@ class TestNegativeCapacity:
                 solve_box_lp([1.0], -np.ones((len(capacity), 1)), capacity)
 
 
-class TestBlandRule:
-    def test_forced_from_the_first_degenerate_pivot(self, monkeypatch):
-        rng = np.random.default_rng(8)
-        cases = []  # (r, A, b): signed data, zero capacities, small signed integers
-        for i in range(120):
-            n, m = int(rng.integers(2, 10)), int(rng.integers(1, 5))
-            if i % 3 == 0:
-                inst = random_signed_instance(rng, n, m)
-                cases.append((inst.rewards, inst.columns, inst.capacity))
-            elif i % 3 == 1:
-                cases.append((rng.uniform(-2, 2, n), rng.uniform(-2, 2, (m, n)),
-                              rng.uniform(0.0, 1.5, m)))
-            else:  # ties everywhere, so many pivots are degenerate
-                cases.append((rng.integers(-2, 3, n).astype(float),
-                              rng.integers(-2, 3, (m, n)).astype(float),
-                              rng.integers(0, 3, m).astype(float)))
-        defaults = [solve_box_lp(*case) for case in cases]
-        default_iterations = [sol.iterations for sol in defaults]
-        init = simplex._BoxSimplex.__init__
-
-        def bland_at_once(self, *args):
-            init(self, *args)
-            self.bland_threshold = 1
-
-        monkeypatch.setattr(simplex._BoxSimplex, "__init__", bland_at_once)
-        iterations, bland_solves = [], []
-        for r, A, b in cases:
-            sol = solve_box_lp(r, A, b)
-            iterations.append(sol.iterations)
-            bland_solves.append(sol.bland)
-            oracle = box_lp_vertex_oracle(r, A, b)
-            assert sol.objective == pytest.approx(oracle, abs=1e-7)
-            check_solution_invariants(SimpleNamespace(rewards=r, columns=A, capacity=b), sol)
-        # Bland's rule took over, and changed the pivot path, in some solves
-        assert iterations != default_iterations
-        assert not any(sol.bland for sol in defaults)
-        assert any(bland_solves)
-
-
 class TestSolveScaled:
     def test_full_prefix_matches_relaxation(self):
         inst = gen_uniform(GeneratorSpec(GeneratorFamily.UNIFORM, n=40, m=3, seed=2))
@@ -238,20 +200,16 @@ def check_warm_against_cold(kind, r, A, b, warm, cold):
 class TestWarmStart:
     def test_random_lps_match_cold(self):
         rng = np.random.default_rng(12)
-        dual_pivots = 0
+        iterations = 0
         for kind, r, A, b_old, b_new in warm_cases(rng, 240):
             prev = solve_box_lp(r, A, b_old)
             warm = solve_box_lp(r, A, b_new, start=(prev.basis, prev.at_upper))
             cold = solve_box_lp(r, A, b_new)
             check_warm_against_cold(kind, r, A, b_new, warm, cold)
-            # every dual pivot kept the start dual feasible, so the primal
-            # loop only certifies optimality
-            assert warm.pivots == warm.flips == 0
             if A.shape[1] <= 8:  # vertex enumeration is exponential in n
                 assert warm.objective == pytest.approx(box_lp_vertex_oracle(r, A, b_new), abs=1e-7)
-            assert cold.dual_pivots == 0
-            dual_pivots += warm.dual_pivots
-        assert dual_pivots > 0  # the dual phase ran
+            iterations += warm.iterations
+        assert iterations > 0  # the warm solves pivoted
 
     def test_own_basis_is_optimal_at_once(self):
         rng = np.random.default_rng(4)
@@ -260,31 +218,6 @@ class TestWarmStart:
             again = solve_box_lp(r, A, b, start=(cold.basis, cold.at_upper))
             assert again.iterations == 0
             assert again.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
-
-    def test_bland_forced(self, monkeypatch):
-        # Two starts per case: the basis of the old capacities is dual
-        # feasible (the dual phase runs), the basis of permuted rewards under
-        # the new capacities is primal feasible (the primal loop runs).
-        rng = np.random.default_rng(13)
-        cases = list(warm_cases(rng, 90))
-        starts = [(solve_box_lp(r, A, b_old), solve_box_lp(rng.permutation(r), A, b_new))
-                  for _, r, A, b_old, b_new in cases]
-        colds = [solve_box_lp(r, A, b_new) for _, r, A, _, b_new in cases]
-        init = simplex._BoxSimplex.__init__
-
-        def bland_at_once(self, *args):
-            init(self, *args)
-            self.bland_threshold = 1
-
-        monkeypatch.setattr(simplex._BoxSimplex, "__init__", bland_at_once)
-        bland = dual_pivots = 0
-        for (kind, r, A, _, b_new), pair, cold in zip(cases, starts, colds):
-            for prev in pair:
-                warm = solve_box_lp(r, A, b_new, start=(prev.basis, prev.at_upper))
-                check_warm_against_cold(kind, r, A, b_new, warm, cold)
-                bland += warm.bland
-                dual_pivots += warm.dual_pivots
-        assert bland > 0 and dual_pivots > 0
 
     def test_prefix_passes_match_cold(self):
         instances = [("uniform", generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=80, m=4, seed=5))),
@@ -303,8 +236,6 @@ class TestWarmStart:
                 cold = solve_scaled(inst, s)
                 check_warm_against_cold(kind, inst.rewards[:s], inst.columns[:, :s],
                                         s * inst.per_column_budget, warm, cold)
-                if prev is not None:
-                    assert warm.pivots == warm.flips == 0
                 warm_iterations += warm.iterations
                 cold_iterations += cold.iterations
                 prev = warm
@@ -342,6 +273,24 @@ class TestWarmStart:
             with pytest.raises(ValueError, match="start"):
                 solve_box_lp(r, A, b, start=start)
 
+    def test_dual_infeasible_start_raises(self):
+        # The optimal basis of permuted rewards under the same capacities is
+        # primal feasible, so the dual simplex makes no pivot, and usually
+        # dual infeasible for the true rewards: the end check must catch it.
+        rng = np.random.default_rng(13)
+        raised = 0
+        for kind, r, A, _, b in warm_cases(rng, 90):
+            prev = solve_box_lp(rng.permutation(r), A, b)
+            try:
+                warm = solve_box_lp(r, A, b, start=(prev.basis, prev.at_upper))
+            except simplex.SimplexError as exc:
+                assert "not dual feasible" in str(exc)
+                raised += 1
+                continue
+            # the start happened to be dual feasible, so the answer is optimal
+            check_warm_against_cold(kind, r, A, b, warm, solve_box_lp(r, A, b))
+        assert raised > 60
+
 
 class TestEffortCounts:
     def test_counts_add_up(self, monkeypatch):
@@ -354,74 +303,39 @@ class TestEffortCounts:
 
         monkeypatch.setattr(simplex._BoxSimplex, "_replace", counting)
         rng = np.random.default_rng(9)
-        flips = dual_pivots = 0
+        iterations = 0
         for kind, r, A, b_old, b_new in warm_cases(rng, 60):
             for start in (None, solve_box_lp(r, A, b_old)):
                 basis_changes.clear()
                 sol = solve_box_lp(r, A, b_new, start=None if start is None
                                    else (start.basis, start.at_upper))
-                assert sol.iterations == sol.pivots + sol.flips + sol.dual_pivots
-                assert len(basis_changes) == sol.pivots + sol.dual_pivots
-                assert min(sol.pivots, sol.flips, sol.dual_pivots) >= 0
-                if start is None:
-                    assert sol.dual_pivots == 0
-                flips += sol.flips
-                dual_pivots += sol.dual_pivots
-        assert flips > 0 and dual_pivots > 0
+                assert len(basis_changes) == sol.iterations
+                iterations += sol.iterations
+        assert iterations > 0
 
 
 class TestPivotPath:
-    """Effort counts and objectives of fixed solves, pinned to their recorded values.
+    """Pivot counts and objectives of fixed solves, pinned to their recorded values.
 
     Answers alone cannot tell two pivot paths apart, so these pin the path a
     change to the solver must keep.  The data are continuous, so no count
     hangs on how BLAS rounds a tie.
     """
 
-    @staticmethod
-    def effort(sol):
-        return sol.pivots, sol.flips, sol.dual_pivots, sol.bland
-
-    def test_cold_offline_lp_past_the_refresh_cadence(self):
+    def test_offline_lp(self):
         inst = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=3200, m=10, seed=1))
-        # the default start walks the primal loop past the refresh cadence
-        cold = solve_box_lp(inst.rewards, inst.columns, inst.capacity)
-        assert cold.iterations > simplex._REFRESH_EVERY
-        assert self.effort(cold) == (479, 1384, 0, False)
-        # the reward-favoured start leaves the work to the long dual steps
         sol = solve_relaxation(inst)
-        assert self.effort(sol) == (0, 0, 9, False)
-        for s in (cold, sol):
-            assert s.objective == pytest.approx(2111.9723586785335, rel=1e-12)
+        assert sol.iterations == 9
+        assert sol.objective == pytest.approx(2111.9723586785335, rel=1e-12)
 
     def test_warm_prefix_pass(self):
         inst = generate(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=200, m=5, seed=2))
-        sol, totals = None, np.zeros(4, dtype=int)
+        sol, total = None, 0
         for s in range(1, inst.n + 1):
             sol = solve_scaled(inst, s, prev=sol)
-            totals += self.effort(sol)
-        assert tuple(totals) == (1, 0, 219, 0)
+            total += sol.iterations
+        assert total == 221
         assert sol.objective == pytest.approx(365.6542164418093, rel=1e-12)
-
-    def test_bland_forced(self, monkeypatch):
-        # One zero capacity makes the first pivots degenerate, which switches
-        # Bland's rule on; those ties are between exact zeros.
-        rng = np.random.default_rng(1)
-        r, A = rng.uniform(-2, 2, 80), rng.uniform(-2, 2, (6, 80))
-        b = rng.uniform(0.5, 1.5, 6) * 8.0
-        b[0] = 0.0
-        assert self.effort(solve_box_lp(r, A, b)) == (27, 24, 0, False)
-        init = simplex._BoxSimplex.__init__
-
-        def bland_at_once(self, *args):
-            init(self, *args)
-            self.bland_threshold = 1
-
-        monkeypatch.setattr(simplex._BoxSimplex, "__init__", bland_at_once)
-        sol = solve_box_lp(r, A, b)
-        assert self.effort(sol) == (244, 26, 0, True)
-        assert sol.objective == pytest.approx(46.22455439702604, rel=1e-12)
-
 
 PRICE_FAMILIES = tuple(GeneratorFamily)  # uniform, gaussian, Cauchy, mixed, adversarial
 
@@ -436,32 +350,9 @@ def assert_certified(inst, sol):
 class TestPriceStart:
     """The offline LP starts at price 0, each column at the bound its reward favours.
 
-    That start changes the work, not the answer: it is the default start's
-    answer, certified, and the dual phase does all the pivoting.
+    Its answer agrees with HiGHS, and the O(nm) certificate catches a column
+    on the wrong bound.
     """
-
-    @pytest.mark.parametrize("family", PRICE_FAMILIES, ids=lambda f: f.value)
-    def test_matches_the_cold_solve(self, family):
-        cold_iterations = iterations = 0
-        for n, m in itertools.product((50, 500, 3000), (1, 5, 10)):
-            inst = generate(GeneratorSpec(family, n=n, m=m, seed=n + m))
-            cold = solve_box_lp(inst.rewards, inst.columns, inst.capacity)
-            sol = solve_relaxation(inst)
-            assert_certified(inst, cold)
-            assert_certified(inst, sol)
-            # every dual pivot keeps the start dual feasible
-            assert sol.pivots == sol.flips == 0
-            if family is GeneratorFamily.ADVERSARIAL:
-                # two repeated columns: the optimal basis is not unique
-                assert sol.objective == pytest.approx(cold.objective, rel=1e-12)
-            else:
-                assert np.array_equal(sol.primal, cold.primal)
-                assert np.array_equal(sol.duals, cold.duals)
-                assert np.array_equal(sol.reduced_bounds_duals, cold.reduced_bounds_duals)
-                assert sol.objective == cold.objective
-            cold_iterations += cold.iterations
-            iterations += sol.iterations
-        assert iterations < cold_iterations
 
     def test_against_highs(self):
         linprog = pytest.importorskip("scipy.optimize").linprog
@@ -525,7 +416,7 @@ class TestLongStep:
     def test_against_the_oracles(self):
         linprog = pytest.importorskip("scipy.optimize").linprog
         rng = np.random.default_rng(2024)
-        solved = dual_pivots = 0
+        solved = iterations = 0
         for inst in self.cases(rng):
             sol = solve_relaxation(inst)
             check_solution_invariants(inst, sol)
@@ -537,8 +428,8 @@ class TestLongStep:
             assert ref.status == 0
             assert sol.objective == pytest.approx(-ref.fun, rel=1e-9, abs=1e-9)
             solved += 1
-            dual_pivots += sol.dual_pivots
-        assert solved >= 300 and dual_pivots > 0
+            iterations += sol.iterations
+        assert solved >= 300 and iterations > 0
 
     def test_partial_sort_passes_what_a_full_sort_passes(self):
         # The pass as one stable sort of every breakpoint would take it.
@@ -565,13 +456,12 @@ class TestLongStep:
         assert widened > 100
 
     def test_few_dual_pivots_at_scale(self):
-        # C8's shape: the primal loop from the default start makes about 6,000
-        # moves, a first-breakpoint dual phase about as many pivots
+        # C8's shape: a dual simplex that takes only the first breakpoint
+        # makes about 6,000 pivots here
         inst = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=10_000, m=5, seed=3))
         sol = solve_relaxation(inst)
         assert_certified(inst, sol)
-        assert sol.pivots == sol.flips == 0
-        assert 0 < sol.dual_pivots < 50
+        assert 0 < sol.iterations < 50
 
 
 class TestSolveBinaryExact:

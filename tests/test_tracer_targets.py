@@ -9,6 +9,7 @@ from pathlib import Path
 
 from onlinelp import algorithms, harness
 from onlinelp.core import MultiInstance
+from onlinelp.generators import GeneratorFamily, GeneratorSpec, generate
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -28,8 +29,21 @@ def test_tracer_installs_and_restores_every_target():
     wrapped = [(owner, attr) for owner, old, new in zip(owners, before, during)
                for attr in old if new[attr] is not old[attr]]
     assert (harness, "run_soa") in wrapped and (MultiInstance, "from_instance") in wrapped
+    assert (harness, "solve_relaxation") in wrapped and (algorithms, "solve_scaled") in wrapped
     for owner, old in zip(owners, before):
         now = dict(vars(owner))
         assert now.keys() == old.keys(), owner.__name__
         left_wrapped = [attr for attr in old if now[attr] is not old[attr]]
         assert not left_wrapped, (owner.__name__, left_wrapped)
+
+
+def test_solver_spans_count_the_iterations():
+    # the tracer's simplex counters read LpSolution.iterations
+    inst = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=400, m=5, seed=1))
+    tracer = load_spans().Tracer()
+    with tracer.installed():
+        offline = harness.solve_relaxation(inst)
+        prefix = algorithms.solve_scaled(inst, 200)
+    assert offline.iterations > 0 and prefix.iterations > 0
+    assert [(span[0], span[4]) for span in tracer.spans] == [
+        ("simplex.offline_lp", offline.iterations), ("simplex.prefix_lp", prefix.iterations)]
