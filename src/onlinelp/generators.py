@@ -87,8 +87,6 @@ class GeneratorSpec:
                 f"heavy-tail entries use two-sided magnitude truncation at "
                 f"{self.cauchy_truncation} via rejection sampling (no boundary atoms)"
             )
-        if self.family is GeneratorFamily.MIXED_FOUR:
-            return "column count truncated to the nearest multiple of four"
         if self.family is GeneratorFamily.ADVERSARIAL:
             return "two-phase low/high reward stream; permute before running"
         return ""
@@ -150,24 +148,23 @@ def gen_mixed_four_groups(spec: GeneratorSpec) -> Instance:
     """Four equal blocks from four entry distributions; rewards Uniform[0, 1].
 
     Blocks in fixed order: Uniform[0, 2], N(1, 1), N(0, 1), uniform on
-    {-1, 1, 3}.  The column count is truncated down to a multiple of four;
-    arrival randomness comes from permuting afterwards.
+    {-1, 1, 3}.  The column count must be a multiple of four; arrival
+    randomness comes from permuting afterwards.
     """
     if spec.family is not GeneratorFamily.MIXED_FOUR:
         raise ValueError("spec family mismatch")
-    n4 = 4 * (spec.n // 4)
-    if n4 < 4:
-        raise ValueError("mixed-group generation needs n >= 4")
-    g = n4 // 4
+    if spec.n % 4:
+        raise ValueError(f"mixed-group generation needs n a multiple of 4, got n = {spec.n}")
+    g = spec.n // 4
     rng = np.random.default_rng(spec.seed)
-    A = np.empty((spec.m, n4))
+    A = np.empty((spec.m, spec.n))
     A[:, :g] = rng.uniform(0.0, 2.0, (spec.m, g))
     A[:, g:2 * g] = rng.normal(1.0, 1.0, (spec.m, g))
     A[:, 2 * g:3 * g] = rng.normal(0.0, 1.0, (spec.m, g))
     A[:, 3 * g:] = rng.choice(np.array([-1.0, 1.0, 3.0]), (spec.m, g))
-    r = rng.uniform(0.0, 1.0, n4)
+    r = rng.uniform(0.0, 1.0, spec.n)
     d = _draw_budget(rng, spec)
-    return Instance(rewards=r, columns=A, capacity=n4 * d)
+    return Instance(rewards=r, columns=A, capacity=spec.n * d)
 
 
 def gen_adversarial(spec: GeneratorSpec) -> Instance:
@@ -176,17 +173,16 @@ def gen_adversarial(spec: GeneratorSpec) -> Instance:
     With one constraint and the default parameters this is the classic
     ordering trap for one-pass algorithms: capacity for half the columns, the
     valuable half arriving last.  Solvable near-optimally only after
-    shuffling.
+    shuffling.  The column count must be even.
     """
     if spec.family is not GeneratorFamily.ADVERSARIAL:
         raise ValueError("spec family mismatch")
-    n2 = 2 * (spec.n // 2)
-    if n2 < 2:
-        raise ValueError("adversarial generation needs n >= 2")
-    half = n2 // 2
+    if spec.n % 2:
+        raise ValueError(f"adversarial generation needs an even n, got n = {spec.n}")
+    half = spec.n // 2
     r = np.concatenate([np.full(half, spec.adversarial_low), np.full(half, spec.adversarial_high)])
-    A = np.ones((spec.m, n2))
-    cap = np.full(spec.m, spec.adversarial_capacity_fraction * n2)
+    A = np.ones((spec.m, spec.n))
+    cap = np.full(spec.m, spec.adversarial_capacity_fraction * spec.n)
     return Instance(rewards=r, columns=A, capacity=cap)
 
 

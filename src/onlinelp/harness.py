@@ -118,6 +118,8 @@ class ExperimentConfig:
             if not self.n_values:
                 raise ConfigError("generator experiments need a non-empty n list")
             self.spec_for(min(self.n_values), 0)  # a bad value fails before any trial runs
+        elif self.n_values:
+            raise ConfigError("n_values cannot be set with a benchmark: its problems set n")
 
     def spec_for(self, n: int, seed: int) -> GeneratorSpec:
         return GeneratorSpec(n=n, seed=seed, **self.generator_params)

@@ -27,10 +27,9 @@ bounds alone, not on the start or the path; a nonbasic column that still
 prices in at those prices (a start that was not dual feasible, or roundoff)
 raises :class:`SimplexError`.
 
-A pivot moves the leaving variable to its bound and updates the explicit
-basis inverse by a rank-one step.  The inverse only steers the pivoting: it
-is recomputed from ``Gt[basis]`` every ``_REINVERT_EVERY`` pivots, and the
-basic values and dual prices come from exact solves against ``Gt[basis]``.
+Each pass inverts the basis matrix once and reads from that inverse the
+basic values, the prices and the leaving row; the exchange itself only
+updates the basis indices and the bound flags.
 """
 from __future__ import annotations
 
@@ -55,7 +54,6 @@ __all__ = [
 
 _PIVOT_TOL = 1e-9   # smallest pivot entry a ratio test takes; largest wrong-signed reduced cost a solve returns
 _FEAS_TOL = 1e-9    # the dual simplex pivots only on a basic value this far outside its bounds
-_REINVERT_EVERY = 50
 _PASS_WIDTH = 32    # breakpoints a long dual step sorts first (4x more each time it runs past)
 
 
@@ -110,167 +108,122 @@ def _long_step(ratios, ranges, excess: float):
         width *= 4
 
 
-class _BoxSimplex:
-    """One solve; not reusable.  All arrays are dense float64.
-
-    ``start`` is ``(basis, at_upper)``: the m basic indices into ``[A | I]``
-    and the nonbasics held at their upper bound.  The default is the
-    all-slack basis with each structural at the bound its reward favours.
-    """
-
-    def __init__(self, rewards, columns, capacity, start=None):
-        self.r = np.ascontiguousarray(np.asarray(rewards, dtype=np.float64).reshape(-1))
-        A = np.ascontiguousarray(np.asarray(columns, dtype=np.float64))
-        self.b = np.ascontiguousarray(np.asarray(capacity, dtype=np.float64).reshape(-1))
-        if A.ndim != 2:
-            raise ValueError("columns must be 2-D")
-        self.m, self.n = A.shape
-        if self.r.shape != (self.n,) or self.b.shape != (self.m,):
-            raise ValueError("inconsistent LP dimensions")
-        if not (self.b >= 0.0).all():
-            raise ValueError("capacities must be non-negative")
-
-        m, n = self.m, self.n
-        N = n + m
-        # Column-major data lives in Gt (N, m): row j is column j of [A | I].
-        self.Gt = Gt = np.concatenate((A.T, np.eye(m)))
-        self.c = np.concatenate([self.r, np.zeros(m)])
-        # Every variable has lower bound 0; structurals have upper bound 1.
-        self.upper = np.full(N, np.inf)
-        self.upper[:n] = 1.0
-
-        if start is None:
-            start = (n + np.arange(m), np.concatenate((self.r > 0.0, np.zeros(m, dtype=bool))))
-        basis, at_upper = start
-        self.basis = np.array(basis, dtype=np.intp)
-        self.at_upper = np.array(at_upper, dtype=bool)
-        if (self.basis.shape != (m,) or self.at_upper.shape != (N,)
-                or len(set(self.basis.tolist())) != m
-                or not ((self.basis >= 0) & (self.basis < N)).all()
-                or self.at_upper[self.basis].any() or self.at_upper[n:].any()):
-            raise ValueError("start must be m distinct basic indices and upper-bound flags "
-                             "for the nonbasic structurals")
-        self.nonbasic = np.ones(N, dtype=bool)
-        self.nonbasic[self.basis] = False
-        self.x = np.where(self.at_upper, self.upper, 0.0)  # basic entries are stale
-        self.Binv = np.linalg.inv(Gt.take(self.basis, axis=0).T)
-        self._refresh_basics()
-        self.pivots_since_invert = self.iterations = 0
-        self.max_iterations = 2000 + 60 * N
-
-    def _refresh_basics(self) -> None:
-        """Basic values by an exact solve against ``Gt[basis]``."""
-        tmp = self.x.copy()
-        tmp[self.basis] = 0.0
-        rhs = self.b - tmp @ self.Gt
-        self.xb = np.linalg.solve(self.Gt.take(self.basis, axis=0).T, rhs)
-
-    def _replace(self, i: int, j: int, w: np.ndarray, to_upper: bool) -> None:
-        """The exchange step: column j enters at basis position i.
-
-        The leaving variable goes to its upper bound if ``to_upper``, else to
-        0; ``w = Binv @ Gt[j]``.
-        """
-        leave = int(self.basis[i])
-        self.x[leave] = self.upper[leave] if to_upper else 0.0
-        self.at_upper[leave] = to_upper
-        self.at_upper[j] = False
-        self.nonbasic[leave] = True
-        self.nonbasic[j] = False
-        self.basis[i] = j
-        # Rank-one update of the basis inverse.
-        row = self.Binv[i] / w[i]
-        self.Binv -= np.outer(w, row)
-        self.Binv[i] = row
-        self.pivots_since_invert += 1
-        if self.pivots_since_invert >= _REINVERT_EVERY:
-            self.Binv = np.linalg.inv(self.Gt.take(self.basis, axis=0).T)
-            self.pivots_since_invert = 0
-
-    def restore_feasibility(self) -> None:
-        """Bounded dual simplex: pivot until every basic value lies within its bounds.
-
-        Needs a dual feasible basis, and every pivot keeps one.  The leaving
-        row has the largest bound violation, its excess.  The nonbasics that
-        move the leaving value toward its bound are passed in increasing
-        ``|cbar_j| / |alpha_rj|`` (first index on ties): each structural
-        whose range ``|alpha_rj|`` leaves part of the excess unabsorbed flips
-        to its other bound, and the column that absorbs the rest enters, at
-        the latest the first slack, whose range is infinite.
-        """
-        while True:
-            above = self.xb - self.upper[self.basis]
-            excess = np.maximum(-self.xb, above)
-            r = int(np.argmax(excess))
-            if excess[r] <= _FEAS_TOL:
-                return
-            self.iterations += 1
-            if self.iterations > self.max_iterations:
-                raise SimplexError(f"pivot budget exceeded ({self.iterations} iterations, "
-                                   f"n={self.n}, m={self.m})")
-            to_upper = bool(above[r] > 0.0)
-            cbar = self.c - self.Gt @ (self.Binv.T @ self.c[self.basis])
-            alpha = self.Gt @ self.Binv[r]
-            # Raising x_j changes the leaving value at rate -alpha_j.
-            toward = np.where(self.at_upper != to_upper, alpha, -alpha)
-            eligible = np.flatnonzero(self.nonbasic & (toward > _PIVOT_TOL))
-            if not eligible.size:
-                # x = 0 is feasible, so only roundoff gets here.
-                raise SimplexError(f"dual ratio test found no entering column (n={self.n}, m={self.m})")
-            ratios = np.abs(cbar[eligible]) / toward[eligible]
-            j = int(eligible[np.argmin(ratios)])
-            if j < self.n and toward[j] < excess[r]:
-                # The first breakpoint leaves part of the excess: pass every
-                # breakpoint whose flip still does.
-                ranges = np.where(eligible < self.n, toward[eligible], np.inf)
-                passed, enter = _long_step(ratios, ranges, excess[r])
-                flipped, j = eligible[passed], int(eligible[enter])
-                self.at_upper[flipped] = ~self.at_upper[flipped]
-                self.x[flipped] = self.at_upper[flipped]
-            self._replace(r, j, self.Binv @ self.Gt[j], to_upper)
-            self._refresh_basics()
-
-
 def solve_box_lp(rewards, columns, capacity, start=None) -> LpSolution:
     """Solve ``max r @ x, A x <= b, 0 <= x <= 1`` on raw arrays.
 
-    ``start`` is an optional ``(basis, at_upper)`` pair, such as a
+    ``start`` is an optional ``(basis, at_upper)`` pair: the m basic indices
+    into ``[A | I]`` and the nonbasics held at their upper bound, such as a
     neighbouring LP's final basis (see :class:`LpSolution`); it must be dual
     feasible.  The default is the all-slack basis with each structural at
     the bound its reward favours (``x_j = 1`` iff ``r_j > 0``), dual feasible
-    at price 0.  Raises ``ValueError`` unless every capacity is non-negative
-    (NaN included), and :class:`SimplexError` if a nonbasic column of the
-    final basis prices in by more than ``_PIVOT_TOL``.
+    at price 0.  Each pass inverts the basis matrix once and reads the basic
+    values, the prices and the leaving row from that inverse.  Raises
+    ``ValueError`` unless every capacity is non-negative (NaN included), and
+    :class:`SimplexError` if a nonbasic column of the final basis prices in
+    by more than ``_PIVOT_TOL``.
     """
-    sx = _BoxSimplex(rewards, columns, capacity, start)
-    sx.restore_feasibility()
+    r = np.ascontiguousarray(np.asarray(rewards, dtype=np.float64).reshape(-1))
+    A = np.ascontiguousarray(np.asarray(columns, dtype=np.float64))
+    b = np.ascontiguousarray(np.asarray(capacity, dtype=np.float64).reshape(-1))
+    if A.ndim != 2:
+        raise ValueError("columns must be 2-D")
+    m, n = A.shape
+    if r.shape != (n,) or b.shape != (m,):
+        raise ValueError("inconsistent LP dimensions")
+    if not (b >= 0.0).all():
+        raise ValueError("capacities must be non-negative")
+    N = n + m
+    # Column-major data lives in Gt (N, m): row j is column j of [A | I].
+    Gt = np.concatenate((A.T, np.eye(m)))
+    c = np.concatenate([r, np.zeros(m)])
+    # Every variable has lower bound 0; structurals have upper bound 1.
+    upper = np.full(N, np.inf)
+    upper[:n] = 1.0
+
+    if start is None:
+        start = (n + np.arange(m), np.concatenate((r > 0.0, np.zeros(m, dtype=bool))))
+    basis = np.array(start[0], dtype=np.intp)
+    at_upper = np.array(start[1], dtype=bool)
+    if (basis.shape != (m,) or at_upper.shape != (N,)
+            or len(set(basis.tolist())) != m
+            or not ((basis >= 0) & (basis < N)).all()
+            or at_upper[basis].any() or at_upper[n:].any()):
+        raise ValueError("start must be m distinct basic indices and upper-bound flags "
+                         "for the nonbasic structurals")
+    nonbasic = np.ones(N, dtype=bool)
+    nonbasic[basis] = False
+    iterations, max_iterations = 0, 2000 + 60 * N
+    # Bounded dual simplex: pivot until every basic value lies within its
+    # bounds.  The leaving row has the largest bound violation, its excess.
+    # The nonbasics that move the leaving value toward its bound are passed
+    # in increasing |cbar_j| / |alpha_ij| (first index on ties): each
+    # structural whose range |alpha_ij| leaves part of the excess unabsorbed
+    # flips to its other bound, and the column that absorbs the rest enters,
+    # at the latest the first slack, whose range is infinite.
+    while True:
+        Binv = np.linalg.inv(Gt.take(basis, axis=0).T)
+        # No basic variable is at its upper bound, so at_upper holds x with
+        # its basic entries at 0.
+        xb = Binv @ (b - at_upper.astype(np.float64) @ Gt)
+        above = xb - upper[basis]
+        excess = np.maximum(-xb, above)
+        i = int(np.argmax(excess))
+        if excess[i] <= _FEAS_TOL:
+            break
+        iterations += 1
+        if iterations > max_iterations:
+            raise SimplexError(f"pivot budget exceeded ({iterations} iterations, n={n}, m={m})")
+        to_upper = bool(above[i] > 0.0)
+        cbar = c - Gt @ (Binv.T @ c[basis])
+        alpha = Gt @ Binv[i]
+        # Raising x_j changes the leaving value at rate -alpha_j.
+        toward = np.where(at_upper != to_upper, alpha, -alpha)
+        eligible = np.flatnonzero(nonbasic & (toward > _PIVOT_TOL))
+        if not eligible.size:
+            # x = 0 is feasible, so only roundoff gets here.
+            raise SimplexError(f"dual ratio test found no entering column (n={n}, m={m})")
+        ratios = np.abs(cbar[eligible]) / toward[eligible]
+        j = int(eligible[np.argmin(ratios)])
+        if j < n and toward[j] < excess[i]:
+            # The first breakpoint leaves part of the excess: pass every
+            # breakpoint whose flip still does.
+            ranges = np.where(eligible < n, toward[eligible], np.inf)
+            passed, enter = _long_step(ratios, ranges, excess[i])
+            flipped, j = eligible[passed], int(eligible[enter])
+            at_upper[flipped] = ~at_upper[flipped]
+        # The exchange: column j enters at position i, and the leaving
+        # variable goes to the bound it violated.
+        at_upper[basis[i]], at_upper[j] = to_upper, False
+        nonbasic[basis[i]], nonbasic[j] = True, False
+        basis[i] = j
+
     # One exact solve per side against the basis in index order: the answer
     # does not depend on the order in which the pivots placed the columns.
-    basis = np.sort(sx.basis)
-    B = sx.Gt.take(basis, axis=0)
-    sx.x[basis] = 0.0
-    sx.x[basis] = np.linalg.solve(B.T, sx.b - sx.x @ sx.Gt)
-    x = sx.x[:sx.n].copy()
-    y = np.linalg.solve(B, sx.c[basis])
+    order = np.sort(basis)
+    B = Gt.take(order, axis=0)
+    x = at_upper.astype(np.float64)
+    x[order] = np.linalg.solve(B.T, b - x @ Gt)
+    x = x[:n].copy()
+    y = np.linalg.solve(B, c[order])
     p = np.maximum(y, 0.0)
-    s = sx.r - p @ sx.Gt[:sx.n].T
+    s = r - p @ Gt[:n].T
     # Every pivot keeps the start's dual feasibility, so a nonbasic column
     # that prices in here comes from a start that was not dual feasible, or
     # from roundoff.
     cbar = np.concatenate((s, -y))
-    worst = np.where(sx.at_upper, -cbar, cbar)[sx.nonbasic].max(initial=0.0)
+    worst = np.where(at_upper, -cbar, cbar)[nonbasic].max(initial=0.0)
     if worst > _PIVOT_TOL:
         raise SimplexError(f"final basis is not dual feasible: a nonbasic column prices in "
-                           f"by {worst:.3g} (n={sx.n}, m={sx.m})")
+                           f"by {worst:.3g} (n={n}, m={m})")
     np.maximum(s, 0.0, out=s)
     return LpSolution(
         primal=x,
         duals=p,
         reduced_bounds_duals=s,
-        objective=float(sx.r @ x),
-        basis=sx.basis.copy(),
-        at_upper=sx.at_upper.copy(),
-        iterations=sx.iterations,
+        objective=float(r @ x),
+        basis=basis,
+        at_upper=at_upper,
+        iterations=iterations,
     )
 
 

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s``.  The heavy sweeps are
 shared through session fixtures; everything is seeded from one root so the
 whole module is reproducible bit for bit.
 """
+import itertools
 import math
 import time
 
@@ -16,8 +17,8 @@ from onlinelp.algorithms import (
     repair_feasibility,
     run_dla,
     run_multi_soa,
+    run_one_pass,
     run_pbd,
-    run_sfa,
     run_soa,
 )
 from onlinelp.core import (
@@ -55,15 +56,25 @@ def uniform_instance(n, m, trial):
                                   seed=child_seed(ROOT, n, trial, "instance")))
 
 
+def one_pass_runs(instances, cfg, block=50):
+    """Yield ``(inst, trace)`` for each instance: its one-row run under ``cfg``.
+
+    The kernel steps at most ``block`` instances per call.  A row's trace does
+    not depend on its batch (``test_algorithms.py`` pins that), so each trace
+    is bitwise that of a one-row ``run_soa`` or ``run_sfa`` call.
+    """
+    instances = iter(instances)
+    while chunk := list(itertools.islice(instances, block)):
+        [traces] = run_one_pass(chunk, [cfg], [[0] * len(chunk)])
+        yield from zip(chunk, traces)
+
+
 @pytest.fixture(scope="session")
 def bound_runs():
     """200 one-pass runs, n=1000, m=10, 1/sqrt(n) steps."""
     started = time.perf_counter()
-    runs = []
-    for trial in range(200):
-        inst = uniform_instance(1000, 10, trial)
-        trace = run_soa(inst, AlgorithmConfig(AlgorithmKind.SOA, StepSchedule.SQRT_N))
-        runs.append((inst, trace))
+    runs = list(one_pass_runs((uniform_instance(1000, 10, trial) for trial in range(200)),
+                              AlgorithmConfig(AlgorithmKind.SOA, StepSchedule.SQRT_N)))
     return runs, time.perf_counter() - started
 
 
@@ -74,10 +85,9 @@ def uniform_sweep():
     sweep = {}
     for n in (100, 400, 1600, 6400):
         cells = []
-        for trial in range(50):
-            inst = uniform_instance(n, 10, trial)
+        for inst, trace in one_pass_runs((uniform_instance(n, 10, trial) for trial in range(50)),
+                                         AlgorithmConfig(AlgorithmKind.SOA, StepSchedule.SQRT_N)):
             lp = solve_relaxation(inst)
-            trace = run_soa(inst, AlgorithmConfig(AlgorithmKind.SOA, StepSchedule.SQRT_N))
             cells.append({
                 "inst": inst,
                 "trace": trace,
@@ -148,20 +158,19 @@ def test_criterion_04_telescoping_bound(bound_runs, uniform_sweep):
 
 
 def test_criterion_05_sfa_feasibility():
+    sfa = AlgorithmConfig(AlgorithmKind.SFA, StepSchedule.SQRT_T)
+    mixed = (permute(generate(GeneratorSpec(GeneratorFamily.MIXED_FOUR, n=400, m=5,
+                                            seed=child_seed(ROOT, 400, trial, "instance"))),
+                     PermutationPlan.random(400, child_seed(ROOT, 400, trial, "permutation")))
+             for trial in range(500))
     infeasible = 0
-    for trial in range(500):
-        spec = GeneratorSpec(GeneratorFamily.MIXED_FOUR, n=400, m=5,
-                             seed=child_seed(ROOT, 400, trial, "instance"))
-        inst = permute(generate(spec),
-                       PermutationPlan.random(400, child_seed(ROOT, 400, trial, "permutation")))
-        trace = run_sfa(inst, AlgorithmConfig(AlgorithmKind.SFA, StepSchedule.SQRT_T))
+    for inst, trace in one_pass_runs(mixed, sfa):
         if violation_norm(inst, trace.decisions) != 0.0:
             infeasible += 1
     comps = []
-    for trial in range(10):
-        inst = uniform_instance(6400, 10, trial)
+    for inst, trace in one_pass_runs((uniform_instance(6400, 10, trial) for trial in range(10)),
+                                     sfa):
         lp = solve_relaxation(inst)
-        trace = run_sfa(inst, AlgorithmConfig(AlgorithmKind.SFA, StepSchedule.SQRT_T))
         comps.append(trace.objective / lp.objective)
     ok = infeasible == 0 and min(comps) >= 0.85
     report("C5 gated-run feasibility", ok,
@@ -218,10 +227,10 @@ def test_criterion_08_repair_feasibility():
     n, m = 10_000, 5
     feasible = 0
     pre, post, caps = [], [], []
-    for trial in range(300):
-        inst = uniform_instance(n, m, trial)
+    instances = (uniform_instance(n, m, trial) for trial in range(300))
+    runs = one_pass_runs(instances, AlgorithmConfig(AlgorithmKind.SOA, StepSchedule.SQRT_N))
+    for trial, (inst, trace) in enumerate(runs):
         lp = solve_relaxation(inst)
-        trace = run_soa(inst, AlgorithmConfig(AlgorithmKind.SOA, StepSchedule.SQRT_N))
         repaired = repair_feasibility(inst, trace, child_seed(ROOT, n, trial, "repair"))
         if violation_norm(inst, repaired.decisions) == 0.0:
             feasible += 1
@@ -282,19 +291,19 @@ def test_criterion_10_lp_baselines():
 
 
 def test_criterion_11_permutation_sanity():
+    soa = AlgorithmConfig(AlgorithmKind.SOA, StepSchedule.SQRT_T)
     norm_regret = {}
     comp10k = None
     for n in (1000, 10_000):
         inst = generate(GeneratorSpec(GeneratorFamily.ADVERSARIAL, n=n, m=1, seed=0))
         lp = solve_relaxation(inst)
         nregs, comps = [], []
-        for trial in range(50):
-            plan = PermutationPlan.random(n, child_seed(ROOT, n, trial, "permutation"))
-            trace = run_soa(permute(inst, plan),
-                            AlgorithmConfig(AlgorithmKind.SOA, StepSchedule.SQRT_T))
+        plans = (PermutationPlan.random(n, child_seed(ROOT, n, trial, "permutation"))
+                 for trial in range(50))
+        for _, trace in one_pass_runs((permute(inst, plan) for plan in plans), soa):
             nregs.append((lp.objective - trace.objective) / lp.objective)
             comps.append(trace.objective / lp.objective)
-        unperm = run_soa(inst, AlgorithmConfig(AlgorithmKind.SOA, StepSchedule.SQRT_T))
+        unperm = run_soa(inst, soa)
         norm_regret[n] = {
             "permuted": float(np.mean(nregs)),
             "unpermuted": (lp.objective - unperm.objective) / lp.objective,

@@ -130,9 +130,11 @@ class TestMixedFourGroups:
         assert np.isin(last, (-1.0, 1.0, 3.0)).all()
         assert inst.rewards.min() >= 0.0 and inst.rewards.max() <= 1.0
 
-    def test_truncates_to_multiple_of_four(self):
-        inst = gen_mixed_four_groups(spec(GeneratorFamily.MIXED_FOUR, n=10, m=2, seed=0))
-        assert inst.n == 8
+    def test_rejects_n_not_a_multiple_of_four(self):
+        for n in (5, 6, 10, 102):
+            with pytest.raises(ValueError, match="multiple of 4"):
+                gen_mixed_four_groups(spec(GeneratorFamily.MIXED_FOUR, n=n, m=2, seed=0))
+        assert gen_mixed_four_groups(spec(GeneratorFamily.MIXED_FOUR, n=8, m=2, seed=0)).n == 8
 
     def test_too_small(self):
         with pytest.raises(ValueError):
@@ -152,6 +154,12 @@ class TestAdversarial:
         assert (inst.rewards[50:] == 2.0).all()
         assert (inst.columns == 1.0).all()
         assert inst.capacity[0] == pytest.approx(50.0)
+
+    def test_rejects_odd_n(self):
+        for n in (1, 3, 101):
+            with pytest.raises(ValueError, match="even n"):
+                gen_adversarial(spec(GeneratorFamily.ADVERSARIAL, n=n, m=1, seed=0))
+        assert gen_adversarial(spec(GeneratorFamily.ADVERSARIAL, n=2, m=1, seed=0)).n == 2
 
     def test_unpermuted_stream_defeats_one_pass(self):
         # without shuffling, a strict majority of the cheap first half is

@@ -135,6 +135,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_n_values_rejected_with_a_benchmark(self, tmp_path):
+        # the file's problems set n, so a listed n would be echoed but never run
+        path = tmp_path / "bench.ini"
+        path.write_text("[experiment]\nname = x\nn_values = 7 9 11\nalgorithms = soa/sqrt_n\n"
+                        f"[benchmark]\npath = {CONFIGS / 'mknap_demo.txt'}\n")
+        with pytest.raises(ConfigError, match="n_values"):
+            load_config(path)
+
     def test_missing_benchmark_file(self, tmp_path):
         path = tmp_path / "bench.ini"
         path.write_text("[experiment]\nname = x\nalgorithms = dla\n"
@@ -338,6 +346,22 @@ m = 2
         assert len(report.errors) == 1
         assert report.errors[0]["n"] == 2
         assert {row.n for row in report.rows} == {24}
+
+    @pytest.mark.parametrize("family, n_bad", [("mixed_four_groups", 102),
+                                               ("adversarial", 101)])
+    def test_n_the_family_cannot_build_fails_its_trials(self, tmp_path, family, n_bad):
+        # the generator rejects n_bad instead of building a smaller instance
+        # whose rows would share their (n, trial, algorithm) key with n = 100
+        path = tmp_path / "near.ini"
+        path.write_text(f"[experiment]\nname = near\nseed = 1\ntrials = 2\n"
+                        f"n_values = 100 {n_bad}\nalgorithms = soa/sqrt_n\n"
+                        f"[generator]\nfamily = {family}\nm = 2\n")
+        report = run_experiment(load_config(path), workers=1)
+        assert [(e["n"], e["trial"]) for e in report.errors] == [(n_bad, 0), (n_bad, 1)]
+        assert sorted((row.n, row.trial, row.algorithm) for row in report.rows) == [
+            (100, 0, "soa/sqrt_n"), (100, 1, "soa/sqrt_n")]
+        assert [(doc["n"], doc["count"]) for doc in report.aggregates] == [(100, 2)]
+        assert {t[0] for t in report.timings} == {100}
 
     def test_block_size_does_not_change_rows(self, tmp_path, monkeypatch):
         path = write_mini_config(tmp_path, trials=3, algorithms=ALL_ALGORITHMS)
