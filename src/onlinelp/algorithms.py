@@ -22,7 +22,7 @@ from .core import (
     StepSchedule,
     threshold_decision,
 )
-from .simplex import solve_scaled
+from .simplex import PrefixWorkspace, solve_scaled
 
 __all__ = [
     "AlgorithmKind",
@@ -213,18 +213,20 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
         left = (np.array(lengths[:a], dtype=float)[None, :, None]
                 - np.arange(t0 + 1.0, t1 + 1)[:, None, None])
         norm_sq = np.empty((span, len(ranked), a))
+        step = np.empty((len(ranked), a, m))
         prices_a, target_a, capacity_a = prices[:, :a], target[:, :a], capacity[:a]
         used_a, budget_a, track_target_a = used[:, :a], budget[:, :a], target[track, :a]
-        plain_rewards, plain_columns = rewards[:, :, 0], columns[:, :, 0]
+        if k == 1:
+            rewards, columns = rewards[:, :, 0], columns[:, :, 0]
         prices_k = prices_a[:, :, None, :]
-        for c in range(span):
-            t = t0 + c
+        for c, (reward, cols, decided, gamma, left_c, norm_sq_c) in enumerate(
+                zip(rewards, columns, chosen[t0:t1, :, :a], steps, left, norm_sq)):
             if k == 1:
-                usage = plain_columns[c]
-                accept = chosen[t, :, :a]
-                np.greater(plain_rewards[c], vecdot(usage, prices_a), out=accept)
+                usage = cols
+                accept = decided
+                np.greater(reward, vecdot(usage, prices_a), out=accept)
             else:
-                values = rewards[c] - vecdot(columns[c], prices_k)
+                values = reward - vecdot(cols, prices_k)
                 best = values.max(axis=-1)
                 accept = best > 0.0
                 pick = values.argmax(axis=-1)
@@ -232,8 +234,8 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
                 for i, j in zip(*np.nonzero(accept & (tied.sum(axis=-1) > 1))):
                     ties = np.flatnonzero(tied[i, j])
                     pick[i, j] = ties[int(rngs[i][j].integers(len(ties)))]
-                usage = np.take_along_axis(columns[c][None], pick[..., None, None], axis=2)[:, :, 0]
-            step = accept[..., None] * usage
+                usage = np.take_along_axis(cols[None], pick[..., None, None], axis=2)[:, :, 0]
+            np.multiply(accept[..., None], usage, out=step)
             if n_gated:
                 # realize a tentative accept only while it fits; the prices
                 # still follow the tentative decision
@@ -242,24 +244,24 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
                 realized &= np.logical_and.reduce(after <= capacity_a, axis=-1)
                 np.copyto(used_a, after, where=realized[..., None])
             if k > 1:
-                np.multiply(pick + 1, accept, out=chosen[t, :, :a])
+                np.multiply(pick + 1, accept, out=decided)
             last = c + 1 == span and a_next < a
             if n_track:
                 if not last:
                     budget_a -= step[track]
-                    np.divide(budget_a, left[c], out=track_target_a)
+                    np.divide(budget_a, left_c, out=track_target_a)
                 elif a_next:
                     budget[:, :a_next] -= step[track, :a_next]
-                    np.divide(budget[:, :a_next], left[c, :a_next], out=target[track, :a_next])
+                    np.divide(budget[:, :a_next], left_c[:a_next], out=target[track, :a_next])
             step -= target_a
-            step *= steps[c]
+            step *= gamma
             if n_track and last:
                 # the update after a row's final decision would divide by zero
                 # and is dead state anyway, so budget tracking skips it
                 step[track, a_next:] = 0.0
             prices_a += step
             np.maximum(prices_a, 0.0, out=prices_a)
-            vecdot(prices_a, prices_a, out=norm_sq[c])
+            vecdot(prices_a, prices_a, out=norm_sq_c)
         np.maximum(peak[:, :a], norm_sq.max(axis=0), out=peak[:, :a])
         t0 = t1
 
@@ -317,9 +319,11 @@ def run_prefix_lp(inst: Instance, kinds: Sequence[AlgorithmKind],
     Step t solves the capacity-shrunk LP over columns 1..t once for all rows,
     warm-started from step t-1's final basis (see
     :func:`~onlinelp.simplex.solve_scaled`): the start changes how each LP is
-    solved, not which LP.  A DLA row thresholds column t against the dual
-    prices of step t-1's LP (zero prices at t=1), with no feasibility
-    enforcement; it ignores its seed.  A PBD row sets x_t to 1 with
+    solved, not which LP.  The pass keeps one
+    :class:`~onlinelp.simplex.PrefixWorkspace`, so a step writes column t
+    into it instead of rebuilding ``[A | I]``.  A DLA row thresholds column
+    t against the dual prices of step t-1's LP (zero prices at t=1), with no
+    feasibility enforcement; it ignores its seed.  A PBD row sets x_t to 1 with
     probability equal to the t-th coordinate of step t's optimum, drawing
     exactly one number per step from its own stream ``rng_seeds[i]``,
     degenerate probabilities included, so traces are seed-stable under code
@@ -341,9 +345,10 @@ def run_prefix_lp(inst: Instance, kinds: Sequence[AlgorithmKind],
     p = np.zeros(m)
     max_norm = 0.0
     sol = None
+    work = PrefixWorkspace(inst)
     for t in range(n):
         dla_accepts = threshold_decision(rewards[t], cols[t], p)
-        sol = solve_scaled(inst, t + 1, prev=sol)
+        sol = solve_scaled(inst, t + 1, prev=sol, work=work)
         prob = min(max(float(sol.primal[t]), 0.0), 1.0)
         for i, rng in enumerate(rngs):
             if (dla_accepts if rng is None else float(rng.random()) < prob):

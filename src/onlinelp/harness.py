@@ -21,7 +21,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -508,6 +507,9 @@ def run_experiment(cfg: ExperimentConfig, *, workers: Optional[int] = None) -> E
     tasks = [(cfg, group, block) for group in groups for block in _blocks(cfg.trials, nworkers)]
     started = time.perf_counter()
     if nworkers > 1 and len(tasks) > 1:
+        # imported here: a single-process run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(nworkers, len(tasks))) as pool:
             outcomes = list(pool.map(_block_task, tasks))
     else:

@@ -30,6 +30,10 @@ raises :class:`SimplexError`.
 Each pass inverts the basis matrix once and reads from that inverse the
 basic values, the prices and the leaving row; the exchange itself only
 updates the basis indices and the bound flags.
+
+A pass of prefix LPs keeps ``[A | I]`` in one :class:`PrefixWorkspace`: a
+warm step writes its one new column and the shifted slack identity into it,
+O(m^2), instead of rebuilding the O(s m) matrix, and solves on its arrays.
 """
 from __future__ import annotations
 
@@ -48,6 +52,7 @@ __all__ = [
     "solve_box_lp",
     "solve_relaxation",
     "solve_scaled",
+    "PrefixWorkspace",
     "solve_binary_exact",
     "certify",
 ]
@@ -130,16 +135,21 @@ def solve_box_lp(rewards, columns, capacity, start=None) -> LpSolution:
     m, n = A.shape
     if r.shape != (n,) or b.shape != (m,):
         raise ValueError("inconsistent LP dimensions")
-    if not (b >= 0.0).all():
-        raise ValueError("capacities must be non-negative")
-    N = n + m
     # Column-major data lives in Gt (N, m): row j is column j of [A | I].
     Gt = np.concatenate((A.T, np.eye(m)))
     c = np.concatenate([r, np.zeros(m)])
     # Every variable has lower bound 0; structurals have upper bound 1.
-    upper = np.full(N, np.inf)
+    upper = np.full(n + m, np.inf)
     upper[:n] = 1.0
+    return _solve(r, Gt, c, upper, b, start)
 
+
+def _solve(r, Gt, c, upper, b, start) -> LpSolution:
+    """:func:`solve_box_lp` on its prebuilt arrays: ``Gt`` is ``[A | I]`` by rows, C-contiguous."""
+    N, m = Gt.shape
+    n = N - m
+    if not (b >= 0.0).all():
+        raise ValueError("capacities must be non-negative")
     if start is None:
         start = (n + np.arange(m), np.concatenate((r > 0.0, np.zeros(m, dtype=bool))))
     basis = np.array(start[0], dtype=np.intp)
@@ -262,7 +272,47 @@ def certify(inst: Instance, sol: LpSolution) -> Certificate:
     )
 
 
-def solve_scaled(inst: Instance, s: int, prev: Optional[LpSolution] = None) -> LpSolution:
+class PrefixWorkspace:
+    """The arrays of one instance's prefix LPs, grown one column per step.
+
+    ``Gt`` holds ``[A | I]`` by rows in prefix layout: for prefix ``s``, rows
+    ``[0, s)`` are the first ``s`` columns and rows ``[s, s + m)`` the slack
+    identity, so ``Gt[:s + m]`` is the array :func:`solve_box_lp` would build
+    for that prefix.  ``c`` and ``upper`` hold the costs and the upper bounds
+    the same way.  :func:`solve_scaled` takes a workspace that holds prefix
+    ``s - 1`` and writes column ``s - 1`` and the shifted identity into it,
+    O(m^2) work, before it solves prefix ``s``.
+    """
+
+    def __init__(self, inst: Instance) -> None:
+        n, m = inst.n, inst.m
+        self.inst = inst
+        self.s = 0
+        self.Gt = np.zeros((n + m, m))
+        self.c = np.zeros(n + m)
+        self.upper = np.full(n + m, np.inf)
+        self._eye = np.eye(m)
+
+    def grow(self, inst: Instance, s: int):
+        """Move to prefix ``s`` and return its ``(Gt, c, upper)`` views.
+
+        Raises ``ValueError`` unless the workspace belongs to ``inst`` and
+        holds prefix ``s - 1``.
+        """
+        if inst is not self.inst or s != self.s + 1:
+            raise ValueError(f"a workspace takes prefix {s} only after prefix {s - 1} of the "
+                             f"same instance; it holds prefix {self.s} of its own")
+        t, m = s - 1, inst.m
+        self.Gt[t] = inst.columns[:, t]
+        self.Gt[s:s + m] = self._eye
+        self.c[t] = inst.rewards[t]
+        self.upper[t] = 1.0
+        self.s = s
+        return self.Gt[:s + m], self.c[:s + m], self.upper[:s + m]
+
+
+def solve_scaled(inst: Instance, s: int, prev: Optional[LpSolution] = None,
+                 work: Optional[PrefixWorkspace] = None) -> LpSolution:
     """Solve the prefix LP over the first ``s`` columns with capacity ``s * d``.
 
     With ``s = n`` this matches :func:`solve_relaxation` up to roundoff in
@@ -271,7 +321,10 @@ def solve_scaled(inst: Instance, s: int, prev: Optional[LpSolution] = None) -> L
     starts at 1 if its reduced cost at ``prev``'s prices is positive, at 0
     otherwise.  That start is dual feasible, and the dual simplex restores
     primal feasibility after ``b`` grows.  Without ``prev`` the solve starts
-    from :func:`solve_box_lp`'s default.
+    from :func:`solve_box_lp`'s default.  ``work``, a
+    :class:`PrefixWorkspace` of ``inst`` that holds prefix ``s - 1``, saves
+    the rebuild of ``[A | I]``: the step writes one column into it and
+    solves on its arrays, with the same pivots and the same result.
     """
     if not 1 <= s <= inst.n:
         raise ValueError(f"prefix length must satisfy 1 <= s <= {inst.n}, got {s}")
@@ -282,8 +335,11 @@ def solve_scaled(inst: Instance, s: int, prev: Optional[LpSolution] = None) -> L
             raise ValueError(f"prev must solve the prefix LP over the first {t} columns")
         basis = np.where(prev.basis >= t, prev.basis + 1, prev.basis)
         favoured = inst.rewards[t] - inst.columns[:, t] @ prev.duals > 0.0
-        start = (basis, np.insert(prev.at_upper, t, favoured))
-    return solve_box_lp(inst.rewards[:s], inst.columns[:, :s], s * inst.per_column_budget, start)
+        start = (basis, np.concatenate((prev.at_upper[:t], [favoured], prev.at_upper[t:])))
+    b = s * inst.per_column_budget
+    if work is None:
+        return solve_box_lp(inst.rewards[:s], inst.columns[:, :s], b, start)
+    return _solve(inst.rewards[:s], *work.grow(inst, s), b, start)
 
 
 _EXACT_LIMIT = 25

@@ -556,7 +556,7 @@ class TestRunPrefixLp:
         instances.append(gen_gaussian(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=60, m=4, seed=2)))
         warm = [run_prefix_lp(inst, kinds, [0, 19]) for inst in instances]
 
-        def cold(inst, s, prev=None):
+        def cold(inst, s, prev=None, work=None):
             return solve_scaled(inst, s)
 
         monkeypatch.setattr(algorithms, "solve_scaled", cold)

@@ -3,8 +3,11 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -400,9 +403,9 @@ m = 2
         real = algorithms.solve_scaled
         calls = []
 
-        def counting(inst, s, prev=None):
+        def counting(inst, s, prev=None, work=None):
             calls.append(inst.n)
-            return real(inst, s, prev=prev)
+            return real(inst, s, prev=prev, work=work)
 
         monkeypatch.setattr(algorithms, "solve_scaled", counting)
         report = run_experiment(cfg, workers=1)
@@ -708,6 +711,17 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "missing.ini")]) == 1
         assert cli.main(["solve", str(tmp_path / "missing-instance.txt")]) == 1
+
+    def test_import_leaves_multiprocessing_out(self):
+        # a single-process run has no use for the process pool, so importing
+        # the command line must not load it; a fresh interpreter shows that
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        code = "import sys, onlinelp.cli; print('multiprocessing' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "False"
 
     def test_usage_error_exit_code(self, capsys):
         assert cli.main(["frobnicate"]) == 1

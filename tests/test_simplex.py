@@ -17,6 +17,7 @@ from onlinelp.generators import (
 )
 from onlinelp import simplex
 from onlinelp.simplex import (
+    PrefixWorkspace,
     certify,
     solve_binary_exact,
     solve_box_lp,
@@ -154,6 +155,65 @@ class TestSolveScaled:
             solve_scaled(inst, 0)
         with pytest.raises(ValueError):
             solve_scaled(inst, 6)
+
+
+def assert_same_solution(a, b):
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
+
+
+class TestPrefixWorkspace:
+    """A pass through one workspace solves every prefix exactly as the plain warm chain does."""
+
+    @staticmethod
+    def cases():
+        for family, m, n in itertools.product(GeneratorFamily, (1, 3, 10), (1, 2, 40)):
+            if (family is GeneratorFamily.MIXED_FOUR and n % 4
+                    or family is GeneratorFamily.ADVERSARIAL and n % 2):
+                continue  # n the family cannot build
+            yield generate(GeneratorSpec(family, n=n, m=m, seed=n + m))
+        # permuted two-phase data: degenerate prefix LPs
+        adversarial = generate(GeneratorSpec(GeneratorFamily.ADVERSARIAL, n=60, m=2, seed=4))
+        yield permute(adversarial, PermutationPlan.random(60, 5))
+
+    def test_pass_matches_plain_warm_chain(self):
+        count = 0
+        for inst in self.cases():
+            work, plain, fast = PrefixWorkspace(inst), None, None
+            for s in range(1, inst.n + 1):
+                plain = solve_scaled(inst, s, prev=plain)
+                fast = solve_scaled(inst, s, prev=fast, work=work)
+                assert_same_solution(fast, plain)
+                count += 1
+        assert count > 600
+
+    def test_cold_solves_on_a_workspace(self):
+        inst = generate(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=30, m=3, seed=6))
+        work = PrefixWorkspace(inst)
+        for s in range(1, inst.n + 1):
+            assert_same_solution(solve_scaled(inst, s, work=work), solve_scaled(inst, s))
+
+    def test_other_prefix_or_instance_raises(self):
+        inst = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=10, m=2, seed=1))
+        twin = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=10, m=2, seed=1))
+        work = PrefixWorkspace(inst)
+        with pytest.raises(ValueError, match="workspace"):
+            solve_scaled(inst, 2, work=work)
+        first = solve_scaled(inst, 1, work=work)
+        for s in (1, 3):
+            with pytest.raises(ValueError, match="workspace"):
+                solve_scaled(inst, s, work=work)
+        with pytest.raises(ValueError, match="workspace"):
+            solve_scaled(twin, 2, prev=first, work=work)
+        # the checks of the plain path hold on a workspace too
+        with pytest.raises(ValueError, match="prev"):
+            solve_scaled(inst, 2, prev=solve_scaled(inst, 2), work=work)
+        assert_same_solution(solve_scaled(inst, 2, prev=first, work=work),
+                             solve_scaled(inst, 2, prev=first))
 
 
 def assert_close(a, b, tol=1e-9):
