@@ -321,7 +321,8 @@ def run_prefix_lp(inst: Instance, kinds: Sequence[AlgorithmKind],
     :func:`~onlinelp.simplex.solve_scaled`): the start changes how each LP is
     solved, not which LP.  The pass keeps one
     :class:`~onlinelp.simplex.PrefixWorkspace`, so a step writes column t
-    into it instead of rebuilding ``[A | I]``.  A DLA row thresholds column
+    into it instead of rebuilding ``[A | I]``, and pivots on the basis and
+    the inverse the previous step ended with.  A DLA row thresholds column
     t against the dual prices of step t-1's LP (zero prices at t=1), with no
     feasibility enforcement; it ignores its seed.  A PBD row sets x_t to 1 with
     probability equal to the t-th coordinate of step t's optimum, drawing
@@ -356,7 +357,7 @@ def run_prefix_lp(inst: Instance, kinds: Sequence[AlgorithmKind],
                 objective[i] += rewards[t]
                 consumption[i] += cols[t]
         p = sol.duals
-        max_norm = max(max_norm, float(np.linalg.norm(p)))
+        max_norm = max(max_norm, math.sqrt(float(p @ p)))
     return [RunTrace(
         decisions=decisions[i],
         objective=float(objective[i]),

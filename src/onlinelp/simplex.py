@@ -29,11 +29,18 @@ raises :class:`SimplexError`.
 
 Each pass inverts the basis matrix once and reads from that inverse the
 basic values, the prices and the leaving row; the exchange itself only
-updates the basis indices and the bound flags.
+updates the basis indices and the bound flags.  A solve given the inverse
+of its start skips the first inversion, and one that then makes no pivot
+also skips the prices solve, reusing the start's prices.
 
-A pass of prefix LPs keeps ``[A | I]`` in one :class:`PrefixWorkspace`: a
-warm step writes its one new column and the shifted slack identity into it,
-O(m^2), instead of rebuilding the O(s m) matrix, and solves on its arrays.
+A pass of prefix LPs keeps ``[A | I]`` and the solver state in one
+:class:`PrefixWorkspace`: a warm step writes its one new column and the
+shifted slack identity into it, O(m^2), instead of rebuilding the O(s m)
+matrix, and moves the last solve's basis, bound flags, inverse and prices
+to the new prefix in O(m) instead of rebuilding the start.  The new column
+does not enter the basis matrix, so the carried inverse and prices still
+hold: a step inverts once per pivot, and a step without pivots solves only
+for the primal values.  The pivots and the answers are unchanged.
 """
 from __future__ import annotations
 
@@ -139,17 +146,9 @@ def solve_box_lp(rewards, columns, capacity, start=None) -> LpSolution:
     Gt = np.concatenate((A.T, np.eye(m)))
     c = np.concatenate([r, np.zeros(m)])
     # Every variable has lower bound 0; structurals have upper bound 1.
-    upper = np.full(n + m, np.inf)
+    N = n + m
+    upper = np.full(N, np.inf)
     upper[:n] = 1.0
-    return _solve(r, Gt, c, upper, b, start)
-
-
-def _solve(r, Gt, c, upper, b, start) -> LpSolution:
-    """:func:`solve_box_lp` on its prebuilt arrays: ``Gt`` is ``[A | I]`` by rows, C-contiguous."""
-    N, m = Gt.shape
-    n = N - m
-    if not (b >= 0.0).all():
-        raise ValueError("capacities must be non-negative")
     if start is None:
         start = (n + np.arange(m), np.concatenate((r > 0.0, np.zeros(m, dtype=bool))))
     basis = np.array(start[0], dtype=np.intp)
@@ -162,6 +161,25 @@ def _solve(r, Gt, c, upper, b, start) -> LpSolution:
                          "for the nonbasic structurals")
     nonbasic = np.ones(N, dtype=bool)
     nonbasic[basis] = False
+    return _solve(r, Gt, c, upper, b, basis, at_upper, nonbasic)[0]
+
+
+def _solve(r, Gt, c, upper, b, basis, at_upper, nonbasic, Binv=None, y=None):
+    """Pivot a valid start to the optimum; returns ``(solution, Binv, y)``.
+
+    ``Gt`` is ``[A | I]`` by rows, C-contiguous.  The start is ``basis``,
+    ``at_upper`` and ``nonbasic`` (the complement of ``basis``), which the
+    pivots update in place; the solution holds copies.  ``Binv``, if given,
+    is the inverse of the start's basis matrix, and ``y`` its prices against
+    the basis in index order: the first pass uses ``Binv`` instead of
+    inverting, and a solve that makes no pivot returns ``y`` instead of
+    solving for it.  The returned ``Binv`` and ``y`` are those of the final
+    basis.
+    """
+    N, m = Gt.shape
+    n = N - m
+    if not (b >= 0.0).all():
+        raise ValueError("capacities must be non-negative")
     iterations, max_iterations = 0, 2000 + 60 * N
     # Bounded dual simplex: pivot until every basic value lies within its
     # bounds.  The leaving row has the largest bound violation, its excess.
@@ -171,7 +189,8 @@ def _solve(r, Gt, c, upper, b, start) -> LpSolution:
     # flips to its other bound, and the column that absorbs the rest enters,
     # at the latest the first slack, whose range is infinite.
     while True:
-        Binv = np.linalg.inv(Gt.take(basis, axis=0).T)
+        if Binv is None:
+            Binv = np.linalg.inv(Gt.take(basis, axis=0).T)
         # No basic variable is at its upper bound, so at_upper holds x with
         # its basic entries at 0.
         xb = Binv @ (b - at_upper.astype(np.float64) @ Gt)
@@ -206,6 +225,7 @@ def _solve(r, Gt, c, upper, b, start) -> LpSolution:
         at_upper[basis[i]], at_upper[j] = to_upper, False
         nonbasic[basis[i]], nonbasic[j] = True, False
         basis[i] = j
+        Binv = None
 
     # One exact solve per side against the basis in index order: the answer
     # does not depend on the order in which the pivots placed the columns.
@@ -214,7 +234,8 @@ def _solve(r, Gt, c, upper, b, start) -> LpSolution:
     x = at_upper.astype(np.float64)
     x[order] = np.linalg.solve(B.T, b - x @ Gt)
     x = x[:n].copy()
-    y = np.linalg.solve(B, c[order])
+    if iterations or y is None:
+        y = np.linalg.solve(B, c[order])
     p = np.maximum(y, 0.0)
     s = r - p @ Gt[:n].T
     # Every pivot keeps the start's dual feasibility, so a nonbasic column
@@ -231,10 +252,10 @@ def _solve(r, Gt, c, upper, b, start) -> LpSolution:
         duals=p,
         reduced_bounds_duals=s,
         objective=float(r @ x),
-        basis=basis,
-        at_upper=at_upper,
+        basis=basis.copy(),
+        at_upper=at_upper.copy(),
         iterations=iterations,
-    )
+    ), Binv, y
 
 
 def solve_relaxation(inst: Instance) -> LpSolution:
@@ -273,15 +294,26 @@ def certify(inst: Instance, sol: LpSolution) -> Certificate:
 
 
 class PrefixWorkspace:
-    """The arrays of one instance's prefix LPs, grown one column per step.
+    """The arrays and the solver state of one instance's prefix LPs, grown one column per step.
 
     ``Gt`` holds ``[A | I]`` by rows in prefix layout: for prefix ``s``, rows
     ``[0, s)`` are the first ``s`` columns and rows ``[s, s + m)`` the slack
     identity, so ``Gt[:s + m]`` is the array :func:`solve_box_lp` would build
-    for that prefix.  ``c`` and ``upper`` hold the costs and the upper bounds
-    the same way.  :func:`solve_scaled` takes a workspace that holds prefix
-    ``s - 1`` and writes column ``s - 1`` and the shifted identity into it,
-    O(m^2) work, before it solves prefix ``s``.
+    for that prefix.  ``c``, ``upper``, ``at_upper`` and ``nonbasic`` hold
+    the costs, the upper bounds, the upper-bound flags and the nonbasic mask
+    the same way.  ``basis``, ``Binv`` and ``y`` are the final basis of the
+    last solve, the inverse its last pass took and its prices against the
+    basis in index order; ``last`` is the solution that solve returned.
+
+    :func:`solve_scaled` takes a workspace that holds prefix ``s - 1``,
+    writes column ``s - 1`` and the shifted identity into it, O(m^2) work,
+    and solves prefix ``s``.  A warm step (``prev`` is ``last``) moves the
+    carried state to prefix ``s`` in O(m): the basic slacks are renumbered,
+    the slack flags shift by one, and the new column takes the bound its
+    reduced cost at ``last``'s prices favours.  The basis matrix is then the
+    one ``Binv`` inverts, so the first pass reuses it, and a step that makes
+    no pivot reuses ``y``: the pivots and the answers are those of the plain
+    warm chain, bit for bit.
     """
 
     def __init__(self, inst: Instance) -> None:
@@ -291,24 +323,60 @@ class PrefixWorkspace:
         self.Gt = np.zeros((n + m, m))
         self.c = np.zeros(n + m)
         self.upper = np.full(n + m, np.inf)
+        self.at_upper = np.zeros(n + m, dtype=bool)
+        self.nonbasic = np.ones(n + m, dtype=bool)
+        self.basis = np.zeros(m, dtype=np.intp)
+        self.Binv: Optional[np.ndarray] = None
+        self.y: Optional[np.ndarray] = None
+        self.last: Optional[LpSolution] = None
         self._eye = np.eye(m)
 
-    def grow(self, inst: Instance, s: int):
-        """Move to prefix ``s`` and return its ``(Gt, c, upper)`` views.
+    def solve(self, inst: Instance, s: int, prev: Optional[LpSolution]) -> LpSolution:
+        """Grow to prefix ``s`` and solve it, warm from ``prev`` if given (see :func:`solve_scaled`).
 
         Raises ``ValueError`` unless the workspace belongs to ``inst`` and
-        holds prefix ``s - 1``.
+        holds prefix ``s - 1``, and, with ``prev``, unless ``prev`` is the
+        last solution it returned and its carried basis is m distinct
+        indices of that prefix.
         """
         if inst is not self.inst or s != self.s + 1:
             raise ValueError(f"a workspace takes prefix {s} only after prefix {s - 1} of the "
                              f"same instance; it holds prefix {self.s} of its own")
         t, m = s - 1, inst.m
+        N = s + m
+        basis = self.basis
+        if prev is not None:
+            if prev is not self.last:
+                raise ValueError("prev must be the last solution this workspace returned")
+            if len(set(basis.tolist())) != m or not ((basis >= 0) & (basis < N - 1)).all():
+                raise ValueError("the workspace's carried basis must be m distinct indices "
+                                 f"into prefix {t}")
+        self.last = None  # a step that raises below leaves no state to warm from
         self.Gt[t] = inst.columns[:, t]
-        self.Gt[s:s + m] = self._eye
+        self.Gt[s:N] = self._eye
         self.c[t] = inst.rewards[t]
         self.upper[t] = 1.0
         self.s = s
-        return self.Gt[:s + m], self.c[:s + m], self.upper[:s + m]
+        at_upper, nonbasic = self.at_upper[:N], self.nonbasic[:N]
+        if prev is None:
+            basis[:] = np.arange(s, N)
+            np.greater(inst.rewards[:s], 0.0, out=at_upper[:s])
+            at_upper[s:] = False
+            nonbasic[:] = True
+            nonbasic[basis] = False
+            Binv = y = None
+        else:
+            basis[basis >= t] += 1
+            at_upper[s:] = at_upper[t:N - 1]
+            nonbasic[s:] = nonbasic[t:N - 1]
+            at_upper[t] = inst.rewards[t] - inst.columns[:, t] @ prev.duals > 0.0
+            nonbasic[t] = True
+            Binv, y = self.Binv, self.y
+        sol, self.Binv, self.y = _solve(inst.rewards[:s], self.Gt[:N], self.c[:N],
+                                        self.upper[:N], s * inst.per_column_budget,
+                                        basis, at_upper, nonbasic, Binv, y)
+        self.last = sol
+        return sol
 
 
 def solve_scaled(inst: Instance, s: int, prev: Optional[LpSolution] = None,
@@ -321,25 +389,28 @@ def solve_scaled(inst: Instance, s: int, prev: Optional[LpSolution] = None,
     starts at 1 if its reduced cost at ``prev``'s prices is positive, at 0
     otherwise.  That start is dual feasible, and the dual simplex restores
     primal feasibility after ``b`` grows.  Without ``prev`` the solve starts
-    from :func:`solve_box_lp`'s default.  ``work``, a
-    :class:`PrefixWorkspace` of ``inst`` that holds prefix ``s - 1``, saves
-    the rebuild of ``[A | I]``: the step writes one column into it and
-    solves on its arrays, with the same pivots and the same result.
+    from :func:`solve_box_lp`'s default.
+
+    ``work``, a :class:`PrefixWorkspace` of ``inst`` that holds prefix
+    ``s - 1``, saves the rebuild of ``[A | I]`` and, warm, the rebuild of
+    the start: the step writes one column into the workspace and pivots on
+    the state it carries from its last solve, which ``prev`` must then be.
+    A step without pivots inverts nothing and reuses the prices.  The pivots
+    and the result are the same as without ``work``.
     """
     if not 1 <= s <= inst.n:
         raise ValueError(f"prefix length must satisfy 1 <= s <= {inst.n}, got {s}")
+    t = s - 1  # the new column's index, and prev's column count
+    if prev is not None and prev.at_upper.shape != (t + inst.m,):
+        raise ValueError(f"prev must solve the prefix LP over the first {t} columns")
+    if work is not None:
+        return work.solve(inst, s, prev)
     start = None
     if prev is not None:
-        t = s - 1  # the new column's index, and prev's column count
-        if prev.at_upper.shape != (t + inst.m,):
-            raise ValueError(f"prev must solve the prefix LP over the first {t} columns")
         basis = np.where(prev.basis >= t, prev.basis + 1, prev.basis)
         favoured = inst.rewards[t] - inst.columns[:, t] @ prev.duals > 0.0
         start = (basis, np.concatenate((prev.at_upper[:t], [favoured], prev.at_upper[t:])))
-    b = s * inst.per_column_budget
-    if work is None:
-        return solve_box_lp(inst.rewards[:s], inst.columns[:, :s], b, start)
-    return _solve(inst.rewards[:s], *work.grow(inst, s), b, start)
+    return solve_box_lp(inst.rewards[:s], inst.columns[:, :s], s * inst.per_column_budget, start)
 
 
 _EXACT_LIMIT = 25

@@ -215,6 +215,41 @@ class TestPrefixWorkspace:
         assert_same_solution(solve_scaled(inst, 2, prev=first, work=work),
                              solve_scaled(inst, 2, prev=first))
 
+    def test_prev_from_another_chain_raises(self):
+        # the carried state belongs to the last solution the workspace
+        # returned: an equal solution of the same prefix is not it
+        inst = generate(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=12, m=3, seed=5))
+        work = PrefixWorkspace(inst)
+        own = solve_scaled(inst, 1, work=work)
+        other = solve_scaled(inst, 1)
+        assert_same_solution(own, other)
+        with pytest.raises(ValueError, match="last solution this workspace returned"):
+            solve_scaled(inst, 2, prev=other, work=work)
+        own = solve_scaled(inst, 2, prev=own, work=work)
+        with pytest.raises(ValueError, match="last solution this workspace returned"):
+            solve_scaled(inst, 3, prev=solve_scaled(inst, 2, prev=other), work=work)
+        assert_same_solution(solve_scaled(inst, 3, prev=own, work=work),
+                             solve_scaled(inst, 3, prev=solve_scaled(inst, 2, prev=other)))
+
+    def test_corrupt_carried_basis_raises(self):
+        inst = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=12, m=3, seed=2))
+        for bad in ((0, 0, 1), (0, 1, 5), (0, 1, -1)):  # prefix 2 has indices 0..4
+            work = PrefixWorkspace(inst)
+            sol = solve_scaled(inst, 2, prev=solve_scaled(inst, 1, work=work), work=work)
+            work.basis[:] = bad
+            with pytest.raises(ValueError, match="carried basis"):
+                solve_scaled(inst, 3, prev=sol, work=work)
+
+    def test_solution_owns_its_arrays(self):
+        # the workspace pivots its state in place; a returned solution keeps its start
+        inst = generate(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=40, m=3, seed=6))
+        work, sol, kept = PrefixWorkspace(inst), None, []
+        for s in range(1, inst.n + 1):
+            sol = solve_scaled(inst, s, prev=sol, work=work)
+            kept.append((sol, sol.basis.copy(), sol.at_upper.copy()))
+        for sol, basis, at_upper in kept:
+            assert np.array_equal(sol.basis, basis) and np.array_equal(sol.at_upper, at_upper)
+
 
 def assert_close(a, b, tol=1e-9):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -375,6 +410,40 @@ class TestEffortCounts:
                 iterations += sol.iterations
         assert iterations > 0
 
+    def test_warm_workspace_steps(self, monkeypatch):
+        # a warm step starts from the inverse the previous step's last pass
+        # took, so it inverts once per pivot, and a step without pivots
+        # reuses the prices: it solves only for the primal values
+        inv, solve = np.linalg.inv, np.linalg.solve
+        inversions, solves = [], []
+
+        def counting_inv(a):
+            inversions.append(1)
+            return inv(a)
+
+        def counting_solve(a, b):
+            solves.append(1)
+            return solve(a, b)
+
+        monkeypatch.setattr(simplex.np.linalg, "inv", counting_inv)
+        monkeypatch.setattr(simplex.np.linalg, "solve", counting_solve)
+        steps = pivoting = 0
+        for family in (GeneratorFamily.UNIFORM, GeneratorFamily.GAUSSIAN, GeneratorFamily.ADVERSARIAL):
+            inst = generate(GeneratorSpec(family, n=60, m=3, seed=8))
+            work, sol = PrefixWorkspace(inst), None
+            for s in range(1, inst.n + 1):
+                inversions.clear()
+                solves.clear()
+                sol = solve_scaled(inst, s, prev=sol, work=work)
+                if s == 1:  # the cold first step inverts its start
+                    assert len(inversions) == sol.iterations + 1
+                    continue
+                assert len(inversions) == sol.iterations
+                assert len(solves) == 1 + (sol.iterations > 0)
+                steps += 1
+                pivoting += sol.iterations > 0
+        assert 0 < pivoting < steps
+
 
 class TestPivotPath:
     """Pivot counts and objectives of fixed solves, pinned to their recorded values.
@@ -391,13 +460,15 @@ class TestPivotPath:
         assert sol.objective == pytest.approx(2111.9723586785335, rel=1e-12)
 
     def test_warm_prefix_pass(self):
+        # the plain warm chain and the workspace pass run_prefix_lp takes
         inst = generate(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=200, m=5, seed=2))
-        sol, total = None, 0
-        for s in range(1, inst.n + 1):
-            sol = solve_scaled(inst, s, prev=sol)
-            total += sol.iterations
-        assert total == 221
-        assert sol.objective == pytest.approx(365.6542164418093, rel=1e-12)
+        for work in (None, PrefixWorkspace(inst)):
+            sol, total = None, 0
+            for s in range(1, inst.n + 1):
+                sol = solve_scaled(inst, s, prev=sol, work=work)
+                total += sol.iterations
+            assert total == 221
+            assert sol.objective == pytest.approx(365.6542164418093, rel=1e-12)
 
 PRICE_FAMILIES = tuple(GeneratorFamily)  # uniform, gaussian, Cauchy, mixed, adversarial
 
