@@ -20,9 +20,11 @@ from .core import (
     MultiInstance,
     RunTrace,
     StepSchedule,
-    threshold_decision,
 )
-from .simplex import PrefixWorkspace, solve_scaled
+from .simplex import solve_prefix_lps
+# A tracer shim: solve_scaled stays bound here because perfbench/spans.py looks
+# it up in this module; run_prefix_lp solves through solve_prefix_lps.
+from .simplex import solve_scaled  # noqa: F401
 
 __all__ = [
     "AlgorithmKind",
@@ -272,17 +274,23 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
             decisions = chosen[:lengths[jj], i, jj].astype(np.int8 if k == 1 else np.int32)
             picked = np.flatnonzero(decisions)
             alt = decisions[picked] - 1
-            # in-order sums from zero, bit for bit the += of a scalar loop; the
-            # copy of the last partial sum lets the others go
-            sums = np.cumsum(np.vstack((np.zeros(m), columns[picked, alt])), axis=0)
-            traces[pos][j] = RunTrace(
-                decisions=decisions,
-                objective=float(np.cumsum(np.append(0.0, rewards[picked, alt]))[-1]),
-                consumption=sums[-1].copy(),
-                final_prices=prices[i, jj].copy(),
-                max_dual_norm=math.sqrt(peak[i, jj]),
-            )
+            traces[pos][j] = _trace(decisions, rewards[picked, alt], columns[picked, alt],
+                                    prices[i, jj].copy(), math.sqrt(peak[i, jj]))
     return traces
+
+
+def _trace(decisions, taken_rewards, taken_columns, final_prices, max_dual_norm) -> RunTrace:
+    """A run's trace from its decisions and the rewards and usage vectors it took, in order."""
+    # in-order sums from zero, bit for bit the += of a scalar loop; the copy
+    # of the last partial sum lets the others go
+    sums = np.cumsum(np.vstack((np.zeros(len(final_prices)), taken_columns)), axis=0)
+    return RunTrace(
+        decisions=decisions,
+        objective=float(np.cumsum(np.append(0.0, taken_rewards))[-1]),
+        consumption=sums[-1].copy(),
+        final_prices=final_prices,
+        max_dual_norm=max_dual_norm,
+    )
 
 
 def _run_single(inst, cfg: AlgorithmConfig, kind: AlgorithmKind, rng_seed: int = 0) -> RunTrace:
@@ -312,69 +320,73 @@ def run_multi_soa(minst: MultiInstance, cfg: AlgorithmConfig, rng_seed: int = 0)
     return _run_single(minst, cfg, AlgorithmKind.MULTI_SOA, rng_seed)
 
 
-def run_prefix_lp(inst: Instance, kinds: Sequence[AlgorithmKind],
-                  rng_seeds: Sequence[int]) -> List[RunTrace]:
-    """Step the per-step-LP baselines together; returns one trace per entry of ``kinds``.
+def run_prefix_lp(instances: Sequence[Instance], kinds: Sequence[AlgorithmKind],
+                  rng_seeds: Sequence[Sequence[int]]) -> List[List[RunTrace]]:
+    """Step DLA and PBD over every instance at once; returns ``traces[kind][instance]``.
 
-    Step t solves the capacity-shrunk LP over columns 1..t once for all rows,
-    warm-started from step t-1's final basis (see
-    :func:`~onlinelp.simplex.solve_scaled`): the start changes how each LP is
-    solved, not which LP.  The pass keeps one
-    :class:`~onlinelp.simplex.PrefixWorkspace`, so a step writes column t
-    into it instead of rebuilding ``[A | I]``, and pivots on the basis and
-    the inverse the previous step ended with.  A DLA row thresholds column
-    t against the dual prices of step t-1's LP (zero prices at t=1), with no
-    feasibility enforcement; it ignores its seed.  A PBD row sets x_t to 1 with
-    probability equal to the t-th coordinate of step t's optimum, drawing
-    exactly one number per step from its own stream ``rng_seeds[i]``,
-    degenerate probabilities included, so traces are seed-stable under code
-    motion.  No row depends on the others.
+    A row is one (kind, instance) pair.  Step t solves each instance's
+    capacity-shrunk LP over columns 1..t once for all its rows, warm-started
+    from step t-1's final basis, in one lockstep pass over the instances
+    (see :func:`~onlinelp.simplex.solve_prefix_lps`): the start changes how
+    each LP is solved, not which LP.  The instances share m, not n: they run
+    longest first, and step t steps only those with n > t.  A DLA row
+    thresholds column t against the dual prices of step t-1's LP (zero
+    prices at t=1), with no feasibility enforcement; it ignores its seed.  A
+    PBD row sets x_t to 1 with probability equal to the t-th coordinate of
+    step t's optimum, drawing exactly one number per step from its own
+    stream ``rng_seeds[i][j]``, degenerate probabilities included, so traces
+    are seed-stable under code motion.  No row depends on the others or on
+    the other instances of the batch.  Raises ``ValueError`` unless the
+    instances share m.
     """
-    if not kinds or any(kind not in PREFIX_LP_KINDS for kind in kinds):
-        raise ValueError("a prefix-LP pass takes one or more DLA and PBD rows")
-    if len(rng_seeds) != len(kinds):
-        raise ValueError("a prefix-LP pass needs one seed per row")
-    n, m = inst.n, inst.m
-    cols = np.ascontiguousarray(inst.columns.T)
-    rewards = inst.rewards
-    # DLA rows draw nothing; every DLA row takes the same decisions
-    rngs = [None if kind is AlgorithmKind.DLA else np.random.default_rng(seed)
-            for kind, seed in zip(kinds, rng_seeds)]
-    decisions = [np.zeros(n, dtype=np.int8) for _ in kinds]
-    consumption = [np.zeros(m) for _ in kinds]
-    objective = [0.0] * len(kinds)
-    p = np.zeros(m)
-    max_norm = 0.0
-    sol = None
-    work = PrefixWorkspace(inst)
-    for t in range(n):
-        dla_accepts = threshold_decision(rewards[t], cols[t], p)
-        sol = solve_scaled(inst, t + 1, prev=sol, work=work)
-        prob = min(max(float(sol.primal[t]), 0.0), 1.0)
-        for i, rng in enumerate(rngs):
-            if (dla_accepts if rng is None else float(rng.random()) < prob):
-                decisions[i][t] = 1
-                objective[i] += rewards[t]
-                consumption[i] += cols[t]
-        p = sol.duals
-        max_norm = max(max_norm, math.sqrt(float(p @ p)))
-    return [RunTrace(
-        decisions=decisions[i],
-        objective=float(objective[i]),
-        consumption=consumption[i],
-        final_prices=p.copy() if rng is None else np.zeros(m),
-        max_dual_norm=max_norm if rng is None else None,
-    ) for i, rng in enumerate(rngs)]
+    if not instances or not kinds or any(kind not in PREFIX_LP_KINDS for kind in kinds):
+        raise ValueError("a prefix-LP pass takes one or more DLA and PBD rows and instances")
+    if len(rng_seeds) != len(kinds) or any(len(row) != len(instances) for row in rng_seeds):
+        raise ValueError("a prefix-LP pass needs one seed per (kind, instance) row")
+    # Instances run longest first (stable), as the pass requires.
+    by_n = sorted(range(len(instances)), key=lambda j: -instances[j].n)
+    ordered = [instances[j] for j in by_n]
+    steps = solve_prefix_lps(ordered)
+    cells, n_max, m = len(ordered), ordered[0].n, ordered[0].m
+    pbd = [i for i, kind in enumerate(kinds) if kind is AlgorithmKind.PBD]
+    rngs = [[np.random.default_rng(rng_seeds[i][j]) for j in by_n] for i in pbd]
+    drawn = np.zeros((len(pbd), cells, n_max), dtype=bool)
+    # prices[k, t] are cell k's prices before step t: zero, then step t-1's duals
+    prices = np.zeros((cells, n_max + 1, m))
+    for t, step in enumerate(steps):
+        a = len(step.primal)
+        prices[:a, t + 1] = step.duals
+        if rngs:
+            prob = np.minimum(np.maximum(step.primal, 0.0), 1.0).tolist()
+            for taken, row in zip(drawn, rngs):
+                taken[:a, t] = [float(rng.random()) < q for rng, q in zip(row, prob)]
+
+    traces: List[List[RunTrace]] = [[None] * cells for _ in kinds]
+    for k, (j, inst) in enumerate(zip(by_n, ordered)):
+        cols, seen = np.ascontiguousarray(inst.columns.T), prices[k, :inst.n + 1]
+        # every step's decision and price norm at once, by the dot products
+        # a step-by-step loop would take
+        accepts = inst.rewards > (cols[:, None, :] @ seen[:-1, :, None])[:, 0, 0]
+        norm_sq = (seen[1:, None, :] @ seen[1:, :, None]).max()
+        for i, kind in enumerate(kinds):
+            if kind is AlgorithmKind.DLA:
+                taken, final, norm = accepts, seen[-1].copy(), math.sqrt(norm_sq)
+            else:
+                taken, final, norm = drawn[pbd.index(i), k, :inst.n], np.zeros(m), None
+            picked = np.flatnonzero(taken)
+            traces[i][j] = _trace(taken.astype(np.int8), inst.rewards[picked], cols[picked],
+                                  final, norm)
+    return traces
 
 
 def run_dla(inst: Instance) -> RunTrace:
     """Per-step-LP baseline: decide with the prefix LP's dual prices (see :func:`run_prefix_lp`)."""
-    return run_prefix_lp(inst, [AlgorithmKind.DLA], [0])[0]
+    return run_prefix_lp([inst], [AlgorithmKind.DLA], [[0]])[0][0]
 
 
 def run_pbd(inst: Instance, rng_seed: int) -> RunTrace:
     """Per-step-LP baseline: round the prefix LP's own fractional value (see :func:`run_prefix_lp`)."""
-    return run_prefix_lp(inst, [AlgorithmKind.PBD], [rng_seed])[0]
+    return run_prefix_lp([inst], [AlgorithmKind.PBD], [[rng_seed]])[0][0]
 
 
 def repair_feasibility(inst: Instance, trace: RunTrace, rng_seed: int) -> RunTrace:

@@ -272,19 +272,20 @@ def _block_task(args):
     the config, a benchmark problem comes alone.
 
     Returns ``(rows, timings, errors, certificates)``.  Every cell is
-    generated and permuted first, then one kernel call steps every one-pass
-    algorithm on every cell of the block, across all its n (if it fails,
-    every cell in it records the error), then each cell's offline LP is
-    solved.  A benchmark problem's relaxation is instead solved once for the
-    block, since permuting its columns leaves the optimum unchanged; if that
-    solve fails, every trial of the block records the error.  Each LP solved
-    gets a :class:`~onlinelp.simplex.Certificate`.  One prefix-LP pass per
-    cell steps its DLA and PBD rows.  In the timings, the kernel call's wall
-    time is split over its rows in proportion to each row's n, and that of
-    any other shared solve or pass evenly over its rows.  Evaluation and
-    repair run per cell.  A cell that fails anywhere else, the one-pass
-    checks of :func:`~onlinelp.algorithms.check_one_pass` included, records
-    its own error and contributes no rows; the other cells of the block are
+    generated and permuted first.  Then one kernel call steps every one-pass
+    algorithm, and one prefix-LP pass every DLA and PBD row, on every cell
+    of the block, across all its n; if either call fails, every cell it
+    carried records the error.  Then each cell's offline LP is solved.  A
+    benchmark problem's relaxation is instead solved once for the block,
+    since permuting its columns leaves the optimum unchanged; if that solve
+    fails, every trial of the block records the error.  Each LP solved gets
+    a :class:`~onlinelp.simplex.Certificate`.  In the timings, the wall time
+    of the kernel call and of the prefix-LP pass is split over their rows in
+    proportion to each row's n, and that of a benchmark problem's solve
+    evenly over its rows.  Evaluation and repair run per cell.  A cell that
+    fails anywhere else, the one-pass checks of
+    :func:`~onlinelp.algorithms.check_one_pass` included, records its own
+    error and contributes no rows; the other cells of the block are
     unaffected.
     """
     cfg, sources, trials = args
@@ -310,17 +311,23 @@ def _block_task(args):
                 cells.append(cell)
             except Exception as exc:
                 failures[n, first + trial] = exc
-    batch, shares = [], []
-    if kernel and cells:
+    found = [{} for _ in cells]  # per cell: label -> (trace, wall seconds)
+    for run, configs, algorithms in ((run_one_pass, kernel, kernel),
+                                     (run_prefix_lp, prefix, [c.kind for c in prefix])):
+        if not (configs and cells):
+            continue
         t0 = time.perf_counter()
         try:
-            batch = run_one_pass([cell.inst for cell in cells], kernel,
-                                 [[cell.seed(c.label) for cell in cells] for c in kernel])
-            wall = (time.perf_counter() - t0) / (len(kernel) * sum(cell.inst.n for cell in cells))
-            shares = [wall * cell.inst.n for cell in cells]
+            batch = run([cell.inst for cell in cells], algorithms,
+                        [[cell.seed(c.label) for cell in cells] for c in configs])
         except Exception as exc:
             failures.update(((cell.n, cell.trial), exc) for cell in cells)
-            cells = []
+            cells, found = [], []
+            continue
+        wall = (time.perf_counter() - t0) / (len(configs) * sum(cell.inst.n for cell in cells))
+        for i, cell in enumerate(cells):
+            found[i].update((c.label, (row[i], wall * cell.inst.n))
+                            for c, row in zip(configs, batch))
     rows: List[TrialResult] = []
     timings: List[Tuple[int, int, str, float]] = []
     for i, (n, trial, inst, seed) in enumerate(cells):
@@ -333,15 +340,8 @@ def _block_task(args):
                 certificates.append(certify(inst, sol))
             else:
                 lp_opt, lp_seconds = problem_lp[n]
-            found = {c.label: (row[i], shares[i]) for c, row in zip(kernel, batch)}
-            if prefix:
-                t0 = time.perf_counter()
-                traces = run_prefix_lp(inst, [c.kind for c in prefix],
-                                       [seed(c.label) for c in prefix])
-                wall = (time.perf_counter() - t0) / len(prefix)
-                found.update((c.label, (trace, wall)) for c, trace in zip(prefix, traces))
             for label in (c.label for c in cfg.algorithms):
-                trace, wall = found[label]
+                trace, wall = found[i][label]
                 runs.append((label, seed(label), trace, wall))
                 if cfg.repair:
                     rseed = seed(label + "+repair")

@@ -29,24 +29,22 @@ raises :class:`SimplexError`.
 
 Each pass inverts the basis matrix once and reads from that inverse the
 basic values, the prices and the leaving row; the exchange itself only
-updates the basis indices and the bound flags.  A solve given the inverse
-of its start skips the first inversion, and one that then makes no pivot
-also skips the prices solve, reusing the start's prices.
+updates the basis indices and the bound flags.
 
-A pass of prefix LPs keeps ``[A | I]`` and the solver state in one
-:class:`PrefixWorkspace`: a warm step writes its one new column and the
-shifted slack identity into it, O(m^2), instead of rebuilding the O(s m)
-matrix, and moves the last solve's basis, bound flags, inverse and prices
-to the new prefix in O(m) instead of rebuilding the start.  The new column
-does not enter the basis matrix, so the carried inverse and prices still
-hold: a step inverts once per pivot, and a step without pivots solves only
-for the primal values.  The pivots and the answers are unchanged.
+:func:`solve_prefix_lps` solves the prefix LPs of a batch of instances in
+lockstep, each warm from the last: the cells' ``[A | I]`` and solver state
+live in stacked arrays, a step writes one new column and moves each basis to
+the new prefix in O(m), and the basic values, the inversions, the final
+solves and the dual-feasibility check run as stacked numpy calls over the
+cells.  Only the ratio test and the exchange run per cell, and only for the
+cells that pivot; they are the code :func:`solve_box_lp` runs.  A cell
+without pivots inverts nothing and keeps its prices.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -59,7 +57,8 @@ __all__ = [
     "solve_box_lp",
     "solve_relaxation",
     "solve_scaled",
-    "PrefixWorkspace",
+    "PrefixStep",
+    "solve_prefix_lps",
     "solve_binary_exact",
     "certify",
 ]
@@ -161,36 +160,69 @@ def solve_box_lp(rewards, columns, capacity, start=None) -> LpSolution:
                          "for the nonbasic structurals")
     nonbasic = np.ones(N, dtype=bool)
     nonbasic[basis] = False
-    return _solve(r, Gt, c, upper, b, basis, at_upper, nonbasic)[0]
+    return _solve(r, Gt, c, upper, b, basis, at_upper, nonbasic)
 
 
-def _solve(r, Gt, c, upper, b, basis, at_upper, nonbasic, Binv=None, y=None):
-    """Pivot a valid start to the optimum; returns ``(solution, Binv, y)``.
+def _pivot(Gt, c, basis, at_upper, nonbasic, Binv, i: int, excess: float, to_upper: bool) -> None:
+    """One dual pivot on leaving row ``i``: the ratio test, the long step and the exchange.
+
+    ``Gt`` is ``[A | I]`` by rows, C-contiguous, and ``Binv`` inverts the
+    basis matrix of ``basis``.  Row ``i``'s basic value lies ``excess``
+    outside its bounds, above its upper bound if ``to_upper``.  The
+    nonbasics that move the leaving value toward its bound are passed in
+    increasing |cbar_j| / |alpha_ij| (first index on ties): each structural
+    whose range |alpha_ij| leaves part of the excess unabsorbed flips to its
+    other bound, and the column that absorbs the rest enters, at the latest
+    the first slack, whose range is infinite.  ``basis``, ``at_upper`` and
+    ``nonbasic`` are updated in place.
+    """
+    N, m = Gt.shape
+    n = N - m
+    cbar = c - Gt @ (Binv.T @ c[basis])
+    alpha = Gt @ Binv[i]
+    # Raising x_j changes the leaving value at rate -alpha_j.
+    toward = np.where(at_upper != to_upper, alpha, -alpha)
+    eligible = np.flatnonzero(nonbasic & (toward > _PIVOT_TOL))
+    if not eligible.size:
+        # x = 0 is feasible, so only roundoff gets here.
+        raise SimplexError(f"dual ratio test found no entering column (n={n}, m={m})")
+    ratios = np.abs(cbar[eligible]) / toward[eligible]
+    j = int(eligible[np.argmin(ratios)])
+    if j < n and toward[j] < excess:
+        # The first breakpoint leaves part of the excess: pass every
+        # breakpoint whose flip still does.
+        ranges = np.where(eligible < n, toward[eligible], np.inf)
+        passed, enter = _long_step(ratios, ranges, excess)
+        flipped, j = eligible[passed], int(eligible[enter])
+        at_upper[flipped] = ~at_upper[flipped]
+    # The exchange: column j enters at position i, and the leaving
+    # variable goes to the bound it violated.
+    at_upper[basis[i]], at_upper[j] = to_upper, False
+    nonbasic[basis[i]], nonbasic[j] = True, False
+    basis[i] = j
+
+
+def _max_iterations(N: int) -> int:
+    """The pivot budget of one solve over N columns of ``[A | I]``."""
+    return 2000 + 60 * N
+
+
+def _solve(r, Gt, c, upper, b, basis, at_upper, nonbasic) -> LpSolution:
+    """Pivot a valid start to the optimum.
 
     ``Gt`` is ``[A | I]`` by rows, C-contiguous.  The start is ``basis``,
     ``at_upper`` and ``nonbasic`` (the complement of ``basis``), which the
-    pivots update in place; the solution holds copies.  ``Binv``, if given,
-    is the inverse of the start's basis matrix, and ``y`` its prices against
-    the basis in index order: the first pass uses ``Binv`` instead of
-    inverting, and a solve that makes no pivot returns ``y`` instead of
-    solving for it.  The returned ``Binv`` and ``y`` are those of the final
-    basis.
+    pivots update in place; the solution holds copies.
     """
     N, m = Gt.shape
     n = N - m
     if not (b >= 0.0).all():
         raise ValueError("capacities must be non-negative")
-    iterations, max_iterations = 0, 2000 + 60 * N
+    iterations = 0
     # Bounded dual simplex: pivot until every basic value lies within its
     # bounds.  The leaving row has the largest bound violation, its excess.
-    # The nonbasics that move the leaving value toward its bound are passed
-    # in increasing |cbar_j| / |alpha_ij| (first index on ties): each
-    # structural whose range |alpha_ij| leaves part of the excess unabsorbed
-    # flips to its other bound, and the column that absorbs the rest enters,
-    # at the latest the first slack, whose range is infinite.
     while True:
-        if Binv is None:
-            Binv = np.linalg.inv(Gt.take(basis, axis=0).T)
+        Binv = np.linalg.inv(Gt.take(basis, axis=0).T)
         # No basic variable is at its upper bound, so at_upper holds x with
         # its basic entries at 0.
         xb = Binv @ (b - at_upper.astype(np.float64) @ Gt)
@@ -200,32 +232,9 @@ def _solve(r, Gt, c, upper, b, basis, at_upper, nonbasic, Binv=None, y=None):
         if excess[i] <= _FEAS_TOL:
             break
         iterations += 1
-        if iterations > max_iterations:
+        if iterations > _max_iterations(N):
             raise SimplexError(f"pivot budget exceeded ({iterations} iterations, n={n}, m={m})")
-        to_upper = bool(above[i] > 0.0)
-        cbar = c - Gt @ (Binv.T @ c[basis])
-        alpha = Gt @ Binv[i]
-        # Raising x_j changes the leaving value at rate -alpha_j.
-        toward = np.where(at_upper != to_upper, alpha, -alpha)
-        eligible = np.flatnonzero(nonbasic & (toward > _PIVOT_TOL))
-        if not eligible.size:
-            # x = 0 is feasible, so only roundoff gets here.
-            raise SimplexError(f"dual ratio test found no entering column (n={n}, m={m})")
-        ratios = np.abs(cbar[eligible]) / toward[eligible]
-        j = int(eligible[np.argmin(ratios)])
-        if j < n and toward[j] < excess[i]:
-            # The first breakpoint leaves part of the excess: pass every
-            # breakpoint whose flip still does.
-            ranges = np.where(eligible < n, toward[eligible], np.inf)
-            passed, enter = _long_step(ratios, ranges, excess[i])
-            flipped, j = eligible[passed], int(eligible[enter])
-            at_upper[flipped] = ~at_upper[flipped]
-        # The exchange: column j enters at position i, and the leaving
-        # variable goes to the bound it violated.
-        at_upper[basis[i]], at_upper[j] = to_upper, False
-        nonbasic[basis[i]], nonbasic[j] = True, False
-        basis[i] = j
-        Binv = None
+        _pivot(Gt, c, basis, at_upper, nonbasic, Binv, i, excess[i], bool(above[i] > 0.0))
 
     # One exact solve per side against the basis in index order: the answer
     # does not depend on the order in which the pivots placed the columns.
@@ -234,8 +243,7 @@ def _solve(r, Gt, c, upper, b, basis, at_upper, nonbasic, Binv=None, y=None):
     x = at_upper.astype(np.float64)
     x[order] = np.linalg.solve(B.T, b - x @ Gt)
     x = x[:n].copy()
-    if iterations or y is None:
-        y = np.linalg.solve(B, c[order])
+    y = np.linalg.solve(B, c[order])
     p = np.maximum(y, 0.0)
     s = r - p @ Gt[:n].T
     # Every pivot keeps the start's dual feasibility, so a nonbasic column
@@ -255,7 +263,7 @@ def _solve(r, Gt, c, upper, b, basis, at_upper, nonbasic, Binv=None, y=None):
         basis=basis.copy(),
         at_upper=at_upper.copy(),
         iterations=iterations,
-    ), Binv, y
+    )
 
 
 def solve_relaxation(inst: Instance) -> LpSolution:
@@ -293,94 +301,7 @@ def certify(inst: Instance, sol: LpSolution) -> Certificate:
     )
 
 
-class PrefixWorkspace:
-    """The arrays and the solver state of one instance's prefix LPs, grown one column per step.
-
-    ``Gt`` holds ``[A | I]`` by rows in prefix layout: for prefix ``s``, rows
-    ``[0, s)`` are the first ``s`` columns and rows ``[s, s + m)`` the slack
-    identity, so ``Gt[:s + m]`` is the array :func:`solve_box_lp` would build
-    for that prefix.  ``c``, ``upper``, ``at_upper`` and ``nonbasic`` hold
-    the costs, the upper bounds, the upper-bound flags and the nonbasic mask
-    the same way.  ``basis``, ``Binv`` and ``y`` are the final basis of the
-    last solve, the inverse its last pass took and its prices against the
-    basis in index order; ``last`` is the solution that solve returned.
-
-    :func:`solve_scaled` takes a workspace that holds prefix ``s - 1``,
-    writes column ``s - 1`` and the shifted identity into it, O(m^2) work,
-    and solves prefix ``s``.  A warm step (``prev`` is ``last``) moves the
-    carried state to prefix ``s`` in O(m): the basic slacks are renumbered,
-    the slack flags shift by one, and the new column takes the bound its
-    reduced cost at ``last``'s prices favours.  The basis matrix is then the
-    one ``Binv`` inverts, so the first pass reuses it, and a step that makes
-    no pivot reuses ``y``: the pivots and the answers are those of the plain
-    warm chain, bit for bit.
-    """
-
-    def __init__(self, inst: Instance) -> None:
-        n, m = inst.n, inst.m
-        self.inst = inst
-        self.s = 0
-        self.Gt = np.zeros((n + m, m))
-        self.c = np.zeros(n + m)
-        self.upper = np.full(n + m, np.inf)
-        self.at_upper = np.zeros(n + m, dtype=bool)
-        self.nonbasic = np.ones(n + m, dtype=bool)
-        self.basis = np.zeros(m, dtype=np.intp)
-        self.Binv: Optional[np.ndarray] = None
-        self.y: Optional[np.ndarray] = None
-        self.last: Optional[LpSolution] = None
-        self._eye = np.eye(m)
-
-    def solve(self, inst: Instance, s: int, prev: Optional[LpSolution]) -> LpSolution:
-        """Grow to prefix ``s`` and solve it, warm from ``prev`` if given (see :func:`solve_scaled`).
-
-        Raises ``ValueError`` unless the workspace belongs to ``inst`` and
-        holds prefix ``s - 1``, and, with ``prev``, unless ``prev`` is the
-        last solution it returned and its carried basis is m distinct
-        indices of that prefix.
-        """
-        if inst is not self.inst or s != self.s + 1:
-            raise ValueError(f"a workspace takes prefix {s} only after prefix {s - 1} of the "
-                             f"same instance; it holds prefix {self.s} of its own")
-        t, m = s - 1, inst.m
-        N = s + m
-        basis = self.basis
-        if prev is not None:
-            if prev is not self.last:
-                raise ValueError("prev must be the last solution this workspace returned")
-            if len(set(basis.tolist())) != m or not ((basis >= 0) & (basis < N - 1)).all():
-                raise ValueError("the workspace's carried basis must be m distinct indices "
-                                 f"into prefix {t}")
-        self.last = None  # a step that raises below leaves no state to warm from
-        self.Gt[t] = inst.columns[:, t]
-        self.Gt[s:N] = self._eye
-        self.c[t] = inst.rewards[t]
-        self.upper[t] = 1.0
-        self.s = s
-        at_upper, nonbasic = self.at_upper[:N], self.nonbasic[:N]
-        if prev is None:
-            basis[:] = np.arange(s, N)
-            np.greater(inst.rewards[:s], 0.0, out=at_upper[:s])
-            at_upper[s:] = False
-            nonbasic[:] = True
-            nonbasic[basis] = False
-            Binv = y = None
-        else:
-            basis[basis >= t] += 1
-            at_upper[s:] = at_upper[t:N - 1]
-            nonbasic[s:] = nonbasic[t:N - 1]
-            at_upper[t] = inst.rewards[t] - inst.columns[:, t] @ prev.duals > 0.0
-            nonbasic[t] = True
-            Binv, y = self.Binv, self.y
-        sol, self.Binv, self.y = _solve(inst.rewards[:s], self.Gt[:N], self.c[:N],
-                                        self.upper[:N], s * inst.per_column_budget,
-                                        basis, at_upper, nonbasic, Binv, y)
-        self.last = sol
-        return sol
-
-
-def solve_scaled(inst: Instance, s: int, prev: Optional[LpSolution] = None,
-                 work: Optional[PrefixWorkspace] = None) -> LpSolution:
+def solve_scaled(inst: Instance, s: int, prev: Optional[LpSolution] = None) -> LpSolution:
     """Solve the prefix LP over the first ``s`` columns with capacity ``s * d``.
 
     With ``s = n`` this matches :func:`solve_relaxation` up to roundoff in
@@ -389,28 +310,176 @@ def solve_scaled(inst: Instance, s: int, prev: Optional[LpSolution] = None,
     starts at 1 if its reduced cost at ``prev``'s prices is positive, at 0
     otherwise.  That start is dual feasible, and the dual simplex restores
     primal feasibility after ``b`` grows.  Without ``prev`` the solve starts
-    from :func:`solve_box_lp`'s default.
-
-    ``work``, a :class:`PrefixWorkspace` of ``inst`` that holds prefix
-    ``s - 1``, saves the rebuild of ``[A | I]`` and, warm, the rebuild of
-    the start: the step writes one column into the workspace and pivots on
-    the state it carries from its last solve, which ``prev`` must then be.
-    A step without pivots inverts nothing and reuses the prices.  The pivots
-    and the result are the same as without ``work``.
+    from :func:`solve_box_lp`'s default.  :func:`solve_prefix_lps` solves
+    the same warm chain for a batch of instances at once.
     """
     if not 1 <= s <= inst.n:
         raise ValueError(f"prefix length must satisfy 1 <= s <= {inst.n}, got {s}")
     t = s - 1  # the new column's index, and prev's column count
     if prev is not None and prev.at_upper.shape != (t + inst.m,):
         raise ValueError(f"prev must solve the prefix LP over the first {t} columns")
-    if work is not None:
-        return work.solve(inst, s, prev)
     start = None
     if prev is not None:
         basis = np.where(prev.basis >= t, prev.basis + 1, prev.basis)
         favoured = inst.rewards[t] - inst.columns[:, t] @ prev.duals > 0.0
         start = (basis, np.concatenate((prev.at_upper[:t], [favoured], prev.at_upper[t:])))
     return solve_box_lp(inst.rewards[:s], inst.columns[:, :s], s * inst.per_column_budget, start)
+
+
+class PrefixStep(NamedTuple):
+    """Step t of :func:`solve_prefix_lps`: each running cell's LP over its first ``t + 1`` columns.
+
+    ``duals`` (cells, m) are the LPs' prices, ``primal`` (cells,) the value
+    of their new column ``t`` and ``iterations`` (cells,) their pivots, as
+    :class:`LpSolution` reports them.  Each step's arrays are its own.
+    """
+
+    duals: np.ndarray
+    primal: np.ndarray
+    iterations: np.ndarray
+
+
+def solve_prefix_lps(instances: Sequence[Instance]) -> Iterator[PrefixStep]:
+    """Solve every prefix LP of every instance in lockstep; yields one :class:`PrefixStep` per step.
+
+    A cell is one instance, and step t solves its prefix LP over columns
+    0..t with capacity ``(t + 1) * d``, as ``solve_scaled(inst, t + 1, prev)``
+    does, warm from step t-1's final basis.  The instances share m, not n,
+    and come longest first: step t steps the first ``a`` cells, those with
+    n > t, and yields their arrays.  Every LP of a step has t + 1 columns
+    plus m slacks, so ``Gt`` (cells, n_max + m, m) holds each cell's
+    ``[A | I]`` by rows in prefix layout (rows [0, s) the first s columns,
+    rows [s, s + m) the slack identity), and the costs, bound flags,
+    nonbasic masks, bases, basis inverses and prices are stacked likewise.
+
+    A step writes column t and the shifted identity, renumbers the basic
+    slacks and gives the new column the bound its reduced cost at the last
+    prices favours.  The new column does not enter the basis matrix, so the
+    carried inverses still hold.  Each pass reads every running cell's
+    basic values from its inverse; the cells with one outside its bounds
+    pivot through the ratio test and exchange of :func:`solve_box_lp`, and
+    only they are inverted again for the next pass.  Each cell gets the pivots and answers of its own warm
+    ``solve_scaled`` chain, bit for bit, whatever else is in the batch: the
+    stacked products and solves make the BLAS and LAPACK calls the
+    one-cell ones make.
+
+    Raises ``ValueError`` unless the instances share m and come in
+    non-increasing n, and :class:`SimplexError` as a solve would, for any
+    cell: the pass then stops.
+    """
+    if not instances:
+        raise ValueError("a prefix-LP pass needs at least one instance")
+    if any(inst.m != instances[0].m for inst in instances):
+        raise ValueError("the instances of a prefix-LP pass must share m")
+    if any(a.n < b.n for a, b in zip(instances, instances[1:])):
+        raise ValueError("the instances of a prefix-LP pass must come longest first")
+    return _prefix_steps(instances)
+
+
+def _prefix_steps(instances: Sequence[Instance]) -> Iterator[PrefixStep]:
+    lengths = [inst.n for inst in instances]
+    cells, n_max, m = len(instances), lengths[0], instances[0].m
+    rewards = np.zeros((cells, n_max))
+    # columns by rows of A: the warm start prices column t with the same
+    # strided dot product as solve_scaled
+    columns = np.zeros((cells, m, n_max))
+    for k, inst in enumerate(instances):
+        rewards[k, :inst.n] = inst.rewards
+        columns[k, :, :inst.n] = inst.columns
+    budget = np.stack([inst.per_column_budget for inst in instances])
+    # step t's capacities are (t + 1) * budget, non-negative iff the budgets are
+    if not (budget >= 0.0).all():
+        raise ValueError("capacities must be non-negative")
+    Gt = np.zeros((cells, n_max + m, m))
+    c = np.zeros((cells, n_max + m))
+    at_upper = np.zeros((cells, n_max + m), dtype=bool)
+    nonbasic = np.ones((cells, n_max + m), dtype=bool)
+    basis = np.empty((cells, m), dtype=np.intp)
+    # the basic variables' upper bounds: 1 for a structural, infinite for a slack
+    basic_upper = np.full((cells, m), np.inf)
+    Binv = np.empty((cells, m, m))
+    y = np.empty((cells, m))
+    p = np.zeros((cells, m))
+    eye = np.eye(m)
+    row = np.arange(cells)[:, None]
+    # cell k's row j of Gt, or entry j of c, is flat row k * (n_max + m) + j
+    flat_Gt, flat_c = Gt.reshape(-1, m), c.reshape(-1)
+    offset = row * (n_max + m)
+    a = cells
+    for t in range(n_max):
+        while lengths[a - 1] <= t:
+            a -= 1
+        s, N = t + 1, t + 1 + m
+        # views of the running cells' prefix-s state
+        G, cost, at, free = Gt[:a, :N], c[:a, :N], at_upper[:a, :N], nonbasic[:a, :N]
+        base = basis[:a]
+        G[:, t] = columns[:a, :, t]
+        G[:, s:] = eye
+        cost[:, t] = rewards[:a, t]
+        b = s * budget[:a]
+        if t == 0:
+            base[:] = np.arange(1, 1 + m)
+            at[:, 0] = rewards[:, 0] > 0.0
+            free[:, 1:] = False
+        else:
+            # Slacks are never at their infinite upper bound, so only the
+            # nonbasic flags of the slacks shift.
+            base += base >= t
+            free[:, s:] = free[:, t:N - 1]
+            free[:, t] = True
+            at[:, t] = rewards[:a, t] - (columns[:a, None, :, t] @ p[:a, :, None])[:, 0, 0] > 0.0
+        iterations = np.zeros(a, dtype=np.int64)
+        # the cells whose basis changed, all at the cold start; a view when it is every cell
+        stale = slice(0, a) if t == 0 else None
+        while True:
+            if stale is not None:
+                B = flat_Gt.take(base[stale] + offset[stale], axis=0)
+                Binv[stale] = np.linalg.inv(B.transpose(0, 2, 1))
+            # No basic variable is at its upper bound, so at holds x with its
+            # basic entries at 0.  A cell that did not pivot recomputes the
+            # same values.
+            x = at.astype(np.float64)
+            rhs = b - (x[:, None, :] @ G)[:, 0]
+            xb = (Binv[:a] @ rhs[:, :, None])[:, :, 0]
+            above = xb - basic_upper[:a]
+            excess = np.maximum(-xb, above)
+            if excess.max() <= _FEAS_TOL:
+                break
+            # not within tolerance, NaN included, as in _solve
+            leaving = np.flatnonzero(~(excess.max(axis=1) <= _FEAS_TOL))
+            stale = slice(0, a) if len(leaving) == a else leaving
+            for k in leaving.tolist():
+                iterations[k] += 1
+                if iterations[k] > _max_iterations(N):
+                    raise SimplexError(f"pivot budget exceeded ({iterations[k]} iterations, "
+                                       f"n={s}, m={m})")
+                i = int(np.argmax(excess[k]))
+                _pivot(G[k], cost[k], base[k], at[k], free[k], Binv[k], i, excess[k, i],
+                       bool(above[k, i] > 0.0))
+                basic_upper[k, i] = 1.0 if base[k, i] < s else np.inf
+
+        # One exact solve per side against each basis in index order.
+        order = np.sort(base, axis=1)
+        B = flat_Gt.take(order + offset[:a], axis=0)
+        x[row[:a], order] = np.linalg.solve(B.transpose(0, 2, 1), rhs[:, :, None])[:, :, 0]
+        if stale is not None:  # a cold start, or a pivot: solve for the new prices
+            moved = np.flatnonzero(iterations) if t else np.arange(a)
+            moved = slice(0, a) if len(moved) == a else moved
+            costs = flat_c.take(order[moved] + offset[moved])
+            y[moved] = np.linalg.solve(B[moved], costs[:, :, None])[:, :, 0]
+        duals = np.maximum(y[:a], 0.0)
+        # the reduced costs, signed so that a positive one prices in
+        cbar = np.empty((a, N))
+        np.subtract(cost[:, :s], (duals[:, None, :] @ G[:, :s].transpose(0, 2, 1))[:, 0],
+                    out=cbar[:, :s])
+        np.negative(y[:a], out=cbar[:, s:])
+        np.negative(cbar, out=cbar, where=at)
+        worst = cbar.max(where=free, initial=0.0)
+        if worst > _PIVOT_TOL:
+            raise SimplexError(f"final basis is not dual feasible: a nonbasic column prices in "
+                               f"by {worst:.3g} (n={s}, m={m})")
+        p[:a] = duals
+        yield PrefixStep(duals, x[:, t].copy(), iterations)
 
 
 _EXACT_LIMIT = 25

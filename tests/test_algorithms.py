@@ -25,7 +25,15 @@ from onlinelp.core import (
     threshold_decision,
     violation_norm,
 )
-from onlinelp.generators import GeneratorFamily, GeneratorSpec, gen_gaussian, gen_uniform
+from onlinelp.generators import (
+    GeneratorFamily,
+    GeneratorSpec,
+    PermutationPlan,
+    gen_gaussian,
+    gen_uniform,
+    generate,
+    permute,
+)
 from onlinelp.simplex import solve_scaled
 
 from instance_bounds import compute_stats, price_norm_bound
@@ -532,17 +540,38 @@ class TestRunPrefixLp:
     def test_shared_pass_matches_single_runs(self):
         for seed in (3, 17):
             inst = uniform_instance(30, 3, seed)
-            dla, pbd, pbd2 = run_prefix_lp(
-                inst, [AlgorithmKind.DLA, AlgorithmKind.PBD, AlgorithmKind.PBD], [5, 41, 42])
+            kinds = [AlgorithmKind.DLA, AlgorithmKind.PBD, AlgorithmKind.PBD]
+            [dla], [pbd], [pbd2] = run_prefix_lp([inst], kinds, [[5], [41], [42]])
             traces_identical(dla, run_dla(inst))
             for trace, rng_seed in ((pbd, 41), (pbd2, 42)):
                 single = run_pbd(inst, rng_seed=rng_seed)
                 assert trace.max_dual_norm is None and single.max_dual_norm is None
                 traces_identical(trace, single)
 
+    def test_batch_matches_one_instance_passes(self):
+        # Each cell of a mixed-n batch gets the traces of its own pass.  The
+        # permuted adversarial cells have tied data and degenerate prefix LPs,
+        # whose vertex depends on the pivot path, so batching must not change
+        # the path.
+        kinds = [AlgorithmKind.PBD, AlgorithmKind.DLA]
+        families = (GeneratorFamily.UNIFORM, GeneratorFamily.GAUSSIAN,
+                    GeneratorFamily.TRUNC_CAUCHY, GeneratorFamily.MIXED_FOUR)
+        batches = [[generate(GeneratorSpec(family, n=n, m=m, seed=n + m)) for n in (40, 8, 100, 40)]
+                   for family in families for m in (1, 3, 5, 10)]
+        adversarial = generate(GeneratorSpec(GeneratorFamily.ADVERSARIAL, n=60, m=2, seed=4))
+        batches.append([permute(adversarial, PermutationPlan.random(60, seed)) for seed in (5, 6)]
+                       + [uniform_instance(n, 2, n) for n in (40, 80)])
+        for batch in batches:
+            seeds = [[7 * j for j in range(len(batch))], [1000 + j for j in range(len(batch))]]
+            traces = run_prefix_lp(batch, kinds, seeds)
+            for j, inst in enumerate(batch):
+                alone = run_prefix_lp([inst], kinds, [[row[j]] for row in seeds])
+                for row, single in zip(traces, alone):
+                    traces_identical(row[j], single[0])
+
     def test_pbd_decisions_replay_prefix_primals(self):
         inst = uniform_instance(20, 2, 31)
-        _, trace = run_prefix_lp(inst, [AlgorithmKind.DLA, AlgorithmKind.PBD], [0, 77])
+        _, [trace] = run_prefix_lp([inst], [AlgorithmKind.DLA, AlgorithmKind.PBD], [[0], [77]])
         rng = np.random.default_rng(77)
         for t in range(1, 21):
             prob = min(max(float(solve_scaled(inst, t).primal[t - 1]), 0.0), 1.0)
@@ -550,32 +579,46 @@ class TestRunPrefixLp:
         assert (trace.final_prices == 0.0).all()
         assert_trace_consistent(inst, trace)
 
-    def test_warm_pass_matches_cold_solves(self, monkeypatch):
-        kinds = [AlgorithmKind.DLA, AlgorithmKind.PBD]
+    def test_warm_pass_matches_cold_solves(self):
         instances = [uniform_instance(60, 3, seed) for seed in (4, 9)]
         instances.append(gen_gaussian(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=60, m=4, seed=2)))
-        warm = [run_prefix_lp(inst, kinds, [0, 19]) for inst in instances]
-
-        def cold(inst, s, prev=None, work=None):
-            return solve_scaled(inst, s)
-
-        monkeypatch.setattr(algorithms, "solve_scaled", cold)
-        for inst, traces in zip(instances, warm):
-            for w, c in zip(traces, run_prefix_lp(inst, kinds, [0, 19])):
-                assert np.array_equal(w.decisions, c.decisions)
-                assert w.objective == c.objective
-                gap = np.abs(w.final_prices - c.final_prices).max()
-                assert gap <= 1e-9 * (1 + np.abs(c.final_prices).max())
+        for inst in instances:
+            [warm_dla], [warm_pbd] = run_prefix_lp([inst], [AlgorithmKind.DLA, AlgorithmKind.PBD],
+                                                   [[0], [19]])
+            # the same decisions from a chain of cold solves
+            rng = np.random.default_rng(19)
+            cols = np.ascontiguousarray(inst.columns.T)
+            p = np.zeros(inst.m)
+            accepts, draws = np.zeros(inst.n, dtype=np.int8), np.zeros(inst.n, dtype=np.int8)
+            for t in range(inst.n):
+                accepts[t] = threshold_decision(inst.rewards[t], cols[t], p)
+                cold = solve_scaled(inst, t + 1)
+                draws[t] = float(rng.random()) < min(max(float(cold.primal[t]), 0.0), 1.0)
+                p = cold.duals
+            for warm, decisions, prices in ((warm_dla, accepts, p), (warm_pbd, draws, 0 * p)):
+                assert np.array_equal(warm.decisions, decisions)
+                objective = 0.0
+                for t in np.flatnonzero(decisions):
+                    objective += inst.rewards[t]
+                assert warm.objective == objective
+                gap = np.abs(warm.final_prices - prices).max()
+                assert gap <= 1e-9 * (1 + np.abs(prices).max())
 
     def test_rejects_other_kinds_and_bad_inputs(self):
         inst = uniform_instance(10, 2, 0)
         for kind in (AlgorithmKind.SOA, AlgorithmKind.SFA, AlgorithmKind.SNA, AlgorithmKind.MULTI_SOA):
             with pytest.raises(ValueError):
-                run_prefix_lp(inst, [AlgorithmKind.DLA, kind], [0, 0])
+                run_prefix_lp([inst], [AlgorithmKind.DLA, kind], [[0], [0]])
         with pytest.raises(ValueError):
-            run_prefix_lp(inst, [], [])
+            run_prefix_lp([inst], [], [])
         with pytest.raises(ValueError):
-            run_prefix_lp(inst, [AlgorithmKind.PBD], [1, 2])
+            run_prefix_lp([], [AlgorithmKind.PBD], [[]])
+        with pytest.raises(ValueError):
+            run_prefix_lp([inst], [AlgorithmKind.PBD], [[1], [2]])
+        with pytest.raises(ValueError):
+            run_prefix_lp([inst], [AlgorithmKind.PBD], [[1, 2]])
+        with pytest.raises(ValueError, match="share m"):
+            run_prefix_lp([inst, uniform_instance(10, 3, 0)], [AlgorithmKind.DLA], [[0, 0]])
 
 
 class TestRepairFeasibility:

@@ -24,7 +24,7 @@ from onlinelp.harness import (
     run_experiment,
 )
 from onlinelp.metrics import evaluate_trial
-from onlinelp.simplex import solve_relaxation
+from onlinelp.simplex import SimplexError, solve_relaxation
 from onlinelp import algorithms, cli, harness
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -399,18 +399,49 @@ m = 2
         assert partial.trials_csv().splitlines() == kept
 
     def test_dla_and_pbd_share_one_prefix_lp_per_step(self, tmp_path, monkeypatch):
+        # one pass per block steps every cell, each prefix LP solved once
+        # for both rows
         cfg = load_config(write_mini_config(tmp_path, trials=2, algorithms="dla, pbd"))
-        real = algorithms.solve_scaled
-        calls = []
+        real = algorithms.solve_prefix_lps
+        passes, steps = [], []
 
-        def counting(inst, s, prev=None, work=None):
-            calls.append(inst.n)
-            return real(inst, s, prev=prev, work=work)
+        def counting(instances):
+            passes.append(sorted(inst.n for inst in instances))
+            for step in real(instances):
+                steps.append(len(step.primal))
+                yield step
 
-        monkeypatch.setattr(algorithms, "solve_scaled", counting)
+        monkeypatch.setattr(algorithms, "solve_prefix_lps", counting)
         report = run_experiment(cfg, workers=1)
         assert not report.errors and len(report.rows) == 2 * 2 * 2
-        assert calls.count(24) == 2 * 24 and calls.count(48) == 2 * 48
+        assert passes == [[24, 24, 48, 48]]
+        assert len(steps) == 48 and sum(steps) == 2 * 24 + 2 * 48
+
+    def test_failed_prefix_pass_fails_every_cell_it_carried(self, tmp_path, monkeypatch):
+        # The pass that carries trial 1 raises after its first step.  Every
+        # cell of its block records the error, one-pass rows included; the
+        # block of trial 0, in another worker, keeps its rows.
+        cfg = load_config(write_mini_config(tmp_path, trials=2, algorithms="soa/sqrt_n, dla, pbd"))
+        whole = run_experiment(cfg, workers=1).trials_csv().splitlines()
+        real = algorithms.solve_prefix_lps
+        trial_1 = cfg_instance(cfg, 24, 1)
+
+        def failing(instances):
+            steps = real(instances)
+            if any(np.array_equal(inst.rewards, trial_1.rewards) for inst in instances):
+                next(steps)
+                raise SimplexError("injected pass failure")
+            return steps
+
+        monkeypatch.setattr(algorithms, "solve_prefix_lps", failing)
+        for workers, failed in ((1, (0, 1)), (2, (1,))):
+            partial = run_experiment(cfg, workers=workers)
+            assert partial.errors == [{"n": n, "trial": trial,
+                                       "error": "SimplexError: injected pass failure"}
+                                      for n in (24, 48) for trial in failed]
+            lost = tuple(f"{n},{trial}," for n in (24, 48) for trial in failed)
+            kept = [line for line in whole if not line.startswith(lost)]
+            assert partial.trials_csv().splitlines() == kept
 
     @staticmethod
     def record_lp_calls(monkeypatch):
@@ -465,18 +496,19 @@ m = 2
                     assert np.array_equal(getattr(inst, field), getattr(expected, field))
 
     def test_rows_do_not_depend_on_the_other_n_of_their_task(self, tmp_path, monkeypatch):
-        # A generated sweep steps every n of a block in one kernel call.  The
-        # n = 60 rows are the same bytes whether n = 120 shares that call or
-        # not, at any worker count and block size.
+        # A generated sweep steps every n of a block in one kernel call and
+        # one prefix-LP pass.  The n = 60 rows are the same bytes whether
+        # n = 120 shares those calls or not, at any worker count and block
+        # size.
         def rows_at_60(n_values, workers):
-            path = write_mini_config(tmp_path, trials=3, algorithms=ALL_ALGORITHMS)
+            path = write_mini_config(tmp_path, trials=3, algorithms=ALL_ALGORITHMS + ", dla")
             path.write_text(path.read_text().replace("n_values = 24 48", f"n_values = {n_values}")
                             .replace("family = uniform\nm = 3", "family = gaussian\nm = 5"))
             text = run_experiment(load_config(path), workers=workers).trials_csv()
             return [line for line in text.splitlines() if line.startswith("60,")]
 
         alone = rows_at_60("60", 1)
-        assert len(alone) == 3 * len(ALL_ALGORITHMS.split(","))
+        assert len(alone) == 3 * (len(ALL_ALGORITHMS.split(",")) + 1)
         for workers in (1, 2):
             assert rows_at_60("60 120", workers) == alone
         monkeypatch.setattr(harness, "_blocks", lambda trials, parts: [range(t, t + 1)

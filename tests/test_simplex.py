@@ -17,10 +17,10 @@ from onlinelp.generators import (
 )
 from onlinelp import simplex
 from onlinelp.simplex import (
-    PrefixWorkspace,
     certify,
     solve_binary_exact,
     solve_box_lp,
+    solve_prefix_lps,
     solve_relaxation,
     solve_scaled,
 )
@@ -157,98 +157,64 @@ class TestSolveScaled:
             solve_scaled(inst, 6)
 
 
-def assert_same_solution(a, b):
-    for field in dataclasses.fields(a):
-        x, y = getattr(a, field.name), getattr(b, field.name)
-        if isinstance(x, np.ndarray):
-            assert x.dtype == y.dtype and np.array_equal(x, y), field.name
-        else:
-            assert x == y, field.name
+def warm_chain(inst):
+    """Each prefix LP of ``inst`` solved by the plain warm ``solve_scaled`` chain."""
+    sol, chain = None, []
+    for s in range(1, inst.n + 1):
+        sol = solve_scaled(inst, s, prev=sol)
+        chain.append(sol)
+    return chain
+
+
+def longest_first(instances):
+    return sorted(instances, key=lambda inst: -inst.n)
 
 
 class TestPrefixWorkspace:
-    """A pass through one workspace solves every prefix exactly as the plain warm chain does."""
+    """The lockstep pass keeps its cells' state in stacked arrays and solves as the warm chain does."""
 
     @staticmethod
-    def cases():
-        for family, m, n in itertools.product(GeneratorFamily, (1, 3, 10), (1, 2, 40)):
-            if (family is GeneratorFamily.MIXED_FOUR and n % 4
-                    or family is GeneratorFamily.ADVERSARIAL and n % 2):
-                continue  # n the family cannot build
-            yield generate(GeneratorSpec(family, n=n, m=m, seed=n + m))
-        # permuted two-phase data: degenerate prefix LPs
+    def batches():
+        for family, m in itertools.product(GeneratorFamily, (1, 3, 10, 20)):
+            batch = [generate(GeneratorSpec(family, n=n, m=m, seed=n + m)) for n in (1, 2, 40)
+                     if not (family is GeneratorFamily.MIXED_FOUR and n % 4
+                             or family is GeneratorFamily.ADVERSARIAL and n % 2)]
+            yield longest_first(batch)
+        # permuted two-phase data (degenerate prefix LPs) beside continuous data
         adversarial = generate(GeneratorSpec(GeneratorFamily.ADVERSARIAL, n=60, m=2, seed=4))
-        yield permute(adversarial, PermutationPlan.random(60, 5))
+        yield longest_first([generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=50, m=2, seed=4)),
+                             permute(adversarial, PermutationPlan.random(60, 5)),
+                             adversarial,
+                             permute(adversarial, PermutationPlan.random(60, 6))])
 
     def test_pass_matches_plain_warm_chain(self):
         count = 0
-        for inst in self.cases():
-            work, plain, fast = PrefixWorkspace(inst), None, None
-            for s in range(1, inst.n + 1):
-                plain = solve_scaled(inst, s, prev=plain)
-                fast = solve_scaled(inst, s, prev=fast, work=work)
-                assert_same_solution(fast, plain)
-                count += 1
-        assert count > 600
+        for batch in self.batches():
+            chains = [warm_chain(inst) for inst in batch]
+            for t, step in enumerate(solve_prefix_lps(batch)):
+                assert len(step.primal) == sum(inst.n > t for inst in batch)
+                for k, (duals, primal, iterations) in enumerate(zip(*step)):
+                    plain = chains[k][t]
+                    assert duals.dtype == plain.duals.dtype and np.array_equal(duals, plain.duals)
+                    assert primal == plain.primal[t] and iterations == plain.iterations
+                    count += 1
+        assert count > 1000
 
-    def test_cold_solves_on_a_workspace(self):
-        inst = generate(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=30, m=3, seed=6))
-        work = PrefixWorkspace(inst)
-        for s in range(1, inst.n + 1):
-            assert_same_solution(solve_scaled(inst, s, work=work), solve_scaled(inst, s))
-
-    def test_other_prefix_or_instance_raises(self):
-        inst = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=10, m=2, seed=1))
-        twin = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=10, m=2, seed=1))
-        work = PrefixWorkspace(inst)
-        with pytest.raises(ValueError, match="workspace"):
-            solve_scaled(inst, 2, work=work)
-        first = solve_scaled(inst, 1, work=work)
-        for s in (1, 3):
-            with pytest.raises(ValueError, match="workspace"):
-                solve_scaled(inst, s, work=work)
-        with pytest.raises(ValueError, match="workspace"):
-            solve_scaled(twin, 2, prev=first, work=work)
-        # the checks of the plain path hold on a workspace too
-        with pytest.raises(ValueError, match="prev"):
-            solve_scaled(inst, 2, prev=solve_scaled(inst, 2), work=work)
-        assert_same_solution(solve_scaled(inst, 2, prev=first, work=work),
-                             solve_scaled(inst, 2, prev=first))
-
-    def test_prev_from_another_chain_raises(self):
-        # the carried state belongs to the last solution the workspace
-        # returned: an equal solution of the same prefix is not it
-        inst = generate(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=12, m=3, seed=5))
-        work = PrefixWorkspace(inst)
-        own = solve_scaled(inst, 1, work=work)
-        other = solve_scaled(inst, 1)
-        assert_same_solution(own, other)
-        with pytest.raises(ValueError, match="last solution this workspace returned"):
-            solve_scaled(inst, 2, prev=other, work=work)
-        own = solve_scaled(inst, 2, prev=own, work=work)
-        with pytest.raises(ValueError, match="last solution this workspace returned"):
-            solve_scaled(inst, 3, prev=solve_scaled(inst, 2, prev=other), work=work)
-        assert_same_solution(solve_scaled(inst, 3, prev=own, work=work),
-                             solve_scaled(inst, 3, prev=solve_scaled(inst, 2, prev=other)))
-
-    def test_corrupt_carried_basis_raises(self):
-        inst = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=12, m=3, seed=2))
-        for bad in ((0, 0, 1), (0, 1, 5), (0, 1, -1)):  # prefix 2 has indices 0..4
-            work = PrefixWorkspace(inst)
-            sol = solve_scaled(inst, 2, prev=solve_scaled(inst, 1, work=work), work=work)
-            work.basis[:] = bad
-            with pytest.raises(ValueError, match="carried basis"):
-                solve_scaled(inst, 3, prev=sol, work=work)
+    def test_mixed_m_or_order_raises(self):
+        short, long = (generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=n, m=2, seed=1))
+                       for n in (5, 10))
+        other_m = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=5, m=3, seed=1))
+        for batch, match in (([long, other_m], "share m"), ([short, long], "longest first"),
+                             ([], "at least one")):
+            with pytest.raises(ValueError, match=match):
+                solve_prefix_lps(batch)
 
     def test_solution_owns_its_arrays(self):
-        # the workspace pivots its state in place; a returned solution keeps its start
-        inst = generate(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=40, m=3, seed=6))
-        work, sol, kept = PrefixWorkspace(inst), None, []
-        for s in range(1, inst.n + 1):
-            sol = solve_scaled(inst, s, prev=sol, work=work)
-            kept.append((sol, sol.basis.copy(), sol.at_upper.copy()))
-        for sol, basis, at_upper in kept:
-            assert np.array_equal(sol.basis, basis) and np.array_equal(sol.at_upper, at_upper)
+        # the pass pivots its stacked state in place; a yielded step keeps its values
+        batch = [generate(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=n, m=3, seed=6)) for n in (40, 30)]
+        kept = [(step, [field.copy() for field in step]) for step in solve_prefix_lps(batch)]
+        for step, copies in kept:
+            assert all(np.array_equal(field, copy) for field, copy in zip(step, copies))
 
 
 def assert_close(a, b, tol=1e-9):
@@ -411,37 +377,36 @@ class TestEffortCounts:
         assert iterations > 0
 
     def test_warm_workspace_steps(self, monkeypatch):
-        # a warm step starts from the inverse the previous step's last pass
-        # took, so it inverts once per pivot, and a step without pivots
-        # reuses the prices: it solves only for the primal values
+        # a warm step starts from the inverses the previous step's last pass
+        # took, so it inverts one matrix per pivot, and a cell without pivots
+        # reuses its prices: it solves only for its primal values
         inv, solve = np.linalg.inv, np.linalg.solve
-        inversions, solves = [], []
+        inverted, solved = [], []
 
         def counting_inv(a):
-            inversions.append(1)
+            inverted.append(len(a))
             return inv(a)
 
         def counting_solve(a, b):
-            solves.append(1)
+            solved.append(len(a))
             return solve(a, b)
 
         monkeypatch.setattr(simplex.np.linalg, "inv", counting_inv)
         monkeypatch.setattr(simplex.np.linalg, "solve", counting_solve)
+        batch = longest_first(generate(GeneratorSpec(family, n=60, m=3, seed=8)) for family in
+                              (GeneratorFamily.UNIFORM, GeneratorFamily.GAUSSIAN,
+                               GeneratorFamily.ADVERSARIAL))
         steps = pivoting = 0
-        for family in (GeneratorFamily.UNIFORM, GeneratorFamily.GAUSSIAN, GeneratorFamily.ADVERSARIAL):
-            inst = generate(GeneratorSpec(family, n=60, m=3, seed=8))
-            work, sol = PrefixWorkspace(inst), None
-            for s in range(1, inst.n + 1):
-                inversions.clear()
-                solves.clear()
-                sol = solve_scaled(inst, s, prev=sol, work=work)
-                if s == 1:  # the cold first step inverts its start
-                    assert len(inversions) == sol.iterations + 1
-                    continue
-                assert len(inversions) == sol.iterations
-                assert len(solves) == 1 + (sol.iterations > 0)
-                steps += 1
-                pivoting += sol.iterations > 0
+        for t, step in enumerate(solve_prefix_lps(batch)):
+            if t == 0:  # the cold first step inverts its starts
+                assert sum(inverted) == step.iterations.sum() + len(batch)
+            else:
+                assert sum(inverted) == step.iterations.sum()
+                assert sum(solved) == len(batch) + np.count_nonzero(step.iterations)
+                steps += len(batch)
+                pivoting += np.count_nonzero(step.iterations)
+            inverted.clear()
+            solved.clear()
         assert 0 < pivoting < steps
 
 
@@ -460,15 +425,17 @@ class TestPivotPath:
         assert sol.objective == pytest.approx(2111.9723586785335, rel=1e-12)
 
     def test_warm_prefix_pass(self):
-        # the plain warm chain and the workspace pass run_prefix_lp takes
+        # the plain warm chain, and the lockstep pass run_prefix_lp takes,
+        # alone and beside a longer instance
         inst = generate(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=200, m=5, seed=2))
-        for work in (None, PrefixWorkspace(inst)):
-            sol, total = None, 0
-            for s in range(1, inst.n + 1):
-                sol = solve_scaled(inst, s, prev=sol, work=work)
-                total += sol.iterations
+        chain = warm_chain(inst)
+        assert sum(sol.iterations for sol in chain) == 221
+        assert chain[-1].objective == pytest.approx(365.6542164418093, rel=1e-12)
+        longer = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=300, m=5, seed=2))
+        for batch, k in (([inst], 0), ([longer, inst], 1)):
+            total = sum(int(step.iterations[k]) for step in solve_prefix_lps(batch)
+                        if len(step.iterations) > k)
             assert total == 221
-            assert sol.objective == pytest.approx(365.6542164418093, rel=1e-12)
 
 PRICE_FAMILIES = tuple(GeneratorFamily)  # uniform, gaussian, Cauchy, mixed, adversarial
 
