@@ -128,6 +128,16 @@ def check_one_pass(inst, configs: Sequence[AlgorithmConfig]) -> None:
             raise ValueError("budget-tracking run needs n >= 2")
 
 
+def _batch_order(instances: Sequence, configs: Sequence[AlgorithmConfig],
+                 rng_seeds: Sequence[Sequence[int]]) -> List[int]:
+    """Check a batch's arguments; returns its instances' indices longest first (stable)."""
+    if not instances or not configs:
+        raise ValueError("a batch needs at least one instance and one config")
+    if len(rng_seeds) != len(configs) or any(len(row) != len(instances) for row in rng_seeds):
+        raise ValueError("a batch needs one seed per (config, instance) row")
+    return sorted(range(len(instances)), key=lambda j: -instances[j].n)
+
+
 def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
                  rng_seeds: Sequence[Sequence[int]]) -> List[List[RunTrace]]:
     """Step every one-pass config over every instance at once; returns ``traces[config][instance]``.
@@ -146,17 +156,11 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
     ``rng_seeds[i][j]`` seeds row (i, j)'s tie-breaking stream, which draws
     only when two or more alternatives tie for the best positive value.
     Decisions record the chosen alternative 1..k, 0 for reject.  Raises
-    ``ValueError`` if :func:`check_one_pass` rejects an instance.
+    ``ValueError`` on a malformed batch or one that :func:`check_one_pass` rejects.
     """
-    if not instances or not configs:
-        raise ValueError("a one-pass batch needs at least one instance and one config")
-    if len(rng_seeds) != len(configs) or any(len(row) != len(instances) for row in rng_seeds):
-        raise ValueError("a one-pass batch needs one seed per (config, instance) row")
+    by_n = _batch_order(instances, configs, rng_seeds)
     for inst in instances:
         check_one_pass(inst, configs)
-    # Instances run longest first (stable), so the ones still running at any
-    # step are a prefix of the instance axis.
-    by_n = sorted(range(len(instances)), key=lambda j: -instances[j].n)
     # rewards (n, k) and usage vectors (n, k, m) of each instance; plain ones have k = 1
     data = [(x.reward_blocks, x.column_blocks.transpose(0, 2, 1)) if isinstance(x, MultiInstance)
             else (x.rewards[:, None], x.columns.T[:, None, :])
@@ -320,11 +324,11 @@ def run_multi_soa(minst: MultiInstance, cfg: AlgorithmConfig, rng_seed: int = 0)
     return _run_single(minst, cfg, AlgorithmKind.MULTI_SOA, rng_seed)
 
 
-def run_prefix_lp(instances: Sequence[Instance], kinds: Sequence[AlgorithmKind],
+def run_prefix_lp(instances: Sequence[Instance], configs: Sequence[AlgorithmConfig],
                   rng_seeds: Sequence[Sequence[int]]) -> List[List[RunTrace]]:
-    """Step DLA and PBD over every instance at once; returns ``traces[kind][instance]``.
+    """Step DLA and PBD over every instance at once; returns ``traces[config][instance]``.
 
-    A row is one (kind, instance) pair.  Step t solves each instance's
+    A row is one (config, instance) pair.  Step t solves each instance's
     capacity-shrunk LP over columns 1..t once for all its rows, warm-started
     from step t-1's final basis, in one lockstep pass over the instances
     (see :func:`~onlinelp.simplex.solve_prefix_lps`): the start changes how
@@ -336,19 +340,17 @@ def run_prefix_lp(instances: Sequence[Instance], kinds: Sequence[AlgorithmKind],
     step t's optimum, drawing exactly one number per step from its own
     stream ``rng_seeds[i][j]``, degenerate probabilities included, so traces
     are seed-stable under code motion.  No row depends on the others or on
-    the other instances of the batch.  Raises ``ValueError`` unless the
-    instances share m.
+    the other instances of the batch.  Raises ``ValueError`` on a malformed
+    batch, a config of another kind, or instances that do not share m.
     """
-    if not instances or not kinds or any(kind not in PREFIX_LP_KINDS for kind in kinds):
-        raise ValueError("a prefix-LP pass takes one or more DLA and PBD rows and instances")
-    if len(rng_seeds) != len(kinds) or any(len(row) != len(instances) for row in rng_seeds):
-        raise ValueError("a prefix-LP pass needs one seed per (kind, instance) row")
-    # Instances run longest first (stable), as the pass requires.
-    by_n = sorted(range(len(instances)), key=lambda j: -instances[j].n)
+    by_n = _batch_order(instances, configs, rng_seeds)
+    for cfg in configs:
+        if cfg.kind not in PREFIX_LP_KINDS:
+            raise ValueError(f"{cfg.kind.value} is not a prefix-LP algorithm")
     ordered = [instances[j] for j in by_n]
     steps = solve_prefix_lps(ordered)
     cells, n_max, m = len(ordered), ordered[0].n, ordered[0].m
-    pbd = [i for i, kind in enumerate(kinds) if kind is AlgorithmKind.PBD]
+    pbd = [i for i, cfg in enumerate(configs) if cfg.kind is AlgorithmKind.PBD]
     rngs = [[np.random.default_rng(rng_seeds[i][j]) for j in by_n] for i in pbd]
     drawn = np.zeros((len(pbd), cells, n_max), dtype=bool)
     # prices[k, t] are cell k's prices before step t: zero, then step t-1's duals
@@ -361,15 +363,15 @@ def run_prefix_lp(instances: Sequence[Instance], kinds: Sequence[AlgorithmKind],
             for taken, row in zip(drawn, rngs):
                 taken[:a, t] = [float(rng.random()) < q for rng, q in zip(row, prob)]
 
-    traces: List[List[RunTrace]] = [[None] * cells for _ in kinds]
+    traces: List[List[RunTrace]] = [[None] * cells for _ in configs]
     for k, (j, inst) in enumerate(zip(by_n, ordered)):
         cols, seen = np.ascontiguousarray(inst.columns.T), prices[k, :inst.n + 1]
         # every step's decision and price norm at once, by the dot products
         # a step-by-step loop would take
         accepts = inst.rewards > (cols[:, None, :] @ seen[:-1, :, None])[:, 0, 0]
         norm_sq = (seen[1:, None, :] @ seen[1:, :, None]).max()
-        for i, kind in enumerate(kinds):
-            if kind is AlgorithmKind.DLA:
+        for i, cfg in enumerate(configs):
+            if cfg.kind is AlgorithmKind.DLA:
                 taken, final, norm = accepts, seen[-1].copy(), math.sqrt(norm_sq)
             else:
                 taken, final, norm = drawn[pbd.index(i), k, :inst.n], np.zeros(m), None
@@ -381,12 +383,12 @@ def run_prefix_lp(instances: Sequence[Instance], kinds: Sequence[AlgorithmKind],
 
 def run_dla(inst: Instance) -> RunTrace:
     """Per-step-LP baseline: decide with the prefix LP's dual prices (see :func:`run_prefix_lp`)."""
-    return run_prefix_lp([inst], [AlgorithmKind.DLA], [[0]])[0][0]
+    return run_prefix_lp([inst], [AlgorithmConfig(AlgorithmKind.DLA)], [[0]])[0][0]
 
 
 def run_pbd(inst: Instance, rng_seed: int) -> RunTrace:
     """Per-step-LP baseline: round the prefix LP's own fractional value (see :func:`run_prefix_lp`)."""
-    return run_prefix_lp([inst], [AlgorithmKind.PBD], [[rng_seed]])[0][0]
+    return run_prefix_lp([inst], [AlgorithmConfig(AlgorithmKind.PBD)], [[rng_seed]])[0][0]
 
 
 def repair_feasibility(inst: Instance, trace: RunTrace, rng_seed: int) -> RunTrace:

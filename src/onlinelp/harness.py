@@ -23,7 +23,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import __version__
 from .algorithms import (
@@ -236,18 +236,9 @@ def _blocks(trials: int, parts: int) -> List[range]:
     return [range(trials * i // parts, trials * (i + 1) // parts) for i in range(parts)]
 
 
-class _Cell(NamedTuple):
-    """One prepared (n, trial) cell; ``seed(label)`` derives the child seed of a consumer."""
-
-    n: int
-    trial: int
-    inst: Instance
-    seed: Callable[[str], int]
-
-
 def _prepare(cfg: ExperimentConfig, n: int, seed_tag: str, problem: Optional[Instance],
-             first: int, trial: int) -> _Cell:
-    """Instance and seed derivation of one trial, reported as trial ``first + trial``.
+             trial: int) -> Tuple[Instance, Callable[[str], int]]:
+    """Instance and seed derivation of one trial: ``seed(label)`` derives a consumer's child seed.
 
     ``problem`` is the benchmark instance, or ``None`` to generate an instance
     of n columns.  Raises if the trial cannot be set up.
@@ -259,11 +250,30 @@ def _prepare(cfg: ExperimentConfig, n: int, seed_tag: str, problem: Optional[Ins
     if cfg.permute_arrivals:
         plan = PermutationPlan.random(inst.n, child_seed(cfg.seed, n, trial, seed_tag + "permutation"))
         inst = permute(inst, plan)
-    return _Cell(n, first + trial, inst, lambda label: child_seed(cfg.seed, n, trial, seed_tag + label))
+    return inst, lambda label: child_seed(cfg.seed, n, trial, seed_tag + label)
 
 
-def _block_task(args):
-    """Run every algorithm on a block of trials of one or more sources.
+@dataclass
+class CellOutcome:
+    """One (n, trial) cell's record; ``run_experiment`` reduces the records to the report.
+
+    It holds the cell's rows and (label, wall seconds) timings if the cell ran
+    through, else its error, and the certificate of its offline LP once solved.
+    """
+
+    n: int
+    trial: int
+    rows: List[TrialResult] = dataclasses.field(default_factory=list)
+    timings: List[Tuple[str, float]] = dataclasses.field(default_factory=list)
+    certificate: Optional[Certificate] = None
+    error: Optional[str] = None
+
+    def fail(self, exc: Exception) -> None:
+        self.error = f"{type(exc).__name__}: {exc}"
+
+
+def _block_task(args) -> List[CellOutcome]:
+    """Run every algorithm on a block of trials of one or more sources; one outcome per cell.
 
     ``args`` is ``(cfg, sources, trials)``; each source is ``(n, seed_tag,
     problem, first)``, where ``problem`` is the benchmark instance, or
@@ -271,95 +281,91 @@ def _block_task(args):
     reported as trial ``first + t``.  A generated sweep passes every n of
     the config, a benchmark problem comes alone.
 
-    Returns ``(rows, timings, errors, certificates)``.  Every cell is
-    generated and permuted first.  Then one kernel call steps every one-pass
-    algorithm, and one prefix-LP pass every DLA and PBD row, on every cell
-    of the block, across all its n; if either call fails, every cell it
-    carried records the error.  Then each cell's offline LP is solved.  A
-    benchmark problem's relaxation is instead solved once for the block,
-    since permuting its columns leaves the optimum unchanged; if that solve
-    fails, every trial of the block records the error.  Each LP solved gets
-    a :class:`~onlinelp.simplex.Certificate`.  In the timings, the wall time
-    of the kernel call and of the prefix-LP pass is split over their rows in
+    Every cell is generated and permuted first.  Then one kernel call steps
+    every one-pass algorithm, and one prefix-LP pass every DLA and PBD row,
+    on every cell of the block, across all its n; if either call fails,
+    every cell it carried records the error.  Then each cell's offline LP is
+    solved and certified.  A benchmark problem's relaxation is instead
+    solved once for the block, since permuting its columns leaves the
+    optimum unchanged, and every trial of the block carries its certificate,
+    or its error if that solve fails.  In the timings, the wall time of the
+    kernel call and of the prefix-LP pass is split over their rows in
     proportion to each row's n, and that of a benchmark problem's solve
     evenly over its rows.  Evaluation and repair run per cell.  A cell that
     fails anywhere else, the one-pass checks of
     :func:`~onlinelp.algorithms.check_one_pass` included, records its own
-    error and contributes no rows; the other cells of the block are
-    unaffected.
+    error and keeps no rows; the other cells of the block are unaffected.
     """
     cfg, sources, trials = args
     kernel = [c for c in cfg.algorithms if c.kind not in PREFIX_LP_KINDS]
     prefix = [c for c in cfg.algorithms if c.kind in PREFIX_LP_KINDS]
-    cells, failures, certificates = [], {}, []
+    outcomes: List[CellOutcome] = []
+    running = []  # per running cell: (outcome, instance, seed, label -> (trace, wall seconds))
     problem_lp = {}  # n -> (optimum, share of the solve) of a benchmark problem, alone in its task
     for n, seed_tag, problem, first in sources:
-        block = trials
+        block = [CellOutcome(n, first + trial) for trial in trials]
+        outcomes.extend(block)
         if problem is not None:
             t0 = time.perf_counter()
             try:
                 sol = solve_relaxation(problem)
                 problem_lp[n] = sol.objective, (time.perf_counter() - t0) / len(trials)
-                certificates.append(certify(problem, sol))
+                certificate = certify(problem, sol)
             except Exception as exc:
-                failures.update(((n, first + trial), exc) for trial in trials)
-                block = ()
-        for trial in block:
+                for out in block:
+                    out.fail(exc)
+                continue
+            for out in block:
+                out.certificate = certificate
+        for trial, out in zip(trials, block):
             try:  # recorded per cell; the block continues
-                cell = _prepare(cfg, n, seed_tag, problem, first, trial)
-                check_one_pass(cell.inst, kernel)
-                cells.append(cell)
+                inst, seed = _prepare(cfg, n, seed_tag, problem, trial)
+                check_one_pass(inst, kernel)
+                running.append((out, inst, seed, {}))
             except Exception as exc:
-                failures[n, first + trial] = exc
-    found = [{} for _ in cells]  # per cell: label -> (trace, wall seconds)
-    for run, configs, algorithms in ((run_one_pass, kernel, kernel),
-                                     (run_prefix_lp, prefix, [c.kind for c in prefix])):
-        if not (configs and cells):
+                out.fail(exc)
+    for run, configs in ((run_one_pass, kernel), (run_prefix_lp, prefix)):
+        if not (configs and running):
             continue
+        instances = [inst for _, inst, _, _ in running]
         t0 = time.perf_counter()
         try:
-            batch = run([cell.inst for cell in cells], algorithms,
-                        [[cell.seed(c.label) for cell in cells] for c in configs])
+            batch = run(instances, configs,
+                        [[seed(c.label) for _, _, seed, _ in running] for c in configs])
         except Exception as exc:
-            failures.update(((cell.n, cell.trial), exc) for cell in cells)
-            cells, found = [], []
+            for out, _, _, _ in running:
+                out.fail(exc)
+            running = []
             continue
-        wall = (time.perf_counter() - t0) / (len(configs) * sum(cell.inst.n for cell in cells))
-        for i, cell in enumerate(cells):
-            found[i].update((c.label, (row[i], wall * cell.inst.n))
-                            for c, row in zip(configs, batch))
-    rows: List[TrialResult] = []
-    timings: List[Tuple[int, int, str, float]] = []
-    for i, (n, trial, inst, seed) in enumerate(cells):
+        wall = (time.perf_counter() - t0) / (len(configs) * sum(inst.n for inst in instances))
+        for i, (_, inst, _, found) in enumerate(running):
+            found.update((c.label, (row[i], wall * inst.n)) for c, row in zip(configs, batch))
+    for out, inst, seed, found in running:
         runs = []  # (label, seed, trace, wall seconds)
         try:
-            if n not in problem_lp:
+            if out.n not in problem_lp:
                 t0 = time.perf_counter()
                 sol = solve_relaxation(inst)
                 lp_opt, lp_seconds = sol.objective, time.perf_counter() - t0
-                certificates.append(certify(inst, sol))
+                out.certificate = certify(inst, sol)
             else:
-                lp_opt, lp_seconds = problem_lp[n]
+                lp_opt, lp_seconds = problem_lp[out.n]
             for label in (c.label for c in cfg.algorithms):
-                trace, wall = found[i][label]
+                trace, wall = found[label]
                 runs.append((label, seed(label), trace, wall))
                 if cfg.repair:
                     rseed = seed(label + "+repair")
                     t0 = time.perf_counter()
                     repaired = repair_feasibility(inst, trace, rseed)
                     runs.append((label + "+repair", rseed, repaired, time.perf_counter() - t0))
-            cell_rows = [evaluate_trial(inst, trace, lp_opt, algorithm=label,
-                                        seed=run_seed, trial=trial)
-                         for label, run_seed, trace, _ in runs]
+            out.rows = [evaluate_trial(inst, trace, lp_opt, algorithm=label, seed=run_seed,
+                                       trial=out.trial)
+                        for label, run_seed, trace, _ in runs]
         except Exception as exc:
-            failures[n, trial] = exc
+            out.fail(exc)
             continue
-        rows.extend(cell_rows)
-        timings.append((n, trial, "offline_lp", lp_seconds))
-        timings.extend((n, trial, label, wall) for label, _, _, wall in runs)
-    errors = [{"n": int(n), "trial": int(trial), "error": f"{type(exc).__name__}: {exc}"}
-              for (n, trial), exc in sorted(failures.items())]
-    return rows, timings, errors, certificates
+        out.timings = [("offline_lp", lp_seconds)] + [(label, wall) for label, _, _, wall in runs]
+    return outcomes
 
 
 def _resolve_workers(cfg: ExperimentConfig, override: Optional[int]) -> int:
@@ -446,24 +452,22 @@ def load_report(directory) -> ExperimentReport:
     """
     directory = Path(directory)
     summary = json.loads((directory / "summary.json").read_text(encoding="ascii"))
-    rows: List[TrialResult] = []
-    lines = (directory / "trials.csv").read_text(encoding="ascii").splitlines()
-    if lines and lines[0] != ",".join(TRIALS_CSV_COLUMNS):
-        raise ValueError("unexpected trials.csv header")
-    for line in lines[1:]:
-        cells = line.split(",")
-        rows.append(TrialResult(
-            n=int(cells[0]), trial=int(cells[1]), algorithm=cells[2], seed=int(cells[3]),
-            m=int(cells[4]), objective=float(cells[5]), offline_lp_opt=float(cells[6]),
-            regret=float(cells[7]), violation=float(cells[8]),
-            competitiveness=_parse_opt_float(cells[9]), max_dual_norm=_parse_opt_float(cells[10]),
-            capacity_norm=math.nan,
-        ))
-    timings: List[Tuple[int, int, str, float]] = []
-    tlines = (directory / "timings.csv").read_text(encoding="ascii").splitlines()
-    for line in tlines[1:]:
-        cells = line.split(",")
-        timings.append((int(cells[0]), int(cells[1]), cells[2], float(cells[3])))
+
+    def table(name: str, columns: Tuple[str, ...]) -> List[List[str]]:
+        lines = (directory / name).read_text(encoding="ascii").splitlines()
+        if lines and lines[0] != ",".join(columns):
+            raise ValueError(f"unexpected {name} header")
+        return [line.split(",") for line in lines[1:]]
+
+    rows = [TrialResult(
+        n=int(cells[0]), trial=int(cells[1]), algorithm=cells[2], seed=int(cells[3]),
+        m=int(cells[4]), objective=float(cells[5]), offline_lp_opt=float(cells[6]),
+        regret=float(cells[7]), violation=float(cells[8]),
+        competitiveness=_parse_opt_float(cells[9]), max_dual_norm=_parse_opt_float(cells[10]),
+        capacity_norm=math.nan,
+    ) for cells in table("trials.csv", TRIALS_CSV_COLUMNS)]
+    timings = [(int(cells[0]), int(cells[1]), cells[2], float(cells[3]))
+               for cells in table("timings.csv", TIMINGS_CSV_COLUMNS)]
     return ExperimentReport(
         config=summary["config"],
         rows=rows,
@@ -511,23 +515,19 @@ def run_experiment(cfg: ExperimentConfig, *, workers: Optional[int] = None) -> E
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(nworkers, len(tasks))) as pool:
-            outcomes = list(pool.map(_block_task, tasks))
+            blocks = list(pool.map(_block_task, tasks))
     else:
-        outcomes = [_block_task(t) for t in tasks]
+        blocks = [_block_task(t) for t in tasks]
     total_seconds = time.perf_counter() - started
 
-    rows: List[TrialResult] = []
-    timings: List[Tuple[int, int, str, float]] = []
-    errors: List[Dict] = []
-    certificates: List[Certificate] = []
-    for row_chunk, timing_chunk, error_chunk, certificate_chunk in outcomes:
-        rows.extend(row_chunk)
-        timings.extend(timing_chunk)
-        errors.extend(error_chunk)
-        certificates.extend(certificate_chunk)
-    rows.sort(key=lambda r: (r.n, r.trial, r.algorithm))
-    timings.sort(key=lambda t: (t[0], t[1], t[2]))
-    errors.sort(key=lambda e: (e["n"], e["trial"]))
+    outcomes = sorted((out for block in blocks for out in block), key=lambda o: (o.n, o.trial))
+    rows = sorted((row for out in outcomes for row in out.rows),
+                  key=lambda r: (r.n, r.trial, r.algorithm))
+    timings = sorted((out.n, out.trial, label, seconds)
+                     for out in outcomes for label, seconds in out.timings)
+    errors = [{"n": int(out.n), "trial": int(out.trial), "error": out.error}
+              for out in outcomes if out.error is not None]
+    certificates = [out.certificate for out in outcomes if out.certificate is not None]
 
     groups: Dict[Tuple[str, int], List[TrialResult]] = {}
     for row in rows:

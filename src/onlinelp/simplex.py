@@ -32,7 +32,8 @@ basic values, the prices and the leaving row; the exchange itself only
 updates the basis indices and the bound flags.
 
 :func:`solve_prefix_lps` solves the prefix LPs of a batch of instances in
-lockstep, each warm from the last: the cells' ``[A | I]`` and solver state
+lockstep, each warm from the last and the first from the empty prefix's
+optimum, the slack basis at price 0: the cells' ``[A | I]`` and solver state
 live in stacked arrays, a step writes one new column and moves each basis to
 the new prefix in O(m), and the basic values, the inversions, the final
 solves and the dual-feasibility check run as stacked numpy calls over the
@@ -344,7 +345,8 @@ def solve_prefix_lps(instances: Sequence[Instance]) -> Iterator[PrefixStep]:
 
     A cell is one instance, and step t solves its prefix LP over columns
     0..t with capacity ``(t + 1) * d``, as ``solve_scaled(inst, t + 1, prev)``
-    does, warm from step t-1's final basis.  The instances share m, not n,
+    does, warm from step t-1's final basis, and step 0 from the empty
+    prefix's: its m slacks basic at price 0.  The instances share m, not n,
     and come longest first: step t steps the first ``a`` cells, those with
     n > t, and yields their arrays.  Every LP of a step has t + 1 columns
     plus m slacks, so ``Gt`` (cells, n_max + m, m) holds each cell's
@@ -358,10 +360,10 @@ def solve_prefix_lps(instances: Sequence[Instance]) -> Iterator[PrefixStep]:
     carried inverses still hold.  Each pass reads every running cell's
     basic values from its inverse; the cells with one outside its bounds
     pivot through the ratio test and exchange of :func:`solve_box_lp`, and
-    only they are inverted again for the next pass.  Each cell gets the pivots and answers of its own warm
-    ``solve_scaled`` chain, bit for bit, whatever else is in the batch: the
-    stacked products and solves make the BLAS and LAPACK calls the
-    one-cell ones make.
+    only they are inverted again for the next pass.  Each cell gets the
+    pivots and answers of its own warm ``solve_scaled`` chain, bit for bit,
+    whatever else is in the batch: the stacked products and solves make the
+    BLAS and LAPACK calls the one-cell ones make.
 
     Raises ``ValueError`` unless the instances share m and come in
     non-increasing n, and :class:`SimplexError` as a solve would, for any
@@ -393,14 +395,16 @@ def _prefix_steps(instances: Sequence[Instance]) -> Iterator[PrefixStep]:
     Gt = np.zeros((cells, n_max + m, m))
     c = np.zeros((cells, n_max + m))
     at_upper = np.zeros((cells, n_max + m), dtype=bool)
+    # Every cell starts at the empty prefix's optimum: its m slacks are
+    # basic, the basis inverse is I and the prices are 0.
     nonbasic = np.ones((cells, n_max + m), dtype=bool)
-    basis = np.empty((cells, m), dtype=np.intp)
+    nonbasic[:, :m] = False
+    basis = np.tile(np.arange(m), (cells, 1))
     # the basic variables' upper bounds: 1 for a structural, infinite for a slack
     basic_upper = np.full((cells, m), np.inf)
-    Binv = np.empty((cells, m, m))
-    y = np.empty((cells, m))
-    p = np.zeros((cells, m))
     eye = np.eye(m)
+    Binv = np.tile(eye, (cells, 1, 1))
+    y = np.zeros((cells, m))
     row = np.arange(cells)[:, None]
     # cell k's row j of Gt, or entry j of c, is flat row k * (n_max + m) + j
     flat_Gt, flat_c = Gt.reshape(-1, m), c.reshape(-1)
@@ -417,20 +421,15 @@ def _prefix_steps(instances: Sequence[Instance]) -> Iterator[PrefixStep]:
         G[:, s:] = eye
         cost[:, t] = rewards[:a, t]
         b = s * budget[:a]
-        if t == 0:
-            base[:] = np.arange(1, 1 + m)
-            at[:, 0] = rewards[:, 0] > 0.0
-            free[:, 1:] = False
-        else:
-            # Slacks are never at their infinite upper bound, so only the
-            # nonbasic flags of the slacks shift.
-            base += base >= t
-            free[:, s:] = free[:, t:N - 1]
-            free[:, t] = True
-            at[:, t] = rewards[:a, t] - (columns[:a, None, :, t] @ p[:a, :, None])[:, 0, 0] > 0.0
+        # Slacks are never at their infinite upper bound, so only the
+        # nonbasic flags of the slacks shift.
+        base += base >= t
+        free[:, s:] = free[:, t:N - 1]
+        free[:, t] = True
+        prices = np.maximum(y[:a], 0.0)
+        at[:, t] = rewards[:a, t] - (columns[:a, None, :, t] @ prices[:, :, None])[:, 0, 0] > 0.0
         iterations = np.zeros(a, dtype=np.int64)
-        # the cells whose basis changed, all at the cold start; a view when it is every cell
-        stale = slice(0, a) if t == 0 else None
+        stale = None  # the cells whose basis changed; a view when it is every cell
         while True:
             if stale is not None:
                 B = flat_Gt.take(base[stale] + offset[stale], axis=0)
@@ -462,8 +461,8 @@ def _prefix_steps(instances: Sequence[Instance]) -> Iterator[PrefixStep]:
         order = np.sort(base, axis=1)
         B = flat_Gt.take(order + offset[:a], axis=0)
         x[row[:a], order] = np.linalg.solve(B.transpose(0, 2, 1), rhs[:, :, None])[:, :, 0]
-        if stale is not None:  # a cold start, or a pivot: solve for the new prices
-            moved = np.flatnonzero(iterations) if t else np.arange(a)
+        if stale is not None:  # a pivot: solve for the new prices
+            moved = np.flatnonzero(iterations)
             moved = slice(0, a) if len(moved) == a else moved
             costs = flat_c.take(order[moved] + offset[moved])
             y[moved] = np.linalg.solve(B[moved], costs[:, :, None])[:, :, 0]
@@ -478,7 +477,6 @@ def _prefix_steps(instances: Sequence[Instance]) -> Iterator[PrefixStep]:
         if worst > _PIVOT_TOL:
             raise SimplexError(f"final basis is not dual feasible: a nonbasic column prices in "
                                f"by {worst:.3g} (n={s}, m={m})")
-        p[:a] = duals
         yield PrefixStep(duals, x[:, t].copy(), iterations)
 
 

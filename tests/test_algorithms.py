@@ -44,6 +44,9 @@ def soa_cfg(schedule=StepSchedule.SQRT_N):
     return AlgorithmConfig(AlgorithmKind.SOA, schedule)
 
 
+DLA, PBD = AlgorithmConfig(AlgorithmKind.DLA), AlgorithmConfig(AlgorithmKind.PBD)
+
+
 def uniform_instance(n, m, seed):
     return gen_uniform(GeneratorSpec(GeneratorFamily.UNIFORM, n=n, m=m, seed=seed))
 
@@ -519,7 +522,9 @@ class TestRunPbd:
 
     def test_half_probability_frequency(self):
         inst = Instance(rewards=[1.0], columns=[[1.0]], capacity=[0.5])
-        hits = sum(int(run_pbd(inst, rng_seed=seed).decisions[0]) for seed in range(10_000))
+        # one batch row per seed; every row is its one-row call (TestRunPrefixLp)
+        [traces] = run_prefix_lp([inst] * 10_000, [PBD], [range(10_000)])
+        hits = sum(int(trace.decisions[0]) for trace in traces)
         assert abs(hits / 10_000 - 0.5) <= 0.02
 
     def test_deterministic_per_seed(self):
@@ -540,8 +545,7 @@ class TestRunPrefixLp:
     def test_shared_pass_matches_single_runs(self):
         for seed in (3, 17):
             inst = uniform_instance(30, 3, seed)
-            kinds = [AlgorithmKind.DLA, AlgorithmKind.PBD, AlgorithmKind.PBD]
-            [dla], [pbd], [pbd2] = run_prefix_lp([inst], kinds, [[5], [41], [42]])
+            [dla], [pbd], [pbd2] = run_prefix_lp([inst], [DLA, PBD, PBD], [[5], [41], [42]])
             traces_identical(dla, run_dla(inst))
             for trace, rng_seed in ((pbd, 41), (pbd2, 42)):
                 single = run_pbd(inst, rng_seed=rng_seed)
@@ -553,7 +557,7 @@ class TestRunPrefixLp:
         # permuted adversarial cells have tied data and degenerate prefix LPs,
         # whose vertex depends on the pivot path, so batching must not change
         # the path.
-        kinds = [AlgorithmKind.PBD, AlgorithmKind.DLA]
+        configs = [PBD, DLA]
         families = (GeneratorFamily.UNIFORM, GeneratorFamily.GAUSSIAN,
                     GeneratorFamily.TRUNC_CAUCHY, GeneratorFamily.MIXED_FOUR)
         batches = [[generate(GeneratorSpec(family, n=n, m=m, seed=n + m)) for n in (40, 8, 100, 40)]
@@ -563,15 +567,15 @@ class TestRunPrefixLp:
                        + [uniform_instance(n, 2, n) for n in (40, 80)])
         for batch in batches:
             seeds = [[7 * j for j in range(len(batch))], [1000 + j for j in range(len(batch))]]
-            traces = run_prefix_lp(batch, kinds, seeds)
+            traces = run_prefix_lp(batch, configs, seeds)
             for j, inst in enumerate(batch):
-                alone = run_prefix_lp([inst], kinds, [[row[j]] for row in seeds])
+                alone = run_prefix_lp([inst], configs, [[row[j]] for row in seeds])
                 for row, single in zip(traces, alone):
                     traces_identical(row[j], single[0])
 
     def test_pbd_decisions_replay_prefix_primals(self):
         inst = uniform_instance(20, 2, 31)
-        _, [trace] = run_prefix_lp([inst], [AlgorithmKind.DLA, AlgorithmKind.PBD], [[0], [77]])
+        _, [trace] = run_prefix_lp([inst], [DLA, PBD], [[0], [77]])
         rng = np.random.default_rng(77)
         for t in range(1, 21):
             prob = min(max(float(solve_scaled(inst, t).primal[t - 1]), 0.0), 1.0)
@@ -583,8 +587,7 @@ class TestRunPrefixLp:
         instances = [uniform_instance(60, 3, seed) for seed in (4, 9)]
         instances.append(gen_gaussian(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=60, m=4, seed=2)))
         for inst in instances:
-            [warm_dla], [warm_pbd] = run_prefix_lp([inst], [AlgorithmKind.DLA, AlgorithmKind.PBD],
-                                                   [[0], [19]])
+            [warm_dla], [warm_pbd] = run_prefix_lp([inst], [DLA, PBD], [[0], [19]])
             # the same decisions from a chain of cold solves
             rng = np.random.default_rng(19)
             cols = np.ascontiguousarray(inst.columns.T)
@@ -606,19 +609,25 @@ class TestRunPrefixLp:
 
     def test_rejects_other_kinds_and_bad_inputs(self):
         inst = uniform_instance(10, 2, 0)
-        for kind in (AlgorithmKind.SOA, AlgorithmKind.SFA, AlgorithmKind.SNA, AlgorithmKind.MULTI_SOA):
-            with pytest.raises(ValueError):
-                run_prefix_lp([inst], [AlgorithmKind.DLA, kind], [[0], [0]])
-        with pytest.raises(ValueError):
-            run_prefix_lp([inst], [], [])
-        with pytest.raises(ValueError):
-            run_prefix_lp([], [AlgorithmKind.PBD], [[]])
-        with pytest.raises(ValueError):
-            run_prefix_lp([inst], [AlgorithmKind.PBD], [[1], [2]])
-        with pytest.raises(ValueError):
-            run_prefix_lp([inst], [AlgorithmKind.PBD], [[1, 2]])
+        for cfg in EVERY_CONFIG:
+            with pytest.raises(ValueError, match="not a prefix-LP algorithm"):
+                run_prefix_lp([inst], [DLA, cfg], [[0], [0]])
         with pytest.raises(ValueError, match="share m"):
-            run_prefix_lp([inst, uniform_instance(10, 3, 0)], [AlgorithmKind.DLA], [[0, 0]])
+            run_prefix_lp([inst, uniform_instance(10, 3, 0)], [DLA], [[0, 0]])
+
+    def test_both_engines_reject_the_same_malformed_batches(self):
+        # one batch contract: at least one instance and one config, and one
+        # list of seeds per config with one seed per instance
+        inst = uniform_instance(10, 2, 0)
+        for run, cfg in ((run_one_pass, soa_cfg()), (run_prefix_lp, PBD)):
+            for instances, configs, seeds, match in (
+                    ([], [cfg], [[]], "at least one instance and one config"),
+                    ([inst], [], [], "at least one instance and one config"),
+                    ([inst], [cfg], [[1], [2]], "one seed per"),
+                    ([inst], [cfg], [[1, 2]], "one seed per"),
+                    ([inst, inst], [cfg, cfg], [[1, 2], [3]], "one seed per")):
+                with pytest.raises(ValueError, match=match):
+                    run(instances, configs, seeds)
 
 
 class TestRepairFeasibility:

@@ -582,6 +582,18 @@ class TestReportFiles:
             assert (tmp_path / "report" / name).read_bytes() == \
                 (tmp_path / "report2" / name).read_bytes()
 
+    @pytest.mark.parametrize("name, header", [("trials.csv", "trial,n,algorithm"),
+                                              ("timings.csv", "trial,n,wall_seconds,algorithm")])
+    def test_load_rejects_an_unexpected_header(self, tmp_path, name, header):
+        # the rows are read by position, so a header in another order would misread them
+        cfg = load_config(write_mini_config(tmp_path, trials=1, algorithms="soa/sqrt_n"))
+        outdir = tmp_path / "report"
+        run_experiment(cfg).save(outdir)
+        lines = (outdir / name).read_text().splitlines()
+        (outdir / name).write_text("\n".join([header] + lines[1:]) + "\n")
+        with pytest.raises(ValueError, match=f"unexpected {name} header"):
+            load_report(outdir)
+
     def test_no_temp_files_left(self, tmp_path):
         cfg = load_config(write_mini_config(tmp_path, trials=1, algorithms="soa/sqrt_n"))
         outdir = tmp_path / "report"

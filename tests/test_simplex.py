@@ -377,9 +377,10 @@ class TestEffortCounts:
         assert iterations > 0
 
     def test_warm_workspace_steps(self, monkeypatch):
-        # a warm step starts from the inverses the previous step's last pass
-        # took, so it inverts one matrix per pivot, and a cell without pivots
-        # reuses its prices: it solves only for its primal values
+        # a step starts from the inverses the previous step's last pass took,
+        # step 0 from the empty prefix's identity, so it inverts one matrix
+        # per pivot, and a cell without pivots reuses its prices: it solves
+        # only for its primal values
         inv, solve = np.linalg.inv, np.linalg.solve
         inverted, solved = [], []
 
@@ -397,14 +398,11 @@ class TestEffortCounts:
                               (GeneratorFamily.UNIFORM, GeneratorFamily.GAUSSIAN,
                                GeneratorFamily.ADVERSARIAL))
         steps = pivoting = 0
-        for t, step in enumerate(solve_prefix_lps(batch)):
-            if t == 0:  # the cold first step inverts its starts
-                assert sum(inverted) == step.iterations.sum() + len(batch)
-            else:
-                assert sum(inverted) == step.iterations.sum()
-                assert sum(solved) == len(batch) + np.count_nonzero(step.iterations)
-                steps += len(batch)
-                pivoting += np.count_nonzero(step.iterations)
+        for step in solve_prefix_lps(batch):
+            assert sum(inverted) == step.iterations.sum()
+            assert sum(solved) == len(batch) + np.count_nonzero(step.iterations)
+            steps += len(batch)
+            pivoting += np.count_nonzero(step.iterations)
             inverted.clear()
             solved.clear()
         assert 0 < pivoting < steps
