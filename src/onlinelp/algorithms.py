@@ -54,9 +54,11 @@ class AlgorithmKind(enum.Enum):
 
 # The one-pass kinds and what each changes in the kernel, (gated, track_budget):
 # ``gated`` realizes an accept only while the cumulative consumption stays
-# within capacity in every coordinate (SFA); ``track_budget`` targets the
-# remaining budget rate ``b_t / (n - t)`` instead of the per-column budget ``d``
-# (SNA).
+# within capacity in every coordinate (SFA); its prices still follow the
+# tentative accept, so it moves the prices of the ungated kinds, and the
+# kernel replays the gate after each chunk instead of stepping it.
+# ``track_budget`` targets the remaining budget rate ``b_t / (n - t)`` instead
+# of the per-column budget ``d`` (SNA), and so moves prices of its own.
 _ONE_PASS = {
     AlgorithmKind.SOA: (False, False),
     AlgorithmKind.SFA: (True, False),
@@ -117,6 +119,9 @@ class AlgorithmConfig:
 # Steps per kernel chunk: each chunk copies the next columns of every running
 # instance into one small buffer, so the batch is never stacked whole.
 _CHUNK = 64
+# Steps whose price norms the kernel takes in one call: fewer calls than one
+# a step, and a smaller buffer than a chunk's prices.
+_NORMS = 16
 
 
 def check_one_pass(inst, configs: Sequence[AlgorithmConfig]) -> None:
@@ -142,21 +147,30 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
                  rng_seeds: Sequence[Sequence[int]]) -> List[List[RunTrace]]:
     """Step every one-pass config over every instance at once; returns ``traces[config][instance]``.
 
-    A row is one (config, instance) pair.  Column t is tentatively accepted
-    iff its reward strictly beats its priced usage (with k alternatives: iff
-    the best reward minus priced usage is positive); the prices then move
-    along (tentative usage - target) times the step size, clamped at zero,
-    where the config's kind sets the gate and the target (see ``_ONE_PASS``).
-    The instances share m and the number of alternatives k, not n: they run
-    longest first, step t steps only those with n > t, and a row's state
-    stays as its own last step left it.  Each row keeps its own prices,
-    consumption, budget and step sizes, so a row's trace does not depend on
-    what else is in the batch: per-row dot products are ``np.vecdot`` of that
-    row alone, and every other operation is elementwise.
-    ``rng_seeds[i][j]`` seeds row (i, j)'s tie-breaking stream, which draws
-    only when two or more alternatives tie for the best positive value.
-    Decisions record the chosen alternative 1..k, 0 for reject.  Raises
-    ``ValueError`` on a malformed batch or one that :func:`check_one_pass` rejects.
+    Column t is tentatively accepted iff its reward strictly beats its priced
+    usage (with k alternatives: iff the best reward minus priced usage is
+    positive); the prices then move along (tentative usage - target) times
+    the step size, clamped at zero, where the config's kind sets the target
+    (see ``_ONE_PASS``).  A row is one price trajectory on one instance.  With
+    k = 1 a trajectory depends only on the schedule and the target, so the
+    SOA, SFA and multi-choice configs of one schedule share a row, and so
+    does a config listed twice; budget tracking keeps a row per schedule.
+    With k > 1 every config keeps its own row, since each breaks ties with
+    its own stream.  The gate is not stepped: after each chunk of steps,
+    each gated row's realized decisions are replayed exactly from its
+    tentative ones (see :func:`_replay_gate`).
+    The instances share m and k, not n: they run longest first, step t
+    steps only those with n > t, and a row's state stays as its own last
+    step left it.  Each row keeps its own prices, consumption, budget and
+    step sizes, so a row's trace does not depend on what else is in the
+    batch: per-row dot products are ``np.vecdot`` of that row alone, and
+    every other operation is elementwise.
+    ``rng_seeds[i][j]`` seeds config i's tie-breaking stream on instance j,
+    which draws only when two or more alternatives tie for the best
+    positive value.  Decisions record the chosen alternative 1..k, 0 for
+    reject.  Configs whose row and decisions agree on an instance share one
+    trace; every trace's arrays are read-only.  Raises ``ValueError`` on a
+    malformed batch or one that :func:`check_one_pass` rejects.
     """
     by_n = _batch_order(instances, configs, rng_seeds)
     for inst in instances:
@@ -172,31 +186,40 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
     capacity = np.stack([instances[j].capacity for j in by_n])
     n_inst = len(instances)
 
-    # Rows run sorted so that plain, budget-tracking and gated configs, and
-    # equal schedules within them, occupy contiguous slices.
-    order = sorted(range(len(configs)), key=lambda i: (
-        _ONE_PASS[configs[i].kind], configs[i].schedule.value))
-    ranked = [configs[i] for i in order]
-    n_gated = sum(_ONE_PASS[c.kind][0] for c in ranked)
-    n_track = sum(_ONE_PASS[c.kind][1] for c in ranked)
-    gated = slice(len(ranked) - n_gated, len(ranked))
-    track = slice(gated.start - n_track, gated.start)
+    gates, tracks = zip(*(_ONE_PASS[c.kind] for c in configs))
+    trajectory = [(tracks[i], c.schedule) if k == 1 else i for i, c in enumerate(configs)]
+    lead = {}  # each trajectory's first config
+    for i, key in enumerate(trajectory):
+        lead.setdefault(key, i)
+    replayed = {key for key, gate in zip(trajectory, gates) if gate}
+    # Rows run sorted so that plain rows, rows with a gate to replay and
+    # budget-tracking rows, and equal schedules within them, occupy
+    # contiguous slices.
+    keys = sorted(lead, key=lambda key: (
+        tracks[lead[key]], key in replayed, configs[lead[key]].schedule.value))
+    row = {key: r for r, key in enumerate(keys)}
+    schedules = [configs[lead[key]].schedule for key in keys]
+    rows, n_gated = len(keys), len(replayed)
+    n_track = sum(tracks[lead[key]] for key in keys)
+    track = slice(rows - n_track, rows)
+    gated = slice(track.start - n_gated, track.start)
     # each schedule's step sizes for an n-step run, computed once per n
-    gammas = {(c.schedule, n): np.broadcast_to(c.schedule.gamma(np.arange(1.0, n + 1), n), n)
-              for c in ranked for n in set(lengths)}
+    gammas = {(s, n): np.broadcast_to(s.gamma(np.arange(1.0, n + 1), n), n)
+              for s in set(schedules) for n in set(lengths)}
     # instances of equal n, as (n, first, stop) runs of the instance axis
     runs = [(n, lengths.index(n), n_inst - lengths[::-1].index(n)) for n in sorted(set(lengths))]
 
-    shape = (len(ranked), n_inst, m)
-    target = np.repeat((capacity / np.array(lengths, dtype=float)[:, None])[None],
-                       len(ranked), axis=0)
+    shape = (rows, n_inst, m)
+    target = np.repeat((capacity / np.array(lengths, dtype=float)[:, None])[None], rows, axis=0)
     budget = np.repeat(capacity[None], n_track, axis=0)
-    used = np.zeros((n_gated, n_inst, m))
+    used = np.zeros((m, n_gated, n_inst))
     prices = np.zeros(shape)
     peak = np.zeros(shape[:2])
+    # tentative decisions of every row, and the realized accepts of the gated rows
     chosen = np.zeros((lengths[0],) + shape[:2], dtype=bool if k == 1 else np.int32)
+    realized = np.zeros((lengths[0], n_gated, n_inst), dtype=bool)
     vecdot = np.vecdot
-    rngs = [[np.random.default_rng(rng_seeds[i][j]) for j in by_n] for i in order] \
+    rngs = [[np.random.default_rng(rng_seeds[key][j]) for j in by_n] for key in keys] \
         if k > 1 else None
     t0 = 0
     while t0 < lengths[0]:
@@ -211,28 +234,29 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
         for j in range(a):
             rewards[:, j] = data[j][0][t0:t1]
             columns[:, j] = data[j][1][t0:t1]
-        steps = np.empty((span, len(ranked), a, 1))
-        for i, cfg in enumerate(ranked):
+        steps = np.empty((span, rows, a, 1))
+        for i, schedule in enumerate(schedules):
             for n, first, stop in (run for run in runs if run[0] > t0):
-                steps[:, i, first:stop, 0] = gammas[cfg.schedule, n][t0:t1, None]
+                steps[:, i, first:stop, 0] = gammas[schedule, n][t0:t1, None]
         # n - t - 1, the steps left after step t, by which budget tracking divides
         left = (np.array(lengths[:a], dtype=float)[None, :, None]
                 - np.arange(t0 + 1.0, t1 + 1)[:, None, None])
-        norm_sq = np.empty((span, len(ranked), a))
-        step = np.empty((len(ranked), a, m))
-        prices_a, target_a, capacity_a = prices[:, :a], target[:, :a], capacity[:a]
-        used_a, budget_a, track_target_a = used[:, :a], budget[:, :a], target[track, :a]
+        # the prices after the last few steps, whose norms are taken together
+        history = np.empty((_NORMS, rows, a, m))
+        step = np.empty((rows, a, m))
+        target_a = target[:, :a]
+        budget_a, track_target_a = budget[:, :a], target[track, :a]
         if k == 1:
             rewards, columns = rewards[:, :, 0], columns[:, :, 0]
-        prices_k = prices_a[:, :, None, :]
-        for c, (reward, cols, decided, gamma, left_c, norm_sq_c) in enumerate(
-                zip(rewards, columns, chosen[t0:t1, :, :a], steps, left, norm_sq)):
+        prices_a = prices[:, :a]
+        for c, (reward, cols, decided, gamma, left_c) in enumerate(
+                zip(rewards, columns, chosen[t0:t1, :, :a], steps, left)):
             if k == 1:
                 usage = cols
                 accept = decided
                 np.greater(reward, vecdot(usage, prices_a), out=accept)
             else:
-                values = reward - vecdot(cols, prices_k)
+                values = reward - vecdot(cols, prices_a[:, :, None, :])
                 best = values.max(axis=-1)
                 accept = best > 0.0
                 pick = values.argmax(axis=-1)
@@ -241,16 +265,8 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
                     ties = np.flatnonzero(tied[i, j])
                     pick[i, j] = ties[int(rngs[i][j].integers(len(ties)))]
                 usage = np.take_along_axis(cols[None], pick[..., None, None], axis=2)[:, :, 0]
-            np.multiply(accept[..., None], usage, out=step)
-            if n_gated:
-                # realize a tentative accept only while it fits; the prices
-                # still follow the tentative decision
-                after = used_a + (usage[gated] if k > 1 else usage)
-                realized = accept[gated]
-                realized &= np.logical_and.reduce(after <= capacity_a, axis=-1)
-                np.copyto(used_a, after, where=realized[..., None])
-            if k > 1:
                 np.multiply(pick + 1, accept, out=decided)
+            np.multiply(accept[..., None], usage, out=step)
             last = c + 1 == span and a_next < a
             if n_track:
                 if not last:
@@ -265,33 +281,126 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
                 # the update after a row's final decision would divide by zero
                 # and is dead state anyway, so budget tracking skips it
                 step[track, a_next:] = 0.0
-            prices_a += step
-            np.maximum(prices_a, 0.0, out=prices_a)
-            vecdot(prices_a, prices_a, out=norm_sq_c)
-        np.maximum(peak[:, :a], norm_sq.max(axis=0), out=peak[:, :a])
+            after = history[c % _NORMS]
+            np.add(prices_a, step, out=after)
+            np.maximum(after, 0.0, out=after)
+            prices_a = after
+            if c % _NORMS == _NORMS - 1 or c + 1 == span:
+                seen = history[:c % _NORMS + 1]
+                np.maximum(peak[:, :a], vecdot(seen, seen).max(axis=0), out=peak[:, :a])
+        prices[:, :a] = prices_a
+        if n_gated:
+            # runs are (row, instance) pairs, row-major; a run's usage is its tentative pick's
+            tentative = chosen[t0:t1, gated, :a]
+            if k == 1:
+                usage = np.broadcast_to(columns.transpose(2, 0, 1)[:, :, None],
+                                        (m, span, n_gated, a)).reshape(m, span, -1)
+            else:
+                pick = np.maximum(tentative - 1, 0)[..., None, None]
+                usage = np.take_along_axis(columns[:, None], pick, axis=3)[:, :, :, 0]
+                usage = usage.transpose(3, 0, 1, 2).reshape(m, span, -1)
+                tentative = tentative > 0
+            state = used[:, :, :a].reshape(m, -1)
+            realized[t0:t1, :, :a] = _replay_gate(
+                tentative.reshape(span, -1), usage, state, np.tile(capacity[:a].T, n_gated),
+            ).reshape(span, n_gated, a)
+            used[:, :, :a] = state.reshape(m, n_gated, a)
         t0 = t1
 
     traces: List[List[RunTrace]] = [[None] * n_inst for _ in configs]
-    for i, pos in enumerate(order):
-        for jj, j in enumerate(by_n):
-            rewards, columns = data[jj]
-            decisions = chosen[:lengths[jj], i, jj].astype(np.int8 if k == 1 else np.int32)
-            picked = np.flatnonzero(decisions)
-            alt = decisions[picked] - 1
-            traces[pos][j] = _trace(decisions, rewards[picked, alt], columns[picked, alt],
-                                    prices[i, jj].copy(), math.sqrt(peak[i, jj]))
+    for jj, j in enumerate(by_n):
+        n, (rewards, columns) = lengths[jj], data[jj]
+        final = [None] * rows  # each row's final prices, shared by its traces
+        built = {}  # (row, gated) -> trace
+        for i, key in enumerate(trajectory):
+            r, gate = row[key], gates[i]
+            if (r, gate) not in built:
+                decisions = chosen[:n, r, jj]
+                if gate:
+                    kept = realized[:n, r - gated.start, jj]
+                    decisions = kept if k == 1 else decisions * kept
+                decisions = decisions.astype(np.int8 if k == 1 else np.int32)
+                twin = built.get((r, not gate))
+                if twin is not None and np.array_equal(twin.decisions, decisions):
+                    built[r, gate] = twin
+                else:
+                    if final[r] is None:
+                        final[r] = prices[r, jj].copy()
+                    picked = np.flatnonzero(decisions)
+                    alt = decisions[picked] - 1
+                    built[r, gate] = _trace(decisions, rewards[picked, alt], columns[picked, alt],
+                                            final[r], math.sqrt(peak[r, jj]))
+            traces[i][j] = built[r, gate]
     return traces
 
 
+def _replay_gate(tentative, usage, used, capacity):
+    """Realize a chunk's tentative accepts of gated runs while they fit; returns the realized ones.
+
+    ``tentative`` (span, P) holds the chunk's tentative accepts of P runs,
+    ``usage`` (m, span, P) their usage vectors, ``capacity`` (m, P) their
+    capacities and ``used`` (m, P) their consumption at the chunk's start,
+    updated in place.  A step-by-step gate realizes a tentative accept iff
+    ``used + usage <= capacity`` in every coordinate, and only a realized
+    accept adds to ``used``.  A round sums in order from the consumption so
+    far over the pending accepts' usage: bit for bit that ``used + usage``
+    sequence, since a skipped step adds ±0.0.  It realizes the accepts up to
+    the first that overflows and refuses that one.  The consumption then
+    stays put, so every later accept is checked against it at once: those
+    before the first that fits are refused, and that one is realized.  So
+    the rounds count the alternations between runs of fitting and refused
+    accepts, not the refusals.
+    """
+    m, span, runs = usage.shape
+    steps = np.arange(span)[:, None]
+    # +1 where a run of refusals starts, -1 where it ends
+    edges = np.zeros((span + 1, runs), dtype=np.int32)
+    live, pending, accepts, u, cap = np.arange(runs), tentative, tentative, usage, capacity
+    while live.size:
+        sums = np.empty((m, span + 1, live.size))
+        sums[:, 0] = used[:, live]
+        np.multiply(u, pending.astype(np.float64), out=sums[:, 1:])
+        np.cumsum(sums, axis=1, out=sums)
+        over = pending > np.logical_and.reduce(sums[:, 1:] <= cap[:, None], axis=0)
+        stop = _first(over)
+        held = sums[:, stop, np.arange(live.size)]
+        used[:, live] = held
+        keep = stop < span
+        live, stop, held = live[keep], stop[keep], held[:, keep]
+        u, cap, accepts = u[:, :, keep], cap[:, keep], accepts[:, keep]
+        fits = np.logical_and.reduce(held[:, None] + u <= cap[:, None], axis=0)
+        fits &= accepts & (steps > stop)
+        resume = _first(fits)
+        edges[stop, live] += 1
+        edges[resume, live] -= 1
+        keep = resume < span
+        live, resume, held = live[keep], resume[keep], held[:, keep]
+        u, cap, accepts = u[:, :, keep], cap[:, keep], accepts[:, keep]
+        used[:, live] = held + u[:, resume, np.arange(live.size)]
+        pending = accepts & (steps > resume)
+    return tentative & (np.cumsum(edges[:-1], axis=0) == 0)
+
+
+def _first(mask):
+    """Each column's first True row of ``mask`` (span, P), or span where there is none."""
+    return np.where(mask.any(axis=0), mask.argmax(axis=0), len(mask))
+
+
 def _trace(decisions, taken_rewards, taken_columns, final_prices, max_dual_norm) -> RunTrace:
-    """A run's trace from its decisions and the rewards and usage vectors it took, in order."""
+    """A run's trace from its decisions and the rewards and usage vectors it took, in order.
+
+    The trace's arrays are made read-only, so that runs can share them.
+    """
     # in-order sums from zero, bit for bit the += of a scalar loop; the copy
     # of the last partial sum lets the others go
     sums = np.cumsum(np.vstack((np.zeros(len(final_prices)), taken_columns)), axis=0)
+    consumption = sums[-1].copy()
+    for array in (decisions, consumption, final_prices):
+        array.flags.writeable = False
     return RunTrace(
         decisions=decisions,
         objective=float(np.cumsum(np.append(0.0, taken_rewards))[-1]),
-        consumption=sums[-1].copy(),
+        consumption=consumption,
         final_prices=final_prices,
         max_dual_norm=max_dual_norm,
     )

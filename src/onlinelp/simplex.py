@@ -457,10 +457,15 @@ def _prefix_steps(instances: Sequence[Instance]) -> Iterator[PrefixStep]:
                        bool(above[k, i] > 0.0))
                 basic_upper[k, i] = 1.0 if base[k, i] < s else np.inf
 
-        # One exact solve per side against each basis in index order.
+        # One exact solve per side against each basis in index order.  Only
+        # x_t is reported, and a nonbasic x_t is its bound flag already, so
+        # the primal side is solved only where column t ended basic.
         order = np.sort(base, axis=1)
         B = flat_Gt.take(order + offset[:a], axis=0)
-        x[row[:a], order] = np.linalg.solve(B.transpose(0, 2, 1), rhs[:, :, None])[:, :, 0]
+        basic = np.flatnonzero((base == t).any(axis=1))
+        if basic.size:
+            solved = np.linalg.solve(B[basic].transpose(0, 2, 1), rhs[basic, :, None])[:, :, 0]
+            x[basic, t] = solved[order[basic] == t]
         if stale is not None:  # a pivot: solve for the new prices
             moved = np.flatnonzero(iterations)
             moved = slice(0, a) if len(moved) == a else moved

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -468,6 +469,136 @@ class TestMixedLengthBatch:
         other = run_one_pass(minsts, configs[:1], [[s + 1 for s in seeds[0]]])
         assert any(not np.array_equal(a.decisions, b.decisions)
                    for a, b in zip(other[0], batch[0]))
+
+
+def tight_instance(n, m, seed):
+    # SOA overshoots early: high rewards, capacity a tenth of the columns'
+    # mean usage, and negative entries that make room again, so the gate
+    # alternates between refusing and realizing
+    rng = np.random.default_rng(seed)
+    return Instance(rewards=rng.uniform(1, 2, n), columns=rng.uniform(-0.3, 1, (m, n)),
+                    capacity=np.full(m, 0.035 * n))
+
+
+def tight_multi_instance(n, m, seed):
+    # alternative 2 duplicates alternative 1 on every other item, so ties
+    # for the best value, and the draws that break them, are common
+    rng = np.random.default_rng(seed)
+    rewards = rng.uniform(-0.5, 2, (n, 3))
+    blocks = rng.uniform(-0.3, 2, (n, m, 3))
+    rewards[::2, 1] = rewards[::2, 0]
+    blocks[::2, :, 1] = blocks[::2, :, 0]
+    return MultiInstance(reward_blocks=rewards, column_blocks=blocks, capacity=np.full(m, 0.1 * n))
+
+
+SFA_CONFIGS = tuple(AlgorithmConfig(AlgorithmKind.SFA, sched) for sched in StepSchedule)
+
+
+class TestGateReplay:
+    """SFA's gate is replayed after each chunk from its row's tentative decisions."""
+
+    def test_sfa_rows_are_their_one_row_calls_and_the_reference(self):
+        soa_twins = tuple(soa_cfg(sched) for sched in StepSchedule)
+        refused = 0
+        for m, configs in itertools.product(
+                (1, 3), (SFA_CONFIGS, SFA_CONFIGS + soa_twins, soa_twins[::-1] + SFA_CONFIGS[:1])):
+            # two instances of every n, in no particular order: the kernel sorts them
+            instances = [tight_instance(n, m, seed + n + m) for n in mixed_n_values()
+                         for seed in (60, 70)]
+            instances = [instances[j] for j in np.random.default_rng(m).permutation(len(instances))]
+            seeds = [[7 * i + j for j in range(len(instances))] for i in range(len(configs))]
+            batch = run_one_pass(instances, configs, seeds)
+            for cfg, row in zip(configs, batch):
+                for inst, trace in zip(instances, row):
+                    [[single]] = run_one_pass([inst], [cfg], [[0]])
+                    traces_identical(trace, single)
+                    n = inst.n
+                    gammas = [cfg.schedule.gamma(t, n) for t in range(1, n + 1)]
+                    cols = [list(inst.columns[:, t]) for t in range(n)]
+                    gate = cfg.kind is AlgorithmKind.SFA
+                    ref_dec, ref_p, _ = reference_one_pass(inst.rewards, cols, inst.capacity,
+                                                           gammas, gate=gate)
+                    assert list(trace.decisions) == ref_dec, (cfg.label, n)
+                    np.testing.assert_allclose(trace.final_prices, ref_p, atol=1e-12)
+                    if gate:
+                        assert violation_norm(inst, trace.decisions) == 0.0
+                        tentative, _, _ = reference_one_pass(inst.rewards, cols, inst.capacity,
+                                                             gammas)
+                        refused += sum(tentative) - sum(ref_dec)
+        assert refused > 500
+
+    def test_multi_choice_sfa_rows_replay_their_own_picks(self):
+        # with k > 1 every config keeps its own row and tie stream; an SFA row
+        # realizes the picks of an SOA row on the same seed while they fit
+        minsts = [tight_multi_instance(n, 2, 80 + n) for n in mixed_n_values() + (65, 2)]
+        configs = SFA_CONFIGS + (AlgorithmConfig.parse("multisoa"),) + tuple(
+            soa_cfg(sched) for sched in StepSchedule)
+        # each SFA row and its SOA twin of the same schedule draw from equal seeds
+        seeds = [[31 * tag + j for j in range(len(minsts))] for tag in (0, 1, 2, 3, 0, 1, 2)]
+        batch = run_one_pass(minsts, configs, seeds)
+        refused = draws = 0
+        for i, cfg in enumerate(configs):
+            for j, minst in enumerate(minsts):
+                [[single]] = run_one_pass([minst], [cfg], [[seeds[i][j]]])
+                traces_identical(batch[i][j], single)
+                draws += int((batch[i][j].decisions == 2).sum())
+        for sfa, soa in zip(batch[:3], batch[4:]):
+            for minst, gated, free in zip(minsts, sfa, soa):
+                np.testing.assert_array_equal(gated.final_prices, free.final_prices)
+                used = np.zeros(minst.m)
+                for t, pick in enumerate(free.decisions):
+                    usage = minst.column_blocks[t, :, pick - 1]
+                    fits = pick > 0 and (used + usage <= minst.capacity).all()
+                    assert gated.decisions[t] == (pick if fits else 0)
+                    used = used + usage if fits else used
+                    refused += pick > 0 and not fits
+        assert draws > 0 and refused > 50
+
+
+class TestSharedRows:
+    """With k = 1, configs that move the same prices share a row, and equal decisions one trace."""
+
+    def test_multisoa_is_soa_sqrt_n(self):
+        instances = [uniform_instance(n, 3, 10 + n) for n in mixed_n_values()]
+        multi, soa = AlgorithmConfig.parse("multisoa"), soa_cfg(StepSchedule.SQRT_N)
+        batch = run_one_pass(instances, [multi, soa_cfg(StepSchedule.SQRT_T), soa],
+                             [[1] * len(instances), [2] * len(instances), [3] * len(instances)])
+        for a, b in zip(batch[0], batch[2]):
+            traces_identical(a, b)
+            assert a is b
+
+    def test_sfa_moves_its_soa_twins_prices(self):
+        instances = [tight_instance(n, 3, 20 + n) for n in mixed_n_values()]
+        for sched in StepSchedule:
+            [soa, sfa] = run_one_pass(instances, [soa_cfg(sched), AlgorithmConfig(
+                AlgorithmKind.SFA, sched)], [[0] * len(instances)] * 2)
+            assert any(not np.array_equal(a.decisions, b.decisions) for a, b in zip(soa, sfa))
+            for a, b in zip(soa, sfa):
+                assert a.final_prices.tobytes() == b.final_prices.tobytes()
+                assert np.float64(a.max_dual_norm).tobytes() == \
+                    np.float64(b.max_dual_norm).tobytes()
+
+    def test_a_config_listed_twice_gets_identical_traces(self):
+        instances = [tight_instance(n, 2, 30 + n) for n in (7, 65, 300)]
+        for token in ("soa/sqrt_t", "sfa/unit", "sna/sqrt_n", "multisoa"):
+            cfg = AlgorithmConfig.parse(token)
+            [first, again] = run_one_pass(instances, [cfg, cfg], [[1, 2, 3], [4, 5, 6]])
+            for a, b in zip(first, again):
+                traces_identical(a, b)
+
+    def test_shared_traces_are_read_only(self):
+        roomy = uniform_instance(80, 2, 5)
+        instances = [dataclasses.replace(roomy, capacity=roomy.capacity * 10),
+                     tight_instance(80, 2, 5)]
+        batch = run_one_pass(instances, [soa_cfg(), AlgorithmConfig.parse("sfa/sqrt_n"),
+                                         AlgorithmConfig.parse("multisoa")], [[0, 0]] * 3)
+        # the gate never binds on the roomy instance, so all three share its trace
+        assert batch[0][0] is batch[1][0] is batch[2][0]
+        assert batch[0][1] is batch[2][1] and batch[1][1] is not batch[0][1]
+        for trace in (batch[0][0], batch[1][1]):
+            for array in (trace.decisions, trace.consumption, trace.final_prices):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1
 
 
 class TestRunDla:

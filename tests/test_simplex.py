@@ -379,8 +379,14 @@ class TestEffortCounts:
     def test_warm_workspace_steps(self, monkeypatch):
         # a step starts from the inverses the previous step's last pass took,
         # step 0 from the empty prefix's identity, so it inverts one matrix
-        # per pivot, and a cell without pivots reuses its prices: it solves
-        # only for its primal values
+        # per pivot; a cell without pivots reuses its prices, and a cell whose
+        # new column ended nonbasic reads that column's value off its bound
+        batch = longest_first(generate(GeneratorSpec(family, n=60, m=3, seed=8)) for family in
+                              (GeneratorFamily.UNIFORM, GeneratorFamily.GAUSSIAN,
+                               GeneratorFamily.ADVERSARIAL))
+        # per step, the cells whose column t is basic in their warm chain's final basis
+        chains = [warm_chain(inst) for inst in batch]
+        basic = [sum(t in chain[t].basis for chain in chains) for t in range(60)]
         inv, solve = np.linalg.inv, np.linalg.solve
         inverted, solved = [], []
 
@@ -394,18 +400,16 @@ class TestEffortCounts:
 
         monkeypatch.setattr(simplex.np.linalg, "inv", counting_inv)
         monkeypatch.setattr(simplex.np.linalg, "solve", counting_solve)
-        batch = longest_first(generate(GeneratorSpec(family, n=60, m=3, seed=8)) for family in
-                              (GeneratorFamily.UNIFORM, GeneratorFamily.GAUSSIAN,
-                               GeneratorFamily.ADVERSARIAL))
         steps = pivoting = 0
-        for step in solve_prefix_lps(batch):
+        for t, step in enumerate(solve_prefix_lps(batch)):
             assert sum(inverted) == step.iterations.sum()
-            assert sum(solved) == len(batch) + np.count_nonzero(step.iterations)
+            assert sum(solved) == basic[t] + np.count_nonzero(step.iterations)
             steps += len(batch)
             pivoting += np.count_nonzero(step.iterations)
             inverted.clear()
             solved.clear()
         assert 0 < pivoting < steps
+        assert 0 < sum(basic) < steps
 
 
 class TestPivotPath:
