@@ -9,7 +9,6 @@ from .core import (
     RunTrace,
     StepSchedule,
     dual_saa_objective,
-    threshold_decision,
     violation_norm,
 )
 from .simplex import (

@@ -21,7 +21,6 @@ __all__ = [
     "StepSchedule",
     "violation_norm",
     "dual_saa_objective",
-    "threshold_decision",
 ]
 
 
@@ -188,13 +187,4 @@ def dual_saa_objective(inst: Instance, p) -> float:
     slack = inst.rewards - pv @ inst.columns
     np.maximum(slack, 0.0, out=slack)
     return float(inst.per_column_budget @ pv) + float(slack.sum()) / inst.n
-
-
-def threshold_decision(r_t: float, a_t: np.ndarray, p: np.ndarray) -> int:
-    """Accept (1) iff the reward strictly beats the priced resource usage.
-
-    Ties ``r_t == a_t @ p`` resolve to reject; the comparison is exact, with
-    no epsilon band.
-    """
-    return 1 if r_t > float(a_t @ p) else 0
 

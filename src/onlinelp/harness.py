@@ -21,9 +21,12 @@ import json
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from . import __version__
 from .algorithms import (
@@ -56,12 +59,7 @@ __all__ = [
 
 FORMAT_VERSION = "1"
 
-TRIALS_CSV_COLUMNS = (
-    "n", "trial", "algorithm", "seed", "m", "objective", "lp_opt",
-    "regret", "violation", "competitiveness", "max_dual_norm",
-)
-# trials.csv column -> TrialResult field, where the names differ
-_ROW_FIELDS = {"lp_opt": "offline_lp_opt"}
+TRIALS_CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(TrialResult))
 TIMINGS_CSV_COLUMNS = ("n", "trial", "algorithm", "wall_seconds")
 
 
@@ -257,19 +255,22 @@ def _prepare(cfg: ExperimentConfig, n: int, seed_tag: str, problem: Optional[Ins
 class CellOutcome:
     """One (n, trial) cell's record; ``run_experiment`` reduces the records to the report.
 
-    It holds the cell's rows and (label, wall seconds) timings if the cell ran
-    through, else its error, and the certificate of its offline LP once solved.
+    It holds the cell's rows, the ``||b||_2`` of its instance and its (label,
+    wall seconds) timings if the cell ran through, else its error, and the
+    certificate of its offline LP once solved.
     """
 
     n: int
     trial: int
     rows: List[TrialResult] = dataclasses.field(default_factory=list)
+    capacity_norm: Optional[float] = None
     timings: List[Tuple[str, float]] = dataclasses.field(default_factory=list)
     certificate: Optional[Certificate] = None
     error: Optional[str] = None
 
     def fail(self, exc: Exception) -> None:
         self.error = f"{type(exc).__name__}: {exc}"
+        self.timings = []
 
 
 def _block_task(args) -> List[CellOutcome]:
@@ -284,14 +285,15 @@ def _block_task(args) -> List[CellOutcome]:
     Every cell is generated and permuted first.  Then one kernel call steps
     every one-pass algorithm, and one prefix-LP pass every DLA and PBD row,
     on every cell of the block, across all its n; if either call fails,
-    every cell it carried records the error.  Then each cell's offline LP is
-    solved and certified.  A benchmark problem's relaxation is instead
-    solved once for the block, since permuting its columns leaves the
-    optimum unchanged, and every trial of the block carries its certificate,
-    or its error if that solve fails.  In the timings, the wall time of the
-    kernel call and of the prefix-LP pass is split over their rows in
-    proportion to each row's n, and that of a benchmark problem's solve
-    evenly over its rows.  Evaluation and repair run per cell.  A cell that
+    every cell it carried records the error.  Then each cell is scored
+    against the relaxation of its benchmark problem, or else of its own
+    instance, solved and certified once per task for each such object:
+    permuting a problem's columns leaves its optimum unchanged.  A failed
+    solve fails every cell it scores.  Each cell's timings hold its share of
+    the kernel call (``onepass_kernel``) and of the prefix-LP pass
+    (``prefix_lp_pass``), in proportion to its n, its even share of its
+    offline LP's solve (``offline_lp``) and each of its repair runs
+    (``<label>+repair``).  Evaluation and repair run per cell.  A cell that
     fails anywhere else, the one-pass checks of
     :func:`~onlinelp.algorithms.check_one_pass` included, records its own
     error and keeps no rows; the other cells of the block are unaffected.
@@ -300,71 +302,65 @@ def _block_task(args) -> List[CellOutcome]:
     kernel = [c for c in cfg.algorithms if c.kind not in PREFIX_LP_KINDS]
     prefix = [c for c in cfg.algorithms if c.kind in PREFIX_LP_KINDS]
     outcomes: List[CellOutcome] = []
-    running = []  # per running cell: (outcome, instance, seed, label -> (trace, wall seconds))
-    problem_lp = {}  # n -> (optimum, share of the solve) of a benchmark problem, alone in its task
+    running = []  # per running cell: (outcome, instance, seed, LP source, label -> trace)
     for n, seed_tag, problem, first in sources:
-        block = [CellOutcome(n, first + trial) for trial in trials]
-        outcomes.extend(block)
-        if problem is not None:
-            t0 = time.perf_counter()
-            try:
-                sol = solve_relaxation(problem)
-                problem_lp[n] = sol.objective, (time.perf_counter() - t0) / len(trials)
-                certificate = certify(problem, sol)
-            except Exception as exc:
-                for out in block:
-                    out.fail(exc)
-                continue
-            for out in block:
-                out.certificate = certificate
-        for trial, out in zip(trials, block):
+        for trial in trials:
+            out = CellOutcome(n, first + trial)
+            outcomes.append(out)
             try:  # recorded per cell; the block continues
                 inst, seed = _prepare(cfg, n, seed_tag, problem, trial)
                 check_one_pass(inst, kernel)
-                running.append((out, inst, seed, {}))
+                running.append((out, inst, seed, inst if problem is None else problem, {}))
             except Exception as exc:
                 out.fail(exc)
-    for run, configs in ((run_one_pass, kernel), (run_prefix_lp, prefix)):
+    for run, configs, name in ((run_one_pass, kernel, "onepass_kernel"),
+                               (run_prefix_lp, prefix, "prefix_lp_pass")):
         if not (configs and running):
             continue
-        instances = [inst for _, inst, _, _ in running]
+        instances = [inst for _, inst, _, _, _ in running]
         t0 = time.perf_counter()
         try:
             batch = run(instances, configs,
-                        [[seed(c.label) for _, _, seed, _ in running] for c in configs])
+                        [[seed(c.label) for _, _, seed, _, _ in running] for c in configs])
         except Exception as exc:
-            for out, _, _, _ in running:
+            for out, _, _, _, _ in running:
                 out.fail(exc)
             running = []
             continue
-        wall = (time.perf_counter() - t0) / (len(configs) * sum(inst.n for inst in instances))
-        for i, (_, inst, _, found) in enumerate(running):
-            found.update((c.label, (row[i], wall * inst.n)) for c, row in zip(configs, batch))
-    for out, inst, seed, found in running:
-        runs = []  # (label, seed, trace, wall seconds)
+        share = (time.perf_counter() - t0) / sum(inst.n for inst in instances)
+        for i, (out, inst, _, _, traces) in enumerate(running):
+            traces.update((c.label, row[i]) for c, row in zip(configs, batch))
+            out.timings.append((name, share * inst.n))
+    lps = {}  # id(LP source) -> (optimum, solve seconds, certificate), or what the solve raised
+    scored = Counter(id(source) for _, _, _, source, _ in running)
+    for out, inst, seed, source, traces in running:
         try:
-            if out.n not in problem_lp:
+            if id(source) not in lps:
                 t0 = time.perf_counter()
-                sol = solve_relaxation(inst)
-                lp_opt, lp_seconds = sol.objective, time.perf_counter() - t0
-                out.certificate = certify(inst, sol)
-            else:
-                lp_opt, lp_seconds = problem_lp[out.n]
+                try:
+                    sol = solve_relaxation(source)
+                    lps[id(source)] = sol.objective, time.perf_counter() - t0, certify(source, sol)
+                except Exception as exc:
+                    lps[id(source)] = exc
+            if isinstance(lps[id(source)], Exception):
+                raise lps[id(source)]
+            lp_opt, lp_seconds, out.certificate = lps[id(source)]
+            out.timings.append(("offline_lp", lp_seconds / scored[id(source)]))
+            runs = []  # (label, seed, trace)
             for label in (c.label for c in cfg.algorithms):
-                trace, wall = found[label]
-                runs.append((label, seed(label), trace, wall))
+                runs.append((label, seed(label), traces[label]))
                 if cfg.repair:
                     rseed = seed(label + "+repair")
                     t0 = time.perf_counter()
-                    repaired = repair_feasibility(inst, trace, rseed)
-                    runs.append((label + "+repair", rseed, repaired, time.perf_counter() - t0))
+                    runs.append((label + "+repair", rseed,
+                                 repair_feasibility(inst, traces[label], rseed)))
+                    out.timings.append((label + "+repair", time.perf_counter() - t0))
             out.rows = [evaluate_trial(inst, trace, lp_opt, algorithm=label, seed=run_seed,
                                        trial=out.trial)
-                        for label, run_seed, trace, _ in runs]
+                        for label, run_seed, trace in runs]
+            out.capacity_norm = float(np.linalg.norm(inst.capacity))
         except Exception as exc:
             out.fail(exc)
-            continue
-        out.timings = [("offline_lp", lp_seconds)] + [(label, wall) for label, _, _, wall in runs]
     return outcomes
 
 
@@ -372,11 +368,7 @@ def _resolve_workers(cfg: ExperimentConfig, override: Optional[int]) -> int:
     """The override if positive, else the config's count if positive, else 1."""
     if override is not None and override < 0:
         raise ValueError(f"workers must be >= 0, got {override}")
-    if override:
-        return override
-    if cfg.workers > 0:
-        return cfg.workers
-    return 1
+    return override or cfg.workers or 1
 
 
 @dataclass
@@ -394,8 +386,7 @@ class ExperimentReport:
     def trials_csv(self) -> str:
         lines = [",".join(TRIALS_CSV_COLUMNS)]
         for row in self.rows:
-            lines.append(",".join(_fmt_cell(getattr(row, _ROW_FIELDS.get(col, col)))
-                                  for col in TRIALS_CSV_COLUMNS))
+            lines.append(",".join(_fmt_cell(getattr(row, col)) for col in TRIALS_CSV_COLUMNS))
         return "\n".join(lines) + "\n"
 
     def timings_csv(self) -> str:
@@ -444,34 +435,28 @@ def _parse_opt_float(cell: str) -> Optional[float]:
     return None if cell == "" else float(cell)
 
 
-def load_report(directory) -> ExperimentReport:
-    """Load a saved report; re-saving it reproduces the same bytes.
+# one parser per trials.csv column
+_TRIALS_CSV_PARSERS = (int, int, str, int, int, float, float, float, float,
+                       _parse_opt_float, _parse_opt_float)
 
-    ``trials.csv`` carries no capacity norms, so the loaded rows hold NaN in
-    ``capacity_norm``.
-    """
+
+def load_report(directory) -> ExperimentReport:
+    """Load a saved report: its rows equal the saved ones, and re-saving it gives the same bytes."""
     directory = Path(directory)
     summary = json.loads((directory / "summary.json").read_text(encoding="ascii"))
 
-    def table(name: str, columns: Tuple[str, ...]) -> List[List[str]]:
+    def table(name: str, columns: Tuple[str, ...], parsers: Tuple[Callable, ...]) -> List[tuple]:
         lines = (directory / name).read_text(encoding="ascii").splitlines()
         if lines and lines[0] != ",".join(columns):
             raise ValueError(f"unexpected {name} header")
-        return [line.split(",") for line in lines[1:]]
+        return [tuple(parse(cell) for parse, cell in zip(parsers, line.split(",")))
+                for line in lines[1:]]
 
-    rows = [TrialResult(
-        n=int(cells[0]), trial=int(cells[1]), algorithm=cells[2], seed=int(cells[3]),
-        m=int(cells[4]), objective=float(cells[5]), offline_lp_opt=float(cells[6]),
-        regret=float(cells[7]), violation=float(cells[8]),
-        competitiveness=_parse_opt_float(cells[9]), max_dual_norm=_parse_opt_float(cells[10]),
-        capacity_norm=math.nan,
-    ) for cells in table("trials.csv", TRIALS_CSV_COLUMNS)]
-    timings = [(int(cells[0]), int(cells[1]), cells[2], float(cells[3]))
-               for cells in table("timings.csv", TIMINGS_CSV_COLUMNS)]
     return ExperimentReport(
         config=summary["config"],
-        rows=rows,
-        timings=timings,
+        rows=[TrialResult(*cells) for cells in
+              table("trials.csv", TRIALS_CSV_COLUMNS, _TRIALS_CSV_PARSERS)],
+        timings=table("timings.csv", TIMINGS_CSV_COLUMNS, (int, int, str, float)),
         aggregates=summary["aggregates"],
         fits=summary["fits"],
         errors=summary["errors"],
@@ -529,21 +514,20 @@ def run_experiment(cfg: ExperimentConfig, *, workers: Optional[int] = None) -> E
               for out in outcomes if out.error is not None]
     certificates = [out.certificate for out in outcomes if out.certificate is not None]
 
-    groups: Dict[Tuple[str, int], List[TrialResult]] = {}
-    for row in rows:
-        groups.setdefault((row.algorithm, row.n), []).append(row)
-    aggregates = []
-    for (label, n) in sorted(groups):
-        aggregates.append(dataclasses.asdict(aggregate(groups[(label, n)])))
+    # (algorithm, n) -> (row, capacity norm of its cell) pairs
+    groups: Dict[Tuple[str, int], List[Tuple[TrialResult, float]]] = {}
+    for out in outcomes:
+        for row in out.rows:
+            groups.setdefault((row.algorithm, row.n), []).append((row, out.capacity_norm))
+    aggregates = [dataclasses.asdict(aggregate(*zip(*groups[key]))) for key in sorted(groups)]
 
     fits: Dict = {}
     by_label: Dict[str, List[Dict]] = {}
-    for doc in aggregates:
+    for doc in aggregates:  # in (algorithm, n) order
         by_label.setdefault(doc["algorithm"], []).append(doc)
-    for label, docs in sorted(by_label.items()):
-        docs = sorted(docs, key=lambda d: d["n"])
+    for label, docs in by_label.items():
         ns = [d["n"] for d in docs]
-        entry = {}
+        entry = fits[label] = {}
         for measure in ("regret", "violation"):
             try:
                 fit = fit_scaling(ns, [d[f"mean_{measure}"] for d in docs],
@@ -551,7 +535,6 @@ def run_experiment(cfg: ExperimentConfig, *, workers: Optional[int] = None) -> E
                 entry[measure] = dataclasses.asdict(fit)
             except ValueError as exc:
                 entry[measure] = {"error": str(exc)}
-        fits[label] = entry
 
     wall_by_alg: Dict[str, float] = {}
     for n, trial, label, seconds in timings:
@@ -570,12 +553,5 @@ def run_experiment(cfg: ExperimentConfig, *, workers: Optional[int] = None) -> E
         "generator_notes": generator_notes,
         "seed_scheme": "sha256(root|n|trial|tag)[:8]",
     }
-    return ExperimentReport(
-        config=cfg.echo(),
-        rows=rows,
-        timings=timings,
-        aggregates=aggregates,
-        fits=fits,
-        errors=errors,
-        meta=meta,
-    )
+    return ExperimentReport(config=cfg.echo(), rows=rows, timings=timings, aggregates=aggregates,
+                            fits=fits, errors=errors, meta=meta)

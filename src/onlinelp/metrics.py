@@ -21,28 +21,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrialResult:
-    """One run measured against the offline box-relaxation optimum.
+    """One run measured against the offline box-relaxation optimum: one ``trials.csv`` row.
 
-    ``regret`` is ``offline_lp_opt - objective`` by construction.
-    ``competitiveness`` is ``objective / offline_lp_opt`` and is ``None``
-    (flagged) when the optimum is not positive.  ``capacity_norm`` carries
-    ``||b||_2`` so violations can be normalized without the instance.
-    ``trial`` is the index of the run's trial in its experiment.
+    The fields are the file's columns, in its order.  ``trial`` is the index
+    of the run's trial in its experiment.  ``regret`` is ``lp_opt -
+    objective`` by construction.  ``competitiveness`` is ``objective /
+    lp_opt`` and is ``None`` (flagged) when the optimum is not positive.
     ``max_dual_norm`` is ``None`` for a run that keeps no prices (PBD).
     """
 
-    algorithm: str
     n: int
+    trial: int
+    algorithm: str
+    seed: int
     m: int
     objective: float
-    offline_lp_opt: float
+    lp_opt: float
     regret: float
     violation: float
     competitiveness: Optional[float]
     max_dual_norm: Optional[float]
-    seed: int
-    capacity_norm: float
-    trial: int = 0
 
 
 def evaluate_trial(inst: Instance, trace: RunTrace, lp_opt: float, *,
@@ -54,18 +52,17 @@ def evaluate_trial(inst: Instance, trace: RunTrace, lp_opt: float, *,
     lp_opt = float(lp_opt)
     objective = float(trace.objective)
     return TrialResult(
-        algorithm=algorithm,
         n=inst.n,
+        trial=int(trial),
+        algorithm=algorithm,
+        seed=int(seed),
         m=inst.m,
         objective=objective,
-        offline_lp_opt=lp_opt,
+        lp_opt=lp_opt,
         regret=lp_opt - objective,
         violation=violation_norm(inst, trace.decisions),
         competitiveness=(objective / lp_opt) if lp_opt > 0.0 else None,
         max_dual_norm=None if trace.max_dual_norm is None else float(trace.max_dual_norm),
-        seed=int(seed),
-        capacity_norm=float(np.linalg.norm(inst.capacity)),
-        trial=int(trial),
     )
 
 
@@ -111,8 +108,12 @@ def _mean_stderr(values: Sequence[float]) -> Tuple[float, float]:
     return mean, float(arr.std(ddof=1) / math.sqrt(arr.size))
 
 
-def aggregate(results: Sequence[TrialResult]) -> AggregateSummary:
-    """Reduce trials of one (algorithm, n, m) group; order of the input is irrelevant."""
+def aggregate(results: Sequence[TrialResult], capacity_norms: Sequence[float]) -> AggregateSummary:
+    """Reduce trials of one (algorithm, n, m) group; order of the input is irrelevant.
+
+    ``capacity_norms[i]`` is ``||b||_2`` of the instance ``results[i]`` ran on,
+    by which its violation is normalized.
+    """
     if not results:
         raise ValueError("cannot aggregate an empty result list")
     keys = {(r.algorithm, r.n, r.m) for r in results}
@@ -122,14 +123,15 @@ def aggregate(results: Sequence[TrialResult]) -> AggregateSummary:
     mean_obj, se_obj = _mean_stderr([r.objective for r in results])
     mean_reg, se_reg = _mean_stderr([r.regret for r in results])
     mean_vio, se_vio = _mean_stderr([r.violation for r in results])
-    ok = [r for r in results if r.offline_lp_opt > 0.0]
+    ok = [r for r in results if r.lp_opt > 0.0]
     flagged = len(results) - len(ok)
     if ok:
-        mean_nreg, se_nreg = _mean_stderr([r.regret / r.offline_lp_opt for r in ok])
-        mean_cmp, se_cmp = _mean_stderr([r.objective / r.offline_lp_opt for r in ok])
+        mean_nreg, se_nreg = _mean_stderr([r.regret / r.lp_opt for r in ok])
+        mean_cmp, se_cmp = _mean_stderr([r.objective / r.lp_opt for r in ok])
     else:
         mean_nreg = se_nreg = mean_cmp = se_cmp = math.nan
-    mean_nvio, se_nvio = _mean_stderr([r.violation / r.capacity_norm for r in results])
+    mean_nvio, se_nvio = _mean_stderr([r.violation / norm for r, norm
+                                       in zip(results, capacity_norms, strict=True)])
     mean_dual, _ = _mean_stderr([r.max_dual_norm for r in results if r.max_dual_norm is not None])
     return AggregateSummary(
         algorithm=algorithm,

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onlinelp import algorithms
 from onlinelp.algorithms import (
@@ -23,7 +25,6 @@ from onlinelp.core import (
     Instance,
     MultiInstance,
     StepSchedule,
-    threshold_decision,
     violation_norm,
 )
 from onlinelp.generators import (
@@ -601,6 +602,47 @@ class TestSharedRows:
                     array[0] = 1
 
 
+def soa_unit(inst):
+    return run_soa(inst, soa_cfg(StepSchedule.UNIT))
+
+
+class TestAcceptRule:
+    """SOA and DLA accept a column only if its reward strictly beats its priced usage."""
+
+    @pytest.mark.parametrize("reward, accepted", [(1.0, 1), (0.0, 0), (-0.5, 0)])
+    def test_first_column_is_priced_at_zero(self, reward, accepted):
+        # a zero reward ties with its zero priced usage and is rejected
+        inst = Instance(rewards=[reward, 1.0], columns=[[1.0, 1.0]], capacity=[1.0])
+        for engine in (soa_unit, run_dla):
+            assert engine(inst).decisions[0] == accepted
+
+    def test_tie_at_a_positive_price_rejects(self):
+        # Once the first column is accepted, SOA's unit step prices the
+        # resource at 1 - 1/2 and DLA's first prefix LP at 1.  The second
+        # column's reward equals its priced usage, then beats it by one ulp.
+        for engine, tie in ((soa_unit, 1.0), (run_dla, 2.0)):
+            for reward, accepted in ((tie, 0), (np.nextafter(tie, np.inf), 1)):
+                inst = Instance(rewards=[1.0, reward], columns=[[1.0, 2.0]], capacity=[1.0])
+                assert list(engine(inst).decisions) == [1, accepted]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_higher_prices_never_accept_more(self, seed):
+        # Rejecting the first column leaves every price at 0 for the second;
+        # accepting it can only raise them.  With non-negative usage the
+        # second column is then accepted no more often.
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 5))
+        columns = rng.uniform(0, 2, (m, 2))
+        capacity = rng.uniform(0.2, 4, m)
+        reward = float(rng.uniform(-1, 3))
+        second = {}
+        for first in (-1.0, float(rng.uniform(0.1, 3))):
+            inst = Instance(rewards=[first, reward], columns=columns, capacity=capacity)
+            second[first > 0] = [engine(inst).decisions[1] for engine in (soa_unit, run_dla)]
+        assert all(high <= low for high, low in zip(second[True], second[False]))
+
+
 class TestRunDla:
     def test_single_column_dual(self):
         inst = Instance(rewards=[1.0], columns=[[1.0]], capacity=[0.5])
@@ -625,7 +667,7 @@ class TestRunDla:
         cols = np.ascontiguousarray(inst.columns.T)
         p = np.zeros(2)
         for t in range(1, 21):
-            expected = threshold_decision(inst.rewards[t - 1], cols[t - 1], p)
+            expected = int(inst.rewards[t - 1] > cols[t - 1] @ p)
             assert trace.decisions[t - 1] == expected
             p = solve_scaled(inst, t).duals
         assert_trace_consistent(inst, trace)
@@ -725,7 +767,7 @@ class TestRunPrefixLp:
             p = np.zeros(inst.m)
             accepts, draws = np.zeros(inst.n, dtype=np.int8), np.zeros(inst.n, dtype=np.int8)
             for t in range(inst.n):
-                accepts[t] = threshold_decision(inst.rewards[t], cols[t], p)
+                accepts[t] = inst.rewards[t] > cols[t] @ p
                 cold = solve_scaled(inst, t + 1)
                 draws[t] = float(rng.random()) < min(max(float(cold.primal[t]), 0.0), 1.0)
                 p = cold.duals

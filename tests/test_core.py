@@ -9,7 +9,6 @@ from onlinelp.core import (
     Instance,
     StepSchedule,
     dual_saa_objective,
-    threshold_decision,
     violation_norm,
 )
 from onlinelp.generators import GeneratorFamily, GeneratorSpec, gen_uniform, read_mknap, write_mknap
@@ -154,28 +153,6 @@ class TestSaaObjective:
         lhs = dual_saa_objective(inst, mix)
         rhs = lam * dual_saa_objective(inst, p1) + (1 - lam) * dual_saa_objective(inst, p2)
         assert lhs <= rhs + 1e-9
-
-
-class TestThresholdDecision:
-    def test_tie_rejects(self):
-        assert threshold_decision(1.0, np.array([1.0]), np.array([1.0])) == 0
-
-    def test_accepts_at_zero_price(self):
-        assert threshold_decision(1.0, np.array([1.0]), np.array([0.0])) == 1
-
-    def test_negative_reward_rejected(self):
-        assert threshold_decision(-0.5, np.array([1.0]), np.array([0.0])) == 0
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1))
-    def test_monotone_in_price_for_nonnegative_usage(self, seed):
-        rng = np.random.default_rng(seed)
-        m = int(rng.integers(1, 5))
-        a = rng.uniform(0, 2, m)
-        r = float(rng.uniform(-1, 3))
-        p = rng.uniform(0, 2, m)
-        bump = rng.uniform(0, 1, m)
-        assert threshold_decision(r, a, p + bump) <= threshold_decision(r, a, p)
 
 
 class TestStepSchedule:

@@ -242,9 +242,40 @@ class TestRunExperiment:
         trace = run_soa(inst, AlgorithmConfig(AlgorithmKind.SOA, StepSchedule.SQRT_N))
         res = evaluate_trial(inst, trace, lp.objective, algorithm="soa/sqrt_n", seed=seed)
         assert row.objective == res.objective
-        assert row.offline_lp_opt == res.offline_lp_opt
+        assert row.lp_opt == res.lp_opt
         assert row.regret == res.regret
         assert row.violation == res.violation
+
+    def test_cells_record_the_capacity_norm_of_their_instance(self, tmp_path):
+        # aggregate normalizes each row's violation by its cell's ||b||_2
+        cfg = load_config(write_mini_config(tmp_path))
+        outcomes = harness._block_task((cfg, [(n, "", None, 0) for n in cfg.n_values], range(2)))
+        assert [(out.n, out.trial) for out in outcomes] == [(24, 0), (24, 1), (48, 0), (48, 1)]
+        for out in outcomes:
+            inst = cfg_instance(cfg, out.n, out.trial)
+            assert out.capacity_norm == float(np.linalg.norm(inst.capacity))
+
+    def test_timings_hold_measured_calls_only(self, tmp_path):
+        # each cell: its shares of the kernel call and the prefix-LP pass,
+        # its offline LP and its repair runs; no row for a label's own run
+        path = write_mini_config(tmp_path, trials=2, algorithms=ALL_ALGORITHMS + ", dla")
+        path.write_text(path.read_text() + "\n[repair]\nenabled = true\n")
+        cfg = load_config(path)
+        report = run_experiment(cfg, workers=1)
+        labels = [c.label for c in cfg.algorithms]
+        expected = sorted(["onepass_kernel", "prefix_lp_pass", "offline_lp"]
+                          + [label + "+repair" for label in labels])
+        cells = {}
+        for n, trial, label, seconds in report.timings:
+            assert seconds >= 0.0
+            cells.setdefault((n, trial), []).append(label)
+        assert sorted(cells) == [(n, t) for n in (24, 48) for t in range(2)]
+        assert all(sorted(found) == expected for found in cells.values())
+        # one block carries every cell: each batch call's shares are proportional to n
+        for call in ("onepass_kernel", "prefix_lp_pass"):
+            per_column = [seconds / n for n, _, label, seconds in report.timings if label == call]
+            assert per_column == pytest.approx([per_column[0]] * 4, rel=1e-12)
+        assert set(report.meta["wall_seconds_by_algorithm"]) == set(expected)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = load_config(write_mini_config(tmp_path))
@@ -469,18 +500,27 @@ m = 2
         assert [inst.n for inst in calls] == [6] * 2 + [2] * 2
 
     def test_failed_benchmark_lp_fails_every_trial_of_its_problem(self, monkeypatch):
+        # the failing solve is attempted once per block, not once per trial
         real = harness.solve_relaxation
+        attempts = []
 
         def failing_on_n2(inst):
             if inst.n == 2:
+                attempts.append(inst)
                 raise RuntimeError("injected LP failure")
             return real(inst)
 
         monkeypatch.setattr(harness, "solve_relaxation", failing_on_n2)
-        report = run_experiment(load_config(CONFIGS / "mknap_demo.ini"), workers=1)
-        assert report.errors == [{"n": 2, "trial": t, "error": "RuntimeError: injected LP failure"}
-                                 for t in range(10)]
-        assert {row.n for row in report.rows} == {6} and len(report.rows) == 10 * 2
+        cfg = load_config(CONFIGS / "mknap_demo.ini")
+        for blocks in ([range(0, 10)], [range(0, 3), range(3, 10)]):
+            monkeypatch.setattr(harness, "_blocks", lambda trials, parts: blocks)
+            attempts.clear()
+            report = run_experiment(cfg, workers=1)
+            assert report.errors == [{"n": 2, "trial": t,
+                                      "error": "RuntimeError: injected LP failure"}
+                                     for t in range(10)]
+            assert {row.n for row in report.rows} == {6} and len(report.rows) == 10 * 2
+            assert len(attempts) == len(blocks)
 
     def test_offline_lp_is_cold_without_a_one_pass_row(self, tmp_path, monkeypatch):
         # with or without one-pass rows, the offline LP gets the cell's instance alone
@@ -581,6 +621,17 @@ class TestReportFiles:
         for name in ("trials.csv", "summary.json", "timings.csv"):
             assert (tmp_path / "report" / name).read_bytes() == \
                 (tmp_path / "report2" / name).read_bytes()
+
+    def test_load_returns_the_saved_records(self, tmp_path):
+        # the loaded rows equal the saved ones, field by field, not only their bytes
+        path = write_mini_config(tmp_path, algorithms="soa/sqrt_n, pbd")
+        path.write_text(path.read_text() + "\n[repair]\nenabled = true\n")
+        report = run_experiment(load_config(path))
+        report.save(tmp_path / "report")
+        loaded = load_report(tmp_path / "report")
+        assert any(row.max_dual_norm is None for row in report.rows)
+        assert loaded.rows == report.rows
+        assert loaded.timings == report.timings
 
     @pytest.mark.parametrize("name, header", [("trials.csv", "trial,n,algorithm"),
                                               ("timings.csv", "trial,n,wall_seconds,algorithm")])

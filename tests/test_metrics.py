@@ -22,9 +22,9 @@ def manual_trace(inst, decisions):
 
 
 def make_result(**overrides):
-    base = dict(algorithm="soa/sqrt_n", n=100, m=2, objective=10.0, offline_lp_opt=12.0,
-                regret=2.0, violation=0.5, competitiveness=10.0 / 12.0,
-                max_dual_norm=1.0, seed=7, capacity_norm=4.0)
+    base = dict(n=100, trial=0, algorithm="soa/sqrt_n", seed=7, m=2, objective=10.0,
+                lp_opt=12.0, regret=2.0, violation=0.5, competitiveness=10.0 / 12.0,
+                max_dual_norm=1.0)
     base.update(overrides)
     return TrialResult(**base)
 
@@ -59,12 +59,11 @@ class TestEvaluateTrial:
         assert res.regret == lp.objective - res.objective  # exact, by construction
         assert res.regret + res.objective == lp.objective
         assert res.seed == 9
-        assert res.capacity_norm == pytest.approx(float(np.linalg.norm(inst.capacity)))
 
     def test_nonpositive_lp_flags_competitiveness(self):
         inst = Instance(rewards=[-1.0], columns=[[1.0]], capacity=[0.5])
         res = evaluate_trial(inst, manual_trace(inst, [0]), solve_relaxation(inst).objective)
-        assert res.offline_lp_opt == 0.0
+        assert res.lp_opt == 0.0
         assert res.competitiveness is None
 
     def test_foreign_trace_rejected(self):
@@ -77,7 +76,7 @@ class TestEvaluateTrial:
 
 class TestAggregate:
     def test_single_result_stderr_zero(self):
-        summary = aggregate([make_result()])
+        summary = aggregate([make_result()], [4.0])
         assert summary.count == 1
         assert summary.mean_regret == 2.0
         assert summary.stderr_regret == 0.0
@@ -87,7 +86,7 @@ class TestAggregate:
     def test_symmetric_values_average_to_zero(self):
         a = make_result(objective=5.0, regret=3.0)
         b = make_result(objective=-5.0, regret=-3.0)
-        summary = aggregate([a, b])
+        summary = aggregate([a, b], [4.0, 4.0])
         assert summary.mean_regret == 0.0
         assert summary.mean_objective == 0.0
 
@@ -97,18 +96,25 @@ class TestAggregate:
                                regret=float(rng.uniform(-1, 5)),
                                violation=float(rng.uniform(0, 2)),
                                seed=i) for i in range(37)]
-        forward = aggregate(results)
-        backward = aggregate(list(reversed(results)))
-        shuffled = list(results)
-        rng.shuffle(shuffled)
-        random_order = aggregate(shuffled)
+        pairs = [(r, float(rng.uniform(1, 5))) for r in results]
+        forward = aggregate(*zip(*pairs))
+        backward = aggregate(*zip(*reversed(pairs)))
+        rng.shuffle(pairs)
+        random_order = aggregate(*zip(*pairs))
         assert forward == backward == random_order
+
+    def test_each_violation_normalized_by_its_own_capacity_norm(self):
+        results = [make_result(violation=0.5), make_result(violation=3.0, seed=8)]
+        summary = aggregate(results, [4.0, 2.0])
+        assert summary.mean_normalized_violation == (0.5 / 4.0 + 3.0 / 2.0) / 2
+        with pytest.raises(ValueError):
+            aggregate(results, [4.0])
 
     def test_against_independent_recomputation(self):
         rng = np.random.default_rng(12)
         regrets = rng.uniform(0, 4, 50)
         results = [make_result(regret=float(v), seed=i) for i, v in enumerate(regrets)]
-        summary = aggregate(results)
+        summary = aggregate(results, [4.0] * len(results))
         mean = sum(regrets) / 50
         sd = math.sqrt(sum((v - mean) ** 2 for v in regrets) / 49)
         assert summary.mean_regret == pytest.approx(mean, rel=1e-12)
@@ -116,18 +122,18 @@ class TestAggregate:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            aggregate([])
+            aggregate([], [])
 
     def test_mixed_groups_rejected(self):
         with pytest.raises(ValueError):
-            aggregate([make_result(), make_result(n=200)])
+            aggregate([make_result(), make_result(n=200)], [4.0, 4.0])
         with pytest.raises(ValueError):
-            aggregate([make_result(), make_result(algorithm="pbd")])
+            aggregate([make_result(), make_result(algorithm="pbd")], [4.0, 4.0])
 
     def test_nonpositive_opt_flagged(self):
         good = make_result()
-        flagged = make_result(offline_lp_opt=0.0, competitiveness=None, seed=8)
-        summary = aggregate([good, flagged])
+        flagged = make_result(lp_opt=0.0, competitiveness=None, seed=8)
+        summary = aggregate([good, flagged], [4.0, 4.0])
         assert summary.flagged_nonpositive_opt == 1
         assert summary.mean_competitiveness == pytest.approx(10.0 / 12.0)
 

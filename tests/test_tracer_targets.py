@@ -47,3 +47,19 @@ def test_solver_spans_count_the_iterations():
     assert offline.iterations > 0 and prefix.iterations > 0
     assert [(span[0], span[4]) for span in tracer.spans] == [
         ("simplex.offline_lp", offline.iterations), ("simplex.prefix_lp", prefix.iterations)]
+
+
+def test_a_sweep_records_the_harness_layers(tmp_path):
+    # the harness must call these layers through the names the tracer wraps
+    path = tmp_path / "tiny.ini"
+    path.write_text("[experiment]\nname = tiny\nseed = 2\ntrials = 2\nn_values = 20 40\n"
+                    "algorithms = soa/sqrt_n, pbd\n[generator]\nfamily = uniform\nm = 2\n"
+                    "[repair]\nenabled = true\n")
+    tracer = load_spans().Tracer()
+    with tracer.installed():
+        report = harness.run_experiment(harness.load_config(path), workers=1)
+    assert not report.errors
+    recorded = {span[0] for span in tracer.spans}
+    for name in ("simplex.offline_lp", "algorithms.repair", "metrics.evaluate",
+                 "metrics.aggregate"):
+        assert name in recorded, name
