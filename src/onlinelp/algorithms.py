@@ -168,9 +168,10 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
     ``rng_seeds[i][j]`` seeds config i's tie-breaking stream on instance j,
     which draws only when two or more alternatives tie for the best
     positive value.  Decisions record the chosen alternative 1..k, 0 for
-    reject.  Configs whose row and decisions agree on an instance share one
-    trace; every trace's arrays are read-only.  Raises ``ValueError`` on a
-    malformed batch or one that :func:`check_one_pass` rejects.
+    reject.  Each (config, instance) gets its own trace from its row's
+    decisions (a gated row's realized ones); a row's configs share its final
+    prices as one view, and every trace's arrays are read-only.  Raises
+    ``ValueError`` on a malformed batch or one that :func:`check_one_pass` rejects.
     """
     by_n = _batch_order(instances, configs, rng_seeds)
     for inst in instances:
@@ -307,30 +308,20 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
             used[:, :, :a] = state.reshape(m, n_gated, a)
         t0 = t1
 
+    prices.flags.writeable = False  # the traces' final prices are views of it
     traces: List[List[RunTrace]] = [[None] * n_inst for _ in configs]
     for jj, j in enumerate(by_n):
-        n, (rewards, columns) = lengths[jj], data[jj]
-        final = [None] * rows  # each row's final prices, shared by its traces
-        built = {}  # (row, gated) -> trace
+        n, rewards = lengths[jj], data[jj][0]
         for i, key in enumerate(trajectory):
-            r, gate = row[key], gates[i]
-            if (r, gate) not in built:
-                decisions = chosen[:n, r, jj]
-                if gate:
-                    kept = realized[:n, r - gated.start, jj]
-                    decisions = kept if k == 1 else decisions * kept
-                decisions = decisions.astype(np.int8 if k == 1 else np.int32)
-                twin = built.get((r, not gate))
-                if twin is not None and np.array_equal(twin.decisions, decisions):
-                    built[r, gate] = twin
-                else:
-                    if final[r] is None:
-                        final[r] = prices[r, jj].copy()
-                    picked = np.flatnonzero(decisions)
-                    alt = decisions[picked] - 1
-                    built[r, gate] = _trace(decisions, rewards[picked, alt], columns[picked, alt],
-                                            final[r], math.sqrt(peak[r, jj]))
-            traces[i][j] = built[r, gate]
+            r = row[key]
+            decisions = chosen[:n, r, jj]
+            if gates[i]:
+                kept = realized[:n, r - gated.start, jj]
+                decisions = kept if k == 1 else decisions * kept
+            decisions = decisions.astype(np.int8 if k == 1 else np.int32)
+            picked = np.flatnonzero(decisions)
+            traces[i][j] = _trace(decisions, rewards[picked, decisions[picked] - 1],
+                                  prices[r, jj], math.sqrt(peak[r, jj]))
     return traces
 
 
@@ -386,21 +377,12 @@ def _first(mask):
     return np.where(mask.any(axis=0), mask.argmax(axis=0), len(mask))
 
 
-def _trace(decisions, taken_rewards, taken_columns, final_prices, max_dual_norm) -> RunTrace:
-    """A run's trace from its decisions and the rewards and usage vectors it took, in order.
-
-    The trace's arrays are made read-only, so that runs can share them.
-    """
-    # in-order sums from zero, bit for bit the += of a scalar loop; the copy
-    # of the last partial sum lets the others go
-    sums = np.cumsum(np.vstack((np.zeros(len(final_prices)), taken_columns)), axis=0)
-    consumption = sums[-1].copy()
-    for array in (decisions, consumption, final_prices):
-        array.flags.writeable = False
+def _trace(decisions, taken_rewards, final_prices, max_dual_norm) -> RunTrace:
+    """A run's trace from its decisions, made read-only, and the rewards it took, in order."""
+    decisions.flags.writeable = False
     return RunTrace(
         decisions=decisions,
         objective=float(np.cumsum(np.append(0.0, taken_rewards))[-1]),
-        consumption=consumption,
         final_prices=final_prices,
         max_dual_norm=max_dual_norm,
     )
@@ -479,14 +461,15 @@ def run_prefix_lp(instances: Sequence[Instance], configs: Sequence[AlgorithmConf
         # a step-by-step loop would take
         accepts = inst.rewards > (cols[:, None, :] @ seen[:-1, :, None])[:, 0, 0]
         norm_sq = (seen[1:, None, :] @ seen[1:, :, None]).max()
+        final = seen[-1].copy()  # a view would keep the whole price history alive
+        final.flags.writeable = False
         for i, cfg in enumerate(configs):
             if cfg.kind is AlgorithmKind.DLA:
-                taken, final, norm = accepts, seen[-1].copy(), math.sqrt(norm_sq)
-            else:
-                taken, final, norm = drawn[pbd.index(i), k, :inst.n], np.zeros(m), None
-            picked = np.flatnonzero(taken)
-            traces[i][j] = _trace(taken.astype(np.int8), inst.rewards[picked], cols[picked],
-                                  final, norm)
+                taken, last, norm = accepts, final, math.sqrt(norm_sq)
+            else:  # PBD keeps no prices
+                taken, last, norm = drawn[pbd.index(i), k, :inst.n], None, None
+            traces[i][j] = _trace(taken.astype(np.int8), inst.rewards[np.flatnonzero(taken)],
+                                  last, norm)
     return traces
 
 
@@ -503,12 +486,13 @@ def run_pbd(inst: Instance, rng_seed: int) -> RunTrace:
 def repair_feasibility(inst: Instance, trace: RunTrace, rng_seed: int) -> RunTrace:
     """Randomized removal pass turning a binary trace into a feasible one w.h.p.
 
-    The scaled worst violation ``v = max_i (consumption_i - b_i)^+ /
-    (sqrt(n) * log(n))`` is clamped below at 1, so removal happens even for
-    already-feasible traces.  A uniform subset of the accepted indices of size
-    ``min(floor(2 v n_plus log(n) / (d_lo sqrt(n))) + 1, n_plus)`` is zeroed
-    (natural logarithm, floor), where ``d_lo`` is the instance's smallest
-    per-column budget; objective and consumption are recomputed.
+    The scaled worst violation ``v = max_i (A x - b)_i^+ / (sqrt(n) *
+    log(n))`` of the trace's decisions x is clamped below at 1, so removal
+    happens even for already-feasible traces.  A uniform subset of the
+    accepted indices of size ``min(floor(2 v n_plus log(n) / (d_lo
+    sqrt(n))) + 1, n_plus)`` is zeroed (natural logarithm, floor), where
+    ``d_lo`` is the instance's smallest per-column budget.  The objective is
+    recomputed; the final prices and the price norm pass through.
     """
     n = inst.n
     if n < 3:
@@ -516,7 +500,7 @@ def repair_feasibility(inst: Instance, trace: RunTrace, rng_seed: int) -> RunTra
     decisions = np.asarray(trace.decisions)
     if decisions.shape != (n,) or not ((decisions == 0) | (decisions == 1)).all():
         raise ValueError("repair applies to binary decision traces of the instance")
-    worst = float(np.max(trace.consumption - inst.capacity))
+    worst = float(np.max(inst.columns @ decisions.astype(np.float64) - inst.capacity))
     log_n = math.log(n)
     sqrt_n = math.sqrt(n)
     v = max(max(worst, 0.0) / (sqrt_n * log_n), 1.0)
@@ -530,11 +514,10 @@ def repair_feasibility(inst: Instance, trace: RunTrace, rng_seed: int) -> RunTra
     removed = rng.choice(s_plus, size=size, replace=False)
     new_decisions = decisions.copy()
     new_decisions[removed] = 0
-    x = new_decisions.astype(np.float64)
+    new_decisions.flags.writeable = False
     return RunTrace(
         decisions=new_decisions,
-        objective=float(inst.rewards @ x),
-        consumption=inst.columns @ x,
+        objective=float(inst.rewards @ new_decisions.astype(np.float64)),
         final_prices=trace.final_prices,
         max_dual_norm=trace.max_dual_norm,
     )

@@ -144,20 +144,20 @@ class StepSchedule(enum.Enum):
 
 @dataclass(frozen=True)
 class RunTrace:
-    """Outcome of one online run.
+    """What one online run decided, and the price state it ended in.
 
     ``decisions`` holds 0/1 for the scalar algorithms; the multi-choice
     algorithm stores the chosen alternative 1..k with 0 for reject.
-    ``objective`` and ``consumption`` are the sequential accumulations the run
-    actually performed; both are recomputable from (instance, decisions) to
-    1e-9 relative tolerance.  ``max_dual_norm`` is the largest price norm the
-    run reached, ``None`` for a run that keeps no prices (PBD).
+    ``objective`` is the in-order sum of the taken rewards; the rest of the
+    outcome, consumption and violation included, follows from the decisions
+    and the instance.  ``final_prices`` is the price vector the run ended
+    with and ``max_dual_norm`` the largest price norm it reached, both
+    ``None`` for a run that keeps no prices (PBD).
     """
 
     decisions: np.ndarray
     objective: float
-    consumption: np.ndarray
-    final_prices: np.ndarray
+    final_prices: Optional[np.ndarray]
     max_dual_norm: Optional[float]
 
 

@@ -255,9 +255,10 @@ def _prepare(cfg: ExperimentConfig, n: int, seed_tag: str, problem: Optional[Ins
 class CellOutcome:
     """One (n, trial) cell's record; ``run_experiment`` reduces the records to the report.
 
-    It holds the cell's rows, the ``||b||_2`` of its instance and its (label,
-    wall seconds) timings if the cell ran through, else its error, and the
-    certificate of its offline LP once solved.
+    It holds the cell's rows and the ``||b||_2`` of its instance if the cell
+    ran through, else its error; the (label, wall seconds) timings of every
+    measured call that finished for it, failed or not (a call that raises
+    stays untimed); and the certificate of its offline LP once solved.
     """
 
     n: int
@@ -270,7 +271,6 @@ class CellOutcome:
 
     def fail(self, exc: Exception) -> None:
         self.error = f"{type(exc).__name__}: {exc}"
-        self.timings = []
 
 
 def _block_task(args) -> List[CellOutcome]:
@@ -289,14 +289,15 @@ def _block_task(args) -> List[CellOutcome]:
     against the relaxation of its benchmark problem, or else of its own
     instance, solved and certified once per task for each such object:
     permuting a problem's columns leaves its optimum unchanged.  A failed
-    solve fails every cell it scores.  Each cell's timings hold its share of
-    the kernel call (``onepass_kernel``) and of the prefix-LP pass
-    (``prefix_lp_pass``), in proportion to its n, its even share of its
-    offline LP's solve (``offline_lp``) and each of its repair runs
-    (``<label>+repair``).  Evaluation and repair run per cell.  A cell that
-    fails anywhere else, the one-pass checks of
-    :func:`~onlinelp.algorithms.check_one_pass` included, records its own
-    error and keeps no rows; the other cells of the block are unaffected.
+    solve fails every cell it scores.  Each cell's timings hold, of the
+    calls that finished, its share of the kernel call (``onepass_kernel``)
+    and of the prefix-LP pass (``prefix_lp_pass``), in proportion to its n,
+    its even share of its offline LP's solve (``offline_lp``) and each of
+    its repair runs (``<label>+repair``), even if the cell fails later.
+    Evaluation and repair run per cell.  A cell that fails anywhere else,
+    the one-pass checks of :func:`~onlinelp.algorithms.check_one_pass`
+    included, records its own error and keeps no rows; the other cells of
+    the block are unaffected.
     """
     cfg, sources, trials = args
     kernel = [c for c in cfg.algorithms if c.kind not in PREFIX_LP_KINDS]

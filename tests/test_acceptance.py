@@ -149,7 +149,8 @@ def test_criterion_04_telescoping_bound(bound_runs, uniform_sweep):
         traces.extend((c["inst"], c["trace"]) for c in sweep[n])
     worst = -math.inf
     for inst, trace in traces:
-        slack = inst.capacity + math.sqrt(inst.n) * trace.final_prices - trace.consumption
+        consumption = inst.columns @ trace.decisions.astype(np.float64)
+        slack = inst.capacity + math.sqrt(inst.n) * trace.final_prices - consumption
         worst = max(worst, float(-slack.min()))
     ok = worst <= 1e-6
     report("C4 telescoping bound", ok,

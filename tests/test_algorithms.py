@@ -58,7 +58,6 @@ def assert_trace_consistent(inst, trace):
         else None
     assert x is not None
     assert trace.objective == pytest.approx(float(inst.rewards @ x), rel=1e-9, abs=1e-12)
-    np.testing.assert_allclose(trace.consumption, inst.columns @ x, rtol=1e-9, atol=1e-12)
 
 
 def assert_price_cap(inst, trace):
@@ -141,7 +140,7 @@ class TestRunSoa:
             inst = uniform_instance(64, 4, 100 + seed)
             trace = run_soa(inst, soa_cfg(StepSchedule.SQRT_N))
             bound = inst.capacity + math.sqrt(inst.n) * trace.final_prices
-            assert (trace.consumption <= bound + 1e-6).all()
+            assert (inst.columns @ trace.decisions.astype(float) <= bound + 1e-6).all()
 
 
 class TestRunSfa:
@@ -302,8 +301,9 @@ def mixed_batch(instances):
 def traces_identical(a, b):
     assert np.array_equal(a.decisions, b.decisions)
     assert np.float64(a.objective).tobytes() == np.float64(b.objective).tobytes()
-    assert a.consumption.tobytes() == b.consumption.tobytes()
-    assert a.final_prices.tobytes() == b.final_prices.tobytes()
+    assert (a.final_prices is None) == (b.final_prices is None)
+    if a.final_prices is not None:
+        assert a.final_prices.tobytes() == b.final_prices.tobytes()
     assert np.float64(a.max_dual_norm).tobytes() == np.float64(b.max_dual_norm).tobytes()
 
 
@@ -557,7 +557,7 @@ class TestGateReplay:
 
 
 class TestSharedRows:
-    """With k = 1, configs that move the same prices share a row, and equal decisions one trace."""
+    """With k = 1, configs that move the same prices share a row."""
 
     def test_multisoa_is_soa_sqrt_n(self):
         instances = [uniform_instance(n, 3, 10 + n) for n in mixed_n_values()]
@@ -566,7 +566,6 @@ class TestSharedRows:
                              [[1] * len(instances), [2] * len(instances), [3] * len(instances)])
         for a, b in zip(batch[0], batch[2]):
             traces_identical(a, b)
-            assert a is b
 
     def test_sfa_moves_its_soa_twins_prices(self):
         instances = [tight_instance(n, 3, 20 + n) for n in mixed_n_values()]
@@ -593,13 +592,38 @@ class TestSharedRows:
                      tight_instance(80, 2, 5)]
         batch = run_one_pass(instances, [soa_cfg(), AlgorithmConfig.parse("sfa/sqrt_n"),
                                          AlgorithmConfig.parse("multisoa")], [[0, 0]] * 3)
-        # the gate never binds on the roomy instance, so all three share its trace
-        assert batch[0][0] is batch[1][0] is batch[2][0]
-        assert batch[0][1] is batch[2][1] and batch[1][1] is not batch[0][1]
-        for trace in (batch[0][0], batch[1][1]):
-            for array in (trace.decisions, trace.consumption, trace.final_prices):
+        # the three configs share a row; the gate binds on the tight instance only
+        assert not np.array_equal(batch[0][1].decisions, batch[1][1].decisions)
+        for trace in (batch[0][0], batch[1][0], batch[1][1], batch[2][1]):
+            for array in (trace.decisions, trace.final_prices):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 1
+
+
+class TestReadOnlyTraces:
+    def test_every_returned_trace_is_read_only(self):
+        # The configs of a kernel row share its final prices as one view, so
+        # a write through one trace would change the others.
+        instances = [tight_instance(n, 2, 90 + n) for n in (7, 65)]
+        minsts = [tight_multi_instance(n, 2, 90 + n) for n in (7, 65)]
+        seeds = [[i, i + 1] for i in range(len(EVERY_CONFIG))]
+        configs = EVERY_CONFIG + (DLA, PBD)
+        assert {cfg.kind for cfg in configs} == set(AlgorithmKind)
+        plain = run_one_pass(instances, EVERY_CONFIG, seeds) \
+            + run_prefix_lp(instances, [DLA, PBD], [[1, 2], [3, 4]])
+        runs = [(cfg, trace) for cfg, row in zip(configs, plain) for trace in row]
+        runs += [(cfg, trace) for cfg, row in zip(EVERY_CONFIG, run_one_pass(
+            minsts, EVERY_CONFIG, seeds)) for trace in row]
+        # every run on the n = 65 instance, repaired: each accepted something
+        assert all(row[1].decisions.any() for row in plain)
+        runs += [(cfg, repair_feasibility(instances[1], row[1], 5))
+                 for cfg, row in zip(configs, plain)]
+        for cfg, trace in runs:
+            assert (trace.final_prices is None) == (cfg.kind is AlgorithmKind.PBD)
+            for array in (trace.decisions, trace.final_prices):
+                if array is not None:
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[0] = 1
 
 
 def soa_unit(inst):
@@ -753,7 +777,7 @@ class TestRunPrefixLp:
         for t in range(1, 21):
             prob = min(max(float(solve_scaled(inst, t).primal[t - 1]), 0.0), 1.0)
             assert trace.decisions[t - 1] == int(float(rng.random()) < prob)
-        assert (trace.final_prices == 0.0).all()
+        assert trace.final_prices is None  # PBD keeps no prices
         assert_trace_consistent(inst, trace)
 
     def test_warm_pass_matches_cold_solves(self):
@@ -771,14 +795,15 @@ class TestRunPrefixLp:
                 cold = solve_scaled(inst, t + 1)
                 draws[t] = float(rng.random()) < min(max(float(cold.primal[t]), 0.0), 1.0)
                 p = cold.duals
-            for warm, decisions, prices in ((warm_dla, accepts, p), (warm_pbd, draws, 0 * p)):
+            for warm, decisions in ((warm_dla, accepts), (warm_pbd, draws)):
                 assert np.array_equal(warm.decisions, decisions)
                 objective = 0.0
                 for t in np.flatnonzero(decisions):
                     objective += inst.rewards[t]
                 assert warm.objective == objective
-                gap = np.abs(warm.final_prices - prices).max()
-                assert gap <= 1e-9 * (1 + np.abs(prices).max())
+            gap = np.abs(warm_dla.final_prices - p).max()
+            assert gap <= 1e-9 * (1 + np.abs(p).max())
+            assert warm_pbd.final_prices is None
 
     def test_rejects_other_kinds_and_bad_inputs(self):
         inst = uniform_instance(10, 2, 0)

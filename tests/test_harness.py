@@ -1,5 +1,6 @@
 import configparser
 import csv
+import hashlib
 import io
 import json
 import math
@@ -361,6 +362,35 @@ enabled = true
         assert all("n >= 3" in e["error"] for e in report.errors)
         assert {row.n for row in report.rows} == {6}
 
+    def test_failed_cells_keep_their_measured_calls(self, tmp_path):
+        # repair fails at n = 2 after the kernel call and the LP solve ran;
+        # the raising repair run stays untimed
+        path = tmp_path / "bench.ini"
+        path.write_text(f"""
+[experiment]
+name = bench
+seed = 3
+trials = 2
+algorithms = soa/sqrt_t
+
+[benchmark]
+path = {CONFIGS / 'mknap_demo.txt'}
+
+[repair]
+enabled = true
+""")
+        report = run_experiment(load_config(path), workers=1)
+        assert [(e["n"], e["trial"]) for e in report.errors] == [(2, 0), (2, 1)]
+        cells = {}
+        for n, trial, label, _ in report.timings:
+            cells.setdefault((n, trial), []).append(label)
+        assert cells == {(n, t): sorted(["offline_lp", "onepass_kernel"]
+                                        + (["soa/sqrt_t+repair"] if n == 6 else []))
+                         for n in (2, 6) for t in (0, 1)}
+        for label, total in report.meta["wall_seconds_by_algorithm"].items():
+            assert total == sum(seconds for _, _, name, seconds in report.timings
+                                if name == label)
+
     def test_trial_failures_recorded_and_run_continues(self, tmp_path):
         # n=2 defeats the four-group generator; n=24 still succeeds
         path = tmp_path / "partial.ini"
@@ -608,6 +638,25 @@ def cfg_instance(cfg, n, trial):
         plan = PermutationPlan.random(inst.n, child_seed(cfg.seed, n, trial, "permutation"))
         inst = permute(inst, plan)
     return inst
+
+
+# sha256 of trials.csv of two shipped configs: every kind with repair and
+# permuted arrivals, and the benchmark-file path
+TRIALS_CSV_SHA256 = {
+    "demo_small.ini": "4f9f0e3db3774fa2a127a80f8d488597b0cfa8082e19ac7c47a1944ede52aed1",
+    "mknap_demo.ini": "dd307294b08092fb723330083828edc2984e5404804d0bdf9451f6f79fa2ae6d",
+}
+
+
+class TestDeterminismContract:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", sorted(TRIALS_CSV_SHA256))
+    def test_shipped_config_keeps_its_bytes(self, name, workers):
+        report = run_experiment(load_config(CONFIGS / name), workers=workers)
+        digest = hashlib.sha256(report.trials_csv().encode("ascii")).hexdigest()
+        assert digest == TRIALS_CSV_SHA256[name], (
+            f"trials.csv of {name} at workers={workers} changed its bytes: a change in "
+            f"bytes must be made on purpose and recorded in CHANGES.md with the new digest")
 
 
 class TestReportFiles:

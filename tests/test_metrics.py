@@ -15,7 +15,6 @@ def manual_trace(inst, decisions):
     return RunTrace(
         decisions=np.asarray(decisions, dtype=np.int8),
         objective=float(inst.rewards @ x),
-        consumption=inst.columns @ x,
         final_prices=np.zeros(inst.m),
         max_dual_norm=0.0,
     )
