@@ -258,12 +258,12 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
                 np.greater(reward, vecdot(usage, prices_a), out=accept)
             else:
                 values = reward - vecdot(cols, prices_a[:, :, None, :])
-                best = values.max(axis=-1)
+                best = np.maximum.reduce(values, axis=-1)
                 accept = best > 0.0
                 pick = values.argmax(axis=-1)
                 tied = values == best[..., None]
                 for i, j in zip(*np.nonzero(accept & (tied.sum(axis=-1) > 1))):
-                    ties = np.flatnonzero(tied[i, j])
+                    ties = tied[i, j].nonzero()[0]
                     pick[i, j] = ties[int(rngs[i][j].integers(len(ties)))]
                 usage = np.take_along_axis(cols[None], pick[..., None, None], axis=2)[:, :, 0]
                 np.multiply(pick + 1, accept, out=decided)
@@ -288,7 +288,8 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
             prices_a = after
             if c % _NORMS == _NORMS - 1 or c + 1 == span:
                 seen = history[:c % _NORMS + 1]
-                np.maximum(peak[:, :a], vecdot(seen, seen).max(axis=0), out=peak[:, :a])
+                np.maximum(peak[:, :a], np.maximum.reduce(vecdot(seen, seen), axis=0),
+                           out=peak[:, :a])
         prices[:, :a] = prices_a
         if n_gated:
             # runs are (row, instance) pairs, row-major; a run's usage is its tentative pick's
@@ -319,7 +320,7 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
                 kept = realized[:n, r - gated.start, jj]
                 decisions = kept if k == 1 else decisions * kept
             decisions = decisions.astype(np.int8 if k == 1 else np.int32)
-            picked = np.flatnonzero(decisions)
+            picked = decisions.nonzero()[0]
             traces[i][j] = _trace(decisions, rewards[picked, decisions[picked] - 1],
                                   prices[r, jj], math.sqrt(peak[r, jj]))
     return traces
@@ -351,7 +352,7 @@ def _replay_gate(tentative, usage, used, capacity):
         sums = np.empty((m, span + 1, live.size))
         sums[:, 0] = used[:, live]
         np.multiply(u, pending.astype(np.float64), out=sums[:, 1:])
-        np.cumsum(sums, axis=1, out=sums)
+        sums.cumsum(axis=1, out=sums)
         over = pending > np.logical_and.reduce(sums[:, 1:] <= cap[:, None], axis=0)
         stop = _first(over)
         held = sums[:, stop, np.arange(live.size)]
@@ -369,12 +370,12 @@ def _replay_gate(tentative, usage, used, capacity):
         u, cap, accepts = u[:, :, keep], cap[:, keep], accepts[:, keep]
         used[:, live] = held + u[:, resume, np.arange(live.size)]
         pending = accepts & (steps > resume)
-    return tentative & (np.cumsum(edges[:-1], axis=0) == 0)
+    return tentative & (edges[:-1].cumsum(axis=0) == 0)
 
 
 def _first(mask):
     """Each column's first True row of ``mask`` (span, P), or span where there is none."""
-    return np.where(mask.any(axis=0), mask.argmax(axis=0), len(mask))
+    return np.where(np.logical_or.reduce(mask, axis=0), mask.argmax(axis=0), len(mask))
 
 
 def _trace(decisions, taken_rewards, final_prices, max_dual_norm) -> RunTrace:
@@ -382,7 +383,7 @@ def _trace(decisions, taken_rewards, final_prices, max_dual_norm) -> RunTrace:
     decisions.flags.writeable = False
     return RunTrace(
         decisions=decisions,
-        objective=float(np.cumsum(np.append(0.0, taken_rewards))[-1]),
+        objective=float(np.concatenate(((0.0,), taken_rewards)).cumsum()[-1]),
         final_prices=final_prices,
         max_dual_norm=max_dual_norm,
     )
@@ -441,18 +442,15 @@ def run_prefix_lp(instances: Sequence[Instance], configs: Sequence[AlgorithmConf
     ordered = [instances[j] for j in by_n]
     steps = solve_prefix_lps(ordered)
     cells, n_max, m = len(ordered), ordered[0].n, ordered[0].m
-    pbd = [i for i, cfg in enumerate(configs) if cfg.kind is AlgorithmKind.PBD]
-    rngs = [[np.random.default_rng(rng_seeds[i][j]) for j in by_n] for i in pbd]
-    drawn = np.zeros((len(pbd), cells, n_max), dtype=bool)
-    # prices[k, t] are cell k's prices before step t: zero, then step t-1's duals
+    # prices[k, t] are cell k's prices before step t: zero, then step t-1's
+    # duals; primal[k, t] is step t's value of cell k's column t
     prices = np.zeros((cells, n_max + 1, m))
+    primal = np.zeros((cells, n_max))
     for t, step in enumerate(steps):
         a = len(step.primal)
         prices[:a, t + 1] = step.duals
-        if rngs:
-            prob = np.minimum(np.maximum(step.primal, 0.0), 1.0).tolist()
-            for taken, row in zip(drawn, rngs):
-                taken[:a, t] = [float(rng.random()) < q for rng, q in zip(row, prob)]
+        primal[:a, t] = step.primal
+    prob = np.minimum(np.maximum(primal, 0.0), 1.0)  # PBD's, one per step
 
     traces: List[List[RunTrace]] = [[None] * cells for _ in configs]
     for k, (j, inst) in enumerate(zip(by_n, ordered)):
@@ -460,15 +458,16 @@ def run_prefix_lp(instances: Sequence[Instance], configs: Sequence[AlgorithmConf
         # every step's decision and price norm at once, by the dot products
         # a step-by-step loop would take
         accepts = inst.rewards > (cols[:, None, :] @ seen[:-1, :, None])[:, 0, 0]
-        norm_sq = (seen[1:, None, :] @ seen[1:, :, None]).max()
+        norm_sq = np.maximum.reduce(seen[1:, None, :] @ seen[1:, :, None], axis=None)
         final = seen[-1].copy()  # a view would keep the whole price history alive
         final.flags.writeable = False
         for i, cfg in enumerate(configs):
             if cfg.kind is AlgorithmKind.DLA:
                 taken, last, norm = accepts, final, math.sqrt(norm_sq)
-            else:  # PBD keeps no prices
-                taken, last, norm = drawn[pbd.index(i), k, :inst.n], None, None
-            traces[i][j] = _trace(taken.astype(np.int8), inst.rewards[np.flatnonzero(taken)],
+            else:  # PBD keeps no prices; its stream draws one number per step
+                draws = np.random.default_rng(rng_seeds[i][j]).random(inst.n)
+                taken, last, norm = draws < prob[k, :inst.n], None, None
+            traces[i][j] = _trace(taken.astype(np.int8), inst.rewards[taken.nonzero()[0]],
                                   last, norm)
     return traces
 
@@ -498,17 +497,17 @@ def repair_feasibility(inst: Instance, trace: RunTrace, rng_seed: int) -> RunTra
     if n < 3:
         raise ValueError("repair needs n >= 3 so that log n exceeds 1")
     decisions = np.asarray(trace.decisions)
-    if decisions.shape != (n,) or not ((decisions == 0) | (decisions == 1)).all():
+    if decisions.shape != (n,) or not np.logical_and.reduce((decisions == 0) | (decisions == 1)):
         raise ValueError("repair applies to binary decision traces of the instance")
-    worst = float(np.max(inst.columns @ decisions.astype(np.float64) - inst.capacity))
+    worst = float(np.maximum.reduce(inst.columns @ decisions.astype(np.float64) - inst.capacity))
     log_n = math.log(n)
     sqrt_n = math.sqrt(n)
     v = max(max(worst, 0.0) / (sqrt_n * log_n), 1.0)
-    s_plus = np.flatnonzero(decisions == 1)
+    s_plus = (decisions == 1).nonzero()[0]
     n_plus = int(s_plus.size)
     if n_plus == 0:
         return trace
-    d_lo = float(inst.per_column_budget.min())
+    d_lo = float(np.minimum.reduce(inst.per_column_budget))
     size = min(math.floor(2.0 * v * n_plus * log_n / (d_lo * sqrt_n)) + 1, n_plus)
     rng = np.random.default_rng(rng_seed)
     removed = rng.choice(s_plus, size=size, replace=False)

@@ -166,11 +166,11 @@ def violation_norm(inst: Instance, x) -> float:
     xv = np.asarray(x, dtype=np.float64).reshape(-1)
     if xv.shape != (inst.n,):
         raise ValueError(f"decision vector has length {xv.shape[0]}, expected {inst.n}")
-    if not ((xv == 0.0) | (xv == 1.0)).all():
+    if not np.logical_and.reduce((xv == 0.0) | (xv == 1.0)):
         raise ValueError("decision vector entries must be 0 or 1")
     excess = inst.columns @ xv - inst.capacity
     np.maximum(excess, 0.0, out=excess)
-    return float(np.linalg.norm(excess))
+    return math.sqrt(excess.dot(excess))
 
 
 def dual_saa_objective(inst: Instance, p) -> float:

@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from . import __version__
 from .algorithms import (
     PREFIX_LP_KINDS,
@@ -359,7 +357,7 @@ def _block_task(args) -> List[CellOutcome]:
             out.rows = [evaluate_trial(inst, trace, lp_opt, algorithm=label, seed=run_seed,
                                        trial=out.trial)
                         for label, run_seed, trace in runs]
-            out.capacity_norm = float(np.linalg.norm(inst.capacity))
+            out.capacity_norm = math.sqrt(inst.capacity.dot(inst.capacity))
         except Exception as exc:
             out.fail(exc)
     return outcomes
@@ -430,6 +428,11 @@ def _finite_or_null(value):
     if isinstance(value, (list, tuple)):
         return [_finite_or_null(v) for v in value]
     return value
+
+
+def _fields(record) -> Dict:
+    """A flat dataclass record's fields by name, without ``dataclasses.asdict``'s deep copy."""
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
 
 
 def _parse_opt_float(cell: str) -> Optional[float]:
@@ -520,7 +523,7 @@ def run_experiment(cfg: ExperimentConfig, *, workers: Optional[int] = None) -> E
     for out in outcomes:
         for row in out.rows:
             groups.setdefault((row.algorithm, row.n), []).append((row, out.capacity_norm))
-    aggregates = [dataclasses.asdict(aggregate(*zip(*groups[key]))) for key in sorted(groups)]
+    aggregates = [_fields(aggregate(*zip(*groups[key]))) for key in sorted(groups)]
 
     fits: Dict = {}
     by_label: Dict[str, List[Dict]] = {}
@@ -533,7 +536,7 @@ def run_experiment(cfg: ExperimentConfig, *, workers: Optional[int] = None) -> E
             try:
                 fit = fit_scaling(ns, [d[f"mean_{measure}"] for d in docs],
                                   [d[f"stderr_{measure}"] for d in docs])
-                entry[measure] = dataclasses.asdict(fit)
+                entry[measure] = _fields(fit)
             except ValueError as exc:
                 entry[measure] = {"error": str(exc)}
 

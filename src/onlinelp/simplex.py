@@ -107,13 +107,13 @@ def _long_step(ratios, ranges, excess: float):
     size, width = ratios.size, _PASS_WIDTH
     while True:
         if width >= size:
-            order = np.argsort(ratios, kind="stable")
+            order = ratios.argsort(kind="stable")
         else:
-            bound = ratios[np.argpartition(ratios, width - 1)[width - 1]]
-            order = np.flatnonzero(ratios <= bound)
-            order = order[np.argsort(ratios[order], kind="stable")]
+            bound = ratios[ratios.argpartition(width - 1)[width - 1]]
+            order = (ratios <= bound).nonzero()[0]
+            order = order[ratios[order].argsort(kind="stable")]
         # the cumulative ranges grow, so the breakpoints passed are a prefix
-        stop = int(np.count_nonzero(excess - np.cumsum(ranges[order]) > 0.0))
+        stop = int(np.count_nonzero(excess - ranges[order].cumsum() > 0.0))
         if stop < order.size or order.size == size:
             stop = min(stop, size - 1)
             return order[:stop], int(order[stop])
@@ -182,17 +182,20 @@ def _pivot(Gt, c, basis, at_upper, nonbasic, Binv, i: int, excess: float, to_upp
     cbar = c - Gt @ (Binv.T @ c[basis])
     alpha = Gt @ Binv[i]
     # Raising x_j changes the leaving value at rate -alpha_j.
-    toward = np.where(at_upper != to_upper, alpha, -alpha)
-    eligible = np.flatnonzero(nonbasic & (toward > _PIVOT_TOL))
+    toward = np.negative(alpha, out=alpha, where=at_upper == to_upper)
+    eligible = (nonbasic & (toward > _PIVOT_TOL)).nonzero()[0]
     if not eligible.size:
         # x = 0 is feasible, so only roundoff gets here.
         raise SimplexError(f"dual ratio test found no entering column (n={n}, m={m})")
-    ratios = np.abs(cbar[eligible]) / toward[eligible]
-    j = int(eligible[np.argmin(ratios)])
-    if j < n and toward[j] < excess:
+    ranges = toward[eligible]
+    ratios = np.abs(cbar[eligible]) / ranges
+    first = ratios.argmin()
+    j = int(eligible[first])
+    if j < n and ranges[first] < excess:
         # The first breakpoint leaves part of the excess: pass every
-        # breakpoint whose flip still does.
-        ranges = np.where(eligible < n, toward[eligible], np.inf)
+        # breakpoint whose flip still does.  eligible is sorted, so the
+        # slacks, whose range is infinite, are its tail.
+        ranges[eligible.searchsorted(n):] = np.inf
         passed, enter = _long_step(ratios, ranges, excess)
         flipped, j = eligible[passed], int(eligible[enter])
         at_upper[flipped] = ~at_upper[flipped]
@@ -217,7 +220,7 @@ def _solve(r, Gt, c, upper, b, basis, at_upper, nonbasic) -> LpSolution:
     """
     N, m = Gt.shape
     n = N - m
-    if not (b >= 0.0).all():
+    if not np.logical_and.reduce(b >= 0.0):
         raise ValueError("capacities must be non-negative")
     iterations = 0
     # Bounded dual simplex: pivot until every basic value lies within its
@@ -229,7 +232,7 @@ def _solve(r, Gt, c, upper, b, basis, at_upper, nonbasic) -> LpSolution:
         xb = Binv @ (b - at_upper.astype(np.float64) @ Gt)
         above = xb - upper[basis]
         excess = np.maximum(-xb, above)
-        i = int(np.argmax(excess))
+        i = int(excess.argmax())
         if excess[i] <= _FEAS_TOL:
             break
         iterations += 1
@@ -239,7 +242,8 @@ def _solve(r, Gt, c, upper, b, basis, at_upper, nonbasic) -> LpSolution:
 
     # One exact solve per side against the basis in index order: the answer
     # does not depend on the order in which the pivots placed the columns.
-    order = np.sort(basis)
+    order = basis.copy()
+    order.sort()
     B = Gt.take(order, axis=0)
     x = at_upper.astype(np.float64)
     x[order] = np.linalg.solve(B.T, b - x @ Gt)
@@ -251,7 +255,8 @@ def _solve(r, Gt, c, upper, b, basis, at_upper, nonbasic) -> LpSolution:
     # that prices in here comes from a start that was not dual feasible, or
     # from roundoff.
     cbar = np.concatenate((s, -y))
-    worst = np.where(at_upper, -cbar, cbar)[nonbasic].max(initial=0.0)
+    np.negative(cbar, out=cbar, where=at_upper)
+    worst = np.maximum.reduce(cbar, where=nonbasic, initial=0.0)
     if worst > _PIVOT_TOL:
         raise SimplexError(f"final basis is not dual feasible: a nonbasic column prices in "
                            f"by {worst:.3g} (n={n}, m={m})")
@@ -390,7 +395,7 @@ def _prefix_steps(instances: Sequence[Instance]) -> Iterator[PrefixStep]:
         columns[k, :, :inst.n] = inst.columns
     budget = np.stack([inst.per_column_budget for inst in instances])
     # step t's capacities are (t + 1) * budget, non-negative iff the budgets are
-    if not (budget >= 0.0).all():
+    if not np.logical_and.reduce(budget >= 0.0, axis=None):
         raise ValueError("capacities must be non-negative")
     Gt = np.zeros((cells, n_max + m, m))
     c = np.zeros((cells, n_max + m))
@@ -442,32 +447,36 @@ def _prefix_steps(instances: Sequence[Instance]) -> Iterator[PrefixStep]:
             xb = (Binv[:a] @ rhs[:, :, None])[:, :, 0]
             above = xb - basic_upper[:a]
             excess = np.maximum(-xb, above)
-            if excess.max() <= _FEAS_TOL:
-                break
+            largest = np.maximum.reduce(excess, axis=1)
             # not within tolerance, NaN included, as in _solve
-            leaving = np.flatnonzero(~(excess.max(axis=1) <= _FEAS_TOL))
+            leaving = (~(largest <= _FEAS_TOL)).nonzero()[0]
+            if not leaving.size:
+                break
             stale = slice(0, a) if len(leaving) == a else leaving
-            for k in leaving.tolist():
-                iterations[k] += 1
-                if iterations[k] > _max_iterations(N):
-                    raise SimplexError(f"pivot budget exceeded ({iterations[k]} iterations, "
-                                       f"n={s}, m={m})")
-                i = int(np.argmax(excess[k]))
-                _pivot(G[k], cost[k], base[k], at[k], free[k], Binv[k], i, excess[k, i],
-                       bool(above[k, i] > 0.0))
+            iterations[leaving] += 1
+            top = np.maximum.reduce(iterations)
+            if top > _max_iterations(N):
+                raise SimplexError(f"pivot budget exceeded ({top} iterations, n={s}, m={m})")
+            # each leaving cell's row of largest excess (its first NaN, if any), and its side
+            rows = excess[leaving].argmax(axis=1)
+            sides = above[leaving, rows] > 0.0
+            for k, i, amount, to_upper in zip(leaving.tolist(), rows.tolist(),
+                                              largest[leaving].tolist(), sides.tolist()):
+                _pivot(G[k], cost[k], base[k], at[k], free[k], Binv[k], i, amount, to_upper)
                 basic_upper[k, i] = 1.0 if base[k, i] < s else np.inf
 
         # One exact solve per side against each basis in index order.  Only
         # x_t is reported, and a nonbasic x_t is its bound flag already, so
         # the primal side is solved only where column t ended basic.
-        order = np.sort(base, axis=1)
+        order = base.copy()
+        order.sort(axis=1)
         B = flat_Gt.take(order + offset[:a], axis=0)
-        basic = np.flatnonzero((base == t).any(axis=1))
+        basic = np.logical_or.reduce(base == t, axis=1).nonzero()[0]
         if basic.size:
             solved = np.linalg.solve(B[basic].transpose(0, 2, 1), rhs[basic, :, None])[:, :, 0]
             x[basic, t] = solved[order[basic] == t]
         if stale is not None:  # a pivot: solve for the new prices
-            moved = np.flatnonzero(iterations)
+            moved = iterations.nonzero()[0]
             moved = slice(0, a) if len(moved) == a else moved
             costs = flat_c.take(order[moved] + offset[moved])
             y[moved] = np.linalg.solve(B[moved], costs[:, :, None])[:, :, 0]
@@ -478,7 +487,7 @@ def _prefix_steps(instances: Sequence[Instance]) -> Iterator[PrefixStep]:
                     out=cbar[:, :s])
         np.negative(y[:a], out=cbar[:, s:])
         np.negative(cbar, out=cbar, where=at)
-        worst = cbar.max(where=free, initial=0.0)
+        worst = np.maximum.reduce(cbar, axis=None, where=free, initial=0.0)
         if worst > _PIVOT_TOL:
             raise SimplexError(f"final basis is not dual feasible: a nonbasic column prices in "
                                f"by {worst:.3g} (n={s}, m={m})")

@@ -646,6 +646,11 @@ TRIALS_CSV_SHA256 = {
     "demo_small.ini": "4f9f0e3db3774fa2a127a80f8d488597b0cfa8082e19ac7c47a1944ede52aed1",
     "mknap_demo.ini": "dd307294b08092fb723330083828edc2984e5404804d0bdf9451f6f79fa2ae6d",
 }
+# sha256 of json.dumps({"aggregates": ..., "fits": ...}, sort_keys=True): summary.json's numbers
+SUMMARY_SHA256 = {
+    "demo_small.ini": "cb158b1a3709e7a9a939683c94ce4f46cf0d000407e1ff3252af240802e612c8",
+    "mknap_demo.ini": "37928f774a46c6a6fdc6f9b240ea23dc923708e148b9fe09779a20d707612e0a",
+}
 
 
 class TestDeterminismContract:
@@ -657,6 +662,11 @@ class TestDeterminismContract:
         assert digest == TRIALS_CSV_SHA256[name], (
             f"trials.csv of {name} at workers={workers} changed its bytes: a change in "
             f"bytes must be made on purpose and recorded in CHANGES.md with the new digest")
+        numbers = json.dumps({"aggregates": report.aggregates, "fits": report.fits},
+                             sort_keys=True)
+        assert hashlib.sha256(numbers.encode("ascii")).hexdigest() == SUMMARY_SHA256[name], (
+            f"summary.json's aggregates or fits of {name} at workers={workers} changed: a "
+            f"change must be made on purpose and recorded in CHANGES.md with the new digest")
 
 
 class TestReportFiles:
