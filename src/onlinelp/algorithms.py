@@ -204,14 +204,10 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
     n_track = sum(tracks[lead[key]] for key in keys)
     track = slice(rows - n_track, rows)
     gated = slice(track.start - n_gated, track.start)
-    # each schedule's step sizes for an n-step run, computed once per n
-    gammas = {(s, n): np.broadcast_to(s.gamma(np.arange(1.0, n + 1), n), n)
-              for s in set(schedules) for n in set(lengths)}
-    # instances of equal n, as (n, first, stop) runs of the instance axis
-    runs = [(n, lengths.index(n), n_inst - lengths[::-1].index(n)) for n in sorted(set(lengths))]
+    ns = np.array(lengths, dtype=float)
 
     shape = (rows, n_inst, m)
-    target = np.repeat((capacity / np.array(lengths, dtype=float)[:, None])[None], rows, axis=0)
+    target = np.repeat((capacity / ns[:, None])[None], rows, axis=0)
     budget = np.repeat(capacity[None], n_track, axis=0)
     used = np.zeros((m, n_gated, n_inst))
     prices = np.zeros(shape)
@@ -235,13 +231,14 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
         for j in range(a):
             rewards[:, j] = data[j][0][t0:t1]
             columns[:, j] = data[j][1][t0:t1]
+        t = np.arange(t0 + 1.0, t1 + 1)[:, None]
         steps = np.empty((span, rows, a, 1))
         for i, schedule in enumerate(schedules):
-            for n, first, stop in (run for run in runs if run[0] > t0):
-                steps[:, i, first:stop, 0] = gammas[schedule, n][t0:t1, None]
-        # n - t - 1, the steps left after step t, by which budget tracking divides
-        left = (np.array(lengths[:a], dtype=float)[None, :, None]
-                - np.arange(t0 + 1.0, t1 + 1)[:, None, None])
+            steps[:, i, :, 0] = schedule.gamma(t, ns[:a])
+        # a budget-tracking row's final step has step size 0, and divides by 1 where
+        # n - t - 1, the steps left after step t, is 0: its budget is not read again
+        steps[-1, track, a_next:] = 0.0
+        left = np.maximum(ns[:a, None] - t[:, :, None], 1.0)
         # the prices after the last few steps, whose norms are taken together
         history = np.empty((_NORMS, rows, a, m))
         step = np.empty((rows, a, m))
@@ -268,20 +265,11 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
                 usage = np.take_along_axis(cols[None], pick[..., None, None], axis=2)[:, :, 0]
                 np.multiply(pick + 1, accept, out=decided)
             np.multiply(accept[..., None], usage, out=step)
-            last = c + 1 == span and a_next < a
             if n_track:
-                if not last:
-                    budget_a -= step[track]
-                    np.divide(budget_a, left_c, out=track_target_a)
-                elif a_next:
-                    budget[:, :a_next] -= step[track, :a_next]
-                    np.divide(budget[:, :a_next], left_c[:a_next], out=target[track, :a_next])
+                budget_a -= step[track]
+                np.divide(budget_a, left_c, out=track_target_a)
             step -= target_a
             step *= gamma
-            if n_track and last:
-                # the update after a row's final decision would divide by zero
-                # and is dead state anyway, so budget tracking skips it
-                step[track, a_next:] = 0.0
             after = history[c % _NORMS]
             np.add(prices_a, step, out=after)
             np.maximum(after, 0.0, out=after)
@@ -317,8 +305,7 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
             r = row[key]
             decisions = chosen[:n, r, jj]
             if gates[i]:
-                kept = realized[:n, r - gated.start, jj]
-                decisions = kept if k == 1 else decisions * kept
+                decisions = decisions * realized[:n, r - gated.start, jj]
             decisions = decisions.astype(np.int8 if k == 1 else np.int32)
             picked = decisions.nonzero()[0]
             traces[i][j] = _trace(decisions, rewards[picked, decisions[picked] - 1],

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import get_type_hints
 
 from .generators import GeneratorFamily, GeneratorSpec, generate, read_mknap, write_mknap
 from .harness import ConfigError, load_config, run_experiment
@@ -44,16 +45,17 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("--binary", action="store_true",
                          help="also report the exact binary optimum (n <= 25)")
 
-    # An option left out keeps the GeneratorSpec default of its field.
+    # An option left out keeps the GeneratorSpec default of its field; each
+    # float field of GeneratorSpec is an option.
     p_gen = sub.add_parser("gen", help="generate a one-problem instance file",
                            argument_default=argparse.SUPPRESS)
     p_gen.add_argument("family", choices=[f.value for f in GeneratorFamily])
     p_gen.add_argument("-n", type=int, required=True, help="number of columns")
     p_gen.add_argument("-m", type=int, required=True, help="number of constraints")
     p_gen.add_argument("--seed", type=int)
-    for option in ("--d-lo", "--d-hi", "--cauchy-truncation", "--adversarial-low",
-                   "--adversarial-high", "--adversarial-capacity-fraction"):
-        p_gen.add_argument(option, type=float)
+    for key, parse in get_type_hints(GeneratorSpec).items():
+        if parse is float:
+            p_gen.add_argument("--" + key.replace("_", "-"), type=float)
     p_gen.add_argument("-o", "--output", required=True, help="output instance file")
     return parser
 

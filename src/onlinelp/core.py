@@ -30,6 +30,19 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _settle(inst, arrays: dict, **sizes: int) -> None:
+    """Check ``arrays`` (field -> data) finite and b / n positive; store them read-only, with sizes."""
+    if not all(np.isfinite(a).all() for a in arrays.values()):
+        raise ValueError("instance data must be finite")
+    d = arrays["capacity"] / sizes["n"]
+    if not (d > 0.0).all():
+        raise ValueError("per-column budget b/n must be positive in every coordinate")
+    for name, value in dict(arrays, per_column_budget=d).items():
+        object.__setattr__(inst, name, _freeze(value))
+    for name, size in sizes.items():
+        object.__setattr__(inst, name, int(size))
+
+
 @dataclass(frozen=True)
 class Instance:
     """A binary packing program with dense data.
@@ -61,17 +74,7 @@ class Instance:
             raise ValueError(f"rewards has length {r.shape[0]}, expected {n}")
         if b.shape != (m,):
             raise ValueError(f"capacity has length {b.shape[0]}, expected {m}")
-        if not (np.isfinite(r).all() and np.isfinite(A).all() and np.isfinite(b).all()):
-            raise ValueError("instance data must be finite")
-        d = b / n
-        if not (d > 0.0).all():
-            raise ValueError("per-column budget b/n must be positive in every coordinate")
-        object.__setattr__(self, "rewards", _freeze(r))
-        object.__setattr__(self, "columns", _freeze(A))
-        object.__setattr__(self, "capacity", _freeze(b))
-        object.__setattr__(self, "per_column_budget", _freeze(d))
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "m", int(m))
+        _settle(self, {"rewards": r, "columns": A, "capacity": b}, n=n, m=m)
 
 
 @dataclass(frozen=True)
@@ -103,18 +106,7 @@ class MultiInstance:
         m = b.shape[0]
         if n < 1 or m < 1 or k < 1:
             raise ValueError("need n, m, k >= 1")
-        if not (np.isfinite(R).all() and np.isfinite(C).all() and np.isfinite(b).all()):
-            raise ValueError("instance data must be finite")
-        d = b / n
-        if not (d > 0.0).all():
-            raise ValueError("per-column budget b/n must be positive in every coordinate")
-        object.__setattr__(self, "reward_blocks", _freeze(R))
-        object.__setattr__(self, "column_blocks", _freeze(C))
-        object.__setattr__(self, "capacity", _freeze(b))
-        object.__setattr__(self, "per_column_budget", _freeze(d))
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "m", int(m))
-        object.__setattr__(self, "k", int(k))
+        _settle(self, {"reward_blocks": R, "column_blocks": C, "capacity": b}, n=n, m=m, k=k)
 
     @classmethod
     def from_instance(cls, inst: Instance) -> "MultiInstance":
@@ -133,10 +125,15 @@ class StepSchedule(enum.Enum):
     SQRT_T = "sqrt_t"
     UNIT = "unit"
 
-    def gamma(self, t, n: int):
-        """Step size for step t (1-based) of an n-step run; t may be an array of steps."""
+    def gamma(self, t, n):
+        """Step size for step t (1-based) of an n-step run.
+
+        t and n may be arrays (of steps, and of run lengths) that broadcast
+        together; sqrt and division are correctly rounded, so each element is
+        bitwise the scalar formula.
+        """
         if self is StepSchedule.SQRT_N:
-            return 1.0 / math.sqrt(n)
+            return 1.0 / np.sqrt(n)
         if self is StepSchedule.SQRT_T:
             return 1.0 / np.sqrt(t)
         return 1.0

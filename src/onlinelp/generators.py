@@ -21,11 +21,6 @@ __all__ = [
     "GeneratorSpec",
     "PermutationPlan",
     "MknapFormatError",
-    "gen_uniform",
-    "gen_gaussian",
-    "gen_trunc_cauchy",
-    "gen_mixed_four_groups",
-    "gen_adversarial",
     "generate",
     "permute",
     "read_mknap",
@@ -45,8 +40,9 @@ class GeneratorFamily(enum.Enum):
 class GeneratorSpec:
     """Family tag plus the per-family parameters.
 
-    The field defaults are the defaults of the config's ``[generator]`` keys
-    and of ``onlinelp gen``, which share the field names.  ``d_lo`` and
+    The fields but ``n`` and ``seed`` are the config's ``[generator]`` keys,
+    and the float fields are the float options of ``onlinelp gen``: both are
+    read from the field annotations, and take the field defaults.  ``d_lo`` and
     ``d_hi`` bound the i.i.d. per-column budget draws.
     ``cauchy_truncation`` is the two-sided magnitude cap for the heavy-tail
     family.  The adversarial family builds a two-phase stream: the first half
@@ -92,31 +88,28 @@ class GeneratorSpec:
         return ""
 
 
-def _draw_budget(rng: np.random.Generator, spec: GeneratorSpec) -> np.ndarray:
-    return rng.uniform(spec.d_lo, spec.d_hi, spec.m)
+def _with_budget(rng: np.random.Generator, spec: GeneratorSpec, A, r) -> Instance:
+    """The instance of ``A`` and ``r``, its per-column budgets drawn next: Uniform[d_lo, d_hi]."""
+    d = rng.uniform(spec.d_lo, spec.d_hi, spec.m)
+    return Instance(rewards=r, columns=A, capacity=spec.n * d)
 
 
-def gen_uniform(spec: GeneratorSpec) -> Instance:
+def _column_sum_rewards(rng: np.random.Generator, spec: GeneratorSpec, A) -> Instance:
+    """The instance of ``A`` whose reward j is column j's sum minus Uniform[0, m) noise."""
+    return _with_budget(rng, spec, A, A.sum(axis=0) - rng.uniform(0.0, spec.m, spec.n))
+
+
+def _gen_uniform(spec: GeneratorSpec) -> Instance:
     """Entries and rewards i.i.d. Uniform[0, 2]; budgets i.i.d. Uniform[d_lo, d_hi]."""
-    if spec.family is not GeneratorFamily.UNIFORM:
-        raise ValueError("spec family mismatch")
     rng = np.random.default_rng(spec.seed)
     A = rng.uniform(0.0, 2.0, (spec.m, spec.n))
-    r = rng.uniform(0.0, 2.0, spec.n)
-    d = _draw_budget(rng, spec)
-    return Instance(rewards=r, columns=A, capacity=spec.n * d)
+    return _with_budget(rng, spec, A, rng.uniform(0.0, 2.0, spec.n))
 
 
-def gen_gaussian(spec: GeneratorSpec) -> Instance:
+def _gen_gaussian(spec: GeneratorSpec) -> Instance:
     """Entries i.i.d. N(1, 1); reward j is its column sum minus Uniform[0, m) noise."""
-    if spec.family is not GeneratorFamily.GAUSSIAN:
-        raise ValueError("spec family mismatch")
     rng = np.random.default_rng(spec.seed)
-    A = rng.normal(1.0, 1.0, (spec.m, spec.n))
-    eps = rng.uniform(0.0, spec.m, spec.n)
-    r = A.sum(axis=0) - eps
-    d = _draw_budget(rng, spec)
-    return Instance(rewards=r, columns=A, capacity=spec.n * d)
+    return _column_sum_rewards(rng, spec, rng.normal(1.0, 1.0, (spec.m, spec.n)))
 
 
 def _trunc_cauchy(rng: np.random.Generator, size: int, tau: float) -> np.ndarray:
@@ -132,27 +125,20 @@ def _trunc_cauchy(rng: np.random.Generator, size: int, tau: float) -> np.ndarray
     return out
 
 
-def gen_trunc_cauchy(spec: GeneratorSpec) -> Instance:
+def _gen_trunc_cauchy(spec: GeneratorSpec) -> Instance:
     """Entries i.i.d. Cauchy(1, 1) conditioned on magnitude <= truncation threshold."""
-    if spec.family is not GeneratorFamily.TRUNC_CAUCHY:
-        raise ValueError("spec family mismatch")
     rng = np.random.default_rng(spec.seed)
     A = _trunc_cauchy(rng, spec.m * spec.n, spec.cauchy_truncation).reshape(spec.m, spec.n)
-    eps = rng.uniform(0.0, spec.m, spec.n)
-    r = A.sum(axis=0) - eps
-    d = _draw_budget(rng, spec)
-    return Instance(rewards=r, columns=A, capacity=spec.n * d)
+    return _column_sum_rewards(rng, spec, A)
 
 
-def gen_mixed_four_groups(spec: GeneratorSpec) -> Instance:
+def _gen_mixed_four_groups(spec: GeneratorSpec) -> Instance:
     """Four equal blocks from four entry distributions; rewards Uniform[0, 1].
 
     Blocks in fixed order: Uniform[0, 2], N(1, 1), N(0, 1), uniform on
     {-1, 1, 3}.  The column count must be a multiple of four; arrival
     randomness comes from permuting afterwards.
     """
-    if spec.family is not GeneratorFamily.MIXED_FOUR:
-        raise ValueError("spec family mismatch")
     if spec.n % 4:
         raise ValueError(f"mixed-group generation needs n a multiple of 4, got n = {spec.n}")
     g = spec.n // 4
@@ -162,12 +148,10 @@ def gen_mixed_four_groups(spec: GeneratorSpec) -> Instance:
     A[:, g:2 * g] = rng.normal(1.0, 1.0, (spec.m, g))
     A[:, 2 * g:3 * g] = rng.normal(0.0, 1.0, (spec.m, g))
     A[:, 3 * g:] = rng.choice(np.array([-1.0, 1.0, 3.0]), (spec.m, g))
-    r = rng.uniform(0.0, 1.0, spec.n)
-    d = _draw_budget(rng, spec)
-    return Instance(rewards=r, columns=A, capacity=spec.n * d)
+    return _with_budget(rng, spec, A, rng.uniform(0.0, 1.0, spec.n))
 
 
-def gen_adversarial(spec: GeneratorSpec) -> Instance:
+def _gen_adversarial(spec: GeneratorSpec) -> Instance:
     """Two-phase stream: low rewards first, high rewards second, all-ones usage.
 
     With one constraint and the default parameters this is the classic
@@ -175,8 +159,6 @@ def gen_adversarial(spec: GeneratorSpec) -> Instance:
     valuable half arriving last.  Solvable near-optimally only after
     shuffling.  The column count must be even.
     """
-    if spec.family is not GeneratorFamily.ADVERSARIAL:
-        raise ValueError("spec family mismatch")
     if spec.n % 2:
         raise ValueError(f"adversarial generation needs an even n, got n = {spec.n}")
     half = spec.n // 2
@@ -187,15 +169,16 @@ def gen_adversarial(spec: GeneratorSpec) -> Instance:
 
 
 _DISPATCH = {
-    GeneratorFamily.UNIFORM: gen_uniform,
-    GeneratorFamily.GAUSSIAN: gen_gaussian,
-    GeneratorFamily.TRUNC_CAUCHY: gen_trunc_cauchy,
-    GeneratorFamily.MIXED_FOUR: gen_mixed_four_groups,
-    GeneratorFamily.ADVERSARIAL: gen_adversarial,
+    GeneratorFamily.UNIFORM: _gen_uniform,
+    GeneratorFamily.GAUSSIAN: _gen_gaussian,
+    GeneratorFamily.TRUNC_CAUCHY: _gen_trunc_cauchy,
+    GeneratorFamily.MIXED_FOUR: _gen_mixed_four_groups,
+    GeneratorFamily.ADVERSARIAL: _gen_adversarial,
 }
 
 
 def generate(spec: GeneratorSpec) -> Instance:
+    """The instance ``spec`` describes: the one way to draw an instance of any family."""
     return _DISPATCH[spec.family](spec)
 
 

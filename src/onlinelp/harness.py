@@ -24,7 +24,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, get_type_hints
 
 from . import __version__
 from .algorithms import (
@@ -40,7 +40,7 @@ from .algorithms import (
 # through run_one_pass and DLA and PBD through run_prefix_lp.
 from .algorithms import run_dla, run_multi_soa, run_pbd, run_sfa, run_sna, run_soa  # noqa: F401
 from .core import Instance
-from .generators import GeneratorFamily, GeneratorSpec, PermutationPlan, generate, permute, read_mknap
+from .generators import GeneratorSpec, PermutationPlan, generate, permute, read_mknap
 from .metrics import TrialResult, aggregate, evaluate_trial, fit_scaling
 from .simplex import Certificate, certify, solve_relaxation
 
@@ -147,8 +147,9 @@ def _bool(raw: str) -> bool:
 
 
 # Section -> key -> parser of its value: the whole config schema.  A key sets
-# the ExperimentConfig field of its own name or the one _FIELD names; a
-# [generator] key sets the GeneratorSpec field of its own name.
+# the ExperimentConfig field of its own name or the one _FIELD names; the
+# [generator] keys are GeneratorSpec's fields but n and seed, each parsed by
+# its annotated type.
 _SCHEMA = {
     "experiment": {
         "name": str, "seed": int, "trials": int,
@@ -157,9 +158,8 @@ _SCHEMA = {
                                         if t.strip()),
         "permute": _bool, "workers": int,
     },
-    "generator": {"family": GeneratorFamily, "m": int, "d_lo": float, "d_hi": float,
-                  "cauchy_truncation": float, "adversarial_low": float,
-                  "adversarial_high": float, "adversarial_capacity_fraction": float},
+    "generator": {key: parse for key, parse in get_type_hints(GeneratorSpec).items()
+                  if key not in ("n", "seed")},
     "benchmark": {"path": str},
     "repair": {"enabled": _bool},
     "output": {"directory": str},

@@ -120,39 +120,23 @@ def aggregate(results: Sequence[TrialResult], capacity_norms: Sequence[float]) -
     if len(keys) != 1:
         raise ValueError(f"mixed trial groups: {sorted(keys)}")
     algorithm, n, m = next(iter(keys))
-    mean_obj, se_obj = _mean_stderr([r.objective for r in results])
-    mean_reg, se_reg = _mean_stderr([r.regret for r in results])
-    mean_vio, se_vio = _mean_stderr([r.violation for r in results])
     ok = [r for r in results if r.lp_opt > 0.0]
-    flagged = len(results) - len(ok)
-    if ok:
-        mean_nreg, se_nreg = _mean_stderr([r.regret / r.lp_opt for r in ok])
-        mean_cmp, se_cmp = _mean_stderr([r.objective / r.lp_opt for r in ok])
-    else:
-        mean_nreg = se_nreg = mean_cmp = se_cmp = math.nan
-    mean_nvio, se_nvio = _mean_stderr([r.violation / norm for r, norm
-                                       in zip(results, capacity_norms, strict=True)])
+    samples = {  # measure -> its values, in trial order; the ratios of `ok` only
+        "objective": [r.objective for r in results],
+        "regret": [r.regret for r in results],
+        "violation": [r.violation for r in results],
+        "normalized_regret": [r.regret / r.lp_opt for r in ok],
+        "competitiveness": [r.objective / r.lp_opt for r in ok],
+        "normalized_violation": [r.violation / norm for r, norm
+                                 in zip(results, capacity_norms, strict=True)],
+    }
+    stats = {}
+    for measure, values in samples.items():
+        stats[f"mean_{measure}"], stats[f"stderr_{measure}"] = _mean_stderr(values)
     mean_dual, _ = _mean_stderr([r.max_dual_norm for r in results if r.max_dual_norm is not None])
-    return AggregateSummary(
-        algorithm=algorithm,
-        n=n,
-        m=m,
-        count=len(results),
-        mean_objective=mean_obj,
-        stderr_objective=se_obj,
-        mean_regret=mean_reg,
-        stderr_regret=se_reg,
-        mean_violation=mean_vio,
-        stderr_violation=se_vio,
-        mean_normalized_regret=mean_nreg,
-        stderr_normalized_regret=se_nreg,
-        mean_normalized_violation=mean_nvio,
-        stderr_normalized_violation=se_nvio,
-        mean_competitiveness=mean_cmp,
-        stderr_competitiveness=se_cmp,
-        mean_max_dual_norm=mean_dual,
-        flagged_nonpositive_opt=flagged,
-    )
+    return AggregateSummary(algorithm=algorithm, n=n, m=m, count=len(results), **stats,
+                            mean_max_dual_norm=mean_dual,
+                            flagged_nonpositive_opt=len(results) - len(ok))
 
 
 @dataclass(frozen=True)

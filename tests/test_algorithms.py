@@ -31,8 +31,6 @@ from onlinelp.generators import (
     GeneratorFamily,
     GeneratorSpec,
     PermutationPlan,
-    gen_gaussian,
-    gen_uniform,
     generate,
     permute,
 )
@@ -50,7 +48,7 @@ DLA, PBD = AlgorithmConfig(AlgorithmKind.DLA), AlgorithmConfig(AlgorithmKind.PBD
 
 
 def uniform_instance(n, m, seed):
-    return gen_uniform(GeneratorSpec(GeneratorFamily.UNIFORM, n=n, m=m, seed=seed))
+    return generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=n, m=m, seed=seed))
 
 
 def assert_trace_consistent(inst, trace):
@@ -111,7 +109,7 @@ class TestRunSoa:
             max(math.sqrt(sum(v * v for v in prices)) for prices in ref_hist), abs=1e-12)
 
     def test_sqrt_t_reference(self):
-        inst = gen_gaussian(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=9, m=3, seed=4))
+        inst = generate(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=9, m=3, seed=4))
         trace = run_soa(inst, soa_cfg(StepSchedule.SQRT_T))
         gammas = [1.0 / math.sqrt(t) for t in range(1, 10)]
         cols = [list(inst.columns[:, j]) for j in range(9)]
@@ -311,7 +309,7 @@ class TestRunOnePass:
     def test_mixed_batch_matches_reference_row_by_row(self):
         n = 40
         instances = [uniform_instance(n, 3, 500 + j) for j in range(4)]
-        instances.append(gen_gaussian(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=n, m=3, seed=9)))
+        instances.append(generate(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=n, m=3, seed=9)))
         batch, _ = mixed_batch(instances)
         for (kind, sched, _), row in zip(MIXED_CONFIGS, batch):
             gammas = [sched.gamma(t, n) for t in range(1, n + 1)]
@@ -343,9 +341,11 @@ class TestRunOnePass:
         # expression.  sqrt and division are correctly rounded, so each is
         # bitwise the per-step float formula, and so is every trace.
         def per_step(schedule, t, n):
-            return [{StepSchedule.SQRT_N: 1.0 / math.sqrt(n),
-                     StepSchedule.SQRT_T: 1.0 / math.sqrt(s),
-                     StepSchedule.UNIT: 1.0}[schedule] for s in range(1, len(t) + 1)]
+            t, n = np.broadcast_arrays(t, n)
+            return np.array([{StepSchedule.SQRT_N: 1.0 / math.sqrt(length),
+                              StepSchedule.SQRT_T: 1.0 / math.sqrt(s),
+                              StepSchedule.UNIT: 1.0}[schedule]
+                             for s, length in zip(t.flat, n.flat)]).reshape(t.shape)
 
         for n in (1, 2, 7, 1000, 100_000):
             steps = np.arange(1.0, n + 1)
@@ -420,7 +420,7 @@ class TestMixedLengthBatch:
         instances = []
         for n in mixed_n_values():
             instances.append(uniform_instance(n, 3, 40 + n))
-            instances.append(gen_gaussian(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=n, m=3,
+            instances.append(generate(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=n, m=3,
                                                         seed=50 + n)))
         # the kernel orders the batch by n itself
         instances = [instances[j] for j in np.random.default_rng(3).permutation(len(instances))]
@@ -782,7 +782,7 @@ class TestRunPrefixLp:
 
     def test_warm_pass_matches_cold_solves(self):
         instances = [uniform_instance(60, 3, seed) for seed in (4, 9)]
-        instances.append(gen_gaussian(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=60, m=4, seed=2)))
+        instances.append(generate(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=60, m=4, seed=2)))
         for inst in instances:
             [warm_dla], [warm_pbd] = run_prefix_lp([inst], [DLA, PBD], [[0], [19]])
             # the same decisions from a chain of cold solves
@@ -914,7 +914,7 @@ class TestPriceCapAcrossSchedules:
 
     def test_gaussian_data(self):
         for seed in range(4):
-            inst = gen_gaussian(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=100, m=3, seed=seed))
+            inst = generate(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=100, m=3, seed=seed))
             for schedule in (StepSchedule.SQRT_N, StepSchedule.SQRT_T):
                 trace = run_soa(inst, soa_cfg(schedule))
                 assert_price_cap(inst, trace)

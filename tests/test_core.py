@@ -11,7 +11,7 @@ from onlinelp.core import (
     dual_saa_objective,
     violation_norm,
 )
-from onlinelp.generators import GeneratorFamily, GeneratorSpec, gen_uniform, read_mknap, write_mknap
+from onlinelp.generators import GeneratorFamily, GeneratorSpec, generate, read_mknap, write_mknap
 from onlinelp.simplex import solve_relaxation
 
 from instance_bounds import compute_stats, price_norm_bound
@@ -66,7 +66,7 @@ class TestComputeStats:
         assert stats.d_lo == pytest.approx(0.4)
 
     def test_against_full_scan(self):
-        inst = gen_uniform(GeneratorSpec(GeneratorFamily.UNIFORM, n=20, m=5, seed=7))
+        inst = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=20, m=5, seed=7))
         stats = compute_stats(inst)
         r_bar, a_bar, d_lo, d_hi = scan_stats(inst.rewards, inst.columns, inst.capacity)
         assert stats.r_bar == r_bar
@@ -77,7 +77,7 @@ class TestComputeStats:
 
 class TestViolationNorm:
     def test_all_zero_decisions(self):
-        inst = gen_uniform(GeneratorSpec(GeneratorFamily.UNIFORM, n=6, m=3, seed=1))
+        inst = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=6, m=3, seed=1))
         assert violation_norm(inst, np.zeros(6, dtype=int)) == 0.0
 
     def test_positive_part_then_norm(self):
@@ -135,7 +135,7 @@ class TestSaaObjective:
             saa_objective(inst.rewards, inst.columns, inst.capacity, p), rel=1e-12)
 
     def test_equals_simplex_dual_objective_over_n(self):
-        inst = gen_uniform(GeneratorSpec(GeneratorFamily.UNIFORM, n=12, m=4, seed=5))
+        inst = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=12, m=4, seed=5))
         sol = solve_relaxation(inst)
         assert dual_saa_objective(inst, sol.duals) == pytest.approx(
             sol.objective / inst.n, abs=1e-8)

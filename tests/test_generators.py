@@ -11,11 +11,6 @@ from onlinelp.generators import (
     GeneratorSpec,
     MknapFormatError,
     PermutationPlan,
-    gen_adversarial,
-    gen_gaussian,
-    gen_mixed_four_groups,
-    gen_trunc_cauchy,
-    gen_uniform,
     generate,
     permute,
     read_mknap,
@@ -53,14 +48,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             GeneratorSpec(GeneratorFamily.UNIFORM, n=2, m=1, seed=0, d_lo=0.7, d_hi=0.5)
 
-    def test_family_mismatch(self):
-        with pytest.raises(ValueError):
-            gen_uniform(spec(GeneratorFamily.GAUSSIAN))
-
 
 class TestUniform:
     def test_ranges_and_budget(self):
-        inst = gen_uniform(spec(GeneratorFamily.UNIFORM, n=200, m=6, seed=3))
+        inst = generate(spec(GeneratorFamily.UNIFORM, n=200, m=6, seed=3))
         stats = compute_stats(inst)
         assert 0.0 <= stats.a_bar <= 2.0
         assert 0.0 <= stats.r_bar <= 2.0
@@ -68,60 +59,60 @@ class TestUniform:
         assert stats.d_hi <= 2.0 / 3.0 + 1e-9
 
     def test_seed_determinism(self):
-        a = gen_uniform(spec(GeneratorFamily.UNIFORM, seed=11))
-        b = gen_uniform(spec(GeneratorFamily.UNIFORM, seed=11))
+        a = generate(spec(GeneratorFamily.UNIFORM, seed=11))
+        b = generate(spec(GeneratorFamily.UNIFORM, seed=11))
         assert np.array_equal(a.rewards, b.rewards)
         assert np.array_equal(a.columns, b.columns)
         assert np.array_equal(a.capacity, b.capacity)
-        c = gen_uniform(spec(GeneratorFamily.UNIFORM, seed=12))
+        c = generate(spec(GeneratorFamily.UNIFORM, seed=12))
         assert not np.array_equal(a.columns, c.columns)
 
     def test_law_of_large_numbers(self):
-        inst = gen_uniform(spec(GeneratorFamily.UNIFORM, n=10_000, m=10, seed=7))
+        inst = generate(spec(GeneratorFamily.UNIFORM, n=10_000, m=10, seed=7))
         assert abs(float(inst.columns.mean()) - 1.0) <= 0.02
 
 
 class TestGaussian:
     def test_rewards_below_column_sums(self):
-        inst = gen_gaussian(spec(GeneratorFamily.GAUSSIAN, n=300, m=5, seed=2))
+        inst = generate(spec(GeneratorFamily.GAUSSIAN, n=300, m=5, seed=2))
         assert (inst.rewards <= inst.columns.sum(axis=0)).all()
 
     def test_entry_mean(self):
-        inst = gen_gaussian(spec(GeneratorFamily.GAUSSIAN, n=20_000, m=5, seed=4))
+        inst = generate(spec(GeneratorFamily.GAUSSIAN, n=20_000, m=5, seed=4))
         assert abs(float(inst.columns.mean()) - 1.0) <= 0.02
 
     def test_seed_determinism(self):
-        a = gen_gaussian(spec(GeneratorFamily.GAUSSIAN, seed=5))
-        b = gen_gaussian(spec(GeneratorFamily.GAUSSIAN, seed=5))
+        a = generate(spec(GeneratorFamily.GAUSSIAN, seed=5))
+        b = generate(spec(GeneratorFamily.GAUSSIAN, seed=5))
         assert np.array_equal(a.columns, b.columns)
 
 
 class TestTruncCauchy:
     def test_magnitude_capped(self):
-        inst = gen_trunc_cauchy(spec(GeneratorFamily.TRUNC_CAUCHY, n=500, m=3, seed=1,
+        inst = generate(spec(GeneratorFamily.TRUNC_CAUCHY, n=500, m=3, seed=1,
                                      cauchy_truncation=10.0))
         assert float(np.abs(inst.columns).max()) <= 10.0
 
     def test_looser_threshold_has_larger_spread(self):
-        tight = gen_trunc_cauchy(spec(GeneratorFamily.TRUNC_CAUCHY, n=2000, m=2, seed=6,
+        tight = generate(spec(GeneratorFamily.TRUNC_CAUCHY, n=2000, m=2, seed=6,
                                       cauchy_truncation=10.0))
-        loose = gen_trunc_cauchy(spec(GeneratorFamily.TRUNC_CAUCHY, n=2000, m=2, seed=6,
+        loose = generate(spec(GeneratorFamily.TRUNC_CAUCHY, n=2000, m=2, seed=6,
                                       cauchy_truncation=1e6))
         assert float(loose.columns.var()) > float(tight.columns.var())
 
     def test_threshold_must_be_positive(self):
         with pytest.raises(ValueError):
-            gen_trunc_cauchy(spec(GeneratorFamily.TRUNC_CAUCHY, cauchy_truncation=0.0))
+            generate(spec(GeneratorFamily.TRUNC_CAUCHY, cauchy_truncation=0.0))
 
     def test_seed_determinism(self):
-        a = gen_trunc_cauchy(spec(GeneratorFamily.TRUNC_CAUCHY, seed=8))
-        b = gen_trunc_cauchy(spec(GeneratorFamily.TRUNC_CAUCHY, seed=8))
+        a = generate(spec(GeneratorFamily.TRUNC_CAUCHY, seed=8))
+        b = generate(spec(GeneratorFamily.TRUNC_CAUCHY, seed=8))
         assert np.array_equal(a.columns, b.columns)
 
 
 class TestMixedFourGroups:
     def test_block_distributions(self):
-        inst = gen_mixed_four_groups(spec(GeneratorFamily.MIXED_FOUR, n=400, m=3, seed=9))
+        inst = generate(spec(GeneratorFamily.MIXED_FOUR, n=400, m=3, seed=9))
         assert inst.n == 400
         g = 100
         first = inst.columns[:, :g]
@@ -133,23 +124,23 @@ class TestMixedFourGroups:
     def test_rejects_n_not_a_multiple_of_four(self):
         for n in (5, 6, 10, 102):
             with pytest.raises(ValueError, match="multiple of 4"):
-                gen_mixed_four_groups(spec(GeneratorFamily.MIXED_FOUR, n=n, m=2, seed=0))
-        assert gen_mixed_four_groups(spec(GeneratorFamily.MIXED_FOUR, n=8, m=2, seed=0)).n == 8
+                generate(spec(GeneratorFamily.MIXED_FOUR, n=n, m=2, seed=0))
+        assert generate(spec(GeneratorFamily.MIXED_FOUR, n=8, m=2, seed=0)).n == 8
 
     def test_too_small(self):
         with pytest.raises(ValueError):
-            gen_mixed_four_groups(spec(GeneratorFamily.MIXED_FOUR, n=3, m=2, seed=0))
+            generate(spec(GeneratorFamily.MIXED_FOUR, n=3, m=2, seed=0))
 
     def test_seed_determinism(self):
-        a = gen_mixed_four_groups(spec(GeneratorFamily.MIXED_FOUR, seed=3))
-        b = gen_mixed_four_groups(spec(GeneratorFamily.MIXED_FOUR, seed=3))
+        a = generate(spec(GeneratorFamily.MIXED_FOUR, seed=3))
+        b = generate(spec(GeneratorFamily.MIXED_FOUR, seed=3))
         assert np.array_equal(a.columns, b.columns)
         assert np.array_equal(a.rewards, b.rewards)
 
 
 class TestAdversarial:
     def test_two_phase_layout(self):
-        inst = gen_adversarial(spec(GeneratorFamily.ADVERSARIAL, n=100, m=1, seed=0))
+        inst = generate(spec(GeneratorFamily.ADVERSARIAL, n=100, m=1, seed=0))
         assert (inst.rewards[:50] == 1.0).all()
         assert (inst.rewards[50:] == 2.0).all()
         assert (inst.columns == 1.0).all()
@@ -158,8 +149,8 @@ class TestAdversarial:
     def test_rejects_odd_n(self):
         for n in (1, 3, 101):
             with pytest.raises(ValueError, match="even n"):
-                gen_adversarial(spec(GeneratorFamily.ADVERSARIAL, n=n, m=1, seed=0))
-        assert gen_adversarial(spec(GeneratorFamily.ADVERSARIAL, n=2, m=1, seed=0)).n == 2
+                generate(spec(GeneratorFamily.ADVERSARIAL, n=n, m=1, seed=0))
+        assert generate(spec(GeneratorFamily.ADVERSARIAL, n=2, m=1, seed=0)).n == 2
 
     def test_unpermuted_stream_defeats_one_pass(self):
         # without shuffling, a strict majority of the cheap first half is
@@ -169,7 +160,7 @@ class TestAdversarial:
 
         gaps = {}
         for n in (100, 1000):
-            inst = gen_adversarial(spec(GeneratorFamily.ADVERSARIAL, n=n, m=1, seed=0))
+            inst = generate(spec(GeneratorFamily.ADVERSARIAL, n=n, m=1, seed=0))
             trace = run_soa(inst, AlgorithmConfig(AlgorithmKind.SOA, StepSchedule.SQRT_N))
             first_half = int(trace.decisions[: n // 2].sum())
             assert first_half > n // 4
@@ -185,14 +176,14 @@ class TestAdversarial:
 
 class TestPermute:
     def test_identity(self):
-        inst = gen_uniform(spec(GeneratorFamily.UNIFORM, seed=4))
+        inst = generate(spec(GeneratorFamily.UNIFORM, seed=4))
         plan = PermutationPlan(n=inst.n, seed=0, order=np.arange(inst.n))
         out = permute(inst, plan)
         assert np.array_equal(out.rewards, inst.rewards)
         assert np.array_equal(out.columns, inst.columns)
 
     def test_inverse_restores_bits(self):
-        inst = gen_gaussian(spec(GeneratorFamily.GAUSSIAN, seed=4))
+        inst = generate(spec(GeneratorFamily.GAUSSIAN, seed=4))
         plan = PermutationPlan.random(inst.n, seed=99)
         back = permute(permute(inst, plan), plan.inverse())
         assert np.array_equal(back.rewards, inst.rewards)
@@ -200,14 +191,14 @@ class TestPermute:
         assert np.array_equal(back.capacity, inst.capacity)
 
     def test_lp_objective_invariant(self):
-        inst = gen_uniform(spec(GeneratorFamily.UNIFORM, n=30, m=3, seed=5))
+        inst = generate(spec(GeneratorFamily.UNIFORM, n=30, m=3, seed=5))
         plan = PermutationPlan.random(inst.n, seed=1)
         a = solve_relaxation(inst).objective
         b = solve_relaxation(permute(inst, plan)).objective
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_multiset_preserved(self):
-        inst = gen_uniform(spec(GeneratorFamily.UNIFORM, n=15, m=2, seed=6))
+        inst = generate(spec(GeneratorFamily.UNIFORM, n=15, m=2, seed=6))
         plan = PermutationPlan.random(inst.n, seed=2)
         out = permute(inst, plan)
         pairs = sorted(map(tuple, np.vstack([inst.rewards, inst.columns]).T.tolist()))
@@ -215,7 +206,7 @@ class TestPermute:
         assert pairs == out_pairs
 
     def test_dimension_mismatch(self):
-        inst = gen_uniform(spec(GeneratorFamily.UNIFORM, n=8, m=2, seed=0))
+        inst = generate(spec(GeneratorFamily.UNIFORM, n=8, m=2, seed=0))
         with pytest.raises(ValueError):
             permute(inst, PermutationPlan.random(9, seed=0))
 

@@ -16,7 +16,7 @@ import pytest
 
 from onlinelp.algorithms import AlgorithmConfig, AlgorithmKind, run_soa
 from onlinelp.core import Instance, StepSchedule
-from onlinelp.generators import PermutationPlan, permute, write_mknap
+from onlinelp.generators import GeneratorFamily, PermutationPlan, permute, write_mknap
 from onlinelp.harness import (
     ConfigError,
     child_seed,
@@ -201,7 +201,7 @@ class TestLoadConfig:
 
     def test_generator_echo_lists_every_effective_value(self, tmp_path):
         cfg = load_config(write_mini_config(tmp_path, extra="d_hi = 0.5\n"))
-        assert cfg.generator_params == {"family": harness.GeneratorFamily.UNIFORM,
+        assert cfg.generator_params == {"family": GeneratorFamily.UNIFORM,
                                         "m": 3, "d_hi": 0.5}
         assert cfg.echo()["generator"] == {
             "family": "uniform", "m": 3, "d_lo": 1.0 / 3.0, "d_hi": 0.5,

@@ -5,7 +5,7 @@ import pytest
 
 from onlinelp.algorithms import AlgorithmConfig, AlgorithmKind, run_soa
 from onlinelp.core import Instance, RunTrace, StepSchedule
-from onlinelp.generators import GeneratorFamily, GeneratorSpec, gen_uniform
+from onlinelp.generators import GeneratorFamily, GeneratorSpec, generate
 from onlinelp.metrics import TrialResult, aggregate, evaluate_trial, fit_scaling
 from onlinelp.simplex import solve_relaxation
 
@@ -41,7 +41,7 @@ class TestEvaluateTrial:
         assert res.competitiveness == pytest.approx(1.0)
 
     def test_all_reject_trace(self):
-        inst = gen_uniform(GeneratorSpec(GeneratorFamily.UNIFORM, n=12, m=2, seed=1))
+        inst = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=12, m=2, seed=1))
         lp = solve_relaxation(inst)
         res = evaluate_trial(inst, manual_trace(inst, np.zeros(12, dtype=int)), lp.objective)
         assert res.regret == pytest.approx(lp.objective)
@@ -49,7 +49,7 @@ class TestEvaluateTrial:
         assert res.objective == 0.0
 
     def test_matches_independent_recomputation(self):
-        inst = gen_uniform(GeneratorSpec(GeneratorFamily.UNIFORM, n=10, m=2, seed=3))
+        inst = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=10, m=2, seed=3))
         trace = run_soa(inst, AlgorithmConfig(AlgorithmKind.SOA, StepSchedule.SQRT_N))
         lp = solve_relaxation(inst)
         res = evaluate_trial(inst, trace, lp.objective, algorithm="soa", seed=9)
@@ -66,8 +66,8 @@ class TestEvaluateTrial:
         assert res.competitiveness is None
 
     def test_foreign_trace_rejected(self):
-        inst = gen_uniform(GeneratorSpec(GeneratorFamily.UNIFORM, n=8, m=2, seed=4))
-        other = gen_uniform(GeneratorSpec(GeneratorFamily.UNIFORM, n=9, m=2, seed=4))
+        inst = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=8, m=2, seed=4))
+        other = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=9, m=2, seed=4))
         trace = manual_trace(other, np.zeros(9, dtype=int))
         with pytest.raises(ValueError):
             evaluate_trial(inst, trace, solve_relaxation(inst).objective)

@@ -11,7 +11,6 @@ from onlinelp.generators import (
     GeneratorFamily,
     GeneratorSpec,
     PermutationPlan,
-    gen_uniform,
     generate,
     permute,
 )
@@ -95,7 +94,7 @@ class TestSolveRelaxation:
             check_solution_invariants(inst, solve_relaxation(inst))
 
     def test_deterministic(self):
-        inst = gen_uniform(GeneratorSpec(GeneratorFamily.UNIFORM, n=60, m=4, seed=9))
+        inst = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=60, m=4, seed=9))
         a = solve_relaxation(inst)
         b = solve_relaxation(inst)
         assert np.array_equal(a.primal, b.primal)
@@ -127,7 +126,7 @@ class TestNegativeCapacity:
 
 class TestSolveScaled:
     def test_full_prefix_matches_relaxation(self):
-        inst = gen_uniform(GeneratorSpec(GeneratorFamily.UNIFORM, n=40, m=3, seed=2))
+        inst = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=40, m=3, seed=2))
         full = solve_relaxation(inst)
         scaled = solve_scaled(inst, inst.n)
         assert scaled.objective == pytest.approx(full.objective, abs=1e-9)
@@ -150,7 +149,7 @@ class TestSolveScaled:
         assert sol.objective == pytest.approx(oracle, abs=1e-7)
 
     def test_bad_arguments(self):
-        inst = gen_uniform(GeneratorSpec(GeneratorFamily.UNIFORM, n=5, m=2, seed=3))
+        inst = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=5, m=2, seed=3))
         with pytest.raises(ValueError):
             solve_scaled(inst, 0)
         with pytest.raises(ValueError):
@@ -319,7 +318,7 @@ class TestWarmStart:
             assert_close(prev.duals, -ref.ineqlin.marginals, tol=1e-7)
 
     def test_bad_starts_rejected(self):
-        inst = gen_uniform(GeneratorSpec(GeneratorFamily.UNIFORM, n=6, m=2, seed=1))
+        inst = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=6, m=2, seed=1))
         sol = solve_scaled(inst, 3)
         with pytest.raises(ValueError, match="first 4 columns"):
             solve_scaled(inst, 5, prev=sol)
