@@ -235,8 +235,9 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
         steps = np.empty((span, rows, a, 1))
         for i, schedule in enumerate(schedules):
             steps[:, i, :, 0] = schedule.gamma(t, ns[:a])
-        # a budget-tracking row's final step has step size 0, and divides by 1 where
-        # n - t - 1, the steps left after step t, is 0: its budget is not read again
+        # A budget-tracking row's final step has step size 0, so its prices
+        # stay put, and it divides by 1 where n - t - 1, the steps left after
+        # step t, reaches 0: its budget and target are not read again.
         steps[-1, track, a_next:] = 0.0
         left = np.maximum(ns[:a, None] - t[:, :, None], 1.0)
         # the prices after the last few steps, whose norms are taken together
@@ -498,12 +499,6 @@ def repair_feasibility(inst: Instance, trace: RunTrace, rng_seed: int) -> RunTra
     size = min(math.floor(2.0 * v * n_plus * log_n / (d_lo * sqrt_n)) + 1, n_plus)
     rng = np.random.default_rng(rng_seed)
     removed = rng.choice(s_plus, size=size, replace=False)
-    new_decisions = decisions.copy()
-    new_decisions[removed] = 0
-    new_decisions.flags.writeable = False
-    return RunTrace(
-        decisions=new_decisions,
-        objective=float(inst.rewards @ new_decisions.astype(np.float64)),
-        final_prices=trace.final_prices,
-        max_dual_norm=trace.max_dual_norm,
-    )
+    kept = decisions.copy()
+    kept[removed] = 0
+    return _trace(kept, inst.rewards[kept.nonzero()[0]], trace.final_prices, trace.max_dual_norm)

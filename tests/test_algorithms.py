@@ -882,6 +882,17 @@ class TestRepairFeasibility:
             - set(np.flatnonzero(repaired.decisions).tolist())
         assert removed  # repair always removes something when accepts exist
 
+    def test_objective_is_the_in_order_sum(self):
+        # RunTrace's rule: the objective sums the taken rewards in order, as
+        # every other engine's trace does; a dot product rounds differently here
+        inst = uniform_instance(2000, 10, 1)
+        repaired = repair_feasibility(inst, run_soa(inst, soa_cfg(StepSchedule.SQRT_N)), rng_seed=7)
+        total = 0.0
+        for j in np.flatnonzero(repaired.decisions):
+            total += float(inst.rewards[j])
+        assert repaired.objective == total == 521.3399905851778
+        assert float(inst.rewards @ repaired.decisions.astype(float)) == 521.3399905851774
+
     def test_deterministic_per_seed(self):
         inst = uniform_instance(60, 3, 15)
         trace = run_soa(inst, soa_cfg(StepSchedule.SQRT_N))
