@@ -10,13 +10,22 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
 from onlinelp.algorithms import AlgorithmConfig, AlgorithmKind, run_soa
 from onlinelp.core import Instance, StepSchedule
-from onlinelp.generators import GeneratorFamily, PermutationPlan, permute, write_mknap
+from onlinelp.generators import (
+    GeneratorFamily,
+    GeneratorSpec,
+    PermutationPlan,
+    generate,
+    permute,
+    read_mknap,
+    write_mknap,
+)
 from onlinelp.harness import (
     ConfigError,
     child_seed,
@@ -631,8 +640,6 @@ m = 2
 
 
 def cfg_instance(cfg, n, trial):
-    from onlinelp.generators import generate
-
     inst = generate(cfg.spec_for(n, child_seed(cfg.seed, n, trial, "instance")))
     if cfg.permute_arrivals:
         plan = PermutationPlan.random(inst.n, child_seed(cfg.seed, n, trial, "permutation"))
@@ -652,6 +659,48 @@ SUMMARY_SHA256 = {
     "mknap_demo.ini": "37928f774a46c6a6fdc6f9b240ea23dc923708e148b9fe09779a20d707612e0a",
 }
 
+# The benchmark's two workload configs at seed 1, with the keys perfbench/workloads.py
+# writes: SNA, SFA's gate and multisoa over four n, across 64-step kernel chunk
+# boundaries, with repair; and DLA and PBD, stepped together through the prefix LPs.
+WORKLOAD_CONFIGS = {
+    "onepass_sweep": """[experiment]
+name = perfbench-onepass_sweep
+seed = 1
+trials = 10
+n_values = 250 500 1000 2000
+algorithms = soa/sqrt_n, soa/sqrt_t, sfa/sqrt_t, sna/sqrt_t, multisoa
+permute = true
+workers = 1
+
+[generator]
+family = uniform
+m = 10
+
+[repair]
+enabled = true
+""",
+    "prefix_lp": """[experiment]
+name = perfbench-prefix_lp
+seed = 1
+trials = 2
+n_values = 100 200 400
+algorithms = dla, pbd
+permute = true
+workers = 1
+
+[generator]
+family = uniform
+m = 5
+
+[repair]
+enabled = false
+""",
+}
+WORKLOAD_TRIALS_SHA256 = {
+    "onepass_sweep": "b65ba55ba1772ecd2304f70410a74f81e427bb0a9e0b42cd3957d9fa05ed30de",
+    "prefix_lp": "0738c0acb6d11295259850b6c550809d393d174f89f92488b76895b4c48afa0f",
+}
+
 
 class TestDeterminismContract:
     @pytest.mark.parametrize("workers", [1, 2])
@@ -667,6 +716,17 @@ class TestDeterminismContract:
         assert hashlib.sha256(numbers.encode("ascii")).hexdigest() == SUMMARY_SHA256[name], (
             f"summary.json's aggregates or fits of {name} at workers={workers} changed: a "
             f"change must be made on purpose and recorded in CHANGES.md with the new digest")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", sorted(WORKLOAD_CONFIGS))
+    def test_benchmark_workload_keeps_its_bytes(self, tmp_path, name, workers):
+        path = tmp_path / f"perfbench-{name}.ini"
+        path.write_text(WORKLOAD_CONFIGS[name])
+        report = run_experiment(load_config(path), workers=workers)
+        digest = hashlib.sha256(report.trials_csv().encode("ascii")).hexdigest()
+        assert digest == WORKLOAD_TRIALS_SHA256[name], (
+            f"trials.csv of the {name} workload at workers={workers} changed its bytes: a "
+            f"change in bytes must be made on purpose and recorded in CHANGES.md")
 
 
 class TestReportFiles:
@@ -855,6 +915,36 @@ class TestCli:
         assert cli.main(["gen", "uniform", "-n", "12", "-m", "2", "--cauchy-truncation", "0",
                          "-o", str(target)]) == 1
         assert "cauchy_truncation" in capsys.readouterr().err and not target.exists()
+
+    # a valid value other than the default of each float field of GeneratorSpec,
+    # and a family whose instances it shapes
+    GEN_VALUES = {"d_lo": ("uniform", "0.25"), "d_hi": ("gaussian", "0.8"),
+                  "cauchy_truncation": ("trunc_cauchy", "3.5"),
+                  "adversarial_low": ("adversarial", "0.5"),
+                  "adversarial_high": ("adversarial", "4.5"),
+                  "adversarial_capacity_fraction": ("adversarial", "0.25")}
+
+    def test_every_float_field_is_covered(self):
+        hints = get_type_hints(GeneratorSpec)
+        assert set(self.GEN_VALUES) == {key for key, kind in hints.items() if kind is float}
+
+    @pytest.mark.parametrize("key", sorted(GEN_VALUES))
+    def test_config_and_gen_draw_the_same_instance(self, tmp_path, key):
+        family, value = self.GEN_VALUES[key]
+        config = tmp_path / "one.ini"
+        config.write_text("[experiment]\nn_values = 12\nalgorithms = soa/sqrt_n\n\n"
+                          f"[generator]\nfamily = {family}\nm = 3\n{key} = {value}\n")
+        from_config = generate(load_config(config).spec_for(12, 4))
+        target = tmp_path / "gen.txt"
+        assert cli.main(["gen", family, "-n", "12", "-m", "3", "--seed", "4",
+                         "--" + key.replace("_", "-"), value, "-o", str(target)]) == 0
+        [(from_gen, _)] = read_mknap(target)
+        default = generate(GeneratorSpec(GeneratorFamily(family), n=12, m=3, seed=4))
+        arrays = ("rewards", "columns", "capacity")
+        for name in arrays:
+            assert np.array_equal(getattr(from_gen, name), getattr(from_config, name)), name
+        assert not all(np.array_equal(getattr(from_gen, name), getattr(default, name))
+                       for name in arrays)
 
     def test_solve_binary_limit(self, tmp_path, capsys):
         target = tmp_path / "big.txt"
