@@ -151,10 +151,12 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
     usage (with k alternatives: iff the best reward minus priced usage is
     positive); the prices then move along (tentative usage - target) times
     the step size, clamped at zero, where the config's kind sets the target
-    (see ``_ONE_PASS``).  A row is one price trajectory on one instance.  With
-    k = 1 a trajectory depends only on the schedule and the target, so the
-    SOA, SFA and multi-choice configs of one schedule share a row, and so
-    does a config listed twice; budget tracking keeps a row per schedule.
+    (see ``_ONE_PASS``).  A budget-tracking row's final step has step size 0,
+    so its final prices are those its last decision saw.  A row is one price
+    trajectory on one instance.  With k = 1 a trajectory depends only on the
+    schedule and the target, so the SOA, SFA and multi-choice configs of one
+    schedule share a row, and so does a config listed twice; budget tracking
+    keeps a row per schedule.
     With k > 1 every config keeps its own row, since each breaks ties with
     its own stream.  The gate is not stepped: after each chunk of steps,
     each gated row's realized decisions are replayed exactly from its

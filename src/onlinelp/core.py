@@ -24,12 +24,6 @@ __all__ = [
 ]
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(np.asarray(a, dtype=np.float64))
-    out.flags.writeable = False
-    return out
-
-
 def _settle(inst, arrays: dict, **sizes: int) -> None:
     """Check ``arrays`` (field -> data) finite and b / n positive; store them read-only, with sizes."""
     if not all(np.isfinite(a).all() for a in arrays.values()):
@@ -38,7 +32,9 @@ def _settle(inst, arrays: dict, **sizes: int) -> None:
     if not (d > 0.0).all():
         raise ValueError("per-column budget b/n must be positive in every coordinate")
     for name, value in dict(arrays, per_column_budget=d).items():
-        object.__setattr__(inst, name, _freeze(value))
+        value = np.ascontiguousarray(value, dtype=np.float64)
+        value.flags.writeable = False
+        object.__setattr__(inst, name, value)
     for name, size in sizes.items():
         object.__setattr__(inst, name, int(size))
 
