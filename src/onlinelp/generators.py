@@ -40,9 +40,9 @@ class GeneratorFamily(enum.Enum):
 class GeneratorSpec:
     """Family tag plus the per-family parameters.
 
-    The fields but ``n`` and ``seed`` are the config's ``[generator]`` keys,
-    and the float fields are the float options of ``onlinelp gen``: both are
-    read from the field annotations, and take the field defaults.  ``d_lo`` and
+    The fields other than ``n`` and ``seed`` are the config's ``[generator]``
+    keys, and the float fields are float options of ``onlinelp gen``: both
+    are read from the annotations and take the field defaults.  ``d_lo`` and
     ``d_hi`` bound the i.i.d. per-column budget draws.
     ``cauchy_truncation`` is the two-sided magnitude cap for the heavy-tail
     family.  The adversarial family builds a two-phase stream: the first half

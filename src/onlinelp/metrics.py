@@ -121,7 +121,7 @@ def aggregate(results: Sequence[TrialResult], capacity_norms: Sequence[float]) -
         raise ValueError(f"mixed trial groups: {sorted(keys)}")
     algorithm, n, m = next(iter(keys))
     ok = [r for r in results if r.lp_opt > 0.0]
-    samples = {  # measure -> its values, in trial order; the ratios of `ok` only
+    samples = {  # measure -> its values in trial order; ratios to lp_opt over `ok` only
         "objective": [r.objective for r in results],
         "regret": [r.regret for r in results],
         "violation": [r.violation for r in results],
