@@ -21,6 +21,7 @@ from .core import (
     RunTrace,
     StepSchedule,
 )
+from . import native
 from .simplex import solve_prefix_lps
 # A tracer shim: solve_scaled stays bound here because perfbench/spans.py looks
 # it up in this module; run_prefix_lp solves through solve_prefix_lps.
@@ -158,15 +159,18 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
     schedule share a row, and so does a config listed twice; budget tracking
     keeps a row per schedule.
     With k > 1 every config keeps its own row, since each breaks ties with
-    its own stream.  The gate is not stepped: after each chunk of steps,
-    each gated row's realized decisions are replayed exactly from its
-    tentative ones (see :func:`_replay_gate`).
-    The instances share m and k, not n: they run longest first, step t
-    steps only those with n > t, and a row's state stays as its own last
-    step left it.  Each row keeps its own prices, consumption, budget and
-    step sizes, so a row's trace does not depend on what else is in the
-    batch: per-row dot products are ``np.vecdot`` of that row alone, and
-    every other operation is elementwise.
+    its own stream.
+    The instances share m and k, not n: they run longest first, each to its
+    own n, and a row's state stays as its own last step left it.  Each row
+    keeps its own prices, consumption, budget and step sizes, so a row's
+    trace does not depend on what else is in the batch.
+    Two engines step the rows, with bit for bit the same answers;
+    :func:`~onlinelp.native.engine` says which runs.  The compiled loop of
+    ``_onepass.c`` steps every k = 1 batch, where its library builds (once
+    per machine, into ``$XDG_CACHE_HOME/onlinelp/``, by default
+    ``~/.cache/onlinelp/``) and where its in-order ``fma`` dot products give
+    ``np.vecdot``'s bits at this m.  The numpy kernel (:func:`_numpy_rows`)
+    steps the rest.
     ``rng_seeds[i][j]`` seeds config i's tie-breaking stream on instance j,
     which draws only when two or more alternatives tie for the best
     positive value.  Decisions record the chosen alternative 1..k, 0 for
@@ -185,9 +189,7 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
     _, k, m = data[0][1].shape
     if any(cols.shape[1:] != (k, m) for _, cols in data):
         raise ValueError("the instances of a one-pass batch must share m and k")
-    lengths = [len(r) for r, _ in data]
     capacity = np.stack([instances[j].capacity for j in by_n])
-    n_inst = len(instances)
 
     gates, tracks = zip(*(_ONE_PASS[c.kind] for c in configs))
     trajectory = [(tracks[i], c.schedule) if k == 1 else i for i, c in enumerate(configs)]
@@ -195,17 +197,61 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
     for i, key in enumerate(trajectory):
         lead.setdefault(key, i)
     replayed = {key for key, gate in zip(trajectory, gates) if gate}
-    # Rows run sorted so that plain rows, rows with a gate to replay and
-    # budget-tracking rows, and equal schedules within them, occupy
-    # contiguous slices.
+    # Rows run sorted so that plain rows, gated rows and budget-tracking
+    # rows, and equal schedules within them, occupy contiguous slices.
     keys = sorted(lead, key=lambda key: (
         tracks[lead[key]], key in replayed, configs[lead[key]].schedule.value))
     row = {key: r for r, key in enumerate(keys)}
     schedules = [configs[lead[key]].schedule for key in keys]
-    rows, n_gated = len(keys), len(replayed)
     n_track = sum(tracks[lead[key]] for key in keys)
-    track = slice(rows - n_track, rows)
-    gated = slice(track.start - n_gated, track.start)
+    track = slice(len(keys) - n_track, len(keys))
+    gated = slice(track.start - len(replayed), track.start)
+    lengths = [len(r) for r, _ in data]
+    if native.engine(k, m) == "compiled":
+        steps = native.step_rows(data, capacity, schedules, gated, track)
+    else:
+        rngs = [[np.random.default_rng(rng_seeds[key][j]) for j in by_n] for key in keys] \
+            if k > 1 else None
+        steps = _numpy_rows(data, capacity, schedules, gated, track, rngs)
+    decided, realized, prices, peak = steps
+
+    prices.flags.writeable = False  # the traces' final prices are views of it
+    traces: List[List[RunTrace]] = [[None] * len(instances) for _ in configs]
+    for jj, j in enumerate(by_n):
+        n, rewards = lengths[jj], data[jj][0]
+        for i, key in enumerate(trajectory):
+            r = row[key]
+            decisions = decided[r, jj, :n]
+            if gates[i]:
+                decisions = decisions * realized[r - gated.start, jj, :n]
+            decisions = decisions.astype(np.int8 if k == 1 else np.int32)
+            picked = decisions.nonzero()[0]
+            traces[i][j] = _trace(decisions, rewards[picked, decisions[picked] - 1],
+                                  prices[r, jj], math.sqrt(peak[r, jj]))
+    return traces
+
+
+def _numpy_rows(data, capacity, schedules, gated, track, rngs):
+    """Step the rows of a batch in numpy; the engine for what the compiled loop does not take.
+
+    ``data`` holds each instance's rewards (n, k) and usage vectors (n, k,
+    m), longest first, ``capacity`` their capacities (instances, m), and
+    ``schedules`` each row's schedule; rows ``gated`` realize their accepts
+    only while they fit, rows ``track`` track the remaining budget, and
+    ``rngs[r][j]`` is row r's tie stream on instance j (``None`` for k = 1).
+    Returns every row's tentative decisions (rows, instances, n_max), the
+    gated rows' realized accepts (gated rows, instances, n_max), the final
+    prices (rows, instances, m) and the largest squared price norms (rows,
+    instances).  Step t steps only the instances with n > t.  Per-row dot
+    products are ``np.vecdot`` of that row alone, and every other operation
+    is elementwise.  The gate is not stepped: after each chunk of steps,
+    each gated row's realized decisions are replayed exactly from its
+    tentative ones (see :func:`_replay_gate`).
+    """
+    _, k, m = data[0][1].shape
+    lengths = [len(r) for r, _ in data]
+    n_inst, rows, n_gated = len(data), len(schedules), gated.stop - gated.start
+    n_track = track.stop - track.start
     ns = np.array(lengths, dtype=float)
 
     shape = (rows, n_inst, m)
@@ -218,8 +264,6 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
     chosen = np.zeros((lengths[0],) + shape[:2], dtype=bool if k == 1 else np.int32)
     realized = np.zeros((lengths[0], n_gated, n_inst), dtype=bool)
     vecdot = np.vecdot
-    rngs = [[np.random.default_rng(rng_seeds[key][j]) for j in by_n] for key in keys] \
-        if k > 1 else None
     t0 = 0
     while t0 < lengths[0]:
         # One chunk: the running instances [0, a) stay the same throughout,
@@ -299,21 +343,7 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
             ).reshape(span, n_gated, a)
             used[:, :, :a] = state.reshape(m, n_gated, a)
         t0 = t1
-
-    prices.flags.writeable = False  # the traces' final prices are views of it
-    traces: List[List[RunTrace]] = [[None] * n_inst for _ in configs]
-    for jj, j in enumerate(by_n):
-        n, rewards = lengths[jj], data[jj][0]
-        for i, key in enumerate(trajectory):
-            r = row[key]
-            decisions = chosen[:n, r, jj]
-            if gates[i]:
-                decisions = decisions * realized[:n, r - gated.start, jj]
-            decisions = decisions.astype(np.int8 if k == 1 else np.int32)
-            picked = decisions.nonzero()[0]
-            traces[i][j] = _trace(decisions, rewards[picked, decisions[picked] - 1],
-                                  prices[r, jj], math.sqrt(peak[r, jj]))
-    return traces
+    return chosen.transpose(1, 2, 0), realized.transpose(1, 2, 0), prices, peak
 
 
 def _replay_gate(tentative, usage, used, capacity):

@@ -25,14 +25,17 @@ __all__ = [
 
 
 def _settle(inst, arrays: dict, **sizes: int) -> None:
-    """Check ``arrays`` (field -> data) finite and b / n positive; store them read-only, with sizes."""
+    """Check ``arrays`` (field -> data) finite and b / n positive; store them read-only, with sizes.
+
+    Each array must be the instance's own copy: it is frozen in place, and
+    the compiled one-pass loop reads it by address.
+    """
     if not all(np.isfinite(a).all() for a in arrays.values()):
         raise ValueError("instance data must be finite")
     d = arrays["capacity"] / sizes["n"]
     if not (d > 0.0).all():
         raise ValueError("per-column budget b/n must be positive in every coordinate")
     for name, value in dict(arrays, per_column_budget=d).items():
-        value = np.ascontiguousarray(value, dtype=np.float64)
         value.flags.writeable = False
         object.__setattr__(inst, name, value)
     for name, size in sizes.items():
@@ -58,14 +61,15 @@ class Instance:
     per_column_budget: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        A = np.ascontiguousarray(np.asarray(self.columns, dtype=np.float64))
+        # np.array copies: the caller keeps its arrays, writeable and its own
+        A = np.array(self.columns, dtype=np.float64, order="C")
         if A.ndim != 2:
             raise ValueError("columns must be a 2-D matrix with one column per item")
         m, n = A.shape
         if n < 1 or m < 1:
             raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-        r = np.asarray(self.rewards, dtype=np.float64).reshape(-1)
-        b = np.asarray(self.capacity, dtype=np.float64).reshape(-1)
+        r = np.array(self.rewards, dtype=np.float64).reshape(-1)
+        b = np.array(self.capacity, dtype=np.float64).reshape(-1)
         if r.shape != (n,):
             raise ValueError(f"rewards has length {r.shape[0]}, expected {n}")
         if b.shape != (m,):
@@ -91,9 +95,9 @@ class MultiInstance:
     per_column_budget: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        R = np.ascontiguousarray(np.asarray(self.reward_blocks, dtype=np.float64))
-        C = np.ascontiguousarray(np.asarray(self.column_blocks, dtype=np.float64))
-        b = np.asarray(self.capacity, dtype=np.float64).reshape(-1)
+        R = np.array(self.reward_blocks, dtype=np.float64, order="C")
+        C = np.array(self.column_blocks, dtype=np.float64, order="C")
+        b = np.array(self.capacity, dtype=np.float64).reshape(-1)
         if R.ndim != 2 or C.ndim != 3:
             raise ValueError("reward_blocks must be (n, k) and column_blocks (n, m, k)")
         n, k = R.shape

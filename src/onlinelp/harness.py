@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, get_type_hints
 
-from . import __version__
+from . import __version__, native
 from .algorithms import (
     PREFIX_LP_KINDS,
     AlgorithmConfig,
@@ -256,7 +256,8 @@ class CellOutcome:
     It holds the cell's rows and the ``||b||_2`` of its instance if the cell
     ran through, else its error; the (label, wall seconds) timings of every
     measured call that finished for it, failed or not (a call that raises
-    stays untimed); and the certificate of its offline LP once solved.
+    stays untimed); the certificate of its offline LP once solved; and the
+    engine that stepped its one-pass rows (see :func:`~onlinelp.native.engine`).
     """
 
     n: int
@@ -265,6 +266,7 @@ class CellOutcome:
     capacity_norm: Optional[float] = None
     timings: List[Tuple[str, float]] = dataclasses.field(default_factory=list)
     certificate: Optional[Certificate] = None
+    engine: Optional[str] = None
     error: Optional[str] = None
 
     def fail(self, exc: Exception) -> None:
@@ -327,9 +329,13 @@ def _block_task(args) -> List[CellOutcome]:
             running = []
             continue
         share = (time.perf_counter() - t0) / sum(inst.n for inst in instances)
+        # the harness's instances are plain: k = 1
+        engine = native.engine(1, instances[0].m) if run is run_one_pass else None
         for i, (out, inst, _, _, traces) in enumerate(running):
             traces.update((c.label, row[i]) for c, row in zip(configs, batch))
             out.timings.append((name, share * inst.n))
+            if engine:
+                out.engine = engine
     lps = {}  # id(LP source) -> (optimum, solve seconds, certificate), or what the solve raised
     scored = Counter(id(source) for _, _, _, source, _ in running)
     for out, inst, seed, source, traces in running:
@@ -482,7 +488,10 @@ def run_experiment(cfg: ExperimentConfig, *, workers: Optional[int] = None) -> E
     Results do not depend on the parallelism degree or the block size; rows
     are sorted by (n, trial, algorithm) before any reduction.  ``meta.lp_certificate``
     holds the worst of each :class:`~onlinelp.simplex.Certificate` field over
-    the offline LPs solved, or ``None`` when none was.  A negative
+    the offline LPs solved, or ``None`` when none was; ``meta.onepass_engine``
+    names the engine that stepped the one-pass rows, ``"compiled"`` or
+    ``"numpy: <reason>"`` (each distinct one, joined by ``"; "``), or is
+    ``None`` when no one-pass row ran.  A negative
     ``workers`` raises ``ValueError``; ``None`` and 0 defer to the config.
     """
     if cfg.generator_params is not None:
@@ -517,6 +526,7 @@ def run_experiment(cfg: ExperimentConfig, *, workers: Optional[int] = None) -> E
     errors = [{"n": int(out.n), "trial": int(out.trial), "error": out.error}
               for out in outcomes if out.error is not None]
     certificates = [out.certificate for out in outcomes if out.certificate is not None]
+    engines = sorted({out.engine for out in outcomes if out.engine is not None})
 
     # (algorithm, n) -> (row, capacity norm of its cell) pairs
     groups: Dict[Tuple[str, int], List[Tuple[TrialResult, float]]] = {}
@@ -555,6 +565,7 @@ def run_experiment(cfg: ExperimentConfig, *, workers: Optional[int] = None) -> E
         "lp_certificate": {field: max(getattr(c, field) for c in certificates)
                            for field in Certificate._fields} if certificates else None,
         "generator_notes": generator_notes,
+        "onepass_engine": "; ".join(engines) or None,
         "seed_scheme": "sha256(root|n|trial|tag)[:8]",
     }
     return ExperimentReport(config=cfg.echo(), rows=rows, timings=timings, aggregates=aggregates,

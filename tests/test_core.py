@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from onlinelp.core import (
     Instance,
+    MultiInstance,
     StepSchedule,
     dual_saa_objective,
     violation_norm,
@@ -48,6 +49,26 @@ class TestInstance:
         inst = small_instance()
         with pytest.raises(ValueError):
             inst.rewards[0] = 5.0
+
+    def test_keeps_its_own_copies_of_the_callers_arrays(self):
+        A = np.ones((2, 4))
+        r = np.ones(4)
+        b = np.full(2, 2.0)
+        inst = Instance(r, A, b)
+        r[0] = 5.0
+        b[0] = -1.0
+        A[0, 0] = 7.0  # the caller's arrays stay writeable
+        assert inst.rewards[0] == 1.0 and inst.capacity[0] == 2.0 and inst.columns[0, 0] == 1.0
+        assert inst.per_column_budget[0] == 0.5
+        # and so do a multi-choice instance's
+        blocks, capacity = np.ones((4, 2, 1)), np.full(2, 2.0)
+        minst = MultiInstance(reward_blocks=r[:, None], column_blocks=blocks, capacity=capacity)
+        r[1], blocks[1, 0, 0], capacity[1] = 9.0, 9.0, -1.0
+        assert minst.reward_blocks[1, 0] == 1.0 and minst.column_blocks[1, 0, 0] == 1.0
+        assert minst.capacity[1] == 2.0
+        for array in (inst.rewards, inst.columns, inst.capacity, minst.reward_blocks,
+                      minst.column_blocks, minst.capacity):
+            assert not array.flags.writeable and array.flags.c_contiguous
 
 
 class TestComputeStats:

@@ -15,7 +15,7 @@ import struct
 import numpy as np
 import pytest
 
-from onlinelp import algorithms, core, simplex
+from onlinelp import algorithms, core, native, simplex
 from onlinelp.core import Instance, violation_norm
 from onlinelp.generators import GeneratorFamily, GeneratorSpec, generate
 from onlinelp.simplex import SimplexError, solve_box_lp, solve_prefix_lps
@@ -123,8 +123,9 @@ class TestTraceObjective:
 # The functions that run per pivot, per step or per run.
 HOT = {
     simplex: ("_long_step", "_pivot", "_solve", "_prefix_steps"),
-    algorithms: ("run_one_pass", "_replay_gate", "_first", "_trace", "run_prefix_lp",
-                 "repair_feasibility"),
+    algorithms: ("run_one_pass", "_numpy_rows", "_replay_gate", "_first", "_trace",
+                 "run_prefix_lp", "repair_feasibility"),
+    native: ("engine", "step_rows"),
     core: ("violation_norm",),
 }
 # numpy wrapper -> the C entry point it ends in
