@@ -319,6 +319,10 @@ def _block_task(args) -> List[CellOutcome]:
         if not (configs and running):
             continue
         instances = [inst for _, inst, _, _, _ in running]
+        # asked before the clock starts, so that the library's build and
+        # probe are not timed as the kernel's
+        engine = (native.engine(getattr(instances[0], "k", 1), instances[0].m)
+                  if run is run_one_pass else None)
         t0 = time.perf_counter()
         try:
             batch = run(instances, configs,
@@ -329,8 +333,6 @@ def _block_task(args) -> List[CellOutcome]:
             running = []
             continue
         share = (time.perf_counter() - t0) / sum(inst.n for inst in instances)
-        # the harness's instances are plain: k = 1
-        engine = native.engine(1, instances[0].m) if run is run_one_pass else None
         for i, (out, inst, _, _, traces) in enumerate(running):
             traces.update((c.label, row[i]) for c, row in zip(configs, batch))
             out.timings.append((name, share * inst.n))

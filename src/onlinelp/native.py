@@ -10,7 +10,11 @@ concurrent builds are safe.  It is loaded with ``ctypes``, which numpy has
 already imported.  :func:`engine` selects it for a batch of k = 1 instances
 of m constraints only if it loaded and its in-order ``fma`` sums reproduce
 ``np.vecdot``'s bits on a fixed probe at that m, checked once per process and
-m; otherwise the numpy kernel runs, with the same answers.
+m; otherwise the numpy kernel runs, with the same answers.  The cache
+directory is made private to the user (mode 0700), and a library is loaded
+only where the directory and the file belong to the user and no one else can
+write them, so that a cache in a shared place cannot hand the process another
+user's code.
 """
 from __future__ import annotations
 
@@ -19,11 +23,11 @@ import ctypes
 import hashlib
 import os
 from pathlib import Path
-from typing import Dict, Tuple, Union
+from typing import Dict, Union
 
 import numpy as np
 
-__all__ = ["SOURCE", "COMPILER", "FLAGS", "cache_directory", "load", "engine", "step_rows"]
+__all__ = ["cache_directory", "engine", "step_rows"]
 
 SOURCE = Path(__file__).with_name("_onepass.c")
 COMPILER = "cc"
@@ -59,8 +63,8 @@ class _Library:
         return self.same_dots[m]
 
 
-# (compiler, cache directory) -> the loaded library, or why none loaded
-_loaded: Dict[Tuple[str, Path], Union[_Library, str]] = {}
+# cache directory -> the loaded library, or why none loaded
+_loaded: Dict[Path, Union[_Library, str]] = {}
 
 
 def cache_directory() -> Path:
@@ -78,46 +82,62 @@ def _host() -> bytes:
     return repr(tuple(os.uname())).encode() + flags
 
 
-def load(compiler: str = COMPILER, directory=None) -> Union[_Library, str]:
-    """Build the source into ``directory`` (default :func:`cache_directory`) unless built; load it.
+def _private(path: Path) -> bool:
+    """Whether ``path`` is ours and nobody else can write it, so that what it holds is ours."""
+    info = path.stat()
+    return info.st_uid == os.getuid() and not info.st_mode & 0o022
+
+
+def load() -> Union[_Library, str]:
+    """Build the source into :func:`cache_directory` with ``COMPILER`` unless built; load it.
 
     Returns the library, or why there is none: ``"no source"``, ``"no
-    compiler"``, ``"cache not writable"`` or ``"build failed"``.
+    compiler"``, ``"cache not writable"``, ``"build failed"`` or ``"cache
+    not private"``: a library is loaded only from a directory and a file
+    that belong to this user and that no one else can write.
     """
-    directory = cache_directory() if directory is None else Path(directory)
+    directory = cache_directory()
     try:
         source = SOURCE.read_bytes()
     except OSError:
         return "no source"
-    key = hashlib.sha256(b"\0".join((source, compiler.encode(), " ".join(FLAGS).encode(),
+    key = hashlib.sha256(b"\0".join((source, COMPILER.encode(), " ".join(FLAGS).encode(),
                                      _host()))).hexdigest()
     path = directory / f"onepass-{key[:20]}.so"
+    try:
+        directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+        if not _private(directory):
+            return "cache not private"
+    except OSError:
+        return "cache not writable"
     if not path.is_file():
-        reason = _build(compiler, path)
+        reason = _build(path)
         if reason:
             return reason
     try:
+        if not _private(path):
+            return "cache not private"
         return _Library(path)
     except (OSError, AttributeError):
         return "build failed"
 
 
-def _build(compiler: str, path: Path) -> str:
+def _build(path: Path) -> str:
     """Compile the source to ``path`` through a temporary file; returns why it failed, or ``""``."""
     import subprocess
     import tempfile
 
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
         os.close(fd)
     except OSError:
         return "cache not writable"
     try:
-        done = subprocess.run([compiler, *FLAGS, "-o", tmp, str(SOURCE), "-lm"],
+        done = subprocess.run([COMPILER, *FLAGS, "-o", tmp, str(SOURCE), "-lm"],
                               capture_output=True, timeout=300)
         if done.returncode != 0:
             return "build failed"
+        os.chmod(tmp, 0o700)  # whatever mode the linker gave it
         os.replace(tmp, path)
         return ""
     except FileNotFoundError:
@@ -130,10 +150,10 @@ def _build(compiler: str, path: Path) -> str:
 
 
 def _library() -> Union[_Library, str]:
-    key = (COMPILER, cache_directory())
-    if key not in _loaded:
-        _loaded[key] = load(*key)
-    return _loaded[key]
+    directory = cache_directory()
+    if directory not in _loaded:
+        _loaded[directory] = load()
+    return _loaded[directory]
 
 
 def engine(k: int, m: int) -> str:

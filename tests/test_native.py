@@ -1,7 +1,8 @@
 """The compiled one-pass loop: where it is built, when it runs, and that it answers as numpy does.
 
 Each path is forced by monkeypatching the selector, ``native.engine``, or
-the compiler and cache directory it builds with.
+the compiler and cache directory it builds with.  ``conftest.py`` points
+every test's cache at a temporary directory.
 """
 import math
 import threading
@@ -100,6 +101,9 @@ class TestSource:
 @pytest.mark.parametrize("seed", range(24))
 def test_random_batches_answer_alike_on_both_paths(seed, monkeypatch):
     batches = [random_batch(3 * seed + i) for i in range(3)]
+    for m in {batch[0][0].m for batch in batches}:
+        if native.engine(1, m) != "compiled":
+            pytest.skip(f"the compiled loop does not run at m = {m}: {native.engine(1, m)}")
     compiled = [run_one_pass(*batch) for batch in batches]
     numpy_engine(monkeypatch)
     for batch, traces in zip(batches, compiled):
@@ -132,7 +136,8 @@ class TestSelection:
 
     def test_without_the_source_nothing_is_built(self, monkeypatch, tmp_path):
         monkeypatch.setattr(native, "SOURCE", tmp_path / "missing.c")
-        assert native.load(directory=tmp_path / "cache") == "no source"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        assert native.load() == "no source"
         assert not (tmp_path / "cache").exists()
 
     def test_with_an_unwritable_cache_the_numpy_path_answers_alike(self, monkeypatch, tmp_path):
@@ -160,12 +165,13 @@ class TestSelection:
         assert native.engine(1, 4) == "numpy: dot order differs at m = 4"  # checked once per m
         assert native.engine(1, 5) == "compiled"
 
-    def test_two_builds_into_one_empty_cache_both_load(self, tmp_path):
-        cache = tmp_path / "cache"
+    def test_two_builds_into_one_empty_cache_both_load(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        cache = tmp_path / "onlinelp"
         loaded = [None, None]
 
         def build(i):
-            loaded[i] = native.load(directory=cache)
+            loaded[i] = native.load()
 
         threads = [threading.Thread(target=build, args=(i,)) for i in range(2)]
         for thread in threads:
@@ -178,7 +184,28 @@ class TestSelection:
         assert all(not isinstance(lib, str) for lib in loaded), loaded
         assert [p.suffix for p in cache.iterdir()] == [".so"]  # no temporary file left
         # a third load reads the build in place
-        assert not isinstance(native.load(directory=cache), str)
+        assert not isinstance(native.load(), str)
+        assert cache.stat().st_mode & 0o777 == 0o700
+
+    def test_a_cache_others_can_write_is_not_loaded(self, monkeypatch, tmp_path):
+        instances, configs, seeds = random_batch(102)
+        before = run_one_pass(instances, configs, seeds)
+        monkeypatch.setattr(native, "_loaded", {})
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        cache = tmp_path / "onlinelp"
+        cache.mkdir(mode=0o777)
+        cache.chmod(0o777)  # as a shared directory would be, whatever the umask
+        assert native.engine(1, instances[0].m) == "numpy: cache not private"
+        assert_same_traces(run_one_pass(instances, configs, seeds), before)
+        assert not list(cache.iterdir())  # nothing built there either
+
+    def test_a_library_others_can_write_is_not_loaded(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        if isinstance(native.load(), str):
+            pytest.skip("no compiled library on this machine")
+        (built,) = (tmp_path / "onlinelp").iterdir()
+        built.chmod(0o666)
+        assert native.load() == "cache not private"
 
 
 class TestReport:
