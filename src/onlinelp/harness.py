@@ -256,8 +256,10 @@ class CellOutcome:
     It holds the cell's rows and the ``||b||_2`` of its instance if the cell
     ran through, else its error; the (label, wall seconds) timings of every
     measured call that finished for it, failed or not (a call that raises
-    stays untimed); the certificate of its offline LP once solved; and the
-    engine that stepped its one-pass rows (see :func:`~onlinelp.native.engine`).
+    stays untimed); the certificate of its offline LP once solved; the
+    engine that stepped its one-pass rows (see :func:`~onlinelp.native.engine`);
+    and the engine that pivoted its offline LP (see
+    :func:`~onlinelp.native.lp_engine`).
     """
 
     n: int
@@ -266,7 +268,8 @@ class CellOutcome:
     capacity_norm: Optional[float] = None
     timings: List[Tuple[str, float]] = dataclasses.field(default_factory=list)
     certificate: Optional[Certificate] = None
-    engine: Optional[str] = None
+    onepass_engine: Optional[str] = None
+    lp_engine: Optional[str] = None
     error: Optional[str] = None
 
     def fail(self, exc: Exception) -> None:
@@ -337,10 +340,14 @@ def _block_task(args) -> List[CellOutcome]:
             traces.update((c.label, row[i]) for c, row in zip(configs, batch))
             out.timings.append((name, share * inst.n))
             if engine:
-                out.engine = engine
+                out.onepass_engine = engine
     lps = {}  # id(LP source) -> (optimum, solve seconds, certificate), or what the solve raised
     scored = Counter(id(source) for _, _, _, source, _ in running)
+    # asked before the first timer, so that the library's build or load is
+    # not timed as the LP's
+    lp_engine = native.lp_engine() if running else None
     for out, inst, seed, source, traces in running:
+        out.lp_engine = lp_engine
         try:
             if id(source) not in lps:
                 t0 = time.perf_counter()
@@ -493,7 +500,9 @@ def run_experiment(cfg: ExperimentConfig, *, workers: Optional[int] = None) -> E
     the offline LPs solved, or ``None`` when none was; ``meta.onepass_engine``
     names the engine that stepped the one-pass rows, ``"compiled"`` or
     ``"numpy: <reason>"`` (each distinct one, joined by ``"; "``), or is
-    ``None`` when no one-pass row ran.  A negative
+    ``None`` when no one-pass row ran; ``meta.offline_lp_engine`` names the
+    engine that pivoted the offline LPs likewise, or is ``None`` when no LP
+    ran.  A negative
     ``workers`` raises ``ValueError``; ``None`` and 0 defer to the config.
     """
     if cfg.generator_params is not None:
@@ -528,7 +537,8 @@ def run_experiment(cfg: ExperimentConfig, *, workers: Optional[int] = None) -> E
     errors = [{"n": int(out.n), "trial": int(out.trial), "error": out.error}
               for out in outcomes if out.error is not None]
     certificates = [out.certificate for out in outcomes if out.certificate is not None]
-    engines = sorted({out.engine for out in outcomes if out.engine is not None})
+    engines = {name: "; ".join(sorted({getattr(out, name) for out in outcomes} - {None})) or None
+               for name in ("onepass_engine", "lp_engine")}
 
     # (algorithm, n) -> (row, capacity norm of its cell) pairs
     groups: Dict[Tuple[str, int], List[Tuple[TrialResult, float]]] = {}
@@ -567,7 +577,8 @@ def run_experiment(cfg: ExperimentConfig, *, workers: Optional[int] = None) -> E
         "lp_certificate": {field: max(getattr(c, field) for c in certificates)
                            for field in Certificate._fields} if certificates else None,
         "generator_notes": generator_notes,
-        "onepass_engine": "; ".join(engines) or None,
+        "onepass_engine": engines["onepass_engine"],
+        "offline_lp_engine": engines["lp_engine"],
         "seed_scheme": "sha256(root|n|trial|tag)[:8]",
     }
     return ExperimentReport(config=cfg.echo(), rows=rows, timings=timings, aggregates=aggregates,

@@ -1,20 +1,24 @@
-"""The compiled one-pass loop: build ``_onepass.c`` once per machine, load it, and say when it runs.
+"""The compiled loops: build ``_onepass.c`` and ``_simplex.c`` once per machine, and select them.
 
-The library is built lazily, the first time a k = 1 one-pass batch runs, with
-``cc -O2 -march=native -ffp-contract=off`` into ``$XDG_CACHE_HOME/onlinelp/``
-(``~/.cache/onlinelp/`` when the variable is unset).  Its file name is a hash
-of the source, the compiler, the flags and the host, so a home directory
-shared between machines never loads a library built for another CPU, and each
-build writes a temporary file that ``os.replace`` moves into place, so that
-concurrent builds are safe.  It is loaded with ``ctypes``, which numpy has
-already imported.  :func:`engine` selects it for a batch of k = 1 instances
-of m constraints only if it loaded and its in-order ``fma`` sums reproduce
-``np.vecdot``'s bits on a fixed probe at that m, checked once per process and
-m; otherwise the numpy kernel runs, with the same answers.  The cache
-directory is made private to the user (mode 0700), and a library is loaded
-only where the directory and the file belong to the user and no one else can
-write them, so that a cache in a shared place cannot hand the process another
-user's code.
+One library holds both loops: the one-pass kernel's k = 1 rows and the offline
+LP's pivots.  It is built lazily, the first time either runs, with ``cc -O3
+-march=native -ffp-contract=off`` into ``$XDG_CACHE_HOME/onlinelp/``
+(``~/.cache/onlinelp/`` when the variable is unset).  Its file name is a short
+digest of the host followed by a hash of the sources, the compiler, the flags
+and the host, so a home directory shared between machines never loads a
+library built for another CPU; each build writes a temporary file that
+``os.replace`` moves into place, so that concurrent builds are safe, and a
+fresh build removes the user's older builds for the same host.  It is loaded
+with ``ctypes``, which numpy has already imported.  :func:`engine` selects it
+for a one-pass batch of k = 1 instances of m constraints only if it loaded and
+its in-order ``fma`` sums reproduce ``np.vecdot``'s bits on a fixed probe at
+that m, checked once per process and m; otherwise the numpy kernel runs, with
+the same answers.  :func:`lp_engine` selects it for every LP pivot loop where
+it loaded: the LP's answer is solved from its final basis in numpy, so it
+needs no probe.  The cache directory is made private to the user (mode 0700),
+and a library is loaded only where the directory and the file belong to the
+user and no one else can write them, so that a cache in a shared place cannot
+hand the process another user's code.
 """
 from __future__ import annotations
 
@@ -22,23 +26,25 @@ import contextlib
 import ctypes
 import hashlib
 import os
+import stat
+import threading
 from pathlib import Path
-from typing import Dict, Union
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
-__all__ = ["cache_directory", "engine", "step_rows"]
+__all__ = ["cache_directory", "engine", "lp_engine", "pivot_lp", "step_rows"]
 
-SOURCE = Path(__file__).with_name("_onepass.c")
+SOURCES = (Path(__file__).with_name("_onepass.c"), Path(__file__).with_name("_simplex.c"))
 COMPILER = "cc"
-FLAGS = ("-O2", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
 # vectors of the dot-order probe; their entries span 16 decades, so that a
 # different summation order shows in the last bits
 _PROBE_VECTORS = 256
 
 
 class _Library:
-    """A loaded build of the source, and which m its dot order was checked at."""
+    """A loaded build of the sources, and which m its one-pass dot order was checked at."""
 
     def __init__(self, path: Path):
         lib = ctypes.CDLL(str(path))
@@ -46,6 +52,10 @@ class _Library:
         self.rows.restype = self.dots.restype = None
         self.rows.argtypes = [ctypes.c_int64] * 6 + [ctypes.c_void_p] * 12
         self.dots.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 3
+        self.pivots = lib.simplex_pivots
+        self.pivots.restype = ctypes.c_int64
+        self.pivots.argtypes = ([ctypes.c_int64] * 2 + [ctypes.c_void_p] * 7 + [ctypes.c_int64]
+                                + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 3)
         self.same_dots: Dict[int, bool] = {}
 
     def dots_match(self, m: int) -> bool:
@@ -63,14 +73,18 @@ class _Library:
         return self.same_dots[m]
 
 
-# cache directory -> the loaded library, or why none loaded
-_loaded: Dict[Path, Union[_Library, str]] = {}
+# cache base directory -> the library loaded from its builds, or why none loaded
+_loaded: Dict[str, Union[_Library, str]] = {}
+
+
+def _cache_base() -> str:
+    home = os.environ.get("HOME") or os.path.expanduser("~")  # expanduser's answer, sooner
+    return os.environ.get("XDG_CACHE_HOME") or os.path.join(home, ".cache")
 
 
 def cache_directory() -> Path:
     """Where the builds live: ``$XDG_CACHE_HOME/onlinelp``, by default ``~/.cache/onlinelp``."""
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    return Path(base) / "onlinelp"
+    return Path(_cache_base()) / "onlinelp"
 
 
 def _host() -> bytes:
@@ -89,7 +103,7 @@ def _private(path: Path) -> bool:
 
 
 def load() -> Union[_Library, str]:
-    """Build the source into :func:`cache_directory` with ``COMPILER`` unless built; load it.
+    """Build the sources into :func:`cache_directory` with ``COMPILER`` unless built; load them.
 
     Returns the library, or why there is none: ``"no source"``, ``"no
     compiler"``, ``"cache not writable"``, ``"build failed"`` or ``"cache
@@ -98,12 +112,13 @@ def load() -> Union[_Library, str]:
     """
     directory = cache_directory()
     try:
-        source = SOURCE.read_bytes()
+        sources = [source.read_bytes() for source in SOURCES]
     except OSError:
         return "no source"
-    key = hashlib.sha256(b"\0".join((source, COMPILER.encode(), " ".join(FLAGS).encode(),
-                                     _host()))).hexdigest()
-    path = directory / f"onepass-{key[:20]}.so"
+    host = _host()
+    key = hashlib.sha256(b"\0".join((*sources, COMPILER.encode(), " ".join(FLAGS).encode(),
+                                     host))).hexdigest()
+    path = directory / f"native-{hashlib.sha256(host).hexdigest()[:8]}-{key[:20]}.so"
     try:
         directory.mkdir(mode=0o700, parents=True, exist_ok=True)
         if not _private(directory):
@@ -114,6 +129,7 @@ def load() -> Union[_Library, str]:
         reason = _build(path)
         if reason:
             return reason
+        _prune(path)
     try:
         if not _private(path):
             return "cache not private"
@@ -123,7 +139,7 @@ def load() -> Union[_Library, str]:
 
 
 def _build(path: Path) -> str:
-    """Compile the source to ``path`` through a temporary file; returns why it failed, or ``""``."""
+    """Compile the sources to ``path`` through a temporary file; returns why it failed, or ``""``."""
     import subprocess
     import tempfile
 
@@ -133,7 +149,7 @@ def _build(path: Path) -> str:
     except OSError:
         return "cache not writable"
     try:
-        done = subprocess.run([COMPILER, *FLAGS, "-o", tmp, str(SOURCE), "-lm"],
+        done = subprocess.run([COMPILER, *FLAGS, "-o", tmp, *map(str, SOURCES), "-lm"],
                               capture_output=True, timeout=300)
         if done.returncode != 0:
             return "build failed"
@@ -149,11 +165,29 @@ def _build(path: Path) -> str:
             os.unlink(tmp)
 
 
+def _prune(path: Path) -> None:
+    """Remove the user's other builds for this host from ``path``'s directory.
+
+    A build is a regular file named ``native-<host digest>-<key>.so``; a
+    symlink, another user's file, another host's build and a build still
+    being written (a ``.tmp`` file) stay.
+    """
+    prefix = path.name[:path.name.rindex("-") + 1]
+    for other in path.parent.iterdir():
+        if other.name == path.name or not (other.name.startswith(prefix)
+                                           and other.name.endswith(".so")):
+            continue
+        with contextlib.suppress(OSError):
+            info = other.lstat()
+            if stat.S_ISREG(info.st_mode) and info.st_uid == os.getuid():
+                other.unlink()
+
+
 def _library() -> Union[_Library, str]:
-    directory = cache_directory()
-    if directory not in _loaded:
-        _loaded[directory] = load()
-    return _loaded[directory]
+    base = _cache_base()  # called per LP: a string, not a Path, is the cheap key
+    if base not in _loaded:
+        _loaded[base] = load()
+    return _loaded[base]
 
 
 def engine(k: int, m: int) -> str:
@@ -170,6 +204,69 @@ def engine(k: int, m: int) -> str:
     if isinstance(lib, str):
         return "numpy: " + lib
     return "compiled" if lib.dots_match(m) else f"numpy: dot order differs at m = {m}"
+
+
+def lp_engine() -> str:
+    """Which engine runs an LP's pivot loop: ``"compiled"``, or ``"numpy: <reason>"``.
+
+    The reason is the one :func:`load` gave.  Builds and loads the library
+    on the first call of the process.
+    """
+    lib = _library()
+    return "numpy: " + lib if isinstance(lib, str) else "compiled"
+
+
+# simplex_pivots' return codes (see _simplex.c)
+PIVOT_STATUS = ("optimal", "no entering column", "budget exceeded", "singular basis",
+                "basis out of range")
+
+
+def pivot_lp(A, Gt, r, b, basis, at_upper, nonbasic, budget: int,
+             pivot_tol: float, feas_tol: float) -> Tuple[str, int]:
+    """Run :func:`~onlinelp.simplex._solve`'s pivot loop in the compiled library, ``_simplex.c``.
+
+    ``A`` (m, n), ``Gt`` (n + m, m), ``r`` and ``b`` are C-contiguous float64
+    arrays; ``basis`` (int64), ``at_upper`` and ``nonbasic`` (bool) are the
+    start, updated in place.  Returns the loop's status, one of the first
+    four of ``PIVOT_STATUS``, and the pivots it began; raises
+    ``ValueError`` on arrays of another layout or a basis index outside
+    [0, n + m), which the loop checks before it reads any.  Call it only
+    where :func:`lp_engine` says ``"compiled"``.
+    """
+    lib = _library()
+    m, n = A.shape
+    N = n + m
+    arrays = (A, Gt, r, b, basis, at_upper, nonbasic)
+    if not (A.dtype == Gt.dtype == r.dtype == b.dtype == np.float64 and basis.dtype == np.int64
+            and at_upper.dtype == nonbasic.dtype == np.bool_
+            and all(a.flags.c_contiguous for a in arrays)):
+        raise ValueError("the compiled pivot loop reads contiguous float64 data, "
+                         "int64 basis indices and boolean flags")
+    if [a.shape for a in arrays[1:]] != [(N, m), (n,), (m,), (m,), (N,), (N,)]:
+        raise ValueError("inconsistent LP dimensions")
+    work, iwork = _workspace(2 * m * m + 2 * m + 6 * N, 5 * N)
+    iterations = ctypes.c_int64()
+    status = PIVOT_STATUS[lib.pivots(n, m, *(a.ctypes.data for a in arrays), budget, pivot_tol,
+                                     feas_tol, work.ctypes.data, iwork.ctypes.data,
+                                     ctypes.byref(iterations))]
+    if status == "basis out of range":
+        raise ValueError("basis indices must lie in [0, n + m)")
+    return status, iterations.value
+
+
+# per thread: the compiled pivot loop's scratch arrays, kept between calls, so
+# that a large LP does not fault in fresh pages at every solve
+_scratch = threading.local()
+
+
+def _workspace(doubles: int, ints: int):
+    """This thread's scratch arrays, of at least ``doubles`` float64s and ``ints`` int64s."""
+    work, iwork = getattr(_scratch, "arrays", (None, None))
+    if work is None or work.size < doubles or iwork.size < ints:
+        if work is not None:
+            doubles, ints = max(doubles, work.size), max(ints, iwork.size)
+        work, iwork = _scratch.arrays = np.empty(doubles), np.empty(ints, dtype=np.int64)
+    return work, iwork
 
 
 def _addresses(arrays):

@@ -29,7 +29,13 @@ raises :class:`SimplexError`.
 
 Each pass inverts the basis matrix once and reads from that inverse the
 basic values, the prices and the leaving row; the exchange itself only
-updates the basis indices and the bound flags.
+updates the basis indices and the bound flags.  :func:`solve_box_lp` runs
+this pivot loop in the compiled library of :mod:`onlinelp.native` where it
+loads (``_simplex.c``, the same decisions on its own sums) and in numpy
+otherwise; the final solves and the dual-feasibility check are numpy's on
+either engine, so an engine that ends at the same basis returns the same
+bits.  On continuous data the two take the same pivots; where ratios tie
+exactly, each breaks the tie by the last bits of its own sums.
 
 :func:`solve_prefix_lps` solves the prefix LPs of a batch of instances in
 lockstep, each warm from the last and the first from the empty prefix's
@@ -38,7 +44,8 @@ live in stacked arrays, a step writes one new column and moves each basis to
 the new prefix in O(m), and the basic values, the inversions, the final
 solves and the dual-feasibility check run as stacked numpy calls over the
 cells.  Only the ratio test and the exchange run per cell, and only for the
-cells that pivot; they are the code :func:`solve_box_lp` runs.  A cell
+cells that pivot; they are the code :func:`solve_box_lp`'s numpy engine
+runs.  A cell
 without pivots inverts nothing and keeps its prices.
 """
 from __future__ import annotations
@@ -49,6 +56,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import native
 from .core import Instance
 
 __all__ = [
@@ -129,10 +137,12 @@ def solve_box_lp(rewards, columns, capacity, start=None) -> LpSolution:
     feasible.  The default is the all-slack basis with each structural at
     the bound its reward favours (``x_j = 1`` iff ``r_j > 0``), dual feasible
     at price 0.  Each pass inverts the basis matrix once and reads the basic
-    values, the prices and the leaving row from that inverse.  Raises
-    ``ValueError`` unless every capacity is non-negative (NaN included), and
-    :class:`SimplexError` if a nonbasic column of the final basis prices in
-    by more than ``_PIVOT_TOL``.
+    values, the prices and the leaving row from that inverse, on the engine
+    :func:`~onlinelp.native.lp_engine` names.  Raises ``ValueError`` unless
+    every capacity is non-negative (NaN included), ``np.linalg.LinAlgError``
+    on a singular basis matrix, and :class:`SimplexError` if the ratio test
+    finds no entering column, the pivot budget runs out, or a nonbasic
+    column of the final basis prices in by more than ``_PIVOT_TOL``.
     """
     r = np.ascontiguousarray(np.asarray(rewards, dtype=np.float64).reshape(-1))
     A = np.ascontiguousarray(np.asarray(columns, dtype=np.float64))
@@ -161,7 +171,7 @@ def solve_box_lp(rewards, columns, capacity, start=None) -> LpSolution:
                          "for the nonbasic structurals")
     nonbasic = np.ones(N, dtype=bool)
     nonbasic[basis] = False
-    return _solve(r, Gt, c, upper, b, basis, at_upper, nonbasic)
+    return _solve(r, A, Gt, c, upper, b, basis, at_upper, nonbasic)
 
 
 def _pivot(Gt, c, basis, at_upper, nonbasic, Binv, i: int, excess: float, to_upper: bool) -> None:
@@ -186,7 +196,7 @@ def _pivot(Gt, c, basis, at_upper, nonbasic, Binv, i: int, excess: float, to_upp
     eligible = (nonbasic & (toward > _PIVOT_TOL)).nonzero()[0]
     if not eligible.size:
         # x = 0 is feasible, so only roundoff gets here.
-        raise SimplexError(f"dual ratio test found no entering column (n={n}, m={m})")
+        raise _no_entering_column(n, m)
     ranges = toward[eligible]
     ratios = np.abs(cbar[eligible]) / ranges
     first = ratios.argmin()
@@ -211,20 +221,22 @@ def _max_iterations(N: int) -> int:
     return 2000 + 60 * N
 
 
-def _solve(r, Gt, c, upper, b, basis, at_upper, nonbasic) -> LpSolution:
-    """Pivot a valid start to the optimum.
+def _no_entering_column(n: int, m: int) -> SimplexError:
+    return SimplexError(f"dual ratio test found no entering column (n={n}, m={m})")
 
-    ``Gt`` is ``[A | I]`` by rows, C-contiguous.  The start is ``basis``,
-    ``at_upper`` and ``nonbasic`` (the complement of ``basis``), which the
-    pivots update in place; the solution holds copies.
+
+def _budget_exceeded(iterations: int, n: int, m: int) -> SimplexError:
+    return SimplexError(f"pivot budget exceeded ({iterations} iterations, n={n}, m={m})")
+
+
+def _numpy_pivots(Gt, c, upper, b, basis, at_upper, nonbasic) -> int:
+    """Pivot a valid start to an optimal basis in numpy; returns the pivots taken.
+
+    The bounded dual simplex pivots until every basic value lies within its
+    bounds; the leaving row has the largest bound violation, its excess.
     """
     N, m = Gt.shape
-    n = N - m
-    if not np.logical_and.reduce(b >= 0.0):
-        raise ValueError("capacities must be non-negative")
     iterations = 0
-    # Bounded dual simplex: pivot until every basic value lies within its
-    # bounds.  The leaving row has the largest bound violation, its excess.
     while True:
         Binv = np.linalg.inv(Gt.take(basis, axis=0).T)
         # No basic variable is at its upper bound, so at_upper holds x with
@@ -234,11 +246,44 @@ def _solve(r, Gt, c, upper, b, basis, at_upper, nonbasic) -> LpSolution:
         excess = np.maximum(-xb, above)
         i = int(excess.argmax())
         if excess[i] <= _FEAS_TOL:
-            break
+            return iterations
         iterations += 1
         if iterations > _max_iterations(N):
-            raise SimplexError(f"pivot budget exceeded ({iterations} iterations, n={n}, m={m})")
+            raise _budget_exceeded(iterations, N - m, m)
         _pivot(Gt, c, basis, at_upper, nonbasic, Binv, i, excess[i], bool(above[i] > 0.0))
+
+
+def _compiled_pivots(r, A, Gt, b, basis, at_upper, nonbasic) -> int:
+    """:func:`_numpy_pivots` in the compiled library: the same pivots, and the same errors."""
+    N, m = Gt.shape
+    status, iterations = native.pivot_lp(A, Gt, r, b, basis, at_upper, nonbasic,
+                                         _max_iterations(N), _PIVOT_TOL, _FEAS_TOL)
+    if status == "no entering column":
+        raise _no_entering_column(N - m, m)
+    if status == "budget exceeded":
+        raise _budget_exceeded(iterations, N - m, m)
+    if status == "singular basis":
+        raise np.linalg.LinAlgError("Singular matrix")  # as np.linalg.inv says it
+    return iterations
+
+
+def _solve(r, A, Gt, c, upper, b, basis, at_upper, nonbasic) -> LpSolution:
+    """Pivot a valid start to the optimum, on the engine :func:`~onlinelp.native.lp_engine` names.
+
+    ``A`` is the (m, n) matrix and ``Gt`` ``[A | I]`` by rows, both
+    C-contiguous.  The start is ``basis``, ``at_upper`` and ``nonbasic``
+    (the complement of ``basis``), which the pivots update in place; the
+    solution holds copies.  Either engine takes the same pivots, and the
+    answer is solved here from the final basis and bounds alone.
+    """
+    N, m = Gt.shape
+    n = N - m
+    if not np.logical_and.reduce(b >= 0.0):
+        raise ValueError("capacities must be non-negative")
+    if native.lp_engine() == "compiled":
+        iterations = _compiled_pivots(r, A, Gt, b, basis, at_upper, nonbasic)
+    else:
+        iterations = _numpy_pivots(Gt, c, upper, b, basis, at_upper, nonbasic)
 
     # One exact solve per side against the basis in index order: the answer
     # does not depend on the order in which the pivots placed the columns.
@@ -366,9 +411,10 @@ def solve_prefix_lps(instances: Sequence[Instance]) -> Iterator[PrefixStep]:
     basic values from its inverse; the cells with one outside its bounds
     pivot through the ratio test and exchange of :func:`solve_box_lp`, and
     only they are inverted again for the next pass.  Each cell gets the
-    pivots and answers of its own warm ``solve_scaled`` chain, bit for bit,
-    whatever else is in the batch: the stacked products and solves make the
-    BLAS and LAPACK calls the one-cell ones make.
+    pivots and answers of its own warm ``solve_scaled`` chain on the numpy
+    LP engine, bit for bit, whatever else is in the batch: the stacked
+    products and solves make the BLAS and LAPACK calls the one-cell ones
+    make.
 
     Raises ``ValueError`` unless the instances share m and come in
     non-increasing n, and :class:`SimplexError` as a solve would, for any
@@ -456,7 +502,7 @@ def _prefix_steps(instances: Sequence[Instance]) -> Iterator[PrefixStep]:
             iterations[leaving] += 1
             top = np.maximum.reduce(iterations)
             if top > _max_iterations(N):
-                raise SimplexError(f"pivot budget exceeded ({top} iterations, n={s}, m={m})")
+                raise _budget_exceeded(top, s, m)
             # each leaving cell's row of largest excess (its first NaN, if any), and its side
             rows = excess[leaving].argmax(axis=1)
             sides = above[leaving, rows] > 0.0

@@ -647,14 +647,17 @@ def cfg_instance(cfg, n, trial):
     return inst
 
 
-# sha256 of trials.csv of two shipped configs: every kind with repair and
-# permuted arrivals, and the benchmark-file path
+# sha256 of trials.csv of three shipped configs: every kind with repair and
+# permuted arrivals, the benchmark-file path, and the tied two-phase family,
+# whose offline LPs take long steps over thousands of equal ratios
 TRIALS_CSV_SHA256 = {
+    "adversarial_permutation.ini": "8fc126e2548f94b705c313a7f16f1d1cb20b8538aad6cfe4c3034deacac15f26",
     "demo_small.ini": "4f9f0e3db3774fa2a127a80f8d488597b0cfa8082e19ac7c47a1944ede52aed1",
     "mknap_demo.ini": "dd307294b08092fb723330083828edc2984e5404804d0bdf9451f6f79fa2ae6d",
 }
 # sha256 of json.dumps({"aggregates": ..., "fits": ...}, sort_keys=True): summary.json's numbers
 SUMMARY_SHA256 = {
+    "adversarial_permutation.ini": "9c6fb487edc9e20e76b5c62544accd064ca7450135b5f633e4699e568127eb1f",
     "demo_small.ini": "cb158b1a3709e7a9a939683c94ce4f46cf0d000407e1ff3252af240802e612c8",
     "mknap_demo.ini": "37928f774a46c6a6fdc6f9b240ea23dc923708e148b9fe09779a20d707612e0a",
 }

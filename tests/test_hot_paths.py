@@ -49,7 +49,9 @@ class TestNanExcess:
     # A NaN basic value is not within tolerance: its row leaves, as an
     # `excess.max() <= tol` test and `np.argmax` have it, and the ratio test
     # then finds no column that moves a NaN toward its bound.
-    def test_one_lp_pivots_on_a_nan_row(self, nan_first_inverse):
+    def test_one_lp_pivots_on_a_nan_row(self, nan_first_inverse, monkeypatch):
+        # poisons np.linalg.inv, which only the numpy LP engine calls per pass
+        monkeypatch.setattr(native, "lp_engine", lambda: "numpy: forced")
         inst = uniform(30, 3, 1)
         with pytest.raises(SimplexError, match="no entering column"):
             solve_box_lp(inst.rewards, inst.columns, inst.capacity)
@@ -122,10 +124,11 @@ class TestTraceObjective:
 
 # The functions that run per pivot, per step or per run.
 HOT = {
-    simplex: ("_long_step", "_pivot", "_solve", "_prefix_steps"),
+    simplex: ("_long_step", "_pivot", "_numpy_pivots", "_compiled_pivots", "_solve",
+              "_prefix_steps"),
     algorithms: ("run_one_pass", "_numpy_rows", "_replay_gate", "_first", "_trace",
                  "run_prefix_lp", "repair_feasibility"),
-    native: ("engine", "step_rows"),
+    native: ("engine", "step_rows", "lp_engine", "pivot_lp", "_workspace"),
     core: ("violation_norm",),
 }
 # numpy wrapper -> the C entry point it ends in
