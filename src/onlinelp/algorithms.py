@@ -56,8 +56,7 @@ class AlgorithmKind(enum.Enum):
 # The one-pass kinds and what each changes in the kernel, (gated, track_budget):
 # ``gated`` realizes an accept only while the cumulative consumption stays
 # within capacity in every coordinate (SFA); its prices still follow the
-# tentative accept, so it moves the prices of the ungated kinds, and the
-# kernel replays the gate after each chunk instead of stepping it.
+# tentative accept, so it moves the prices of the ungated kinds.
 # ``track_budget`` targets the remaining budget rate ``b_t / (n - t)`` instead
 # of the per-column budget ``d`` (SNA), and so moves prices of its own.
 _ONE_PASS = {
@@ -120,9 +119,6 @@ class AlgorithmConfig:
 # Steps per kernel chunk: each chunk copies the next columns of every running
 # instance into one small buffer, so the batch is never stacked whole.
 _CHUNK = 64
-# Steps whose price norms the kernel takes in one call: fewer calls than one
-# a step, and a smaller buffer than a chunk's prices.
-_NORMS = 16
 
 
 def check_one_pass(inst, configs: Sequence[AlgorithmConfig]) -> None:
@@ -196,16 +192,16 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
     lead = {}  # each trajectory's first config
     for i, key in enumerate(trajectory):
         lead.setdefault(key, i)
-    replayed = {key for key, gate in zip(trajectory, gates) if gate}
+    gating = {key for key, gate in zip(trajectory, gates) if gate}
     # Rows run sorted so that plain rows, gated rows and budget-tracking
     # rows, and equal schedules within them, occupy contiguous slices.
     keys = sorted(lead, key=lambda key: (
-        tracks[lead[key]], key in replayed, configs[lead[key]].schedule.value))
+        tracks[lead[key]], key in gating, configs[lead[key]].schedule.value))
     row = {key: r for r, key in enumerate(keys)}
     schedules = [configs[lead[key]].schedule for key in keys]
     n_track = sum(tracks[lead[key]] for key in keys)
     track = slice(len(keys) - n_track, len(keys))
-    gated = slice(track.start - len(replayed), track.start)
+    gated = slice(track.start - len(gating), track.start)
     lengths = [len(r) for r, _ in data]
     if native.engine(k, m) == "compiled":
         steps = native.step_rows(data, capacity, schedules, gated, track)
@@ -244,9 +240,9 @@ def _numpy_rows(data, capacity, schedules, gated, track, rngs):
     prices (rows, instances, m) and the largest squared price norms (rows,
     instances).  Step t steps only the instances with n > t.  Per-row dot
     products are ``np.vecdot`` of that row alone, and every other operation
-    is elementwise.  The gate is not stepped: after each chunk of steps,
-    each gated row's realized decisions are replayed exactly from its
-    tentative ones (see :func:`_replay_gate`).
+    is elementwise.  A gated row realizes a tentative accept iff ``used +
+    usage <= capacity`` in every coordinate, and only a realized accept adds
+    to ``used``, as the compiled loop steps it.
     """
     _, k, m = data[0][1].shape
     lengths = [len(r) for r, _ in data]
@@ -257,7 +253,7 @@ def _numpy_rows(data, capacity, schedules, gated, track, rngs):
     shape = (rows, n_inst, m)
     target = np.repeat((capacity / ns[:, None])[None], rows, axis=0)
     budget = np.repeat(capacity[None], n_track, axis=0)
-    used = np.zeros((m, n_gated, n_inst))
+    used = np.zeros((n_gated, n_inst, m))
     prices = np.zeros(shape)
     peak = np.zeros(shape[:2])
     # tentative decisions of every row, and the realized accepts of the gated rows
@@ -286,16 +282,18 @@ def _numpy_rows(data, capacity, schedules, gated, track, rngs):
         # step t, reaches 0: its budget and target are not read again.
         steps[-1, track, a_next:] = 0.0
         left = np.maximum(ns[:a, None] - t[:, :, None], 1.0)
-        # the prices after the last few steps, whose norms are taken together
-        history = np.empty((_NORMS, rows, a, m))
         step = np.empty((rows, a, m))
+        norms = np.empty((span, rows, a))  # each step's squared price norms
+        want = np.empty((n_gated, a, m))
         target_a = target[:, :a]
         budget_a, track_target_a = budget[:, :a], target[track, :a]
+        used_a, capacity_a, peak_a = used[:, :a], capacity[:a], peak[:, :a]
         if k == 1:
             rewards, columns = rewards[:, :, 0], columns[:, :, 0]
-        prices_a = prices[:, :a]
-        for c, (reward, cols, decided, gamma, left_c) in enumerate(
-                zip(rewards, columns, chosen[t0:t1, :, :a], steps, left)):
+        prices_a = prices[:, :a].copy()  # a step runs faster on a copy than on a strided view
+        for reward, cols, decided, fits, norm, gamma, left_c in zip(
+                rewards, columns, chosen[t0:t1, :, :a], realized[t0:t1, :, :a], norms, steps,
+                left):
             if k == 1:
                 usage = cols
                 accept = decided
@@ -311,91 +309,24 @@ def _numpy_rows(data, capacity, schedules, gated, track, rngs):
                     pick[i, j] = ties[int(rngs[i][j].integers(len(ties)))]
                 usage = np.take_along_axis(cols[None], pick[..., None, None], axis=2)[:, :, 0]
                 np.multiply(pick + 1, accept, out=decided)
+            if n_gated:
+                np.add(used_a, usage if k == 1 else usage[gated], out=want)
+                np.logical_and.reduce(want <= capacity_a, axis=-1, out=fits)
+                fits &= accept[gated]
+                np.copyto(used_a, want, where=fits[..., None])
             np.multiply(accept[..., None], usage, out=step)
             if n_track:
                 budget_a -= step[track]
                 np.divide(budget_a, left_c, out=track_target_a)
             step -= target_a
             step *= gamma
-            after = history[c % _NORMS]
-            np.add(prices_a, step, out=after)
-            np.maximum(after, 0.0, out=after)
-            prices_a = after
-            if c % _NORMS == _NORMS - 1 or c + 1 == span:
-                seen = history[:c % _NORMS + 1]
-                np.maximum(peak[:, :a], np.maximum.reduce(vecdot(seen, seen), axis=0),
-                           out=peak[:, :a])
+            prices_a += step
+            np.maximum(prices_a, 0.0, out=prices_a)
+            vecdot(prices_a, prices_a, out=norm)
         prices[:, :a] = prices_a
-        if n_gated:
-            # runs are (row, instance) pairs, row-major; a run's usage is its tentative pick's
-            tentative = chosen[t0:t1, gated, :a]
-            if k == 1:
-                usage = np.broadcast_to(columns.transpose(2, 0, 1)[:, :, None],
-                                        (m, span, n_gated, a)).reshape(m, span, -1)
-            else:
-                pick = np.maximum(tentative - 1, 0)[..., None, None]
-                usage = np.take_along_axis(columns[:, None], pick, axis=3)[:, :, :, 0]
-                usage = usage.transpose(3, 0, 1, 2).reshape(m, span, -1)
-                tentative = tentative > 0
-            state = used[:, :, :a].reshape(m, -1)
-            realized[t0:t1, :, :a] = _replay_gate(
-                tentative.reshape(span, -1), usage, state, np.tile(capacity[:a].T, n_gated),
-            ).reshape(span, n_gated, a)
-            used[:, :, :a] = state.reshape(m, n_gated, a)
+        np.maximum(peak_a, np.maximum.reduce(norms, axis=0), out=peak_a)
         t0 = t1
     return chosen.transpose(1, 2, 0), realized.transpose(1, 2, 0), prices, peak
-
-
-def _replay_gate(tentative, usage, used, capacity):
-    """Realize a chunk's tentative accepts of gated runs while they fit; returns the realized ones.
-
-    ``tentative`` (span, P) holds the chunk's tentative accepts of P runs,
-    ``usage`` (m, span, P) their usage vectors, ``capacity`` (m, P) their
-    capacities and ``used`` (m, P) their consumption at the chunk's start,
-    updated in place.  A step-by-step gate realizes a tentative accept iff
-    ``used + usage <= capacity`` in every coordinate, and only a realized
-    accept adds to ``used``.  A round sums in order from the consumption so
-    far over the pending accepts' usage: bit for bit that ``used + usage``
-    sequence, since a skipped step adds ±0.0.  It realizes the accepts up to
-    the first that overflows and refuses that one.  The consumption then
-    stays put, so every later accept is checked against it at once: those
-    before the first that fits are refused, and that one is realized.  So
-    the rounds count the alternations between runs of fitting and refused
-    accepts, not the refusals.
-    """
-    m, span, runs = usage.shape
-    steps = np.arange(span)[:, None]
-    # +1 where a run of refusals starts, -1 where it ends
-    edges = np.zeros((span + 1, runs), dtype=np.int32)
-    live, pending, accepts, u, cap = np.arange(runs), tentative, tentative, usage, capacity
-    while live.size:
-        sums = np.empty((m, span + 1, live.size))
-        sums[:, 0] = used[:, live]
-        np.multiply(u, pending.astype(np.float64), out=sums[:, 1:])
-        sums.cumsum(axis=1, out=sums)
-        over = pending > np.logical_and.reduce(sums[:, 1:] <= cap[:, None], axis=0)
-        stop = _first(over)
-        held = sums[:, stop, np.arange(live.size)]
-        used[:, live] = held
-        keep = stop < span
-        live, stop, held = live[keep], stop[keep], held[:, keep]
-        u, cap, accepts = u[:, :, keep], cap[:, keep], accepts[:, keep]
-        fits = np.logical_and.reduce(held[:, None] + u <= cap[:, None], axis=0)
-        fits &= accepts & (steps > stop)
-        resume = _first(fits)
-        edges[stop, live] += 1
-        edges[resume, live] -= 1
-        keep = resume < span
-        live, resume, held = live[keep], resume[keep], held[:, keep]
-        u, cap, accepts = u[:, :, keep], cap[:, keep], accepts[:, keep]
-        used[:, live] = held + u[:, resume, np.arange(live.size)]
-        pending = accepts & (steps > resume)
-    return tentative & (edges[:-1].cumsum(axis=0) == 0)
-
-
-def _first(mask):
-    """Each column's first True row of ``mask`` (span, P), or span where there is none."""
-    return np.where(np.logical_or.reduce(mask, axis=0), mask.argmax(axis=0), len(mask))
 
 
 def _trace(decisions, taken_rewards, final_prices, max_dual_norm) -> RunTrace:

@@ -138,11 +138,12 @@ def solve_box_lp(rewards, columns, capacity, start=None) -> LpSolution:
     the bound its reward favours (``x_j = 1`` iff ``r_j > 0``), dual feasible
     at price 0.  Each pass inverts the basis matrix once and reads the basic
     values, the prices and the leaving row from that inverse, on the engine
-    :func:`~onlinelp.native.lp_engine` names.  Raises ``ValueError`` unless
-    every capacity is non-negative (NaN included), ``np.linalg.LinAlgError``
-    on a singular basis matrix, and :class:`SimplexError` if the ratio test
-    finds no entering column, the pivot budget runs out, or a nonbasic
-    column of the final basis prices in by more than ``_PIVOT_TOL``.
+    :func:`~onlinelp.native.lp_engine` names.  Raises ``ValueError``, before
+    either engine runs, unless every entry of r, A and b is finite and every
+    capacity non-negative; ``np.linalg.LinAlgError`` on a singular basis
+    matrix; and :class:`SimplexError` if the ratio test finds no entering
+    column, the pivot budget runs out, or a nonbasic column of the final
+    basis prices in by more than ``_PIVOT_TOL``.
     """
     r = np.ascontiguousarray(np.asarray(rewards, dtype=np.float64).reshape(-1))
     A = np.ascontiguousarray(np.asarray(columns, dtype=np.float64))
@@ -152,6 +153,10 @@ def solve_box_lp(rewards, columns, capacity, start=None) -> LpSolution:
     m, n = A.shape
     if r.shape != (n,) or b.shape != (m,):
         raise ValueError("inconsistent LP dimensions")
+    # checked here, since each engine would fail on such data in its own way
+    if not (np.logical_and.reduce(b >= 0.0)
+            and all(np.logical_and.reduce(np.isfinite(x), axis=None) for x in (r, A, b))):
+        raise ValueError("LP data must be finite, and capacities non-negative")
     # Column-major data lives in Gt (N, m): row j is column j of [A | I].
     Gt = np.concatenate((A.T, np.eye(m)))
     c = np.concatenate([r, np.zeros(m)])
@@ -278,8 +283,6 @@ def _solve(r, A, Gt, c, upper, b, basis, at_upper, nonbasic) -> LpSolution:
     """
     N, m = Gt.shape
     n = N - m
-    if not np.logical_and.reduce(b >= 0.0):
-        raise ValueError("capacities must be non-negative")
     if native.lp_engine() == "compiled":
         iterations = _compiled_pivots(r, A, Gt, b, basis, at_upper, nonbasic)
     else:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onlinelp import algorithms
+from onlinelp import algorithms, native
 from onlinelp.algorithms import (
     AlgorithmConfig,
     AlgorithmKind,
@@ -405,6 +405,14 @@ EVERY_CONFIG = tuple(AlgorithmConfig(kind, sched) for kind in (
     AlgorithmConfig(AlgorithmKind.MULTI_SOA, StepSchedule.SQRT_N),)
 
 
+@pytest.fixture(params=["default", "numpy"])
+def engine(request, monkeypatch):
+    """The engine ``native.engine`` selects, or the numpy kernel forced for every batch."""
+    if request.param == "numpy":
+        monkeypatch.setattr(native, "engine", lambda k, m: "numpy: forced")
+    return request.param
+
+
 def mixed_n_values():
     # runs that end just before, at and just after a kernel chunk's edge, and
     # runs that span several chunks
@@ -415,12 +423,13 @@ def mixed_n_values():
 class TestMixedLengthBatch:
     """Instances of different n share one kernel call; each row is its own one-row call."""
 
-    def test_every_row_is_its_one_row_call_and_the_reference(self):
+    @pytest.mark.parametrize("m", [3, 17])
+    def test_every_row_is_its_one_row_call_and_the_reference(self, engine, m):
         assert mixed_n_values() == (2, 7, 63, 64, 65, 300)
         instances = []
         for n in mixed_n_values():
-            instances.append(uniform_instance(n, 3, 40 + n))
-            instances.append(generate(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=n, m=3,
+            instances.append(uniform_instance(n, m, 40 + n))
+            instances.append(generate(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=n, m=m,
                                                         seed=50 + n)))
         # the kernel orders the batch by n itself
         instances = [instances[j] for j in np.random.default_rng(3).permutation(len(instances))]
@@ -495,14 +504,14 @@ def tight_multi_instance(n, m, seed):
 SFA_CONFIGS = tuple(AlgorithmConfig(AlgorithmKind.SFA, sched) for sched in StepSchedule)
 
 
-class TestGateReplay:
-    """SFA's gate is replayed after each chunk from its row's tentative decisions."""
+class TestGate:
+    """SFA realizes its row's tentative accepts only while they fit, step by step."""
 
-    def test_sfa_rows_are_their_one_row_calls_and_the_reference(self):
+    def test_sfa_rows_are_their_one_row_calls_and_the_reference(self, engine):
         soa_twins = tuple(soa_cfg(sched) for sched in StepSchedule)
         refused = 0
-        for m, configs in itertools.product(
-                (1, 3), (SFA_CONFIGS, SFA_CONFIGS + soa_twins, soa_twins[::-1] + SFA_CONFIGS[:1])):
+        for m, configs in itertools.product((1, 3, 17), (
+                SFA_CONFIGS, SFA_CONFIGS + soa_twins, soa_twins[::-1] + SFA_CONFIGS[:1])):
             # two instances of every n, in no particular order: the kernel sorts them
             instances = [tight_instance(n, m, seed + n + m) for n in mixed_n_values()
                          for seed in (60, 70)]
@@ -528,7 +537,17 @@ class TestGateReplay:
                         refused += sum(tentative) - sum(ref_dec)
         assert refused > 500
 
-    def test_multi_choice_sfa_rows_replay_their_own_picks(self):
+    @pytest.mark.parametrize("m", [1, 17])
+    def test_an_accept_that_fills_the_capacity_exactly_is_realized(self, engine, m):
+        # unit usage and capacity 2 in every coordinate: all three columns are
+        # accepted tentatively, the second fills the capacity exactly and is
+        # realized, and the third is refused
+        inst = Instance(rewards=[100.0] * 3, columns=np.ones((m, 3)), capacity=np.full(m, 2.0))
+        for cfg in SFA_CONFIGS:
+            assert list(run_sfa(inst, cfg).decisions) == [1, 1, 0]
+            assert list(run_soa(inst, soa_cfg(cfg.schedule)).decisions) == [1, 1, 1]
+
+    def test_multi_choice_sfa_rows_realize_their_own_picks(self):
         # with k > 1 every config keeps its own row and tie stream; an SFA row
         # realizes the picks of an SOA row on the same seed while they fit
         minsts = [tight_multi_instance(n, 2, 80 + n) for n in mixed_n_values() + (65, 2)]

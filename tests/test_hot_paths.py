@@ -126,8 +126,7 @@ class TestTraceObjective:
 HOT = {
     simplex: ("_long_step", "_pivot", "_numpy_pivots", "_compiled_pivots", "_solve",
               "_prefix_steps"),
-    algorithms: ("run_one_pass", "_numpy_rows", "_replay_gate", "_first", "_trace",
-                 "run_prefix_lp", "repair_feasibility"),
+    algorithms: ("run_one_pass", "_numpy_rows", "_trace", "run_prefix_lp", "repair_feasibility"),
     native: ("engine", "step_rows", "lp_engine", "pivot_lp", "_workspace"),
     core: ("violation_norm",),
 }

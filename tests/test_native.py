@@ -356,15 +356,17 @@ class TestLpEngines:
             compiled, plain = both_engines(monkeypatch, lambda: solve_box_lp(r, A, b_new))
             assert compiled.objective == pytest.approx(plain.objective, rel=1e-12, abs=1e-12)
 
-    def test_a_nan_entry_finds_no_entering_column_on_both_paths(self, monkeypatch):
-        # a NaN basic value leaves, and no column moves a NaN toward its bound
+    def test_a_non_finite_entry_is_rejected_alike_on_both_paths(self, monkeypatch):
+        # Left to the engines, a non-finite entry can end in a singular basis
+        # on one and a missing entering column on the other; the data are
+        # turned away before either runs.
         inst = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=30, m=3, seed=1))
-        for row, column in ((0, 0), (1, 7), (2, 29)):
-            A = inst.columns.copy()
-            A[row, column] = np.nan
-            compiled, plain = both_engines(
-                monkeypatch, lambda: solve_box_lp(inst.rewards, A, inst.capacity))
-            assert plain == (SimplexError, "dual ratio test found no entering column (n=30, m=3)")
+        rng = np.random.default_rng(2)
+        for value, which, _ in itertools.product((np.nan, np.inf, -np.inf), range(3), range(4)):
+            data = [inst.rewards.copy(), inst.columns.copy(), inst.capacity.copy()]
+            data[which][tuple(int(rng.integers(size)) for size in data[which].shape)] = value
+            compiled, plain = both_engines(monkeypatch, lambda: solve_box_lp(*data))
+            assert plain == (ValueError, "LP data must be finite, and capacities non-negative")
             assert compiled == plain
 
     def test_a_singular_basis_raises_alike_on_both_paths(self, monkeypatch):
