@@ -49,7 +49,7 @@ class GeneratorSpec:
     of the columns carries ``adversarial_low`` rewards, the second half
     ``adversarial_high``, on an all-ones constraint matrix with capacity
     ``adversarial_capacity_fraction * n`` per row; it is meant to be consumed
-    through :func:`permute`.
+    through :func:`permute`; its n must be even, and ``mixed_four_groups``'s a multiple of 4.
     """
 
     family: GeneratorFamily
@@ -66,6 +66,10 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1:
             raise ValueError(f"need n >= 1 and m >= 1, got n = {self.n}, m = {self.m}")
+        if self.family is GeneratorFamily.MIXED_FOUR and self.n % 4:
+            raise ValueError(f"mixed-group generation needs n a multiple of 4, got n = {self.n}")
+        if self.family is GeneratorFamily.ADVERSARIAL and self.n % 2:
+            raise ValueError(f"adversarial generation needs an even n, got n = {self.n}")
         if not 0.0 < self.d_lo <= self.d_hi < math.inf:
             raise ValueError(f"need 0 < d_lo <= d_hi < inf, got d_lo = {self.d_lo}, "
                              f"d_hi = {self.d_hi}")
@@ -136,11 +140,9 @@ def _gen_mixed_four_groups(spec: GeneratorSpec) -> Instance:
     """Four equal blocks from four entry distributions; rewards Uniform[0, 1].
 
     Blocks in fixed order: Uniform[0, 2], N(1, 1), N(0, 1), uniform on
-    {-1, 1, 3}.  The column count must be a multiple of four; arrival
-    randomness comes from permuting afterwards.
+    {-1, 1, 3}; :class:`GeneratorSpec` holds n to a multiple of four.
+    Arrival randomness comes from permuting afterwards.
     """
-    if spec.n % 4:
-        raise ValueError(f"mixed-group generation needs n a multiple of 4, got n = {spec.n}")
     g = spec.n // 4
     rng = np.random.default_rng(spec.seed)
     A = np.empty((spec.m, spec.n))
@@ -157,10 +159,8 @@ def _gen_adversarial(spec: GeneratorSpec) -> Instance:
     With one constraint and the default parameters this is the classic
     ordering trap for one-pass algorithms: capacity for half the columns, the
     valuable half arriving last.  Solvable near-optimally only after
-    shuffling.  The column count must be even.
+    shuffling.  :class:`GeneratorSpec` holds n even.
     """
-    if spec.n % 2:
-        raise ValueError(f"adversarial generation needs an even n, got n = {spec.n}")
     half = spec.n // 2
     r = np.concatenate([np.full(half, spec.adversarial_low), np.full(half, spec.adversarial_high)])
     A = np.ones((spec.m, spec.n))

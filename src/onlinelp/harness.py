@@ -112,7 +112,8 @@ class ExperimentConfig:
         if self.generator_params is not None:
             if not self.n_values:
                 raise ConfigError("generator experiments need a non-empty n list")
-            self.spec_for(min(self.n_values), 0)  # a bad value fails before any trial runs
+            for n in self.n_values:  # a value or an n no instance could have fails here
+                self.spec_for(n, 0)
         elif self.n_values:
             raise ConfigError("n_values cannot be set with a benchmark: its problems set n")
 
@@ -133,7 +134,7 @@ class ExperimentConfig:
             "repair": {"enabled": self.repair},
         }
         if self.generator_params is not None:
-            spec = dataclasses.asdict(self.spec_for(1, 0))
+            spec = dataclasses.asdict(self.spec_for(self.n_values[0], 0))
             del spec["n"], spec["seed"]
             doc["generator"] = dict(spec, family=spec["family"].value)
         return doc
@@ -450,13 +451,9 @@ def _fields(record) -> Dict:
     return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
 
 
-def _parse_opt_float(cell: str) -> Optional[float]:
-    return None if cell == "" else float(cell)
-
-
-# one parser per trials.csv column
-_TRIALS_CSV_PARSERS = (int, int, str, int, int, float, float, float, float,
-                       _parse_opt_float, _parse_opt_float)
+# the parser of a trials.csv cell, by the annotated type of its TrialResult field
+_CELL_PARSERS = {int: int, str: str, float: float,
+                 Optional[float]: lambda cell: None if cell == "" else float(cell)}
 
 
 def load_report(directory) -> ExperimentReport:
@@ -474,7 +471,8 @@ def load_report(directory) -> ExperimentReport:
     return ExperimentReport(
         config=summary["config"],
         rows=[TrialResult(*cells) for cells in
-              table("trials.csv", TRIALS_CSV_COLUMNS, _TRIALS_CSV_PARSERS)],
+              table("trials.csv", TRIALS_CSV_COLUMNS,
+                    tuple(_CELL_PARSERS[kind] for kind in get_type_hints(TrialResult).values()))],
         timings=table("timings.csv", TIMINGS_CSV_COLUMNS, (int, int, str, float)),
         aggregates=summary["aggregates"],
         fits=summary["fits"],
@@ -565,7 +563,7 @@ def run_experiment(cfg: ExperimentConfig, *, workers: Optional[int] = None) -> E
     wall_by_alg: Dict[str, float] = {}
     for n, trial, label, seconds in timings:
         wall_by_alg[label] = wall_by_alg.get(label, 0.0) + seconds
-    generator_notes = "" if cfg.generator_params is None else cfg.spec_for(1, 0).notes()
+    generator_notes = cfg.spec_for(cfg.n_values[0], 0).notes() if cfg.generator_params else ""
     meta = {
         "format_version": FORMAT_VERSION,
         "package_version": __version__,

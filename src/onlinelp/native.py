@@ -1,19 +1,21 @@
-"""The compiled loops: build ``_onepass.c`` and ``_simplex.c`` once per machine, and select them.
+"""The compiled loops: build ``_onepass.c`` and ``_simplex.c`` once per checkout and machine.
 
 One library holds both loops: the one-pass kernel's k = 1 rows and the offline
 LP's pivots.  It is built lazily, the first time either runs, with ``cc -O3
 -march=native -ffp-contract=off`` into ``$XDG_CACHE_HOME/onlinelp/``
-(``~/.cache/onlinelp/`` when the variable is unset).  Its file name is a short
-digest of the host followed by a hash of the sources, the compiler, the flags
-and the host, so a home directory shared between machines never loads a
-library built for another CPU; each build writes a temporary file that
+(``~/.cache/onlinelp/`` when the variable is unset), and looked up once per
+process.  Its file name is a short digest of the host and of the sources'
+directory, followed by a hash of the sources, the compiler, the flags and the
+host, so a home directory shared between machines never loads a library
+built for another CPU; each build writes a temporary file that
 ``os.replace`` moves into place, so that concurrent builds are safe, and a
-fresh build removes the user's older builds for the same host.  It is loaded
-with ``ctypes``, which numpy has already imported.  :func:`engine` selects it
-for a one-pass batch of k = 1 instances of m constraints only if it loaded and
-its in-order ``fma`` sums reproduce ``np.vecdot``'s bits on a fixed probe at
-that m, checked once per process and m; otherwise the numpy kernel runs, with
-the same answers.  :func:`lp_engine` selects it for every LP pivot loop where
+fresh build removes the user's older builds for the same host and
+directory, so that two checkouts sharing a cache keep one build each.  It
+is loaded with ``ctypes``, which numpy has already imported.  :func:`engine`
+selects it for a one-pass batch of k = 1 instances of m constraints only if
+it loaded and its in-order ``fma`` sums reproduce ``np.vecdot``'s bits on a
+fixed probe at that m, checked once per process and m; otherwise the numpy
+kernel runs, with the same answers.  :func:`lp_engine` selects it for every LP pivot loop where
 it loaded: the LP's answer is solved from its final basis in numpy, so it
 needs no probe.  The cache directory is made private to the user (mode 0700),
 and a library is loaded only where the directory and the file belong to the
@@ -73,18 +75,13 @@ class _Library:
         return self.same_dots[m]
 
 
-# cache base directory -> the library loaded from its builds, or why none loaded
-_loaded: Dict[str, Union[_Library, str]] = {}
-
-
-def _cache_base() -> str:
-    home = os.environ.get("HOME") or os.path.expanduser("~")  # expanduser's answer, sooner
-    return os.environ.get("XDG_CACHE_HOME") or os.path.join(home, ".cache")
+# the library this process loaded, or why none loaded; None until first asked
+_lib: Union[_Library, str, None] = None
 
 
 def cache_directory() -> Path:
     """Where the builds live: ``$XDG_CACHE_HOME/onlinelp``, by default ``~/.cache/onlinelp``."""
-    return Path(_cache_base()) / "onlinelp"
+    return Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "onlinelp"
 
 
 def _host() -> bytes:
@@ -118,7 +115,8 @@ def load() -> Union[_Library, str]:
     host = _host()
     key = hashlib.sha256(b"\0".join((*sources, COMPILER.encode(), " ".join(FLAGS).encode(),
                                      host))).hexdigest()
-    path = directory / f"native-{hashlib.sha256(host).hexdigest()[:8]}-{key[:20]}.so"
+    checkout = hashlib.sha256(host + b"\0" + bytes(SOURCES[0].resolve().parent)).hexdigest()
+    path = directory / f"native-{checkout[:8]}-{key[:20]}.so"
     try:
         directory.mkdir(mode=0o700, parents=True, exist_ok=True)
         if not _private(directory):
@@ -166,11 +164,11 @@ def _build(path: Path) -> str:
 
 
 def _prune(path: Path) -> None:
-    """Remove the user's other builds for this host from ``path``'s directory.
+    """Remove the user's other builds for this host and checkout from ``path``'s directory.
 
-    A build is a regular file named ``native-<host digest>-<key>.so``; a
-    symlink, another user's file, another host's build and a build still
-    being written (a ``.tmp`` file) stay.
+    A build is a regular file named ``native-<host and checkout digest>-<key>.so``;
+    a symlink, another user's file, another host's or checkout's build and a
+    build still being written (a ``.tmp`` file) stay.
     """
     prefix = path.name[:path.name.rindex("-") + 1]
     for other in path.parent.iterdir():
@@ -184,10 +182,10 @@ def _prune(path: Path) -> None:
 
 
 def _library() -> Union[_Library, str]:
-    base = _cache_base()  # called per LP: a string, not a Path, is the cheap key
-    if base not in _loaded:
-        _loaded[base] = load()
-    return _loaded[base]
+    global _lib
+    if _lib is None:
+        _lib = load()
+    return _lib
 
 
 def engine(k: int, m: int) -> str:

@@ -24,7 +24,7 @@ Maros 2003).  Every pivot keeps the basis dual feasible, so the basis it
 ends at is optimal.  The final basic values and prices are solved against
 the basis in index order, so the answer depends on the final basis and
 bounds alone, not on the start or the path; a nonbasic column that still
-prices in at those prices (a start that was not dual feasible, or roundoff)
+prices in at those prices (a start where one already did, or roundoff)
 raises :class:`SimplexError`.
 
 Each pass inverts the basis matrix once and reads from that inverse the
@@ -272,6 +272,18 @@ def _compiled_pivots(r, A, Gt, b, basis, at_upper, nonbasic) -> int:
     return iterations
 
 
+def _check_dual_feasible(cbar, at_upper, nonbasic, n: int, m: int) -> None:
+    """Raise :class:`SimplexError` if a nonbasic column of a final basis prices in.
+
+    ``cbar``, the reduced costs of ``[A | I]`` in any shape, is negated in place where ``at_upper``.
+    """
+    np.negative(cbar, out=cbar, where=at_upper)
+    worst = np.maximum.reduce(cbar, axis=None, where=nonbasic, initial=0.0)
+    if worst > _PIVOT_TOL:
+        raise SimplexError(f"final basis is not dual feasible: a nonbasic column prices in "
+                           f"by {worst:.3g} (n={n}, m={m})")
+
+
 def _solve(r, A, Gt, c, upper, b, basis, at_upper, nonbasic) -> LpSolution:
     """Pivot a valid start to the optimum, on the engine :func:`~onlinelp.native.lp_engine` names.
 
@@ -299,15 +311,7 @@ def _solve(r, A, Gt, c, upper, b, basis, at_upper, nonbasic) -> LpSolution:
     y = np.linalg.solve(B, c[order])
     p = np.maximum(y, 0.0)
     s = r - p @ Gt[:n].T
-    # Every pivot keeps the start's dual feasibility, so a nonbasic column
-    # that prices in here comes from a start that was not dual feasible, or
-    # from roundoff.
-    cbar = np.concatenate((s, -y))
-    np.negative(cbar, out=cbar, where=at_upper)
-    worst = np.maximum.reduce(cbar, where=nonbasic, initial=0.0)
-    if worst > _PIVOT_TOL:
-        raise SimplexError(f"final basis is not dual feasible: a nonbasic column prices in "
-                           f"by {worst:.3g} (n={n}, m={m})")
+    _check_dual_feasible(np.concatenate((s, -y)), at_upper, nonbasic, n, m)
     np.maximum(s, 0.0, out=s)
     return LpSolution(
         primal=x,
@@ -530,16 +534,11 @@ def _prefix_steps(instances: Sequence[Instance]) -> Iterator[PrefixStep]:
             costs = flat_c.take(order[moved] + offset[moved])
             y[moved] = np.linalg.solve(B[moved], costs[:, :, None])[:, :, 0]
         duals = np.maximum(y[:a], 0.0)
-        # the reduced costs, signed so that a positive one prices in
         cbar = np.empty((a, N))
         np.subtract(cost[:, :s], (duals[:, None, :] @ G[:, :s].transpose(0, 2, 1))[:, 0],
                     out=cbar[:, :s])
         np.negative(y[:a], out=cbar[:, s:])
-        np.negative(cbar, out=cbar, where=at)
-        worst = np.maximum.reduce(cbar, axis=None, where=free, initial=0.0)
-        if worst > _PIVOT_TOL:
-            raise SimplexError(f"final basis is not dual feasible: a nonbasic column prices in "
-                               f"by {worst:.3g} (n={s}, m={m})")
+        _check_dual_feasible(cbar, at, free, s, m)
         yield PrefixStep(duals, x[:, t].copy(), iterations)
 
 

@@ -122,9 +122,11 @@ class TestMixedFourGroups:
         assert inst.rewards.min() >= 0.0 and inst.rewards.max() <= 1.0
 
     def test_rejects_n_not_a_multiple_of_four(self):
+        # the spec rejects it, so a config listing such an n fails when it loads
         for n in (5, 6, 10, 102):
-            with pytest.raises(ValueError, match="multiple of 4"):
-                generate(spec(GeneratorFamily.MIXED_FOUR, n=n, m=2, seed=0))
+            with pytest.raises(ValueError, match=f"^mixed-group generation needs n a multiple "
+                                                 f"of 4, got n = {n}$"):
+                spec(GeneratorFamily.MIXED_FOUR, n=n, m=2, seed=0)
         assert generate(spec(GeneratorFamily.MIXED_FOUR, n=8, m=2, seed=0)).n == 8
 
     def test_too_small(self):
@@ -147,9 +149,10 @@ class TestAdversarial:
         assert inst.capacity[0] == pytest.approx(50.0)
 
     def test_rejects_odd_n(self):
-        for n in (1, 3, 101):
-            with pytest.raises(ValueError, match="even n"):
-                generate(spec(GeneratorFamily.ADVERSARIAL, n=n, m=1, seed=0))
+        for n in (1, 3, 101):  # rejected by the spec, as above
+            with pytest.raises(ValueError,
+                               match=f"^adversarial generation needs an even n, got n = {n}$"):
+                spec(GeneratorFamily.ADVERSARIAL, n=n, m=1, seed=0)
         assert generate(spec(GeneratorFamily.ADVERSARIAL, n=2, m=1, seed=0)).n == 2
 
     def test_unpermuted_stream_defeats_one_pass(self):

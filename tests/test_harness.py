@@ -41,6 +41,18 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 ALL_ALGORITHMS = "soa/sqrt_n, soa/sqrt_t, sfa/sqrt_t, sna/sqrt_t, multisoa, pbd"
 
 
+def failing_draw(n_bad):
+    """``generate``, but raising for a spec of ``n_bad`` columns."""
+    real = harness.generate
+
+    def draw(spec):
+        if spec.n == n_bad:
+            raise RuntimeError("injected draw failure")
+        return real(spec)
+
+    return draw
+
+
 def write_mini_config(tmp_path, *, trials=2, extra="", algorithms="soa/sqrt_n, soa/sqrt_t, pbd"):
     text = f"""
 [experiment]
@@ -206,6 +218,20 @@ class TestLoadConfig:
         path = write_mini_config(tmp_path)
         path.write_text(path.read_text().replace("m = 3", new))
         with pytest.raises(ConfigError, match=re.escape(str(path))):
+            load_config(path)
+
+    @pytest.mark.parametrize("family, n_values, n_bad", [
+        ("mixed_four_groups", "100 102", 102), ("adversarial", "101 200", 101)],
+        ids=["mixed", "adversarial"])
+    def test_n_the_family_cannot_draw_fails_at_load(self, tmp_path, family, n_values, n_bad):
+        # every listed n is checked, not only the smallest: the family would
+        # fail each trial of n_bad, or else draw a smaller instance whose rows
+        # would share their (n, trial, algorithm) key with another n
+        path = tmp_path / "near.ini"
+        path.write_text(f"[experiment]\nname = near\nseed = 1\ntrials = 2\n"
+                        f"n_values = {n_values}\nalgorithms = soa/sqrt_n\n"
+                        f"[generator]\nfamily = {family}\nm = 2\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: ") + f".* got n = {n_bad}$"):
             load_config(path)
 
     def test_generator_echo_lists_every_effective_value(self, tmp_path):
@@ -400,8 +426,9 @@ enabled = true
             assert total == sum(seconds for _, _, name, seconds in report.timings
                                 if name == label)
 
-    def test_trial_failures_recorded_and_run_continues(self, tmp_path):
-        # n=2 defeats the four-group generator; n=24 still succeeds
+    def test_trial_failures_recorded_and_run_continues(self, tmp_path, monkeypatch):
+        # a draw that fails at n = 2 fails that cell; n = 24 still succeeds
+        monkeypatch.setattr(harness, "generate", failing_draw(2))
         path = tmp_path / "partial.ini"
         path.write_text("""
 [experiment]
@@ -412,29 +439,12 @@ n_values = 2 24
 algorithms = soa/sqrt_n
 
 [generator]
-family = mixed_four_groups
+family = uniform
 m = 2
 """)
         report = run_experiment(load_config(path))
-        assert len(report.errors) == 1
-        assert report.errors[0]["n"] == 2
+        assert report.errors == [{"n": 2, "trial": 0, "error": "RuntimeError: injected draw failure"}]
         assert {row.n for row in report.rows} == {24}
-
-    @pytest.mark.parametrize("family, n_bad", [("mixed_four_groups", 102),
-                                               ("adversarial", 101)])
-    def test_n_the_family_cannot_build_fails_its_trials(self, tmp_path, family, n_bad):
-        # the generator rejects n_bad instead of building a smaller instance
-        # whose rows would share their (n, trial, algorithm) key with n = 100
-        path = tmp_path / "near.ini"
-        path.write_text(f"[experiment]\nname = near\nseed = 1\ntrials = 2\n"
-                        f"n_values = 100 {n_bad}\nalgorithms = soa/sqrt_n\n"
-                        f"[generator]\nfamily = {family}\nm = 2\n")
-        report = run_experiment(load_config(path), workers=1)
-        assert [(e["n"], e["trial"]) for e in report.errors] == [(n_bad, 0), (n_bad, 1)]
-        assert sorted((row.n, row.trial, row.algorithm) for row in report.rows) == [
-            (100, 0, "soa/sqrt_n"), (100, 1, "soa/sqrt_n")]
-        assert [(doc["n"], doc["count"]) for doc in report.aggregates] == [(100, 2)]
-        assert {t[0] for t in report.timings} == {100}
 
     def test_block_size_does_not_change_rows(self, tmp_path, monkeypatch):
         path = write_mini_config(tmp_path, trials=3, algorithms=ALL_ALGORITHMS)
@@ -604,10 +614,10 @@ m = 2
         doc = json.loads(report.summary_json())
         assert doc["meta"]["lp_certificate"] == certificate
 
-    def test_lp_certificate_null_without_an_lp(self, tmp_path):
+    def test_lp_certificate_null_without_an_lp(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "generate", failing_draw(2))
         path = write_mini_config(tmp_path, trials=1, algorithms="soa/sqrt_n")
-        path.write_text(path.read_text().replace("n_values = 24 48", "n_values = 2")
-                        .replace("family = uniform", "family = mixed_four_groups"))
+        path.write_text(path.read_text().replace("n_values = 24 48", "n_values = 2"))
         report = run_experiment(load_config(path))
         assert len(report.errors) == 1 and not report.rows
         assert json.loads(report.summary_json())["meta"]["lp_certificate"] is None
@@ -902,11 +912,12 @@ class TestCli:
         assert cli.main(["run", str(cfg_path), "--workers", "0", "--output", str(outdir)]) == 0
         assert json.loads((outdir / "summary.json").read_text())["meta"]["workers"] == 1
 
-    def test_run_exits_2_when_a_trial_failed(self, tmp_path, capsys):
-        # n=2 defeats the four-group generator; the report is still written
+    def test_run_exits_2_when_a_trial_failed(self, tmp_path, capsys, monkeypatch):
+        # a draw that fails at n = 2 fails one trial; the report is still written
+        monkeypatch.setattr(harness, "generate", failing_draw(2))
         cfg_path = tmp_path / "partial.ini"
         cfg_path.write_text("[experiment]\nname = partial\nseed = 1\nn_values = 2 24\n"
-                            "algorithms = soa/sqrt_n\n[generator]\nfamily = mixed_four_groups\n"
+                            "algorithms = soa/sqrt_n\n[generator]\nfamily = uniform\n"
                             "m = 2\n")
         outdir = tmp_path / "out"
         assert cli.main(["run", str(cfg_path), "--output", str(outdir)]) == 2
@@ -958,6 +969,14 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "missing.ini")]) == 1
         assert cli.main(["solve", str(tmp_path / "missing-instance.txt")]) == 1
+        # an n the family cannot draw fails at load: no trial runs, no report is written
+        cfg_path = tmp_path / "near.ini"
+        cfg_path.write_text("[experiment]\nname = near\nseed = 1\nn_values = 100 102\n"
+                            "algorithms = soa/sqrt_n\n[generator]\nfamily = mixed_four_groups\n"
+                            "m = 2\n")
+        outdir = tmp_path / "out"
+        assert cli.main(["run", str(cfg_path), "--output", str(outdir)]) == 1
+        assert "got n = 102" in capsys.readouterr().err and not outdir.exists()
 
     def test_import_leaves_multiprocessing_out(self):
         # a single-process run has no use for the process pool, so importing

@@ -125,7 +125,7 @@ class TestTraceObjective:
 # The functions that run per pivot, per step or per run.
 HOT = {
     simplex: ("_long_step", "_pivot", "_numpy_pivots", "_compiled_pivots", "_solve",
-              "_prefix_steps"),
+              "_prefix_steps", "_check_dual_feasible"),
     algorithms: ("run_one_pass", "_numpy_rows", "_trace", "run_prefix_lp", "repair_feasibility"),
     native: ("engine", "step_rows", "lp_engine", "pivot_lp", "_workspace"),
     core: ("violation_norm",),

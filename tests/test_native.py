@@ -133,7 +133,7 @@ class TestSelection:
     def test_without_a_compiler_the_numpy_path_answers_alike(self, monkeypatch, tmp_path):
         instances, configs, seeds = random_batch(100)
         before = run_one_pass(instances, configs, seeds)
-        monkeypatch.setattr(native, "_loaded", {})
+        monkeypatch.setattr(native, "_lib", None)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         monkeypatch.setattr(native, "COMPILER", "onlinelp-no-such-compiler")
         assert native.engine(1, instances[0].m) == "numpy: no compiler"
@@ -149,7 +149,7 @@ class TestSelection:
     def test_with_an_unwritable_cache_the_numpy_path_answers_alike(self, monkeypatch, tmp_path):
         instances, configs, seeds = random_batch(101)
         before = run_one_pass(instances, configs, seeds)
-        monkeypatch.setattr(native, "_loaded", {})
+        monkeypatch.setattr(native, "_lib", None)
         blocker = tmp_path / "cache"
         blocker.write_text("a file where the cache directory would go")
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
@@ -157,7 +157,7 @@ class TestSelection:
         assert_same_traces(run_one_pass(instances, configs, seeds), before)
 
     def test_a_dot_order_mismatch_selects_numpy(self, monkeypatch):
-        monkeypatch.setattr(native, "_loaded", {})
+        monkeypatch.setattr(native, "_lib", None)
         if native.engine(1, 5) != "compiled":
             pytest.skip("no compiled library on this machine")
         vecdot = np.vecdot
@@ -196,7 +196,7 @@ class TestSelection:
     def test_a_cache_others_can_write_is_not_loaded(self, monkeypatch, tmp_path):
         instances, configs, seeds = random_batch(102)
         before = run_one_pass(instances, configs, seeds)
-        monkeypatch.setattr(native, "_loaded", {})
+        monkeypatch.setattr(native, "_lib", None)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         cache = tmp_path / "onlinelp"
         cache.mkdir(mode=0o777)
@@ -437,3 +437,25 @@ class TestPrune:
         # loading a build in place removes nothing
         assert not isinstance(build("two"), str)
         assert set(cache.iterdir()) == {second, link, *kept}
+
+    def test_two_checkouts_sharing_a_cache_keep_their_builds(self, monkeypatch, tmp_path):
+        # two copies of the sources, each with its own change, as two
+        # checkouts of different commits are; loading them in turn builds once each
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "home"))
+        originals = [source.read_text() for source in native.SOURCES]
+        checkouts = []
+        for name in ("one", "two"):
+            sources = tuple(tmp_path / name / source.name for source in native.SOURCES)
+            sources[0].parent.mkdir()
+            for source, text in zip(sources, originals):
+                source.write_text(text + f"/* {name} */\n")
+            checkouts.append(sources)
+        cache = tmp_path / "home" / "onlinelp"
+        builds = []
+        for sources in checkouts * 2:
+            monkeypatch.setattr(native, "SOURCES", sources)
+            if isinstance(native.load(), str):
+                pytest.skip("no compiled library on this machine")
+            builds.append({path.name: path.stat().st_mtime_ns for path in cache.iterdir()})
+        assert len(builds[1]) == 2
+        assert builds[3] == builds[1]  # neither was rebuilt

@@ -413,27 +413,36 @@ class TestEffortCounts:
         assert 0 < sum(basic) < steps
 
 
+def each_lp_engine(monkeypatch):
+    """Yield the name of the LP engine in use: the default one, then the numpy loop, forced."""
+    yield native.lp_engine()
+    monkeypatch.setattr(native, "lp_engine", lambda: "numpy: forced")
+    yield native.lp_engine()
+
+
 class TestPivotPath:
     """Pivot counts and objectives of fixed solves, pinned to their recorded values.
 
     Answers alone cannot tell two pivot paths apart, so these pin the path a
-    change to the solver must keep.  The data are continuous, so no count
-    hangs on how BLAS rounds a tie.
+    change to the solver must keep, on both LP engines.  The data are
+    continuous, so no count hangs on how BLAS rounds a tie.
     """
 
-    def test_offline_lp(self):
+    def test_offline_lp(self, monkeypatch):
         inst = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=3200, m=10, seed=1))
-        sol = solve_relaxation(inst)
-        assert sol.iterations == 9
-        assert sol.objective == pytest.approx(2111.9723586785335, rel=1e-12)
+        for engine in each_lp_engine(monkeypatch):
+            sol = solve_relaxation(inst)
+            assert sol.iterations == 9, engine
+            assert sol.objective == pytest.approx(2111.9723586785335, rel=1e-12), engine
 
-    def test_warm_prefix_pass(self):
-        # the plain warm chain, and the lockstep pass run_prefix_lp takes,
-        # alone and beside a longer instance
+    def test_warm_prefix_pass(self, monkeypatch):
+        # the plain warm chain on each engine, and the lockstep pass
+        # run_prefix_lp takes, alone and beside a longer instance
         inst = generate(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=200, m=5, seed=2))
-        chain = warm_chain(inst)
-        assert sum(sol.iterations for sol in chain) == 221
-        assert chain[-1].objective == pytest.approx(365.6542164418093, rel=1e-12)
+        for engine in each_lp_engine(monkeypatch):
+            chain = warm_chain(inst)
+            assert sum(sol.iterations for sol in chain) == 221, engine
+            assert chain[-1].objective == pytest.approx(365.6542164418093, rel=1e-12), engine
         longer = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=300, m=5, seed=2))
         for batch, k in (([inst], 0), ([longer, inst], 1)):
             total = sum(int(step.iterations[k]) for step in solve_prefix_lps(batch)
