@@ -221,9 +221,7 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
             if gates[i]:
                 decisions = decisions * realized[r - gated.start, jj, :n]
             decisions = decisions.astype(np.int8 if k == 1 else np.int32)
-            picked = decisions.nonzero()[0]
-            traces[i][j] = _trace(decisions, rewards[picked, decisions[picked] - 1],
-                                  prices[r, jj], math.sqrt(peak[r, jj]))
+            traces[i][j] = _trace(decisions, rewards, prices[r, jj], math.sqrt(peak[r, jj]))
     return traces
 
 
@@ -329,12 +327,18 @@ def _numpy_rows(data, capacity, schedules, gated, track, rngs):
     return chosen.transpose(1, 2, 0), realized.transpose(1, 2, 0), prices, peak
 
 
-def _trace(decisions, taken_rewards, final_prices, max_dual_norm) -> RunTrace:
-    """A run's trace from its decisions, made read-only, and the rewards it took, in order."""
+def _trace(decisions, rewards, final_prices, max_dual_norm) -> RunTrace:
+    """A run's trace from its decisions, made read-only, and its (n, k) rewards.
+
+    The objective is the in-order sum of the rewards of the alternatives
+    taken: ``rewards[t, decisions[t] - 1]`` wherever ``decisions[t]`` is not 0.
+    """
     decisions.flags.writeable = False
+    picked = decisions.nonzero()[0]
+    taken = rewards[picked, decisions[picked] - 1]
     return RunTrace(
         decisions=decisions,
-        objective=float(np.concatenate(((0.0,), taken_rewards)).cumsum()[-1]),
+        objective=float(np.concatenate(((0.0,), taken)).cumsum()[-1]),
         final_prices=final_prices,
         max_dual_norm=max_dual_norm,
     )
@@ -376,50 +380,38 @@ def run_prefix_lp(instances: Sequence[Instance], configs: Sequence[AlgorithmConf
     from step t-1's final basis, in one lockstep pass over the instances
     (see :func:`~onlinelp.simplex.solve_prefix_lps`): the start changes how
     each LP is solved, not which LP.  The instances share m, not n: they run
-    longest first, and step t steps only those with n > t.  A DLA row
-    thresholds column t against the dual prices of step t-1's LP (zero
-    prices at t=1), with no feasibility enforcement; it ignores its seed.  A
-    PBD row sets x_t to 1 with probability equal to the t-th coordinate of
-    step t's optimum, drawing exactly one number per step from its own
-    stream ``rng_seeds[i][j]``, degenerate probabilities included, so traces
-    are seed-stable under code motion.  No row depends on the others or on
-    the other instances of the batch.  Raises ``ValueError`` on a malformed
-    batch, a config of another kind, or instances that do not share m.
+    longest first, and step t steps only those with n > t.  A DLA row takes
+    column t iff the pass favoured it: iff its reward beats its usage priced
+    at step t-1's duals (zero prices at t=1), with no feasibility
+    enforcement; it ignores its seed.  A PBD row sets x_t to 1 with
+    probability equal to the t-th coordinate of step t's optimum, drawing
+    exactly one number per step from its own stream ``rng_seeds[i][j]``,
+    degenerate probabilities included, so traces are seed-stable under code
+    motion.  No row depends on the others or on the other instances of the
+    batch.  Raises ``ValueError`` on a malformed batch, a config of another
+    kind, or instances that do not share m.
     """
     by_n = _batch_order(instances, configs, rng_seeds)
     for cfg in configs:
         if cfg.kind not in PREFIX_LP_KINDS:
             raise ValueError(f"{cfg.kind.value} is not a prefix-LP algorithm")
     ordered = [instances[j] for j in by_n]
-    steps = solve_prefix_lps(ordered)
-    cells, n_max, m = len(ordered), ordered[0].n, ordered[0].m
-    # prices[k, t] are cell k's prices before step t: zero, then step t-1's
-    # duals; primal[k, t] is step t's value of cell k's column t
-    prices = np.zeros((cells, n_max + 1, m))
-    primal = np.zeros((cells, n_max))
-    for t, step in enumerate(steps):
-        a = len(step.primal)
-        prices[:a, t + 1] = step.duals
-        primal[:a, t] = step.primal
-    prob = np.minimum(np.maximum(primal, 0.0), 1.0)  # PBD's, one per step
+    lps = solve_prefix_lps(ordered)
+    prob = np.minimum(np.maximum(lps.primal, 0.0), 1.0)  # PBD's, one per step
 
-    traces: List[List[RunTrace]] = [[None] * cells for _ in configs]
+    traces: List[List[RunTrace]] = [[None] * len(ordered) for _ in configs]
     for k, (j, inst) in enumerate(zip(by_n, ordered)):
-        cols, seen = np.ascontiguousarray(inst.columns.T), prices[k, :inst.n + 1]
-        # every step's decision and price norm at once, by the dot products
-        # a step-by-step loop would take
-        accepts = inst.rewards > (cols[:, None, :] @ seen[:-1, :, None])[:, 0, 0]
-        norm_sq = np.maximum.reduce(seen[1:, None, :] @ seen[1:, :, None], axis=None)
-        final = seen[-1].copy()  # a view would keep the whole price history alive
+        duals = lps.duals[k, :inst.n]
+        norm_sq = np.maximum.reduce(duals[:, None, :] @ duals[:, :, None], axis=None)
+        final = duals[-1].copy()  # a view would keep every cell's prices alive
         final.flags.writeable = False
         for i, cfg in enumerate(configs):
             if cfg.kind is AlgorithmKind.DLA:
-                taken, last, norm = accepts, final, math.sqrt(norm_sq)
+                taken, last, norm = lps.favoured[k, :inst.n], final, math.sqrt(norm_sq)
             else:  # PBD keeps no prices; its stream draws one number per step
                 draws = np.random.default_rng(rng_seeds[i][j]).random(inst.n)
                 taken, last, norm = draws < prob[k, :inst.n], None, None
-            traces[i][j] = _trace(taken.astype(np.int8), inst.rewards[taken.nonzero()[0]],
-                                  last, norm)
+            traces[i][j] = _trace(taken.astype(np.int8), inst.rewards[:, None], last, norm)
     return traces
 
 
@@ -464,4 +456,4 @@ def repair_feasibility(inst: Instance, trace: RunTrace, rng_seed: int) -> RunTra
     removed = rng.choice(s_plus, size=size, replace=False)
     kept = decisions.copy()
     kept[removed] = 0
-    return _trace(kept, inst.rewards[kept.nonzero()[0]], trace.final_prices, trace.max_dual_norm)
+    return _trace(kept, inst.rewards[:, None], trace.final_prices, trace.max_dual_norm)

@@ -1,16 +1,15 @@
-"""The compiled loops: build ``_onepass.c`` and ``_simplex.c`` once per checkout and machine.
+"""The compiled loops: build ``_onepass.c`` and ``_simplex.c`` once per content and machine.
 
 One library holds both loops: the one-pass kernel's k = 1 rows and the offline
 LP's pivots.  It is built lazily, the first time either runs, with ``cc -O3
 -march=native -ffp-contract=off`` into ``$XDG_CACHE_HOME/onlinelp/``
 (``~/.cache/onlinelp/`` when the variable is unset), and looked up once per
-process.  Its file name is a short digest of the host and of the sources'
-directory, followed by a hash of the sources, the compiler, the flags and the
-host, so a home directory shared between machines never loads a library
-built for another CPU; each build writes a temporary file that
-``os.replace`` moves into place, so that concurrent builds are safe, and a
-fresh build removes the user's older builds for the same host and
-directory, so that two checkouts sharing a cache keep one build each.  It
+process.  Its file name is a hash of the sources, the compiler, the flags and
+the host, so checkouts with the same sources share one build and a home
+directory shared between machines never loads a library built for another
+CPU; each build writes a temporary file that ``os.replace`` moves into
+place, so that concurrent builds are safe.  Loading a build marks it used,
+and a fresh build removes the user's builds unused for 30 days.  It
 is loaded with ``ctypes``, which numpy has already imported.  :func:`engine`
 selects it for a one-pass batch of k = 1 instances of m constraints only if
 it loaded and its in-order ``fma`` sums reproduce ``np.vecdot``'s bits on a
@@ -30,6 +29,7 @@ import hashlib
 import os
 import stat
 import threading
+import time
 from pathlib import Path
 from typing import Dict, Tuple, Union
 
@@ -43,6 +43,7 @@ FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
 # vectors of the dot-order probe; their entries span 16 decades, so that a
 # different summation order shows in the last bits
 _PROBE_VECTORS = 256
+_DAY = 86400.0  # seconds
 
 
 class _Library:
@@ -112,11 +113,9 @@ def load() -> Union[_Library, str]:
         sources = [source.read_bytes() for source in SOURCES]
     except OSError:
         return "no source"
-    host = _host()
     key = hashlib.sha256(b"\0".join((*sources, COMPILER.encode(), " ".join(FLAGS).encode(),
-                                     host))).hexdigest()
-    checkout = hashlib.sha256(host + b"\0" + bytes(SOURCES[0].resolve().parent)).hexdigest()
-    path = directory / f"native-{checkout[:8]}-{key[:20]}.so"
+                                     _host()))).hexdigest()
+    path = directory / f"native-{key[:20]}.so"
     try:
         directory.mkdir(mode=0o700, parents=True, exist_ok=True)
         if not _private(directory):
@@ -127,10 +126,13 @@ def load() -> Union[_Library, str]:
         reason = _build(path)
         if reason:
             return reason
-        _prune(path)
+        _prune(directory)
     try:
         if not _private(path):
             return "cache not private"
+        if path.stat().st_mtime < time.time() - _DAY:  # mark it used, to the day
+            with contextlib.suppress(OSError):
+                os.utime(path)
         return _Library(path)
     except (OSError, AttributeError):
         return "build failed"
@@ -163,21 +165,19 @@ def _build(path: Path) -> str:
             os.unlink(tmp)
 
 
-def _prune(path: Path) -> None:
-    """Remove the user's other builds for this host and checkout from ``path``'s directory.
+def _prune(directory: Path) -> None:
+    """Remove the user's builds from ``directory`` that no process loaded for 30 days.
 
-    A build is a regular file named ``native-<host and checkout digest>-<key>.so``;
-    a symlink, another user's file, another host's or checkout's build and a
-    build still being written (a ``.tmp`` file) stay.
+    A build is a regular file named ``native-*.so``, whatever scheme named
+    it, and its mtime is when it was last loaded; a symlink, another user's
+    file and a build still being written (a ``.tmp`` file) stay.
     """
-    prefix = path.name[:path.name.rindex("-") + 1]
-    for other in path.parent.iterdir():
-        if other.name == path.name or not (other.name.startswith(prefix)
-                                           and other.name.endswith(".so")):
-            continue
+    cutoff = time.time() - 30 * _DAY
+    for other in directory.glob("native-*.so"):
         with contextlib.suppress(OSError):
             info = other.lstat()
-            if stat.S_ISREG(info.st_mode) and info.st_uid == os.getuid():
+            if stat.S_ISREG(info.st_mode) and info.st_uid == os.getuid() \
+                    and info.st_mtime < cutoff:
                 other.unlink()
 
 

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -66,7 +66,7 @@ __all__ = [
     "solve_box_lp",
     "solve_relaxation",
     "solve_scaled",
-    "PrefixStep",
+    "PrefixLps",
     "solve_prefix_lps",
     "solve_binary_exact",
     "certify",
@@ -384,32 +384,37 @@ def solve_scaled(inst: Instance, s: int, prev: Optional[LpSolution] = None) -> L
     return solve_box_lp(inst.rewards[:s], inst.columns[:, :s], s * inst.per_column_budget, start)
 
 
-class PrefixStep(NamedTuple):
-    """Step t of :func:`solve_prefix_lps`: each running cell's LP over its first ``t + 1`` columns.
+class PrefixLps(NamedTuple):
+    """The prefix LPs of a batch, as :func:`solve_prefix_lps` solves them; entries past an n are 0.
 
-    ``duals`` (cells, m) are the LPs' prices, ``primal`` (cells,) the value
-    of their new column ``t`` and ``iterations`` (cells,) their pivots, as
-    :class:`LpSolution` reports them.  Each step's arrays are its own.
+    Entry ``[k, t]`` is cell k's LP over its first ``t + 1`` columns:
+    ``favoured`` (cells, n_max) says whether column t's reduced cost at the
+    previous LP's prices (0 at t = 0) is positive, the bound its warm start
+    gives it; ``duals`` (cells, n_max, m) are the LP's prices, ``primal``
+    (cells, n_max) the value of column t and ``iterations`` (cells, n_max)
+    its pivots, as :class:`LpSolution` reports them.
     """
 
+    favoured: np.ndarray
     duals: np.ndarray
     primal: np.ndarray
     iterations: np.ndarray
 
 
-def solve_prefix_lps(instances: Sequence[Instance]) -> Iterator[PrefixStep]:
-    """Solve every prefix LP of every instance in lockstep; yields one :class:`PrefixStep` per step.
+def solve_prefix_lps(instances: Sequence[Instance]) -> PrefixLps:
+    """Solve every prefix LP of every instance in lockstep, into one :class:`PrefixLps`.
 
     A cell is one instance, and step t solves its prefix LP over columns
     0..t with capacity ``(t + 1) * d``, as ``solve_scaled(inst, t + 1, prev)``
     does, warm from step t-1's final basis, and step 0 from the empty
     prefix's: its m slacks basic at price 0.  The instances share m, not n,
     and come longest first: step t steps the first ``a`` cells, those with
-    n > t, and yields their arrays.  Every LP of a step has t + 1 columns
-    plus m slacks, so ``Gt`` (cells, n_max + m, m) holds each cell's
-    ``[A | I]`` by rows in prefix layout (rows [0, s) the first s columns,
-    rows [s, s + m) the slack identity), and the costs, bound flags,
-    nonbasic masks, bases, basis inverses and prices are stacked likewise.
+    n > t, and writes their column t of the record.  Every LP of a step has
+    t + 1 columns plus m slacks, so ``Gt`` (cells, n_max + m, m) holds each
+    cell's ``[A | I]`` by rows in prefix layout (rows [0, s) the first s
+    columns, rows [s, s + m) the slack identity), and the costs, bound
+    flags, nonbasic masks, bases, basis inverses and prices are stacked
+    likewise.
 
     A step writes column t and the shifted identity, renumbers the basic
     slacks and gives the new column the bound its reduced cost at the last
@@ -433,10 +438,6 @@ def solve_prefix_lps(instances: Sequence[Instance]) -> Iterator[PrefixStep]:
         raise ValueError("the instances of a prefix-LP pass must share m")
     if any(a.n < b.n for a, b in zip(instances, instances[1:])):
         raise ValueError("the instances of a prefix-LP pass must come longest first")
-    return _prefix_steps(instances)
-
-
-def _prefix_steps(instances: Sequence[Instance]) -> Iterator[PrefixStep]:
     lengths = [inst.n for inst in instances]
     cells, n_max, m = len(instances), lengths[0], instances[0].m
     rewards = np.zeros((cells, n_max))
@@ -447,9 +448,8 @@ def _prefix_steps(instances: Sequence[Instance]) -> Iterator[PrefixStep]:
         rewards[k, :inst.n] = inst.rewards
         columns[k, :, :inst.n] = inst.columns
     budget = np.stack([inst.per_column_budget for inst in instances])
-    # step t's capacities are (t + 1) * budget, non-negative iff the budgets are
-    if not np.logical_and.reduce(budget >= 0.0, axis=None):
-        raise ValueError("capacities must be non-negative")
+    out = PrefixLps(np.zeros((cells, n_max), dtype=bool), np.zeros((cells, n_max, m)),
+                    np.zeros((cells, n_max)), np.zeros((cells, n_max), dtype=np.int64))
     Gt = np.zeros((cells, n_max + m, m))
     c = np.zeros((cells, n_max + m))
     at_upper = np.zeros((cells, n_max + m), dtype=bool)
@@ -485,8 +485,9 @@ def _prefix_steps(instances: Sequence[Instance]) -> Iterator[PrefixStep]:
         free[:, s:] = free[:, t:N - 1]
         free[:, t] = True
         prices = np.maximum(y[:a], 0.0)
-        at[:, t] = rewards[:a, t] - (columns[:a, None, :, t] @ prices[:, :, None])[:, 0, 0] > 0.0
-        iterations = np.zeros(a, dtype=np.int64)
+        priced = (columns[:a, None, :, t] @ prices[:, :, None])[:, 0, 0]
+        at[:, t] = out.favoured[:a, t] = rewards[:a, t] - priced > 0.0
+        iterations = out.iterations[:a, t]
         stale = None  # the cells whose basis changed; a view when it is every cell
         while True:
             if stale is not None:
@@ -533,13 +534,14 @@ def _prefix_steps(instances: Sequence[Instance]) -> Iterator[PrefixStep]:
             moved = slice(0, a) if len(moved) == a else moved
             costs = flat_c.take(order[moved] + offset[moved])
             y[moved] = np.linalg.solve(B[moved], costs[:, :, None])[:, :, 0]
-        duals = np.maximum(y[:a], 0.0)
+        duals = np.maximum(y[:a], 0.0, out=out.duals[:a, t])
+        out.primal[:a, t] = x[:, t]
         cbar = np.empty((a, N))
         np.subtract(cost[:, :s], (duals[:, None, :] @ G[:, :s].transpose(0, 2, 1))[:, 0],
                     out=cbar[:, :s])
         np.negative(y[:a], out=cbar[:, s:])
         _check_dual_feasible(cbar, at, free, s, m)
-        yield PrefixStep(duals, x[:, t].copy(), iterations)
+    return out
 
 
 _EXACT_LIMIT = 25

@@ -483,35 +483,33 @@ m = 2
         # for both rows
         cfg = load_config(write_mini_config(tmp_path, trials=2, algorithms="dla, pbd"))
         real = algorithms.solve_prefix_lps
-        passes, steps = [], []
+        passes, shapes = [], []
 
         def counting(instances):
             passes.append(sorted(inst.n for inst in instances))
-            for step in real(instances):
-                steps.append(len(step.primal))
-                yield step
+            lps = real(instances)
+            shapes.append([field.shape for field in lps])
+            return lps
 
         monkeypatch.setattr(algorithms, "solve_prefix_lps", counting)
         report = run_experiment(cfg, workers=1)
         assert not report.errors and len(report.rows) == 2 * 2 * 2
         assert passes == [[24, 24, 48, 48]]
-        assert len(steps) == 48 and sum(steps) == 2 * 24 + 2 * 48
+        assert shapes == [[(4, 48), (4, 48, 3), (4, 48), (4, 48)]]
 
     def test_failed_prefix_pass_fails_every_cell_it_carried(self, tmp_path, monkeypatch):
-        # The pass that carries trial 1 raises after its first step.  Every
-        # cell of its block records the error, one-pass rows included; the
-        # block of trial 0, in another worker, keeps its rows.
+        # The pass that carries trial 1 raises.  Every cell of its block
+        # records the error, one-pass rows included; the block of trial 0,
+        # in another worker, keeps its rows.
         cfg = load_config(write_mini_config(tmp_path, trials=2, algorithms="soa/sqrt_n, dla, pbd"))
         whole = run_experiment(cfg, workers=1).trials_csv().splitlines()
         real = algorithms.solve_prefix_lps
         trial_1 = cfg_instance(cfg, 24, 1)
 
         def failing(instances):
-            steps = real(instances)
             if any(np.array_equal(inst.rewards, trial_1.rewards) for inst in instances):
-                next(steps)
                 raise SimplexError("injected pass failure")
-            return steps
+            return real(instances)
 
         monkeypatch.setattr(algorithms, "solve_prefix_lps", failing)
         for workers, failed in ((1, (0, 1)), (2, (1,))):

@@ -59,8 +59,7 @@ class TestNanExcess:
 
     def test_the_pass_pivots_on_a_nan_row(self, nan_first_inverse):
         with pytest.raises(SimplexError, match="no entering column"):
-            for _ in solve_prefix_lps([uniform(40, 3, seed) for seed in (1, 2)]):
-                pass
+            solve_prefix_lps([uniform(40, 3, seed) for seed in (1, 2)])
         assert len(nan_first_inverse) == 1
 
     def test_the_row_reductions_agree_on_nan(self):
@@ -118,14 +117,15 @@ class TestTraceObjective:
     ])
     def test_equals_the_cumulative_sum_from_zero(self, taken):
         taken = np.array(taken, dtype=np.float64)
-        trace = algorithms._trace(np.zeros(4, dtype=np.int8), taken, None, None)
+        # every column taken, each from the one alternative of a (n, 1) reward array
+        trace = algorithms._trace(np.ones(len(taken), dtype=np.int8), taken[:, None], None, None)
         assert bits(trace.objective) == bits(float(np.cumsum(np.append(0.0, taken))[-1]))
 
 
 # The functions that run per pivot, per step or per run.
 HOT = {
     simplex: ("_long_step", "_pivot", "_numpy_pivots", "_compiled_pivots", "_solve",
-              "_prefix_steps", "_check_dual_feasible"),
+              "solve_prefix_lps", "_check_dual_feasible"),
     algorithms: ("run_one_pass", "_numpy_rows", "_trace", "run_prefix_lp", "repair_feasibility"),
     native: ("engine", "step_rows", "lp_engine", "pivot_lp", "_workspace"),
     core: ("violation_norm",),

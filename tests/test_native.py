@@ -6,6 +6,7 @@ every test's cache at a temporary directory.
 """
 import itertools
 import math
+import os
 import threading
 import time
 import tomllib
@@ -405,7 +406,7 @@ class TestLpEngines:
 
 
 class TestPrune:
-    def test_a_fresh_build_removes_older_builds_of_this_host_only(self, monkeypatch, tmp_path):
+    def test_a_fresh_build_removes_builds_unused_for_30_days(self, monkeypatch, tmp_path):
         def build(key):
             """Build the sources with a comment appended to the second: a new build key."""
             source = tmp_path / key / "_simplex.c"
@@ -414,29 +415,53 @@ class TestPrune:
             monkeypatch.setattr(native, "SOURCES", (native.SOURCES[0], source))
             return native.load()
 
+        def unused_for(path, days):
+            then = time.time() - days * 86400
+            os.utime(path, (then, then), follow_symlinks=False)
+
         simplex_source = native.SOURCES[1].read_text()
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "home"))
         cache = tmp_path / "home" / "onlinelp"
         if isinstance(build("one"), str):
             pytest.skip("no compiled library on this machine")
         (first,) = cache.iterdir()
-        host = first.name.split("-")[1]
-        # another host's build, a link named as a build of this host, and a file
-        # not named as a build all stay
-        kept = {cache / "native-00000000-0123456789abcdef0123.so": first.read_bytes(),
-                cache / f"native-{host}-notes.txt": b"not a build"}
-        for path, data in kept.items():
-            path.write_bytes(data)
-        link = cache / f"native-{host}-0123456789abcdef0123.so"
-        link.symlink_to(first)
+        assert len(first.name.split("-")) == 2  # one digest: the build key
+        # loading a build marks it used
+        unused_for(first, 40)
+        assert not isinstance(build("one"), str)
+        assert time.time() - first.stat().st_mtime < 60
+        # a build of the older host-and-checkout scheme unused for 31 days goes;
+        # a build unused for 29 days, a link and a file not named as a build,
+        # each unused for 31 days, and a build still being written stay
+        stale = cache / "native-00000000-0123456789abcdef0123.so"
+        recent = cache / "native-0123456789abcdef0123.so"
+        kept = {recent: 29, cache / "native-notes.txt": 31,
+                cache / "native-89abcdef0123456789ab.so.x1y2.tmp": 31}
+        for path, days in {stale: 31, **kept}.items():
+            path.write_bytes(first.read_bytes())
+            unused_for(path, days)
+        link = cache / "native-456789abcdef01234567.so"
+        link.symlink_to(stale)
+        unused_for(link, 31)
         assert not isinstance(build("two"), str)
-        (second,) = set(cache.iterdir()) - set(kept) - {link}
-        assert second.name.startswith(f"native-{host}-") and second != first
-        assert all(path.read_bytes() == data for path, data in kept.items())
-        assert link.is_symlink()
+        (second,) = set(cache.iterdir()) - set(kept) - {first, link}
+        assert second != first and not stale.exists()
+        assert link.is_symlink() and all(path.exists() for path in kept)
         # loading a build in place removes nothing
-        assert not isinstance(build("two"), str)
-        assert set(cache.iterdir()) == {second, link, *kept}
+        assert not isinstance(build("one"), str)
+        assert set(cache.iterdir()) == {first, second, link, *kept}
+
+    def test_identical_sources_in_two_directories_load_one_build(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "home"))
+        for name in ("one", "two"):
+            sources = tuple(tmp_path / name / source.name for source in native.SOURCES)
+            sources[0].parent.mkdir()
+            for source, original in zip(sources, native.SOURCES):
+                source.write_bytes(original.read_bytes())
+            monkeypatch.setattr(native, "SOURCES", sources)
+            if isinstance(native.load(), str):
+                pytest.skip("no compiled library on this machine")
+        assert len(list((tmp_path / "home" / "onlinelp").iterdir())) == 1
 
     def test_two_checkouts_sharing_a_cache_keep_their_builds(self, monkeypatch, tmp_path):
         # two copies of the sources, each with its own change, as two

@@ -186,17 +186,35 @@ class TestPrefixWorkspace:
                              adversarial,
                              permute(adversarial, PermutationPlan.random(60, 6))])
 
-    def test_pass_matches_plain_warm_chain(self):
+    def test_pass_matches_plain_warm_chain(self, monkeypatch):
+        # each new column's bound in the start solve_scaled hands to solve_box_lp
+        flags, solve = [], simplex.solve_box_lp
+
+        def recording(rewards, columns, capacity, start=None):
+            flags.append(rewards[-1] > 0.0 if start is None else start[1][len(rewards) - 1])
+            return solve(rewards, columns, capacity, start)
+
+        monkeypatch.setattr(simplex, "solve_box_lp", recording)
         count = 0
         for batch in self.batches():
-            chains = [warm_chain(inst) for inst in batch]
-            for t, step in enumerate(solve_prefix_lps(batch)):
-                assert len(step.primal) == sum(inst.n > t for inst in batch)
-                for k, (duals, primal, iterations) in enumerate(zip(*step)):
-                    plain = chains[k][t]
+            chains = []
+            for inst in batch:
+                flags.clear()
+                chains.append((warm_chain(inst), list(flags)))
+            lps = solve_prefix_lps(batch)
+            shape = (len(batch), batch[0].n)
+            assert lps.favoured.shape == lps.primal.shape == lps.iterations.shape == shape
+            assert lps.duals.shape == shape + (batch[0].m,)
+            for k, (inst, (chain, favoured)) in enumerate(zip(batch, chains)):
+                for t, plain in enumerate(chain):
+                    duals = lps.duals[k, t]
                     assert duals.dtype == plain.duals.dtype and np.array_equal(duals, plain.duals)
-                    assert primal == plain.primal[t] and iterations == plain.iterations
+                    assert lps.primal[k, t] == plain.primal[t]
+                    assert lps.iterations[k, t] == plain.iterations
+                    assert lps.favoured[k, t] == favoured[t]
                     count += 1
+                # entries past the cell's n stay 0
+                assert not any(field[k, inst.n:].any() for field in lps)
         assert count > 1000
 
     def test_mixed_m_or_order_raises(self):
@@ -207,13 +225,6 @@ class TestPrefixWorkspace:
                              ([], "at least one")):
             with pytest.raises(ValueError, match=match):
                 solve_prefix_lps(batch)
-
-    def test_solution_owns_its_arrays(self):
-        # the pass pivots its stacked state in place; a yielded step keeps its values
-        batch = [generate(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=n, m=3, seed=6)) for n in (40, 30)]
-        kept = [(step, [field.copy() for field in step]) for step in solve_prefix_lps(batch)]
-        for step, copies in kept:
-            assert all(np.array_equal(field, copy) for field, copy in zip(step, copies))
 
 
 def assert_close(a, b, tol=1e-9):
@@ -379,9 +390,10 @@ class TestEffortCounts:
 
     def test_warm_workspace_steps(self, monkeypatch):
         # a step starts from the inverses the previous step's last pass took,
-        # step 0 from the empty prefix's identity, so it inverts one matrix
-        # per pivot; a cell without pivots reuses its prices, and a cell whose
-        # new column ended nonbasic reads that column's value off its bound
+        # step 0 from the empty prefix's identity, so the pass inverts one
+        # matrix per pivot; a cell without pivots reuses its prices, and a
+        # cell whose new column ended nonbasic reads that column's value off
+        # its bound
         batch = longest_first(generate(GeneratorSpec(family, n=60, m=3, seed=8)) for family in
                               (GeneratorFamily.UNIFORM, GeneratorFamily.GAUSSIAN,
                                GeneratorFamily.ADVERSARIAL))
@@ -401,16 +413,12 @@ class TestEffortCounts:
 
         monkeypatch.setattr(simplex.np.linalg, "inv", counting_inv)
         monkeypatch.setattr(simplex.np.linalg, "solve", counting_solve)
-        steps = pivoting = 0
-        for t, step in enumerate(solve_prefix_lps(batch)):
-            assert sum(inverted) == step.iterations.sum()
-            assert sum(solved) == basic[t] + np.count_nonzero(step.iterations)
-            steps += len(batch)
-            pivoting += np.count_nonzero(step.iterations)
-            inverted.clear()
-            solved.clear()
-        assert 0 < pivoting < steps
-        assert 0 < sum(basic) < steps
+        iterations = solve_prefix_lps(batch).iterations
+        pivoting = np.count_nonzero(iterations)
+        assert sum(inverted) == iterations.sum()
+        assert sum(solved) == sum(basic) + pivoting
+        assert 0 < pivoting < iterations.size
+        assert 0 < sum(basic) < iterations.size
 
 
 def each_lp_engine(monkeypatch):
@@ -445,9 +453,7 @@ class TestPivotPath:
             assert chain[-1].objective == pytest.approx(365.6542164418093, rel=1e-12), engine
         longer = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=300, m=5, seed=2))
         for batch, k in (([inst], 0), ([longer, inst], 1)):
-            total = sum(int(step.iterations[k]) for step in solve_prefix_lps(batch)
-                        if len(step.iterations) > k)
-            assert total == 221
+            assert solve_prefix_lps(batch).iterations[k].sum() == 221
 
 PRICE_FAMILIES = tuple(GeneratorFamily)  # uniform, gaussian, Cauchy, mixed, adversarial
 
