@@ -3,9 +3,10 @@
    onepass_rows steps every row of a batch over every instance, instance by
    instance, with bit for bit the numpy kernel's arithmetic in
    algorithms.run_one_pass: the decision dot and the squared price norm are
-   in-order fma() sums, the order np.vecdot was checked to take at this m, and
-   every other operation is one IEEE operation in numpy's order, built with
-   -ffp-contract=off so that the compiler fuses none of them.
+   in-order sums of separately rounded products, starting from 0.0, and every
+   other operation is one IEEE operation in numpy's order, built with
+   -ffp-contract=off so that the compiler fuses none of them.  The same sums
+   give the same bits on any host, whatever its BLAS.
 
    Rows [0, first_gated) are plain, rows [first_gated, first_track) realize
    an accept only while it fits (SFA's gate), and rows [first_track, rows)
@@ -19,17 +20,7 @@
    (n_inst, first_track - first_gated, n_max) the gated rows' realized ones,
    prices (n_inst, rows, m) the final prices and peak (n_inst, rows) the
    largest squared price norm. */
-#include <math.h>
 #include <stdint.h>
-
-/* x . y as an in-order fma() sum: the one dot product of this file */
-static inline double dot(const double *x, const double *y, int64_t m)
-{
-    double sum = 0.0;
-    for (int64_t i = 0; i < m; i++)
-        sum = fma(x[i], y[i], sum);
-    return sum;
-}
 
 void onepass_rows(int64_t n_inst, int64_t rows, int64_t first_gated, int64_t first_track,
                   int64_t m, int64_t n_max, const int64_t *lengths,
@@ -61,7 +52,10 @@ void onepass_rows(int64_t n_inst, int64_t rows, int64_t first_gated, int64_t fir
             const double left = n - t - 1 > 1 ? (double)(n - t - 1) : 1.0;
             for (int64_t row = 0; row < rows; row++) {
                 double *q = p + row * m;
-                const int accept = reward > dot(u, q, m);
+                double score = 0.0;
+                for (int64_t i = 0; i < m; i++)
+                    score += u[i] * q[i];
+                const int accept = reward > score;
                 const double taken = accept ? 1.0 : 0.0;
                 dec[row * n_max + t] = (uint8_t)accept;
                 double g = gammas[row][t * gamma_strides[2 * row] + j * gamma_strides[2 * row + 1]];
@@ -70,6 +64,7 @@ void onepass_rows(int64_t n_inst, int64_t rows, int64_t first_gated, int64_t fir
                 double *b = row >= first_track ? budget + (row - first_track) * m : 0;
                 if (b && t == n - 1)
                     g = 0.0;
+                double norm = 0.0;
                 for (int64_t i = 0; i < m; i++) {
                     double step = taken * u[i];
                     if (b)
@@ -79,8 +74,8 @@ void onepass_rows(int64_t n_inst, int64_t rows, int64_t first_gated, int64_t fir
                     const double after = q[i] + step;
                     /* np.maximum(after, 0.0), NaN and -0.0 included */
                     q[i] = after < 0.0 ? 0.0 : after;
+                    norm += q[i] * q[i];
                 }
-                const double norm = dot(q, q, m);
                 if (norm > top[row] || norm != norm)
                     top[row] = norm;
                 if (accept && row >= first_gated && row < first_track) {
@@ -97,12 +92,4 @@ void onepass_rows(int64_t n_inst, int64_t rows, int64_t first_gated, int64_t fir
             }
         }
     }
-}
-
-/* out[c] = x[c] . y[c] for count vectors of length m, summed as onepass_rows
-   sums: the probe of whether this order gives np.vecdot's bits at this m. */
-void onepass_dots(int64_t count, int64_t m, const double *x, const double *y, double *out)
-{
-    for (int64_t c = 0; c < count; c++)
-        out[c] = dot(x + c * m, y + c * m, m);
 }

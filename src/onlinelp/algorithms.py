@@ -160,13 +160,13 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
     own n, and a row's state stays as its own last step left it.  Each row
     keeps its own prices, consumption, budget and step sizes, so a row's
     trace does not depend on what else is in the batch.
-    Two engines step the rows, with bit for bit the same answers;
-    :func:`~onlinelp.native.engine` says which runs.  The compiled loop of
-    ``_onepass.c`` steps every k = 1 batch, where its library builds (once
-    per machine, into ``$XDG_CACHE_HOME/onlinelp/``, by default
-    ``~/.cache/onlinelp/``) and where its in-order ``fma`` dot products give
-    ``np.vecdot``'s bits at this m.  The numpy kernel (:func:`_numpy_rows`)
-    steps the rest.
+    Every dot product is the in-order sum of separately rounded products,
+    so two engines step the rows with bit for bit the same answers on any
+    host; :func:`~onlinelp.native.engine` says which runs.  The compiled
+    loop of ``_onepass.c`` steps every k = 1 batch where its library builds
+    (once per machine, into ``$XDG_CACHE_HOME/onlinelp/``, by default
+    ``~/.cache/onlinelp/``).  The numpy kernel (:func:`_numpy_rows`) steps
+    the rest.
     ``rng_seeds[i][j]`` seeds config i's tie-breaking stream on instance j,
     which draws only when two or more alternatives tie for the best
     positive value.  Decisions record the chosen alternative 1..k, 0 for
@@ -203,7 +203,7 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
     track = slice(len(keys) - n_track, len(keys))
     gated = slice(track.start - len(gating), track.start)
     lengths = [len(r) for r, _ in data]
-    if native.engine(k, m) == "compiled":
+    if native.engine(k) == "compiled":
         steps = native.step_rows(data, capacity, schedules, gated, track)
     else:
         rngs = [[np.random.default_rng(rng_seeds[key][j]) for j in by_n] for key in keys] \
@@ -237,10 +237,11 @@ def _numpy_rows(data, capacity, schedules, gated, track, rngs):
     gated rows' realized accepts (gated rows, instances, n_max), the final
     prices (rows, instances, m) and the largest squared price norms (rows,
     instances).  Step t steps only the instances with n > t.  Per-row dot
-    products are ``np.vecdot`` of that row alone, and every other operation
-    is elementwise.  A gated row realizes a tentative accept iff ``used +
-    usage <= capacity`` in every coordinate, and only a realized accept adds
-    to ``used``, as the compiled loop steps it.
+    products are in-order sums (:func:`_dot`), as the compiled loop's are,
+    and every other operation is elementwise.  A gated row realizes a
+    tentative accept iff ``used + usage <= capacity`` in every coordinate,
+    and only a realized accept adds to ``used``, as the compiled loop steps
+    it.
     """
     _, k, m = data[0][1].shape
     lengths = [len(r) for r, _ in data]
@@ -257,7 +258,6 @@ def _numpy_rows(data, capacity, schedules, gated, track, rngs):
     # tentative decisions of every row, and the realized accepts of the gated rows
     chosen = np.zeros((lengths[0],) + shape[:2], dtype=bool if k == 1 else np.int32)
     realized = np.zeros((lengths[0], n_gated, n_inst), dtype=bool)
-    vecdot = np.vecdot
     t0 = 0
     while t0 < lengths[0]:
         # One chunk: the running instances [0, a) stay the same throughout,
@@ -281,6 +281,8 @@ def _numpy_rows(data, capacity, schedules, gated, track, rngs):
         steps[-1, track, a_next:] = 0.0
         left = np.maximum(ns[:a, None] - t[:, :, None], 1.0)
         step = np.empty((rows, a, m))
+        squares = np.empty((rows, a, m))  # scratch of the price norms
+        products = squares if k == 1 else np.empty((rows, a, k, m))  # of the decisions
         norms = np.empty((span, rows, a))  # each step's squared price norms
         want = np.empty((n_gated, a, m))
         target_a = target[:, :a]
@@ -295,9 +297,9 @@ def _numpy_rows(data, capacity, schedules, gated, track, rngs):
             if k == 1:
                 usage = cols
                 accept = decided
-                np.greater(reward, vecdot(usage, prices_a), out=accept)
+                np.greater(reward, _dot(usage, prices_a, products), out=accept)
             else:
-                values = reward - vecdot(cols, prices_a[:, :, None, :])
+                values = reward - _dot(cols, prices_a[:, :, None, :], products)
                 best = np.maximum.reduce(values, axis=-1)
                 accept = best > 0.0
                 pick = values.argmax(axis=-1)
@@ -320,11 +322,23 @@ def _numpy_rows(data, capacity, schedules, gated, track, rngs):
             step *= gamma
             prices_a += step
             np.maximum(prices_a, 0.0, out=prices_a)
-            vecdot(prices_a, prices_a, out=norm)
+            np.copyto(norm, _dot(prices_a, prices_a, squares))
         prices[:, :a] = prices_a
         np.maximum(peak_a, np.maximum.reduce(norms, axis=0), out=peak_a)
         t0 = t1
     return chosen.transpose(1, 2, 0), realized.transpose(1, 2, 0), prices, peak
+
+
+def _dot(x, y, out):
+    """``x . y`` along the last axis, summed in order from the first product; ``out`` is scratch.
+
+    A multiply into ``out``, then ``np.add.accumulate``, which adds strictly
+    in order, whatever the host's BLAS: the sums of ``_onepass.c``, which
+    start from 0.0, bit for bit but for the sign of a zero sum, which no
+    comparison sees.  Returns a view of ``out`` holding the sums.
+    """
+    np.multiply(x, y, out=out)
+    return np.add.accumulate(out, axis=-1, out=out)[..., -1]
 
 
 def _trace(decisions, rewards, final_prices, max_dual_norm) -> RunTrace:

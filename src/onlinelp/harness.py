@@ -323,10 +323,9 @@ def _block_task(args) -> List[CellOutcome]:
         if not (configs and running):
             continue
         instances = [inst for _, inst, _, _, _ in running]
-        # asked before the clock starts, so that the library's build and
-        # probe are not timed as the kernel's
-        engine = (native.engine(getattr(instances[0], "k", 1), instances[0].m)
-                  if run is run_one_pass else None)
+        # asked before the clock starts, so that the library's build is
+        # not timed as the kernel's
+        engine = native.engine(getattr(instances[0], "k", 1)) if run is run_one_pass else None
         t0 = time.perf_counter()
         try:
             batch = run(instances, configs,

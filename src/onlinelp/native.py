@@ -9,17 +9,16 @@ the host, so checkouts with the same sources share one build and a home
 directory shared between machines never loads a library built for another
 CPU; each build writes a temporary file that ``os.replace`` moves into
 place, so that concurrent builds are safe.  Loading a build marks it used,
-and a fresh build removes the user's builds unused for 30 days.  It
-is loaded with ``ctypes``, which numpy has already imported.  :func:`engine`
-selects it for a one-pass batch of k = 1 instances of m constraints only if
-it loaded and its in-order ``fma`` sums reproduce ``np.vecdot``'s bits on a
-fixed probe at that m, checked once per process and m; otherwise the numpy
-kernel runs, with the same answers.  :func:`lp_engine` selects it for every LP pivot loop where
-it loaded: the LP's answer is solved from its final basis in numpy, so it
-needs no probe.  The cache directory is made private to the user (mode 0700),
-and a library is loaded only where the directory and the file belong to the
-user and no one else can write them, so that a cache in a shared place cannot
-hand the process another user's code.
+and a fresh build removes the user's builds unused for 30 days.  It is
+loaded with ``ctypes``, which numpy has already imported.  :func:`engine`
+selects it for every one-pass batch of k = 1 instances where it loaded: its
+dot products are in-order sums, as the numpy kernel's are, so both engines
+answer alike on any host; otherwise the numpy kernel runs.  :func:`lp_engine`
+selects it for every LP pivot loop where it loaded: the LP's answer is solved
+from its final basis in numpy.  The cache directory is made private to the
+user (mode 0700), and a library is loaded only where the directory and the
+file belong to the user and no one else can write them, so that a cache in a
+shared place cannot hand the process another user's code.
 """
 from __future__ import annotations
 
@@ -31,7 +30,7 @@ import stat
 import threading
 import time
 from pathlib import Path
-from typing import Dict, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -40,40 +39,21 @@ __all__ = ["cache_directory", "engine", "lp_engine", "pivot_lp", "step_rows"]
 SOURCES = (Path(__file__).with_name("_onepass.c"), Path(__file__).with_name("_simplex.c"))
 COMPILER = "cc"
 FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
-# vectors of the dot-order probe; their entries span 16 decades, so that a
-# different summation order shows in the last bits
-_PROBE_VECTORS = 256
 _DAY = 86400.0  # seconds
 
 
 class _Library:
-    """A loaded build of the sources, and which m its one-pass dot order was checked at."""
+    """A loaded build of the sources."""
 
     def __init__(self, path: Path):
         lib = ctypes.CDLL(str(path))
-        self.rows, self.dots = lib.onepass_rows, lib.onepass_dots
-        self.rows.restype = self.dots.restype = None
+        self.rows = lib.onepass_rows
+        self.rows.restype = None
         self.rows.argtypes = [ctypes.c_int64] * 6 + [ctypes.c_void_p] * 12
-        self.dots.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 3
         self.pivots = lib.simplex_pivots
         self.pivots.restype = ctypes.c_int64
         self.pivots.argtypes = ([ctypes.c_int64] * 2 + [ctypes.c_void_p] * 7 + [ctypes.c_int64]
                                 + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 3)
-        self.same_dots: Dict[int, bool] = {}
-
-    def dots_match(self, m: int) -> bool:
-        """Whether the loop's dot products give ``np.vecdot``'s bits on the probe at this m."""
-        if m not in self.same_dots:
-            rng = np.random.default_rng(m)
-            x, y = (rng.standard_normal((_PROBE_VECTORS, m))
-                    * 10.0 ** rng.integers(-8, 8, (_PROBE_VECTORS, m)) for _ in range(2))
-            want = np.concatenate((np.vecdot(x, y), np.vecdot(x, x)))
-            got = np.empty(2 * _PROBE_VECTORS)
-            self.dots(_PROBE_VECTORS, m, x.ctypes.data, y.ctypes.data, got.ctypes.data)
-            self.dots(_PROBE_VECTORS, m, x.ctypes.data, x.ctypes.data,
-                      got[_PROBE_VECTORS:].ctypes.data)
-            self.same_dots[m] = got.tobytes() == want.tobytes()
-        return self.same_dots[m]
 
 
 # the library this process loaded, or why none loaded; None until first asked
@@ -188,20 +168,18 @@ def _library() -> Union[_Library, str]:
     return _lib
 
 
-def engine(k: int, m: int) -> str:
-    """Which engine steps a one-pass batch of k alternatives and m constraints.
+def engine(k: int) -> str:
+    """Which engine steps a one-pass batch of k alternatives.
 
     ``"compiled"``, or ``"numpy: <reason>"``, the reason being ``k > 1``
-    (the numpy kernel's seeded tie streams), the reason :func:`load` gave,
-    or ``dot order differs at m = <m>``.  Builds and loads the library on
-    the first k = 1 call of the process.
+    (the numpy kernel's seeded tie streams) or the reason :func:`load`
+    gave.  Builds and loads the library on the first k = 1 call of the
+    process.
     """
     if k > 1:
         return "numpy: k > 1"
     lib = _library()
-    if isinstance(lib, str):
-        return "numpy: " + lib
-    return "compiled" if lib.dots_match(m) else f"numpy: dot order differs at m = {m}"
+    return "numpy: " + lib if isinstance(lib, str) else "compiled"
 
 
 def lp_engine() -> str:

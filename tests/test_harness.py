@@ -660,13 +660,13 @@ def cfg_instance(cfg, n, trial):
 # whose offline LPs take long steps over thousands of equal ratios
 TRIALS_CSV_SHA256 = {
     "adversarial_permutation.ini": "8fc126e2548f94b705c313a7f16f1d1cb20b8538aad6cfe4c3034deacac15f26",
-    "demo_small.ini": "4f9f0e3db3774fa2a127a80f8d488597b0cfa8082e19ac7c47a1944ede52aed1",
+    "demo_small.ini": "7663a0d89cb9ac27f5e607cf58980db59e3f521e80dfe767b57d6e133ffe802a",
     "mknap_demo.ini": "dd307294b08092fb723330083828edc2984e5404804d0bdf9451f6f79fa2ae6d",
 }
 # sha256 of json.dumps({"aggregates": ..., "fits": ...}, sort_keys=True): summary.json's numbers
 SUMMARY_SHA256 = {
     "adversarial_permutation.ini": "9c6fb487edc9e20e76b5c62544accd064ca7450135b5f633e4699e568127eb1f",
-    "demo_small.ini": "cb158b1a3709e7a9a939683c94ce4f46cf0d000407e1ff3252af240802e612c8",
+    "demo_small.ini": "3f9a5d6a0016076aa159f93d50bcf5b881377ffe57b3065b9e4fd181b353fe6f",
     "mknap_demo.ini": "37928f774a46c6a6fdc6f9b240ea23dc923708e148b9fe09779a20d707612e0a",
 }
 
@@ -708,7 +708,7 @@ enabled = false
 """,
 }
 WORKLOAD_TRIALS_SHA256 = {
-    "onepass_sweep": "b65ba55ba1772ecd2304f70410a74f81e427bb0a9e0b42cd3957d9fa05ed30de",
+    "onepass_sweep": "cfa44783a34ae89953b02cfbe8d1521c638b09e135e2b8b7e376d5ab5524bc5a",
     "prefix_lp": "0738c0acb6d11295259850b6c550809d393d174f89f92488b76895b4c48afa0f",
 }
 

@@ -4,9 +4,13 @@ Each path is forced by monkeypatching the selector, ``native.engine``, or
 the compiler and cache directory it builds with.  ``conftest.py`` points
 every test's cache at a temporary directory.
 """
+import dataclasses
 import itertools
+import json
 import math
 import os
+import subprocess
+import sys
 import threading
 import time
 import tomllib
@@ -26,6 +30,8 @@ from oracles import reference_one_pass
 from test_simplex import warm_cases, warm_chain
 
 ROOT = Path(__file__).resolve().parent.parent
+# below, at and above the widths where a BLAS dot switches to blocked sums
+M_VALUES = (1, 2, 5, 10, 15, 16, 17, 31, 32, 33, 48, 64, 100)
 TOKENS = ("soa/sqrt_n", "soa/sqrt_t", "soa/unit", "sfa/sqrt_n", "sfa/sqrt_t", "sfa/unit",
           "sna/sqrt_n", "sna/sqrt_t", "sna/unit", "multisoa")
 
@@ -37,7 +43,7 @@ def random_batch(seed):
     fills a capacity exactly.
     """
     rng = np.random.default_rng(seed)
-    m = int(rng.integers(1, 16))
+    m = int(rng.choice(M_VALUES))
     grid = 4.0 if rng.random() < 0.3 else None
     instances = []
     for _ in range(int(rng.integers(1, 5))):
@@ -58,7 +64,7 @@ def random_batch(seed):
 
 
 def numpy_engine(monkeypatch, reason="numpy: forced"):
-    monkeypatch.setattr(native, "engine", lambda k, m: reason)
+    monkeypatch.setattr(native, "engine", lambda k: reason)
 
 
 def assert_same_traces(batch, again):
@@ -77,8 +83,16 @@ def columns_of(inst):
     return inst.rewards, inst.columns.T
 
 
+def in_order_norm(prices):
+    """The price norm from the in-order sum of squares (``sum`` compensates from Python 3.12)."""
+    total = 0.0
+    for v in prices:
+        total += v * v
+    return math.sqrt(total)
+
+
 def assert_reference(instances, configs, batch):
-    """Each trace against the plain-Python loop of ``tests/oracles.py``."""
+    """Each trace against the plain-Python loop of ``tests/oracles.py``, bit for bit."""
     for cfg, row in zip(configs, batch):
         for inst, trace in zip(instances, row):
             rewards, columns = columns_of(inst)
@@ -89,8 +103,7 @@ def assert_reference(instances, configs, batch):
             assert list(trace.decisions) == decisions, (cfg.label, inst.n, inst.m)
             # the price steps are the same IEEE operations in the same order
             assert list(trace.final_prices) == prices
-            norm = max(math.sqrt(sum(v * v for v in p)) for p in history)
-            assert trace.max_dual_norm == pytest.approx(norm, rel=1e-12, abs=1e-300)
+            assert trace.max_dual_norm == max(map(in_order_norm, history))
 
 
 class TestSource:
@@ -107,10 +120,9 @@ class TestSource:
 
 @pytest.mark.parametrize("seed", range(24))
 def test_random_batches_answer_alike_on_both_paths(seed, monkeypatch):
+    if native.engine(1) != "compiled":
+        pytest.skip(f"the compiled loop does not run: {native.engine(1)}")
     batches = [random_batch(3 * seed + i) for i in range(3)]
-    for m in {batch[0][0].m for batch in batches}:
-        if native.engine(1, m) != "compiled":
-            pytest.skip(f"the compiled loop does not run at m = {m}: {native.engine(1, m)}")
     compiled = [run_one_pass(*batch) for batch in batches]
     numpy_engine(monkeypatch)
     for batch, traces in zip(batches, compiled):
@@ -120,16 +132,58 @@ def test_random_batches_answer_alike_on_both_paths(seed, monkeypatch):
         assert_reference(*batch[:2], plain)
 
 
+def kernel_fingerprint():
+    """What the BLAS kernel could change: ``np.vecdot`` on a fixed probe, and one-pass traces.
+
+    The traces are of one small k = 1 batch at each of m = 2, 10 and 32, on
+    each engine: hex bytes of every decision, objective, final price and
+    ``max_dual_norm``.  JSON-ready, so that a child process can print it.
+    """
+    rng = np.random.default_rng(0)
+    x, y = (rng.standard_normal((64, 32)) * 10.0 ** rng.integers(-8, 8, (64, 32))
+            for _ in range(2))
+    traces = {}
+    configs = [AlgorithmConfig.parse(token) for token in TOKENS[:-1]]
+    for m, name in itertools.product((2, 10, 32), ("default", "numpy: forced")):
+        instances = [generate(GeneratorSpec(family, n=90, m=m, seed=m))
+                     for family in (GeneratorFamily.UNIFORM, GeneratorFamily.GAUSSIAN)]
+        seeds = [[0] * len(instances) for _ in configs]
+        with pytest.MonkeyPatch.context() as patch:
+            if name != "default":
+                patch.setattr(native, "engine", lambda k: name)
+            batch = run_one_pass(instances, configs, seeds)
+        traces[f"{m} {name}"] = [
+            [trace.decisions.tobytes().hex(), np.float64(trace.objective).tobytes().hex(),
+             trace.final_prices.tobytes().hex(), np.float64(trace.max_dual_norm).tobytes().hex()]
+            for row in batch for trace in row]
+    return {"probe": np.vecdot(x, y).tobytes().hex(), "traces": traces}
+
+
+def test_one_pass_traces_do_not_depend_on_the_blas_kernel():
+    # only the child runs OpenBLAS's Haswell kernels, whose dot products sum
+    # in another order than the other x86 kernels' for most m
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               PYTHONPATH=os.pathsep.join((str(ROOT / "src"), str(ROOT / "tests"))))
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import json, test_native; print(json.dumps(test_native.kernel_fingerprint()))"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    there, here = json.loads(child.stdout), kernel_fingerprint()
+    if there["probe"] == here["probe"]:
+        pytest.skip("the child's np.vecdot sums as this process's does: "
+                    "no other BLAS kernel took effect")
+    assert there["traces"] == here["traces"]
+
+
 class TestSelection:
     def test_k1_batches_run_compiled_where_the_library_builds(self):
         # the reason names what failed, so a fallback shows in every report
-        for m in (1, 5, 10):
-            engine = native.engine(1, m)
-            assert engine == "compiled" or engine.startswith("numpy: ")
-        assert native.engine(3, 5) == "numpy: k > 1"
+        engine = native.engine(1)
+        assert engine == "compiled" or engine.startswith("numpy: ")
+        assert native.engine(3) == "numpy: k > 1"
         if not isinstance(native.load(), str):
-            # one product has one rounding in any order
-            assert native.engine(1, 1) == "compiled"
+            assert engine == "compiled"
 
     def test_without_a_compiler_the_numpy_path_answers_alike(self, monkeypatch, tmp_path):
         instances, configs, seeds = random_batch(100)
@@ -137,7 +191,7 @@ class TestSelection:
         monkeypatch.setattr(native, "_lib", None)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         monkeypatch.setattr(native, "COMPILER", "onlinelp-no-such-compiler")
-        assert native.engine(1, instances[0].m) == "numpy: no compiler"
+        assert native.engine(1) == "numpy: no compiler"
         assert_same_traces(run_one_pass(instances, configs, seeds), before)
         assert not list(tmp_path.glob("onlinelp/*.so"))
 
@@ -154,23 +208,8 @@ class TestSelection:
         blocker = tmp_path / "cache"
         blocker.write_text("a file where the cache directory would go")
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
-        assert native.engine(1, instances[0].m) == "numpy: cache not writable"
+        assert native.engine(1) == "numpy: cache not writable"
         assert_same_traces(run_one_pass(instances, configs, seeds), before)
-
-    def test_a_dot_order_mismatch_selects_numpy(self, monkeypatch):
-        monkeypatch.setattr(native, "_lib", None)
-        if native.engine(1, 5) != "compiled":
-            pytest.skip("no compiled library on this machine")
-        vecdot = np.vecdot
-
-        def reordered(x, y):  # a last-bit difference, as another summation order gives
-            return np.nextafter(vecdot(x, y), np.inf)
-
-        monkeypatch.setattr(np, "vecdot", reordered)
-        assert native.engine(1, 4) == "numpy: dot order differs at m = 4"
-        monkeypatch.setattr(np, "vecdot", vecdot)
-        assert native.engine(1, 4) == "numpy: dot order differs at m = 4"  # checked once per m
-        assert native.engine(1, 5) == "compiled"
 
     def test_two_builds_into_one_empty_cache_both_load(self, monkeypatch, tmp_path):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
@@ -202,7 +241,7 @@ class TestSelection:
         cache = tmp_path / "onlinelp"
         cache.mkdir(mode=0o777)
         cache.chmod(0o777)  # as a shared directory would be, whatever the umask
-        assert native.engine(1, instances[0].m) == "numpy: cache not private"
+        assert native.engine(1) == "numpy: cache not private"
         assert_same_traces(run_one_pass(instances, configs, seeds), before)
         assert not list(cache.iterdir())  # nothing built there either
 
@@ -225,12 +264,19 @@ class TestReport:
     def test_meta_names_the_engine_and_the_rows_do_not_depend_on_it(self, monkeypatch):
         cfg = self.config("soa/sqrt_n", "sfa/sqrt_t", "sna/unit", "dla")
         report = run_experiment(cfg, workers=1)
-        assert report.meta["onepass_engine"] == native.engine(1, 3)
+        assert report.meta["onepass_engine"] == native.engine(1)
         numpy_engine(monkeypatch, "numpy: no compiler")
         fallback = run_experiment(cfg, workers=1)
         assert fallback.meta["onepass_engine"] == "numpy: no compiler"
         assert fallback.trials_csv() == report.trials_csv()
         assert fallback.aggregates == report.aggregates and fallback.fits == report.fits
+
+    def test_a_wide_batch_runs_compiled(self):
+        if isinstance(native.load(), str):
+            pytest.skip("no compiled library on this machine")
+        cfg = dataclasses.replace(self.config("soa/sqrt_n", "sfa/sqrt_t"),
+                                  generator_params={"family": GeneratorFamily.UNIFORM, "m": 32})
+        assert run_experiment(cfg, workers=1).meta["onepass_engine"] == "compiled"
 
     def test_no_one_pass_row_no_engine(self):
         report = run_experiment(self.config("dla", "pbd"), workers=1)
