@@ -162,11 +162,11 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
     trace does not depend on what else is in the batch.
     Every dot product is the in-order sum of separately rounded products,
     so two engines step the rows with bit for bit the same answers on any
-    host; :func:`~onlinelp.native.engine` says which runs.  The compiled
-    loop of ``_onepass.c`` steps every k = 1 batch where its library builds
-    (once per machine, into ``$XDG_CACHE_HOME/onlinelp/``, by default
+    host.  The compiled loop of ``_onepass.c`` steps every k = 1 batch where
+    :func:`~onlinelp.native.engine` says its library loaded (it builds once
+    per machine, into ``$XDG_CACHE_HOME/onlinelp/``, by default
     ``~/.cache/onlinelp/``).  The numpy kernel (:func:`_numpy_rows`) steps
-    the rest.
+    the rest, k > 1 batches everywhere, since only it draws their tie streams.
     ``rng_seeds[i][j]`` seeds config i's tie-breaking stream on instance j,
     which draws only when two or more alternatives tie for the best
     positive value.  Decisions record the chosen alternative 1..k, 0 for
@@ -203,7 +203,7 @@ def run_one_pass(instances: Sequence, configs: Sequence[AlgorithmConfig],
     track = slice(len(keys) - n_track, len(keys))
     gated = slice(track.start - len(gating), track.start)
     lengths = [len(r) for r, _ in data]
-    if native.engine(k) == "compiled":
+    if k == 1 and native.engine() == "compiled":
         steps = native.step_rows(data, capacity, schedules, gated, track)
     else:
         rngs = [[np.random.default_rng(rng_seeds[key][j]) for j in by_n] for key in keys] \

@@ -257,10 +257,7 @@ class CellOutcome:
     It holds the cell's rows and the ``||b||_2`` of its instance if the cell
     ran through, else its error; the (label, wall seconds) timings of every
     measured call that finished for it, failed or not (a call that raises
-    stays untimed); the certificate of its offline LP once solved; the
-    engine that stepped its one-pass rows (see :func:`~onlinelp.native.engine`);
-    and the engine that pivoted its offline LP (see
-    :func:`~onlinelp.native.lp_engine`).
+    stays untimed); and the certificate of its offline LP once solved.
     """
 
     n: int
@@ -269,8 +266,6 @@ class CellOutcome:
     capacity_norm: Optional[float] = None
     timings: List[Tuple[str, float]] = dataclasses.field(default_factory=list)
     certificate: Optional[Certificate] = None
-    onepass_engine: Optional[str] = None
-    lp_engine: Optional[str] = None
     error: Optional[str] = None
 
     def fail(self, exc: Exception) -> None:
@@ -323,9 +318,6 @@ def _block_task(args) -> List[CellOutcome]:
         if not (configs and running):
             continue
         instances = [inst for _, inst, _, _, _ in running]
-        # asked before the clock starts, so that the library's build is
-        # not timed as the kernel's
-        engine = native.engine(getattr(instances[0], "k", 1)) if run is run_one_pass else None
         t0 = time.perf_counter()
         try:
             batch = run(instances, configs,
@@ -339,15 +331,9 @@ def _block_task(args) -> List[CellOutcome]:
         for i, (out, inst, _, _, traces) in enumerate(running):
             traces.update((c.label, row[i]) for c, row in zip(configs, batch))
             out.timings.append((name, share * inst.n))
-            if engine:
-                out.onepass_engine = engine
     lps = {}  # id(LP source) -> (optimum, solve seconds, certificate), or what the solve raised
     scored = Counter(id(source) for _, _, _, source, _ in running)
-    # asked before the first timer, so that the library's build or load is
-    # not timed as the LP's
-    lp_engine = native.lp_engine() if running else None
     for out, inst, seed, source, traces in running:
-        out.lp_engine = lp_engine
         try:
             if id(source) not in lps:
                 t0 = time.perf_counter()
@@ -494,12 +480,11 @@ def run_experiment(cfg: ExperimentConfig, *, workers: Optional[int] = None) -> E
     Results do not depend on the parallelism degree or the block size; rows
     are sorted by (n, trial, algorithm) before any reduction.  ``meta.lp_certificate``
     holds the worst of each :class:`~onlinelp.simplex.Certificate` field over
-    the offline LPs solved, or ``None`` when none was; ``meta.onepass_engine``
-    names the engine that stepped the one-pass rows, ``"compiled"`` or
-    ``"numpy: <reason>"`` (each distinct one, joined by ``"; "``), or is
-    ``None`` when no one-pass row ran; ``meta.offline_lp_engine`` names the
-    engine that pivoted the offline LPs likewise, or is ``None`` when no LP
-    ran.  A negative
+    the offline LPs solved, or ``None`` when none was.  ``meta.engine`` is
+    :func:`~onlinelp.native.engine`'s answer, asked before the clock starts
+    and by each worker process as it starts, so that no timer counts the
+    library's build or load.  The harness builds only k = 1 instances, so
+    its one-pass rows and offline LPs ran on what it names.  A negative
     ``workers`` raises ``ValueError``; ``None`` and 0 defer to the config.
     """
     if cfg.generator_params is not None:
@@ -515,12 +500,16 @@ def run_experiment(cfg: ExperimentConfig, *, workers: Optional[int] = None) -> E
     # problem gets tasks of its own, since problems may differ in m
     groups = [sources] if cfg.generator_params is not None else [[source] for source in sources]
     tasks = [(cfg, group, block) for group in groups for block in _blocks(cfg.trials, nworkers)]
+    engine = native.engine()
     started = time.perf_counter()
     if nworkers > 1 and len(tasks) > 1:
         # imported here: a single-process run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(nworkers, len(tasks))) as pool:
+        # each worker loads the library before its first timer: a forked
+        # one inherits it, one started by spawn or forkserver does not
+        with ProcessPoolExecutor(max_workers=min(nworkers, len(tasks)),
+                                 initializer=native.engine) as pool:
             blocks = list(pool.map(_block_task, tasks))
     else:
         blocks = [_block_task(t) for t in tasks]
@@ -534,8 +523,6 @@ def run_experiment(cfg: ExperimentConfig, *, workers: Optional[int] = None) -> E
     errors = [{"n": int(out.n), "trial": int(out.trial), "error": out.error}
               for out in outcomes if out.error is not None]
     certificates = [out.certificate for out in outcomes if out.certificate is not None]
-    engines = {name: "; ".join(sorted({getattr(out, name) for out in outcomes} - {None})) or None
-               for name in ("onepass_engine", "lp_engine")}
 
     # (algorithm, n) -> (row, capacity norm of its cell) pairs
     groups: Dict[Tuple[str, int], List[Tuple[TrialResult, float]]] = {}
@@ -564,7 +551,6 @@ def run_experiment(cfg: ExperimentConfig, *, workers: Optional[int] = None) -> E
         wall_by_alg[label] = wall_by_alg.get(label, 0.0) + seconds
     generator_notes = cfg.spec_for(cfg.n_values[0], 0).notes() if cfg.generator_params else ""
     meta = {
-        "format_version": FORMAT_VERSION,
         "package_version": __version__,
         "root_seed": cfg.seed,
         "workers": nworkers,
@@ -574,8 +560,7 @@ def run_experiment(cfg: ExperimentConfig, *, workers: Optional[int] = None) -> E
         "lp_certificate": {field: max(getattr(c, field) for c in certificates)
                            for field in Certificate._fields} if certificates else None,
         "generator_notes": generator_notes,
-        "onepass_engine": engines["onepass_engine"],
-        "offline_lp_engine": engines["lp_engine"],
+        "engine": engine,
         "seed_scheme": "sha256(root|n|trial|tag)[:8]",
     }
     return ExperimentReport(config=cfg.echo(), rows=rows, timings=timings, aggregates=aggregates,

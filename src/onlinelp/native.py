@@ -11,14 +11,14 @@ CPU; each build writes a temporary file that ``os.replace`` moves into
 place, so that concurrent builds are safe.  Loading a build marks it used,
 and a fresh build removes the user's builds unused for 30 days.  It is
 loaded with ``ctypes``, which numpy has already imported.  :func:`engine`
-selects it for every one-pass batch of k = 1 instances where it loaded: its
-dot products are in-order sums, as the numpy kernel's are, so both engines
-answer alike on any host; otherwise the numpy kernel runs.  :func:`lp_engine`
-selects it for every LP pivot loop where it loaded: the LP's answer is solved
-from its final basis in numpy.  The cache directory is made private to the
-user (mode 0700), and a library is loaded only where the directory and the
-file belong to the user and no one else can write them, so that a cache in a
-shared place cannot hand the process another user's code.
+says whether it loaded.  Where it did, every one-pass batch of k = 1
+instances steps in it, its dot products in-order sums as the numpy kernel's
+are, so both engines answer alike on any host, and every LP pivots in it,
+the answer solved from the final basis in numpy; elsewhere numpy runs both.
+The cache directory is made private to the user (mode 0700), and a library
+is loaded only where the directory and the file belong to the user and no
+one else can write them, so that a cache in a shared place cannot hand the
+process another user's code.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-__all__ = ["cache_directory", "engine", "lp_engine", "pivot_lp", "step_rows"]
+__all__ = ["cache_directory", "engine", "pivot_lp", "step_rows"]
 
 SOURCES = (Path(__file__).with_name("_onepass.c"), Path(__file__).with_name("_simplex.c"))
 COMPILER = "cc"
@@ -168,25 +168,10 @@ def _library() -> Union[_Library, str]:
     return _lib
 
 
-def engine(k: int) -> str:
-    """Which engine steps a one-pass batch of k alternatives.
+def engine() -> str:
+    """Which engines run: ``"compiled"``, or ``"numpy: <reason>"``, the reason :func:`load` gave.
 
-    ``"compiled"``, or ``"numpy: <reason>"``, the reason being ``k > 1``
-    (the numpy kernel's seeded tie streams) or the reason :func:`load`
-    gave.  Builds and loads the library on the first k = 1 call of the
-    process.
-    """
-    if k > 1:
-        return "numpy: k > 1"
-    lib = _library()
-    return "numpy: " + lib if isinstance(lib, str) else "compiled"
-
-
-def lp_engine() -> str:
-    """Which engine runs an LP's pivot loop: ``"compiled"``, or ``"numpy: <reason>"``.
-
-    The reason is the one :func:`load` gave.  Builds and loads the library
-    on the first call of the process.
+    Builds and loads the library on the first call of the process.
     """
     lib = _library()
     return "numpy: " + lib if isinstance(lib, str) else "compiled"
@@ -207,7 +192,7 @@ def pivot_lp(A, Gt, r, b, basis, at_upper, nonbasic, budget: int,
     four of ``PIVOT_STATUS``, and the pivots it began; raises
     ``ValueError`` on arrays of another layout or a basis index outside
     [0, n + m), which the loop checks before it reads any.  Call it only
-    where :func:`lp_engine` says ``"compiled"``.
+    where :func:`engine` says ``"compiled"``.
     """
     lib = _library()
     m, n = A.shape

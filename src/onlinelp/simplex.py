@@ -138,7 +138,7 @@ def solve_box_lp(rewards, columns, capacity, start=None) -> LpSolution:
     the bound its reward favours (``x_j = 1`` iff ``r_j > 0``), dual feasible
     at price 0.  Each pass inverts the basis matrix once and reads the basic
     values, the prices and the leaving row from that inverse, on the engine
-    :func:`~onlinelp.native.lp_engine` names.  Raises ``ValueError``, before
+    :func:`~onlinelp.native.engine` names.  Raises ``ValueError``, before
     either engine runs, unless every entry of r, A and b is finite and every
     capacity non-negative; ``np.linalg.LinAlgError`` on a singular basis
     matrix; and :class:`SimplexError` if the ratio test finds no entering
@@ -285,7 +285,7 @@ def _check_dual_feasible(cbar, at_upper, nonbasic, n: int, m: int) -> None:
 
 
 def _solve(r, A, Gt, c, upper, b, basis, at_upper, nonbasic) -> LpSolution:
-    """Pivot a valid start to the optimum, on the engine :func:`~onlinelp.native.lp_engine` names.
+    """Pivot a valid start to the optimum, on the engine :func:`~onlinelp.native.engine` names.
 
     ``A`` is the (m, n) matrix and ``Gt`` ``[A | I]`` by rows, both
     C-contiguous.  The start is ``basis``, ``at_upper`` and ``nonbasic``
@@ -295,7 +295,7 @@ def _solve(r, A, Gt, c, upper, b, basis, at_upper, nonbasic) -> LpSolution:
     """
     N, m = Gt.shape
     n = N - m
-    if native.lp_engine() == "compiled":
+    if native.engine() == "compiled":
         iterations = _compiled_pivots(r, A, Gt, b, basis, at_upper, nonbasic)
     else:
         iterations = _numpy_pivots(Gt, c, upper, b, basis, at_upper, nonbasic)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onlinelp import algorithms, native
+from onlinelp import algorithms
 from onlinelp.algorithms import (
     AlgorithmConfig,
     AlgorithmKind,
@@ -36,6 +36,7 @@ from onlinelp.generators import (
 )
 from onlinelp.simplex import solve_scaled
 
+from conftest import force_numpy
 from instance_bounds import compute_stats, price_norm_bound
 from oracles import subgradient_price_cap, reference_one_pass
 
@@ -409,7 +410,7 @@ EVERY_CONFIG = tuple(AlgorithmConfig(kind, sched) for kind in (
 def engine(request, monkeypatch):
     """The engine ``native.engine`` selects, or the numpy kernel forced for every batch."""
     if request.param == "numpy":
-        monkeypatch.setattr(native, "engine", lambda k: "numpy: forced")
+        force_numpy(monkeypatch)
     return request.param
 
 

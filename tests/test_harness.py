@@ -1,5 +1,6 @@
 import configparser
 import csv
+import ctypes
 import hashlib
 import io
 import json
@@ -27,6 +28,7 @@ from onlinelp.generators import (
     write_mknap,
 )
 from onlinelp.harness import (
+    FORMAT_VERSION,
     ConfigError,
     child_seed,
     load_config,
@@ -37,7 +39,8 @@ from onlinelp.metrics import evaluate_trial
 from onlinelp.simplex import SimplexError, solve_relaxation
 from onlinelp import algorithms, cli, harness
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 ALL_ALGORITHMS = "soa/sqrt_n, soa/sqrt_t, sfa/sqrt_t, sna/sqrt_t, multisoa, pbd"
 
 
@@ -655,20 +658,65 @@ def cfg_instance(cfg, n, trial):
     return inst
 
 
+def blas_kernel():
+    """The kernel numpy's bundled OpenBLAS dispatches to (``SkylakeX``, ``Haswell``, ...), or None.
+
+    ``OPENBLAS_CORETYPE`` picks another kernel at load time.  The LP's final
+    solves and the prefix-LP pass run in it, so a report's last bits can
+    depend on it.  None where no such library is found or it cannot say.
+    """
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                       .glob("libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
+def pins_for_this_kernel(table):
+    """``table``'s pins for this process's BLAS kernel; skips where none are recorded."""
+    kernel = blas_kernel()
+    if kernel not in table:
+        pytest.skip(f"no digest is pinned for the BLAS kernel {kernel or '(name unreadable)'}")
+    return table[kernel]
+
+
+# Digests by BLAS kernel.  A change in bytes re-pins every kernel's digests.
 # sha256 of trials.csv of three shipped configs: every kind with repair and
 # permuted arrivals, the benchmark-file path, and the tied two-phase family,
 # whose offline LPs take long steps over thousands of equal ratios
-TRIALS_CSV_SHA256 = {
+TRIALS_CSV_SHA256 = {"SkylakeX": {
     "adversarial_permutation.ini": "8fc126e2548f94b705c313a7f16f1d1cb20b8538aad6cfe4c3034deacac15f26",
     "demo_small.ini": "7663a0d89cb9ac27f5e607cf58980db59e3f521e80dfe767b57d6e133ffe802a",
     "mknap_demo.ini": "dd307294b08092fb723330083828edc2984e5404804d0bdf9451f6f79fa2ae6d",
+}}
+TRIALS_CSV_SHA256["Haswell"] = {
+    **TRIALS_CSV_SHA256["SkylakeX"],
+    "demo_small.ini": "50df3016200bfd6815f0eee88502c23f09bdd509dd9c0db0909631d631f39051",
 }
 # sha256 of json.dumps({"aggregates": ..., "fits": ...}, sort_keys=True): summary.json's numbers
-SUMMARY_SHA256 = {
+SUMMARY_SHA256 = {"SkylakeX": {
     "adversarial_permutation.ini": "9c6fb487edc9e20e76b5c62544accd064ca7450135b5f633e4699e568127eb1f",
     "demo_small.ini": "3f9a5d6a0016076aa159f93d50bcf5b881377ffe57b3065b9e4fd181b353fe6f",
     "mknap_demo.ini": "37928f774a46c6a6fdc6f9b240ea23dc923708e148b9fe09779a20d707612e0a",
+}}
+SUMMARY_SHA256["Haswell"] = {
+    **SUMMARY_SHA256["SkylakeX"],
+    "demo_small.ini": "82744dbcde49bc40d3e35b4cf62a40d24c300dd3b286e37acdb90783e9a0d280",
 }
+PINNED_CONFIGS = sorted(TRIALS_CSV_SHA256["SkylakeX"])
+
+
+def shipped_digests(name, workers):
+    """sha256 of a shipped config's trials.csv and of its summary numbers, as the pins take them."""
+    report = run_experiment(load_config(CONFIGS / name), workers=workers)
+    numbers = json.dumps({"aggregates": report.aggregates, "fits": report.fits}, sort_keys=True)
+    return [hashlib.sha256(text.encode("ascii")).hexdigest()
+            for text in (report.trials_csv(), numbers)]
+
 
 # The benchmark's two workload configs at seed 1, with the keys perfbench/workloads.py
 # writes: SNA, SFA's gate and multisoa over four n, across 64-step kernel chunk
@@ -708,36 +756,57 @@ enabled = false
 """,
 }
 WORKLOAD_TRIALS_SHA256 = {
-    "onepass_sweep": "cfa44783a34ae89953b02cfbe8d1521c638b09e135e2b8b7e376d5ab5524bc5a",
-    "prefix_lp": "0738c0acb6d11295259850b6c550809d393d174f89f92488b76895b4c48afa0f",
+    "SkylakeX": {
+        "onepass_sweep": "cfa44783a34ae89953b02cfbe8d1521c638b09e135e2b8b7e376d5ab5524bc5a",
+        "prefix_lp": "0738c0acb6d11295259850b6c550809d393d174f89f92488b76895b4c48afa0f",
+    },
+    "Haswell": {
+        "onepass_sweep": "4da51cdffb678b0c085fb3256e56846098870955ecfb78ed4dacd8f3e4408da0",
+        "prefix_lp": "e1d2eb1bc83b232207e8e3e94ba42a316c8ca5cc7f208a43681a46e2009820e5",
+    },
 }
 
 
 class TestDeterminismContract:
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("name", sorted(TRIALS_CSV_SHA256))
+    @pytest.mark.parametrize("name", PINNED_CONFIGS)
     def test_shipped_config_keeps_its_bytes(self, name, workers):
-        report = run_experiment(load_config(CONFIGS / name), workers=workers)
-        digest = hashlib.sha256(report.trials_csv().encode("ascii")).hexdigest()
-        assert digest == TRIALS_CSV_SHA256[name], (
+        trials, summary = map(pins_for_this_kernel, (TRIALS_CSV_SHA256, SUMMARY_SHA256))
+        digest, numbers = shipped_digests(name, workers)
+        assert digest == trials[name], (
             f"trials.csv of {name} at workers={workers} changed its bytes: a change in "
             f"bytes must be made on purpose and recorded in CHANGES.md with the new digest")
-        numbers = json.dumps({"aggregates": report.aggregates, "fits": report.fits},
-                             sort_keys=True)
-        assert hashlib.sha256(numbers.encode("ascii")).hexdigest() == SUMMARY_SHA256[name], (
+        assert numbers == summary[name], (
             f"summary.json's aggregates or fits of {name} at workers={workers} changed: a "
             f"change must be made on purpose and recorded in CHANGES.md with the new digest")
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name", sorted(WORKLOAD_CONFIGS))
     def test_benchmark_workload_keeps_its_bytes(self, tmp_path, name, workers):
+        pins = pins_for_this_kernel(WORKLOAD_TRIALS_SHA256)
         path = tmp_path / f"perfbench-{name}.ini"
         path.write_text(WORKLOAD_CONFIGS[name])
         report = run_experiment(load_config(path), workers=workers)
         digest = hashlib.sha256(report.trials_csv().encode("ascii")).hexdigest()
-        assert digest == WORKLOAD_TRIALS_SHA256[name], (
+        assert digest == pins[name], (
             f"trials.csv of the {name} workload at workers={workers} changed its bytes: a "
             f"change in bytes must be made on purpose and recorded in CHANGES.md")
+
+    def test_the_haswell_pins_hold_under_the_haswell_kernel(self):
+        # only the child runs OpenBLAS's Haswell kernels, so that a change in
+        # bytes made on any other kernel cannot leave the Haswell pins stale
+        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+                   PYTHONPATH=os.pathsep.join((str(ROOT / "src"), str(ROOT / "tests"))))
+        child = subprocess.run(
+            [sys.executable, "-c", "import json, test_harness as t; print(json.dumps("
+             "[t.blas_kernel(), *t.shipped_digests('demo_small.ini', 1)]))"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        kernel, digest, numbers = json.loads(child.stdout)
+        if kernel != "Haswell":
+            pytest.skip(f"the child's BLAS kernel is {kernel}, not Haswell")
+        assert digest == TRIALS_CSV_SHA256["Haswell"]["demo_small.ini"]
+        assert numbers == SUMMARY_SHA256["Haswell"]["demo_small.ini"]
 
 
 class TestReportFiles:
@@ -827,6 +896,9 @@ class TestReportFiles:
         assert report.meta["competitiveness_denominator"] == "lp_relaxation"
         assert report.meta["root_seed"] == 11
         assert report.config["generator"]["family"] == "uniform"
+        # the format version is stated once, at the top level
+        summary = json.loads(report.summary_json())
+        assert summary["format_version"] == FORMAT_VERSION and "format_version" not in report.meta
 
     def test_summary_does_not_depend_on_the_checkout(self, tmp_path):
         summaries = []

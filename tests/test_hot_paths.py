@@ -20,6 +20,8 @@ from onlinelp.core import Instance, violation_norm
 from onlinelp.generators import GeneratorFamily, GeneratorSpec, generate
 from onlinelp.simplex import SimplexError, solve_box_lp, solve_prefix_lps
 
+from conftest import force_numpy
+
 
 def bits(value):
     return struct.pack("<d", value)
@@ -51,7 +53,7 @@ class TestNanExcess:
     # then finds no column that moves a NaN toward its bound.
     def test_one_lp_pivots_on_a_nan_row(self, nan_first_inverse, monkeypatch):
         # poisons np.linalg.inv, which only the numpy LP engine calls per pass
-        monkeypatch.setattr(native, "lp_engine", lambda: "numpy: forced")
+        force_numpy(monkeypatch)
         inst = uniform(30, 3, 1)
         with pytest.raises(SimplexError, match="no entering column"):
             solve_box_lp(inst.rewards, inst.columns, inst.capacity)
@@ -127,7 +129,7 @@ HOT = {
     simplex: ("_long_step", "_pivot", "_numpy_pivots", "_compiled_pivots", "_solve",
               "solve_prefix_lps", "_check_dual_feasible"),
     algorithms: ("run_one_pass", "_numpy_rows", "_trace", "run_prefix_lp", "repair_feasibility"),
-    native: ("engine", "step_rows", "lp_engine", "pivot_lp", "_workspace"),
+    native: ("engine", "step_rows", "pivot_lp", "_workspace"),
     core: ("violation_norm",),
 }
 # numpy wrapper -> the C entry point it ends in

@@ -1,8 +1,8 @@
 """The compiled one-pass loop: where it is built, when it runs, and that it answers as numpy does.
 
-Each path is forced by monkeypatching the selector, ``native.engine``, or
-the compiler and cache directory it builds with.  ``conftest.py`` points
-every test's cache at a temporary directory.
+Each path is forced by monkeypatching the switch, ``native.engine`` (see
+``conftest.force_numpy``), or the compiler and cache directory it builds
+with.  ``conftest.py`` points every test's cache at a temporary directory.
 """
 import dataclasses
 import itertools
@@ -26,6 +26,7 @@ from onlinelp.generators import GeneratorFamily, GeneratorSpec, generate
 from onlinelp.harness import ExperimentConfig, run_experiment
 from onlinelp.simplex import SimplexError, solve_box_lp, solve_relaxation
 
+from conftest import force_numpy
 from oracles import reference_one_pass
 from test_simplex import warm_cases, warm_chain
 
@@ -61,10 +62,6 @@ def random_batch(seed):
                for token in rng.choice(TOKENS, int(rng.integers(1, 6)))]
     seeds = [[int(s) for s in rng.integers(0, 100, len(instances))] for _ in configs]
     return instances, configs, seeds
-
-
-def numpy_engine(monkeypatch, reason="numpy: forced"):
-    monkeypatch.setattr(native, "engine", lambda k: reason)
 
 
 def assert_same_traces(batch, again):
@@ -120,11 +117,11 @@ class TestSource:
 
 @pytest.mark.parametrize("seed", range(24))
 def test_random_batches_answer_alike_on_both_paths(seed, monkeypatch):
-    if native.engine(1) != "compiled":
-        pytest.skip(f"the compiled loop does not run: {native.engine(1)}")
+    if native.engine() != "compiled":
+        pytest.skip(f"the compiled loop does not run: {native.engine()}")
     batches = [random_batch(3 * seed + i) for i in range(3)]
     compiled = [run_one_pass(*batch) for batch in batches]
-    numpy_engine(monkeypatch)
+    force_numpy(monkeypatch)
     for batch, traces in zip(batches, compiled):
         plain = run_one_pass(*batch)
         assert_same_traces(traces, plain)
@@ -150,7 +147,7 @@ def kernel_fingerprint():
         seeds = [[0] * len(instances) for _ in configs]
         with pytest.MonkeyPatch.context() as patch:
             if name != "default":
-                patch.setattr(native, "engine", lambda k: name)
+                force_numpy(patch, name)
             batch = run_one_pass(instances, configs, seeds)
         traces[f"{m} {name}"] = [
             [trace.decisions.tobytes().hex(), np.float64(trace.objective).tobytes().hex(),
@@ -179,11 +176,30 @@ def test_one_pass_traces_do_not_depend_on_the_blas_kernel():
 class TestSelection:
     def test_k1_batches_run_compiled_where_the_library_builds(self):
         # the reason names what failed, so a fallback shows in every report
-        engine = native.engine(1)
+        engine = native.engine()
         assert engine == "compiled" or engine.startswith("numpy: ")
-        assert native.engine(3) == "numpy: k > 1"
         if not isinstance(native.load(), str):
             assert engine == "compiled"
+
+    def test_a_k3_batch_steps_in_numpy_whatever_the_switch_says(self, monkeypatch):
+        # only the numpy kernel draws a k > 1 batch's tie streams
+        rng = np.random.default_rng(5)
+        rewards, blocks = rng.uniform(-0.5, 2, (70, 3)), rng.uniform(0, 2, (70, 2, 3))
+        rewards[::2, 1], blocks[::2, :, 1] = rewards[::2, 0], blocks[::2, :, 0]  # ties
+        minsts = [MultiInstance(reward_blocks=rewards[:n], column_blocks=blocks[:n],
+                                capacity=[0.4 * n, 0.5 * n]) for n in (70, 31)]
+        configs = [AlgorithmConfig.parse(token) for token in ("multisoa", "sfa/sqrt_t", "sna/unit")]
+        seeds = [[7 * i + j for j in range(2)] for i in range(3)]
+        with monkeypatch.context() as patch:
+            force_numpy(patch)
+            plain = run_one_pass(minsts, configs, seeds)
+
+        def refuse(*args):
+            raise AssertionError("a k > 1 batch reached the compiled loop")
+
+        monkeypatch.setattr(native, "engine", lambda: "compiled")
+        monkeypatch.setattr(native, "step_rows", refuse)
+        assert_same_traces(run_one_pass(minsts, configs, seeds), plain)
 
     def test_without_a_compiler_the_numpy_path_answers_alike(self, monkeypatch, tmp_path):
         instances, configs, seeds = random_batch(100)
@@ -191,7 +207,7 @@ class TestSelection:
         monkeypatch.setattr(native, "_lib", None)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         monkeypatch.setattr(native, "COMPILER", "onlinelp-no-such-compiler")
-        assert native.engine(1) == "numpy: no compiler"
+        assert native.engine() == "numpy: no compiler"
         assert_same_traces(run_one_pass(instances, configs, seeds), before)
         assert not list(tmp_path.glob("onlinelp/*.so"))
 
@@ -208,7 +224,7 @@ class TestSelection:
         blocker = tmp_path / "cache"
         blocker.write_text("a file where the cache directory would go")
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
-        assert native.engine(1) == "numpy: cache not writable"
+        assert native.engine() == "numpy: cache not writable"
         assert_same_traces(run_one_pass(instances, configs, seeds), before)
 
     def test_two_builds_into_one_empty_cache_both_load(self, monkeypatch, tmp_path):
@@ -241,7 +257,7 @@ class TestSelection:
         cache = tmp_path / "onlinelp"
         cache.mkdir(mode=0o777)
         cache.chmod(0o777)  # as a shared directory would be, whatever the umask
-        assert native.engine(1) == "numpy: cache not private"
+        assert native.engine() == "numpy: cache not private"
         assert_same_traces(run_one_pass(instances, configs, seeds), before)
         assert not list(cache.iterdir())  # nothing built there either
 
@@ -263,11 +279,11 @@ class TestReport:
 
     def test_meta_names_the_engine_and_the_rows_do_not_depend_on_it(self, monkeypatch):
         cfg = self.config("soa/sqrt_n", "sfa/sqrt_t", "sna/unit", "dla")
-        report = run_experiment(cfg, workers=1)
-        assert report.meta["onepass_engine"] == native.engine(1)
-        numpy_engine(monkeypatch, "numpy: no compiler")
+        report = run_experiment(cfg, workers=2)
+        assert report.meta["engine"] == native.engine()
+        force_numpy(monkeypatch, "numpy: no compiler")
         fallback = run_experiment(cfg, workers=1)
-        assert fallback.meta["onepass_engine"] == "numpy: no compiler"
+        assert fallback.meta["engine"] == "numpy: no compiler"
         assert fallback.trials_csv() == report.trials_csv()
         assert fallback.aggregates == report.aggregates and fallback.fits == report.fits
 
@@ -276,47 +292,43 @@ class TestReport:
             pytest.skip("no compiled library on this machine")
         cfg = dataclasses.replace(self.config("soa/sqrt_n", "sfa/sqrt_t"),
                                   generator_params={"family": GeneratorFamily.UNIFORM, "m": 32})
-        assert run_experiment(cfg, workers=1).meta["onepass_engine"] == "compiled"
+        assert run_experiment(cfg, workers=1).meta["engine"] == "compiled"
 
-    def test_no_one_pass_row_no_engine(self):
+    def test_meta_names_the_engine_whatever_ran(self, monkeypatch):
+        # no one-pass row, then no LP: the rows and LPs that run do so on what it names
         report = run_experiment(self.config("dla", "pbd"), workers=1)
-        assert report.meta["onepass_engine"] is None
-        assert report.meta["offline_lp_engine"] == native.lp_engine()
+        assert report.meta["engine"] == native.engine()
 
-    def test_meta_names_the_lp_engine_and_the_rows_do_not_depend_on_it(self, monkeypatch):
-        cfg = self.config("soa/sqrt_n", "dla")
-        report = run_experiment(cfg, workers=2)
-        assert report.meta["offline_lp_engine"] == native.lp_engine()
-        monkeypatch.setattr(native, "lp_engine", lambda: "numpy: no compiler")
-        fallback = run_experiment(cfg, workers=1)
-        assert fallback.meta["offline_lp_engine"] == "numpy: no compiler"
-        assert fallback.trials_csv() == report.trials_csv()
-        assert fallback.aggregates == report.aggregates and fallback.fits == report.fits
-
-    def test_no_lp_no_lp_engine(self, monkeypatch):
         def fail(*args):
             raise RuntimeError("no run")
 
         monkeypatch.setattr(harness, "run_one_pass", fail)
         report = run_experiment(self.config("soa/sqrt_n"), workers=1)
         assert report.errors and not report.rows
-        assert report.meta["offline_lp_engine"] is None
+        assert report.meta["engine"] == native.engine()
 
-    def test_the_lp_engine_is_asked_before_the_lp_timer(self, monkeypatch):
-        # a slow first call, as a build is, stays out of the offline_lp timings
-        real, calls = native.lp_engine, []
+    def test_no_timer_counts_the_library_load(self, monkeypatch):
+        # a slow first call in each process, as a build or load is, stays out
+        # of every timing; forked workers pay it too, as a spawned one would
+        real, slowed = native.engine, set()
 
         def slow_first():
-            if not calls:
+            if os.getpid() not in slowed:
+                slowed.add(os.getpid())
                 time.sleep(0.5)
-            calls.append(1)
             return real()
 
-        monkeypatch.setattr(native, "lp_engine", slow_first)
-        report = run_experiment(self.config("soa/sqrt_n"), workers=1)
-        assert len(calls) > 1
-        assert report.meta["wall_seconds_by_algorithm"]["offline_lp"] < 0.5
-
+        monkeypatch.setattr(native, "engine", slow_first)
+        engines = set()
+        for workers in (1, 2):
+            report = run_experiment(self.config("soa/sqrt_n", "dla"), workers=workers)
+            wall = report.meta["wall_seconds_by_algorithm"]
+            for name in ("offline_lp", "onepass_kernel", "prefix_lp_pass"):
+                assert wall[name] < 0.5, (workers, name)
+            if workers == 1:  # the parent asks before its clock starts
+                assert report.meta["total_wall_seconds"] < 0.5
+            engines.add(report.meta["engine"])
+        assert engines == {real()}
 
 
 # --- the offline LP's pivot loop ---------------------------------------------
@@ -324,20 +336,22 @@ class TestReport:
 FIELDS = ("primal", "duals", "reduced_bounds_duals", "basis", "at_upper")
 
 
-def on_engine(monkeypatch, engine, solve):
-    """What ``solve()`` returns, or the (type, message) it raises, with the LP engine forced."""
-    with monkeypatch.context() as patch:
-        patch.setattr(native, "lp_engine", lambda: engine)
-        try:
-            return solve()
-        except Exception as exc:
-            return type(exc), str(exc)
+def outcome(solve):
+    """What ``solve()`` returns, or the (type, message) it raises."""
+    try:
+        return solve()
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 def both_engines(monkeypatch, solve):
-    if native.lp_engine() != "compiled":
-        pytest.skip(f"the compiled pivot loop does not run: {native.lp_engine()}")
-    return on_engine(monkeypatch, "compiled", solve), on_engine(monkeypatch, "numpy: forced", solve)
+    """``solve``'s outcome on the compiled LP engine, then with the numpy one forced."""
+    if native.engine() != "compiled":
+        pytest.skip(f"the compiled pivot loop does not run: {native.engine()}")
+    compiled = outcome(solve)
+    with monkeypatch.context() as patch:
+        force_numpy(patch)
+        return compiled, outcome(solve)
 
 
 def assert_same_solutions(compiled, plain):
@@ -441,8 +455,8 @@ class TestLpEngines:
 
 
     def test_the_loop_rejects_a_basis_index_out_of_range(self):
-        if native.lp_engine() != "compiled":
-            pytest.skip(f"the compiled pivot loop does not run: {native.lp_engine()}")
+        if native.engine() != "compiled":
+            pytest.skip(f"the compiled pivot loop does not run: {native.engine()}")
         A = np.ones((1, 2))
         Gt = np.concatenate((A.T, np.eye(1)))
         for index in (-1, 3):

@@ -24,6 +24,7 @@ from onlinelp.simplex import (
     solve_scaled,
 )
 
+from conftest import force_numpy
 from instance_bounds import compute_stats
 from oracles import box_lp_vertex_oracle
 
@@ -368,7 +369,7 @@ class TestEffortCounts:
         # every pass inverts its basis once, and every pass but the last
         # exchanges a column, so a solve makes one inversion per iteration plus
         # one; counted on the numpy LP engine, the one that calls np.linalg.inv
-        monkeypatch.setattr(native, "lp_engine", lambda: "numpy: forced")
+        force_numpy(monkeypatch)
         inv = np.linalg.inv
         inversions = []
 
@@ -423,9 +424,9 @@ class TestEffortCounts:
 
 def each_lp_engine(monkeypatch):
     """Yield the name of the LP engine in use: the default one, then the numpy loop, forced."""
-    yield native.lp_engine()
-    monkeypatch.setattr(native, "lp_engine", lambda: "numpy: forced")
-    yield native.lp_engine()
+    yield native.engine()
+    force_numpy(monkeypatch)
+    yield native.engine()
 
 
 class TestPivotPath:
