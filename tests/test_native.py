@@ -279,7 +279,7 @@ class TestReport:
 
     def test_meta_names_the_engine_and_the_rows_do_not_depend_on_it(self, monkeypatch):
         cfg = self.config("soa/sqrt_n", "sfa/sqrt_t", "sna/unit", "dla")
-        report = run_experiment(cfg, workers=2)
+        report = run_experiment(cfg, workers=1)
         assert report.meta["engine"] == native.engine()
         force_numpy(monkeypatch, "numpy: no compiler")
         fallback = run_experiment(cfg, workers=1)
@@ -294,17 +294,31 @@ class TestReport:
                                   generator_params={"family": GeneratorFamily.UNIFORM, "m": 32})
         assert run_experiment(cfg, workers=1).meta["engine"] == "compiled"
 
-    def test_meta_names_the_engine_whatever_ran(self, monkeypatch):
-        # no one-pass row, then no LP: the rows and LPs that run do so on what it names
+    def test_no_one_pass_row_no_engine(self):
+        # no kernel call is timed, yet the LPs ran on the engine meta names
         report = run_experiment(self.config("dla", "pbd"), workers=1)
+        assert "onepass_kernel" not in report.meta["wall_seconds_by_algorithm"]
         assert report.meta["engine"] == native.engine()
 
+    def test_meta_names_the_lp_engine_and_the_rows_do_not_depend_on_it(self, monkeypatch):
+        cfg = self.config("soa/sqrt_n", "dla")
+        report = run_experiment(cfg, workers=2)
+        assert report.meta["engine"] == native.engine()
+        force_numpy(monkeypatch, "numpy: no compiler")
+        fallback = run_experiment(cfg, workers=1)
+        assert fallback.meta["engine"] == "numpy: no compiler"
+        assert fallback.trials_csv() == report.trials_csv()
+        assert fallback.aggregates == report.aggregates and fallback.fits == report.fits
+
+    def test_no_lp_no_lp_engine(self, monkeypatch):
+        # no LP is solved or timed, yet meta still names the engine
         def fail(*args):
             raise RuntimeError("no run")
 
         monkeypatch.setattr(harness, "run_one_pass", fail)
         report = run_experiment(self.config("soa/sqrt_n"), workers=1)
         assert report.errors and not report.rows
+        assert "offline_lp" not in report.meta["wall_seconds_by_algorithm"]
         assert report.meta["engine"] == native.engine()
 
     def test_no_timer_counts_the_library_load(self, monkeypatch):
