@@ -1,4 +1,4 @@
-/* The offline LP's pivot loop in compiled code (see onlinelp/simplex.py and onlinelp/native.py).
+/* The LP pivot loops in compiled code (see onlinelp/simplex.py and onlinelp/native.py).
 
    simplex_pivots runs the pivot loop of simplex._solve, the bounded dual
    simplex on max r @ x, A x + s = b, 0 <= x <= 1, s >= 0, from a dual
@@ -15,13 +15,22 @@
    numpy's in the last bits, so the caller solves the final basis again, and
    data whose ratios tie exactly in exact arithmetic can take another path.
 
-   A is (m, n) by rows and Gt is [A | I] by rows, (n + m, m); r holds the n
-   rewards (the slacks cost 0).  basis (m), at_upper and nonbasic (n + m) are
-   the start and are updated in place.  work holds 2 m^2 + 2 m + 6 (n + m)
-   doubles and iwork 5 (n + m) int64s.  Returns OPTIMAL, NO_ENTERING_COLUMN,
-   BUDGET_EXCEEDED (after pivot budget + 1) or SINGULAR_BASIS, or, before it
-   reads anything else, BASIS_OUT_OF_RANGE; *iterations counts the pivots
-   begun. */
+   A is (m, n) by rows, row i at A + i lda (lda >= n: the offline LP passes n,
+   the prefix-LP pass its longest n), and Gt is [A | I] by rows, (n + m, m); r
+   holds the n rewards (the slacks cost 0).  basis (m), at_upper and nonbasic
+   (n + m) are the start and are updated in place.  work holds 2 m^2 + 2 m +
+   6 (n + m) doubles and iwork 5 (n + m) int64s.  Returns OPTIMAL,
+   NO_ENTERING_COLUMN, BUDGET_EXCEEDED (after pivot budget + 1) or
+   SINGULAR_BASIS, or, before it reads anything else, BASIS_OUT_OF_RANGE;
+   *iterations counts the pivots begun.
+
+   prefix_pivots runs simplex_pivots on each cell of one step of
+   simplex.solve_prefix_lps, whose stacked arrays hold cell c's LP over its
+   first n columns at A + c m lda, Gt + c (lda + m) m, r + c lda, b + c m,
+   basis + c m and at_upper and nonbasic + c (lda + m), in prefix layout (Gt's
+   rows [0, n) the columns, [n, n + m) the slack identity).  It stops at the
+   first cell whose status is not OPTIMAL and returns that status;
+   iterations[c] counts cell c's pivots, 0 for a cell it did not reach. */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -139,9 +148,9 @@ static int64_t long_step(int64_t size, const double *ratios, const double *range
     return order[size - 1];
 }
 
-int64_t simplex_pivots(int64_t n, int64_t m, const double *A, const double *Gt, const double *r,
-                       const double *b, int64_t *basis, uint8_t *at_upper, uint8_t *nonbasic,
-                       int64_t budget, double pivot_tol, double feas_tol,
+int64_t simplex_pivots(int64_t n, int64_t m, int64_t lda, const double *A, const double *Gt,
+                       const double *r, const double *b, int64_t *basis, uint8_t *at_upper,
+                       uint8_t *nonbasic, int64_t budget, double pivot_tol, double feas_tol,
                        double *work, int64_t *iwork, int64_t *iterations)
 {
     const int64_t N = n + m;
@@ -168,7 +177,7 @@ int64_t simplex_pivots(int64_t n, int64_t m, const double *A, const double *Gt, 
         for (int64_t j = 0; j < n; j++)
             x[j] = at_upper[j];
         for (int64_t i = 0; i < m; i++) {
-            const double *a = A + i * n;
+            const double *a = A + i * lda;
             double sums[4] = {0.0, 0.0, 0.0, 0.0};
             int64_t j = 0;
             for (; j + 4 <= n; j += 4)
@@ -213,7 +222,7 @@ int64_t simplex_pivots(int64_t n, int64_t m, const double *A, const double *Gt, 
         for (int64_t j = 0; j < n; j++)
             cbar[j] = alpha[j] = 0.0;
         for (int64_t k = 0; k < m; k++) {
-            const double *a = A + k * n, yk = y[k], rk = row[k];
+            const double *a = A + k * lda, yk = y[k], rk = row[k];
             for (int64_t j = 0; j < n; j++) {
                 cbar[j] += a[j] * yk;
                 alpha[j] += a[j] * rk;
@@ -275,4 +284,23 @@ int64_t simplex_pivots(int64_t n, int64_t m, const double *A, const double *Gt, 
         nonbasic[enter] = 0;
         basis[leave] = enter;
     }
+}
+
+int64_t prefix_pivots(int64_t cells, int64_t n, int64_t m, int64_t lda, const double *A,
+                      const double *Gt, const double *r, const double *b, int64_t *basis,
+                      uint8_t *at_upper, uint8_t *nonbasic, int64_t budget, double pivot_tol,
+                      double feas_tol, double *work, int64_t *iwork, int64_t *iterations)
+{
+    const int64_t rows = lda + m;
+    for (int64_t c = 0; c < cells; c++)
+        iterations[c] = 0;
+    for (int64_t c = 0; c < cells; c++) {
+        const int64_t status = simplex_pivots(n, m, lda, A + c * m * lda, Gt + c * rows * m,
+                                              r + c * lda, b + c * m, basis + c * m,
+                                              at_upper + c * rows, nonbasic + c * rows, budget,
+                                              pivot_tol, feas_tol, work, iwork, iterations + c);
+        if (status != OPTIMAL)
+            return status;
+    }
+    return OPTIMAL;
 }

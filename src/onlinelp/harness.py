@@ -484,8 +484,9 @@ def run_experiment(cfg: ExperimentConfig, *, workers: Optional[int] = None) -> E
     :func:`~onlinelp.native.engine`'s answer, asked before the clock starts
     and by each worker process as it starts, so that no timer counts the
     library's build or load.  The harness builds only k = 1 instances, so
-    its one-pass rows and offline LPs ran on what it names.  A negative
-    ``workers`` raises ``ValueError``; ``None`` and 0 defer to the config.
+    its one-pass rows, offline LPs and prefix LPs ran on what it names.  A
+    negative ``workers`` raises ``ValueError``; ``None`` and 0 defer to the
+    config.
     """
     if cfg.generator_params is not None:
         sources = [(n, "", None, 0) for n in cfg.n_values]

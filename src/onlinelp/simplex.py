@@ -41,12 +41,13 @@ exactly, each breaks the tie by the last bits of its own sums.
 lockstep, each warm from the last and the first from the empty prefix's
 optimum, the slack basis at price 0: the cells' ``[A | I]`` and solver state
 live in stacked arrays, a step writes one new column and moves each basis to
-the new prefix in O(m), and the basic values, the inversions, the final
-solves and the dual-feasibility check run as stacked numpy calls over the
-cells.  Only the ratio test and the exchange run per cell, and only for the
-cells that pivot; they are the code :func:`solve_box_lp`'s numpy engine
-runs.  A cell
-without pivots inverts nothing and keeps its prices.
+the new prefix in O(m), and the pricing of the new column, the final solves
+and the dual-feasibility check run as stacked numpy calls over the cells.
+The pivots of a step are one call into the compiled library, its pivot loop
+run on each cell in turn, where it loads; elsewhere they run in numpy, the
+basic values and inversions stacked over the cells and only the ratio test
+and exchange per cell, for the cells that pivot.  A cell without pivots
+keeps its prices.
 """
 from __future__ import annotations
 
@@ -258,17 +259,26 @@ def _numpy_pivots(Gt, c, upper, b, basis, at_upper, nonbasic) -> int:
         _pivot(Gt, c, basis, at_upper, nonbasic, Binv, i, excess[i], bool(above[i] > 0.0))
 
 
+def _raise_for(status: str, iterations: int, n: int, m: int) -> None:
+    """Raise what the numpy engine raises where the compiled pivot loop ended in ``status``.
+
+    ``iterations`` is the pivot count of the LP that stopped, over n columns
+    and m rows; ``"optimal"`` raises nothing.
+    """
+    if status == "no entering column":
+        raise _no_entering_column(n, m)
+    if status == "budget exceeded":
+        raise _budget_exceeded(iterations, n, m)
+    if status == "singular basis":
+        raise np.linalg.LinAlgError("Singular matrix")  # as np.linalg.inv says it
+
+
 def _compiled_pivots(r, A, Gt, b, basis, at_upper, nonbasic) -> int:
     """:func:`_numpy_pivots` in the compiled library: the same pivots, and the same errors."""
     N, m = Gt.shape
     status, iterations = native.pivot_lp(A, Gt, r, b, basis, at_upper, nonbasic,
                                          _max_iterations(N), _PIVOT_TOL, _FEAS_TOL)
-    if status == "no entering column":
-        raise _no_entering_column(N - m, m)
-    if status == "budget exceeded":
-        raise _budget_exceeded(iterations, N - m, m)
-    if status == "singular basis":
-        raise np.linalg.LinAlgError("Singular matrix")  # as np.linalg.inv says it
+    _raise_for(status, iterations, N - m, m)
     return iterations
 
 
@@ -401,6 +411,53 @@ class PrefixLps(NamedTuple):
     iterations: np.ndarray
 
 
+def _numpy_prefix_pivots(G, cost, base, at, free, b, iterations, Binv, basic_upper,
+                         flat_Gt, offset):
+    """Pivot the running cells of one step of :func:`solve_prefix_lps` to optimal bases in numpy.
+
+    The arguments are the step's views of the pass's stacked state, one
+    row per running cell; ``iterations`` counts each cell's pivots, and
+    ``Binv`` and ``basic_upper``, the basis inverses and the basic
+    variables' upper bounds, are carried from the last step.  Each pass
+    reads every cell's basic values from its inverse; the cells with one
+    outside its bounds pivot through the ratio test and exchange of
+    :func:`_pivot`, and only they are inverted again.  Returns the bound
+    values ``x`` (the basic entries 0) and ``rhs = b - x @ [A | I]`` of the
+    final bases.
+    """
+    a, N, m = G.shape
+    stale = None  # the cells whose basis changed; a view when it is every cell
+    while True:
+        if stale is not None:
+            B = flat_Gt.take(base[stale] + offset[stale], axis=0)
+            Binv[stale] = np.linalg.inv(B.transpose(0, 2, 1))
+        # No basic variable is at its upper bound, so at holds x with its
+        # basic entries at 0.  A cell that did not pivot recomputes the
+        # same values.
+        x = at.astype(np.float64)
+        rhs = b - (x[:, None, :] @ G)[:, 0]
+        xb = (Binv @ rhs[:, :, None])[:, :, 0]
+        above = xb - basic_upper
+        excess = np.maximum(-xb, above)
+        largest = np.maximum.reduce(excess, axis=1)
+        # not within tolerance, NaN included, as in _solve
+        leaving = (~(largest <= _FEAS_TOL)).nonzero()[0]
+        if not leaving.size:
+            return x, rhs
+        stale = slice(0, a) if len(leaving) == a else leaving
+        iterations[leaving] += 1
+        top = np.maximum.reduce(iterations)
+        if top > _max_iterations(N):
+            raise _budget_exceeded(top, N - m, m)
+        # each leaving cell's row of largest excess (its first NaN, if any), and its side
+        rows = excess[leaving].argmax(axis=1)
+        sides = above[leaving, rows] > 0.0
+        for k, i, amount, to_upper in zip(leaving.tolist(), rows.tolist(),
+                                          largest[leaving].tolist(), sides.tolist()):
+            _pivot(G[k], cost[k], base[k], at[k], free[k], Binv[k], i, amount, to_upper)
+            basic_upper[k, i] = 1.0 if base[k, i] < N - m else np.inf
+
+
 def solve_prefix_lps(instances: Sequence[Instance]) -> PrefixLps:
     """Solve every prefix LP of every instance in lockstep, into one :class:`PrefixLps`.
 
@@ -418,15 +475,14 @@ def solve_prefix_lps(instances: Sequence[Instance]) -> PrefixLps:
 
     A step writes column t and the shifted identity, renumbers the basic
     slacks and gives the new column the bound its reduced cost at the last
-    prices favours.  The new column does not enter the basis matrix, so the
-    carried inverses still hold.  Each pass reads every running cell's
-    basic values from its inverse; the cells with one outside its bounds
-    pivot through the ratio test and exchange of :func:`solve_box_lp`, and
-    only they are inverted again for the next pass.  Each cell gets the
-    pivots and answers of its own warm ``solve_scaled`` chain on the numpy
-    LP engine, bit for bit, whatever else is in the batch: the stacked
-    products and solves make the BLAS and LAPACK calls the one-cell ones
-    make.
+    prices favours.  The running cells then pivot to optimal bases on the
+    engine :func:`~onlinelp.native.engine` names: in one call to the
+    compiled library's ``prefix_pivots``, which runs :func:`solve_box_lp`'s
+    compiled loop on each cell, or in :func:`_numpy_prefix_pivots`.  Each
+    cell gets the pivots of its own warm ``solve_scaled`` chain on the same
+    LP engine, and its answers bit for bit, whatever else is in the batch:
+    the final solves are numpy's on either engine, and the stacked products
+    and solves make the BLAS and LAPACK calls the one-cell ones make.
 
     Raises ``ValueError`` unless the instances share m and come in
     non-increasing n, and :class:`SimplexError` as a solve would, for any
@@ -458,10 +514,17 @@ def solve_prefix_lps(instances: Sequence[Instance]) -> PrefixLps:
     nonbasic = np.ones((cells, n_max + m), dtype=bool)
     nonbasic[:, :m] = False
     basis = np.tile(np.arange(m), (cells, 1))
-    # the basic variables' upper bounds: 1 for a structural, infinite for a slack
-    basic_upper = np.full((cells, m), np.inf)
+    capacity = np.zeros((cells, m))
     eye = np.eye(m)
-    Binv = np.tile(eye, (cells, 1, 1))
+    if native.engine() == "compiled":
+        counts = np.zeros(cells, dtype=np.int64)
+        pivots = native.prefix_pivots(columns, Gt, rewards, capacity, basis, at_upper, nonbasic,
+                                      counts, _PIVOT_TOL, _FEAS_TOL)
+    else:
+        pivots = None
+        # the basic variables' upper bounds: 1 for a structural, infinite for a slack
+        basic_upper = np.full((cells, m), np.inf)
+        Binv = np.tile(eye, (cells, 1, 1))
     y = np.zeros((cells, m))
     row = np.arange(cells)[:, None]
     # cell k's row j of Gt, or entry j of c, is flat row k * (n_max + m) + j
@@ -478,7 +541,7 @@ def solve_prefix_lps(instances: Sequence[Instance]) -> PrefixLps:
         G[:, t] = columns[:a, :, t]
         G[:, s:] = eye
         cost[:, t] = rewards[:a, t]
-        b = s * budget[:a]
+        b = np.multiply(s, budget[:a], out=capacity[:a])
         # Slacks are never at their infinite upper bound, so only the
         # nonbasic flags of the slacks shift.
         base += base >= t
@@ -488,36 +551,18 @@ def solve_prefix_lps(instances: Sequence[Instance]) -> PrefixLps:
         priced = (columns[:a, None, :, t] @ prices[:, :, None])[:, 0, 0]
         at[:, t] = out.favoured[:a, t] = rewards[:a, t] - priced > 0.0
         iterations = out.iterations[:a, t]
-        stale = None  # the cells whose basis changed; a view when it is every cell
-        while True:
-            if stale is not None:
-                B = flat_Gt.take(base[stale] + offset[stale], axis=0)
-                Binv[stale] = np.linalg.inv(B.transpose(0, 2, 1))
+        if pivots is None:
+            x, rhs = _numpy_prefix_pivots(G, cost, base, at, free, b, iterations, Binv[:a],
+                                          basic_upper[:a], flat_Gt, offset[:a])
+        else:
+            status = pivots(a, s, _max_iterations(N))
+            iterations[:] = counts[:a]
+            if status != "optimal":
+                _raise_for(status, np.maximum.reduce(iterations), s, m)
             # No basic variable is at its upper bound, so at holds x with its
-            # basic entries at 0.  A cell that did not pivot recomputes the
-            # same values.
+            # basic entries at 0.
             x = at.astype(np.float64)
             rhs = b - (x[:, None, :] @ G)[:, 0]
-            xb = (Binv[:a] @ rhs[:, :, None])[:, :, 0]
-            above = xb - basic_upper[:a]
-            excess = np.maximum(-xb, above)
-            largest = np.maximum.reduce(excess, axis=1)
-            # not within tolerance, NaN included, as in _solve
-            leaving = (~(largest <= _FEAS_TOL)).nonzero()[0]
-            if not leaving.size:
-                break
-            stale = slice(0, a) if len(leaving) == a else leaving
-            iterations[leaving] += 1
-            top = np.maximum.reduce(iterations)
-            if top > _max_iterations(N):
-                raise _budget_exceeded(top, s, m)
-            # each leaving cell's row of largest excess (its first NaN, if any), and its side
-            rows = excess[leaving].argmax(axis=1)
-            sides = above[leaving, rows] > 0.0
-            for k, i, amount, to_upper in zip(leaving.tolist(), rows.tolist(),
-                                              largest[leaving].tolist(), sides.tolist()):
-                _pivot(G[k], cost[k], base[k], at[k], free[k], Binv[k], i, amount, to_upper)
-                basic_upper[k, i] = 1.0 if base[k, i] < s else np.inf
 
         # One exact solve per side against each basis in index order.  Only
         # x_t is reported, and a nonbasic x_t is its bound flag already, so
@@ -529,8 +574,8 @@ def solve_prefix_lps(instances: Sequence[Instance]) -> PrefixLps:
         if basic.size:
             solved = np.linalg.solve(B[basic].transpose(0, 2, 1), rhs[basic, :, None])[:, :, 0]
             x[basic, t] = solved[order[basic] == t]
-        if stale is not None:  # a pivot: solve for the new prices
-            moved = iterations.nonzero()[0]
+        moved = iterations.nonzero()[0]
+        if moved.size:  # a pivot: solve for the new prices
             moved = slice(0, a) if len(moved) == a else moved
             costs = flat_c.take(order[moved] + offset[moved])
             y[moved] = np.linalg.solve(B[moved], costs[:, :, None])[:, :, 0]

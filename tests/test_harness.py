@@ -39,6 +39,8 @@ from onlinelp.metrics import evaluate_trial
 from onlinelp.simplex import SimplexError, solve_relaxation
 from onlinelp import algorithms, cli, harness
 
+from conftest import force_numpy
+
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 ALL_ALGORITHMS = "soa/sqrt_n, soa/sqrt_t, sfa/sqrt_t, sna/sqrt_t, multisoa, pbd"
@@ -791,6 +793,21 @@ class TestDeterminismContract:
         assert digest == pins[name], (
             f"trials.csv of the {name} workload at workers={workers} changed its bytes: a "
             f"change in bytes must be made on purpose and recorded in CHANGES.md")
+
+    def test_the_numpy_engines_keep_the_pins(self, tmp_path, monkeypatch):
+        # the fallback where the compiled library does not load: the one-pass
+        # rows, the offline LPs and the prefix-LP pass all pivot in numpy
+        trials, summary, workloads = map(pins_for_this_kernel, (
+            TRIALS_CSV_SHA256, SUMMARY_SHA256, WORKLOAD_TRIALS_SHA256))
+        force_numpy(monkeypatch)
+        assert shipped_digests("demo_small.ini", 1) == [trials["demo_small.ini"],
+                                                        summary["demo_small.ini"]]
+        path = tmp_path / "perfbench-prefix_lp.ini"
+        path.write_text(WORKLOAD_CONFIGS["prefix_lp"])
+        report = run_experiment(load_config(path), workers=1)
+        assert report.meta["engine"] == "numpy: forced"
+        digest = hashlib.sha256(report.trials_csv().encode("ascii")).hexdigest()
+        assert digest == workloads["prefix_lp"]
 
     def test_the_haswell_pins_hold_under_the_haswell_kernel(self):
         # only the child runs OpenBLAS's Haswell kernels, so that a change in

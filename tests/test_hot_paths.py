@@ -59,7 +59,9 @@ class TestNanExcess:
             solve_box_lp(inst.rewards, inst.columns, inst.capacity)
         assert len(nan_first_inverse) == 1
 
-    def test_the_pass_pivots_on_a_nan_row(self, nan_first_inverse):
+    def test_the_pass_pivots_on_a_nan_row(self, nan_first_inverse, monkeypatch):
+        # as above: only the numpy pass inverts in np.linalg.inv
+        force_numpy(monkeypatch)
         with pytest.raises(SimplexError, match="no entering column"):
             solve_prefix_lps([uniform(40, 3, seed) for seed in (1, 2)])
         assert len(nan_first_inverse) == 1
@@ -126,10 +128,11 @@ class TestTraceObjective:
 
 # The functions that run per pivot, per step or per run.
 HOT = {
-    simplex: ("_long_step", "_pivot", "_numpy_pivots", "_compiled_pivots", "_solve",
-              "solve_prefix_lps", "_check_dual_feasible"),
+    simplex: ("_long_step", "_pivot", "_numpy_pivots", "_raise_for", "_compiled_pivots",
+              "_solve", "_numpy_prefix_pivots", "solve_prefix_lps", "_check_dual_feasible"),
     algorithms: ("run_one_pass", "_numpy_rows", "_trace", "run_prefix_lp", "repair_feasibility"),
-    native: ("engine", "step_rows", "pivot_lp", "_workspace"),
+    native: ("engine", "step_rows", "_status", "_pivot_data", "pivot_lp", "prefix_pivots",
+             "_workspace"),
     core: ("violation_norm",),
 }
 # numpy wrapper -> the C entry point it ends in

@@ -380,6 +380,10 @@ def assert_same_solutions(compiled, plain):
     assert compiled.iterations == plain.iterations
 
 
+CONTINUOUS_FAMILIES = (GeneratorFamily.UNIFORM, GeneratorFamily.GAUSSIAN,
+                       GeneratorFamily.TRUNC_CAUCHY)
+
+
 def continuous_lps():
     """About 600 LPs of continuous data, as ``(label, solve)``: the five families, signed
     data, cold and warm starts and warm ``solve_scaled`` chains, m 1 to 30, n 2 to 3200."""
@@ -467,6 +471,32 @@ class TestLpEngines:
         assert plain == (SimplexError, "pivot budget exceeded (3 iterations, n=200, m=5)")
         assert compiled == plain
 
+    def test_the_prefix_pass_answers_alike_on_both_paths(self, monkeypatch):
+        # continuous batches of mixed n: each cell takes the same pivots on
+        # both engines, and the reported values are numpy's on both
+        pivots = 0
+        for family, m in itertools.product(CONTINUOUS_FAMILIES, (1, 5, 10, 32)):
+            batch = [generate(GeneratorSpec(family, n=n, m=m, seed=n + m)) for n in (90, 57, 20, 1)]
+            compiled, plain = both_engines(monkeypatch, lambda: simplex.solve_prefix_lps(batch))
+            for field in simplex.PrefixLps._fields:
+                a, b = getattr(compiled, field), getattr(plain, field)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (family, m, field)
+            pivots += int(plain.iterations.sum())
+        assert pivots > 1000
+
+    def test_an_exceeded_budget_stops_the_prefix_pass_alike_on_both_paths(self, monkeypatch):
+        # the second cell is the first to take a second pivot in a step, at step 0
+        batch = [generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=n, m=5, seed=seed))
+                 for n, seed in ((60, 2), (40, 3))]
+        assert simplex.solve_prefix_lps(batch).iterations[:, 0].tolist() == [1, 2]
+
+        def tight_budget():
+            monkeypatch.setattr(simplex, "_max_iterations", lambda N: 1)
+            return simplex.solve_prefix_lps(batch)
+
+        compiled, plain = both_engines(monkeypatch, tight_budget)
+        assert plain == (SimplexError, "pivot budget exceeded (2 iterations, n=1, m=5)")
+        assert compiled == plain
 
     def test_the_loop_rejects_a_basis_index_out_of_range(self):
         if native.engine() != "compiled":

@@ -188,7 +188,9 @@ class TestPrefixWorkspace:
                              permute(adversarial, PermutationPlan.random(60, 6))])
 
     def test_pass_matches_plain_warm_chain(self, monkeypatch):
-        # each new column's bound in the start solve_scaled hands to solve_box_lp
+        # on each LP engine, the pass takes the pivots of that engine's chain,
+        # tied data included; flags records each new column's bound in the
+        # start solve_scaled hands to solve_box_lp
         flags, solve = [], simplex.solve_box_lp
 
         def recording(rewards, columns, capacity, start=None):
@@ -196,27 +198,29 @@ class TestPrefixWorkspace:
             return solve(rewards, columns, capacity, start)
 
         monkeypatch.setattr(simplex, "solve_box_lp", recording)
-        count = 0
-        for batch in self.batches():
-            chains = []
-            for inst in batch:
-                flags.clear()
-                chains.append((warm_chain(inst), list(flags)))
-            lps = solve_prefix_lps(batch)
-            shape = (len(batch), batch[0].n)
-            assert lps.favoured.shape == lps.primal.shape == lps.iterations.shape == shape
-            assert lps.duals.shape == shape + (batch[0].m,)
-            for k, (inst, (chain, favoured)) in enumerate(zip(batch, chains)):
-                for t, plain in enumerate(chain):
-                    duals = lps.duals[k, t]
-                    assert duals.dtype == plain.duals.dtype and np.array_equal(duals, plain.duals)
-                    assert lps.primal[k, t] == plain.primal[t]
-                    assert lps.iterations[k, t] == plain.iterations
-                    assert lps.favoured[k, t] == favoured[t]
-                    count += 1
-                # entries past the cell's n stay 0
-                assert not any(field[k, inst.n:].any() for field in lps)
-        assert count > 1000
+        for engine in each_lp_engine(monkeypatch):
+            count = 0
+            for batch in self.batches():
+                chains = []
+                for inst in batch:
+                    flags.clear()
+                    chains.append((warm_chain(inst), list(flags)))
+                lps = solve_prefix_lps(batch)
+                shape = (len(batch), batch[0].n)
+                assert lps.favoured.shape == lps.primal.shape == lps.iterations.shape == shape
+                assert lps.duals.shape == shape + (batch[0].m,)
+                for k, (inst, (chain, favoured)) in enumerate(zip(batch, chains)):
+                    for t, plain in enumerate(chain):
+                        duals = lps.duals[k, t]
+                        assert duals.dtype == plain.duals.dtype, engine
+                        assert np.array_equal(duals, plain.duals), engine
+                        assert lps.primal[k, t] == plain.primal[t], engine
+                        assert lps.iterations[k, t] == plain.iterations, engine
+                        assert lps.favoured[k, t] == favoured[t], engine
+                        count += 1
+                    # entries past the cell's n stay 0
+                    assert not any(field[k, inst.n:].any() for field in lps)
+            assert count > 1000
 
     def test_mixed_m_or_order_raises(self):
         short, long = (generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=n, m=2, seed=1))
@@ -390,17 +394,15 @@ class TestEffortCounts:
         assert iterations > 0
 
     def test_warm_workspace_steps(self, monkeypatch):
-        # a step starts from the inverses the previous step's last pass took,
+        # a cell without pivots reuses its prices, and a cell whose new column
+        # ended nonbasic reads that column's value off its bound, on either
+        # LP engine; on the numpy one, the one that calls np.linalg.inv, a
+        # step starts from the inverses the previous step's last pass took,
         # step 0 from the empty prefix's identity, so the pass inverts one
-        # matrix per pivot; a cell without pivots reuses its prices, and a
-        # cell whose new column ended nonbasic reads that column's value off
-        # its bound
+        # matrix per pivot
         batch = longest_first(generate(GeneratorSpec(family, n=60, m=3, seed=8)) for family in
                               (GeneratorFamily.UNIFORM, GeneratorFamily.GAUSSIAN,
                                GeneratorFamily.ADVERSARIAL))
-        # per step, the cells whose column t is basic in their warm chain's final basis
-        chains = [warm_chain(inst) for inst in batch]
-        basic = [sum(t in chain[t].basis for chain in chains) for t in range(60)]
         inv, solve = np.linalg.inv, np.linalg.solve
         inverted, solved = [], []
 
@@ -414,12 +416,19 @@ class TestEffortCounts:
 
         monkeypatch.setattr(simplex.np.linalg, "inv", counting_inv)
         monkeypatch.setattr(simplex.np.linalg, "solve", counting_solve)
-        iterations = solve_prefix_lps(batch).iterations
-        pivoting = np.count_nonzero(iterations)
-        assert sum(inverted) == iterations.sum()
-        assert sum(solved) == sum(basic) + pivoting
-        assert 0 < pivoting < iterations.size
-        assert 0 < sum(basic) < iterations.size
+        for engine in each_lp_engine(monkeypatch):
+            # per step, the cells whose column t is basic in their warm chain's final basis
+            chains = [warm_chain(inst) for inst in batch]
+            basic = [sum(t in chain[t].basis for chain in chains) for t in range(60)]
+            inverted.clear()
+            solved.clear()
+            iterations = solve_prefix_lps(batch).iterations
+            pivoting = np.count_nonzero(iterations)
+            assert sum(solved) == sum(basic) + pivoting, engine
+            assert 0 < pivoting < iterations.size, engine
+            assert 0 < sum(basic) < iterations.size, engine
+            if engine != "compiled":
+                assert sum(inverted) == iterations.sum()
 
 
 def each_lp_engine(monkeypatch):
@@ -445,16 +454,16 @@ class TestPivotPath:
             assert sol.objective == pytest.approx(2111.9723586785335, rel=1e-12), engine
 
     def test_warm_prefix_pass(self, monkeypatch):
-        # the plain warm chain on each engine, and the lockstep pass
+        # on each engine, the plain warm chain and the lockstep pass
         # run_prefix_lp takes, alone and beside a longer instance
         inst = generate(GeneratorSpec(GeneratorFamily.GAUSSIAN, n=200, m=5, seed=2))
+        longer = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=300, m=5, seed=2))
         for engine in each_lp_engine(monkeypatch):
             chain = warm_chain(inst)
             assert sum(sol.iterations for sol in chain) == 221, engine
             assert chain[-1].objective == pytest.approx(365.6542164418093, rel=1e-12), engine
-        longer = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=300, m=5, seed=2))
-        for batch, k in (([inst], 0), ([longer, inst], 1)):
-            assert solve_prefix_lps(batch).iterations[k].sum() == 221
+            for batch, k in (([inst], 0), ([longer, inst], 1)):
+                assert solve_prefix_lps(batch).iterations[k].sum() == 221, engine
 
 PRICE_FAMILIES = tuple(GeneratorFamily)  # uniform, gaussian, Cauchy, mixed, adversarial
 
