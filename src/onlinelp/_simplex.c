@@ -1,36 +1,36 @@
-/* The LP pivot loops in compiled code (see onlinelp/simplex.py and onlinelp/native.py).
+/* The LP pivot loop in compiled code (see onlinelp/simplex.py and onlinelp/native.py).
 
-   simplex_pivots runs the pivot loop of simplex._solve, the bounded dual
-   simplex on max r @ x, A x + s = b, 0 <= x <= 1, s >= 0, from a dual
-   feasible start, and takes the decisions numpy's loop takes.  Each pass
-   inverts the basis matrix and reads the basic values from that inverse; the
-   row of largest excess leaves (the first on ties, the first NaN if any); the
-   entering column has the smallest ratio |cbar_j| / |alpha_ij| (likewise); and
-   when its range leaves part of the excess, the long step passes the
-   breakpoints in stable (ratio, position) order, NaN last, while their
-   cumulative ranges still leave part of it.  Every sum takes all of its terms,
-   zero products included, so that a NaN or infinite entry of A poisons what it
-   poisons in numpy's matrix products.  Where two computed ratios tie exactly,
-   the first column wins, as in numpy; the values themselves may differ from
-   numpy's in the last bits, so the caller solves the final basis again, and
-   data whose ratios tie exactly in exact arithmetic can take another path.
+   simplex_pivots is the bounded dual simplex on max r @ x, A x + s = b,
+   0 <= x <= 1, s >= 0, from a dual feasible start, and takes the decisions
+   simplex._numpy_pivots takes.  Each pass inverts the basis matrix and reads
+   the basic values from that inverse; the row of largest excess leaves (the
+   first on ties, the first NaN if any); the entering column has the smallest
+   ratio |cbar_j| / |alpha_ij| (likewise); and when its range leaves part of
+   the excess, the long step passes the breakpoints in stable (ratio, position)
+   order, NaN last, while their cumulative ranges still leave part of it.
+   Every sum takes all of its terms, zero products included, so that a NaN or
+   infinite entry of A poisons what it poisons in numpy's matrix products.
+   Where two computed ratios tie exactly, the first column wins, as in numpy;
+   the values themselves may differ from numpy's in the last bits, so the
+   caller solves the final basis again, and data whose ratios tie exactly in
+   exact arithmetic can take another path.
 
-   A is (m, n) by rows, row i at A + i lda (lda >= n: the offline LP passes n,
-   the prefix-LP pass its longest n), and Gt is [A | I] by rows, (n + m, m); r
-   holds the n rewards (the slacks cost 0).  basis (m), at_upper and nonbasic
-   (n + m) are the start and are updated in place.  work holds 2 m^2 + 2 m +
-   6 (n + m) doubles and iwork 5 (n + m) int64s.  Returns OPTIMAL,
-   NO_ENTERING_COLUMN, BUDGET_EXCEEDED (after pivot budget + 1) or
+   A is (m, n) by rows, row i at A + i lda (lda >= n), and Gt is [A | I] by
+   rows, (n + m, m); r holds the n rewards (the slacks cost 0).  basis (m),
+   at_upper and nonbasic (n + m) are the start and are updated in place.  work
+   holds 2 m^2 + 2 m + 6 (n + m) doubles and iwork 5 (n + m) int64s.  Returns
+   OPTIMAL, NO_ENTERING_COLUMN, BUDGET_EXCEEDED (after pivot budget + 1) or
    SINGULAR_BASIS, or, before it reads anything else, BASIS_OUT_OF_RANGE;
    *iterations counts the pivots begun.
 
-   prefix_pivots runs simplex_pivots on each cell of one step of
-   simplex.solve_prefix_lps, whose stacked arrays hold cell c's LP over its
-   first n columns at A + c m lda, Gt + c (lda + m) m, r + c lda, b + c m,
-   basis + c m and at_upper and nonbasic + c (lda + m), in prefix layout (Gt's
-   rows [0, n) the columns, [n, n + m) the slack identity).  It stops at the
-   first cell whose status is not OPTIMAL and returns that status;
-   iterations[c] counts cell c's pivots, 0 for a cell it did not reach. */
+   pivot_lps, the one entry point, runs simplex_pivots on each of `cells` LPs
+   over their first n columns, stacked as simplex.solve_prefix_lps stacks
+   them: cell c's LP at A + c m lda, Gt + c (lda + m) m, r + c lda, b + c m,
+   basis + c m and at_upper and nonbasic + c (lda + m), Gt in prefix layout
+   (rows [0, n) the columns, [n, n + m) the slack identity); the offline LP is
+   one cell with lda = n.  It stops at the first cell whose status is not
+   OPTIMAL and returns that status; iterations[c] counts cell c's pivots, 0
+   for a cell it did not reach. */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -148,10 +148,10 @@ static int64_t long_step(int64_t size, const double *ratios, const double *range
     return order[size - 1];
 }
 
-int64_t simplex_pivots(int64_t n, int64_t m, int64_t lda, const double *A, const double *Gt,
-                       const double *r, const double *b, int64_t *basis, uint8_t *at_upper,
-                       uint8_t *nonbasic, int64_t budget, double pivot_tol, double feas_tol,
-                       double *work, int64_t *iwork, int64_t *iterations)
+static int64_t simplex_pivots(int64_t n, int64_t m, int64_t lda, const double *A, const double *Gt,
+                              const double *r, const double *b, int64_t *basis, uint8_t *at_upper,
+                              uint8_t *nonbasic, int64_t budget, double pivot_tol, double feas_tol,
+                              double *work, int64_t *iwork, int64_t *iterations)
 {
     const int64_t N = n + m;
     double *inv = work, *M = inv + m * m, *y = M + m * m, *w = y + m, *x = w + m;
@@ -286,10 +286,10 @@ int64_t simplex_pivots(int64_t n, int64_t m, int64_t lda, const double *A, const
     }
 }
 
-int64_t prefix_pivots(int64_t cells, int64_t n, int64_t m, int64_t lda, const double *A,
-                      const double *Gt, const double *r, const double *b, int64_t *basis,
-                      uint8_t *at_upper, uint8_t *nonbasic, int64_t budget, double pivot_tol,
-                      double feas_tol, double *work, int64_t *iwork, int64_t *iterations)
+int64_t pivot_lps(int64_t cells, int64_t n, int64_t m, int64_t lda, const double *A,
+                  const double *Gt, const double *r, const double *b, int64_t *basis,
+                  uint8_t *at_upper, uint8_t *nonbasic, int64_t budget, double pivot_tol,
+                  double feas_tol, double *work, int64_t *iwork, int64_t *iterations)
 {
     const int64_t rows = lda + m;
     for (int64_t c = 0; c < cells; c++)

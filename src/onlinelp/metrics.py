@@ -156,9 +156,9 @@ def fit_scaling(ns: Sequence[int], means: Sequence[float],
                 stderrs: Optional[Sequence[float]] = None) -> ScalingFit:
     """Fit ``log(mean) = exponent * log(n) + intercept`` by ordinary least squares.
 
-    Requires at least three distinct n spanning a decade.  Non-positive means
-    cannot enter the log and are excluded and flagged; at least three points
-    must survive.
+    Requires at least three distinct n spanning a decade, both among all the
+    points and among those fitted: non-positive means cannot enter the log
+    and are excluded and flagged.
     """
     ns = [int(v) for v in ns]
     means = [float(v) for v in means]
@@ -173,9 +173,13 @@ def fit_scaling(ns: Sequence[int], means: Sequence[float],
         raise ValueError("n values must span at least one decade")
     kept = [(n, mu, se) for n, mu, se in zip(ns, means, stderrs) if mu > 0.0]
     excluded = tuple(n for n, mu in zip(ns, means) if mu <= 0.0)
-    if len(kept) < 3:
+    fitted_ns = [n for n, _, _ in kept]
+    if len(set(fitted_ns)) < 3:
         raise ValueError(f"too few positive means to fit (excluded n = {excluded})")
-    log_n = np.log([n for n, _, _ in kept])
+    if max(fitted_ns) < 10 * min(fitted_ns):
+        raise ValueError(f"the positive means span less than a decade of n "
+                         f"(excluded n = {excluded})")
+    log_n = np.log(fitted_ns)
     log_mu = np.log([mu for _, mu, _ in kept])
     slope, intercept = np.polyfit(log_n, log_mu, 1)
     fitted = slope * log_n + intercept
@@ -186,7 +190,7 @@ def fit_scaling(ns: Sequence[int], means: Sequence[float],
         exponent=float(slope),
         intercept=float(intercept),
         r_squared=r_squared,
-        ns=tuple(n for n, _, _ in kept),
+        ns=tuple(fitted_ns),
         means=tuple(mu for _, mu, _ in kept),
         stderrs=tuple(se for _, _, se in kept),
         excluded_ns=excluded,

@@ -1,26 +1,26 @@
 """The compiled loops: build ``_onepass.c`` and ``_simplex.c`` once per content and machine.
 
 One library holds both loops: the one-pass kernel's k = 1 rows and the LP
-pivots, those of one LP (:func:`pivot_lp`) and those of one step of the
-lockstep prefix-LP pass (:func:`prefix_pivots`).  It is built lazily, the
-first time either runs, with ``cc -O3 -march=native -ffp-contract=off`` into
-``$XDG_CACHE_HOME/onlinelp/`` (``~/.cache/onlinelp/`` when the variable is
-unset), and looked up once per process.  Its file name is a hash of the
-sources, the compiler, the flags and the host, so checkouts with the same
-sources share one build and a home directory shared between machines never
-loads a library built for another CPU; each build writes a temporary file
-that ``os.replace`` moves into place, so that concurrent builds are safe.
-Loading a build marks it used, and a fresh build removes the user's builds
-unused for 30 days.  It is loaded with ``ctypes``, which numpy has already
-imported.  :func:`engine` says whether it loaded.  Where it did, every
-one-pass batch of k = 1 instances steps in it, its dot products in-order
-sums as the numpy kernel's are, so both engines answer alike on any host,
-and every LP pivots in it, the offline LPs and the prefix LPs of DLA and
-PBD, the answers solved from the final bases in numpy; elsewhere numpy runs
-both.  The cache directory is made private to the user (mode 0700), and a
-library is loaded only where the directory and the file belong to the user
-and no one else can write them, so that a cache in a shared place cannot
-hand the process another user's code.
+pivot loop, which :func:`pivot_lps` runs on a stack of LPs: the running cells
+of a step of the lockstep prefix-LP pass, or one offline LP.  It is built
+lazily, the first time either runs, with
+``cc -O3 -march=native -ffp-contract=off`` into ``$XDG_CACHE_HOME/onlinelp/``
+(``~/.cache/onlinelp/`` when the variable is unset), and looked up once per
+process.  Its file name is a hash of the sources, the compiler, the flags and
+the host, so checkouts with the same sources share one build and a home
+directory shared between machines never loads a library built for another CPU;
+each build writes a temporary file that ``os.replace`` moves into place, so
+that concurrent builds are safe.  Loading a build marks it used, and a fresh
+build removes the user's builds unused for 30 days.  It is loaded with
+``ctypes``, which numpy has already imported.  :func:`engine` says whether it
+loaded.  Where it did, every one-pass batch of k = 1 instances steps in it,
+its dot products in-order sums as the numpy kernel's are, so both engines
+answer alike on any host, and every LP pivots in it, the offline LPs and the
+prefix LPs of DLA and PBD, the answers solved from the final bases in numpy;
+elsewhere numpy runs both.  The cache directory is made private to the user
+(mode 0700), and a library is loaded only where the directory and the file
+belong to the user and no one else can write them, so that a cache in a shared
+place cannot hand the process another user's code.
 """
 from __future__ import annotations
 
@@ -32,11 +32,11 @@ import stat
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Tuple, Union
+from typing import Callable, Union
 
 import numpy as np
 
-__all__ = ["cache_directory", "engine", "pivot_lp", "prefix_pivots", "step_rows"]
+__all__ = ["cache_directory", "engine", "pivot_lps", "step_rows"]
 
 SOURCES = (Path(__file__).with_name("_onepass.c"), Path(__file__).with_name("_simplex.c"))
 COMPILER = "cc"
@@ -52,13 +52,9 @@ class _Library:
         self.rows = lib.onepass_rows
         self.rows.restype = None
         self.rows.argtypes = [ctypes.c_int64] * 6 + [ctypes.c_void_p] * 12
-        self.pivots = lib.simplex_pivots
+        self.pivots = lib.pivot_lps
         self.pivots.restype = ctypes.c_int64
-        self.pivots.argtypes = ([ctypes.c_int64] * 3 + [ctypes.c_void_p] * 7 + [ctypes.c_int64]
-                                + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 3)
-        self.prefix = lib.prefix_pivots
-        self.prefix.restype = ctypes.c_int64
-        self.prefix.argtypes = ([ctypes.c_int64] * 4 + [ctypes.c_void_p] * 7 + [ctypes.c_int64]
+        self.pivots.argtypes = ([ctypes.c_int64] * 4 + [ctypes.c_void_p] * 7 + [ctypes.c_int64]
                                 + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 3)
 
 
@@ -183,7 +179,7 @@ def engine() -> str:
     return "numpy: " + lib if isinstance(lib, str) else "compiled"
 
 
-# simplex_pivots' return codes (see _simplex.c)
+# pivot_lps' return codes (see _simplex.c)
 PIVOT_STATUS = ("optimal", "no entering column", "budget exceeded", "singular basis",
                 "basis out of range")
 
@@ -203,52 +199,27 @@ def _pivot_data(floats, ints, flags) -> bool:
             and all(a.flags.c_contiguous for a in (*floats, *ints, *flags)))
 
 
-def pivot_lp(A, Gt, r, b, basis, at_upper, nonbasic, budget: int,
-             pivot_tol: float, feas_tol: float) -> Tuple[str, int]:
-    """Run :func:`~onlinelp.simplex._solve`'s pivot loop in the compiled library, ``_simplex.c``.
+def pivot_lps(columns, Gt, rewards, b, basis, at_upper, nonbasic, iterations,
+              pivot_tol: float, feas_tol: float) -> Callable[[int, int, int], str]:
+    """Bind stacked LPs to ``_simplex.c``'s pivot loop, ``pivot_lps``.
 
-    ``A`` (m, n), ``Gt`` (n + m, m), ``r`` and ``b`` are C-contiguous float64
-    arrays; ``basis`` (int64), ``at_upper`` and ``nonbasic`` (bool) are the
-    start, updated in place.  Returns the loop's status, one of the first
-    four of ``PIVOT_STATUS``, and the pivots it began; raises
-    ``ValueError`` on arrays of another layout or a basis index outside
-    [0, n + m), which the loop checks before it reads any.  Call it only
-    where :func:`engine` says ``"compiled"``.
-    """
-    lib = _library()
-    m, n = A.shape
-    N = n + m
-    arrays = (A, Gt, r, b, basis, at_upper, nonbasic)
-    if not _pivot_data(arrays[:4], arrays[4:5], arrays[5:]):
-        raise ValueError("the compiled pivot loop reads contiguous float64 data, "
-                         "int64 basis indices and boolean flags")
-    if [a.shape for a in arrays[1:]] != [(N, m), (n,), (m,), (m,), (N,), (N,)]:
-        raise ValueError("inconsistent LP dimensions")
-    work, iwork = _workspace(2 * m * m + 2 * m + 6 * N, 5 * N)
-    iterations = ctypes.c_int64()
-    status = _status(lib.pivots(n, m, n, *(a.ctypes.data for a in arrays), budget, pivot_tol,
-                                feas_tol, work.ctypes.data, iwork.ctypes.data,
-                                ctypes.byref(iterations)))
-    return status, iterations.value
-
-
-def prefix_pivots(columns, Gt, rewards, b, basis, at_upper, nonbasic, iterations,
-                  pivot_tol: float, feas_tol: float) -> Callable[[int, int, int], str]:
-    """Bind the stacked arrays of a prefix-LP pass to ``_simplex.c``'s ``prefix_pivots``.
-
-    The arrays are those of :func:`~onlinelp.simplex.solve_prefix_lps`, one
-    row per cell, C-contiguous: ``columns`` (cells, m, n_max), each cell's A
-    by rows; ``Gt`` (cells, n_max + m, m), its ``[A | I]`` in prefix layout;
-    ``rewards`` (cells, n_max) and ``b`` (cells, m), the step's capacities,
-    as float64; ``basis`` (cells, m, int64), ``at_upper`` and ``nonbasic``
-    (cells, n_max + m, bool), updated in place; and ``iterations`` (cells,
-    int64), which receives each cell's pivots.  Checks them and takes their
-    addresses once, and returns ``pivots(a, n, budget)``: one call that runs
-    :func:`pivot_lp`'s loop on each of the first ``a`` cells' LPs over their
-    first ``n`` columns, in cell order, and returns the first status other
-    than ``"optimal"``, or ``"optimal"``.  Raises ``ValueError`` on arrays of
-    another layout, and ``pivots`` on a step outside the arrays.  Call it
-    only where :func:`engine` says ``"compiled"``.
+    The arrays hold one LP per cell, C-contiguous, as
+    :func:`~onlinelp.simplex.solve_prefix_lps` stacks them, and
+    :func:`~onlinelp.simplex.solve_box_lp` as one cell: ``columns`` (cells,
+    m, n_max), each cell's A by rows; ``Gt`` (cells, n_max + m, m), its
+    ``[A | I]`` in prefix layout; ``rewards`` (cells, n_max) and ``b``
+    (cells, m), the capacities, as float64; ``basis`` (cells, m, int64),
+    ``at_upper`` and ``nonbasic`` (cells, n_max + m, bool), the starts,
+    updated in place; and ``iterations`` (cells, int64), which receives each
+    cell's pivots.  Checks them and takes their addresses once, and returns
+    ``pivots(a, n, budget)``: one call that pivots each of the first ``a``
+    cells' LPs over their first ``n`` columns to an optimal basis, in cell
+    order, as :func:`~onlinelp.simplex._numpy_pivots` does, and returns the
+    first status other than ``"optimal"``, one of the first four of
+    ``PIVOT_STATUS``, or ``"optimal"``.  Raises ``ValueError`` on arrays of
+    another layout, and ``pivots`` on a step outside the arrays or a basis
+    index outside [0, n + m), which the loop checks before it reads any.
+    Call it only where :func:`engine` says ``"compiled"``.
     """
     lib = _library()
     cells, m, n_max = columns.shape
@@ -260,15 +231,15 @@ def prefix_pivots(columns, Gt, rewards, b, basis, at_upper, nonbasic, iterations
     if [a.shape for a in (*arrays[1:], iterations)] != [
             (cells, rows, m), (cells, n_max), (cells, m), (cells, m), (cells, rows),
             (cells, rows), (cells,)]:
-        raise ValueError("inconsistent prefix-LP pass dimensions")
+        raise ValueError("inconsistent stacked LP dimensions")
     work, iwork = _workspace(2 * m * m + 2 * m + 6 * rows, 5 * rows)
     held = (*arrays, work, iwork, iterations)
     addresses = [a.ctypes.data for a in held]
 
     def pivots(a: int, n: int, budget: int) -> str:
         if not (0 <= a <= cells and 0 <= n <= n_max):
-            raise ValueError(f"a step of {a} cells over {n} columns is outside the pass's arrays")
-        return _status(lib.prefix(a, n, m, n_max, *addresses[:7], budget, pivot_tol, feas_tol,
+            raise ValueError(f"a step of {a} cells over {n} columns is outside the bound arrays")
+        return _status(lib.pivots(a, n, m, n_max, *addresses[:7], budget, pivot_tol, feas_tol,
                                   *addresses[7:]))
 
     pivots.arrays = held  # bound while pivots lives, so that every address stays valid

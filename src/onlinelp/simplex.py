@@ -29,13 +29,14 @@ raises :class:`SimplexError`.
 
 Each pass inverts the basis matrix once and reads from that inverse the
 basic values, the prices and the leaving row; the exchange itself only
-updates the basis indices and the bound flags.  :func:`solve_box_lp` runs
-this pivot loop in the compiled library of :mod:`onlinelp.native` where it
-loads (``_simplex.c``, the same decisions on its own sums) and in numpy
-otherwise; the final solves and the dual-feasibility check are numpy's on
-either engine, so an engine that ends at the same basis returns the same
-bits.  On continuous data the two take the same pivots; where ratios tie
-exactly, each breaks the tie by the last bits of its own sums.
+updates the basis indices and the bound flags.  Each engine has one such
+pivot loop: the compiled library of :mod:`onlinelp.native` where it loads
+(``_simplex.c``, the same decisions on its own sums), and
+:func:`_numpy_pivots` otherwise.  The final solves and the dual-feasibility
+check are numpy's on either engine, so an engine that ends at the same basis
+returns the same bits.  On continuous data the two take the same pivots;
+where ratios tie exactly, each breaks the tie by the last bits of its own
+sums.
 
 :func:`solve_prefix_lps` solves the prefix LPs of a batch of instances in
 lockstep, each warm from the last and the first from the empty prefix's
@@ -43,11 +44,9 @@ optimum, the slack basis at price 0: the cells' ``[A | I]`` and solver state
 live in stacked arrays, a step writes one new column and moves each basis to
 the new prefix in O(m), and the pricing of the new column, the final solves
 and the dual-feasibility check run as stacked numpy calls over the cells.
-The pivots of a step are one call into the compiled library, its pivot loop
-run on each cell in turn, where it loads; elsewhere they run in numpy, the
-basic values and inversions stacked over the cells and only the ratio test
-and exchange per cell, for the cells that pivot.  A cell without pivots
-keeps its prices.
+A step pivots each running cell with the engine's one loop, as
+:func:`solve_box_lp` pivots its one LP.  A cell without pivots keeps its
+prices.
 """
 from __future__ import annotations
 
@@ -76,6 +75,8 @@ __all__ = [
 _PIVOT_TOL = 1e-9   # smallest pivot entry a ratio test takes; largest wrong-signed reduced cost a solve returns
 _FEAS_TOL = 1e-9    # the dual simplex pivots only on a basic value this far outside its bounds
 _PASS_WIDTH = 32    # breakpoints a long dual step sorts first (4x more each time it runs past)
+_UPPER = np.array([1.0, np.inf])  # a basic variable's upper bound, taken by whether it is a slack
+_SIGN = np.array([-1.0, 1.0])     # alpha_j's sign in the ratio test, taken by at_upper[j] != to_upper
 
 
 class SimplexError(RuntimeError):
@@ -161,10 +162,7 @@ def solve_box_lp(rewards, columns, capacity, start=None) -> LpSolution:
     # Column-major data lives in Gt (N, m): row j is column j of [A | I].
     Gt = np.concatenate((A.T, np.eye(m)))
     c = np.concatenate([r, np.zeros(m)])
-    # Every variable has lower bound 0; structurals have upper bound 1.
     N = n + m
-    upper = np.full(N, np.inf)
-    upper[:n] = 1.0
     if start is None:
         start = (n + np.arange(m), np.concatenate((r > 0.0, np.zeros(m, dtype=bool))))
     basis = np.array(start[0], dtype=np.intp)
@@ -177,7 +175,7 @@ def solve_box_lp(rewards, columns, capacity, start=None) -> LpSolution:
                          "for the nonbasic structurals")
     nonbasic = np.ones(N, dtype=bool)
     nonbasic[basis] = False
-    return _solve(r, A, Gt, c, upper, b, basis, at_upper, nonbasic)
+    return _solve(r, A, Gt, c, b, basis, at_upper, nonbasic)
 
 
 def _pivot(Gt, c, basis, at_upper, nonbasic, Binv, i: int, excess: float, to_upper: bool) -> None:
@@ -197,8 +195,9 @@ def _pivot(Gt, c, basis, at_upper, nonbasic, Binv, i: int, excess: float, to_upp
     n = N - m
     cbar = c - Gt @ (Binv.T @ c[basis])
     alpha = Gt @ Binv[i]
-    # Raising x_j changes the leaving value at rate -alpha_j.
-    toward = np.negative(alpha, out=alpha, where=at_upper == to_upper)
+    # Raising x_j changes the leaving value at rate -alpha_j; toward is
+    # alpha negated (times -1, exactly) where the bound flag equals to_upper.
+    toward = alpha * _SIGN.take(at_upper ^ to_upper)
     eligible = (nonbasic & (toward > _PIVOT_TOL)).nonzero()[0]
     if not eligible.size:
         # x = 0 is feasible, so only roundoff gets here.
@@ -235,11 +234,16 @@ def _budget_exceeded(iterations: int, n: int, m: int) -> SimplexError:
     return SimplexError(f"pivot budget exceeded ({iterations} iterations, n={n}, m={m})")
 
 
-def _numpy_pivots(Gt, c, upper, b, basis, at_upper, nonbasic) -> int:
+def _numpy_pivots(Gt, c, b, basis, at_upper, nonbasic) -> int:
     """Pivot a valid start to an optimal basis in numpy; returns the pivots taken.
 
-    The bounded dual simplex pivots until every basic value lies within its
-    bounds; the leaving row has the largest bound violation, its excess.
+    The numpy engine's one pivot loop, for an offline LP and for each cell
+    of a prefix-LP step.  ``Gt`` is ``[A | I]`` by rows, C-contiguous, and
+    ``c`` its costs; the start is ``basis``, ``at_upper`` and ``nonbasic``,
+    updated in place.  The bounded dual simplex pivots until every basic
+    value lies within its bounds, 0 and 1 for a structural (an index below
+    n) and 0 and infinity for a slack; the leaving row has the largest bound
+    violation, its excess.
     """
     N, m = Gt.shape
     iterations = 0
@@ -248,7 +252,7 @@ def _numpy_pivots(Gt, c, upper, b, basis, at_upper, nonbasic) -> int:
         # No basic variable is at its upper bound, so at_upper holds x with
         # its basic entries at 0.
         xb = Binv @ (b - at_upper.astype(np.float64) @ Gt)
-        above = xb - upper[basis]
+        above = xb - _UPPER.take(basis >= N - m)
         excess = np.maximum(-xb, above)
         i = int(excess.argmax())
         if excess[i] <= _FEAS_TOL:
@@ -273,15 +277,6 @@ def _raise_for(status: str, iterations: int, n: int, m: int) -> None:
         raise np.linalg.LinAlgError("Singular matrix")  # as np.linalg.inv says it
 
 
-def _compiled_pivots(r, A, Gt, b, basis, at_upper, nonbasic) -> int:
-    """:func:`_numpy_pivots` in the compiled library: the same pivots, and the same errors."""
-    N, m = Gt.shape
-    status, iterations = native.pivot_lp(A, Gt, r, b, basis, at_upper, nonbasic,
-                                         _max_iterations(N), _PIVOT_TOL, _FEAS_TOL)
-    _raise_for(status, iterations, N - m, m)
-    return iterations
-
-
 def _check_dual_feasible(cbar, at_upper, nonbasic, n: int, m: int) -> None:
     """Raise :class:`SimplexError` if a nonbasic column of a final basis prices in.
 
@@ -294,21 +289,29 @@ def _check_dual_feasible(cbar, at_upper, nonbasic, n: int, m: int) -> None:
                            f"by {worst:.3g} (n={n}, m={m})")
 
 
-def _solve(r, A, Gt, c, upper, b, basis, at_upper, nonbasic) -> LpSolution:
+def _solve(r, A, Gt, c, b, basis, at_upper, nonbasic) -> LpSolution:
     """Pivot a valid start to the optimum, on the engine :func:`~onlinelp.native.engine` names.
 
     ``A`` is the (m, n) matrix and ``Gt`` ``[A | I]`` by rows, both
     C-contiguous.  The start is ``basis``, ``at_upper`` and ``nonbasic``
     (the complement of ``basis``), which the pivots update in place; the
-    solution holds copies.  Either engine takes the same pivots, and the
-    answer is solved here from the final basis and bounds alone.
+    solution holds copies.  The compiled engine pivots the LP as a prefix-LP
+    pass of one cell over all n columns, since ``[A | I]`` by rows has the
+    pass's prefix layout; the numpy engine in :func:`_numpy_pivots`.  Either
+    engine takes the same pivots and raises the same errors, and the answer
+    is solved here from the final basis and bounds alone.
     """
     N, m = Gt.shape
     n = N - m
     if native.engine() == "compiled":
-        iterations = _compiled_pivots(r, A, Gt, b, basis, at_upper, nonbasic)
+        counts = np.zeros(1, dtype=np.int64)
+        pivots = native.pivot_lps(A[None], Gt[None], r[None], b[None], basis[None],
+                                  at_upper[None], nonbasic[None], counts, _PIVOT_TOL, _FEAS_TOL)
+        status = pivots(1, n, _max_iterations(N))
+        iterations = int(counts[0])
+        _raise_for(status, iterations, n, m)
     else:
-        iterations = _numpy_pivots(Gt, c, upper, b, basis, at_upper, nonbasic)
+        iterations = _numpy_pivots(Gt, c, b, basis, at_upper, nonbasic)
 
     # One exact solve per side against the basis in index order: the answer
     # does not depend on the order in which the pivots placed the columns.
@@ -411,53 +414,6 @@ class PrefixLps(NamedTuple):
     iterations: np.ndarray
 
 
-def _numpy_prefix_pivots(G, cost, base, at, free, b, iterations, Binv, basic_upper,
-                         flat_Gt, offset):
-    """Pivot the running cells of one step of :func:`solve_prefix_lps` to optimal bases in numpy.
-
-    The arguments are the step's views of the pass's stacked state, one
-    row per running cell; ``iterations`` counts each cell's pivots, and
-    ``Binv`` and ``basic_upper``, the basis inverses and the basic
-    variables' upper bounds, are carried from the last step.  Each pass
-    reads every cell's basic values from its inverse; the cells with one
-    outside its bounds pivot through the ratio test and exchange of
-    :func:`_pivot`, and only they are inverted again.  Returns the bound
-    values ``x`` (the basic entries 0) and ``rhs = b - x @ [A | I]`` of the
-    final bases.
-    """
-    a, N, m = G.shape
-    stale = None  # the cells whose basis changed; a view when it is every cell
-    while True:
-        if stale is not None:
-            B = flat_Gt.take(base[stale] + offset[stale], axis=0)
-            Binv[stale] = np.linalg.inv(B.transpose(0, 2, 1))
-        # No basic variable is at its upper bound, so at holds x with its
-        # basic entries at 0.  A cell that did not pivot recomputes the
-        # same values.
-        x = at.astype(np.float64)
-        rhs = b - (x[:, None, :] @ G)[:, 0]
-        xb = (Binv @ rhs[:, :, None])[:, :, 0]
-        above = xb - basic_upper
-        excess = np.maximum(-xb, above)
-        largest = np.maximum.reduce(excess, axis=1)
-        # not within tolerance, NaN included, as in _solve
-        leaving = (~(largest <= _FEAS_TOL)).nonzero()[0]
-        if not leaving.size:
-            return x, rhs
-        stale = slice(0, a) if len(leaving) == a else leaving
-        iterations[leaving] += 1
-        top = np.maximum.reduce(iterations)
-        if top > _max_iterations(N):
-            raise _budget_exceeded(top, N - m, m)
-        # each leaving cell's row of largest excess (its first NaN, if any), and its side
-        rows = excess[leaving].argmax(axis=1)
-        sides = above[leaving, rows] > 0.0
-        for k, i, amount, to_upper in zip(leaving.tolist(), rows.tolist(),
-                                          largest[leaving].tolist(), sides.tolist()):
-            _pivot(G[k], cost[k], base[k], at[k], free[k], Binv[k], i, amount, to_upper)
-            basic_upper[k, i] = 1.0 if base[k, i] < N - m else np.inf
-
-
 def solve_prefix_lps(instances: Sequence[Instance]) -> PrefixLps:
     """Solve every prefix LP of every instance in lockstep, into one :class:`PrefixLps`.
 
@@ -470,15 +426,14 @@ def solve_prefix_lps(instances: Sequence[Instance]) -> PrefixLps:
     t + 1 columns plus m slacks, so ``Gt`` (cells, n_max + m, m) holds each
     cell's ``[A | I]`` by rows in prefix layout (rows [0, s) the first s
     columns, rows [s, s + m) the slack identity), and the costs, bound
-    flags, nonbasic masks, bases, basis inverses and prices are stacked
-    likewise.
+    flags, nonbasic masks, bases and prices are stacked likewise.
 
     A step writes column t and the shifted identity, renumbers the basic
     slacks and gives the new column the bound its reduced cost at the last
-    prices favours.  The running cells then pivot to optimal bases on the
-    engine :func:`~onlinelp.native.engine` names: in one call to the
-    compiled library's ``prefix_pivots``, which runs :func:`solve_box_lp`'s
-    compiled loop on each cell, or in :func:`_numpy_prefix_pivots`.  Each
+    prices favours.  The running cells then pivot to optimal bases with the
+    one pivot loop of the engine :func:`~onlinelp.native.engine` names, the
+    one :func:`solve_box_lp` runs: the compiled library's ``pivot_lps``, one
+    call for all of them, or :func:`_numpy_pivots` on each in turn.  Each
     cell gets the pivots of its own warm ``solve_scaled`` chain on the same
     LP engine, and its answers bit for bit, whatever else is in the batch:
     the final solves are numpy's on either engine, and the stacked products
@@ -510,21 +465,17 @@ def solve_prefix_lps(instances: Sequence[Instance]) -> PrefixLps:
     c = np.zeros((cells, n_max + m))
     at_upper = np.zeros((cells, n_max + m), dtype=bool)
     # Every cell starts at the empty prefix's optimum: its m slacks are
-    # basic, the basis inverse is I and the prices are 0.
+    # basic and the prices are 0.
     nonbasic = np.ones((cells, n_max + m), dtype=bool)
     nonbasic[:, :m] = False
     basis = np.tile(np.arange(m), (cells, 1))
     capacity = np.zeros((cells, m))
     eye = np.eye(m)
+    pivots = None
     if native.engine() == "compiled":
         counts = np.zeros(cells, dtype=np.int64)
-        pivots = native.prefix_pivots(columns, Gt, rewards, capacity, basis, at_upper, nonbasic,
-                                      counts, _PIVOT_TOL, _FEAS_TOL)
-    else:
-        pivots = None
-        # the basic variables' upper bounds: 1 for a structural, infinite for a slack
-        basic_upper = np.full((cells, m), np.inf)
-        Binv = np.tile(eye, (cells, 1, 1))
+        pivots = native.pivot_lps(columns, Gt, rewards, capacity, basis, at_upper, nonbasic,
+                                  counts, _PIVOT_TOL, _FEAS_TOL)
     y = np.zeros((cells, m))
     row = np.arange(cells)[:, None]
     # cell k's row j of Gt, or entry j of c, is flat row k * (n_max + m) + j
@@ -552,17 +503,16 @@ def solve_prefix_lps(instances: Sequence[Instance]) -> PrefixLps:
         at[:, t] = out.favoured[:a, t] = rewards[:a, t] - priced > 0.0
         iterations = out.iterations[:a, t]
         if pivots is None:
-            x, rhs = _numpy_prefix_pivots(G, cost, base, at, free, b, iterations, Binv[:a],
-                                          basic_upper[:a], flat_Gt, offset[:a])
+            iterations[:] = [_numpy_pivots(*cell) for cell in zip(G, cost, b, base, at, free)]
         else:
             status = pivots(a, s, _max_iterations(N))
             iterations[:] = counts[:a]
             if status != "optimal":
                 _raise_for(status, np.maximum.reduce(iterations), s, m)
-            # No basic variable is at its upper bound, so at holds x with its
-            # basic entries at 0.
-            x = at.astype(np.float64)
-            rhs = b - (x[:, None, :] @ G)[:, 0]
+        # No basic variable is at its upper bound, so at holds x with its
+        # basic entries at 0.
+        x = at.astype(np.float64)
+        rhs = b - (x[:, None, :] @ G)[:, 0]
 
         # One exact solve per side against each basis in index order.  Only
         # x_t is reported, and a nonbasic x_t is its bound flag already, so

@@ -60,7 +60,7 @@ class TestNanExcess:
         assert len(nan_first_inverse) == 1
 
     def test_the_pass_pivots_on_a_nan_row(self, nan_first_inverse, monkeypatch):
-        # as above: only the numpy pass inverts in np.linalg.inv
+        # as above: the numpy pass inverts in np.linalg.inv, cell 0 first
         force_numpy(monkeypatch)
         with pytest.raises(SimplexError, match="no entering column"):
             solve_prefix_lps([uniform(40, 3, seed) for seed in (1, 2)])
@@ -128,11 +128,10 @@ class TestTraceObjective:
 
 # The functions that run per pivot, per step or per run.
 HOT = {
-    simplex: ("_long_step", "_pivot", "_numpy_pivots", "_raise_for", "_compiled_pivots",
-              "_solve", "_numpy_prefix_pivots", "solve_prefix_lps", "_check_dual_feasible"),
+    simplex: ("_long_step", "_pivot", "_numpy_pivots", "_raise_for", "_solve",
+              "solve_prefix_lps", "_check_dual_feasible"),
     algorithms: ("run_one_pass", "_numpy_rows", "_trace", "run_prefix_lp", "repair_feasibility"),
-    native: ("engine", "step_rows", "_status", "_pivot_data", "pivot_lp", "prefix_pivots",
-             "_workspace"),
+    native: ("engine", "step_rows", "_status", "_pivot_data", "pivot_lps", "_workspace"),
     core: ("violation_norm",),
 }
 # numpy wrapper -> the C entry point it ends in

@@ -167,3 +167,10 @@ class TestFitScaling:
             fit_scaling([10, 100, 1000], [-1.0, -1.0, 3.0])  # too few positive
         with pytest.raises(ValueError):
             fit_scaling([10, 100, 1000], [1.0, 2.0])  # length mismatch
+
+    def test_the_fitted_points_span_a_decade(self):
+        # all four n span a decade, but the three with positive means do not
+        with pytest.raises(ValueError, match=r"span less than a decade.*excluded n = \(1000,\)"):
+            fit_scaling([100, 200, 400, 1000], [1.0, 2.0, 3.0, -1.0])
+        fit = fit_scaling([10, 200, 400, 1000], [1.0, 2.0, -3.0, 4.0])
+        assert fit.ns == (10, 200, 1000) and fit.excluded_ns == (400,)

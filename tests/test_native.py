@@ -409,6 +409,21 @@ def continuous_lps():
         yield (family, "chain"), lambda inst=inst: warm_chain(inst)
 
 
+def one_lp_stack(**replaced):
+    """``native.pivot_lps``'s arrays for one LP, ``max x0 + x1, x0 + x1 <= 1``, with ``replaced``.
+
+    Skips the test where the compiled library does not load.
+    """
+    if native.engine() != "compiled":
+        pytest.skip(f"the compiled pivot loop does not run: {native.engine()}")
+    arrays = dict(columns=np.ones((1, 1, 2)), Gt=np.array([[[1.0], [1.0], [1.0]]]),
+                  rewards=np.ones((1, 2)), b=np.ones((1, 1)), basis=np.array([[2]]),
+                  at_upper=np.array([[True, True, False]]),
+                  nonbasic=np.array([[True, True, False]]), iterations=np.zeros(1, dtype=np.int64))
+    arrays.update(replaced)
+    return arrays
+
+
 class TestLpEngines:
     """Both LP engines take the same pivots, so every answer keeps its bits."""
 
@@ -499,14 +514,54 @@ class TestLpEngines:
         assert compiled == plain
 
     def test_the_loop_rejects_a_basis_index_out_of_range(self):
-        if native.engine() != "compiled":
-            pytest.skip(f"the compiled pivot loop does not run: {native.engine()}")
-        A = np.ones((1, 2))
-        Gt = np.concatenate((A.T, np.eye(1)))
         for index in (-1, 3):
+            arrays = one_lp_stack()
+            arrays["basis"][0, 0] = index
+            pivots = native.pivot_lps(**arrays, pivot_tol=1e-9, feas_tol=1e-9)
             with pytest.raises(ValueError, match="must lie in"):
-                native.pivot_lp(A, Gt, np.ones(2), np.ones(1), np.array([index]),
-                                np.zeros(3, dtype=bool), np.ones(3, dtype=bool), 10, 1e-9, 1e-9)
+                pivots(1, 2, 10)
+        # the same arrays with a basis in range pivot to the optimum
+        arrays = one_lp_stack()
+        assert native.pivot_lps(**arrays, pivot_tol=1e-9, feas_tol=1e-9)(1, 2, 10) == "optimal"
+        assert arrays["iterations"].tolist() == [1]
+
+    @pytest.mark.parametrize("name, value", [
+        ("basis", np.array([[2]], dtype=np.int32)),
+        ("rewards", np.ones((1, 2), dtype=np.float32)),
+        ("at_upper", np.zeros((1, 3), dtype=np.uint8)),
+        ("iterations", np.zeros(1, dtype=np.int32)),
+    ])
+    def test_the_entry_point_rejects_another_dtype(self, name, value):
+        with pytest.raises(ValueError, match="reads contiguous float64 data"):
+            native.pivot_lps(**one_lp_stack(**{name: value}), pivot_tol=1e-9, feas_tol=1e-9)
+
+    @pytest.mark.parametrize("name", ["columns", "Gt", "rewards", "at_upper", "nonbasic"])
+    def test_the_entry_point_rejects_a_non_contiguous_array(self, name):
+        value = one_lp_stack()[name]
+        strided = np.repeat(value, 2, axis=-1)[..., ::2]  # the same values, every other one
+        assert np.array_equal(strided, value) and not strided.flags.c_contiguous
+        with pytest.raises(ValueError, match="reads contiguous float64 data"):
+            native.pivot_lps(**one_lp_stack(**{name: strided}), pivot_tol=1e-9, feas_tol=1e-9)
+
+    @pytest.mark.parametrize("name, value", [
+        ("Gt", np.ones((1, 4, 1))),
+        ("rewards", np.ones((1, 3))),
+        ("b", np.ones((2, 1))),
+        ("basis", np.array([[2, 1]])),
+        ("at_upper", np.zeros((1, 2), dtype=bool)),
+        ("iterations", np.zeros(2, dtype=np.int64)),
+    ])
+    def test_the_entry_point_rejects_mismatched_shapes(self, name, value):
+        with pytest.raises(ValueError, match="inconsistent stacked LP dimensions"):
+            native.pivot_lps(**one_lp_stack(**{name: value}), pivot_tol=1e-9, feas_tol=1e-9)
+
+    def test_the_entry_point_rejects_a_step_outside_the_arrays(self):
+        arrays = one_lp_stack()
+        pivots = native.pivot_lps(**arrays, pivot_tol=1e-9, feas_tol=1e-9)
+        for a, n in ((2, 2), (-1, 2), (1, 3), (1, -1)):
+            with pytest.raises(ValueError, match="outside the bound arrays"):
+                pivots(a, n, 10)
+        assert arrays["iterations"].tolist() == [0]  # no call reached the loop
 
 
 class TestPrune:

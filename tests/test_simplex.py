@@ -396,10 +396,10 @@ class TestEffortCounts:
     def test_warm_workspace_steps(self, monkeypatch):
         # a cell without pivots reuses its prices, and a cell whose new column
         # ended nonbasic reads that column's value off its bound, on either
-        # LP engine; on the numpy one, the one that calls np.linalg.inv, a
-        # step starts from the inverses the previous step's last pass took,
-        # step 0 from the empty prefix's identity, so the pass inverts one
-        # matrix per pivot
+        # LP engine; on the numpy one, the one that calls np.linalg.inv, each
+        # running cell of a step is one solve of the one-LP loop, so the pass
+        # makes one inversion per cell-step plus one per pivot, as a solve
+        # makes one per iteration plus one
         batch = longest_first(generate(GeneratorSpec(family, n=60, m=3, seed=8)) for family in
                               (GeneratorFamily.UNIFORM, GeneratorFamily.GAUSSIAN,
                                GeneratorFamily.ADVERSARIAL))
@@ -407,7 +407,7 @@ class TestEffortCounts:
         inverted, solved = [], []
 
         def counting_inv(a):
-            inverted.append(len(a))
+            inverted.append(a.shape)
             return inv(a)
 
         def counting_solve(a, b):
@@ -428,7 +428,8 @@ class TestEffortCounts:
             assert 0 < pivoting < iterations.size, engine
             assert 0 < sum(basic) < iterations.size, engine
             if engine != "compiled":
-                assert sum(inverted) == iterations.sum()
+                assert set(inverted) == {(3, 3)}
+                assert len(inverted) == sum(inst.n for inst in batch) + iterations.sum()
 
 
 def each_lp_engine(monkeypatch):
