@@ -15,22 +15,23 @@
    caller solves the final basis again, and data whose ratios tie exactly in
    exact arithmetic can take another path.
 
-   A is (m, n) by rows, row i at A + i lda (lda >= n), and Gt is [A | I] by
-   rows, (n + m, m); r holds the n rewards (the slacks cost 0).  basis (m),
-   at_upper and nonbasic (n + m) are the start and are updated in place.  work
-   holds 2 m^2 + 2 m + 6 (n + m) doubles and iwork 5 (n + m) int64s.  Returns
-   OPTIMAL, NO_ENTERING_COLUMN, BUDGET_EXCEEDED (after pivot budget + 1) or
-   SINGULAR_BASIS, or, before it reads anything else, BASIS_OUT_OF_RANGE;
-   *iterations counts the pivots begun.
+   A is (m, n) by rows, row i at A + i lda (lda >= n), Gt is [A | I] by rows,
+   (n + m, m), and c its costs (0 for a slack).  basis (m) and at_upper
+   (n + m), the start, are updated in place.  work holds 2 m^2 + 2 m +
+   6 (n + m) doubles and iwork 5 (n + m) int64s.  Returns OPTIMAL,
+   NO_ENTERING_COLUMN, BUDGET_EXCEEDED (after pivot budget + 1) or
+   SINGULAR_BASIS, whose codes are mirrored once, in simplex, or, before it
+   reads anything else, BASIS_OUT_OF_RANGE, which native.pivot_lps raises as
+   ValueError; *iterations counts the pivots begun.
 
    pivot_lps, the one entry point, runs simplex_pivots on each of `cells` LPs
    over their first n columns, stacked as simplex.solve_prefix_lps stacks
-   them: cell c's LP at A + c m lda, Gt + c (lda + m) m, r + c lda, b + c m,
-   basis + c m and at_upper and nonbasic + c (lda + m), Gt in prefix layout
-   (rows [0, n) the columns, [n, n + m) the slack identity); the offline LP is
-   one cell with lda = n.  It stops at the first cell whose status is not
-   OPTIMAL and returns that status; iterations[c] counts cell c's pivots, 0
-   for a cell it did not reach. */
+   them: cell k's LP at A + k m lda, Gt + k (lda + m) m, c + k (lda + m),
+   b + k m, basis + k m and at_upper + k (lda + m), Gt and c in prefix layout
+   (rows [0, n) the columns, [n, n + m) the slacks); the offline LP is one
+   cell with lda = n.  It stops at the first cell whose status is not OPTIMAL
+   and returns that status; iterations[k] counts cell k's pivots, 0 for a
+   cell it did not reach. */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -149,9 +150,9 @@ static int64_t long_step(int64_t size, const double *ratios, const double *range
 }
 
 static int64_t simplex_pivots(int64_t n, int64_t m, int64_t lda, const double *A, const double *Gt,
-                              const double *r, const double *b, int64_t *basis, uint8_t *at_upper,
-                              uint8_t *nonbasic, int64_t budget, double pivot_tol, double feas_tol,
-                              double *work, int64_t *iwork, int64_t *iterations)
+                              const double *c, const double *b, int64_t *basis, uint8_t *at_upper,
+                              int64_t budget, double pivot_tol, double feas_tol, double *work,
+                              int64_t *iwork, int64_t *iterations)
 {
     const int64_t N = n + m;
     double *inv = work, *M = inv + m * m, *y = M + m * m, *w = y + m, *x = w + m;
@@ -215,11 +216,11 @@ static int64_t simplex_pivots(int64_t n, int64_t m, int64_t lda, const double *A
         for (int64_t l = 0; l < m; l++) {
             double v = 0.0;
             for (int64_t k = 0; k < m; k++)
-                v += inv[k * m + l] * (basis[k] < n ? r[basis[k]] : 0.0);
+                v += inv[k * m + l] * c[basis[k]];
             y[l] = v;
         }
         const double *row = inv + leave * m;
-        for (int64_t j = 0; j < n; j++)
+        for (int64_t j = 0; j < N; j++)
             cbar[j] = alpha[j] = 0.0;
         for (int64_t k = 0; k < m; k++) {
             const double *a = A + k * lda, yk = y[k], rk = row[k];
@@ -228,26 +229,25 @@ static int64_t simplex_pivots(int64_t n, int64_t m, int64_t lda, const double *A
                 alpha[j] += a[j] * rk;
             }
         }
-        for (int64_t j = 0; j < n; j++)
-            cbar[j] = r[j] - cbar[j];
-        for (int64_t j = n; j < N; j++) {
-            double priced = 0.0, v = 0.0;
+        for (int64_t j = n; j < N; j++)
             for (int64_t k = 0; k < m; k++) {
-                priced += Gt[j * m + k] * y[k];
-                v += Gt[j * m + k] * row[k];
+                cbar[j] += Gt[j * m + k] * y[k];
+                alpha[j] += Gt[j * m + k] * row[k];
             }
-            cbar[j] = 0.0 - priced;
-            alpha[j] = v;
-        }
+        for (int64_t j = 0; j < N; j++)
+            cbar[j] = c[j] - cbar[j];
         /* the ratio test over the nonbasics that move the leaving value
-           toward its bound: raising x_j changes it at rate -alpha_j */
+           toward its bound: raising x_j changes it at rate -alpha_j, and a
+           basic column, its alpha zeroed, never enters */
+        for (int64_t k = 0; k < m; k++)
+            alpha[basis[k]] = 0.0;
         int64_t size = 0;
         for (int64_t j = 0; j < N; j++) {
             /* -alpha_j where the bound flag equals to_upper, without a branch */
             const double toward = alpha[j] * (double)(2 * (at_upper[j] ^ to_upper) - 1);
             eligible[size] = j;
             ranges[size] = toward;
-            size += nonbasic[j] & (toward > pivot_tol);
+            size += toward > pivot_tol;
         }
         if (!size)
             return NO_ENTERING_COLUMN;
@@ -280,25 +280,23 @@ static int64_t simplex_pivots(int64_t n, int64_t m, int64_t lda, const double *A
            leaving variable goes to the bound it violated */
         at_upper[basis[leave]] = (uint8_t)to_upper;
         at_upper[enter] = 0;
-        nonbasic[basis[leave]] = 1;
-        nonbasic[enter] = 0;
         basis[leave] = enter;
     }
 }
 
 int64_t pivot_lps(int64_t cells, int64_t n, int64_t m, int64_t lda, const double *A,
-                  const double *Gt, const double *r, const double *b, int64_t *basis,
-                  uint8_t *at_upper, uint8_t *nonbasic, int64_t budget, double pivot_tol,
-                  double feas_tol, double *work, int64_t *iwork, int64_t *iterations)
+                  const double *Gt, const double *c, const double *b, int64_t *basis,
+                  uint8_t *at_upper, int64_t budget, double pivot_tol, double feas_tol,
+                  double *work, int64_t *iwork, int64_t *iterations)
 {
     const int64_t rows = lda + m;
-    for (int64_t c = 0; c < cells; c++)
-        iterations[c] = 0;
-    for (int64_t c = 0; c < cells; c++) {
-        const int64_t status = simplex_pivots(n, m, lda, A + c * m * lda, Gt + c * rows * m,
-                                              r + c * lda, b + c * m, basis + c * m,
-                                              at_upper + c * rows, nonbasic + c * rows, budget,
-                                              pivot_tol, feas_tol, work, iwork, iterations + c);
+    for (int64_t k = 0; k < cells; k++)
+        iterations[k] = 0;
+    for (int64_t k = 0; k < cells; k++) {
+        const int64_t status = simplex_pivots(n, m, lda, A + k * m * lda, Gt + k * rows * m,
+                                              c + k * rows, b + k * m, basis + k * m,
+                                              at_upper + k * rows, budget, pivot_tol, feas_tol,
+                                              work, iwork, iterations + k);
         if (status != OPTIMAL)
             return status;
     }

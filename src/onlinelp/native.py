@@ -1,8 +1,9 @@
 """The compiled loops: build ``_onepass.c`` and ``_simplex.c`` once per content and machine.
 
 One library holds both loops: the one-pass kernel's k = 1 rows and the LP
-pivot loop, which :func:`pivot_lps` runs on a stack of LPs: the running cells
-of a step of the lockstep prefix-LP pass, or one offline LP.  It is built
+pivot loop, which :func:`pivot_lps` binds once to a stack of LPs, the cells of
+a prefix-LP pass or one offline LP, and runs a step at a time, returning the
+loop's code for :mod:`onlinelp.simplex` to raise on.  It is built
 lazily, the first time either runs, with
 ``cc -O3 -march=native -ffp-contract=off`` into ``$XDG_CACHE_HOME/onlinelp/``
 (``~/.cache/onlinelp/`` when the variable is unset), and looked up once per
@@ -29,7 +30,6 @@ import ctypes
 import hashlib
 import os
 import stat
-import threading
 import time
 from pathlib import Path
 from typing import Callable, Union
@@ -54,7 +54,7 @@ class _Library:
         self.rows.argtypes = [ctypes.c_int64] * 6 + [ctypes.c_void_p] * 12
         self.pivots = lib.pivot_lps
         self.pivots.restype = ctypes.c_int64
-        self.pivots.argtypes = ([ctypes.c_int64] * 4 + [ctypes.c_void_p] * 7 + [ctypes.c_int64]
+        self.pivots.argtypes = ([ctypes.c_int64] * 4 + [ctypes.c_void_p] * 6 + [ctypes.c_int64]
                                 + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 3)
 
 
@@ -179,17 +179,7 @@ def engine() -> str:
     return "numpy: " + lib if isinstance(lib, str) else "compiled"
 
 
-# pivot_lps' return codes (see _simplex.c)
-PIVOT_STATUS = ("optimal", "no entering column", "budget exceeded", "singular basis",
-                "basis out of range")
-
-
-def _status(code: int) -> str:
-    """The name of a pivot loop's return code; raises ``ValueError`` on a basis out of range."""
-    status = PIVOT_STATUS[code]
-    if status == "basis out of range":
-        raise ValueError("basis indices must lie in [0, n + m)")
-    return status
+_BASIS_OUT_OF_RANGE = 4  # pivot_lps' code for a basis index out of range (see _simplex.c)
 
 
 def _pivot_data(floats, ints, flags) -> bool:
@@ -199,66 +189,53 @@ def _pivot_data(floats, ints, flags) -> bool:
             and all(a.flags.c_contiguous for a in (*floats, *ints, *flags)))
 
 
-def pivot_lps(columns, Gt, rewards, b, basis, at_upper, nonbasic, iterations,
-              pivot_tol: float, feas_tol: float) -> Callable[[int, int, int], str]:
+def pivot_lps(columns, Gt, costs, b, basis, at_upper, iterations,
+              pivot_tol: float, feas_tol: float) -> Callable[[int, int, int], int]:
     """Bind stacked LPs to ``_simplex.c``'s pivot loop, ``pivot_lps``.
 
     The arrays hold one LP per cell, C-contiguous, as
     :func:`~onlinelp.simplex.solve_prefix_lps` stacks them, and
     :func:`~onlinelp.simplex.solve_box_lp` as one cell: ``columns`` (cells,
     m, n_max), each cell's A by rows; ``Gt`` (cells, n_max + m, m), its
-    ``[A | I]`` in prefix layout; ``rewards`` (cells, n_max) and ``b``
-    (cells, m), the capacities, as float64; ``basis`` (cells, m, int64),
-    ``at_upper`` and ``nonbasic`` (cells, n_max + m, bool), the starts,
-    updated in place; and ``iterations`` (cells, int64), which receives each
-    cell's pivots.  Checks them and takes their addresses once, and returns
-    ``pivots(a, n, budget)``: one call that pivots each of the first ``a``
-    cells' LPs over their first ``n`` columns to an optimal basis, in cell
-    order, as :func:`~onlinelp.simplex._numpy_pivots` does, and returns the
-    first status other than ``"optimal"``, one of the first four of
-    ``PIVOT_STATUS``, or ``"optimal"``.  Raises ``ValueError`` on arrays of
-    another layout, and ``pivots`` on a step outside the arrays or a basis
-    index outside [0, n + m), which the loop checks before it reads any.
-    Call it only where :func:`engine` says ``"compiled"``.
+    ``[A | I]`` in prefix layout; ``costs`` (cells, n_max + m), the costs of
+    those rows, 0 for a slack, and ``b`` (cells, m), the capacities, as
+    float64; ``basis`` (cells, m, int64) and ``at_upper`` (cells, n_max + m,
+    bool), the starts, updated in place; and ``iterations`` (cells, int64),
+    which receives each cell's pivots.  Checks them, allocates the loop's
+    scratch and takes their addresses once, and returns ``pivots(a, n,
+    budget)``: one call that pivots each of the first ``a`` cells' LPs over
+    their first ``n`` columns to an optimal basis, in cell order, as
+    :func:`~onlinelp.simplex._numpy_pivots` does, and returns the loop's
+    code, 0 where every cell ended optimal.  Raises ``ValueError`` on arrays
+    of another layout, and ``pivots`` on a step outside the arrays or a
+    basis index outside [0, n + m), which the loop checks before it reads
+    any.  Call it only where :func:`engine` says ``"compiled"``.
     """
     lib = _library()
     cells, m, n_max = columns.shape
-    arrays = (columns, Gt, rewards, b, basis, at_upper, nonbasic)
-    if not _pivot_data(arrays[:4], (basis, iterations), (at_upper, nonbasic)):
+    arrays = (columns, Gt, costs, b, basis, at_upper)
+    if not _pivot_data(arrays[:4], (basis, iterations), (at_upper,)):
         raise ValueError("the compiled pivot loop reads contiguous float64 data, "
                          "int64 basis indices and counts, and boolean flags")
     rows = n_max + m
     if [a.shape for a in (*arrays[1:], iterations)] != [
-            (cells, rows, m), (cells, n_max), (cells, m), (cells, m), (cells, rows),
-            (cells, rows), (cells,)]:
+            (cells, rows, m), (cells, rows), (cells, m), (cells, m), (cells, rows), (cells,)]:
         raise ValueError("inconsistent stacked LP dimensions")
-    work, iwork = _workspace(2 * m * m + 2 * m + 6 * rows, 5 * rows)
+    work, iwork = np.empty(2 * m * m + 2 * m + 6 * rows), np.empty(5 * rows, dtype=np.int64)
     held = (*arrays, work, iwork, iterations)
     addresses = [a.ctypes.data for a in held]
 
-    def pivots(a: int, n: int, budget: int) -> str:
+    def pivots(a: int, n: int, budget: int) -> int:
         if not (0 <= a <= cells and 0 <= n <= n_max):
             raise ValueError(f"a step of {a} cells over {n} columns is outside the bound arrays")
-        return _status(lib.pivots(a, n, m, n_max, *addresses[:7], budget, pivot_tol, feas_tol,
-                                  *addresses[7:]))
+        code = lib.pivots(a, n, m, n_max, *addresses[:6], budget, pivot_tol, feas_tol,
+                          *addresses[6:])
+        if code == _BASIS_OUT_OF_RANGE:
+            raise ValueError("basis indices must lie in [0, n + m)")
+        return code
 
     pivots.arrays = held  # bound while pivots lives, so that every address stays valid
     return pivots
-
-
-# per thread: the compiled pivot loop's scratch arrays, kept between calls, so
-# that a large LP does not fault in fresh pages at every solve
-_scratch = threading.local()
-
-
-def _workspace(doubles: int, ints: int):
-    """This thread's scratch arrays, of at least ``doubles`` float64s and ``ints`` int64s."""
-    work, iwork = getattr(_scratch, "arrays", (None, None))
-    if work is None or work.size < doubles or iwork.size < ints:
-        if work is not None:
-            doubles, ints = max(doubles, work.size), max(ints, iwork.size)
-        work, iwork = _scratch.arrays = np.empty(doubles), np.empty(ints, dtype=np.int64)
-    return work, iwork
 
 
 def _addresses(arrays):

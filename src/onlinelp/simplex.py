@@ -27,16 +27,17 @@ bounds alone, not on the start or the path; a nonbasic column that still
 prices in at those prices (a start where one already did, or roundoff)
 raises :class:`SimplexError`.
 
-Each pass inverts the basis matrix once and reads from that inverse the
-basic values, the prices and the leaving row; the exchange itself only
-updates the basis indices and the bound flags.  Each engine has one such
-pivot loop: the compiled library of :mod:`onlinelp.native` where it loads
-(``_simplex.c``, the same decisions on its own sums), and
-:func:`_numpy_pivots` otherwise.  The final solves and the dual-feasibility
-check are numpy's on either engine, so an engine that ends at the same basis
-returns the same bits.  On continuous data the two take the same pivots;
-where ratios tie exactly, each breaks the tie by the last bits of its own
-sums.
+An LP's state is its basis and the bound flags ``at_upper``; a column is
+nonbasic where the basis does not name it.  Each pass inverts the basis
+matrix once and reads from that inverse the basic values, the prices and
+the leaving row; the exchange only updates the basis and the flags.  Each
+engine has one such pivot loop, which :func:`_pivot_loop` picks: the
+compiled library of :mod:`onlinelp.native` where it loads (``_simplex.c``,
+the same decisions on its own sums), and :func:`_numpy_pivots` otherwise.
+The final solves and the dual-feasibility check are numpy's on either
+engine, so an engine that ends at the same basis returns the same bits.  On
+continuous data the two take the same pivots; where ratios tie exactly,
+each breaks the tie by the last bits of its own sums.
 
 :func:`solve_prefix_lps` solves the prefix LPs of a batch of instances in
 lockstep, each warm from the last and the first from the empty prefix's
@@ -44,7 +45,7 @@ optimum, the slack basis at price 0: the cells' ``[A | I]`` and solver state
 live in stacked arrays, a step writes one new column and moves each basis to
 the new prefix in O(m), and the pricing of the new column, the final solves
 and the dual-feasibility check run as stacked numpy calls over the cells.
-A step pivots each running cell with the engine's one loop, as
+A step pivots the running cells through :func:`_pivot_loop`, as
 :func:`solve_box_lp` pivots its one LP.  A cell without pivots keeps its
 prices.
 """
@@ -173,52 +174,7 @@ def solve_box_lp(rewards, columns, capacity, start=None) -> LpSolution:
             or at_upper[basis].any() or at_upper[n:].any()):
         raise ValueError("start must be m distinct basic indices and upper-bound flags "
                          "for the nonbasic structurals")
-    nonbasic = np.ones(N, dtype=bool)
-    nonbasic[basis] = False
-    return _solve(r, A, Gt, c, b, basis, at_upper, nonbasic)
-
-
-def _pivot(Gt, c, basis, at_upper, nonbasic, Binv, i: int, excess: float, to_upper: bool) -> None:
-    """One dual pivot on leaving row ``i``: the ratio test, the long step and the exchange.
-
-    ``Gt`` is ``[A | I]`` by rows, C-contiguous, and ``Binv`` inverts the
-    basis matrix of ``basis``.  Row ``i``'s basic value lies ``excess``
-    outside its bounds, above its upper bound if ``to_upper``.  The
-    nonbasics that move the leaving value toward its bound are passed in
-    increasing |cbar_j| / |alpha_ij| (first index on ties): each structural
-    whose range |alpha_ij| leaves part of the excess unabsorbed flips to its
-    other bound, and the column that absorbs the rest enters, at the latest
-    the first slack, whose range is infinite.  ``basis``, ``at_upper`` and
-    ``nonbasic`` are updated in place.
-    """
-    N, m = Gt.shape
-    n = N - m
-    cbar = c - Gt @ (Binv.T @ c[basis])
-    alpha = Gt @ Binv[i]
-    # Raising x_j changes the leaving value at rate -alpha_j; toward is
-    # alpha negated (times -1, exactly) where the bound flag equals to_upper.
-    toward = alpha * _SIGN.take(at_upper ^ to_upper)
-    eligible = (nonbasic & (toward > _PIVOT_TOL)).nonzero()[0]
-    if not eligible.size:
-        # x = 0 is feasible, so only roundoff gets here.
-        raise _no_entering_column(n, m)
-    ranges = toward[eligible]
-    ratios = np.abs(cbar[eligible]) / ranges
-    first = ratios.argmin()
-    j = int(eligible[first])
-    if j < n and ranges[first] < excess:
-        # The first breakpoint leaves part of the excess: pass every
-        # breakpoint whose flip still does.  eligible is sorted, so the
-        # slacks, whose range is infinite, are its tail.
-        ranges[eligible.searchsorted(n):] = np.inf
-        passed, enter = _long_step(ratios, ranges, excess)
-        flipped, j = eligible[passed], int(eligible[enter])
-        at_upper[flipped] = ~at_upper[flipped]
-    # The exchange: column j enters at position i, and the leaving
-    # variable goes to the bound it violated.
-    at_upper[basis[i]], at_upper[j] = to_upper, False
-    nonbasic[basis[i]], nonbasic[j] = True, False
-    basis[i] = j
+    return _solve(r, A, Gt, c, b, basis, at_upper)
 
 
 def _max_iterations(N: int) -> int:
@@ -234,84 +190,128 @@ def _budget_exceeded(iterations: int, n: int, m: int) -> SimplexError:
     return SimplexError(f"pivot budget exceeded ({iterations} iterations, n={n}, m={m})")
 
 
-def _numpy_pivots(Gt, c, b, basis, at_upper, nonbasic) -> int:
+def _numpy_pivots(Gt, c, b, basis, at_upper) -> int:
     """Pivot a valid start to an optimal basis in numpy; returns the pivots taken.
 
-    The numpy engine's one pivot loop, for an offline LP and for each cell
-    of a prefix-LP step.  ``Gt`` is ``[A | I]`` by rows, C-contiguous, and
-    ``c`` its costs; the start is ``basis``, ``at_upper`` and ``nonbasic``,
-    updated in place.  The bounded dual simplex pivots until every basic
-    value lies within its bounds, 0 and 1 for a structural (an index below
-    n) and 0 and infinity for a slack; the leaving row has the largest bound
-    violation, its excess.
+    The numpy engine's one pivot loop.  ``Gt`` is ``[A | I]`` by rows,
+    C-contiguous, and ``c`` its costs; the start is ``basis`` and
+    ``at_upper``, updated in place.  The bounded dual simplex pivots until
+    every basic value lies within its bounds, 0 and 1 for a structural (an
+    index below n) and 0 and infinity for a slack.  The leaving row has the
+    largest bound violation, its excess.  The nonbasics that move the
+    leaving value toward its bound are passed in increasing
+    |cbar_j| / |alpha_ij| (first index on ties): each structural whose range
+    |alpha_ij| leaves part of the excess unabsorbed flips to its other
+    bound, and the column that absorbs the rest enters, at the latest the
+    first slack, whose range is infinite.
     """
     N, m = Gt.shape
+    n = N - m
     iterations = 0
     while True:
         Binv = np.linalg.inv(Gt.take(basis, axis=0).T)
         # No basic variable is at its upper bound, so at_upper holds x with
         # its basic entries at 0.
         xb = Binv @ (b - at_upper.astype(np.float64) @ Gt)
-        above = xb - _UPPER.take(basis >= N - m)
+        above = xb - _UPPER.take(basis >= n)
         excess = np.maximum(-xb, above)
         i = int(excess.argmax())
         if excess[i] <= _FEAS_TOL:
             return iterations
         iterations += 1
         if iterations > _max_iterations(N):
-            raise _budget_exceeded(iterations, N - m, m)
-        _pivot(Gt, c, basis, at_upper, nonbasic, Binv, i, excess[i], bool(above[i] > 0.0))
+            raise _budget_exceeded(iterations, n, m)
+        worst, to_upper = excess[i], bool(above[i] > 0.0)
+        cbar = c - Gt @ (Binv.T @ c[basis])
+        alpha = Gt @ Binv[i]
+        alpha[basis] = 0.0  # a basic column never enters
+        # Raising x_j changes the leaving value at rate -alpha_j; toward is
+        # alpha negated (times -1, exactly) where the bound flag equals to_upper.
+        toward = alpha * _SIGN.take(at_upper ^ to_upper)
+        eligible = (toward > _PIVOT_TOL).nonzero()[0]
+        if not eligible.size:
+            # x = 0 is feasible, so only roundoff gets here.
+            raise _no_entering_column(n, m)
+        ranges = toward[eligible]
+        ratios = np.abs(cbar[eligible]) / ranges
+        first = ratios.argmin()
+        j = int(eligible[first])
+        if j < n and ranges[first] < worst:
+            # The first breakpoint leaves part of the excess: pass every
+            # breakpoint whose flip still does.  eligible is sorted, so the
+            # slacks, whose range is infinite, are its tail.
+            ranges[eligible.searchsorted(n):] = np.inf
+            passed, enter = _long_step(ratios, ranges, worst)
+            flipped, j = eligible[passed], int(eligible[enter])
+            at_upper[flipped] = ~at_upper[flipped]
+        # The exchange: column j enters at position i, and the leaving
+        # variable goes to the bound it violated.
+        at_upper[basis[i]], at_upper[j] = to_upper, False
+        basis[i] = j
 
 
-def _raise_for(status: str, iterations: int, n: int, m: int) -> None:
-    """Raise what the numpy engine raises where the compiled pivot loop ended in ``status``.
+# pivot_lps' failure codes (see _simplex.c)
+_NO_ENTERING_COLUMN, _BUDGET_EXCEEDED, _SINGULAR_BASIS = 1, 2, 3
 
-    ``iterations`` is the pivot count of the LP that stopped, over n columns
-    and m rows; ``"optimal"`` raises nothing.
+
+def _pivot_loop(columns, Gt, c, b, basis, at_upper):
+    """Bind stacked LPs to the pivot loop of the engine :func:`~onlinelp.native.engine` names.
+
+    The arrays are :func:`~onlinelp.native.pivot_lps`' (``c`` its
+    ``costs``), one LP a cell; the starts ``basis`` and ``at_upper`` are
+    updated in place.  Returns ``pivots(a, n)``, which pivots the first
+    ``a`` cells' LPs over their first ``n`` columns to optimal bases, in
+    cell order, and returns their pivot counts; it raises what
+    :func:`_numpy_pivots` raises, at the first cell that fails.
     """
-    if status == "no entering column":
-        raise _no_entering_column(n, m)
-    if status == "budget exceeded":
-        raise _budget_exceeded(iterations, n, m)
-    if status == "singular basis":
-        raise np.linalg.LinAlgError("Singular matrix")  # as np.linalg.inv says it
+    m = columns.shape[1]
+    if native.engine() != "compiled":
+        return lambda a, n: [_numpy_pivots(Gt[k, :n + m], c[k, :n + m], b[k], basis[k],
+                                           at_upper[k, :n + m]) for k in range(a)]
+    counts = np.zeros(len(columns), dtype=np.int64)
+    step = native.pivot_lps(columns, Gt, c, b, basis, at_upper, counts, _PIVOT_TOL, _FEAS_TOL)
+
+    def pivots(a: int, n: int):
+        code = step(a, n, _max_iterations(n + m))
+        if code == _NO_ENTERING_COLUMN:
+            raise _no_entering_column(n, m)
+        if code == _BUDGET_EXCEEDED:
+            raise _budget_exceeded(int(np.maximum.reduce(counts[:a])), n, m)
+        if code == _SINGULAR_BASIS:
+            raise np.linalg.LinAlgError("Singular matrix")  # as np.linalg.inv says it
+        return counts[:a]
+
+    return pivots
 
 
-def _check_dual_feasible(cbar, at_upper, nonbasic, n: int, m: int) -> None:
+def _check_dual_feasible(cbar, at_upper, basic, n: int, m: int) -> None:
     """Raise :class:`SimplexError` if a nonbasic column of a final basis prices in.
 
-    ``cbar``, the reduced costs of ``[A | I]`` in any shape, is negated in place where ``at_upper``.
+    ``cbar``, reduced costs of ``[A | I]`` in any shape, is negated at ``at_upper``, 0 at ``basic``.
     """
     np.negative(cbar, out=cbar, where=at_upper)
-    worst = np.maximum.reduce(cbar, axis=None, where=nonbasic, initial=0.0)
+    cbar[basic] = 0.0
+    worst = np.maximum.reduce(cbar, axis=None, initial=0.0)
     if worst > _PIVOT_TOL:
         raise SimplexError(f"final basis is not dual feasible: a nonbasic column prices in "
                            f"by {worst:.3g} (n={n}, m={m})")
 
 
-def _solve(r, A, Gt, c, b, basis, at_upper, nonbasic) -> LpSolution:
+def _solve(r, A, Gt, c, b, basis, at_upper) -> LpSolution:
     """Pivot a valid start to the optimum, on the engine :func:`~onlinelp.native.engine` names.
 
     ``A`` is the (m, n) matrix and ``Gt`` ``[A | I]`` by rows, both
-    C-contiguous.  The start is ``basis``, ``at_upper`` and ``nonbasic``
-    (the complement of ``basis``), which the pivots update in place; the
-    solution holds copies.  The compiled engine pivots the LP as a prefix-LP
-    pass of one cell over all n columns, since ``[A | I]`` by rows has the
-    pass's prefix layout; the numpy engine in :func:`_numpy_pivots`.  Either
+    C-contiguous, and ``c`` its costs.  The start is ``basis`` and
+    ``at_upper``, which the pivots update in place; the solution holds
+    copies.  :func:`_pivot_loop` pivots the LP as a stack of one cell over
+    all n columns, since ``[A | I]`` by rows has the prefix layout.  Either
     engine takes the same pivots and raises the same errors, and the answer
     is solved here from the final basis and bounds alone.
     """
     N, m = Gt.shape
     n = N - m
-    if native.engine() == "compiled":
-        counts = np.zeros(1, dtype=np.int64)
-        pivots = native.pivot_lps(A[None], Gt[None], r[None], b[None], basis[None],
-                                  at_upper[None], nonbasic[None], counts, _PIVOT_TOL, _FEAS_TOL)
-        status = pivots(1, n, _max_iterations(N))
-        iterations = int(counts[0])
-        _raise_for(status, iterations, n, m)
-    else:
-        iterations = _numpy_pivots(Gt, c, b, basis, at_upper, nonbasic)
+    pivots = _pivot_loop(A[None], Gt[None], c[None], b[None], basis[None], at_upper[None])
+    iterations = int(pivots(1, n)[0])
 
     # One exact solve per side against the basis in index order: the answer
     # does not depend on the order in which the pivots placed the columns.
@@ -324,7 +324,7 @@ def _solve(r, A, Gt, c, b, basis, at_upper, nonbasic) -> LpSolution:
     y = np.linalg.solve(B, c[order])
     p = np.maximum(y, 0.0)
     s = r - p @ Gt[:n].T
-    _check_dual_feasible(np.concatenate((s, -y)), at_upper, nonbasic, n, m)
+    _check_dual_feasible(np.concatenate((s, -y)), at_upper, basis, n, m)
     np.maximum(s, 0.0, out=s)
     return LpSolution(
         primal=x,
@@ -426,14 +426,14 @@ def solve_prefix_lps(instances: Sequence[Instance]) -> PrefixLps:
     t + 1 columns plus m slacks, so ``Gt`` (cells, n_max + m, m) holds each
     cell's ``[A | I]`` by rows in prefix layout (rows [0, s) the first s
     columns, rows [s, s + m) the slack identity), and the costs, bound
-    flags, nonbasic masks, bases and prices are stacked likewise.
+    flags, bases and prices are stacked likewise.
 
     A step writes column t and the shifted identity, renumbers the basic
     slacks and gives the new column the bound its reduced cost at the last
-    prices favours.  The running cells then pivot to optimal bases with the
-    one pivot loop of the engine :func:`~onlinelp.native.engine` names, the
-    one :func:`solve_box_lp` runs: the compiled library's ``pivot_lps``, one
-    call for all of them, or :func:`_numpy_pivots` on each in turn.  Each
+    prices favours.  The running cells then pivot to optimal bases through
+    :func:`_pivot_loop`, bound once per pass, as :func:`solve_box_lp`'s one
+    LP does: the compiled library's ``pivot_lps``, one call for all of
+    them, or :func:`_numpy_pivots` on each in turn.  Each
     cell gets the pivots of its own warm ``solve_scaled`` chain on the same
     LP engine, and its answers bit for bit, whatever else is in the batch:
     the final solves are numpy's on either engine, and the stacked products
@@ -466,16 +466,10 @@ def solve_prefix_lps(instances: Sequence[Instance]) -> PrefixLps:
     at_upper = np.zeros((cells, n_max + m), dtype=bool)
     # Every cell starts at the empty prefix's optimum: its m slacks are
     # basic and the prices are 0.
-    nonbasic = np.ones((cells, n_max + m), dtype=bool)
-    nonbasic[:, :m] = False
     basis = np.tile(np.arange(m), (cells, 1))
     capacity = np.zeros((cells, m))
     eye = np.eye(m)
-    pivots = None
-    if native.engine() == "compiled":
-        counts = np.zeros(cells, dtype=np.int64)
-        pivots = native.pivot_lps(columns, Gt, rewards, capacity, basis, at_upper, nonbasic,
-                                  counts, _PIVOT_TOL, _FEAS_TOL)
+    pivots = _pivot_loop(columns, Gt, c, capacity, basis, at_upper)
     y = np.zeros((cells, m))
     row = np.arange(cells)[:, None]
     # cell k's row j of Gt, or entry j of c, is flat row k * (n_max + m) + j
@@ -487,28 +481,19 @@ def solve_prefix_lps(instances: Sequence[Instance]) -> PrefixLps:
             a -= 1
         s, N = t + 1, t + 1 + m
         # views of the running cells' prefix-s state
-        G, cost, at, free = Gt[:a, :N], c[:a, :N], at_upper[:a, :N], nonbasic[:a, :N]
+        G, cost, at = Gt[:a, :N], c[:a, :N], at_upper[:a, :N]
         base = basis[:a]
         G[:, t] = columns[:a, :, t]
         G[:, s:] = eye
         cost[:, t] = rewards[:a, t]
         b = np.multiply(s, budget[:a], out=capacity[:a])
-        # Slacks are never at their infinite upper bound, so only the
-        # nonbasic flags of the slacks shift.
+        # Slacks are never at their infinite upper bound, so no bound flag shifts.
         base += base >= t
-        free[:, s:] = free[:, t:N - 1]
-        free[:, t] = True
         prices = np.maximum(y[:a], 0.0)
         priced = (columns[:a, None, :, t] @ prices[:, :, None])[:, 0, 0]
         at[:, t] = out.favoured[:a, t] = rewards[:a, t] - priced > 0.0
         iterations = out.iterations[:a, t]
-        if pivots is None:
-            iterations[:] = [_numpy_pivots(*cell) for cell in zip(G, cost, b, base, at, free)]
-        else:
-            status = pivots(a, s, _max_iterations(N))
-            iterations[:] = counts[:a]
-            if status != "optimal":
-                _raise_for(status, np.maximum.reduce(iterations), s, m)
+        iterations[:] = pivots(a, s)
         # No basic variable is at its upper bound, so at holds x with its
         # basic entries at 0.
         x = at.astype(np.float64)
@@ -535,7 +520,7 @@ def solve_prefix_lps(instances: Sequence[Instance]) -> PrefixLps:
         np.subtract(cost[:, :s], (duals[:, None, :] @ G[:, :s].transpose(0, 2, 1))[:, 0],
                     out=cbar[:, :s])
         np.negative(y[:a], out=cbar[:, s:])
-        _check_dual_feasible(cbar, at, free, s, m)
+        _check_dual_feasible(cbar, at, (row[:a], base), s, m)
     return out
 
 

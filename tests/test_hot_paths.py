@@ -66,25 +66,17 @@ class TestNanExcess:
             solve_prefix_lps([uniform(40, 3, seed) for seed in (1, 2)])
         assert len(nan_first_inverse) == 1
 
-    def test_the_row_reductions_agree_on_nan(self):
-        excess = np.array([[0.0, np.nan, 2.0], [1e-12, 0.0, -1.0], [3.0, np.nan, np.nan],
-                           [np.nan, 5.0, 1.0]])
-        largest = np.maximum.reduce(excess, axis=1)
-        assert np.array_equal(largest, excess.max(axis=1), equal_nan=True)
-        leaving = (~(largest <= 1e-9)).nonzero()[0]
-        assert np.array_equal(leaving, np.flatnonzero(~(excess.max(axis=1) <= 1e-9)))
-        rows = excess[leaving].argmax(axis=1)
-        assert rows.tolist() == [int(np.argmax(excess[k])) for k in leaving]
-        assert np.array_equal(largest[leaving], excess[leaving, rows], equal_nan=True)
-
 
 class TestReductionsWithInitial:
     @pytest.mark.parametrize("shape", [(0,), (3,), (0, 4), (2, 3)])
     def test_masked_max_of_nothing_is_the_initial_value(self, shape):
+        # the dual-feasibility check masks the basic entries by zeroing them
+        # and reduces the whole array
         values = -np.arange(1.0, math.prod(shape) + 1).reshape(shape)
-        for where in (np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool)):
-            new = np.maximum.reduce(values, axis=None, where=where, initial=0.0)
-            assert bits(new) == bits(values.max(where=where, initial=0.0))
+        for masked in (np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool)):
+            x = np.where(masked, 0.0, values)
+            new = np.maximum.reduce(x, axis=None, initial=0.0)
+            assert bits(new) == bits(x.max(initial=0.0)) == bits(0.0)
 
     def test_a_solve_without_nonbasics_checks_nothing(self):
         # n = 0: every column of [A | I] is a basic slack, so the final
@@ -92,6 +84,33 @@ class TestReductionsWithInitial:
         sol = solve_box_lp(np.zeros(0), np.zeros((2, 0)), np.array([1.0, 2.0]))
         assert sol.objective == 0.0 and sol.primal.shape == (0,)
         assert np.array_equal(sol.duals, np.zeros(2))
+
+
+class TestCheckDualFeasible:
+    # reduced costs of [A | I] for n = 2, m = 2: a nonbasic column prices in
+    # where its reduced cost is positive, or negative at its upper bound
+    cbar = np.array([-1.0, 0.5, -2.0, 0.0])
+
+    def check(self, cbar, at_upper, basic):
+        simplex._check_dual_feasible(cbar.copy(), at_upper, basic, 2, 2)
+
+    def test_one_lp_ignores_a_basic_index_only(self):
+        at_upper = np.zeros(4, dtype=bool)
+        self.check(self.cbar, at_upper, np.array([1, 3]))
+        with pytest.raises(SimplexError, match=r"prices in by 0\.5 \(n=2, m=2\)"):
+            self.check(self.cbar, at_upper, np.array([0, 3]))
+        # a column at its upper bound prices in where its reduced cost is negative
+        at_upper[0] = True
+        with pytest.raises(SimplexError, match=r"prices in by 1 "):
+            self.check(self.cbar, at_upper, np.array([1, 3]))
+
+    def test_stacked_lps_ignore_a_basic_index_only(self):
+        cbar = np.stack((np.zeros(4), self.cbar))
+        at_upper = np.zeros((2, 4), dtype=bool)
+        rows = np.arange(2)[:, None]
+        self.check(cbar, at_upper, (rows, np.array([[0, 1], [1, 3]])))
+        with pytest.raises(SimplexError, match=r"prices in by 0\.5"):
+            self.check(cbar, at_upper, (rows, np.array([[1, 3], [0, 3]])))
 
 
 class TestViolationNorm:
@@ -128,10 +147,10 @@ class TestTraceObjective:
 
 # The functions that run per pivot, per step or per run.
 HOT = {
-    simplex: ("_long_step", "_pivot", "_numpy_pivots", "_raise_for", "_solve",
-              "solve_prefix_lps", "_check_dual_feasible"),
+    simplex: ("_long_step", "_numpy_pivots", "_pivot_loop", "_solve", "solve_prefix_lps",
+              "_check_dual_feasible"),
     algorithms: ("run_one_pass", "_numpy_rows", "_trace", "run_prefix_lp", "repair_feasibility"),
-    native: ("engine", "step_rows", "_status", "_pivot_data", "pivot_lps", "_workspace"),
+    native: ("engine", "step_rows", "_pivot_data", "pivot_lps"),
     core: ("violation_norm",),
 }
 # numpy wrapper -> the C entry point it ends in

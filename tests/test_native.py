@@ -417,9 +417,8 @@ def one_lp_stack(**replaced):
     if native.engine() != "compiled":
         pytest.skip(f"the compiled pivot loop does not run: {native.engine()}")
     arrays = dict(columns=np.ones((1, 1, 2)), Gt=np.array([[[1.0], [1.0], [1.0]]]),
-                  rewards=np.ones((1, 2)), b=np.ones((1, 1)), basis=np.array([[2]]),
-                  at_upper=np.array([[True, True, False]]),
-                  nonbasic=np.array([[True, True, False]]), iterations=np.zeros(1, dtype=np.int64))
+                  costs=np.array([[1.0, 1.0, 0.0]]), b=np.ones((1, 1)), basis=np.array([[2]]),
+                  at_upper=np.array([[True, True, False]]), iterations=np.zeros(1, dtype=np.int64))
     arrays.update(replaced)
     return arrays
 
@@ -474,6 +473,20 @@ class TestLpEngines:
             assert plain == (np.linalg.LinAlgError, "Singular matrix")
             assert compiled == plain
 
+    def test_no_entering_column_raises_alike_on_both_paths(self, monkeypatch):
+        # x0 + x1 <= -1 from x = 0: the slack's value -1 leaves, and no column
+        # can raise it.  solve_box_lp turns such data away, so the pivot loop
+        # is bound directly.
+        arrays = one_lp_stack(b=-np.ones((1, 1)), at_upper=np.zeros((1, 3), dtype=bool))
+        del arrays["iterations"]
+
+        def pivots():
+            return simplex._pivot_loop(*(a.copy() for a in arrays.values()))(1, 2)
+
+        compiled, plain = both_engines(monkeypatch, pivots)
+        assert plain == (SimplexError, "dual ratio test found no entering column (n=2, m=1)")
+        assert compiled == plain
+
     def test_an_exceeded_budget_raises_alike_on_both_paths(self, monkeypatch):
         inst = generate(GeneratorSpec(GeneratorFamily.UNIFORM, n=200, m=5, seed=1))
         assert solve_relaxation(inst).iterations > 2
@@ -522,12 +535,12 @@ class TestLpEngines:
                 pivots(1, 2, 10)
         # the same arrays with a basis in range pivot to the optimum
         arrays = one_lp_stack()
-        assert native.pivot_lps(**arrays, pivot_tol=1e-9, feas_tol=1e-9)(1, 2, 10) == "optimal"
+        assert native.pivot_lps(**arrays, pivot_tol=1e-9, feas_tol=1e-9)(1, 2, 10) == 0
         assert arrays["iterations"].tolist() == [1]
 
     @pytest.mark.parametrize("name, value", [
         ("basis", np.array([[2]], dtype=np.int32)),
-        ("rewards", np.ones((1, 2), dtype=np.float32)),
+        ("costs", np.ones((1, 3), dtype=np.float32)),
         ("at_upper", np.zeros((1, 3), dtype=np.uint8)),
         ("iterations", np.zeros(1, dtype=np.int32)),
     ])
@@ -535,7 +548,7 @@ class TestLpEngines:
         with pytest.raises(ValueError, match="reads contiguous float64 data"):
             native.pivot_lps(**one_lp_stack(**{name: value}), pivot_tol=1e-9, feas_tol=1e-9)
 
-    @pytest.mark.parametrize("name", ["columns", "Gt", "rewards", "at_upper", "nonbasic"])
+    @pytest.mark.parametrize("name", ["columns", "Gt", "costs", "at_upper"])
     def test_the_entry_point_rejects_a_non_contiguous_array(self, name):
         value = one_lp_stack()[name]
         strided = np.repeat(value, 2, axis=-1)[..., ::2]  # the same values, every other one
@@ -545,7 +558,7 @@ class TestLpEngines:
 
     @pytest.mark.parametrize("name, value", [
         ("Gt", np.ones((1, 4, 1))),
-        ("rewards", np.ones((1, 3))),
+        ("costs", np.ones((1, 2))),
         ("b", np.ones((2, 1))),
         ("basis", np.array([[2, 1]])),
         ("at_upper", np.zeros((1, 2), dtype=bool)),
